@@ -77,20 +77,41 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
     type View<'e>
     where
         Self: 'e;
-    /// Per-chunk scratch (reduction buffers; `()` for dat args).
+    /// Per-chunk scratch (reduction buffers, SoA row staging).
     type TaskLocal: Send + 'static;
+    /// Everything about the argument that does not change from one
+    /// element to the next — base pointers, `dim`, plane stride, map table
+    /// and slot — resolved once per executed block into plain locals, so
+    /// the element loop chases no handle (see [`DatBound`]).
+    type Bound<'b>
+    where
+        Self: 'b;
 
     /// Validates the argument against the loop's iteration set.
     fn check_against(&self, iter_set: &Set, loop_name: &str);
     /// Creates the per-chunk scratch.
     fn task_local(&self) -> Self::TaskLocal;
-    /// Builds the kernel view for element `elem`.
+    /// Resolves the loop-invariant state; the executor calls this once per
+    /// block, inside the block's task.
     ///
     /// # Safety
     ///
     /// Caller must be a loop executor upholding the plan/coloring
-    /// discipline (see [`crate::dat`] safety model).
-    unsafe fn view<'e>(&'e self, elem: usize, tl: &'e mut Self::TaskLocal) -> Self::View<'e>;
+    /// discipline (see [`crate::dat`] safety model), calling from the
+    /// block whose dependencies are satisfied. The result must not outlive
+    /// that block call, be stored, or be sent to another thread.
+    unsafe fn bind(&self) -> Self::Bound<'_>;
+    /// Builds the kernel view for element `elem`.
+    ///
+    /// # Safety
+    ///
+    /// As [`ArgSpec::bind`]; additionally `elem` must be an element of the
+    /// iteration set the argument was checked against.
+    unsafe fn view<'e>(
+        bound: &'e Self::Bound<'_>,
+        elem: usize,
+        tl: &'e mut Self::TaskLocal,
+    ) -> Self::View<'e>;
     /// Writes staged per-element state back after the kernel ran — the
     /// dual of [`ArgSpec::view`] for arguments whose mutable view is a
     /// task-local staging buffer rather than a slice of the underlying
@@ -100,11 +121,10 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
     ///
     /// # Safety
     ///
-    /// Same contract as [`ArgSpec::view`]: the caller must be a loop
-    /// executor upholding the plan/coloring discipline, invoking this with
-    /// the same `elem` whose view the kernel just mutated.
-    unsafe fn writeback(&self, elem: usize, tl: &mut Self::TaskLocal) {
-        let _ = (elem, tl);
+    /// Same contract as [`ArgSpec::view`], invoked with the same `elem`
+    /// whose view the kernel just mutated.
+    unsafe fn writeback(bound: &Self::Bound<'_>, elem: usize, tl: &mut Self::TaskLocal) {
+        let _ = (bound, elem, tl);
     }
     /// Commits per-chunk scratch (keyed by the owning loop's generation
     /// and the chunk's start element, so pipelined loops' partials never
@@ -266,12 +286,40 @@ impl<T: OpType, A: AccessTag> DatArg<T, A> {
         }
     }
 
-    /// Target row for iteration element `e`.
-    #[inline(always)]
+    /// Target row for iteration element `e` (submission-time and debug
+    /// paths; the element loop resolves rows through [`DatBound`]).
     fn target(&self, e: usize) -> usize {
         match &self.map {
             None => e,
             Some((m, i)) => m.at(e, *i),
+        }
+    }
+
+    fn bind_impl(&self) -> DatBound<'_, T> {
+        let (map, arity) = match &self.map {
+            None => (std::ptr::null(), 0),
+            // Pre-offset by the slot (`slot < m.dim()` per `DatArg::new`);
+            // wrapping because an empty source set has an empty table.
+            Some((m, slot)) => (m.indices().as_ptr().wrapping_add(*slot), m.dim()),
+        };
+        DatBound {
+            // SAFETY(clippy): address computation only.
+            base: unsafe { self.dat.ptr() },
+            dim: self.dat.dim(),
+            layout: self.dat.layout(),
+            stride: self.dat.component_stride(),
+            map,
+            arity,
+            _arg: std::marker::PhantomData,
+        }
+    }
+
+    /// Staging buffer for one SoA row (AoS views alias the storage and
+    /// need none).
+    fn stage_buffer(&self) -> Vec<T> {
+        match self.dat.layout() {
+            Layout::AoS => Vec::new(),
+            Layout::SoA => vec![T::default(); self.dat.dim()],
         }
     }
 
@@ -424,6 +472,104 @@ impl<T: OpType, A: AccessTag> DatArg<T, A> {
     }
 }
 
+/// The loop-invariant half of a [`DatArg`], resolved once per executed
+/// block by [`ArgSpec::bind`]: the element loop addresses rows from these
+/// plain locals instead of re-walking `DatArg -> Arc<DatInner> -> Vec` and
+/// `Map -> Arc<MapInner> -> indices` per element (loads the optimiser
+/// cannot hoist itself, because kernels write through raw pointers that
+/// may alias those fields).
+///
+/// Holds raw pointers into the dat's storage and the map's index table:
+/// valid only while the argument it was bound from is alive and only
+/// under the executor discipline of [`crate::dat`] — i.e. for the one
+/// `block_body` call that bound it, whose closure owns the argument clone.
+/// The raw pointers also keep it `!Send`/`!Sync`, so it cannot leave the
+/// block's task.
+pub struct DatBound<'b, T> {
+    base: *mut T,
+    dim: usize,
+    layout: Layout,
+    /// [`Dat::component_stride`]: scalars between two components of a row.
+    stride: usize,
+    /// Map table pre-offset by the slot; null for a direct argument.
+    map: *const u32,
+    /// Map arity (entries per source element).
+    arity: usize,
+    _arg: std::marker::PhantomData<&'b ()>,
+}
+
+impl<T: OpType> DatBound<'_, T> {
+    /// Target row of iteration element `e`.
+    ///
+    /// # Safety
+    ///
+    /// `e` must be an element of the iteration set the argument was
+    /// checked against.
+    #[inline(always)]
+    unsafe fn target(&self, e: usize) -> usize {
+        if self.map.is_null() {
+            e
+        } else {
+            // SAFETY: `check_against` pinned the map's source set to the
+            // iteration set and `block_body` asserts its range lies inside
+            // that set, so `e * arity + slot` is inside the
+            // `from.size() * arity` table `Map::with_halo` validated.
+            unsafe { *self.map.add(e * self.arity) as usize }
+        }
+    }
+
+    /// Pointer to the `dim` contiguous scalars of element `e`'s row: the
+    /// storage itself under AoS, `stage` (filled from the component
+    /// planes) under SoA.
+    ///
+    /// # Safety
+    ///
+    /// As [`ArgSpec::view`]; `stage` must come from
+    /// [`DatArg::stage_buffer`] of the bound argument.
+    #[inline(always)]
+    unsafe fn row(&self, e: usize, stage: &mut [T]) -> *mut T {
+        // SAFETY: forwarded contract.
+        let t = unsafe { self.target(e) };
+        match self.layout {
+            // SAFETY: `t < total_rows` — direct rows by the iteration-set
+            // match, mapped rows by `Map::with_halo`'s index validation
+            // and `DatArg::new`'s `target_rows <= total_rows` check.
+            Layout::AoS => unsafe { self.base.add(t * self.dim) },
+            // The row is strided one plane apart: stage it so the kernel
+            // keeps its contiguous slice signature (OP_RW/OP_INC read
+            // their current target; OP_WRITE harmlessly sees stale values
+            // it must overwrite anyway).
+            Layout::SoA => {
+                for (c, s) in stage.iter_mut().enumerate() {
+                    // SAFETY: `stage.len() == dim`, so
+                    // `c * stride + t < dim * total_rows`.
+                    *s = unsafe { *self.base.add(c * self.stride + t) };
+                }
+                stage.as_mut_ptr()
+            }
+        }
+    }
+
+    /// Scatters a staged SoA row back to the component planes (no-op
+    /// under AoS, where the kernel wrote the storage directly).
+    ///
+    /// # Safety
+    ///
+    /// As [`ArgSpec::writeback`].
+    #[inline(always)]
+    unsafe fn scatter(&self, e: usize, stage: &[T]) {
+        if self.layout == Layout::SoA {
+            // SAFETY: forwarded contract.
+            let t = unsafe { self.target(e) };
+            for (c, &v) in stage.iter().enumerate() {
+                // SAFETY: bounds as in `row`; exclusivity of row `t` per
+                // the executor discipline.
+                unsafe { *self.base.add(c * self.stride + t) = v };
+            }
+        }
+    }
+}
+
 macro_rules! impl_dat_arg {
     // $tag: the access tag; $view: view type; $mut_target: expression
     (read) => {
@@ -432,42 +578,22 @@ macro_rules! impl_dat_arg {
         unsafe impl<T: OpType> ArgSpec for DatArg<T, ReadTag> {
             type View<'e> = &'e [T];
             type TaskLocal = Vec<T>;
+            type Bound<'b> = DatBound<'b, T>;
 
             fn check_against(&self, iter_set: &Set, loop_name: &str) {
                 self.check_impl(iter_set, loop_name);
             }
             fn task_local(&self) -> Vec<T> {
-                match self.dat.layout() {
-                    Layout::AoS => Vec::new(),
-                    Layout::SoA => Vec::with_capacity(self.dat.dim()),
-                }
+                self.stage_buffer()
+            }
+            unsafe fn bind(&self) -> DatBound<'_, T> {
+                self.bind_impl()
             }
             #[inline(always)]
-            unsafe fn view<'e>(&'e self, elem: usize, tl: &'e mut Vec<T>) -> &'e [T] {
-                let t = self.target(elem);
-                let dim = self.dat.dim();
-                match self.dat.layout() {
-                    // SAFETY: executor discipline (module docs); row in
-                    // bounds by map/dat construction.
-                    Layout::AoS => unsafe {
-                        std::slice::from_raw_parts(self.dat.ptr().add(t * dim), dim)
-                    },
-                    // The row is strided one plane apart: stage it so the
-                    // kernel keeps its contiguous `&[T]` signature.
-                    Layout::SoA => {
-                        let stride = self.dat.component_stride();
-                        // SAFETY: as above; pushes stay within the
-                        // capacity reserved in `task_local`.
-                        unsafe {
-                            let base = self.dat.ptr();
-                            tl.clear();
-                            for c in 0..dim {
-                                tl.push(*base.add(c * stride + t));
-                            }
-                            std::slice::from_raw_parts(tl.as_ptr(), dim)
-                        }
-                    }
-                }
+            unsafe fn view<'e>(b: &'e DatBound<'_, T>, elem: usize, tl: &'e mut Vec<T>) -> &'e [T] {
+                // SAFETY: executor discipline (trait docs); `row` yields
+                // `dim` readable scalars.
+                unsafe { std::slice::from_raw_parts(b.row(elem, tl), b.dim) }
             }
             fn commit(&self, _gen: u64, _chunk_start: usize, _tl: Vec<T>) {}
             fn finalize(&self, _gen: u64) {}
@@ -511,58 +637,32 @@ macro_rules! impl_dat_arg {
         unsafe impl<T: OpType> ArgSpec for DatArg<T, $tag> {
             type View<'e> = &'e mut [T];
             type TaskLocal = Vec<T>;
+            type Bound<'b> = DatBound<'b, T>;
 
             fn check_against(&self, iter_set: &Set, loop_name: &str) {
                 self.check_impl(iter_set, loop_name);
             }
             fn task_local(&self) -> Vec<T> {
-                match self.dat.layout() {
-                    Layout::AoS => Vec::new(),
-                    Layout::SoA => Vec::with_capacity(self.dat.dim()),
-                }
+                self.stage_buffer()
+            }
+            unsafe fn bind(&self) -> DatBound<'_, T> {
+                self.bind_impl()
             }
             #[inline(always)]
-            unsafe fn view<'e>(&'e self, elem: usize, tl: &'e mut Vec<T>) -> &'e mut [T] {
-                let t = self.target(elem);
-                let dim = self.dat.dim();
-                match self.dat.layout() {
-                    // SAFETY: exclusivity per the impl-level comment.
-                    Layout::AoS => unsafe {
-                        std::slice::from_raw_parts_mut(self.dat.ptr().add(t * dim), dim)
-                    },
-                    // Stage the strided row (OP_RW/OP_INC read their
-                    // current target; OP_WRITE harmlessly sees stale
-                    // values it must overwrite anyway); `writeback`
-                    // scatters the kernel's result to the planes.
-                    Layout::SoA => {
-                        let stride = self.dat.component_stride();
-                        // SAFETY: as above; pushes stay within the
-                        // capacity reserved in `task_local`.
-                        unsafe {
-                            let base = self.dat.ptr();
-                            tl.clear();
-                            for c in 0..dim {
-                                tl.push(*base.add(c * stride + t));
-                            }
-                            std::slice::from_raw_parts_mut(tl.as_mut_ptr(), dim)
-                        }
-                    }
-                }
+            unsafe fn view<'e>(
+                b: &'e DatBound<'_, T>,
+                elem: usize,
+                tl: &'e mut Vec<T>,
+            ) -> &'e mut [T] {
+                // SAFETY: exclusivity per the impl-level comment; `row`
+                // yields `dim` writable scalars.
+                unsafe { std::slice::from_raw_parts_mut(b.row(elem, tl), b.dim) }
             }
             #[inline(always)]
-            unsafe fn writeback(&self, elem: usize, tl: &mut Vec<T>) {
-                if self.dat.layout() == Layout::SoA {
-                    let t = self.target(elem);
-                    let stride = self.dat.component_stride();
-                    // SAFETY: exclusivity per the impl-level comment; the
-                    // executor passes the elem whose view was just staged.
-                    unsafe {
-                        let base = self.dat.ptr();
-                        for (c, &v) in tl.iter().enumerate() {
-                            *base.add(c * stride + t) = v;
-                        }
-                    }
-                }
+            unsafe fn writeback(b: &DatBound<'_, T>, elem: usize, tl: &mut Vec<T>) {
+                // SAFETY: exclusivity per the impl-level comment; the
+                // executor passes the elem whose view was just staged.
+                unsafe { b.scatter(elem, tl) }
             }
             fn commit(&self, _gen: u64, _chunk_start: usize, _tl: Vec<T>) {}
             fn finalize(&self, _gen: u64) {}
@@ -635,13 +735,16 @@ impl<T: Reducible> Clone for GblIncArg<T> {
 unsafe impl<T: Reducible> ArgSpec for GblIncArg<T> {
     type View<'e> = &'e mut [T];
     type TaskLocal = Vec<T>;
+    /// Nothing to resolve: the view is the task-local partial itself.
+    type Bound<'b> = ();
 
     fn check_against(&self, _iter_set: &Set, _loop_name: &str) {}
     fn task_local(&self) -> Vec<T> {
         self.gbl.task_local()
     }
+    unsafe fn bind(&self) {}
     #[inline(always)]
-    unsafe fn view<'e>(&'e self, _elem: usize, tl: &'e mut Vec<T>) -> &'e mut [T] {
+    unsafe fn view<'e>(_b: &'e (), _elem: usize, tl: &'e mut Vec<T>) -> &'e mut [T] {
         tl.as_mut_slice()
     }
     fn commit(&self, gen: u64, chunk_start: usize, tl: Vec<T>) {
@@ -711,14 +814,20 @@ impl<T: Reducible> Clone for GblReadArg<T> {
 unsafe impl<T: Reducible> ArgSpec for GblReadArg<T> {
     type View<'e> = &'e [T];
     type TaskLocal = ();
+    /// The broadcast value, read (and its lock taken) once per block.
+    type Bound<'b> = &'b [T];
 
     fn check_against(&self, _iter_set: &Set, _loop_name: &str) {}
     fn task_local(&self) {}
-    #[inline(always)]
-    unsafe fn view<'e>(&'e self, _elem: usize, _tl: &'e mut ()) -> &'e [T] {
-        // SAFETY: the value vector is never resized; writers are ordered
-        // before this loop by `collect_deps`.
+    unsafe fn bind(&self) -> &[T] {
+        // SAFETY: the value vector is never resized and the argument keeps
+        // the global alive; writers are ordered before this block by
+        // `collect_deps` / `collect_block_deps`.
         unsafe { std::slice::from_raw_parts(self.gbl.raw_value_ptr(), self.gbl.dim()) }
+    }
+    #[inline(always)]
+    unsafe fn view<'e>(b: &'e &[T], _elem: usize, _tl: &'e mut ()) -> &'e [T] {
+        b
     }
     fn commit(&self, _gen: u64, _chunk_start: usize, _tl: ()) {}
     fn finalize(&self, _gen: u64) {}
@@ -849,5 +958,152 @@ mod tests {
         assert_eq!(a.mut_target(1), Some((d.id(), 2)));
         let r = arg_read_via(&d, &m, 0);
         assert_eq!(ArgSpec::mut_target(&r, 0), None);
+    }
+
+    // ---- the bind-once executor contract -------------------------------
+
+    use crate::config::Op2Config;
+    use crate::world::Op2;
+
+    /// The per-element program both the kernels and the hand-written
+    /// reference loops below apply to a mutable row.
+    fn mutate(access: Access, e: usize, row: &mut [f64]) {
+        for (c, v) in row.iter_mut().enumerate() {
+            *v = match access {
+                Access::Write => (10 * e + c) as f64 + 0.5,
+                Access::Rw => *v * 1.5 - e as f64,
+                Access::Inc => *v + 0.25 * e as f64 + c as f64,
+                Access::Read => unreachable!("read rows are not mutated"),
+            };
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every access mode x direct/indirect x AoS/SoA: a loop through the
+    /// bound path (`bind` once per block, `view`/`writeback` per element)
+    /// leaves bitwise the rows a hand-written loop over the canonical
+    /// row-major data does — including SoA staging + writeback and a map
+    /// whose table reaches halo rows beyond the target set.
+    #[test]
+    fn bound_path_matches_reference_loop_for_every_mode_shape_and_layout() {
+        let (n, rows, halo, dim, arity, slot) = (37usize, 29usize, 5usize, 3usize, 2usize, 1usize);
+        let table: Vec<u32> = (0..n * arity)
+            .map(|i| ((i * 7 + 3) % (rows + halo)) as u32)
+            .collect();
+        for layout in [Layout::AoS, Layout::SoA] {
+            for indirect in [false, true] {
+                for access in [Access::Read, Access::Write, Access::Rw, Access::Inc] {
+                    let what = format!("{access} indirect={indirect} {layout:?}");
+                    let op2 = Op2::new(Op2Config::seq());
+                    let iter = op2.decl_set(n, "iter");
+                    let ids = op2.decl_dat(&iter, 1, "id", (0..n).map(|e| e as f64).collect());
+                    let (set, halo_rows) = if indirect {
+                        (op2.decl_set(rows, "rows"), halo)
+                    } else {
+                        (iter.clone(), 0)
+                    };
+                    let total = set.size() + halo_rows;
+                    let init: Vec<f64> = (0..total * dim).map(|i| i as f64 * 0.37 - 3.0).collect();
+                    let d =
+                        op2.decl_dat_halo_layout(&set, dim, "d", init.clone(), halo_rows, layout);
+                    let m = op2.decl_map_halo(&iter, &set, arity, table.clone(), "m", halo_rows);
+                    let target = |e: usize| {
+                        if indirect {
+                            table[e * arity + slot] as usize
+                        } else {
+                            e
+                        }
+                    };
+                    let via = indirect.then_some((&m, slot));
+
+                    if access == Access::Read {
+                        let out =
+                            op2.decl_dat_layout(&iter, dim, "out", vec![0.0; n * dim], layout);
+                        op2.loop_("gather", &iter)
+                            .arg(DatArg::<f64, ReadTag>::new(&d, via))
+                            .arg(arg_write(&out))
+                            .run(|row: &[f64], out: &mut [f64]| out.copy_from_slice(row))
+                            .wait();
+                        let expect: Vec<f64> = (0..n)
+                            .flat_map(|e| init[target(e) * dim..][..dim].to_vec())
+                            .collect();
+                        assert_eq!(bits(&out.snapshot()), bits(&expect), "{what}");
+                        assert_eq!(bits(&d.snapshot()), bits(&init), "{what}: source untouched");
+                        continue;
+                    }
+
+                    macro_rules! run_mut {
+                        ($tag:ty) => {
+                            op2.loop_("scatter", &iter)
+                                .arg(arg_read(&ids))
+                                .arg(DatArg::<f64, $tag>::new(&d, via))
+                                .run(move |id: &[f64], row: &mut [f64]| {
+                                    mutate(access, id[0] as usize, row)
+                                })
+                                .wait()
+                        };
+                    }
+                    match access {
+                        Access::Write => run_mut!(WriteTag),
+                        Access::Rw => run_mut!(RwTag),
+                        _ => run_mut!(IncTag),
+                    }
+                    let mut expect = init.clone();
+                    for e in 0..n {
+                        mutate(access, e, &mut expect[target(e) * dim..][..dim]);
+                    }
+                    assert_eq!(bits(&d.snapshot()), bits(&expect), "{what}");
+                }
+            }
+        }
+    }
+
+    /// Global arguments bind the same way: a broadcast read sees the
+    /// current value on every element, a reduction accumulates into the
+    /// task-local partial.
+    #[test]
+    fn global_args_bind_once_per_block() {
+        let op2 = Op2::new(Op2Config::seq());
+        let cells = op2.decl_set(100, "cells");
+        let x = op2.decl_dat(&cells, 1, "x", vec![1.0f64; 100]);
+        let scale = Global::<f64>::sum(2, "scale");
+        scale.set(&[3.0, 0.5]);
+        let total = Global::<f64>::sum(1, "total");
+        op2.loop_("scale", &cells)
+            .arg(arg_gbl_read(&scale))
+            .arg(arg_rw(&x))
+            .arg(arg_gbl_inc(&total))
+            .run(|s: &[f64], x: &mut [f64], t: &mut [f64]| {
+                x[0] = x[0] * s[0] + s[1];
+                t[0] += x[0];
+            })
+            .wait();
+        assert!(x.snapshot().iter().all(|&v| v == 3.5));
+        assert_eq!(total.get_scalar(), 350.0);
+    }
+
+    /// The bound path keeps the debug aliasing check: an element reaching
+    /// one row through two mutable arguments is a mesh bug, not UB.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "aliasing mutable arguments")]
+    fn mutable_overlap_is_still_caught_in_debug_builds() {
+        let op2 = Op2::new(Op2Config::seq());
+        let edges = op2.decl_set(2, "edges");
+        let cells = op2.decl_set(3, "cells");
+        // Edge 1 is degenerate: both slots reach cell 2.
+        let m = op2.decl_map(&edges, &cells, 2, vec![0, 1, 2, 2], "ecell");
+        let res = op2.decl_dat(&cells, 1, "res", vec![0.0f64; 3]);
+        op2.loop_("res", &edges)
+            .arg(arg_inc_via(&res, &m, 0))
+            .arg(arg_inc_via(&res, &m, 1))
+            .run(|a: &mut [f64], b: &mut [f64]| {
+                a[0] += 1.0;
+                b[0] += 1.0;
+            })
+            .wait();
     }
 }

@@ -35,6 +35,18 @@
 //!    the relevant futures and are tracked by a borrow counter so a guard
 //!    held across a conflicting `par_loop` submission panics instead of
 //!    racing.
+//!
+//! Executors do not go through the `Dat` handle per element: each block
+//! call binds its arguments once ([`crate::ArgSpec::bind`]) into a
+//! [`crate::DatBound`] holding the raw base pointer (plus `dim`,
+//! layout, plane stride and the map's index-table pointer). Such a bound
+//! value is part of path 1 and inherits its terms: it is made inside the
+//! block whose dependencies the driver satisfied, it may be dereferenced
+//! only for rows of that block's elements, and it is valid only for that
+//! one `block_body` call — the closure's own argument clone keeps this
+//! `Arc` (and the map's) alive for exactly that long, and the storage
+//! `Vec` is never resized. It is never stored, returned or sent to another
+//! thread (its raw pointers make it `!Send`/`!Sync`).
 
 use parking_lot::Mutex;
 use std::cell::UnsafeCell;

@@ -228,6 +228,7 @@ macro_rules! gen_par_loop {
                     .filter(|ps| !ps.is_empty())
                     .map(Arc::new);
 
+                let set_size = set.size();
                 let finalize_args = ($( $a.clone(), )+);
                 // Only the backend that will call a hook pays for its
                 // argument clones and closure allocation.
@@ -239,7 +240,19 @@ macro_rules! gen_par_loop {
 
                 let block_body: Arc<dyn Fn(Range<usize>) + Send + Sync> =
                     Arc::new(move |r: Range<usize>| {
+                        // Every raw row/map offset below is derived from an
+                        // element of the iteration set: check the range
+                        // once per block instead of per access.
+                        assert!(r.end <= set_size, "block {r:?} outside the iteration set");
                         let mut tls = ($( $a.task_local(), )+);
+                        // Loop-invariant argument state (base pointers,
+                        // dims, strides, map tables) resolved once, into
+                        // locals the element loop keeps in registers.
+                        // SAFETY: this is the executor, inside the block
+                        // whose dependencies the driver satisfied; `bound`
+                        // dies with this call and borrows the argument
+                        // clones this closure owns.
+                        let bound = unsafe { ($( $a.bind(), )+) };
                         // The prefetch branch is hoisted out of the element
                         // loop so the common (no-prefetch) path stays tight.
                         match &prefetch {
@@ -251,10 +264,11 @@ macro_rules! gen_par_loop {
                                         crate::diag::check_mut_overlap(&targets, e);
                                     }
                                     // SAFETY: the driver guarantees the
-                                    // executor discipline in `crate::dat`.
+                                    // executor discipline in `crate::dat`;
+                                    // `e < set_size` by the assert above.
                                     unsafe {
-                                        kernel($( $a.view(e, &mut tls.$idx) ),+);
-                                        $( $a.writeback(e, &mut tls.$idx); )+
+                                        kernel($( $A::view(&bound.$idx, e, &mut tls.$idx) ),+);
+                                        $( $A::writeback(&bound.$idx, e, &mut tls.$idx); )+
                                     }
                                 }
                             }
@@ -268,8 +282,8 @@ macro_rules! gen_par_loop {
                                     }
                                     // SAFETY: as above.
                                     unsafe {
-                                        kernel($( $a.view(e, &mut tls.$idx) ),+);
-                                        $( $a.writeback(e, &mut tls.$idx); )+
+                                        kernel($( $A::view(&bound.$idx, e, &mut tls.$idx) ),+);
+                                        $( $A::writeback(&bound.$idx, e, &mut tls.$idx); )+
                                     }
                                 }
                             }

@@ -82,11 +82,18 @@ impl Default for ChunkPolicy {
 
 /// EWMA smoothing factor for steady-state cost updates.
 const FEEDBACK_ALPHA: f64 = 0.25;
-/// A sample deviating from the EWMA by more than this factor is treated as
-/// a workload *phase change* and snaps the estimate to the sample, so the
-/// consumer re-plans once instead of drifting through every intermediate
-/// granularity.
+/// A sample deviating from the EWMA by more than this factor is
+/// *out of band*: either a workload phase change or a pre-empted node.
 const FEEDBACK_SNAP_FACTOR: f64 = 2.0;
+/// Consecutive out-of-band samples on the same side of the EWMA that make
+/// a *phase change*: the estimate then snaps to the sample, so the consumer
+/// re-plans once instead of drifting through every intermediate
+/// granularity. Fewer are outliers — a node descheduled mid-kernel reads
+/// 10-1000x on an oversubscribed host — and are folded clamped to the band
+/// edge, so one of them moves the estimate by at most `FEEDBACK_ALPHA` of
+/// the band (too little to cross a power-of-two granularity midpoint from
+/// a converged estimate).
+const FEEDBACK_SNAP_STREAK: i8 = 3;
 
 /// Measured per-element cost of one (kernel, set) pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,6 +103,9 @@ pub struct KernelCost {
     pub ewma_ns_per_elem: f64,
     /// Number of measurements folded in.
     pub samples: u64,
+    /// Run of consecutive out-of-band samples: positive above the band,
+    /// negative below, zero after any in-band sample.
+    streak: i8,
 }
 
 /// Measured-cost accumulator behind the feedback-driven chunk policies:
@@ -147,8 +157,9 @@ struct RankAttribution {
     costs: HashMap<u64, HashMap<Arc<str>, KernelCost>>,
 }
 
-/// Folds one per-element cost sample into a cost table (EWMA with
-/// phase-change snapping).
+/// Folds one per-element cost sample into a cost table (EWMA; snaps on a
+/// sustained phase change, clamps lone outliers — see
+/// [`FEEDBACK_SNAP_STREAK`]).
 fn fold_sample(
     table: &mut HashMap<u64, HashMap<Arc<str>, KernelCost>>,
     kernel: &Arc<str>,
@@ -158,12 +169,20 @@ fn fold_sample(
     let by_kernel = table.entry(set).or_default();
     match by_kernel.get_mut(kernel.as_ref()) {
         Some(c) => {
-            if sample > c.ewma_ns_per_elem * FEEDBACK_SNAP_FACTOR
-                || sample < c.ewma_ns_per_elem / FEEDBACK_SNAP_FACTOR
-            {
+            let (lo, hi) = (
+                c.ewma_ns_per_elem / FEEDBACK_SNAP_FACTOR,
+                c.ewma_ns_per_elem * FEEDBACK_SNAP_FACTOR,
+            );
+            c.streak = match (sample > hi, sample < lo) {
+                (true, _) => c.streak.max(0) + 1,
+                (_, true) => c.streak.min(0) - 1,
+                _ => 0,
+            };
+            if c.streak.abs() >= FEEDBACK_SNAP_STREAK {
                 c.ewma_ns_per_elem = sample;
+                c.streak = 0;
             } else {
-                c.ewma_ns_per_elem += FEEDBACK_ALPHA * (sample - c.ewma_ns_per_elem);
+                c.ewma_ns_per_elem += FEEDBACK_ALPHA * (sample.clamp(lo, hi) - c.ewma_ns_per_elem);
             }
             c.samples += 1;
         }
@@ -173,6 +192,7 @@ fn fold_sample(
                 KernelCost {
                     ewma_ns_per_elem: sample,
                     samples: 1,
+                    streak: 0,
                 },
             );
         }
@@ -665,19 +685,49 @@ mod tests {
     }
 
     #[test]
-    fn feedback_smooths_noise_but_snaps_on_phase_change() {
+    fn feedback_smooths_noise_and_snaps_on_a_sustained_phase_change() {
         let fb = GranularityFeedback::new();
         let k: Arc<str> = Arc::from("kern");
         fb.record(&k, 1, 1000, 1_000_000); // 1µs
         fb.record(&k, 1, 1000, 1_500_000); // +50% noise: smoothed
         let c = fb.cost("kern", 1).unwrap();
         assert!((c.ewma_ns_per_elem - 1125.0).abs() < 1e-9, "EWMA step");
-        // >2x jump: phase change, snap to the sample immediately.
+        // >2x jumps: the first two could be outliers and are folded
+        // clamped to the band edge; the third in a row is a phase change.
+        fb.record(&k, 1, 1000, 8_000_000);
+        fb.record(&k, 1, 1000, 8_000_000);
+        let c = fb.cost("kern", 1).unwrap();
+        assert!(
+            c.ewma_ns_per_elem < 1125.0 * 1.25 * 1.25 + 1e-9,
+            "two out-of-band samples move the estimate by at most 25% each, got {}",
+            c.ewma_ns_per_elem
+        );
         fb.record(&k, 1, 1000, 8_000_000);
         let c = fb.cost("kern", 1).unwrap();
         assert_eq!(c.ewma_ns_per_elem, 8000.0, "snap on phase change");
         fb.reset();
         assert!(fb.cost("kern", 1).is_none());
+    }
+
+    /// One pre-empted node (100x) among steady samples must not decide the
+    /// estimate, whichever side it falls on and however often it recurs,
+    /// as long as in-band samples separate the outliers.
+    #[test]
+    fn feedback_bounds_the_weight_of_lone_outliers() {
+        let fb = GranularityFeedback::new();
+        let k: Arc<str> = Arc::from("kern");
+        for round in 0..20 {
+            fb.record(&k, 1, 1000, 1_000_000);
+            fb.record(&k, 1, 1000, 1_000_000);
+            // Alternate a 100x-slow and a 100x-fast outlier.
+            let outlier = if round % 2 == 0 { 100_000_000 } else { 10_000 };
+            fb.record(&k, 1, 1000, outlier);
+            let e = fb.cost("kern", 1).unwrap().ewma_ns_per_elem;
+            assert!(
+                (850.0..=1300.0).contains(&e),
+                "round {round}: a lone outlier moved the estimate to {e}"
+            );
+        }
     }
 
     #[test]
@@ -696,8 +746,8 @@ mod tests {
     /// Regression for the stale-estimate bug: a kernel whose cost collapses
     /// below clock resolution (elapsed_ns == 0 on a coarse fake clock) used
     /// to have its samples silently dropped, freezing the old expensive
-    /// EWMA forever. The sample is now floored at 1 ns, so the estimate
-    /// snaps down and granularity can converge.
+    /// EWMA forever. The sample is now floored at 1 ns, so a run of them
+    /// snaps the estimate down and granularity can converge.
     #[test]
     fn feedback_sub_resolution_samples_pull_the_estimate_down() {
         let fb = GranularityFeedback::with_clock(Clock::fake());
@@ -707,9 +757,11 @@ mod tests {
         assert_eq!(fb.cost("kern", 9).unwrap().ewma_ns_per_elem, 1000.0);
         // Phase 2: the kernel becomes so cheap the whole chunk measures
         // 0 ns. Pre-fix this returned early and the estimate stayed 1000.
-        fb.record(&k, 9, 1000, 0);
-        let c = fb.cost("kern", 9).expect("sample was not dropped");
-        assert_eq!(c.samples, 2, "sub-resolution sample must be folded in");
+        for _ in 0..FEEDBACK_SNAP_STREAK {
+            fb.record(&k, 9, 1000, 0);
+        }
+        let c = fb.cost("kern", 9).expect("samples were not dropped");
+        assert_eq!(c.samples, 4, "sub-resolution samples must be folded in");
         assert!(
             c.ewma_ns_per_elem < 1.0,
             "estimate must snap down toward the 1 ns floor, got {}",

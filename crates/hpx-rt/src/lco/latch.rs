@@ -21,6 +21,13 @@ use crate::runtime::{try_help, Help, WAIT_POLL};
 /// }
 /// latch.wait();
 /// ```
+///
+/// A latch may live on its waiter's stack and be popped the moment `wait`
+/// returns (the parallel algorithms borrow it into their chunk tasks). So
+/// the last `count_down` must be done with the latch's memory before any
+/// `wait` can return: the decrement and the notify happen inside one
+/// critical section of `lock`, and `wait` never returns on the lock-free
+/// view of `remaining` alone — it passes through `lock` first.
 pub struct Latch {
     remaining: AtomicUsize,
     lock: Mutex<()>,
@@ -39,17 +46,21 @@ impl Latch {
 
     /// Records one completion. Panics on underflow.
     pub fn count_down(&self) {
+        // Decrement under the lock: a waiter that sees zero then has to get
+        // past this critical section (see `wait`), so it cannot free the
+        // latch while the notify or the unlock below still touch it — and
+        // it cannot miss the wake between its check and its condvar wait.
+        let _g = self.lock.lock();
         let prev = self.remaining.fetch_sub(1, Ordering::AcqRel);
         assert!(prev > 0, "latch counted down below zero");
         if prev == 1 {
-            // Take the lock so a waiter cannot miss the wake between its
-            // check of `remaining` and its condvar wait.
-            let _g = self.lock.lock();
             self.cv.notify_all();
         }
     }
 
-    /// True once the latch is open.
+    /// True once the latch is open. This alone does not license freeing
+    /// the latch — the opening `count_down` may still be inside it; only a
+    /// returned [`Latch::wait`] does.
     #[inline]
     pub fn try_wait(&self) -> bool {
         self.remaining.load(Ordering::Acquire) == 0
@@ -59,6 +70,9 @@ impl Latch {
     pub fn wait(&self) {
         loop {
             if self.try_wait() {
+                // Let the opening `count_down` leave its critical section
+                // before the caller may drop the latch.
+                drop(self.lock.lock());
                 return;
             }
             match try_help() {

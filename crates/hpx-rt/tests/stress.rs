@@ -8,8 +8,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use hpx_rt::{
-    channel, dataflow, for_each, for_each_async, lco, par, par_task, ready, reduce, schedule_after,
-    when_all, ChunkPolicy, DepCounter, PersistentChunker, Runtime, SharedFuture,
+    channel, dataflow, for_each, for_each_async, for_each_chunk, lco, par, par_task, ready, reduce,
+    schedule_after, when_all, ChunkPolicy, DepCounter, PersistentChunker, Runtime, SharedFuture,
 };
 
 #[test]
@@ -144,6 +144,44 @@ fn persistent_chunker_concurrent_calibration_is_single() {
         .iter()
         .all(|c| c.load(Ordering::Relaxed) == 100_000));
     assert!(handle.calibrated_target().is_some());
+}
+
+/// Regression for the fork-join join latch: `run_chunked` keeps its
+/// `Latch` on the submitter's stack, and `count_down` used to decrement
+/// *before* taking the latch's lock — the waiter could see zero, return and
+/// pop the frame while the last chunk task was still about to lock and
+/// notify it. Back-to-back 2-chunk joins reuse that stack slot at once, so
+/// a late touch lands in the *next* call's live latch (lost wake-ups, a
+/// foreign unlock) or in whatever else the frame became. A spinner thread
+/// keeps the two workers pre-empted at awkward points. This is a race: a
+/// pass proves nothing, a crash, hang or short count is the defect.
+#[test]
+fn stack_latch_survives_back_to_back_two_chunk_joins() {
+    let calls = if cfg!(debug_assertions) {
+        50_000
+    } else {
+        300_000
+    };
+    let rt = Runtime::new(2);
+    let policy = par().with_chunk(ChunkPolicy::NumChunks { chunks: 2 });
+    let stop = Arc::new(AtomicUsize::new(0));
+    let spinner = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while stop.load(Ordering::Relaxed) == 0 {
+                std::hint::spin_loop();
+            }
+        })
+    };
+    let elems = AtomicUsize::new(0);
+    for _ in 0..calls {
+        for_each_chunk(&rt, &policy, 0..2, |r| {
+            elems.fetch_add(r.len(), Ordering::Relaxed);
+        });
+    }
+    stop.store(1, Ordering::Relaxed);
+    spinner.join().unwrap();
+    assert_eq!(elems.into_inner(), 2 * calls);
 }
 
 #[test]

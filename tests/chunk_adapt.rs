@@ -120,8 +120,10 @@ fn converges_to_mean_cost_optimum_for_skewed_cost() {
 /// A workload **phase change mid-solve** (per-element cost jumps 4x): the
 /// feedback snaps to the new cost, the resolved granularity moves once,
 /// and the loop-spec cache re-plans **exactly once** for the change —
-/// asserted through both the per-context counters and the process-wide
-/// `op2.spec_cache.*` named counters.
+/// asserted on this world's own counter; the process-wide
+/// `op2.spec_cache.replans` named counter is a roll-up over every world in
+/// the process (sibling tests bump it concurrently), so it can only be
+/// required to include this world's share.
 #[test]
 fn granularity_change_mid_solve_replans_exactly_once() {
     let clock = Clock::fake();
@@ -154,9 +156,10 @@ fn granularity_change_mid_solve_replans_exactly_once() {
         "initial convergence off the probe default"
     );
 
-    // Phase 2: the kernel gets 4x heavier mid-solve. The snap-on-phase-
-    // change EWMA moves the estimate in one measured iteration, so the
-    // next submissions re-plan once to 128µs/4µs = 32 and then hit.
+    // Phase 2: the kernel gets 4x heavier mid-solve. A few consecutive
+    // out-of-band nodes make a phase change and the EWMA snaps, well
+    // within one measured iteration (128 nodes), so the next submissions
+    // re-plan once to 128µs/4µs = 32 and then hit.
     cost_ns.store(4000, Ordering::Relaxed);
     for _ in 0..4 {
         run_iter();
@@ -171,12 +174,76 @@ fn granularity_change_mid_solve_replans_exactly_once() {
         1,
         "one granularity change = exactly one re-plan"
     );
-    assert_eq!(
-        global_before.delta("op2.spec_cache.replans"),
-        op2.spec_cache_replans() - replans_before,
-        "process-wide op2.spec_cache.replans mirrors the context counter"
+    assert!(
+        global_before.delta("op2.spec_cache.replans") >= op2.spec_cache_replans() - replans_before,
+        "process-wide op2.spec_cache.replans rolls up the context counter"
     );
     assert!(x.snapshot().iter().all(|&v| v == 7.0), "results unchanged");
+}
+
+/// The feedback must tell a **pre-empted node** from a phase change: one
+/// node reading 100x (here: the last node of one iteration, so nothing
+/// after it in that iteration can pull the estimate back) among steady
+/// ones leaves the resolved granularity and the re-plan count where they
+/// were, while a sustained 4x shift still moves both — once.
+#[test]
+fn lone_outlier_node_keeps_granularity_but_a_sustained_shift_moves_it() {
+    let clock = Clock::fake();
+    let op2 = fake_clock_world(&clock);
+    let n = 16_384usize;
+    let cells = op2.decl_set(n, "cells");
+    let x = op2.decl_dat(&cells, 1, "x", vec![0.0f64; n]);
+    let cost_ns = Arc::new(AtomicU64::new(1000));
+    // Extra nanoseconds charged to the last element an iteration executes.
+    let spike_ns = Arc::new(AtomicU64::new(0));
+
+    let run_iter = || {
+        let c = clock.clone();
+        let cost = Arc::clone(&cost_ns);
+        let spike = Arc::clone(&spike_ns);
+        let executed = AtomicU64::new(0);
+        op2.loop_("spiky", &cells)
+            .arg(write(&x))
+            .run(move |x: &mut [f64]| {
+                let mut ns = cost.load(Ordering::Relaxed);
+                if executed.fetch_add(1, Ordering::Relaxed) + 1 == n as u64 {
+                    ns += spike.load(Ordering::Relaxed);
+                }
+                c.advance(Duration::from_nanos(ns));
+                x[0] += 1.0;
+            })
+            .wait();
+    };
+
+    for _ in 0..3 {
+        run_iter();
+    }
+    assert_eq!(resolved(&op2, "spiky", &cells), 128);
+    assert_eq!(op2.spec_cache_replans(), 1, "convergence off the probe");
+
+    // One 128-element node takes 100x its usual 128µs.
+    spike_ns.store(99 * 128 * 1000, Ordering::Relaxed);
+    run_iter();
+    spike_ns.store(0, Ordering::Relaxed);
+    assert_eq!(
+        resolved(&op2, "spiky", &cells),
+        128,
+        "a lone 100x node must not re-size the next submission"
+    );
+    for _ in 0..3 {
+        run_iter();
+    }
+    assert_eq!(resolved(&op2, "spiky", &cells), 128);
+    assert_eq!(op2.spec_cache_replans(), 1, "no re-plan for an outlier");
+
+    // A sustained 4x shift is a phase change and still moves it, once.
+    cost_ns.store(4000, Ordering::Relaxed);
+    for _ in 0..3 {
+        run_iter();
+    }
+    assert_eq!(resolved(&op2, "spiky", &cells), 32);
+    assert_eq!(op2.spec_cache_replans(), 2, "one re-plan for the shift");
+    assert!(x.snapshot().iter().all(|&v| v == 10.0), "results unchanged");
 }
 
 /// Adaptive granularity on a **colored (indirect) loop**: the resolved

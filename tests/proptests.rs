@@ -443,6 +443,84 @@ fn soa_layout_round_trips_bitwise_for_arbitrary_dims_and_halos() {
     }
 }
 
+/// The bind-once executor path: for random dat dims, map arities, slots,
+/// halo extents, block sizes and both layouts, a gather (`read_via` every
+/// slot into a direct `write`) and a scatter (`inc_via` one slot) through
+/// a halo-extended map reproduce a hand-written loop over the canonical
+/// rows — bitwise, on every backend (values are small integers, so the
+/// coloured increment order cannot show in the sums).
+#[test]
+fn bound_args_match_reference_loops_for_arbitrary_dims_arity_and_slot() {
+    use op2_hpx::op2::args::read_via;
+    use op2_hpx::op2::Layout;
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xB0D0_A265 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let n = rng.in_range(1, 500);
+        let rows = rng.in_range(1, 200);
+        let halo = rng.in_range(0, 30);
+        let dim = rng.in_range(1, 6);
+        let arity = rng.in_range(1, 5);
+        let slot = rng.in_range(0, arity);
+        let layout = [Layout::AoS, Layout::SoA][rng.in_range(0, 2)];
+        let block_size = rng.in_range(1, 96);
+        let total = rows + halo;
+        let table: Vec<u32> = (0..n * arity)
+            .map(|_| rng.in_range(0, total) as u32)
+            .collect();
+        let src: Vec<f64> = (0..total * dim)
+            .map(|_| rng.in_range(0, 1000) as f64)
+            .collect();
+
+        let mut gathered = vec![0.0f64; n];
+        let mut scattered = vec![0.0f64; total * dim];
+        for e in 0..n {
+            for k in 0..arity {
+                gathered[e] += src[table[e * arity + k] as usize * dim + (k % dim)];
+            }
+            let t = table[e * arity + slot] as usize;
+            for c in 0..dim {
+                scattered[t * dim + c] += (e % 17 + c) as f64;
+            }
+        }
+
+        for cfg in [
+            Op2Config::seq(),
+            Op2Config::fork_join(2),
+            Op2Config::dataflow(2),
+        ] {
+            let what = format!("case {case} {:?} {layout:?}", cfg.backend);
+            let op2 = Op2::new(cfg.with_block_size(block_size).with_layout(layout));
+            let from = op2.decl_set(n, "from");
+            let to = op2.decl_set(rows, "to");
+            let m = op2.decl_map_halo(&from, &to, arity, table.clone(), "m", halo);
+            let x = op2.decl_dat_halo(&to, dim, "x", src.clone(), halo);
+            let acc = op2.decl_dat_halo(&to, dim, "acc", vec![0.0f64; total * dim], halo);
+            let ids = op2.decl_dat(&from, 1, "id", (0..n).map(|e| e as f64).collect());
+            let out = op2.decl_dat(&from, 1, "out", vec![0.0f64; n]);
+
+            // One gather loop per slot, accumulating into `out`.
+            for k in 0..arity {
+                op2.loop_("gather", &from)
+                    .arg(read_via(&x, &m, k))
+                    .arg(rw(&out))
+                    .run(move |x: &[f64], out: &mut [f64]| out[0] += x[k % x.len()]);
+            }
+            op2.loop_("scatter", &from)
+                .arg(read(&ids))
+                .arg(inc_via(&acc, &m, slot))
+                .run(|id: &[f64], acc: &mut [f64]| {
+                    for (c, a) in acc.iter_mut().enumerate() {
+                        *a += (id[0] as usize % 17 + c) as f64;
+                    }
+                });
+            op2.fence();
+            assert_eq!(out.snapshot(), gathered, "{what}: gather");
+            assert_eq!(acc.snapshot(), scattered, "{what}: scatter");
+            assert_eq!(x.snapshot(), src, "{what}: read source untouched");
+        }
+    }
+}
+
 /// Mesh generator invariants hold for arbitrary dimensions.
 #[test]
 fn quad_meshes_always_validate() {
