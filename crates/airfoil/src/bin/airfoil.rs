@@ -313,6 +313,18 @@ fn main() {
         "loop-spec cache: {spec_built} schedules, {spec_hits} hits, {} granularity re-plans",
         op2.spec_cache_replans()
     );
+    let submit = op2.submit_stats();
+    if submit.nodes > 0 {
+        println!(
+            "dataflow submission: {} nodes, {} edges collected / {} wired, {} access records, \
+             {:.1} us/iter building graphs",
+            submit.nodes,
+            submit.edges_collected,
+            submit.edges_wired,
+            submit.records_pushed,
+            submit.submit_ns as f64 / 1e3 / args.iters.max(1) as f64
+        );
+    }
     // Adaptive chunking demonstration: what the feedback measured and
     // what granularity each kernel converged to.
     let measured = op2.granularity_feedback().snapshot();

@@ -106,6 +106,11 @@ pub mod deque {
     }
 
     impl<T> Stealer<T> {
+        /// True when the deque holds no tasks.
+        pub fn is_empty(&self) -> bool {
+            lock(&self.queue).is_empty()
+        }
+
         /// Steals one task, moving a batch of follow-up tasks into `dest`.
         pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
             steal_into(&self.queue, dest)

@@ -6,37 +6,15 @@
 //! `OP_READ` and `&mut [T]` otherwise — the Rust equivalent of OP2's
 //! access-mode-checked argument marshalling.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use hpx_rt::{PrefetchSet, SharedFuture};
 
-use crate::dat::{Dat, Layout};
+use crate::dat::{Dat, DepTable, Layout};
 use crate::gbl::{Global, Reducible};
 use crate::map::Map;
 use crate::set::Set;
 use crate::types::{Access, OpType};
-
-/// Context of one dataflow node — one block of the loop's mini-partition —
-/// during per-block dependency collection and completion recording.
-///
-/// Direct arguments resolve `range` against their dat's dependency blocks;
-/// indirect arguments translate `index` through the map's block-reach
-/// table (see [`crate::plan`]) to the target blocks the node touches.
-#[derive(Clone, Debug)]
-pub struct BlockCtx {
-    /// Index of the block in the loop's block partition
-    /// (`range.start / block_size`).
-    pub index: usize,
-    /// Iteration-set elements covered by the block.
-    pub range: Range<usize>,
-    /// The loop's mini-partition block size.
-    pub block_size: usize,
-    /// Loop-generation stamp: all nodes of one loop share it, so a block's
-    /// epoch table can tell sibling nodes (writer set accumulates) from a
-    /// newer loop (writer set is superseded).
-    pub gen: u64,
-}
 
 /// Shape of an argument, used for planning and dependency analysis.
 #[derive(Clone, Debug)]
@@ -45,6 +23,9 @@ pub struct ArgInfo {
     pub access: Access,
     /// Direct, indirect-through-a-map, or global.
     pub kind: ArgKind,
+    /// The dependency table of the dat the argument accesses (`None` for
+    /// globals); arguments on one dat share it.
+    pub deps: Option<Arc<DepTable>>,
 }
 
 /// See [`ArgInfo`].
@@ -134,28 +115,25 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
     fn finalize(&self, gen: u64);
     /// Shape for planning.
     fn info(&self) -> ArgInfo;
-    /// Whole-dat dependency futures this argument must wait for
-    /// (sequential / fork-join backends).
-    fn collect_deps(&self, out: &mut Vec<SharedFuture<()>>);
-    /// Records the loop's completion future against every dependency block
-    /// (sequential / fork-join backends).
-    fn record_completion(&self, gen: u64, done: &SharedFuture<()>);
-    /// Dependency futures one *block node* must wait for (dataflow
-    /// backend): only the predecessor futures covering the dependency
-    /// blocks this node actually touches.
-    fn collect_block_deps(&self, ctx: &BlockCtx, out: &mut Vec<SharedFuture<()>>);
-    /// Dependency futures the loop's *finalize node* must wait for beyond
-    /// its own blocks (dataflow backend): loop-level state such as a
-    /// previous reduction's finalize. Block nodes stay free of these
-    /// edges, so reductions do not re-introduce whole-loop barriers.
-    fn collect_loop_deps(&self, out: &mut Vec<SharedFuture<()>>);
-    /// Records a block node's completion against the dependency blocks it
-    /// touches (dataflow backend).
-    fn record_block_completion(&self, ctx: &BlockCtx, done: &SharedFuture<()>);
+    /// Futures *every node* of the loop must wait for beyond the dat
+    /// dependencies the driver resolves from [`ArgInfo::deps`] — a
+    /// broadcast global's pending reductions. Default: none.
+    fn collect_node_deps(&self, out: &mut Vec<SharedFuture<()>>) {
+        let _ = out;
+    }
+    /// Futures the loop's *finalize* must wait for beyond its own nodes:
+    /// loop-level state such as a previous reduction's finalize. Block
+    /// nodes stay free of these edges, so reductions do not re-introduce
+    /// whole-loop barriers. Default: none.
+    fn collect_loop_deps(&self, out: &mut Vec<SharedFuture<()>>) {
+        let _ = out;
+    }
     /// Records the whole loop's completion for state that is loop-level by
-    /// nature (global reductions); a no-op for dat arguments, whose
-    /// granularity is the block (dataflow backend).
-    fn record_loop_completion(&self, done: &SharedFuture<()>);
+    /// nature (global reductions). Dat arguments leave it to the driver,
+    /// which records one access per loop and dat. Default: no-op.
+    fn record_loop_completion(&self, done: &SharedFuture<()>) {
+        let _ = done;
+    }
     /// Panics if a conflicting user guard is live.
     fn assert_borrowable(&self);
     /// Registers containers for the prefetching iterator (§V). Indirect
@@ -216,11 +194,6 @@ impl AccessTag for IncTag {
 pub struct DatArg<T: OpType, A: AccessTag> {
     dat: Dat<T>,
     map: Option<(Map, usize)>,
-    /// Per-loop memo of the map's block-reach table, keyed by the loop
-    /// block size it was resolved for: saves a map-cache lookup on every
-    /// node of the loop (thousands for large sets). A stale key (the arg
-    /// reused under a different block size) falls back to the map cache.
-    reach: std::sync::OnceLock<(usize, Arc<crate::plan::BlockReach>)>,
     _access: std::marker::PhantomData<A>,
 }
 
@@ -229,7 +202,6 @@ impl<T: OpType, A: AccessTag> Clone for DatArg<T, A> {
         DatArg {
             dat: self.dat.clone(),
             map: self.map.clone(),
-            reach: self.reach.clone(),
             _access: std::marker::PhantomData,
         }
     }
@@ -265,24 +237,7 @@ impl<T: OpType, A: AccessTag> DatArg<T, A> {
         DatArg {
             dat: dat.clone(),
             map: map.map(|(m, i)| (m.clone(), i)),
-            reach: std::sync::OnceLock::new(),
             _access: std::marker::PhantomData,
-        }
-    }
-
-    /// The block-reach table of this (indirect) argument for the given
-    /// loop block size, memoized on the argument itself.
-    fn reach_for(&self, m: &Map, slot: usize, block_size: usize) -> Arc<crate::plan::BlockReach> {
-        let (bs, reach) = self.reach.get_or_init(|| {
-            (
-                block_size,
-                m.block_reach(slot, block_size, self.dat.dep_block_size()),
-            )
-        });
-        if *bs == block_size {
-            Arc::clone(reach)
-        } else {
-            m.block_reach(slot, block_size, self.dat.dep_block_size())
         }
     }
 
@@ -352,50 +307,7 @@ impl<T: OpType, A: AccessTag> DatArg<T, A> {
                     idx: *i,
                 },
             },
-        }
-    }
-
-    /// Per-block dependency collection shared by every access mode: a
-    /// direct argument touches exactly the dat blocks under its element
-    /// range; an indirect one touches the target blocks its map reaches
-    /// from this source block.
-    fn collect_block_deps_impl(
-        &self,
-        mutates: bool,
-        ctx: &BlockCtx,
-        out: &mut Vec<SharedFuture<()>>,
-    ) {
-        match &self.map {
-            None => self.dat.deps().collect_rows(&ctx.range, mutates, out),
-            Some((m, slot)) => {
-                let reach = self.reach_for(m, *slot, ctx.block_size);
-                if let Some(targets) = reach.get(ctx.index) {
-                    for &t in targets {
-                        self.dat.deps().collect_block(t as usize, mutates, out);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Per-block completion recording, dual of
-    /// [`DatArg::collect_block_deps_impl`].
-    fn record_block_impl(&self, mutates: bool, ctx: &BlockCtx, done: &SharedFuture<()>) {
-        match &self.map {
-            None => self
-                .dat
-                .deps()
-                .record_rows(&ctx.range, mutates, ctx.gen, done),
-            Some((m, slot)) => {
-                let reach = self.reach_for(m, *slot, ctx.block_size);
-                if let Some(targets) = reach.get(ctx.index) {
-                    for &t in targets {
-                        self.dat
-                            .deps()
-                            .record_block(t as usize, mutates, ctx.gen, done);
-                    }
-                }
-            }
+            deps: Some(Arc::clone(self.dat.deps())),
         }
     }
 
@@ -600,20 +512,6 @@ macro_rules! impl_dat_arg {
             fn info(&self) -> ArgInfo {
                 self.info_impl()
             }
-            fn collect_deps(&self, out: &mut Vec<SharedFuture<()>>) {
-                self.dat.collect_deps(false, out);
-            }
-            fn record_completion(&self, gen: u64, done: &SharedFuture<()>) {
-                self.dat.record_completion(false, gen, done);
-            }
-            fn collect_block_deps(&self, ctx: &BlockCtx, out: &mut Vec<SharedFuture<()>>) {
-                self.collect_block_deps_impl(false, ctx, out);
-            }
-            fn collect_loop_deps(&self, _out: &mut Vec<SharedFuture<()>>) {}
-            fn record_block_completion(&self, ctx: &BlockCtx, done: &SharedFuture<()>) {
-                self.record_block_impl(false, ctx, done);
-            }
-            fn record_loop_completion(&self, _done: &SharedFuture<()>) {}
             fn assert_borrowable(&self) {
                 self.dat.assert_borrowable(false);
             }
@@ -669,20 +567,6 @@ macro_rules! impl_dat_arg {
             fn info(&self) -> ArgInfo {
                 self.info_impl()
             }
-            fn collect_deps(&self, out: &mut Vec<SharedFuture<()>>) {
-                self.dat.collect_deps(true, out);
-            }
-            fn record_completion(&self, gen: u64, done: &SharedFuture<()>) {
-                self.dat.record_completion(true, gen, done);
-            }
-            fn collect_block_deps(&self, ctx: &BlockCtx, out: &mut Vec<SharedFuture<()>>) {
-                self.collect_block_deps_impl(true, ctx, out);
-            }
-            fn collect_loop_deps(&self, _out: &mut Vec<SharedFuture<()>>) {}
-            fn record_block_completion(&self, ctx: &BlockCtx, done: &SharedFuture<()>) {
-                self.record_block_impl(true, ctx, done);
-            }
-            fn record_loop_completion(&self, _done: &SharedFuture<()>) {}
             fn assert_borrowable(&self) {
                 self.dat.assert_borrowable(true);
             }
@@ -757,23 +641,13 @@ unsafe impl<T: Reducible> ArgSpec for GblIncArg<T> {
         ArgInfo {
             access: Access::Inc,
             kind: ArgKind::Global,
+            deps: None,
         }
     }
-    fn collect_deps(&self, out: &mut Vec<SharedFuture<()>>) {
-        // Serialize loops incrementing the same global: their partial
-        // buffers and finalize steps must not interleave. Every
-        // outstanding incrementing loop counts, not just the latest.
-        self.gbl.collect_pending(out);
-    }
-    fn record_completion(&self, _gen: u64, done: &SharedFuture<()>) {
-        self.gbl.record_completion(done);
-    }
-    fn collect_block_deps(&self, _ctx: &BlockCtx, _out: &mut Vec<SharedFuture<()>>) {
-        // Block nodes only accumulate generation-tagged task-local
-        // partials — they never touch the global's value or another
-        // generation's partials, so they carry no dependency and the loop
-        // pipelines even when consecutive loops share a global.
-    }
+    // No `collect_node_deps`: block nodes only accumulate generation-tagged
+    // task-local partials — they never touch the global's value or another
+    // generation's partials, so they carry no dependency and the loop
+    // pipelines even when consecutive loops share a global.
     fn collect_loop_deps(&self, out: &mut Vec<SharedFuture<()>>) {
         // The finalize-to-finalize edge: merging into the value waits for
         // every *registered* incrementing loop's finalize. A loop whose
@@ -784,7 +658,6 @@ unsafe impl<T: Reducible> ArgSpec for GblIncArg<T> {
         // concurrent-submitter note on [`Global`].
         self.gbl.collect_pending(out);
     }
-    fn record_block_completion(&self, _ctx: &BlockCtx, _done: &SharedFuture<()>) {}
     fn record_loop_completion(&self, done: &SharedFuture<()>) {
         self.gbl.record_completion(done);
     }
@@ -810,7 +683,7 @@ impl<T: Reducible> Clone for GblReadArg<T> {
 }
 
 // SAFETY: read-only view of a buffer whose writers are ordered before this
-// loop via the pending future collected in `collect_deps`.
+// loop via the pending futures collected in `collect_node_deps`.
 unsafe impl<T: Reducible> ArgSpec for GblReadArg<T> {
     type View<'e> = &'e [T];
     type TaskLocal = ();
@@ -822,7 +695,7 @@ unsafe impl<T: Reducible> ArgSpec for GblReadArg<T> {
     unsafe fn bind(&self) -> &[T] {
         // SAFETY: the value vector is never resized and the argument keeps
         // the global alive; writers are ordered before this block by
-        // `collect_deps` / `collect_block_deps`.
+        // `collect_node_deps`.
         unsafe { std::slice::from_raw_parts(self.gbl.raw_value_ptr(), self.gbl.dim()) }
     }
     #[inline(always)]
@@ -835,20 +708,14 @@ unsafe impl<T: Reducible> ArgSpec for GblReadArg<T> {
         ArgInfo {
             access: Access::Read,
             kind: ArgKind::Global,
+            deps: None,
         }
     }
-    fn collect_deps(&self, out: &mut Vec<SharedFuture<()>>) {
-        self.gbl.collect_pending(out);
-    }
-    fn record_completion(&self, _gen: u64, _done: &SharedFuture<()>) {}
-    fn collect_block_deps(&self, _ctx: &BlockCtx, out: &mut Vec<SharedFuture<()>>) {
+    fn collect_node_deps(&self, out: &mut Vec<SharedFuture<()>>) {
         // A broadcast read samples the value inside the kernel, so every
         // block node must wait for every pending reduction's finalize.
         self.gbl.collect_pending(out);
     }
-    fn collect_loop_deps(&self, _out: &mut Vec<SharedFuture<()>>) {}
-    fn record_block_completion(&self, _ctx: &BlockCtx, _done: &SharedFuture<()>) {}
-    fn record_loop_completion(&self, _done: &SharedFuture<()>) {}
     fn assert_borrowable(&self) {}
     fn add_prefetch(&self, _set: &mut PrefetchSet) {}
     fn mut_target(&self, _elem: usize) -> Option<(u64, usize)> {

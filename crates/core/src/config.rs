@@ -132,7 +132,7 @@ impl Op2Config {
 
     /// The paper's asynchronous configuration, at block granularity: one
     /// dataflow node per `block_size` mini-partition block, wired through
-    /// the per-block epoch tables.
+    /// the dats' access records.
     pub fn dataflow(threads: usize) -> Self {
         Op2Config {
             threads,

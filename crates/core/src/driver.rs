@@ -7,7 +7,7 @@
 //!   from whole-loop to mini-partition granularity): the loop becomes one
 //!   dataflow node *per block*, each gated only on the predecessor nodes
 //!   covering the dependency blocks its arguments actually touch (see
-//!   [`crate::dat`] for the epoch tables and [`crate::plan`] for the
+//!   [`crate::dat`] for the access records and [`crate::plan`] for the
 //!   block-reach tables). A RAW-dependent successor starts its first
 //!   blocks while the predecessor's last blocks are still running —
 //!   dependent loops *pipeline* instead of chaining whole-loop futures.
@@ -25,26 +25,18 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use hpx_rt::{
-    schedule_after, when_all_shared, ChunkPolicy, ExecutionPolicy, GranularityFeedback,
-    PrefetchSet, SharedFuture,
+    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, ExecutionPolicy,
+    GranularityFeedback, PrefetchSet, SharedFuture,
 };
 
-use crate::arg::{ArgInfo, ArgKind, BlockCtx};
+use crate::arg::{ArgInfo, ArgKind};
 use crate::config::Backend;
+use crate::dat::{AccessRecord, DepTable, Footprint, LiveRecord};
+use crate::map::Map;
 use crate::plan::{conflicts_of, Plan};
 use crate::set::Set;
 use crate::types::Access;
 use crate::world::{record_loop_time, Op2};
-
-/// Per-block dependency collection over all of a loop's arguments.
-pub(crate) type CollectBlockFn = Arc<dyn Fn(&BlockCtx, &mut Vec<SharedFuture<()>>) + Send + Sync>;
-/// Loop-level dependency collection (what the finalize node waits for
-/// beyond the loop's own blocks — e.g. a previous reduction's finalize).
-pub(crate) type CollectLoopFn = Arc<dyn Fn(&mut Vec<SharedFuture<()>>) + Send + Sync>;
-/// Per-block completion recording over all of a loop's arguments.
-pub(crate) type RecordBlockFn = Arc<dyn Fn(&BlockCtx, &SharedFuture<()>) + Send + Sync>;
-/// Loop-level completion recording (global reductions).
-pub(crate) type RecordLoopFn = Arc<dyn Fn(&SharedFuture<()>) + Send + Sync>;
 
 /// Everything the driver needs, pre-assembled by the `par_loop*` fronts.
 pub(crate) struct LoopSpec {
@@ -53,9 +45,12 @@ pub(crate) struct LoopSpec {
     pub name: Arc<str>,
     pub set: Set,
     pub infos: Vec<ArgInfo>,
-    /// Whole-loop dependencies (synchronous backends only; empty under
-    /// dataflow, which collects per block via `collect_block`).
-    pub deps: Vec<SharedFuture<()>>,
+    /// What every node waits for beyond its dat dependencies (pending
+    /// reductions of a broadcast global).
+    pub node_deps: Vec<SharedFuture<()>>,
+    /// What the finalize waits for beyond the loop's own nodes (a previous
+    /// reduction's finalize on a shared global).
+    pub loop_deps: Vec<SharedFuture<()>>,
     /// Loop-generation stamp shared by every node of this loop.
     pub gen: u64,
     /// Executes the kernel over a contiguous element range and commits
@@ -70,14 +65,15 @@ pub(crate) struct LoopSpec {
     pub gather: Option<Arc<PrefetchSet>>,
     /// Runs once after all chunks: merges reductions.
     pub finalize: Arc<dyn Fn() + Send + Sync>,
-    /// Per-block dependency collection over all arguments.
-    pub collect_block: CollectBlockFn,
-    /// Loop-level dependency collection for the finalize node.
-    pub collect_loop: CollectLoopFn,
-    /// Per-block completion recording over all arguments.
-    pub record_block: RecordBlockFn,
-    /// Loop-level completion recording (global reductions).
-    pub record_loop: RecordLoopFn,
+}
+
+impl LoopSpec {
+    /// The dat arguments: dependency table and whether the access mutates.
+    fn dat_args(&self) -> impl Iterator<Item = (&Arc<DepTable>, bool)> {
+        self.infos
+            .iter()
+            .filter_map(|i| i.deps.as_ref().map(|t| (t, i.access.is_mut())))
+    }
 }
 
 /// Runs (or schedules) the loop; returns its completion future.
@@ -95,9 +91,13 @@ fn policy_of(world: &Op2) -> ExecutionPolicy {
 
 fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
     // Any pending dataflow loops from a mixed-backend context must drain
-    // first; under pure Seq/ForkJoin these futures are already ready.
-    for d in &spec.deps {
+    // first; under pure Seq/ForkJoin nothing is pending. The synchronous
+    // backends access every dat whole.
+    for d in spec.node_deps.iter().chain(&spec.loop_deps) {
         d.wait();
+    }
+    for (table, mutates) in spec.dat_args() {
+        table.wait_conflicting(mutates);
     }
     let n = spec.set.size();
     let t0 = Instant::now();
@@ -119,7 +119,11 @@ fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
         fb.record(&spec.name, spec.set.signature(), n, elapsed);
     }
     record_loop_time(&world.stats_handle(), &spec.name, t0.elapsed());
-    SharedFuture::ready(())
+    let done = SharedFuture::ready(());
+    for (table, mutates) in spec.dat_args() {
+        table.record_node(table.whole(), mutates, spec.gen, &done);
+    }
+    done
 }
 
 /// The synchronous parallel schedule: direct loops are one chunked
@@ -154,7 +158,6 @@ fn run_parallel_phases(world: &Op2, spec: &LoopSpec, n: usize) {
 /// cached plan (no per-submission copies of its block/color tables).
 enum Schedule {
     Direct {
-        block_size: usize,
         blocks: Vec<Range<usize>>,
         round: Vec<usize>,
     },
@@ -175,16 +178,28 @@ impl Schedule {
             Schedule::Planned(plan) => &plan.color_blocks,
         }
     }
+}
 
-    /// The uniform node granularity the schedule was built with — what
-    /// every node's `BlockCtx::block_size` (and thus the block-reach
-    /// resolution of indirect arguments) must use.
-    fn block_size(&self) -> usize {
-        match self {
-            Schedule::Direct { block_size, .. } => *block_size,
-            Schedule::Planned(plan) => plan.block_size,
-        }
-    }
+/// One dat's share of a [`LoopPlan`]: the loop's arguments on that dat
+/// coalesced into the strongest access over the union footprint.
+struct DatAccess {
+    /// An argument on the dat (the plan is cached by *shape*, so the
+    /// dependency table itself comes from the submitted loop's
+    /// `infos[arg]`).
+    arg: usize,
+    mutates: bool,
+    /// How the schedule's nodes (by block index) map onto the dat's
+    /// dependency blocks — both what each node collects against and what
+    /// the loop's access record carries.
+    footprint: Footprint,
+}
+
+/// What the spec cache holds per loop shape: the schedule plus every
+/// node's footprint on every argument dat, so a steady-state submission
+/// looks up no reach table.
+struct LoopPlan {
+    schedule: Schedule,
+    dats: Vec<DatAccess>,
 }
 
 // ---------------------------------------------------------------------------
@@ -288,20 +303,91 @@ fn resolve_granularity(world: &Op2, kernel: &str, set_sig: u64, n: usize) -> usi
     }
 }
 
-fn dataflow_schedule(world: &Op2, spec: &LoopSpec, n: usize, granularity: usize) -> Schedule {
+fn dataflow_plan(world: &Op2, spec: &LoopSpec, n: usize, granularity: usize) -> LoopPlan {
     let conflicts = conflicts_of(&spec.infos);
     let bs = granularity.max(1);
-    if conflicts.is_empty() {
+    let schedule = if conflicts.is_empty() {
         let nblocks = n.div_ceil(bs);
-        return Schedule::Direct {
-            block_size: bs,
+        Schedule::Direct {
             blocks: (0..nblocks)
                 .map(|b| b * bs..((b + 1) * bs).min(n))
                 .collect(),
             round: (0..nblocks).collect(),
-        };
+        }
+    } else {
+        Schedule::Planned(world.plans().get(&spec.set, bs, &conflicts))
+    };
+
+    // Coalesce arguments per dat: direct ones together, indirect ones per
+    // map (their slots' reach united).
+    struct Group<'a> {
+        arg: usize,
+        mutates: bool,
+        via: Option<(&'a Map, Vec<usize>)>,
     }
-    Schedule::Planned(world.plans().get(&spec.set, bs, &conflicts))
+    let mut groups: Vec<Group<'_>> = Vec::new();
+    for (arg, info) in spec.infos.iter().enumerate() {
+        let Some(table) = &info.deps else { continue };
+        let via = match &info.kind {
+            ArgKind::Indirect { map, idx } => Some((map, *idx)),
+            _ => None,
+        };
+        let same = groups.iter_mut().find(|g| {
+            let same_dat = spec.infos[g.arg]
+                .deps
+                .as_ref()
+                .is_some_and(|t| Arc::ptr_eq(t, table));
+            let same_path = match (&g.via, via) {
+                (None, None) => true,
+                (Some((m, _)), Some((map, _))) => m.signature() == map.signature(),
+                _ => false,
+            };
+            same_dat && same_path
+        });
+        match same {
+            Some(g) => {
+                g.mutates |= info.access.is_mut();
+                if let (Some((_, slots)), Some((_, idx))) = (&mut g.via, via) {
+                    if !slots.contains(&idx) {
+                        slots.push(idx);
+                    }
+                }
+            }
+            None => groups.push(Group {
+                arg,
+                mutates: info.access.is_mut(),
+                via: via.map(|(m, idx)| (m, vec![idx])),
+            }),
+        }
+    }
+    let dats = groups
+        .into_iter()
+        .map(|g| {
+            let block_rows = spec.infos[g.arg]
+                .deps
+                .as_ref()
+                .expect("grouped arguments are dat arguments")
+                .block_size();
+            let footprint = match g.via {
+                None => Footprint::Rows {
+                    first: 0,
+                    end: n,
+                    per_node: bs,
+                    block_rows,
+                },
+                Some((map, mut slots)) => {
+                    slots.sort_unstable();
+                    Footprint::Via(map.block_reach(&slots, bs, block_rows))
+                }
+            };
+            DatAccess {
+                arg: g.arg,
+                mutates: g.mutates,
+                footprint,
+            }
+        })
+        .collect();
+    LoopPlan { schedule, dats }
 }
 
 // ---------------------------------------------------------------------------
@@ -309,15 +395,26 @@ fn dataflow_schedule(world: &Op2, spec: &LoopSpec, n: usize, granularity: usize)
 // ---------------------------------------------------------------------------
 
 /// One argument's contribution to a [`SpecKey`]: enough shape to make the
-/// cached schedule valid for any loop sharing it.
+/// cached plan valid for any loop sharing it. A dat argument names the
+/// first argument on the same dat (which arguments coalesce into one
+/// footprint) and that dat's dependency-block size (what the footprint's
+/// block numbers mean).
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum SigKind {
-    Direct,
-    Via(u64, usize),
+    Direct {
+        dat: usize,
+        block_rows: usize,
+    },
+    Via {
+        map: u64,
+        idx: usize,
+        dat: usize,
+        block_rows: usize,
+    },
     Global,
 }
 
-/// Cache key of a built [`Schedule`]: kernel name, iteration set, argument
+/// Cache key of a built [`LoopPlan`]: kernel name, iteration set, argument
 /// signature (access mode + direct/indirect/global shape), and the chunk
 /// policy *kind*. The **resolved granularity** is deliberately not part of
 /// the key — it is stored next to the cached schedule, so a feedback-driven
@@ -338,10 +435,23 @@ impl SpecKey {
             .infos
             .iter()
             .map(|i| {
+                let Some(table) = &i.deps else {
+                    return (i.access, SigKind::Global);
+                };
+                let dat = spec
+                    .infos
+                    .iter()
+                    .position(|o| o.deps.as_ref().is_some_and(|t| Arc::ptr_eq(t, table)))
+                    .expect("an argument shares its own dat");
+                let block_rows = table.block_size();
                 let kind = match &i.kind {
-                    ArgKind::Direct => SigKind::Direct,
-                    ArgKind::Indirect { map, idx } => SigKind::Via(map.signature(), *idx),
-                    ArgKind::Global => SigKind::Global,
+                    ArgKind::Indirect { map, idx } => SigKind::Via {
+                        map: map.signature(),
+                        idx: *idx,
+                        dat,
+                        block_rows,
+                    },
+                    _ => SigKind::Direct { dat, block_rows },
                 };
                 (i.access, kind)
             })
@@ -362,10 +472,11 @@ impl SpecKey {
     }
 }
 
-/// Cache of dataflow [`Schedule`]s, the OP2-style "plan once, execute
+/// Cache of dataflow [`LoopPlan`]s, the OP2-style "plan once, execute
 /// many" applied to the *whole* loop shape: repeated solver iterations of
-/// a named loop reuse the block partition and color rounds without
-/// rebuilding or even re-deriving conflicts. Private to one context by
+/// a named loop reuse the block partition, the color rounds and every
+/// node's dependency footprint without rebuilding or even re-deriving
+/// conflicts. Private to one context by
 /// default, but key identity is **shape** (kernel name, set/map content
 /// signatures, chunk-policy kind), so a cache shared between worlds via
 /// [`SpecShare`] hits warm across tenants running the same solver.
@@ -405,7 +516,7 @@ struct CachedSpec {
     granularity: usize,
     /// Recency stamp (larger = more recently used).
     stamp: u64,
-    schedule: Arc<Schedule>,
+    plan: Arc<LoopPlan>,
 }
 
 impl Default for SpecCache {
@@ -427,7 +538,7 @@ impl SpecCache {
         self.tick.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    fn get(&self, world: &Op2, spec: &LoopSpec, n: usize) -> Arc<Schedule> {
+    fn get(&self, world: &Op2, spec: &LoopSpec, n: usize) -> Arc<LoopPlan> {
         let granularity = resolve_granularity(world, &spec.name, spec.set.signature(), n);
         let key = SpecKey::of(world, spec);
         match self.map.lock().get_mut(&key) {
@@ -435,7 +546,7 @@ impl SpecCache {
                 c.stamp = self.touch();
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 hpx_rt::static_counter!("op2.spec_cache.hits").fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&c.schedule);
+                return Arc::clone(&c.plan);
             }
             Some(_) => {
                 // Granularity changed: invalidate and rebuild (re-key).
@@ -446,7 +557,7 @@ impl SpecCache {
                 hpx_rt::static_counter!("op2.spec_cache.misses").fetch_add(1, Ordering::Relaxed);
             }
         }
-        let built = Arc::new(dataflow_schedule(world, spec, n, granularity));
+        let built = Arc::new(dataflow_plan(world, spec, n, granularity));
         // Built outside the lock (plan construction can be expensive);
         // re-check on insert so a concurrent same-shape submission that
         // won the race at this granularity is reused, not overwritten.
@@ -459,19 +570,19 @@ impl SpecCache {
                 e.insert(CachedSpec {
                     granularity,
                     stamp,
-                    schedule: Arc::clone(&built),
+                    plan: Arc::clone(&built),
                 });
                 built
             }
             std::collections::hash_map::Entry::Occupied(mut e) => {
                 e.get_mut().stamp = stamp;
-                Arc::clone(&e.get().schedule)
+                Arc::clone(&e.get().plan)
             }
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(CachedSpec {
                     granularity,
                     stamp,
-                    schedule: Arc::clone(&built),
+                    plan: Arc::clone(&built),
                 });
                 built
             }
@@ -686,7 +797,27 @@ fn gather_lookahead(world: &Op2, kernel: &str, set_sig: u64) -> usize {
     }
 }
 
-fn drive_dataflow(world: &Op2, spec: LoopSpec) -> SharedFuture<()> {
+/// What one world's Dataflow loop submissions cost so far (see
+/// [`Op2::submit_stats`]); all zero under the synchronous backends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SubmitStats {
+    /// Block nodes scheduled (finalize nodes not counted).
+    pub nodes: u64,
+    /// Dependency edges the driver handed to the runtime: per node, the
+    /// distinct producers still running when it was built.
+    pub edges_collected: u64,
+    /// Edges the runtime wired after its own duplicate check — equal to
+    /// `edges_collected` unless a duplicate slipped through collection.
+    pub edges_wired: u64,
+    /// Access records pushed onto dats: one per loop and distinct dat.
+    pub records_pushed: u64,
+    /// Nanoseconds the submitting threads spent building and wiring loop
+    /// graphs.
+    pub submit_ns: u64,
+}
+
+fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
+    let submit_start = Instant::now();
     let rt = world.runtime_arc();
     let stats = world.stats_handle();
     let n = spec.set.size();
@@ -712,9 +843,34 @@ fn drive_dataflow(world: &Op2, spec: LoopSpec) -> SharedFuture<()> {
         })
     });
 
-    let schedule = world.specs().get(world, &spec, n);
-    let bs = schedule.block_size();
-    let (blocks, rounds) = (schedule.blocks(), schedule.rounds());
+    let plan = world.specs().get(world, &spec, n);
+    let (blocks, rounds) = (plan.schedule.blocks(), plan.schedule.rounds());
+
+    // One look at every argument dat: the records this loop's access
+    // conflicts with. Nodes resolve their footprints against these
+    // snapshots, so building the graph takes no further lock, and the
+    // loop's own records (pushed below, after all nodes exist) are not in
+    // them — intra-loop ordering is carried solely by the round gates,
+    // exactly the conflicts the coloring separated.
+    let accesses: Vec<(&Arc<DepTable>, Vec<LiveRecord>)> = plan
+        .dats
+        .iter()
+        .map(|d| {
+            let table = spec.infos[d.arg]
+                .deps
+                .as_ref()
+                .expect("a planned dat access is a dat argument");
+            (table, table.conflicting(d.mutates))
+        })
+        .collect();
+    // Two broadcast reads of one global would list its pending reductions
+    // twice.
+    let mut node_deps: Vec<SharedFuture<()>> = Vec::new();
+    for d in spec.node_deps.drain(..) {
+        if !node_deps.iter().any(|o| SharedFuture::ptr_eq(o, &d)) {
+            node_deps.push(d);
+        }
+    }
 
     // Cross-node gather prefetch: each node, before running its body,
     // warms the cache with the first `lookahead` gathered rows of the
@@ -728,14 +884,12 @@ fn drive_dataflow(world: &Op2, spec: LoopSpec) -> SharedFuture<()> {
         0
     };
 
-    // Build one dataflow node per block, round by round. Collection reads
-    // only *predecessor* loops' state (recording happens below, after all
-    // nodes exist), so intra-loop ordering is carried solely by the round
-    // gates — exactly the conflicts the coloring separated.
-    let mut nodes: Vec<(usize, SharedFuture<()>)> = Vec::with_capacity(blocks.len());
+    // Build one dataflow node per block, round by round.
+    let mut nodes: Vec<Option<SharedFuture<()>>> = vec![None; blocks.len()];
     let mut gate: Option<SharedFuture<()>> = None;
     let mut last_round: Vec<SharedFuture<()>> = Vec::new();
     let mut deps_buf: Vec<SharedFuture<()>> = Vec::new();
+    let (mut edges_collected, mut edges_wired) = (0usize, 0usize);
     for (r, round) in rounds.iter().enumerate() {
         let mut round_futs: Vec<SharedFuture<()>> = Vec::with_capacity(round.len());
         for (i, &b) in round.iter().enumerate() {
@@ -748,20 +902,22 @@ fn drive_dataflow(world: &Op2, spec: LoopSpec) -> SharedFuture<()> {
                 Some((Arc::clone(ps), blocks[nb].clone()))
             });
             deps_buf.clear();
-            if let Some(g) = &gate {
-                deps_buf.push(g.clone());
+            deps_buf.extend(gate.iter().cloned());
+            deps_buf.extend_from_slice(&node_deps);
+            for (d, (_, records)) in plan.dats.iter().zip(&accesses) {
+                if records.is_empty() {
+                    continue;
+                }
+                let mut one = 0..0;
+                let touched = d.footprint.node_blocks(b, &mut one);
+                for live in records {
+                    live.collect(touched, &mut deps_buf);
+                }
             }
-            let ctx = BlockCtx {
-                index: b,
-                range: range.clone(),
-                block_size: bs,
-                gen: spec.gen,
-            };
-            (spec.collect_block)(&ctx, &mut deps_buf);
             let body = Arc::clone(&spec.block_body);
             let t0c = Arc::clone(&t0_cell);
             let mctx = measure.clone();
-            let fut = schedule_after(&rt, &deps_buf, move || {
+            let (fut, wired) = schedule_after_counted(&rt, &deps_buf, move || {
                 t0c.get_or_init(Instant::now);
                 if let Some((ps, nr)) = &next_gather {
                     let end = (nr.start + lookahead).min(nr.end);
@@ -780,8 +936,10 @@ fn drive_dataflow(world: &Op2, spec: LoopSpec) -> SharedFuture<()> {
                     }
                 }
             });
+            edges_collected += deps_buf.len();
+            edges_wired += wired;
             round_futs.push(fut.clone());
-            nodes.push((b, fut));
+            nodes[b] = Some(fut);
         }
         if r + 1 < rounds.len() {
             gate = Some(when_all_shared(&round_futs).share());
@@ -795,7 +953,7 @@ fn drive_dataflow(world: &Op2, spec: LoopSpec) -> SharedFuture<()> {
     // nodes deliberately do not wait for (their reduction partials are
     // generation-tagged, so pipelining survives shared globals). An empty
     // set schedules only this node.
-    (spec.collect_loop)(&mut last_round);
+    last_round.append(&mut spec.loop_deps);
     let finalize = Arc::clone(&spec.finalize);
     let done = schedule_after(&rt, &last_round, move || {
         let t0 = *t0_cell.get_or_init(Instant::now);
@@ -803,19 +961,30 @@ fn drive_dataflow(world: &Op2, spec: LoopSpec) -> SharedFuture<()> {
         record_loop_time(&stats, &name, t0.elapsed());
     });
 
-    // Record completions: per block for dat arguments, loop-level (the
-    // finalize future) for globals. This runs synchronously before the
-    // submitting thread returns, so the next submitted loop sees it.
-    for (b, fut) in &nodes {
-        let ctx = BlockCtx {
-            index: *b,
-            range: blocks[*b].clone(),
-            block_size: bs,
+    // One access record per dat, all sharing the node array. This runs
+    // synchronously before the submitting thread returns, so the next
+    // submitted loop sees it.
+    let nodes: Arc<[SharedFuture<()>]> = nodes
+        .into_iter()
+        .map(|f| f.expect("every block is in exactly one round"))
+        .collect();
+    for (d, (table, _)) in plan.dats.iter().zip(&accesses) {
+        table.push(AccessRecord {
             gen: spec.gen,
-        };
-        (spec.record_block)(&ctx, fut);
+            mutates: d.mutates,
+            nodes: Arc::clone(&nodes),
+            done: done.clone(),
+            footprint: d.footprint.clone(),
+        });
     }
-    (spec.record_loop)(&done);
+
+    let mut stats = world.submit_stats_mut();
+    stats.nodes += nodes.len() as u64;
+    stats.edges_collected += edges_collected as u64;
+    stats.edges_wired += edges_wired as u64;
+    stats.records_pushed += plan.dats.len() as u64;
+    stats.submit_ns += submit_start.elapsed().as_nanos() as u64;
+    drop(stats);
     done
 }
 

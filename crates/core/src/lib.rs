@@ -11,7 +11,7 @@
 //!   global barrier after every loop, and
 //! * [`Backend::Dataflow`]: the paper's redesign at *block granularity* —
 //!   every `op_par_loop` becomes one dataflow node per mini-partition
-//!   block, wired through per-block epoch tables (see [`crate::Dat`]) to
+//!   block, wired through per-dat access records (see [`crate::Dat`]) to
 //!   only the predecessor blocks it touches, so independent loops
 //!   interleave and dependent loops *pipeline*: a successor's blocks start
 //!   while its RAW predecessor is still finishing.
@@ -64,15 +64,15 @@ mod world;
 
 pub use arg::{
     arg_gbl_inc, arg_gbl_read, arg_inc, arg_inc_via, arg_read, arg_read_via, arg_rw, arg_rw_via,
-    arg_write, arg_write_via, AccessTag, ArgInfo, ArgKind, ArgSpec, BlockCtx, DatArg, DatBound,
-    GblIncArg, GblReadArg, IncTag, ReadTag, RwTag, WriteTag,
+    arg_write, arg_write_via, AccessTag, ArgInfo, ArgKind, ArgSpec, DatArg, DatBound, GblIncArg,
+    GblReadArg, IncTag, ReadTag, RwTag, WriteTag,
 };
 pub use config::{Backend, Op2Config, DEFAULT_BLOCK_SIZE};
 pub use convergence::{Convergence, ResidualMap};
-pub use dat::{Dat, DatReadGuard, DatWriteGuard, Layout};
+pub use dat::{Dat, DatReadGuard, DatWriteGuard, DepTable, Layout};
 pub use driver::{
     __dataflow_direct_blocks, __dataflow_resolved_block_size, plan_for, LoopHandle, SpecShare,
-    DEFAULT_SPEC_CAPACITY,
+    SubmitStats, DEFAULT_SPEC_CAPACITY,
 };
 pub use gbl::{Global, ReduceOp, ReducedFuture, Reducible};
 pub use map::Map;

@@ -22,14 +22,15 @@
 //!   Only the halves whose rank is locally hosted are scheduled; the
 //!   transport's sequence counters match them with the peer's halves.
 //!
-//! The crucial property is *what the receive node registers as*: a writer
-//! of the halo blocks in the dat's per-block epoch table — exactly like a
-//! local loop node. A subsequent `par_loop` whose indirect arguments reach
-//! halo blocks therefore gates **only the blocks that touch the halo** on
-//! the receive future, through the ordinary block-reach dependency
-//! collection; its interior blocks carry no such edge and start
-//! immediately. Halo blocks are just remote-fed blocks, and communication
-//! overlaps interior compute with no global barrier per loop.
+//! The crucial property is *what the receive node registers as*: a
+//! mutating access record over the halo rows in the dat's dependency table
+//! (see `dat.rs`) — a one-node version of what a local loop leaves
+//! there. A subsequent `par_loop` whose indirect arguments reach halo
+//! blocks therefore gates **only the nodes that touch the halo** on the
+//! receive future, through the ordinary footprint resolution; its interior
+//! nodes carry no such edge and start immediately. Halo blocks are just
+//! remote-fed blocks, and communication overlaps interior compute with no
+//! global barrier per loop.
 //!
 //! # Implicit communication: the dirty-bit protocol
 //!
@@ -50,12 +51,12 @@
 //!   that *reads* the dat through a halo-capable map (`OP_READ`/`OP_RW`
 //!   indirect via a map with halo targets) checks, per peer, (a) the
 //!   dirty bit and (b) whether the map's slot can reach that peer's
-//!   import blocks at all (the block-reach tables collapsed over source
-//!   blocks, see `Map::touched_target_blocks`). For each stale, reachable
+//!   import blocks at all (the block-reach table of the whole source set,
+//!   see `Map::reaches_target_blocks`). For each stale, reachable
 //!   import it schedules exactly the [`exchange_with`] gather/send and
 //!   receive/scatter nodes into the dataflow graph — *before* the loop's
 //!   own nodes are built, so its boundary blocks gate on the receive
-//!   through the ordinary epoch tables while interior blocks start
+//!   through the ordinary access records while interior blocks start
 //!   immediately — and clears the bit.
 //! * **Clean read ⇒ skip.** A read of an up-to-date import schedules
 //!   nothing (counted in [`HaloStats::skipped_clean`]): redundant
@@ -65,10 +66,10 @@
 //! computed without reading the target, and partition-boundary work is
 //! executed redundantly by both ranks (OP2's exec-halo), so increments
 //! into halo mirrors are dead values. All receives of one refresh share a
-//! writer generation (adjacent peers' import ranges may share a
-//! dependency block); a refresh superseding an in-flight older receive
-//! chains behind it through the ordinary collect-then-record discipline,
-//! so no dependency is lost.
+//! generation — sibling records never supersede each other, and adjacent
+//! peers' import ranges may share a dependency block; a refresh
+//! superseding an in-flight older receive chains behind it through the
+//! ordinary collect-then-record discipline, so no dependency is lost.
 //!
 //! ## SPMD symmetry under distributed transports
 //!
@@ -140,7 +141,7 @@ use parking_lot::Mutex;
 use hpx_rt::{schedule_after, Runtime, SharedFuture};
 
 use crate::config::Op2Config;
-use crate::dat::Dat;
+use crate::dat::{Dat, Footprint};
 use crate::gbl::{Global, ReducedFuture, Reducible};
 use crate::map::Map;
 use crate::transport::{
@@ -615,11 +616,11 @@ pub fn exchange<T: OpType>(
 /// are in place (already-ready for pairs with no traffic).
 ///
 /// Nothing blocks: per nonempty pair this schedules a gather/send node
-/// (after the exported rows' pending writers; registered as a *reader* of
-/// those blocks so later writers wait for the send) and a receive/scatter
-/// node (after the halo rows' pending readers and writers; registered as
-/// a *writer* of the halo blocks, which is what gates exactly the
-/// boundary blocks of subsequent consumer loops). Values travel through
+/// (after the exported rows' pending writers; recorded as a *read* of
+/// their blocks so later writers wait for the send) and a receive/scatter
+/// node (after the halo rows' pending readers and writers; recorded as a
+/// *write* of the halo rows, which is what gates exactly the boundary
+/// nodes of subsequent consumer loops). Values travel through
 /// the group's [`Transport`]; under a distributed transport only the
 /// locally hosted halves are scheduled here, matched with the peer's
 /// halves by sequence number (every process must call `exchange_with` at
@@ -646,11 +647,11 @@ pub fn exchange_with<T: OpType>(
     let first = local.start;
     assert_eq!(dats.len(), local.len(), "one dat shard per local rank");
     let transport = group.transport();
-    // All receive nodes of this exchange form one writer generation, like
-    // the many nodes of one scattering loop: two peers' halo ranges may
-    // share a dependency block, and distinct generations would supersede
-    // each other's writer entry (a lost dependency). Sends get their own
-    // generation (readers ignore it).
+    // All receive nodes of this exchange form one generation, like the
+    // records one loop leaves: two peers' halo ranges may share a
+    // dependency block, and a record of a distinct generation covering it
+    // would supersede the sibling's (a lost dependency). Sends get their
+    // own generation.
     let send_gen = next_loop_gen();
     let recv_gen = next_loop_gen();
     let mut recvs: Vec<Vec<SharedFuture<()>>> = (0..local.len())
@@ -743,14 +744,9 @@ pub(crate) fn schedule_send_half<T: OpType>(
          (halo mirror rows hold possibly-stale copies and are never authoritative)",
         dat_src.name()
     );
-    let bsz = dat_src.dep_block_size().max(1);
-    let mut blocks: Vec<usize> = rows.iter().map(|&r| r as usize / bsz).collect();
-    blocks.sort_unstable();
-    blocks.dedup();
+    let footprint = Footprint::row_list(rows, dat_src.deps().block_size());
     let mut deps: Vec<SharedFuture<()>> = Vec::new();
-    for &b in &blocks {
-        dat_src.deps().collect_block(b, false, &mut deps);
-    }
+    dat_src.deps().collect_for(&footprint, false, &mut deps);
     let gather_rows: Arc<[u32]> = Arc::from(rows);
     let gather_dat = dat_src.clone();
     let delay = opts.link_delay;
@@ -770,9 +766,9 @@ pub(crate) fn schedule_send_half<T: OpType>(
         }
         guard.send(delay, encode_scalars(&vals));
     });
-    for &b in &blocks {
-        dat_src.deps().record_block(b, false, send_gen, &send_done);
-    }
+    dat_src
+        .deps()
+        .record_node(footprint, false, send_gen, &send_done);
     src_hooks.track(send_done.clone());
     send_done
 }
@@ -798,8 +794,9 @@ fn schedule_recv_half<T: OpType>(
         dat_dst.name()
     );
     let delivery = transport.recv(MsgKind::Halo, src, dst, seq);
+    let footprint = Footprint::rows(&range, dat_dst.deps().block_size());
     let mut deps: Vec<SharedFuture<()>> = Vec::new();
-    dat_dst.deps().collect_rows(&range, true, &mut deps);
+    dat_dst.deps().collect_for(&footprint, true, &mut deps);
     deps.push(delivery.ready().clone());
     let scatter_dat = dat_dst.clone();
     let scatter_range = range.clone();
@@ -836,7 +833,7 @@ fn schedule_recv_half<T: OpType>(
     });
     dat_dst
         .deps()
-        .record_rows(&range, true, recv_gen, &recv_done);
+        .record_node(footprint, true, recv_gen, &recv_done);
     dst_hooks.track(recv_done.clone());
     recv_done
 }
@@ -944,7 +941,7 @@ impl<T: OpType> HaloRing<T> {
         let spmd = self.spmd_mode();
         let local = self.local_ranks();
         let dat_dst = self.shard(dst);
-        let to_bs = dat_dst.dep_block_size().max(1);
+        let to_bs = dat_dst.deps().block_size();
         let mut gens: Option<(u64, u64)> = None;
         // Receive halves are deferred below every send half of this
         // refresh: a receive registers as a halo-block *writer*, and a

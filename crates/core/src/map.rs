@@ -11,9 +11,9 @@ use crate::plan::{build_block_reach, BlockReach};
 use crate::set::{Fnv, Set};
 use crate::types::next_entity_id;
 
-/// Cache of [`Map::touched_target_blocks`] results, keyed by
-/// `(slot, target block size)`.
-type TouchedCache = Mutex<HashMap<(usize, usize), Arc<Vec<u32>>>>;
+/// Cache of [`Map::block_reach`] tables, keyed by `(slots, from block
+/// size, to block size)`.
+type ReachCache = Mutex<HashMap<(Vec<usize>, usize, usize), Arc<BlockReach>>>;
 
 #[derive(Debug)]
 pub(crate) struct MapInner {
@@ -29,15 +29,8 @@ pub(crate) struct MapInner {
     /// mirror region of a sharded dat (see [`crate::locality`]). 0 for
     /// ordinary single-locality maps.
     pub halo_targets: usize,
-    /// Block-reach tables keyed by `(slot, from block size, to block
-    /// size)`; computed on first use, shared by every loop over this map.
-    reach: Mutex<HashMap<(usize, usize, usize), Arc<BlockReach>>>,
-    /// Sorted, deduplicated union of the target dependency blocks one slot
-    /// reaches, keyed by `(slot, to block size)` — the block-reach table
-    /// collapsed over source blocks. The implicit halo-exchange engine
-    /// intersects it with a peer's import-block range to decide whether a
-    /// loop through this map can observe that halo at all.
-    touched: TouchedCache,
+    /// Computed on first use, shared by every loop over this map.
+    reach: ReachCache,
 }
 
 /// A declared mapping of arity `dim` from one set to another, e.g. the
@@ -105,20 +98,24 @@ impl Map {
                 signature: sig.finish(),
                 halo_targets,
                 reach: Mutex::new(HashMap::new()),
-                touched: Mutex::new(HashMap::new()),
             }),
         }
     }
 
     /// The dependency blocks of the target set touched by each
-    /// `from_bs`-sized source block through `slot` (cached; see
-    /// [`crate::plan::build_block_reach`]).
-    pub(crate) fn block_reach(&self, slot: usize, from_bs: usize, to_bs: usize) -> Arc<BlockReach> {
-        let key = (slot, from_bs, to_bs);
+    /// `from_bs`-sized source node through any of `slots` (ascending), and
+    /// the inverse (cached; see [`crate::plan::build_block_reach`]).
+    pub(crate) fn block_reach(
+        &self,
+        slots: &[usize],
+        from_bs: usize,
+        to_bs: usize,
+    ) -> Arc<BlockReach> {
+        let key = (slots.to_vec(), from_bs, to_bs);
         if let Some(r) = self.inner.reach.lock().get(&key) {
             return Arc::clone(r);
         }
-        let built = Arc::new(build_block_reach(self, slot, from_bs, to_bs));
+        let built = Arc::new(build_block_reach(self, slots, from_bs, to_bs));
         Arc::clone(
             self.inner
                 .reach
@@ -128,44 +125,25 @@ impl Map {
         )
     }
 
-    /// The sorted set of `to_bs`-sized target dependency blocks reachable
-    /// through `slot` from *any* source element (cached per key).
-    pub(crate) fn touched_target_blocks(&self, slot: usize, to_bs: usize) -> Arc<Vec<u32>> {
-        let key = (slot, to_bs.max(1));
-        if let Some(t) = self.inner.touched.lock().get(&key) {
-            return Arc::clone(t);
-        }
-        let mut blocks: Vec<u32> = (0..self.inner.from.size())
-            .map(|e| (self.at(e, slot) / key.1) as u32)
-            .collect();
-        blocks.sort_unstable();
-        blocks.dedup();
-        let built = Arc::new(blocks);
-        Arc::clone(
-            self.inner
-                .touched
-                .lock()
-                .entry(key)
-                .or_insert_with(|| Arc::clone(&built)),
-        )
-    }
-
-    /// True when `slot` reaches at least one target dependency block in
-    /// `block_range` (block indices for `to_bs`-sized blocks).
+    /// True when `slot` reaches, from any source element, at least one
+    /// target dependency block in `block_range` (block indices for
+    /// `to_bs`-row blocks): the reach table of the whole source set taken
+    /// as one node. The implicit halo-exchange engine asks this to decide
+    /// whether a loop through this map can observe a peer's halo at all.
     pub(crate) fn reaches_target_blocks(
         &self,
         slot: usize,
         to_bs: usize,
         block_range: std::ops::Range<usize>,
     ) -> bool {
-        if block_range.is_empty() {
+        let n = self.inner.from.size();
+        if n == 0 || block_range.is_empty() {
             return false;
         }
-        let touched = self.touched_target_blocks(slot, to_bs);
-        let start = touched.partition_point(|&b| (b as usize) < block_range.start);
-        touched
-            .get(start)
-            .is_some_and(|&b| (b as usize) < block_range.end)
+        self.block_reach(&[slot], n, to_bs)
+            .node_blocks(0)
+            .iter()
+            .any(|r| (r.start as usize) < block_range.end && block_range.start < r.end as usize)
     }
 
     /// Target element for source element `e`, slot `k` (`k < dim`).

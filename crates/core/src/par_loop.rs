@@ -40,9 +40,9 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use hpx_rt::{PrefetchSet, SharedFuture};
+use hpx_rt::PrefetchSet;
 
-use crate::arg::{ArgSpec, BlockCtx};
+use crate::arg::ArgSpec;
 use crate::config::Backend;
 use crate::driver::{drive, LoopHandle, LoopSpec};
 use crate::set::Set;
@@ -184,14 +184,15 @@ macro_rules! gen_par_loop {
                 let gen = next_loop_gen();
                 let is_dataflow = world.config().backend == Backend::Dataflow;
 
-                // Whole-loop dependency collection for the synchronous
-                // backends only: the dataflow driver collects per block
-                // (and a whole-dat collection here would drain the
-                // per-block write-after-read state it needs).
-                let mut deps = Vec::new();
-                if !is_dataflow {
-                    $( $a.collect_deps(&mut deps); )+
-                }
+                // Global arguments' dependencies, collected once per loop;
+                // dat dependencies are the driver's business (it resolves
+                // them from `infos`, per node under dataflow).
+                let mut node_deps = Vec::new();
+                let mut loop_deps = Vec::new();
+                $(
+                    $a.collect_node_deps(&mut node_deps);
+                    $a.collect_loop_deps(&mut loop_deps);
+                )+
 
                 // Prefetching iterator tables (paper §V): registered once
                 // per loop launch, consulted every iteration. Loops with
@@ -230,13 +231,7 @@ macro_rules! gen_par_loop {
 
                 let set_size = set.size();
                 let finalize_args = ($( $a.clone(), )+);
-                // Only the backend that will call a hook pays for its
-                // argument clones and closure allocation.
-                let record_args = (!is_dataflow).then(|| ($( $a.clone(), )+));
-                let collect_block_args = is_dataflow.then(|| ($( $a.clone(), )+));
-                let record_block_args = is_dataflow.then(|| ($( $a.clone(), )+));
-                let record_loop_args = is_dataflow.then(|| ($( $a.clone(), )+));
-                let collect_loop_args = is_dataflow.then(|| ($( $a.clone(), )+));
+                let record_args = ($( $a.clone(), )+);
 
                 let block_body: Arc<dyn Fn(Range<usize>) + Send + Sync> =
                     Arc::new(move |r: Range<usize>| {
@@ -298,61 +293,20 @@ macro_rules! gen_par_loop {
                     })
                 };
 
-                // Per-block dependency hooks for the dataflow driver: one
-                // dataflow node per block, wired only to the dependency
-                // blocks its arguments actually touch. The synchronous
-                // backends get inert hooks (the driver never calls them
-                // there).
-                let collect_block: Arc<dyn Fn(&BlockCtx, &mut Vec<SharedFuture<()>>) + Send + Sync> =
-                    match collect_block_args {
-                        Some(($($a,)+)) => Arc::new(move |ctx, out| {
-                            $( $a.collect_block_deps(ctx, out); )+
-                        }),
-                        None => Arc::new(|_, _| {}),
-                    };
-                let record_block: Arc<dyn Fn(&BlockCtx, &SharedFuture<()>) + Send + Sync> =
-                    match record_block_args {
-                        Some(($($a,)+)) => Arc::new(move |ctx, done| {
-                            $( $a.record_block_completion(ctx, done); )+
-                        }),
-                        None => Arc::new(|_, _| {}),
-                    };
-                let record_loop: Arc<dyn Fn(&SharedFuture<()>) + Send + Sync> =
-                    match record_loop_args {
-                        Some(($($a,)+)) => Arc::new(move |done| {
-                            $( $a.record_loop_completion(done); )+
-                        }),
-                        None => Arc::new(|_| {}),
-                    };
-                let collect_loop: Arc<dyn Fn(&mut Vec<SharedFuture<()>>) + Send + Sync> =
-                    match collect_loop_args {
-                        Some(($($a,)+)) => Arc::new(move |out| {
-                            $( $a.collect_loop_deps(out); )+
-                        }),
-                        None => Arc::new(|_| {}),
-                    };
-
                 let spec = LoopSpec {
                     name: name.clone(),
                     set,
                     infos,
-                    deps,
+                    node_deps,
+                    loop_deps,
                     gen,
                     block_body,
                     gather: gather_prefetch,
                     finalize,
-                    collect_block,
-                    collect_loop,
-                    record_block,
-                    record_loop,
                 };
                 let done = drive(world, spec);
-                if let Some(($($a,)+)) = record_args {
-                    // Whole-loop recording for the synchronous backends;
-                    // the dataflow driver records per block at
-                    // graph-build time.
-                    $( $a.record_completion(gen, &done); )+
-                }
+                let ($($a,)+) = record_args;
+                $( $a.record_loop_completion(&done); )+
                 world.track(done.clone());
                 LoopHandle::new(name, done)
             }

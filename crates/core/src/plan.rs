@@ -211,39 +211,151 @@ pub fn validate_coloring(plan: &Plan, conflicts: &[(Map, usize)]) -> Result<(), 
 // Block-reach tables (block-granular dataflow)
 // ---------------------------------------------------------------------------
 
-/// For every source block of a partitioned iteration set: which dependency
-/// blocks of the map's target set the block touches through one map slot.
-/// This is the plan-level information the block-granular dataflow engine
-/// wires node dependencies with — the indirect-argument analogue of a
-/// direct argument's "block i touches rows `i*bs..(i+1)*bs`".
+/// Which dependency blocks of a dat each node of an access touches, and
+/// the inverse: which nodes touch a given dependency block. This is what
+/// the dataflow engine wires indirect arguments with — the analogue of a
+/// direct argument's "node i touches rows `i*bs..(i+1)*bs`", which needs
+/// no table.
 ///
-/// Built once per `(map, slot, source block size, target block size)` and
-/// cached on the [`Map`] (see [`Map::block_reach`]); the target lists are
-/// sorted and deduplicated.
-pub(crate) type BlockReach = Vec<Vec<u32>>;
+/// Built once per `(map, slots, source block size, target block size)`
+/// and cached on the [`Map`] (see [`Map::block_reach`]); a partial access
+/// that addresses a scattered row list directly (halo gather, migration)
+/// builds a one-node table with [`BlockReach::of_rows`].
+#[derive(Debug)]
+pub(crate) struct BlockReach {
+    /// Node `n`'s blocks are `fwd[fwd_off[n]..fwd_off[n + 1]]`: ascending,
+    /// disjoint ranges with adjacent blocks coalesced.
+    fwd_off: Vec<u32>,
+    fwd: Vec<Range<u32>>,
+    /// First touched block; `inv_off` is indexed relative to it.
+    first: u32,
+    /// The nodes touching block `first + k` are
+    /// `inv[inv_off[k]..inv_off[k + 1]]`, ascending.
+    inv_off: Vec<u32>,
+    inv: Vec<u32>,
+    /// Every block of [`BlockReach::span`] is touched by some node.
+    dense: bool,
+}
 
-/// Builds the [`BlockReach`] of `map` slot `slot` for a source set
-/// partitioned into `from_bs`-sized blocks and a target dependency table
-/// with `to_bs`-sized blocks.
+impl BlockReach {
+    /// Builds both directions from per-node block lists (each sorted and
+    /// deduplicated).
+    fn from_node_blocks(per_node: &[Vec<u32>]) -> BlockReach {
+        let first = per_node.iter().filter_map(|b| b.first()).min();
+        let last = per_node.iter().filter_map(|b| b.last()).max();
+        let (Some(&first), Some(&last)) = (first, last) else {
+            return BlockReach {
+                fwd_off: vec![0; per_node.len() + 1],
+                fwd: Vec::new(),
+                first: 0,
+                inv_off: vec![0],
+                inv: Vec::new(),
+                dense: true,
+            };
+        };
+        let span = (last - first + 1) as usize;
+        let mut fwd_off = Vec::with_capacity(per_node.len() + 1);
+        let mut fwd: Vec<Range<u32>> = Vec::new();
+        let mut inv_off = vec![0u32; span + 1];
+        fwd_off.push(0);
+        for blocks in per_node {
+            let run_start = fwd.len();
+            for &b in blocks {
+                inv_off[(b - first) as usize + 1] += 1;
+                match fwd[run_start..].last_mut() {
+                    Some(run) if run.end == b => run.end = b + 1,
+                    _ => fwd.push(b..b + 1),
+                }
+            }
+            fwd_off.push(fwd.len() as u32);
+        }
+        let dense = inv_off[1..].iter().all(|&count| count > 0);
+        for k in 0..span {
+            inv_off[k + 1] += inv_off[k];
+        }
+        let mut cursor = inv_off.clone();
+        let mut inv = vec![0u32; inv_off[span] as usize];
+        for (node, blocks) in per_node.iter().enumerate() {
+            for &b in blocks {
+                let slot = &mut cursor[(b - first) as usize];
+                inv[*slot as usize] = node as u32;
+                *slot += 1;
+            }
+        }
+        BlockReach {
+            fwd_off,
+            fwd,
+            first,
+            inv_off,
+            inv,
+            dense,
+        }
+    }
+
+    /// The one-node table of an access to the listed rows of a dat with
+    /// `block_size`-row dependency blocks.
+    pub fn of_rows(rows: &[u32], block_size: usize) -> BlockReach {
+        let mut blocks: Vec<u32> = rows.iter().map(|&r| r / block_size as u32).collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        Self::from_node_blocks(&[blocks])
+    }
+
+    /// Number of nodes.
+    #[cfg(test)]
+    pub fn nodes(&self) -> usize {
+        self.fwd_off.len() - 1
+    }
+
+    /// The dependency blocks node `node` touches, as ascending ranges.
+    pub fn node_blocks(&self, node: usize) -> &[Range<u32>] {
+        &self.fwd[self.fwd_off[node] as usize..self.fwd_off[node + 1] as usize]
+    }
+
+    /// The nodes touching dependency block `block`, ascending.
+    pub fn nodes_of(&self, block: u32) -> &[u32] {
+        let k = block.wrapping_sub(self.first) as usize;
+        match (self.inv_off.get(k), self.inv_off.get(k + 1)) {
+            (Some(&lo), Some(&hi)) => &self.inv[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// First touched block up to one past the last.
+    pub fn span(&self) -> Range<u32> {
+        self.first..self.first + (self.inv_off.len() - 1) as u32
+    }
+
+    /// True when every block of [`BlockReach::span`] is touched.
+    pub fn dense(&self) -> bool {
+        self.dense
+    }
+}
+
+/// Builds the [`BlockReach`] of `map` through the union of `slots`, for a
+/// source set partitioned into `from_bs`-sized nodes and a target
+/// dependency table with `to_bs`-row blocks.
 pub(crate) fn build_block_reach(
     map: &Map,
-    slot: usize,
+    slots: &[usize],
     from_bs: usize,
     to_bs: usize,
 ) -> BlockReach {
     let n = map.from_set().size();
     let from_bs = from_bs.max(1);
     let to_bs = to_bs.max(1);
-    let nblocks = n.div_ceil(from_bs);
-    let mut reach: BlockReach = Vec::with_capacity(nblocks);
-    for b in 0..nblocks {
-        let range = b * from_bs..((b + 1) * from_bs).min(n);
-        let mut targets: Vec<u32> = range.map(|e| (map.at(e, slot) / to_bs) as u32).collect();
-        targets.sort_unstable();
-        targets.dedup();
-        reach.push(targets);
-    }
-    reach
+    let per_node: Vec<Vec<u32>> = (0..n.div_ceil(from_bs))
+        .map(|b| {
+            let range = b * from_bs..((b + 1) * from_bs).min(n);
+            let mut targets: Vec<u32> = range
+                .flat_map(|e| slots.iter().map(move |&s| (map.at(e, s) / to_bs) as u32))
+                .collect();
+            targets.sort_unstable();
+            targets.dedup();
+            targets
+        })
+        .collect();
+    BlockReach::from_node_blocks(&per_node)
 }
 
 pub(crate) fn conflicts_of(infos: &[ArgInfo]) -> Vec<Conflict> {
@@ -414,31 +526,68 @@ mod tests {
     #[test]
     fn block_reach_covers_exactly_the_touched_blocks() {
         let (_e, _n, m) = ring(100);
-        // Source blocks of 10 edges, target dep-blocks of 25 nodes.
-        let reach = build_block_reach(&m, 1, 10, 25);
-        assert_eq!(reach.len(), 10);
-        // Block 0 covers edges 0..10 -> slot-1 nodes 1..=10 -> block 0
-        // only; block 2 covers edges 20..30 -> nodes 21..=30 -> blocks 0,1.
-        assert_eq!(reach[0], vec![0]);
-        assert_eq!(reach[2], vec![0, 1]);
-        // The last block wraps: edges 90..100 -> nodes 91..=99 and 0.
-        assert_eq!(reach[9], vec![0, 3]);
-        // Exhaustive cross-check against the map itself.
-        for (b, targets) in reach.iter().enumerate() {
-            for e in b * 10..((b + 1) * 10).min(100) {
+        // Source nodes of 10 edges, target dep-blocks of 25 nodes.
+        let reach = build_block_reach(&m, &[1], 10, 25);
+        assert_eq!(reach.nodes(), 10);
+        // Node 0 covers edges 0..10 -> slot-1 nodes 1..=10 -> block 0
+        // only; node 2 covers edges 20..30 -> nodes 21..=30 -> blocks 0,1
+        // (one coalesced range).
+        assert_eq!(reach.node_blocks(0), std::slice::from_ref(&(0..1)));
+        assert_eq!(reach.node_blocks(2), std::slice::from_ref(&(0..2)));
+        // The last node wraps: edges 90..100 -> nodes 91..=99 and 0.
+        assert_eq!(reach.node_blocks(9), &[0..1, 3..4]);
+        assert_eq!(reach.span(), 0..4);
+        assert!(reach.dense());
+        // Exhaustive cross-check of both directions against the map.
+        for node in 0..10 {
+            for e in node * 10..(node + 1) * 10 {
                 let t = (m.at(e, 1) / 25) as u32;
-                assert!(targets.contains(&t), "block {b} missing target {t}");
+                assert!(
+                    reach.node_blocks(node).iter().any(|r| r.contains(&t)),
+                    "node {node} missing block {t}"
+                );
+                assert!(reach.nodes_of(t).contains(&(node as u32)));
             }
         }
+        for b in 0..4u32 {
+            for &node in reach.nodes_of(b) {
+                assert!(reach
+                    .node_blocks(node as usize)
+                    .iter()
+                    .any(|r| r.contains(&b)));
+            }
+        }
+        assert!(reach.nodes_of(4).is_empty(), "outside the span");
+    }
+
+    #[test]
+    fn block_reach_unions_slots_and_reports_gaps() {
+        let (_e, _n, m) = ring(100);
+        let both = build_block_reach(&m, &[0, 1], 10, 25);
+        // Slot 0 of edges 20..30 reaches nodes 20..=29, slot 1 21..=30.
+        assert_eq!(both.node_blocks(2), std::slice::from_ref(&(0..2)));
+        assert_eq!(both.nodes_of(0), &[0, 1, 2, 9]);
+        // A scattered row list: blocks 0 and 3 of a 10-row table, with an
+        // untouched gap between them.
+        let rows = BlockReach::of_rows(&[31, 2, 38, 5], 10);
+        assert_eq!(rows.nodes(), 1);
+        assert_eq!(rows.node_blocks(0), &[0..1, 3..4]);
+        assert_eq!(rows.span(), 0..4);
+        assert!(!rows.dense());
+        assert_eq!(rows.nodes_of(3), &[0]);
+        assert!(rows.nodes_of(1).is_empty());
+        // No rows at all: an empty, trivially dense table.
+        let none = BlockReach::of_rows(&[], 10);
+        assert!(none.node_blocks(0).is_empty() && none.span().is_empty());
     }
 
     #[test]
     fn block_reach_is_cached_per_key() {
         let (_e, _n, m) = ring(64);
-        let a = m.block_reach(0, 16, 16);
-        let b = m.block_reach(0, 16, 16);
+        let a = m.block_reach(&[0], 16, 16);
+        let b = m.block_reach(&[0], 16, 16);
         assert!(Arc::ptr_eq(&a, &b), "same key must hit the cache");
-        let c = m.block_reach(1, 16, 16);
+        let c = m.block_reach(&[1], 16, 16);
         assert!(!Arc::ptr_eq(&a, &c), "different slot, different table");
     }
 

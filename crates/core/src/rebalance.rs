@@ -21,12 +21,12 @@
 //!    shards for the new ownership.
 //! 4. **Migrate** — [`MigrationSpec::diff`] turns old/new ownership into
 //!    per-rank-pair row moves and [`migrate_rows`] schedules them as
-//!    ordinary epoch-table nodes: gathers read the old shards as block
-//!    *readers*, landings write the new shards as block *writers*, and
-//!    cross-process moves travel as [`MsgKind::Migrate`] messages. The
-//!    dataflow never stops — in-flight loops on the old shards simply
-//!    precede the gathers in the epoch tables, and the first loops on the
-//!    new shards gate on the landings.
+//!    ordinary dependency nodes (single-node access records over their
+//!    row lists, see `dat.rs`): gathers *read* the old shards,
+//!    landings *write* the new ones, and cross-process moves travel as
+//!    [`MsgKind::Migrate`] messages. The dataflow never stops — in-flight
+//!    loops on the old shards simply precede the gathers, and the first
+//!    loops on the new shards gate on the landings.
 //! 5. **Invalidate** — the solver retires the old set signatures
 //!    ([`crate::Op2::retire_set_signature`]) so a stale cached schedule or
 //!    cost estimate for the pre-migration shape can never be hit again.
@@ -40,7 +40,7 @@ use std::sync::Arc;
 
 use hpx_rt::{schedule_after, when_all_shared, SharedFuture};
 
-use crate::dat::Dat;
+use crate::dat::{Dat, Footprint};
 use crate::locality::{schedule_send_half, ExchangeOpts, LocalityGroup};
 use crate::transport::{decode_scalars, MsgKind, Transport};
 use crate::types::{next_loop_gen, OpType};
@@ -218,7 +218,7 @@ impl MigrationSpec {
 }
 
 /// Schedules the row moves of `spec` from the old shards into the new
-/// ones as ordinary epoch-table nodes — the dataflow keeps flowing (see
+/// ones as ordinary dependency nodes — the dataflow keeps flowing (see
 /// module docs). `old[i]` / `new[i]` are local rank
 /// `group.local_ranks().start + i`'s shards of one logical dat.
 ///
@@ -241,10 +241,9 @@ pub fn migrate_rows<T: OpType>(
     assert_eq!(old.len(), local.len(), "one old shard per local rank");
     assert_eq!(new.len(), local.len(), "one new shard per local rank");
     let transport = group.transport();
-    // One reader generation for every gather, one writer generation for
-    // every landing: nodes of one migration accumulate in the epoch
-    // tables instead of superseding each other (they are the many nodes
-    // of one logical scatter).
+    // One generation for every gather, one for every landing: the records
+    // of one migration are siblings that never supersede each other (they
+    // are the many nodes of one logical scatter).
     let send_gen = next_loop_gen();
     let recv_gen = next_loop_gen();
     let mut done: Vec<Vec<SharedFuture<()>>> = (0..local.len()).map(|_| Vec::new()).collect();
@@ -360,15 +359,11 @@ fn schedule_copy<T: OpType>(
         "move {src}->{dst}: landings must be owned rows of '{}'",
         dat_new.name()
     );
-    let src_blocks = blocks_of(src_rows, dat_old.dep_block_size());
-    let dst_blocks = blocks_of(dst_rows, dat_new.dep_block_size());
+    let gathered = Footprint::row_list(src_rows, dat_old.deps().block_size());
+    let landed = Footprint::row_list(dst_rows, dat_new.deps().block_size());
     let mut deps: Vec<SharedFuture<()>> = Vec::new();
-    for &b in &src_blocks {
-        dat_old.deps().collect_block(b, false, &mut deps);
-    }
-    for &b in &dst_blocks {
-        dat_new.deps().collect_block(b, true, &mut deps);
-    }
+    dat_old.deps().collect_for(&gathered, false, &mut deps);
+    dat_new.deps().collect_for(&landed, true, &mut deps);
     let gather_rows: Arc<[u32]> = Arc::from(src_rows.as_slice());
     let land_rows: Arc<[u32]> = Arc::from(dst_rows.as_slice());
     let (old, new) = (dat_old.clone(), dat_new.clone());
@@ -386,12 +381,8 @@ fn schedule_copy<T: OpType>(
         // access to the listed rows.
         unsafe { new.scatter_row_list_from(&land_rows, &vals) };
     });
-    for &b in &src_blocks {
-        dat_old.deps().record_block(b, false, send_gen, &fut);
-    }
-    for &b in &dst_blocks {
-        dat_new.deps().record_block(b, true, recv_gen, &fut);
-    }
+    dat_old.deps().record_node(gathered, false, send_gen, &fut);
+    dat_new.deps().record_node(landed, true, recv_gen, &fut);
     hooks.track(fut.clone());
     fut
 }
@@ -420,11 +411,9 @@ fn schedule_migrate_recv<T: OpType>(
         dat_new.name()
     );
     let delivery = transport.recv(MsgKind::Migrate, src, dst, seq);
-    let blocks = blocks_of(dst_rows, dat_new.dep_block_size());
+    let landed = Footprint::row_list(dst_rows, dat_new.deps().block_size());
     let mut deps: Vec<SharedFuture<()>> = Vec::new();
-    for &b in &blocks {
-        dat_new.deps().collect_block(b, true, &mut deps);
-    }
+    dat_new.deps().collect_for(&landed, true, &mut deps);
     deps.push(delivery.ready().clone());
     let land_rows: Arc<[u32]> = Arc::from(dst_rows);
     let new = dat_new.clone();
@@ -449,20 +438,9 @@ fn schedule_migrate_recv<T: OpType>(
             }
         }
     });
-    for &b in &blocks {
-        dat_new.deps().record_block(b, true, recv_gen, &fut);
-    }
+    dat_new.deps().record_node(landed, true, recv_gen, &fut);
     dst_hooks.track(fut.clone());
     fut
-}
-
-/// Sorted, deduplicated dependency-block indices of a row list.
-fn blocks_of(rows: &[u32], block_size: usize) -> Vec<usize> {
-    let bsz = block_size.max(1);
-    let mut blocks: Vec<usize> = rows.iter().map(|&r| r as usize / bsz).collect();
-    blocks.sort_unstable();
-    blocks.dedup();
-    blocks
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use hpx_rt::{ChunkPolicy, GranularityFeedback, Runtime, SharedFuture};
 
 use crate::config::Op2Config;
 use crate::dat::{Dat, Layout};
-use crate::driver::SpecShare;
+use crate::driver::{SpecShare, SubmitStats};
 use crate::map::Map;
 use crate::plan::PlanCache;
 use crate::set::Set;
@@ -56,6 +56,7 @@ pub struct Op2 {
     feedback: GranularityFeedback,
     outstanding: Arc<Mutex<Vec<SharedFuture<()>>>>,
     stats: StatsHandle,
+    submit: Mutex<SubmitStats>,
 }
 
 /// The per-rank handles communication nodes need after the owning [`Op2`]
@@ -125,6 +126,7 @@ impl Op2 {
             feedback,
             outstanding: Arc::new(Mutex::new(Vec::new())),
             stats: Arc::new(Mutex::new(HashMap::new())),
+            submit: Mutex::new(SubmitStats::default()),
         }
     }
 
@@ -242,9 +244,9 @@ impl Op2 {
         )
     }
 
-    /// Waits for every outstanding loop (every block node's epoch table
-    /// entry is covered: the tracked completion future of a loop joins its
-    /// final color round, which transitively joins all earlier rounds),
+    /// Waits for every outstanding loop (every block node is covered: the
+    /// tracked completion future of a loop joins its final color round,
+    /// which transitively joins all earlier rounds),
     /// re-panicking if any kernel panicked — the explicit global
     /// synchronization point (only needed around I/O or timing boundaries
     /// in the dataflow backend).
@@ -269,6 +271,18 @@ impl Op2 {
 
     pub(crate) fn stats_handle(&self) -> StatsHandle {
         Arc::clone(&self.stats)
+    }
+
+    pub(crate) fn submit_stats_mut(&self) -> parking_lot::MutexGuard<'_, SubmitStats> {
+        self.submit.lock()
+    }
+
+    /// What this world's Dataflow loop submissions cost so far: nodes
+    /// scheduled, dependency edges collected and wired, access records
+    /// pushed, and time spent building loop graphs. World-scoped — sibling
+    /// worlds, tenants and ranks each count their own.
+    pub fn submit_stats(&self) -> SubmitStats {
+        *self.submit.lock()
     }
 
     /// Per-loop cumulative statistics, sorted by name.

@@ -106,6 +106,29 @@ struct NodeState {
     done: SharedFuture<()>,
 }
 
+/// Above this many inputs the duplicate scan sorts by pointer instead of
+/// comparing every pair.
+const QUADRATIC_DEDUP_MAX: usize = 16;
+
+/// The distinct futures of `deps` (by identity, see
+/// [`SharedFuture::ptr_eq`]): first-occurrence order for short lists,
+/// address order above [`QUADRATIC_DEDUP_MAX`].
+fn unique_deps(deps: &[SharedFuture<()>]) -> Vec<&SharedFuture<()>> {
+    let mut unique: Vec<&SharedFuture<()>> = Vec::with_capacity(deps.len());
+    if deps.len() <= QUADRATIC_DEDUP_MAX {
+        for dep in deps {
+            if !unique.iter().any(|u| SharedFuture::ptr_eq(u, dep)) {
+                unique.push(dep);
+            }
+        }
+    } else {
+        unique.extend(deps);
+        unique.sort_unstable_by_key(|d| d.addr());
+        unique.dedup_by_key(|d| d.addr());
+    }
+    unique
+}
+
 /// Schedules `body` on `rt` as soon as every future in `deps` is ready,
 /// returning the node's completion. If any dependency panicked, `body` is
 /// skipped and the completion re-panics with the first observed panic; a
@@ -120,16 +143,24 @@ pub fn schedule_after<F>(rt: &Runtime, deps: &[SharedFuture<()>], body: F) -> Sh
 where
     F: FnOnce() + Send + 'static,
 {
-    // Dedup by future identity: each duplicate would cost a boxed
-    // callback and a countdown for no semantic effect. Dependency lists
-    // are short, so the quadratic scan beats hashing.
-    let mut unique: Vec<&SharedFuture<()>> = Vec::with_capacity(deps.len());
-    for dep in deps {
-        if !unique.iter().any(|u| SharedFuture::ptr_eq(u, dep)) {
-            unique.push(dep);
-        }
-    }
-    let deps = unique;
+    schedule_after_counted(rt, deps, body).0
+}
+
+/// [`schedule_after`], additionally returning how many dependency edges
+/// were actually wired — `deps.len()` minus the duplicates dropped. A
+/// caller that deduplicates its inputs itself can assert the two agree.
+pub fn schedule_after_counted<F>(
+    rt: &Runtime,
+    deps: &[SharedFuture<()>],
+    body: F,
+) -> (SharedFuture<()>, usize)
+where
+    F: FnOnce() + Send + 'static,
+{
+    // Each duplicate would cost a boxed callback and a countdown for no
+    // semantic effect.
+    let deps = unique_deps(deps);
+    let wired = deps.len();
 
     let state = Arc::new(NodeState {
         dep_panic: Mutex::new(None),
@@ -170,7 +201,7 @@ where
             counter.count_down();
         }));
     }
-    result
+    (result, wired)
 }
 
 /// Resolves to the index of the first input to become ready (HPX
@@ -281,6 +312,20 @@ mod tests {
         });
         done.wait();
         assert_eq!(hits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn long_input_lists_dedup_by_sorting() {
+        let rt = Runtime::new(2);
+        let distinct: Vec<SharedFuture<()>> =
+            (0..40).map(|_| rt.spawn_future(|| ()).share()).collect();
+        // 40 distinct futures, each passed three times, interleaved.
+        let deps: Vec<SharedFuture<()>> = (0..120).map(|i| distinct[i % 40].clone()).collect();
+        let (done, wired) = schedule_after_counted(&rt, &deps, || ());
+        assert_eq!(wired, 40);
+        done.get();
+        let (_, wired) = schedule_after_counted(&rt, &deps[..12], || ());
+        assert_eq!(wired, 12, "short lists keep every distinct input too");
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   consumer (`get`), like `std::future` exceptions in HPX.
 
 use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::runtime::{try_help, Help, Runtime, WAIT_POLL};
@@ -320,9 +320,20 @@ enum SharedState<T> {
     Done(Arc<SharedOutcome<T>>),
 }
 
+/// [`SharedInner::status`] values.
+const PENDING: u8 = 0;
+const HAS_VALUE: u8 = 1;
+const PANICKED: u8 = 2;
+
 struct SharedInner<T> {
     state: Mutex<SharedState<T>>,
     cv: Condvar,
+    /// Lock-free mirror of `state`'s variant for pollers
+    /// ([`SharedFuture::is_ready`] / [`SharedFuture::has_value`]): stored
+    /// with `Release` *after* `state` became `Done`, read with `Acquire`,
+    /// so a reader that sees a non-pending status also sees the outcome
+    /// (and everything the producer wrote before fulfilling).
+    status: AtomicU8,
 }
 
 /// A multi-consumer future. Cloning is cheap (one `Arc`); every clone can
@@ -347,6 +358,7 @@ impl<T> SharedFuture<T> {
             inner: Arc::new(SharedInner {
                 state: Mutex::new(SharedState::Pending(Vec::new())),
                 cv: Condvar::new(),
+                status: AtomicU8::new(PENDING),
             }),
         }
     }
@@ -357,16 +369,24 @@ impl<T> SharedFuture<T> {
             inner: Arc::new(SharedInner {
                 state: Mutex::new(SharedState::Done(Arc::new(SharedOutcome::Value(value)))),
                 cv: Condvar::new(),
+                status: AtomicU8::new(HAS_VALUE),
             }),
         }
     }
 
     fn fulfill_inner(inner: &SharedInner<T>, outcome: SharedOutcome<T>) {
+        let status = match outcome {
+            SharedOutcome::Value(_) => HAS_VALUE,
+            SharedOutcome::Panic(_) => PANICKED,
+        };
         let outcome = Arc::new(outcome);
         let callbacks = {
             let mut guard = inner.state.lock();
             match std::mem::replace(&mut *guard, SharedState::Done(Arc::clone(&outcome))) {
-                SharedState::Pending(cbs) => cbs,
+                SharedState::Pending(cbs) => {
+                    inner.status.store(status, Ordering::Release);
+                    cbs
+                }
                 SharedState::Done(_) => panic!("shared future fulfilled twice"),
             }
         };
@@ -390,9 +410,25 @@ impl<T> SharedFuture<T> {
         Arc::ptr_eq(&a.inner, &b.inner)
     }
 
-    /// True once the value (or a panic) is available.
+    /// Address of the shared state: equal exactly when [`SharedFuture::ptr_eq`]
+    /// holds, and totally ordered — what sort-based deduplication keys on.
+    pub(crate) fn addr(&self) -> usize {
+        Arc::as_ptr(&self.inner) as *const () as usize
+    }
+
+    /// True once the value (or a panic) is available. Lock-free: one
+    /// `Acquire` load, so dependency collection and convergence polling can
+    /// ask it of thousands of futures without touching their mutexes.
     pub fn is_ready(&self) -> bool {
-        matches!(*self.inner.state.lock(), SharedState::Done(_))
+        self.inner.status.load(Ordering::Acquire) != PENDING
+    }
+
+    /// True once the future completed **with a value** (ready and not
+    /// panicked). A consumer may skip waiting on such a producer entirely;
+    /// a panicked one must stay a dependency so the panic still poisons
+    /// the consumer.
+    pub fn has_value(&self) -> bool {
+        self.inner.status.load(Ordering::Acquire) == HAS_VALUE
     }
 
     /// Blocks until ready. Workers help-execute while waiting.
@@ -656,6 +692,20 @@ mod tests {
         let f2 = shared.then(&rt, |x| x + 2);
         assert_eq!(f1.get(), 8);
         assert_eq!(f2.get(), 9);
+    }
+
+    #[test]
+    fn shared_status_distinguishes_value_from_panic() {
+        let rt = Runtime::new(1);
+        let pending = SharedFuture::<u8>::pending();
+        assert!(!pending.is_ready() && !pending.has_value());
+        pending.fulfill(SharedOutcome::Value(3));
+        assert!(pending.is_ready() && pending.has_value());
+        assert!(SharedFuture::ready(()).has_value());
+        let bad: SharedFuture<()> = rt.spawn_future(|| panic!("producer died")).share();
+        bad.wait();
+        assert!(bad.is_ready());
+        assert!(!bad.has_value(), "a panicked future holds no value");
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use chunk::{
     ChunkPolicy, GranularityFeedback, KernelCost, PersistentChunker, DEFAULT_CHUNK_TARGET,
 };
 pub use dataflow::{dataflow, dataflow_inline, DataflowArg, FutureTuple, Val};
-pub use dep::{schedule_after, when_any_shared, DepCounter};
+pub use dep::{schedule_after, schedule_after_counted, when_any_shared, DepCounter};
 pub use future::{
     channel, ready, when_all, when_all_shared, BrokenPromise, Future, Promise, SharedFuture,
 };

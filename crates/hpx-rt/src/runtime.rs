@@ -17,7 +17,7 @@
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,9 +30,10 @@ thread_local! {
     static CURRENT_WORKER: Cell<*const WorkerCtx> = const { Cell::new(std::ptr::null()) };
 }
 
-/// How long an idle worker sleeps before re-checking the queues. The timeout
-/// bounds the staleness of the (benign) race between "queue looked empty" and
-/// "a task was pushed just before we registered as a sleeper".
+/// How long an idle worker sleeps before re-checking the queues. A backstop
+/// only: [`WorkerCtx::park`] registers as a sleeper *before* its last look
+/// at the queues, so a push either is seen by that look or sees the sleeper
+/// and notifies it.
 const PARK_TIMEOUT: Duration = Duration::from_millis(2);
 
 /// How long a *waiting* thread (blocked in a future/latch with nothing to
@@ -239,8 +240,17 @@ impl RuntimeInner {
         self.notify_one();
     }
 
+    /// True when the injector or any worker's deque holds a task.
+    fn work_queued(&self) -> bool {
+        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
+    }
+
     fn notify_one(&self) {
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
+        // Called right after a push. The fence pairs with the one after the
+        // sleeper's registration in `park`: either this load sees the
+        // sleeper, or the sleeper's queue re-check sees the task.
+        fence(Ordering::SeqCst);
+        if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.sleep_lock.lock();
             self.sleep_cv.notify_one();
         }
@@ -319,16 +329,24 @@ impl WorkerCtx {
 
     fn park(&self) {
         let mut guard = self.inner.sleep_lock.lock();
-        // Re-check under the lock: a notify that raced with us would
-        // otherwise be lost.
-        if !self.inner.injector.is_empty() || self.inner.shutdown.load(Ordering::Acquire) {
-            return;
-        }
+        // Register first, then look at every queue once more, all under
+        // the sleep lock. A task pushed before the look is found by it; a
+        // push after it sees `sleepers > 0` and notifies, and the notify
+        // cannot slip in before the wait because it needs this lock. That
+        // includes a sibling's *local* deque: a successor node a running
+        // worker spawns there is exactly what an idle worker should steal.
         self.inner.sleepers.fetch_add(1, Ordering::SeqCst);
-        self.inner.stats[self.index]
-            .parks
-            .fetch_add(1, Ordering::Relaxed);
-        self.inner.sleep_cv.wait_for(&mut guard, PARK_TIMEOUT);
+        // Orders the registration before the queue reads below; pairs with
+        // the fence between push and sleeper check in `spawn_task`.
+        fence(Ordering::SeqCst);
+        let stats = &self.inner.stats[self.index];
+        if !self.inner.work_queued() && !self.inner.shutdown.load(Ordering::Acquire) {
+            stats.parks.fetch_add(1, Ordering::Relaxed);
+            let slept = self.inner.sleep_cv.wait_for(&mut guard, PARK_TIMEOUT);
+            if slept.timed_out() && self.inner.work_queued() {
+                stats.late_wakes.fetch_add(1, Ordering::Relaxed);
+            }
+        }
         self.inner.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 }

@@ -30,6 +30,9 @@ pub(crate) struct WorkerStats {
     pub steals: AtomicU64,
     /// Times the worker went to sleep on the condvar.
     pub parks: AtomicU64,
+    /// Parks that slept out their whole timeout although a task was
+    /// queued by then: wake-ups the sleep protocol lost.
+    pub late_wakes: AtomicU64,
     /// Tasks that panicked (panics are caught and counted).
     pub panics: AtomicU64,
 }
@@ -57,6 +60,9 @@ pub struct RuntimeStats {
     pub steals: u64,
     /// Worker parks (sleeps on the idle condvar).
     pub parks: u64,
+    /// Parks that ran out their timeout with a task already queued — each
+    /// is a wake-up the sleep protocol lost (expected 0).
+    pub late_wakes: u64,
     /// Tasks whose closure panicked.
     pub task_panics: u64,
 }
@@ -72,6 +78,7 @@ impl RuntimeStats {
             out.tasks_helped += w.helped.load(Ordering::Relaxed);
             out.steals += w.steals.load(Ordering::Relaxed);
             out.parks += w.parks.load(Ordering::Relaxed);
+            out.late_wakes += w.late_wakes.load(Ordering::Relaxed);
             out.task_panics += w.panics.load(Ordering::Relaxed);
         }
         out.tasks_executed += out.tasks_helped;

@@ -4,12 +4,14 @@
 //! scheduler-permutation harness for the halo-exchange task pattern
 //! (channels + `DepCounter`-gated nodes) used by the sharded driver.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use hpx_rt::{
     channel, dataflow, for_each, for_each_async, for_each_chunk, lco, par, par_task, ready, reduce,
-    schedule_after, when_all, ChunkPolicy, DepCounter, PersistentChunker, Runtime, SharedFuture,
+    schedule_after, spawn_on_current, when_all, ChunkPolicy, DepCounter, PersistentChunker,
+    Runtime, SharedFuture,
 };
 
 #[test]
@@ -182,6 +184,58 @@ fn stack_latch_survives_back_to_back_two_chunk_joins() {
     stop.store(1, Ordering::Relaxed);
     spinner.join().unwrap();
     assert_eq!(elems.into_inner(), 2 * calls);
+}
+
+/// `park` used to re-check only the injector before sleeping, so a task a
+/// running worker pushed onto its *own* deque between the idle worker's
+/// last failed steal and its `sleepers += 1` woke nobody, and the idle
+/// worker slept out the whole 2 ms `PARK_TIMEOUT` — the shape of every
+/// dataflow successor node, which is spawned by the worker that completed
+/// its last input.
+///
+/// The chain forces that shape on every hop: a task pushes its successor
+/// locally and then spins, without helping, until the successor has
+/// started — so only the *other* worker can run it, and that worker has
+/// just finished the previous hop and is looking for work at this very
+/// moment. Wall-clock gaps would also catch host pre-emption, so the
+/// evidence is the runtime's own count of parks that timed out with a task
+/// already queued: with a sound protocol a push after the sleeper
+/// registered always notifies it, so the count is exactly 0 (the parent
+/// loses ~15 wake-ups over this chain).
+#[test]
+fn idle_worker_wakes_for_a_task_on_a_siblings_deque() {
+    const HOPS: usize = 400_000;
+    struct Chain {
+        started: Vec<AtomicBool>,
+        finished: std::sync::mpsc::SyncSender<()>,
+    }
+    fn hop(chain: Arc<Chain>, k: usize) {
+        chain.started[k].store(true, Ordering::Release);
+        if k + 1 == HOPS {
+            chain.finished.send(()).unwrap();
+            return;
+        }
+        let next = Arc::clone(&chain);
+        assert!(spawn_on_current(move || hop(next, k + 1)));
+        while !chain.started[k + 1].load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+    }
+    let rt = Runtime::new(2);
+    let (finished, wait) = std::sync::mpsc::sync_channel(1);
+    let chain = Arc::new(Chain {
+        started: (0..HOPS).map(|_| AtomicBool::new(false)).collect(),
+        finished,
+    });
+    rt.spawn(move || hop(chain, 0));
+    wait.recv_timeout(Duration::from_secs(120))
+        .expect("the chain stalled");
+    rt.wait_idle();
+    assert_eq!(
+        rt.stats().late_wakes,
+        0,
+        "an idle worker slept out its park timeout with a task queued on its sibling's deque"
+    );
 }
 
 #[test]

@@ -16,7 +16,7 @@ use op2_hpx::mesh::{
     build_halo, channel_with_bump, neighbors_from_pairs, partition_greedy_bfs, quad_stats,
     validate_quad,
 };
-use op2_hpx::op2::args::{inc_via, read, rw, write};
+use op2_hpx::op2::args::{inc_via, read, read_via, rw, write};
 use op2_hpx::op2::{arg_inc_via, plan_for, validate_coloring, ArgSpec, Op2, Op2Config};
 
 /// Cases per property; each case spins up pools, keep CI-speed sane.
@@ -323,6 +323,118 @@ fn loop_chains_stay_exact_under_random_granularity_feedback() {
         assert_eq!(a.snapshot(), ma, "case {case}: dat a diverged");
         assert_eq!(b.snapshot(), mb, "case {case}: dat b diverged");
         assert_eq!(acc.snapshot(), macc, "case {case}: indirect acc diverged");
+    }
+}
+
+/// Random programs over random set sizes, map shapes and node
+/// granularities against a sequential model — the value-level companion of
+/// the row-level wiring oracle in `op2_core`'s `dat.rs` (the wired graph
+/// itself is not reachable through the public API). Edge loops gather `a`
+/// through both slots of a random map (two arguments coalesced into one
+/// read record) and scatter increments into `b` (a colored write record
+/// through the same map); cell loops read and write the same dats
+/// directly at another granularity; and user guards read and patch dats in
+/// the middle of the in-flight program. Every value is a small integer,
+/// so any RAW/WAR/WAW violation or lost increment changes a result
+/// exactly.
+#[test]
+fn random_programs_match_a_sequential_model_under_random_granularities() {
+    for case in 0..CASES {
+        let mut rng = Rng::new(0x5EC0_04D5 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let ncell = rng.in_range(2, 700);
+        let nedge = rng.in_range(1, 900);
+        let policy = match rng.in_range(0, 3) {
+            0 => ChunkPolicy::Static {
+                size: rng.in_range(1, 300),
+            },
+            1 => ChunkPolicy::NumChunks {
+                chunks: rng.in_range(1, 24),
+            },
+            _ => ChunkPolicy::Guided {
+                min: rng.in_range(1, 64),
+            },
+        };
+        let op2 = Op2::new(
+            Op2Config::dataflow(rng.in_range(1, 4))
+                .with_block_size(rng.in_range(1, 200))
+                .with_chunk(policy),
+        );
+        let cells = op2.decl_set(ncell, "cells");
+        let edges = op2.decl_set(nedge, "edges");
+        // Two distinct cells per edge: both slots are incremented at once.
+        let table: Vec<u32> = (0..nedge)
+            .flat_map(|_| {
+                let c0 = rng.in_range(0, ncell);
+                let c1 = (c0 + rng.in_range(1, ncell)) % ncell;
+                [c0 as u32, c1 as u32]
+            })
+            .collect();
+        let e2c = op2.decl_map(&edges, &cells, 2, table.clone(), "e2c");
+        let a = op2.decl_dat(&cells, 1, "a", (0..ncell).map(|i| (i % 7) as f64).collect());
+        let b = op2.decl_dat(&cells, 1, "b", vec![0.0f64; ncell]);
+        let w = op2.decl_dat(&edges, 1, "w", vec![0.0f64; nedge]);
+
+        let mut ma: Vec<f64> = (0..ncell).map(|i| (i % 7) as f64).collect();
+        let mut mb = vec![0.0f64; ncell];
+        let mut mw = vec![0.0f64; nedge];
+        let at = |e: usize, k: usize| table[2 * e + k] as usize;
+
+        for _ in 0..rng.in_range(4, 16) {
+            match rng.in_range(0, 6) {
+                0 => {
+                    op2.loop_("gather", &edges)
+                        .arg(read_via(&a, &e2c, 0))
+                        .arg(read_via(&a, &e2c, 1))
+                        .arg(write(&w))
+                        .run(|a0: &[f64], a1: &[f64], w: &mut [f64]| w[0] = a0[0] + a1[0]);
+                    for e in 0..nedge {
+                        mw[e] = ma[at(e, 0)] + ma[at(e, 1)];
+                    }
+                }
+                1 => {
+                    op2.loop_("scatter", &edges)
+                        .arg(read(&w))
+                        .arg(inc_via(&b, &e2c, 0))
+                        .arg(inc_via(&b, &e2c, 1))
+                        .run(|w: &[f64], b0: &mut [f64], b1: &mut [f64]| {
+                            b0[0] += w[0];
+                            b1[0] += 1.0;
+                        });
+                    for e in 0..nedge {
+                        mb[at(e, 0)] += mw[e];
+                        mb[at(e, 1)] += 1.0;
+                    }
+                }
+                2 => {
+                    op2.loop_("fold", &cells)
+                        .arg(read(&b))
+                        .arg(rw(&a))
+                        .run(|b: &[f64], a: &mut [f64]| a[0] = (a[0] + b[0]) % 64.0);
+                    for i in 0..ncell {
+                        ma[i] = (ma[i] + mb[i]) % 64.0;
+                    }
+                }
+                3 => {
+                    op2.loop_("reset", &cells)
+                        .arg(read(&a))
+                        .arg(write(&b))
+                        .run(|a: &[f64], b: &mut [f64]| b[0] = a[0] + 1.0);
+                    for i in 0..ncell {
+                        mb[i] = ma[i] + 1.0;
+                    }
+                }
+                4 => assert_eq!(b.snapshot(), mb, "case {case}: mid-program read of b"),
+                _ => {
+                    let row = rng.in_range(0, ncell);
+                    a.write().row_mut(row)[0] = 5.0;
+                    ma[row] = 5.0;
+                }
+            }
+        }
+        op2.fence();
+        assert_eq!(a.snapshot(), ma, "case {case}: dat a diverged");
+        assert_eq!(b.snapshot(), mb, "case {case}: dat b diverged");
+        assert_eq!(w.snapshot(), mw, "case {case}: dat w diverged");
     }
 }
 
