@@ -1,389 +1,266 @@
-//! Airfoil as an [`op2_app::App`]: the harness-facing adapter.
+//! Airfoil as an [`op2_app::App`]: one iteration body, written over the
+//! translator-generated wrappers (`specs/airfoil.op2` →
+//! `tests/golden/airfoil_hpx.rs`, `include!`d below), submitted on every
+//! part of the problem in rank order.
 //!
-//! The five-loop iteration bodies live here as free functions
-//! ([`step_plain`], [`step_sharded`]); [`crate::solver::run`] and
-//! [`crate::shard::run_sharded`] drive them through the generic
-//! [`op2_app::run`] time loop with borrowing instances (so their
-//! signatures and behavior — including bitwise output — are unchanged),
-//! while [`AirfoilApp`] packages the same bodies behind the [`App`]
-//! factory for the app-generic test matrix and the farm.
+//! A plain run is the one-part case of a sharded run: [`AirfoilInstance`]
+//! steps a single [`Problem`] on a bare world or a
+//! [`ShardedProblem`]'s parts on its locality group through the same
+//! five loops ([`op2_app::Worlds`] answers what differs — the residual
+//! fan-in, the fence, who prints). [`crate::solver::run`] and
+//! [`crate::shard::run_sharded`] drive it with borrowed problems,
+//! [`AirfoilApp`] packages it behind the [`App`] factory for the
+//! app-generic test matrix and the farm.
 
 use std::sync::Arc;
 
-use op2_app::{App, AppInstance, RebalanceReport, RunConfig, StepOutput};
-use op2_core::args::{gbl_inc, inc_via, read, read_via, rw, write};
-use op2_core::{Global, LoopHandle, Op2, Op2Config, ResidualMap};
+use op2_app::{App, AppInstance, RebalanceReport, RunConfig, StepOutput, Worlds};
+use op2_core::locality::LocalityGroup;
+use op2_core::{Global, Op2, Op2Config, ResidualMap};
 use op2_mesh::{channel_with_bump, QuadMesh};
 
 use crate::kernels;
 use crate::setup::Problem;
-use crate::shard::{skew_work, ShardedProblem};
+use crate::shard::ShardedProblem;
 
-/// Submits one Airfoil iteration (save + two inner steps) on a plain
-/// single-context problem and returns the second inner step's `rms`
-/// future and update handle. Statement-for-statement the body of the
-/// pre-harness `solver::run` loop.
-pub(crate) fn step_plain(op2: &Op2, p: &Problem) -> StepOutput {
-    let qinf = p.qinf;
+/// The translator-generated loop wrappers (kept as a checked-in golden
+/// file; see the spec header for the regeneration command). They carry
+/// the access descriptors; [`crate::kernels`] carries the arithmetic.
+mod generated {
+    include!("../../translator/tests/golden/airfoil_hpx.rs");
+}
 
-    // Save the old solution.
-    op2.loop_("save_soln", &p.cells)
-        .arg(read(&p.p_q))
-        .arg(write(&p.p_qold))
-        .run(|q: &[f64], qold: &mut [f64]| kernels::save_soln(q, qold));
+/// What an [`AirfoilInstance`] iterates.
+enum Subject<'a> {
+    /// A single part on a bare world.
+    Plain(&'a Op2, Problem),
+    /// A borrowed sharded problem (borrowed mutably: a rebalance replaces
+    /// its parts, and the caller keeps the problem).
+    Sharded(&'a mut ShardedProblem),
+    /// A sharded problem the instance owns (the [`App`] factory path).
+    Owned(Box<ShardedProblem>),
+}
 
-    let mut last_update: Option<(Global<f64>, LoopHandle)> = None;
-    for _k in 0..2 {
-        // Local timestep.
-        op2.loop_("adt_calc", &p.cells)
-            .arg(read_via(&p.p_x, &p.pcell, 0))
-            .arg(read_via(&p.p_x, &p.pcell, 1))
-            .arg(read_via(&p.p_x, &p.pcell, 2))
-            .arg(read_via(&p.p_x, &p.pcell, 3))
-            .arg(read(&p.p_q))
-            .arg(write(&p.p_adt))
-            .run(
-                |x1: &[f64], x2: &[f64], x3: &[f64], x4: &[f64], q: &[f64], adt: &mut [f64]| {
-                    kernels::adt_calc(x1, x2, x3, x4, q, adt)
-                },
-            );
+/// A declared Airfoil problem ready to iterate under [`op2_app::run`].
+pub struct AirfoilInstance<'a> {
+    subject: Subject<'a>,
+    /// Artificial cost skew ([`crate::SolverConfig::skew`]).
+    skew: f64,
+}
 
-        // Interior fluxes (indirect increments -> colored plan).
-        op2.loop_("res_calc", &p.edges)
-            .arg(read_via(&p.p_x, &p.pedge, 0))
-            .arg(read_via(&p.p_x, &p.pedge, 1))
-            .arg(read_via(&p.p_q, &p.pecell, 0))
-            .arg(read_via(&p.p_q, &p.pecell, 1))
-            .arg(read_via(&p.p_adt, &p.pecell, 0))
-            .arg(read_via(&p.p_adt, &p.pecell, 1))
-            .arg(inc_via(&p.p_res, &p.pecell, 0))
-            .arg(inc_via(&p.p_res, &p.pecell, 1))
-            .run(
-                |x1: &[f64],
-                 x2: &[f64],
-                 q1: &[f64],
-                 q2: &[f64],
-                 adt1: &[f64],
-                 adt2: &[f64],
-                 res1: &mut [f64],
-                 res2: &mut [f64]| {
-                    kernels::res_calc(x1, x2, q1, q2, adt1, adt2, res1, res2)
-                },
-            );
+/// Names the single-world constructor of [`AirfoilInstance`]
+/// (`PlainAirfoil::new(&op2, &problem)` is how the benchmark rig and the
+/// tests spell it).
+pub struct PlainAirfoil;
 
-        // Boundary fluxes.
-        op2.loop_("bres_calc", &p.bedges)
-            .arg(read_via(&p.p_x, &p.pbedge, 0))
-            .arg(read_via(&p.p_x, &p.pbedge, 1))
-            .arg(read_via(&p.p_q, &p.pbecell, 0))
-            .arg(read_via(&p.p_adt, &p.pbecell, 0))
-            .arg(inc_via(&p.p_res, &p.pbecell, 0))
-            .arg(read(&p.p_bound))
-            .run(
-                move |x1: &[f64],
-                      x2: &[f64],
-                      q1: &[f64],
-                      adt1: &[f64],
-                      res1: &mut [f64],
-                      bound: &[i32]| {
-                    kernels::bres_calc(x1, x2, q1, adt1, res1, bound, &qinf)
-                },
-            );
-
-        // Update; a fresh rms Global per step keeps the pipeline free
-        // of reduction-read barriers.
-        let rms = Global::<f64>::sum(1, "rms");
-        let h = op2
-            .loop_("update", &p.cells)
-            .arg(read(&p.p_qold))
-            .arg(write(&p.p_q))
-            .arg(rw(&p.p_res))
-            .arg(read(&p.p_adt))
-            .arg(gbl_inc(&rms))
-            .run(
-                |qold: &[f64], q: &mut [f64], res: &mut [f64], adt: &[f64], rms: &mut [f64]| {
-                    kernels::update(qold, q, res, adt, rms)
-                },
-            );
-        last_update = Some((rms, h));
-    }
-
-    let (rms, handle) = last_update.expect("two inner steps ran");
-    // Asynchronous reduction read (paper Fig 9): the value becomes a
-    // future gated on the update loop's finalize; nothing blocks here.
-    StepOutput {
-        residual: rms.reduce_async(op2),
-        gates: vec![handle],
+impl PlainAirfoil {
+    /// Wraps an already-declared problem (sharing its handles) with no
+    /// cost skew.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new<'a>(op2: &'a Op2, p: &Problem) -> AirfoilInstance<'a> {
+        AirfoilInstance::plain(op2, p, 0.0)
     }
 }
 
-/// One sharded Airfoil iteration across every locally hosted rank, with
-/// the cross-rank `rms` as an allreduce future. Statement-for-statement
-/// the body of the pre-harness `run_sharded` loop (no communication
-/// calls: the halo rings schedule the `q`/`adt` exchanges when
-/// `res_calc`'s stale halo reads are submitted).
-pub(crate) fn step_sharded(shp: &ShardedProblem, skew: f64) -> StepOutput {
-    let nranks = shp.parts.len();
-    let first = shp.group.local_ranks().start;
+/// Names the sharded constructor of [`AirfoilInstance`]
+/// (`ShardedAirfoil::new(&mut problem, skew)`).
+pub struct ShardedAirfoil;
 
-    for (r, p) in shp.parts.iter().enumerate() {
-        let op2 = shp.group.rank(first + r);
-        op2.loop_("save_soln", &p.cells)
-            .arg(read(&p.p_q))
-            .arg(write(&p.p_qold))
-            .run(|q: &[f64], qold: &mut [f64]| kernels::save_soln(q, qold));
+impl ShardedAirfoil {
+    /// Wraps an already-declared sharded problem; `skew` is the
+    /// artificial cost skew ([`crate::SolverConfig::skew`]).
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(shp: &mut ShardedProblem, skew: f64) -> AirfoilInstance<'_> {
+        AirfoilInstance {
+            subject: Subject::Sharded(shp),
+            skew,
+        }
+    }
+}
+
+impl<'a> AirfoilInstance<'a> {
+    pub(crate) fn plain(op2: &'a Op2, p: &Problem, skew: f64) -> AirfoilInstance<'a> {
+        AirfoilInstance {
+            subject: Subject::Plain(op2, p.clone()),
+            skew,
+        }
     }
 
-    let mut last_update: Option<(Vec<Global<f64>>, Vec<LoopHandle>)> = None;
-    for _k in 0..2 {
-        for (r, p) in shp.parts.iter().enumerate() {
-            let op2 = shp.group.rank(first + r);
-            let qinf = p.qinf;
-            op2.loop_("adt_calc", &p.cells)
-                .arg(read_via(&p.p_x, &p.pcell, 0))
-                .arg(read_via(&p.p_x, &p.pcell, 1))
-                .arg(read_via(&p.p_x, &p.pcell, 2))
-                .arg(read_via(&p.p_x, &p.pcell, 3))
-                .arg(read(&p.p_q))
-                .arg(write(&p.p_adt))
-                .run(
-                    move |x1: &[f64],
-                          x2: &[f64],
-                          x3: &[f64],
-                          x4: &[f64],
-                          q: &[f64],
-                          adt: &mut [f64]| {
+    /// The worlds and, one per world, the parts the step submits on.
+    fn parts(&self) -> (Worlds<'_, &LocalityGroup>, &[Problem]) {
+        match &self.subject {
+            Subject::Plain(op2, p) => (Worlds::One(op2), std::slice::from_ref(p)),
+            Subject::Sharded(shp) => (Worlds::Group(&shp.group), &shp.parts),
+            Subject::Owned(shp) => (Worlds::Group(&shp.group), &shp.parts),
+        }
+    }
+
+    /// Global cell count.
+    pub(crate) fn ncell(&self) -> usize {
+        match &self.subject {
+            Subject::Plain(_, p) => p.cells.size(),
+            Subject::Sharded(shp) => shp.ncell_global,
+            Subject::Owned(shp) => shp.ncell_global,
+        }
+    }
+}
+
+/// Extra spin work proportional to how far this cell's state has moved
+/// off free stream — the "work follows the flow gradient" cost model of
+/// the load-balancing demo ([`crate::SolverConfig::skew`]). Burns time
+/// only; every dat value stays bitwise identical to the unskewed kernel.
+#[inline]
+fn skew_work(skew: f64, q: &[f64], qinf: &[f64; 4]) {
+    let dev: f64 = q.iter().zip(qinf).map(|(a, b)| (a - b).abs()).sum();
+    let spins = (skew * dev) as u64;
+    let mut acc = 0u64;
+    for i in 0..spins {
+        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+        std::hint::black_box(acc);
+    }
+}
+
+impl AppInstance for AirfoilInstance<'_> {
+    /// One Airfoil iteration (save + two inner steps): each loop is
+    /// submitted on every part before the next loop, and the second inner
+    /// step's `rms` comes back as a future. Statement-for-statement the
+    /// body of the pre-harness time loops. There are no communication
+    /// calls: on a sharded problem the halo rings schedule the `q`/`adt`
+    /// exchanges when `res_calc`'s stale halo reads are submitted.
+    fn step(&mut self, _iter: usize) -> StepOutput {
+        let (on, parts) = self.parts();
+        let skew = self.skew;
+        let each = || on.worlds().iter().zip(parts);
+
+        for (op2, p) in each() {
+            generated::op_par_loop_save_soln(op2, &p.cells, &p.p_q, &p.p_qold, kernels::save_soln);
+        }
+
+        let mut last_update = None;
+        for _k in 0..2 {
+            for (op2, p) in each() {
+                let qinf = p.qinf;
+                generated::op_par_loop_adt_calc(
+                    op2,
+                    &p.cells,
+                    &p.p_x,
+                    &p.p_q,
+                    &p.p_adt,
+                    &p.pcell,
+                    move |x1, x2, x3, x4, q, adt| {
                         kernels::adt_calc(x1, x2, x3, x4, q, adt);
                         if skew > 0.0 {
                             skew_work(skew, q, &qinf);
                         }
                     },
                 );
-        }
+            }
 
-        // No manual exchange: res_calc's read_via(pecell) arguments
-        // reach the halo rows, so submitting it refreshes the stale
-        // q/adt imports automatically (sends chain behind the exported
-        // rows' writers — `update` for q, `adt_calc` for adt — and
-        // receives gate only res_calc's boundary blocks).
-        for (r, p) in shp.parts.iter().enumerate() {
-            let op2 = shp.group.rank(first + r);
-            op2.loop_("res_calc", &p.edges)
-                .arg(read_via(&p.p_x, &p.pedge, 0))
-                .arg(read_via(&p.p_x, &p.pedge, 1))
-                .arg(read_via(&p.p_q, &p.pecell, 0))
-                .arg(read_via(&p.p_q, &p.pecell, 1))
-                .arg(read_via(&p.p_adt, &p.pecell, 0))
-                .arg(read_via(&p.p_adt, &p.pecell, 1))
-                .arg(inc_via(&p.p_res, &p.pecell, 0))
-                .arg(inc_via(&p.p_res, &p.pecell, 1))
-                .run(
-                    |x1: &[f64],
-                     x2: &[f64],
-                     q1: &[f64],
-                     q2: &[f64],
-                     adt1: &[f64],
-                     adt2: &[f64],
-                     res1: &mut [f64],
-                     res2: &mut [f64]| {
-                        kernels::res_calc(x1, x2, q1, q2, adt1, adt2, res1, res2)
-                    },
+            // Interior fluxes (indirect increments -> colored plan). The
+            // pecell reads reach the halo rows, so submitting this loop
+            // refreshes the stale q/adt imports automatically (sends chain
+            // behind the exported rows' writers — `update` for q,
+            // `adt_calc` for adt — and receives gate only the boundary
+            // blocks).
+            for (op2, p) in each() {
+                generated::op_par_loop_res_calc(
+                    op2,
+                    &p.edges,
+                    &p.p_x,
+                    &p.p_q,
+                    &p.p_adt,
+                    &p.p_res,
+                    &p.pedge,
+                    &p.pecell,
+                    kernels::res_calc,
                 );
-        }
+            }
 
-        for (r, p) in shp.parts.iter().enumerate() {
-            let op2 = shp.group.rank(first + r);
-            let qinf = p.qinf;
-            op2.loop_("bres_calc", &p.bedges)
-                .arg(read_via(&p.p_x, &p.pbedge, 0))
-                .arg(read_via(&p.p_x, &p.pbedge, 1))
-                .arg(read_via(&p.p_q, &p.pbecell, 0))
-                .arg(read_via(&p.p_adt, &p.pbecell, 0))
-                .arg(inc_via(&p.p_res, &p.pbecell, 0))
-                .arg(read(&p.p_bound))
-                .run(
-                    move |x1: &[f64],
-                          x2: &[f64],
-                          q1: &[f64],
-                          adt1: &[f64],
-                          res1: &mut [f64],
-                          bound: &[i32]| {
+            // Boundary fluxes.
+            for (op2, p) in each() {
+                let qinf = p.qinf;
+                generated::op_par_loop_bres_calc(
+                    op2,
+                    &p.bedges,
+                    &p.p_x,
+                    &p.p_q,
+                    &p.p_adt,
+                    &p.p_res,
+                    &p.p_bound,
+                    &p.pbedge,
+                    &p.pbecell,
+                    move |x1, x2, q1, adt1, res1, bound| {
                         kernels::bres_calc(x1, x2, q1, adt1, res1, bound, &qinf)
                     },
                 );
+            }
+
+            // Update; a fresh rms Global per step and part keeps the
+            // pipeline free of reduction-read barriers.
+            let mut rms = Vec::with_capacity(parts.len());
+            let mut gates = Vec::with_capacity(parts.len());
+            for (op2, p) in each() {
+                let part_rms = Global::<f64>::sum(1, "rms");
+                gates.push(generated::op_par_loop_update(
+                    op2,
+                    &p.cells,
+                    &p.p_qold,
+                    &p.p_q,
+                    &p.p_res,
+                    &p.p_adt,
+                    &part_rms,
+                    kernels::update,
+                ));
+                rms.push(part_rms);
+            }
+            last_update = Some((rms, gates));
         }
 
-        let mut step_rms = Vec::with_capacity(nranks);
-        let mut step_handles = Vec::with_capacity(nranks);
-        for (r, p) in shp.parts.iter().enumerate() {
-            let op2 = shp.group.rank(first + r);
-            let rms = Global::<f64>::sum(1, "rms");
-            let h = op2
-                .loop_("update", &p.cells)
-                .arg(read(&p.p_qold))
-                .arg(write(&p.p_q))
-                .arg(rw(&p.p_res))
-                .arg(read(&p.p_adt))
-                .arg(gbl_inc(&rms))
-                .run(
-                    |qold: &[f64], q: &mut [f64], res: &mut [f64], adt: &[f64], rms: &mut [f64]| {
-                        kernels::update(qold, q, res, adt, rms)
-                    },
-                );
-            step_rms.push(rms);
-            step_handles.push(h);
+        let (rms, gates) = last_update.expect("two inner steps ran");
+        // Asynchronous reduction read (paper Fig 9): each part's
+        // contribution gates on its own update finalize and the total is
+        // a future — no pipeline drains here, even when printing every
+        // iteration.
+        StepOutput {
+            residual: on.residual(&rms),
+            gates,
         }
-        last_update = Some((step_rms, step_handles));
-    }
-
-    let (rms, handles) = last_update.expect("two inner steps ran");
-    // Asynchronous cross-rank allreduce: each rank's contribution node
-    // gates on its own update finalize, the tree combines in fixed
-    // rank order, and the total is a future — no rank's pipeline
-    // drains here, even when printing every iteration.
-    StepOutput {
-        residual: shp.group.allreduce(&rms),
-        gates: handles,
-    }
-}
-
-fn rms_scale(ncell: usize) -> ResidualMap {
-    let n = ncell as f64;
-    Arc::new(move |v| (v / n).sqrt())
-}
-
-/// The borrowing plain instance [`crate::solver::run`] drives (borrowed
-/// world + borrowed problem keeps the public `run(op2, &problem, cfg)`
-/// signature intact).
-pub struct PlainAirfoil<'a> {
-    op2: &'a Op2,
-    p: &'a Problem,
-}
-
-impl<'a> PlainAirfoil<'a> {
-    /// Wraps an already-declared problem.
-    pub fn new(op2: &'a Op2, p: &'a Problem) -> PlainAirfoil<'a> {
-        PlainAirfoil { op2, p }
-    }
-}
-
-impl AppInstance for PlainAirfoil<'_> {
-    fn step(&mut self, _iter: usize) -> StepOutput {
-        step_plain(self.op2, self.p)
     }
 
     fn residual_map(&self) -> ResidualMap {
-        rms_scale(self.p.cells.size())
-    }
-
-    fn fence(&self) {
-        self.op2.fence();
-    }
-
-    fn state(&self) -> Vec<f64> {
-        self.p.p_q.snapshot()
-    }
-}
-
-/// The borrowing sharded instance [`crate::shard::run_sharded`] drives.
-pub struct ShardedAirfoil<'a> {
-    shp: &'a mut ShardedProblem,
-    skew: f64,
-}
-
-impl<'a> ShardedAirfoil<'a> {
-    /// Wraps an already-declared sharded problem; `skew` is the
-    /// artificial cost skew ([`crate::SolverConfig::skew`]).
-    pub fn new(shp: &'a mut ShardedProblem, skew: f64) -> ShardedAirfoil<'a> {
-        ShardedAirfoil { shp, skew }
-    }
-}
-
-impl AppInstance for ShardedAirfoil<'_> {
-    fn step(&mut self, _iter: usize) -> StepOutput {
-        step_sharded(self.shp, self.skew)
-    }
-
-    fn residual_map(&self) -> ResidualMap {
-        rms_scale(self.shp.ncell_global)
+        let n = self.ncell() as f64;
+        Arc::new(move |v| (v / n).sqrt())
     }
 
     fn prints_here(&self) -> bool {
-        self.shp.group.local_ranks().contains(&0)
+        self.parts().0.prints_here()
     }
 
     fn fence(&self) {
-        self.shp.group.fence();
+        self.parts().0.fence();
     }
 
     fn rebalance(&mut self) -> Option<RebalanceReport> {
-        self.shp.rebalance()
+        match &mut self.subject {
+            Subject::Plain(..) => None,
+            Subject::Sharded(shp) => shp.rebalance(),
+            Subject::Owned(shp) => shp.rebalance(),
+        }
     }
 
     fn state(&self) -> Vec<f64> {
-        self.shp.gather_q()
-    }
-}
-
-/// Owning variants behind [`App::declare`] / [`App::declare_sharded`]
-/// (the factory path carries its declarations with the instance).
-struct DeclaredAirfoil<'a> {
-    op2: &'a Op2,
-    p: Problem,
-}
-
-impl AppInstance for DeclaredAirfoil<'_> {
-    fn step(&mut self, _iter: usize) -> StepOutput {
-        step_plain(self.op2, &self.p)
-    }
-
-    fn residual_map(&self) -> ResidualMap {
-        rms_scale(self.p.cells.size())
-    }
-
-    fn fence(&self) {
-        self.op2.fence();
-    }
-
-    fn state(&self) -> Vec<f64> {
-        self.p.p_q.snapshot()
-    }
-}
-
-struct DeclaredShardedAirfoil {
-    shp: ShardedProblem,
-}
-
-impl AppInstance for DeclaredShardedAirfoil {
-    fn step(&mut self, _iter: usize) -> StepOutput {
-        step_sharded(&self.shp, 0.0)
-    }
-
-    fn residual_map(&self) -> ResidualMap {
-        rms_scale(self.shp.ncell_global)
-    }
-
-    fn prints_here(&self) -> bool {
-        self.shp.group.local_ranks().contains(&0)
-    }
-
-    fn fence(&self) {
-        self.shp.group.fence();
-    }
-
-    fn rebalance(&mut self) -> Option<RebalanceReport> {
-        self.shp.rebalance()
-    }
-
-    fn state(&self) -> Vec<f64> {
-        self.shp.gather_q()
+        match &self.subject {
+            Subject::Plain(_, p) => p.p_q.snapshot(),
+            Subject::Sharded(shp) => shp.gather_q(),
+            Subject::Owned(shp) => shp.gather_q(),
+        }
     }
 }
 
 /// The Airfoil benchmark as an [`App`]: a channel-with-bump mesh plus
-/// the hand-ported five-loop iteration (the `.op2` spec describes the
-/// same loops; its generated wrappers are golden-tested against the
-/// hand-written code in `tests/generated_airfoil.rs`).
+/// the five-loop iteration of `specs/airfoil.op2` (`tests/generated_airfoil.rs`
+/// holds the independent blocking-read reference the harness-driven
+/// solver must reproduce bitwise).
 pub struct AirfoilApp {
     mesh: QuadMesh,
 }
@@ -417,15 +294,18 @@ impl App for AirfoilApp {
     }
 
     fn declare<'a>(&self, op2: &'a Op2) -> Box<dyn AppInstance + 'a> {
-        Box::new(DeclaredAirfoil {
-            op2,
-            p: Problem::declare(op2, &self.mesh),
+        Box::new(AirfoilInstance {
+            subject: Subject::Plain(op2, Problem::declare(op2, &self.mesh)),
+            skew: 0.0,
         })
     }
 
     fn declare_sharded(&self, config: Op2Config, nranks: usize) -> Box<dyn AppInstance> {
-        Box::new(DeclaredShardedAirfoil {
-            shp: ShardedProblem::declare(config, &self.mesh, nranks),
+        Box::new(AirfoilInstance {
+            subject: Subject::Owned(Box::new(ShardedProblem::declare(
+                config, &self.mesh, nranks,
+            ))),
+            skew: 0.0,
         })
     }
 

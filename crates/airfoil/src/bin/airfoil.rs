@@ -4,7 +4,7 @@
 //! airfoil [--cells N] [--iters N] [--threads N] [--ranks N]
 //!         [--backend seq|forkjoin|dataflow] [--transport inproc|process]
 //!         [--prefetch FACTOR] [--persistent] [--print-every N]
-//!         [--rms-out PATH]
+//!         [--rms-out PATH] [--rebalance N] [--skew S]
 //! ```
 //!
 //! `--ranks N` (N > 1) runs the multi-locality sharded path: the mesh is
@@ -14,18 +14,20 @@
 //! `--transport process` relaunches the binary as **N real OS processes**
 //! — one rank each, rendezvousing over Unix-domain sockets in a temporary
 //! directory, exchanging halos and reduction partials as real wire bytes.
-//! (`--rank-id R --rendezvous DIR` is the internal child invocation.)
+//! (The child invocation is the parent's own command line plus
+//! `--rank-id R --rendezvous DIR`, so every flag reaches every rank.)
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use airfoil_cfd::{shard, solver, Problem, SolverConfig};
+use airfoil_cfd::{shard, solver, Problem, RunResult, SolverConfig};
 use op2_core::locality::implicit_halo_stats;
 use op2_core::transport::{ProcessTransport, Transport};
 use op2_core::{Op2, Op2Config};
 use op2_mesh::{quad_stats, QuadMesh};
 
+#[derive(Debug, Clone, PartialEq)]
 struct Args {
     cells: usize,
     iters: usize,
@@ -43,7 +45,7 @@ struct Args {
     skew: f64,
 }
 
-fn parse_args() -> Args {
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
     let mut args = Args {
         cells: 20_000,
         iters: 100,
@@ -60,7 +62,7 @@ fn parse_args() -> Args {
         rebalance: 0,
         skew: 0.0,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
             it.next()
@@ -101,9 +103,9 @@ fn parse_args() -> Args {
                                     feedback-resolved dataflow node granularity\n\
                      --print-every N    residual print period (default 100)\n\
                      --rebalance N      live-repartition check period in iterations\n    \
-                                    (sharded runs only; 0 = off, the default)\n\
+                                    (0 = off, the default; needs --ranks N > 1)\n\
                      --skew S           artificial per-cell cost skew units (see\n    \
-                                    SolverConfig::skew; sharded runs only)"
+                                    SolverConfig::skew)"
                 );
                 std::process::exit(0);
             }
@@ -113,51 +115,39 @@ fn parse_args() -> Args {
     args
 }
 
+/// The command line of rank `rank`'s process: the parent's own, plus the
+/// child-only flags. Forwarding the line whole is what guarantees a rank
+/// process never runs with a solver flag silently dropped.
+fn child_argv(parent: &[String], rank: usize, rendezvous: &Path) -> Vec<String> {
+    let mut argv = parent.to_vec();
+    argv.extend([
+        "--rank-id".to_owned(),
+        rank.to_string(),
+        "--rendezvous".to_owned(),
+        rendezvous.display().to_string(),
+    ]);
+    argv
+}
+
 /// Parent-mode `--transport process`: relaunch this binary as one child
 /// process per rank, rendezvousing in a fresh temporary directory, and
 /// propagate any child failure as a nonzero exit. Stdout is inherited, so
 /// rank 0's residual lines stream through as usual.
-fn launch_processes(args: &Args) -> i32 {
+fn launch_processes(argv: &[String], ranks: usize) -> i32 {
     let exe = std::env::current_exe().expect("current_exe");
     let dir = std::env::temp_dir().join(format!("airfoil-rdv-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create rendezvous dir");
     println!(
-        "spawning {} rank processes (rendezvous {})",
-        args.ranks,
+        "spawning {ranks} rank processes (rendezvous {})",
         dir.display()
     );
-    let mut children = Vec::with_capacity(args.ranks);
-    for r in 0..args.ranks {
-        let mut cmd = std::process::Command::new(&exe);
-        cmd.arg("--cells")
-            .arg(args.cells.to_string())
-            .arg("--iters")
-            .arg(args.iters.to_string())
-            .arg("--threads")
-            .arg(args.threads.to_string())
-            .arg("--ranks")
-            .arg(args.ranks.to_string())
-            .arg("--backend")
-            .arg(&args.backend)
-            .arg("--print-every")
-            .arg(args.print_every.to_string())
-            .arg("--transport")
-            .arg("process")
-            .arg("--rank-id")
-            .arg(r.to_string())
-            .arg("--rendezvous")
-            .arg(&dir);
-        if let Some(f) = args.prefetch {
-            cmd.arg("--prefetch").arg(f.to_string());
-        }
-        if args.persistent {
-            cmd.arg("--persistent");
-        }
-        if let Some(p) = &args.rms_out {
-            cmd.arg("--rms-out").arg(p);
-        }
-        children.push((r, cmd.spawn().expect("spawn rank process")));
-    }
+    let children: Vec<_> = (0..ranks)
+        .map(|r| {
+            let mut cmd = std::process::Command::new(&exe);
+            cmd.args(child_argv(argv, r, &dir));
+            (r, cmd.spawn().expect("spawn rank process"))
+        })
+        .collect();
     let mut code = 0;
     for (r, mut child) in children {
         let status = child.wait().expect("wait for rank process");
@@ -170,8 +160,31 @@ fn launch_processes(args: &Args) -> i32 {
     code
 }
 
+/// Rank 0's end-of-run report: the summary line and the `--rms-out` file.
+fn report(args: &Args, result: &RunResult) {
+    println!(
+        "completed {} iters on {} rank(s) in {:.3}s  ({:.2} ms/iter), final rms = {:.6e}",
+        args.iters,
+        args.ranks,
+        result.elapsed.as_secs_f64(),
+        result.elapsed.as_secs_f64() * 1e3 / args.iters as f64,
+        result.final_rms()
+    );
+    if let Some(path) = &args.rms_out {
+        let mut f = std::fs::File::create(path).expect("create --rms-out file");
+        for v in &result.rms_history {
+            writeln!(f, "{v:.17e}").expect("write --rms-out file");
+        }
+    }
+}
+
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(argv.iter().cloned());
+    if args.rebalance > 0 && args.ranks < 2 {
+        eprintln!("--rebalance needs --ranks N > 1: a single rank has nothing to repartition");
+        std::process::exit(2);
+    }
     let mut config = match args.backend.as_str() {
         "seq" => Op2Config::seq(),
         "forkjoin" => Op2Config::fork_join(args.threads),
@@ -189,7 +202,7 @@ fn main() {
     }
     if args.transport == "process" && args.rank_id.is_none() {
         assert!(args.ranks > 1, "--transport process needs --ranks N > 1");
-        std::process::exit(launch_processes(&args));
+        std::process::exit(launch_processes(&argv, args.ranks));
     }
 
     let is_rank0 = args.rank_id.is_none_or(|r| r == 0);
@@ -207,8 +220,16 @@ fn main() {
         );
     }
 
+    let solver_cfg = SolverConfig {
+        niter: args.iters,
+        window: 16,
+        print_every: args.print_every,
+        skew: args.skew,
+        rebalance_every: args.rebalance,
+    };
+
     if args.ranks > 1 {
-        let shp = match args.rank_id {
+        let mut shp = match args.rank_id {
             // Child of the process launcher: this process hosts exactly
             // one rank and exchanges real bytes with its peers.
             Some(rank) => {
@@ -224,32 +245,9 @@ fn main() {
             }
             None => shard::ShardedProblem::declare(config, &mesh, args.ranks),
         };
-        let mut shp = shp;
-        let result = shard::run_sharded(
-            &mut shp,
-            &SolverConfig {
-                niter: args.iters,
-                window: 16,
-                print_every: args.print_every,
-                skew: args.skew,
-                rebalance_every: args.rebalance,
-            },
-        );
+        let result = shard::run_sharded(&mut shp, &solver_cfg);
         if is_rank0 {
-            println!(
-                "completed {} iters on {} ranks in {:.3}s  ({:.2} ms/iter), final rms = {:.6e}",
-                args.iters,
-                args.ranks,
-                result.elapsed.as_secs_f64(),
-                result.elapsed.as_secs_f64() * 1e3 / args.iters as f64,
-                result.final_rms()
-            );
-            if let Some(path) = &args.rms_out {
-                let mut f = std::fs::File::create(path).expect("create --rms-out file");
-                for v in &result.rms_history {
-                    writeln!(f, "{v:.17e}").expect("write --rms-out file");
-                }
-            }
+            report(&args, &result);
         }
         let first = shp.group.local_ranks().start;
         for (i, part) in shp.parts.iter().enumerate() {
@@ -280,24 +278,8 @@ fn main() {
 
     let op2 = Op2::new(config);
     let problem = Problem::declare(&op2, &mesh);
-    let result = solver::run(
-        &op2,
-        &problem,
-        &SolverConfig {
-            niter: args.iters,
-            window: 16,
-            print_every: args.print_every,
-            ..SolverConfig::default()
-        },
-    );
-
-    println!(
-        "completed {} iters in {:.3}s  ({:.2} ms/iter), final rms = {:.6e}",
-        args.iters,
-        result.elapsed.as_secs_f64(),
-        result.elapsed.as_secs_f64() * 1e3 / args.iters as f64,
-        result.final_rms()
-    );
+    let result = solver::run(&op2, &problem, &solver_cfg);
+    report(&args, &result);
     println!("-- per-loop stats --");
     for (name, stat) in op2.loop_stats() {
         println!(
@@ -356,4 +338,51 @@ fn main() {
         }
     }
     println!("runtime: {}", op2.runtime().stats());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_owned).collect()
+    }
+
+    /// `--transport process` used to rebuild the child command line flag
+    /// by flag and dropped `--skew` and `--rebalance` on the way, so the
+    /// rank processes silently ran unskewed and never repartitioned.
+    #[test]
+    fn rank_processes_inherit_every_flag_of_the_parent() {
+        let parent = argv(
+            "--cells 3000 --iters 7 --threads 3 --ranks 4 --backend forkjoin \
+             --transport process --prefetch 8 --persistent --print-every 5 \
+             --rms-out /tmp/rms.txt --rebalance 2 --skew 400",
+        );
+        let given = parse_args(parent.clone());
+        // Every flag above took effect, so the comparison below is not
+        // between two sets of defaults.
+        let defaults = parse_args(Vec::new());
+        assert_ne!(given.cells, defaults.cells);
+        assert_ne!(given.iters, defaults.iters);
+        assert_eq!(given.threads, 3);
+        assert_ne!(given.ranks, defaults.ranks);
+        assert_ne!(given.backend, defaults.backend);
+        assert_ne!(given.transport, defaults.transport);
+        assert_ne!(given.prefetch, defaults.prefetch);
+        assert_ne!(given.persistent, defaults.persistent);
+        assert_ne!(given.print_every, defaults.print_every);
+        assert_ne!(given.rms_out, defaults.rms_out);
+        assert_ne!(given.rebalance, defaults.rebalance);
+        assert_ne!(given.skew, defaults.skew);
+
+        let child = parse_args(child_argv(&parent, 2, Path::new("/tmp/rdv")));
+        assert_eq!(
+            child,
+            Args {
+                rank_id: Some(2),
+                rendezvous: Some(PathBuf::from("/tmp/rdv")),
+                ..given
+            }
+        );
+    }
 }

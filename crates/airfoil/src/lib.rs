@@ -34,7 +34,7 @@ pub mod simd;
 pub mod solver;
 pub mod verify;
 
-pub use app::{AirfoilApp, PlainAirfoil, ShardedAirfoil};
+pub use app::{AirfoilApp, AirfoilInstance, PlainAirfoil, ShardedAirfoil};
 pub use setup::Problem;
-pub use shard::{run_sharded, RankProblem, RebalanceReport, ShardedProblem};
+pub use shard::{run_sharded, RebalanceReport, ShardedProblem};
 pub use solver::{run, solve, RunResult, SolverConfig};

@@ -8,7 +8,8 @@
 //! the cell-adjacency graph assigns every cell an owner rank, and
 //! [`op2_mesh::build_halo`] over the `pecell` table derives, per rank, the
 //! edges it executes and the remote cells it mirrors. Each rank then
-//! declares a fully local problem:
+//! declares a fully local [`Problem`] — the same declaration block a plain
+//! run uses for its single part, fed renumbered tables:
 //!
 //! * **cells** — the owned cells (local ids `0..n_owned`, ascending global
 //!   order), with the cell dats (`q`, `adt`, `res`) carrying halo mirror
@@ -60,63 +61,22 @@
 
 use std::sync::Arc;
 
-use op2_app::{plan_shards, ExitPolicy, RunConfig};
+use op2_app::{plan_shards, Worlds};
 use op2_core::locality::{ExchangeOpts, HaloSpec, LocalityGroup};
 use op2_core::rebalance::{
     agree_rank_busy, cost_levels, migrate_rows, MigrationSpec, DEFAULT_DEAD_ZONE,
 };
 use op2_core::transport::{InProcessTransport, Transport};
-use op2_core::{Dat, Map, Op2Config, Set};
+use op2_core::{Dat, Op2Config};
 use op2_mesh::{
     neighbors_from_pairs, partition_greedy_bfs, partition_greedy_bfs_weighted, Partition, QuadMesh,
 };
 
 use crate::app::ShardedAirfoil;
-use crate::constants::qinf;
-use crate::solver::{RunResult, SolverConfig};
+use crate::setup::{PartTables, Problem};
+use crate::solver::{drive, RunResult, SolverConfig};
 
 pub use op2_app::RebalanceReport;
-
-/// One rank's fully local view of the Airfoil problem (compare
-/// [`crate::Problem`], plus the shard bookkeeping).
-pub struct RankProblem {
-    /// Local mesh nodes (replicated as reached).
-    pub nodes: Set,
-    /// Local interior edges, interior-first (see module docs).
-    pub edges: Set,
-    /// Local boundary edges.
-    pub bedges: Set,
-    /// Owned cells.
-    pub cells: Set,
-    /// edge → 2 nodes.
-    pub pedge: Map,
-    /// edge → 2 cells (may target halo rows).
-    pub pecell: Map,
-    /// bedge → 2 nodes.
-    pub pbedge: Map,
-    /// bedge → 1 cell (always owned).
-    pub pbecell: Map,
-    /// owned cell → 4 nodes.
-    pub pcell: Map,
-    /// Node coordinates.
-    pub p_x: Dat<f64>,
-    /// Conserved variables, with halo rows.
-    pub p_q: Dat<f64>,
-    /// Saved solution (owned rows only — never read indirectly).
-    pub p_qold: Dat<f64>,
-    /// Local timestep, with halo rows.
-    pub p_adt: Dat<f64>,
-    /// Residual, with halo rows (halo increments are dead values).
-    pub p_res: Dat<f64>,
-    /// Boundary flags.
-    pub p_bound: Dat<i32>,
-    /// Free-stream state.
-    pub qinf: [f64; 4],
-    /// Edges `0..n_interior_edges` touch owned cells only.
-    pub n_interior_edges: usize,
-    /// Halo mirror rows appended to the cell dats.
-    pub n_halo_cells: usize,
-}
 
 /// The sharded Airfoil problem: the rank contexts, their local problems,
 /// and the cell halo spec shared by `q`/`adt`/`res`.
@@ -126,7 +86,7 @@ pub struct ShardedProblem {
     /// Local problems of the *locally hosted* ranks: `parts[i]` belongs to
     /// global rank `group.local_ranks().start + i` (all ranks under the
     /// default in-process transport).
-    pub parts: Vec<RankProblem>,
+    pub parts: Vec<Problem>,
     /// Cell halo exchange spec in local row numbering.
     pub cell_spec: HaloSpec,
     /// Owner rank of every global cell.
@@ -184,6 +144,15 @@ impl ShardedProblem {
     }
 }
 
+/// Rows `ids` of a `dim`-wide global index table, entries renumbered
+/// through `g2l`.
+fn renumbered(table: &[u32], dim: usize, ids: &[u32], g2l: &[u32]) -> Vec<u32> {
+    ids.iter()
+        .flat_map(|&i| &table[dim * i as usize..][..dim])
+        .map(|&g| g2l[g as usize])
+        .collect()
+}
+
 /// Declares every locally hosted rank's shard of `mesh` for the ownership
 /// `part` / `owned_all` (the latter is `part.owned_all()`, passed in so
 /// callers can reuse it) and ties the `q`/`adt` shards into fresh halo
@@ -194,38 +163,26 @@ fn declare_shards(
     mesh: &QuadMesh,
     part: &Partition,
     owned_all: &[Vec<u32>],
-) -> (Vec<RankProblem>, HaloSpec) {
+) -> (Vec<Problem>, HaloSpec) {
     // The generic half — owned-first cell numbering, per-peer import
     // ranges, export rows, interior-first execute-halo split — is the
-    // app-agnostic shard planner's job.
+    // app-agnostic shard planner's job. The spec is global; the parts
+    // below are per-process.
     let plan = plan_shards(mesh.ncell, &mesh.edge_cells, part, owned_all);
-    let local = group.local_ranks();
-    let qinf = qinf();
 
-    let mut parts = Vec::with_capacity(local.len());
-
-    {
-        for (r, (owned, shard)) in owned_all.iter().zip(&plan.shards).enumerate() {
-            let n_owned = shard.n_owned;
-            debug_assert_eq!(n_owned, owned.len());
-            let g2l_cell = &shard.g2l;
-            let n_halo = shard.n_halo;
-
-            // The spec is global; the entities below are per-process.
-            if !local.contains(&r) {
-                continue;
-            }
-            let op2 = group.rank(r);
+    let parts: Vec<Problem> = group
+        .local_ranks()
+        .map(|r| {
+            let (owned, shard) = (&owned_all[r], &plan.shards[r]);
+            debug_assert_eq!(shard.n_owned, owned.len());
 
             // Local edges: interior (both cells owned) first, boundary
             // after, each ascending in global order (the planner's split).
-            let is_owned = |c: u32| part.part_of[c as usize] as usize == r;
-            let n_interior = shard.n_interior;
-            let ledges: Vec<u32> = shard.exec.clone();
+            let ledges = &shard.exec;
 
             // Local boundary edges: owned by their single cell's owner.
             let lbedges: Vec<u32> = (0..mesh.nbedge as u32)
-                .filter(|&b| is_owned(mesh.bedge_cells[b as usize]))
+                .filter(|&b| part.part_of[mesh.bedge_cells[b as usize] as usize] as usize == r)
                 .collect();
 
             // Local nodes: everything the local elements reach, ascending.
@@ -233,7 +190,7 @@ fn declare_shards(
             for &c in owned {
                 lnodes.extend_from_slice(&mesh.cell_nodes[4 * c as usize..4 * c as usize + 4]);
             }
-            for &e in &ledges {
+            for &e in ledges {
                 lnodes.extend_from_slice(&mesh.edge_nodes[2 * e as usize..2 * e as usize + 2]);
             }
             for &b in &lbedges {
@@ -246,98 +203,24 @@ fn declare_shards(
                 g2l_node[gn as usize] = i as u32;
             }
 
-            // Renumbered tables.
-            let pcell_idx: Vec<u32> = owned
-                .iter()
-                .flat_map(|&c| {
-                    mesh.cell_nodes[4 * c as usize..4 * c as usize + 4]
-                        .iter()
-                        .map(|&gn| g2l_node[gn as usize])
-                })
-                .collect();
-            let pedge_idx: Vec<u32> = ledges
-                .iter()
-                .flat_map(|&e| {
-                    mesh.edge_nodes[2 * e as usize..2 * e as usize + 2]
-                        .iter()
-                        .map(|&gn| g2l_node[gn as usize])
-                })
-                .collect();
-            let pecell_idx: Vec<u32> = ledges
-                .iter()
-                .flat_map(|&e| {
-                    mesh.edge_cells[2 * e as usize..2 * e as usize + 2]
-                        .iter()
-                        .map(|&gc| g2l_cell[gc as usize])
-                })
-                .collect();
-            let pbedge_idx: Vec<u32> = lbedges
-                .iter()
-                .flat_map(|&b| {
-                    mesh.bedge_nodes[2 * b as usize..2 * b as usize + 2]
-                        .iter()
-                        .map(|&gn| g2l_node[gn as usize])
-                })
-                .collect();
-            let pbecell_idx: Vec<u32> = lbedges
-                .iter()
-                .map(|&b| g2l_cell[mesh.bedge_cells[b as usize] as usize])
-                .collect();
+            let tables = PartTables {
+                cell_nodes: renumbered(&mesh.cell_nodes, 4, owned, &g2l_node),
+                edge_nodes: renumbered(&mesh.edge_nodes, 2, ledges, &g2l_node),
+                edge_cells: renumbered(&mesh.edge_cells, 2, ledges, &shard.g2l),
+                bedge_nodes: renumbered(&mesh.bedge_nodes, 2, &lbedges, &g2l_node),
+                bedge_cells: renumbered(&mesh.bedge_cells, 1, &lbedges, &shard.g2l),
+                bound: lbedges.iter().map(|&b| mesh.bound[b as usize]).collect(),
+                x: lnodes
+                    .iter()
+                    .flat_map(|&gn| [mesh.x[2 * gn as usize], mesh.x[2 * gn as usize + 1]])
+                    .collect(),
+                n_interior_edges: shard.n_interior,
+                n_halo_cells: shard.n_halo,
+            };
+            Problem::declare_part(group.rank(r), tables)
+        })
+        .collect();
 
-            let nodes = op2.decl_set(lnodes.len(), "nodes");
-            let edges = op2.decl_set(ledges.len(), "edges");
-            let bedges = op2.decl_set(lbedges.len(), "bedges");
-            let cells = op2.decl_set(n_owned, "cells");
-
-            let pedge = op2.decl_map(&edges, &nodes, 2, pedge_idx, "pedge");
-            let pecell = op2.decl_map_halo(&edges, &cells, 2, pecell_idx, "pecell", n_halo);
-            let pbedge = op2.decl_map(&bedges, &nodes, 2, pbedge_idx, "pbedge");
-            let pbecell = op2.decl_map(&bedges, &cells, 1, pbecell_idx, "pbecell");
-            let pcell = op2.decl_map(&cells, &nodes, 4, pcell_idx, "pcell");
-
-            let x_local: Vec<f64> = lnodes
-                .iter()
-                .flat_map(|&gn| {
-                    let gn = gn as usize;
-                    [mesh.x[2 * gn], mesh.x[2 * gn + 1]]
-                })
-                .collect();
-            let bound_local: Vec<i32> = lbedges.iter().map(|&b| mesh.bound[b as usize]).collect();
-            let n_cells_total = n_owned + n_halo;
-            let mut q0 = Vec::with_capacity(n_cells_total * 4);
-            for _ in 0..n_cells_total {
-                q0.extend_from_slice(&qinf);
-            }
-
-            let p_x = op2.decl_dat(&nodes, 2, "p_x", x_local);
-            let p_q = op2.decl_dat_halo(&cells, 4, "p_q", q0, n_halo);
-            let p_qold = op2.decl_dat(&cells, 4, "p_qold", vec![0.0; n_owned * 4]);
-            let p_adt = op2.decl_dat_halo(&cells, 1, "p_adt", vec![0.0; n_cells_total], n_halo);
-            let p_res = op2.decl_dat_halo(&cells, 4, "p_res", vec![0.0; n_cells_total * 4], n_halo);
-            let p_bound = op2.decl_dat(&bedges, 1, "p_bound", bound_local);
-
-            parts.push(RankProblem {
-                nodes,
-                edges,
-                bedges,
-                cells,
-                pedge,
-                pecell,
-                pbedge,
-                pbecell,
-                pcell,
-                p_x,
-                p_q,
-                p_qold,
-                p_adt,
-                p_res,
-                p_bound,
-                qinf,
-                n_interior_edges: n_interior,
-                n_halo_cells: n_halo,
-            });
-        }
-    }
     // Implicit communication: tie the q and adt shards into halo
     // rings so the time loop needs no manual exchange calls (res
     // halo increments are dead values — see module docs).
@@ -354,18 +237,13 @@ impl ShardedProblem {
     /// (waits for pending writers). All-local groups only: a distributed
     /// process holds just its own shard of the solution.
     pub fn gather_q(&self) -> Vec<f64> {
-        assert!(
-            self.group.transport().all_local(),
-            "gather_q needs every rank's rows in this process"
-        );
-        let mut q = vec![0.0f64; self.ncell_global * 4];
-        for (r, part) in self.parts.iter().enumerate() {
-            let local = part.p_q.read();
-            for (i, &gc) in self.owned_cells[r].iter().enumerate() {
-                q[4 * gc as usize..4 * gc as usize + 4].copy_from_slice(local.row(i));
-            }
-        }
-        q
+        let first = self.group.local_ranks().start;
+        let shards = self
+            .parts
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (&p.p_q, &self.owned_cells[first + i][..]));
+        Worlds::Group(&self.group).gather(self.ncell_global, 4, shards)
     }
 
     /// Checks the measured per-rank busy times for imbalance and, when
@@ -474,49 +352,20 @@ impl ShardedProblem {
     }
 }
 
-/// Extra spin work proportional to how far this cell's state has moved
-/// off free stream — the "work follows the flow gradient" cost model of
-/// the load-balancing demo ([`SolverConfig::skew`]). Burns time only;
-/// every dat value stays bitwise identical to the unskewed kernel.
-#[inline]
-pub(crate) fn skew_work(skew: f64, q: &[f64], qinf: &[f64; 4]) {
-    let dev: f64 = q.iter().zip(qinf).map(|(a, b)| (a - b).abs()).sum();
-    let spins = (skew * dev) as u64;
-    let mut acc = 0u64;
-    for i in 0..spins {
-        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-        std::hint::black_box(acc);
-    }
-}
-
 /// Runs `cfg.niter` Airfoil iterations over the sharded problem — the
-/// `--ranks N` execution path. Loop-for-loop equivalent to
-/// [`crate::solver::run`] with **zero communication calls**: the halo
-/// rings linked at declare time schedule the `q`/`adt` exchanges when
-/// `res_calc`'s stale halo reads are submitted (overlapped with interior
-/// compute under the Dataflow backend; see module docs).
+/// `--ranks N` execution path. The same iteration body as
+/// [`crate::solver::run`], submitted on every part, with **zero
+/// communication calls**: the halo rings linked at declare time schedule
+/// the `q`/`adt` exchanges when `res_calc`'s stale halo reads are
+/// submitted (overlapped with interior compute under the Dataflow
+/// backend; see module docs).
 ///
 /// Takes the problem `&mut` because `cfg.rebalance_every > 0` lets the
 /// loop live-repartition between iterations
 /// ([`ShardedProblem::rebalance`]); with rebalancing off the problem is
 /// only read.
 pub fn run_sharded(shp: &mut ShardedProblem, cfg: &SolverConfig) -> RunResult {
-    let ncell = shp.ncell_global;
-    let mut inst = ShardedAirfoil::new(shp, cfg.skew);
-    let out = op2_app::run(
-        &mut inst,
-        RunConfig {
-            exit: ExitPolicy::Iterations(cfg.niter),
-            window: cfg.window,
-            print_every: cfg.print_every,
-            rebalance_every: cfg.rebalance_every,
-        },
-    );
-    RunResult {
-        rms_history: out.residuals,
-        elapsed: out.elapsed,
-        ncell,
-    }
+    drive(ShardedAirfoil::new(shp, cfg.skew), cfg)
 }
 
 #[cfg(test)]

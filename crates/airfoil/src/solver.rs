@@ -15,7 +15,7 @@ use std::time::Duration;
 use op2_app::{ExitPolicy, RunConfig};
 use op2_core::Op2;
 
-use crate::app::PlainAirfoil;
+use crate::app::AirfoilInstance;
 use crate::setup::Problem;
 use op2_mesh::QuadMesh;
 
@@ -36,11 +36,12 @@ pub struct SolverConfig {
     /// `adt_calc` (values are bitwise untouched), so cost tracks the
     /// flow field and concentrates around the bump's disturbed region —
     /// which no uniform static partition can balance. 0.0 (the default)
-    /// disables the skew entirely. Honored by the sharded runner only.
+    /// disables the skew entirely.
     pub skew: f64,
     /// Check for rank imbalance and live-repartition every so many
-    /// iterations (0 = never). Honored by the sharded runner only; see
-    /// [`crate::shard::ShardedProblem::rebalance`].
+    /// iterations (0 = never); see
+    /// [`crate::shard::ShardedProblem::rebalance`]. A single-part problem
+    /// has nothing to repartition, so there the check never fires.
     pub rebalance_every: usize,
 }
 
@@ -98,25 +99,30 @@ pub fn solve(op2: &Op2, mesh: &QuadMesh, cfg: &SolverConfig) -> RunResult {
 /// an already-declared problem. May be called repeatedly; continues from
 /// the current flow state.
 ///
-/// The iteration body lives in [`crate::app`] ([`PlainAirfoil`]) and the
-/// time loop is the generic [`op2_app::run`] harness — a fixed-iteration
-/// run through it is statement-for-statement the pre-refactor loop, so
-/// the output is bitwise unchanged.
+/// The iteration body lives in [`crate::app`] ([`AirfoilInstance`]) and
+/// the time loop is the generic [`op2_app::run`] harness — a
+/// fixed-iteration run through it is statement-for-statement the
+/// pre-refactor loop, so the output is bitwise unchanged.
 pub fn run(op2: &Op2, p: &Problem, cfg: &SolverConfig) -> RunResult {
-    let mut inst = PlainAirfoil::new(op2, p);
+    drive(AirfoilInstance::plain(op2, p, cfg.skew), cfg)
+}
+
+/// Drives `inst` through the harness under the solver parameters — the
+/// shared tail of [`run`] and [`crate::shard::run_sharded`].
+pub(crate) fn drive(mut inst: AirfoilInstance<'_>, cfg: &SolverConfig) -> RunResult {
     let out = op2_app::run(
         &mut inst,
         RunConfig {
             exit: ExitPolicy::Iterations(cfg.niter),
             window: cfg.window,
             print_every: cfg.print_every,
-            rebalance_every: 0,
+            rebalance_every: cfg.rebalance_every,
         },
     );
     RunResult {
         rms_history: out.residuals,
         elapsed: out.elapsed,
-        ncell: p.cells.size(),
+        ncell: inst.ncell(),
     }
 }
 

@@ -11,12 +11,14 @@
 //! the data-dependent exit through [`Convergence`], which consults only
 //! futures that are already resolved.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use op2_core::hpx_rt::SharedFuture;
-use op2_core::{Convergence, LoopHandle, Op2, Op2Config, ReducedFuture, ResidualMap};
+use op2_core::locality::{HaloSpec, LocalityGroup};
+use op2_core::{Convergence, Dat, Global, LoopHandle, Op2, Op2Config, ReducedFuture, ResidualMap};
 
 /// What one [`AppInstance::step`] submitted: the iteration's residual as
 /// an asynchronous-reduction future and the handles the backpressure
@@ -28,6 +30,95 @@ pub struct StepOutput {
     pub residual: ReducedFuture<f64>,
     /// Handles gating this iteration for the backpressure window.
     pub gates: Vec<LoopHandle>,
+}
+
+/// The world(s) an instance's parts are declared on, one part per world
+/// in rank order. A bare [`Op2`] is the one-part case of a
+/// [`LocalityGroup`], so an app writes its declaration and its step once,
+/// over `worlds().iter().zip(parts)`, and everything that differs between
+/// a plain and a sharded run is answered here. `G` lets an instance own
+/// its group (the default) or borrow one its problem owns.
+pub enum Worlds<'a, G = LocalityGroup> {
+    /// A single part on a borrowed world: no partition, no halo.
+    One(&'a Op2),
+    /// One part per locally hosted rank of a locality group.
+    Group(G),
+}
+
+impl<G: Borrow<LocalityGroup>> Worlds<'_, G> {
+    /// The worlds the parts live on: part `i` runs on `worlds()[i]`.
+    pub fn worlds(&self) -> &[Op2] {
+        match self {
+            Worlds::One(op2) => std::slice::from_ref(op2),
+            Worlds::Group(group) => group.borrow().ranks(),
+        }
+    }
+
+    /// Ties the parts' shards of one logical dat into a halo ring, so
+    /// loops reading stale import rows refresh them implicitly. A single
+    /// part has no peers to link.
+    pub fn link_halo(&self, shards: &[Dat<f64>], spec: &HaloSpec) {
+        if let Worlds::Group(group) = self {
+            group.borrow().link_halo(shards, spec);
+        }
+    }
+
+    /// Fans the parts' partial reductions (`partials[i]` was incremented
+    /// by part `i`'s loop) into the step's residual future: the single
+    /// part's asynchronous read, or the cross-rank allreduce tree.
+    /// Neither blocks.
+    pub fn residual(&self, partials: &[Global<f64>]) -> ReducedFuture<f64> {
+        match self {
+            Worlds::One(op2) => partials[0].reduce_async(op2),
+            Worlds::Group(group) => group.borrow().allreduce(partials),
+        }
+    }
+
+    /// [`AppInstance::prints_here`]: under a distributed transport only
+    /// the process hosting rank 0 prints.
+    pub fn prints_here(&self) -> bool {
+        match self {
+            Worlds::One(_) => true,
+            Worlds::Group(group) => group.borrow().local_ranks().contains(&0),
+        }
+    }
+
+    /// [`AppInstance::fence`]: waits for everything submitted on any part.
+    pub fn fence(&self) {
+        for world in self.worlds() {
+            world.fence();
+        }
+    }
+
+    /// [`AppInstance::state`]: assembles a logical dat of `nrows` global
+    /// rows of `dim` scalars from the parts' shards, each given with the
+    /// global row of every row it owns (local owned row `i` is global row
+    /// `owned[i]`). Waits for pending writers.
+    ///
+    /// # Panics
+    ///
+    /// If the group spans processes: each holds only its own shards.
+    pub fn gather<'p>(
+        &self,
+        nrows: usize,
+        dim: usize,
+        shards: impl IntoIterator<Item = (&'p Dat<f64>, &'p [u32])>,
+    ) -> Vec<f64> {
+        if let Worlds::Group(group) = self {
+            assert!(
+                group.borrow().transport().all_local(),
+                "gathering state needs every rank's rows in this process"
+            );
+        }
+        let mut out = vec![0.0; nrows * dim];
+        for (dat, owned) in shards {
+            let local = dat.read();
+            for (i, &g) in owned.iter().enumerate() {
+                out[g as usize * dim..][..dim].copy_from_slice(local.row(i));
+            }
+        }
+        out
+    }
 }
 
 /// What one successful rebalance did (moved here from the Airfoil shards

@@ -11,22 +11,22 @@
 //! DSL declares only shape), so the same `arg gbl : inc` lowering serves
 //! Sum and Max apps alike.
 //!
-//! Sharded: nodes are the partitioned set ([`declare_node_graph_shards`]
-//! numbers them owned-first), `temp` is halo-linked (edge kernels read
-//! both endpoints), while `flux` carries halo rows that are *not*
-//! linked: partition-boundary edges run redundantly on both ranks, so
-//! flux increments into mirror rows are dead values no loop reads —
-//! exactly the Airfoil `res` pattern.
+//! One declaration and one step serve plain and sharded runs alike (a
+//! bare world is the one-part case of [`Worlds`]). Nodes are the
+//! partitioned set ([`declare_node_graphs`] numbers them owned-first),
+//! `temp` is halo-linked (edge kernels read both endpoints), while `flux`
+//! carries halo rows that are *not* linked: partition-boundary edges run
+//! redundantly on both ranks, so flux increments into mirror rows are
+//! dead values no loop reads — exactly the Airfoil `res` pattern.
 
 use std::sync::Arc;
 
 use op2_core::locality::LocalityGroup;
-use op2_core::transport::InProcessTransport;
-use op2_core::{Dat, Global, Op2, Op2Config, ReduceOp, ResidualMap, Set};
+use op2_core::{Dat, Global, Op2, Op2Config, ReduceOp, ResidualMap};
 use op2_mesh::{unit_square, TriMesh};
 
-use crate::harness::{App, AppInstance, RunConfig, StepOutput};
-use crate::shard::{declare_node_graph_shards, NodeGraphShard};
+use crate::harness::{App, AppInstance, RunConfig, StepOutput, Worlds};
+use crate::shard::{declare_node_graphs, NodeGraph};
 
 /// The translator-generated loop wrappers and convergence constructor
 /// (kept as a checked-in golden file; see the spec header for the
@@ -56,9 +56,8 @@ fn initial_temps(mesh: &TriMesh) -> Vec<f64> {
         .collect()
 }
 
-/// The heat-diffusion kernels, shared by the plain and sharded
-/// instances (the generated wrappers carry the access descriptors; these
-/// carry the arithmetic).
+/// The heat-diffusion kernels (the generated wrappers carry the access
+/// descriptors; these carry the arithmetic).
 mod kernels {
     /// Edge loop: scatter the endpoint temperature difference into both
     /// flux accumulators.
@@ -111,46 +110,35 @@ impl App for HeatApp {
     }
 
     fn declare<'a>(&self, op2: &'a Op2) -> Box<dyn AppInstance + 'a> {
-        let mesh = &self.mesh;
-        let nodes = op2.decl_set(mesh.nnode, "nodes");
-        let edges = op2.decl_set(mesh.nedge, "edges");
-        let pedge = op2.decl_map(&edges, &nodes, 2, mesh.edge_nodes.clone(), "pedge");
-        let temp = op2.decl_dat(&nodes, 1, "temp", initial_temps(mesh));
-        let flux = op2.decl_dat(&nodes, 1, "flux", vec![0.0f64; mesh.nnode]);
-        let boundary = op2.decl_dat(&nodes, 1, "boundary", mesh.node_boundary.clone());
-        Box::new(PlainHeat {
-            op2,
-            nodes,
-            edges,
-            pedge,
-            temp,
-            flux,
-            boundary,
-        })
+        self.declare_on(Worlds::One(op2))
     }
 
     fn declare_sharded(&self, config: Op2Config, nranks: usize) -> Box<dyn AppInstance> {
-        let mesh = &self.mesh;
-        let group =
-            LocalityGroup::with_transport(config, Arc::new(InProcessTransport::new(nranks)));
-        let (shards, spec) = declare_node_graph_shards(&group, mesh.nnode, &mesh.edge_nodes);
+        self.declare_on(Worlds::Group(LocalityGroup::new(config, nranks)))
+    }
 
+    fn default_run(&self) -> RunConfig {
+        RunConfig::converge(generated::delta_convergence(), 16)
+    }
+}
+
+impl HeatApp {
+    fn declare_on<'a>(&self, on: Worlds<'a>) -> Box<dyn AppInstance + 'a> {
+        let mesh = &self.mesh;
+        let (graphs, spec) = declare_node_graphs(&on, mesh.nnode, &mesh.edge_nodes);
         let temps0 = initial_temps(mesh);
-        let parts: Vec<HeatPart> = shards
-            .into_iter()
-            .map(|s| {
-                let op2 = group.rank(s.rank);
-                let rows = s.n_owned + s.n_halo;
-                let t0: Vec<f64> = s.l2g.iter().map(|&g| temps0[g as usize]).collect();
-                let b0: Vec<i32> = s.l2g[..s.n_owned]
-                    .iter()
-                    .map(|&g| mesh.node_boundary[g as usize])
-                    .collect();
-                let temp = op2.decl_dat_halo(&s.nodes, 1, "temp", t0, s.n_halo);
-                let flux = op2.decl_dat_halo(&s.nodes, 1, "flux", vec![0.0; rows], s.n_halo);
-                let boundary = op2.decl_dat(&s.nodes, 1, "boundary", b0);
+        let parts: Vec<HeatPart> = on
+            .worlds()
+            .iter()
+            .zip(graphs)
+            .map(|(op2, graph)| {
+                let (nodes, n_halo) = (&graph.nodes, graph.n_halo);
+                let temp = op2.decl_dat_halo(nodes, 1, "temp", graph.local(&temps0, true), n_halo);
+                let flux = op2.decl_dat_halo(nodes, 1, "flux", vec![0.0; graph.l2g.len()], n_halo);
+                let boundary = graph.local(&mesh.node_boundary, false);
+                let boundary = op2.decl_dat(nodes, 1, "boundary", boundary);
                 HeatPart {
-                    shard: s,
+                    graph,
                     temp,
                     flux,
                     boundary,
@@ -161,55 +149,63 @@ impl App for HeatApp {
         // Implicit communication: only temp is exchanged (flux halo
         // increments are dead values — see module docs).
         let temps: Vec<Dat<f64>> = parts.iter().map(|p| p.temp.clone()).collect();
-        group.link_halo(&temps, &spec);
+        on.link_halo(&temps, &spec);
 
-        Box::new(ShardedHeat {
-            group,
+        Box::new(Heat {
+            on,
             parts,
-            nnode_global: mesh.nnode,
+            nnode: mesh.nnode,
         })
-    }
-
-    fn default_run(&self) -> RunConfig {
-        RunConfig::converge(generated::delta_convergence(), 16)
     }
 }
 
-struct PlainHeat<'a> {
-    op2: &'a Op2,
-    nodes: Set,
-    edges: Set,
-    pedge: op2_core::Map,
+struct HeatPart {
+    graph: NodeGraph,
     temp: Dat<f64>,
     flux: Dat<f64>,
     boundary: Dat<i32>,
 }
 
-impl AppInstance for PlainHeat<'_> {
+struct Heat<'a> {
+    on: Worlds<'a>,
+    parts: Vec<HeatPart>,
+    nnode: usize,
+}
+
+impl AppInstance for Heat<'_> {
     fn step(&mut self, _iter: usize) -> StepOutput {
-        generated::op_par_loop_edge_flux(
-            self.op2,
-            &self.edges,
-            &self.temp,
-            &self.flux,
-            &self.pedge,
-            kernels::edge_flux,
-        );
-        let delta = Global::<f64>::new(1, ReduceOp::Max, "delta");
-        let h = generated::op_par_loop_apply_flux(
-            self.op2,
-            &self.nodes,
-            &self.temp,
-            &self.flux,
-            &self.boundary,
-            &delta,
-            |t: &mut [f64], f: &mut [f64], b: &[i32], d: &mut [f64]| {
-                kernels::apply_flux(ALPHA, t, f, b, d)
-            },
-        );
+        let parts = || self.on.worlds().iter().zip(&self.parts);
+        for (op2, p) in parts() {
+            generated::op_par_loop_edge_flux(
+                op2,
+                &p.graph.edges,
+                &p.temp,
+                &p.flux,
+                &p.graph.pedge,
+                kernels::edge_flux,
+            );
+        }
+        let mut deltas = Vec::with_capacity(self.parts.len());
+        let mut gates = Vec::with_capacity(self.parts.len());
+        for (op2, p) in parts() {
+            let delta = Global::<f64>::new(1, ReduceOp::Max, "delta");
+            gates.push(generated::op_par_loop_apply_flux(
+                op2,
+                &p.graph.nodes,
+                &p.temp,
+                &p.flux,
+                &p.boundary,
+                &delta,
+                |t: &mut [f64], f: &mut [f64], b: &[i32], d: &mut [f64]| {
+                    kernels::apply_flux(ALPHA, t, f, b, d)
+                },
+            ));
+            deltas.push(delta);
+        }
+        // Max combines across parts the same way Sum does; nothing blocks.
         StepOutput {
-            residual: delta.reduce_async(self.op2),
-            gates: vec![h],
+            residual: self.on.residual(&deltas),
+            gates,
         }
     }
 
@@ -218,93 +214,17 @@ impl AppInstance for PlainHeat<'_> {
         Arc::new(|v| v)
     }
 
-    fn fence(&self) {
-        self.op2.fence();
-    }
-
-    fn state(&self) -> Vec<f64> {
-        self.temp.snapshot()
-    }
-}
-
-struct HeatPart {
-    shard: NodeGraphShard,
-    temp: Dat<f64>,
-    flux: Dat<f64>,
-    boundary: Dat<i32>,
-}
-
-struct ShardedHeat {
-    group: LocalityGroup,
-    parts: Vec<HeatPart>,
-    nnode_global: usize,
-}
-
-impl AppInstance for ShardedHeat {
-    fn step(&mut self, _iter: usize) -> StepOutput {
-        for p in &self.parts {
-            let op2 = self.group.rank(p.shard.rank);
-            generated::op_par_loop_edge_flux(
-                op2,
-                &p.shard.edges,
-                &p.temp,
-                &p.flux,
-                &p.shard.pedge,
-                kernels::edge_flux,
-            );
-        }
-        let mut deltas = Vec::with_capacity(self.parts.len());
-        let mut gates = Vec::with_capacity(self.parts.len());
-        for p in &self.parts {
-            let op2 = self.group.rank(p.shard.rank);
-            let delta = Global::<f64>::new(1, ReduceOp::Max, "delta");
-            let h = generated::op_par_loop_apply_flux(
-                op2,
-                &p.shard.nodes,
-                &p.temp,
-                &p.flux,
-                &p.boundary,
-                &delta,
-                |t: &mut [f64], f: &mut [f64], b: &[i32], d: &mut [f64]| {
-                    kernels::apply_flux(ALPHA, t, f, b, d)
-                },
-            );
-            deltas.push(delta);
-            gates.push(h);
-        }
-        // Cross-rank max as a reduction-tree future: Max combines the
-        // same way Sum does, nothing blocks.
-        StepOutput {
-            residual: self.group.allreduce(&deltas),
-            gates,
-        }
-    }
-
-    fn residual_map(&self) -> ResidualMap {
-        Arc::new(|v| v)
-    }
-
     fn prints_here(&self) -> bool {
-        self.group.local_ranks().contains(&0)
+        self.on.prints_here()
     }
 
     fn fence(&self) {
-        self.group.fence();
+        self.on.fence();
     }
 
     fn state(&self) -> Vec<f64> {
-        assert!(
-            self.group.transport().all_local(),
-            "state() needs every rank's rows in this process"
-        );
-        let mut t = vec![0.0f64; self.nnode_global];
-        for p in &self.parts {
-            let local = p.temp.read();
-            for (i, &g) in p.shard.l2g[..p.shard.n_owned].iter().enumerate() {
-                t[g as usize] = local.row(i)[0];
-            }
-        }
-        t
+        let shards = self.parts.iter().map(|p| (&p.temp, p.graph.owned()));
+        self.on.gather(self.nnode, 1, shards)
     }
 }
 

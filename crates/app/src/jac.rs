@@ -13,18 +13,18 @@
 //! zero blocking residual reads; `tests/convergence_exit.rs` asserts the
 //! `op2.reduce.blocking_reads` counter stays flat).
 //!
-//! Sharded exactly like [`crate::heat`]: `x` is halo-linked, `acc`
-//! carries unlinked (dead) halo rows, `b`/`diag` are owned-only.
+//! Declared and stepped once over its parts exactly like [`crate::heat`]:
+//! `x` is halo-linked, `acc` carries unlinked (dead) halo rows, `b`/`diag`
+//! are owned-only.
 
 use std::sync::Arc;
 
 use op2_core::locality::LocalityGroup;
-use op2_core::transport::InProcessTransport;
-use op2_core::{Dat, Global, Op2, Op2Config, ResidualMap, Set};
+use op2_core::{Dat, Global, Op2, Op2Config, ResidualMap};
 use op2_mesh::{unit_square, TriMesh};
 
-use crate::harness::{App, AppInstance, RunConfig, StepOutput};
-use crate::shard::{declare_node_graph_shards, NodeGraphShard};
+use crate::harness::{App, AppInstance, RunConfig, StepOutput, Worlds};
+use crate::shard::{declare_node_graphs, NodeGraph};
 
 /// The translator-generated loop wrappers and convergence constructor.
 mod generated {
@@ -105,53 +105,35 @@ impl App for JacApp {
     }
 
     fn declare<'a>(&self, op2: &'a Op2) -> Box<dyn AppInstance + 'a> {
-        let mesh = &self.mesh;
-        let nodes = op2.decl_set(mesh.nnode, "nodes");
-        let edges = op2.decl_set(mesh.nedge, "edges");
-        let pedge = op2.decl_map(&edges, &nodes, 2, mesh.edge_nodes.clone(), "pedge");
-        let b = op2.decl_dat(&nodes, 1, "b", rhs(mesh));
-        let diag = op2.decl_dat(&nodes, 1, "diag", diagonal(mesh));
-        let x = op2.decl_dat(&nodes, 1, "x", vec![0.0f64; mesh.nnode]);
-        let acc = op2.decl_dat(&nodes, 1, "acc", vec![0.0f64; mesh.nnode]);
-        Box::new(PlainJac {
-            op2,
-            nodes,
-            edges,
-            pedge,
-            b,
-            diag,
-            x,
-            acc,
-            nnode: mesh.nnode,
-        })
+        self.declare_on(Worlds::One(op2))
     }
 
     fn declare_sharded(&self, config: Op2Config, nranks: usize) -> Box<dyn AppInstance> {
-        let mesh = &self.mesh;
-        let group =
-            LocalityGroup::with_transport(config, Arc::new(InProcessTransport::new(nranks)));
-        let (shards, spec) = declare_node_graph_shards(&group, mesh.nnode, &mesh.edge_nodes);
+        self.declare_on(Worlds::Group(LocalityGroup::new(config, nranks)))
+    }
 
+    fn default_run(&self) -> RunConfig {
+        RunConfig::converge(generated::resid_convergence(), 16)
+    }
+}
+
+impl JacApp {
+    fn declare_on<'a>(&self, on: Worlds<'a>) -> Box<dyn AppInstance + 'a> {
+        let mesh = &self.mesh;
+        let (graphs, spec) = declare_node_graphs(&on, mesh.nnode, &mesh.edge_nodes);
         let (b_all, diag_all) = (rhs(mesh), diagonal(mesh));
-        let parts: Vec<JacPart> = shards
-            .into_iter()
-            .map(|s| {
-                let op2 = group.rank(s.rank);
-                let rows = s.n_owned + s.n_halo;
-                let b0: Vec<f64> = s.l2g[..s.n_owned]
-                    .iter()
-                    .map(|&g| b_all[g as usize])
-                    .collect();
-                let d0: Vec<f64> = s.l2g[..s.n_owned]
-                    .iter()
-                    .map(|&g| diag_all[g as usize])
-                    .collect();
-                let b = op2.decl_dat(&s.nodes, 1, "b", b0);
-                let diag = op2.decl_dat(&s.nodes, 1, "diag", d0);
-                let x = op2.decl_dat_halo(&s.nodes, 1, "x", vec![0.0; rows], s.n_halo);
-                let acc = op2.decl_dat_halo(&s.nodes, 1, "acc", vec![0.0; rows], s.n_halo);
+        let parts: Vec<JacPart> = on
+            .worlds()
+            .iter()
+            .zip(graphs)
+            .map(|(op2, graph)| {
+                let (nodes, n_halo, rows) = (&graph.nodes, graph.n_halo, graph.l2g.len());
+                let b = op2.decl_dat(nodes, 1, "b", graph.local(&b_all, false));
+                let diag = op2.decl_dat(nodes, 1, "diag", graph.local(&diag_all, false));
+                let x = op2.decl_dat_halo(nodes, 1, "x", vec![0.0; rows], n_halo);
+                let acc = op2.decl_dat_halo(nodes, 1, "acc", vec![0.0; rows], n_halo);
                 JacPart {
-                    shard: s,
+                    graph,
                     b,
                     diag,
                     x,
@@ -163,56 +145,62 @@ impl App for JacApp {
         // Only x travels: acc halo increments are dead values (boundary
         // edges run redundantly on both ranks, as in heat and airfoil).
         let xs: Vec<Dat<f64>> = parts.iter().map(|p| p.x.clone()).collect();
-        group.link_halo(&xs, &spec);
+        on.link_halo(&xs, &spec);
 
-        Box::new(ShardedJac {
-            group,
+        Box::new(Jac {
+            on,
             parts,
-            nnode_global: mesh.nnode,
+            nnode: mesh.nnode,
         })
-    }
-
-    fn default_run(&self) -> RunConfig {
-        RunConfig::converge(generated::resid_convergence(), 16)
     }
 }
 
-struct PlainJac<'a> {
-    op2: &'a Op2,
-    nodes: Set,
-    edges: Set,
-    pedge: op2_core::Map,
+struct JacPart {
+    graph: NodeGraph,
     b: Dat<f64>,
     diag: Dat<f64>,
     x: Dat<f64>,
     acc: Dat<f64>,
+}
+
+struct Jac<'a> {
+    on: Worlds<'a>,
+    parts: Vec<JacPart>,
     nnode: usize,
 }
 
-impl AppInstance for PlainJac<'_> {
+impl AppInstance for Jac<'_> {
     fn step(&mut self, _iter: usize) -> StepOutput {
-        generated::op_par_loop_jac_spmv(
-            self.op2,
-            &self.edges,
-            &self.x,
-            &self.acc,
-            &self.pedge,
-            kernels::jac_spmv,
-        );
-        let resid = Global::<f64>::sum(1, "resid");
-        let h = generated::op_par_loop_jac_update(
-            self.op2,
-            &self.nodes,
-            &self.b,
-            &self.diag,
-            &self.x,
-            &self.acc,
-            &resid,
-            kernels::jac_update,
-        );
+        let parts = || self.on.worlds().iter().zip(&self.parts);
+        for (op2, p) in parts() {
+            generated::op_par_loop_jac_spmv(
+                op2,
+                &p.graph.edges,
+                &p.x,
+                &p.acc,
+                &p.graph.pedge,
+                kernels::jac_spmv,
+            );
+        }
+        let mut resids = Vec::with_capacity(self.parts.len());
+        let mut gates = Vec::with_capacity(self.parts.len());
+        for (op2, p) in parts() {
+            let resid = Global::<f64>::sum(1, "resid");
+            gates.push(generated::op_par_loop_jac_update(
+                op2,
+                &p.graph.nodes,
+                &p.b,
+                &p.diag,
+                &p.x,
+                &p.acc,
+                &resid,
+                kernels::jac_update,
+            ));
+            resids.push(resid);
+        }
         StepOutput {
-            residual: resid.reduce_async(self.op2),
-            gates: vec![h],
+            residual: self.on.residual(&resids),
+            gates,
         }
     }
 
@@ -221,92 +209,17 @@ impl AppInstance for PlainJac<'_> {
         Arc::new(move |v| (v / n).sqrt())
     }
 
-    fn fence(&self) {
-        self.op2.fence();
-    }
-
-    fn state(&self) -> Vec<f64> {
-        self.x.snapshot()
-    }
-}
-
-struct JacPart {
-    shard: NodeGraphShard,
-    b: Dat<f64>,
-    diag: Dat<f64>,
-    x: Dat<f64>,
-    acc: Dat<f64>,
-}
-
-struct ShardedJac {
-    group: LocalityGroup,
-    parts: Vec<JacPart>,
-    nnode_global: usize,
-}
-
-impl AppInstance for ShardedJac {
-    fn step(&mut self, _iter: usize) -> StepOutput {
-        for p in &self.parts {
-            let op2 = self.group.rank(p.shard.rank);
-            generated::op_par_loop_jac_spmv(
-                op2,
-                &p.shard.edges,
-                &p.x,
-                &p.acc,
-                &p.shard.pedge,
-                kernels::jac_spmv,
-            );
-        }
-        let mut resids = Vec::with_capacity(self.parts.len());
-        let mut gates = Vec::with_capacity(self.parts.len());
-        for p in &self.parts {
-            let op2 = self.group.rank(p.shard.rank);
-            let resid = Global::<f64>::sum(1, "resid");
-            let h = generated::op_par_loop_jac_update(
-                op2,
-                &p.shard.nodes,
-                &p.b,
-                &p.diag,
-                &p.x,
-                &p.acc,
-                &resid,
-                kernels::jac_update,
-            );
-            resids.push(resid);
-            gates.push(h);
-        }
-        StepOutput {
-            residual: self.group.allreduce(&resids),
-            gates,
-        }
-    }
-
-    fn residual_map(&self) -> ResidualMap {
-        let n = self.nnode_global as f64;
-        Arc::new(move |v| (v / n).sqrt())
-    }
-
     fn prints_here(&self) -> bool {
-        self.group.local_ranks().contains(&0)
+        self.on.prints_here()
     }
 
     fn fence(&self) {
-        self.group.fence();
+        self.on.fence();
     }
 
     fn state(&self) -> Vec<f64> {
-        assert!(
-            self.group.transport().all_local(),
-            "state() needs every rank's rows in this process"
-        );
-        let mut x = vec![0.0f64; self.nnode_global];
-        for p in &self.parts {
-            let local = p.x.read();
-            for (i, &g) in p.shard.l2g[..p.shard.n_owned].iter().enumerate() {
-                x[g as usize] = local.row(i)[0];
-            }
-        }
-        x
+        let shards = self.parts.iter().map(|p| (&p.x, p.graph.owned()));
+        self.on.gather(self.nnode, 1, shards)
     }
 }
 

@@ -14,6 +14,11 @@
 //!   reduction path, the rebalance hook, one final fence. Loop-for-loop
 //!   identical to the original Airfoil driver — a 1-rank Seq airfoil run
 //!   through this harness is bitwise the pre-refactor run;
+//! * [`Worlds`] — a bare world is the one-part case of a locality group:
+//!   an app declares and steps its parts once, over
+//!   `worlds().iter().zip(parts)`, and the residual fan-in, the fence,
+//!   who prints and the owned-row state gather are answered here rather
+//!   than once per plain and once per sharded instance;
 //! * [`shard::plan_shards`] — the app-agnostic half of mesh sharding
 //!   (owned-first local numbering, per-peer import ranges, export rows,
 //!   interior-first execute-halo split), reused by the Airfoil shards and
@@ -31,7 +36,7 @@ pub mod jac;
 pub mod shard;
 
 pub use harness::{
-    run, App, AppInstance, ExitPolicy, RebalanceReport, RunConfig, RunOutcome, StepOutput,
+    run, App, AppInstance, ExitPolicy, RebalanceReport, RunConfig, RunOutcome, StepOutput, Worlds,
 };
 pub use heat::HeatApp;
 pub use jac::JacApp;

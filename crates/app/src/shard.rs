@@ -10,9 +10,11 @@
 //! builds on it, as do the node-graph apps ([`crate::heat`],
 //! [`crate::jac`]).
 
-use op2_core::locality::{HaloSpec, LocalityGroup};
-use op2_core::{Map, Set};
+use op2_core::locality::HaloSpec;
+use op2_core::{Map, Op2, Set};
 use op2_mesh::{build_halo, neighbors_from_pairs, partition_greedy_bfs, Partition};
+
+use crate::harness::Worlds;
 
 /// One rank's slice of a [`ShardPlan`].
 pub struct RankShard {
@@ -112,38 +114,71 @@ pub fn plan_shards(
     ShardPlan { spec, shards }
 }
 
-/// Sets and maps of one locally hosted rank's shard of a *node-graph*
-/// application (a primary node set reached by an edge set through a
-/// 2-wide map — the heat and jac topology).
-pub struct NodeGraphShard {
-    /// Global rank this shard belongs to.
-    pub rank: usize,
+/// Sets and map of one part of a *node-graph* application (a primary
+/// node set reached by an edge set through a 2-wide map — the heat and
+/// jac topology), in the part's local numbering.
+pub struct NodeGraph {
     /// Owned nodes.
     pub nodes: Set,
-    /// Executed edges, interior-first.
+    /// Executed edges, those reaching owned nodes only first.
     pub edges: Set,
     /// edge → 2 nodes (may target halo rows).
     pub pedge: Map,
-    /// Owned node rows.
-    pub n_owned: usize,
     /// Halo mirror rows appended to node dats.
     pub n_halo: usize,
-    /// `edges[..n_interior_edges]` reach owned nodes only.
-    pub n_interior_edges: usize,
-    /// Local node row → global node id (owned + halo rows).
+    /// Local node row → global node id: the owned rows, then the halo
+    /// rows.
     pub l2g: Vec<u32>,
 }
 
-/// Partitions a node graph over the group's ranks and declares every
-/// *locally hosted* rank's sets and maps (dats are the application's
-/// job — it knows their initial values and which ones to halo-link).
-/// Deterministic: the same graph and rank count always produce the same
-/// shards.
-pub fn declare_node_graph_shards(
-    group: &LocalityGroup,
+impl NodeGraph {
+    fn declare(op2: &Op2, n_halo: usize, pedge_idx: Vec<u32>, l2g: Vec<u32>) -> NodeGraph {
+        let nodes = op2.decl_set(l2g.len() - n_halo, "nodes");
+        let edges = op2.decl_set(pedge_idx.len() / 2, "edges");
+        let pedge = op2.decl_map_halo(&edges, &nodes, 2, pedge_idx, "pedge", n_halo);
+        NodeGraph {
+            nodes,
+            edges,
+            pedge,
+            n_halo,
+            l2g,
+        }
+    }
+
+    /// Global ids of the owned rows, in local order.
+    pub fn owned(&self) -> &[u32] {
+        &self.l2g[..self.nodes.size()]
+    }
+
+    /// A global per-node array's entries for this part's rows, in local
+    /// order: the owned rows, then (`with_halo`) the halo mirrors — the
+    /// initial values of a node dat declared with or without halo rows.
+    pub fn local<T: Copy>(&self, global: &[T], with_halo: bool) -> Vec<T> {
+        let rows = if with_halo { &self.l2g } else { self.owned() };
+        rows.iter().map(|&g| global[g as usize]).collect()
+    }
+}
+
+/// Declares the sets and map of every part of a node graph (dats are the
+/// application's job — it knows their initial values and which ones to
+/// halo-link), plus the halo spec the parts' node dats share. A bare
+/// world gets the whole graph in global numbering — nothing is
+/// partitioned or planned; a group gets one part per *locally hosted*
+/// rank. Deterministic: the same graph and rank count always produce the
+/// same parts.
+pub fn declare_node_graphs(
+    on: &Worlds<'_>,
     nnode: usize,
     edge_nodes: &[u32],
-) -> (Vec<NodeGraphShard>, HaloSpec) {
+) -> (Vec<NodeGraph>, HaloSpec) {
+    let group = match on {
+        Worlds::One(op2) => {
+            let whole =
+                NodeGraph::declare(op2, 0, edge_nodes.to_vec(), (0..nnode as u32).collect());
+            return (vec![whole], HaloSpec::empty(1));
+        }
+        Worlds::Group(group) => group,
+    };
     let nranks = group.nranks();
     assert!(
         nranks >= 1 && nranks <= nnode,
@@ -154,37 +189,23 @@ pub fn declare_node_graph_shards(
     let owned_all = part.owned_all();
     let plan = plan_shards(nnode, edge_nodes, &part, &owned_all);
 
-    let local = group.local_ranks();
-    let mut out = Vec::with_capacity(local.len());
-    for (r, shard) in plan.shards.iter().enumerate() {
-        if !local.contains(&r) {
-            continue;
-        }
-        let op2 = group.rank(r);
-        let nodes = op2.decl_set(shard.n_owned, "nodes");
-        let edges = op2.decl_set(shard.exec.len(), "edges");
-        let pedge_idx: Vec<u32> = shard
-            .exec
-            .iter()
-            .flat_map(|&e| {
-                edge_nodes[2 * e as usize..2 * e as usize + 2]
-                    .iter()
-                    .map(|&gn| shard.g2l[gn as usize])
-            })
-            .collect();
-        let pedge = op2.decl_map_halo(&edges, &nodes, 2, pedge_idx, "pedge", shard.n_halo);
-        out.push(NodeGraphShard {
-            rank: r,
-            nodes,
-            edges,
-            pedge,
-            n_owned: shard.n_owned,
-            n_halo: shard.n_halo,
-            n_interior_edges: shard.n_interior,
-            l2g: shard.l2g.clone(),
-        });
-    }
-    (out, plan.spec)
+    let graphs = group
+        .local_ranks()
+        .map(|r| {
+            let shard = &plan.shards[r];
+            let pedge_idx: Vec<u32> = shard
+                .exec
+                .iter()
+                .flat_map(|&e| {
+                    edge_nodes[2 * e as usize..2 * e as usize + 2]
+                        .iter()
+                        .map(|&gn| shard.g2l[gn as usize])
+                })
+                .collect();
+            NodeGraph::declare(group.rank(r), shard.n_halo, pedge_idx, shard.l2g.clone())
+        })
+        .collect();
+    (graphs, plan.spec)
 }
 
 #[cfg(test)]

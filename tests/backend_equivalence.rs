@@ -236,25 +236,28 @@ fn soa_layout_matches_aos_across_backends() {
     }
 }
 
+/// Airfoil, heat and jac behind the one [`App`] interface.
+fn every_app() -> Vec<Box<dyn op2_hpx::app::App>> {
+    vec![
+        Box::new(op2_hpx::airfoil::AirfoilApp::new(16, 8)),
+        Box::new(op2_hpx::app::HeatApp::new(12)),
+        Box::new(op2_hpx::app::JacApp::new(12)),
+    ]
+}
+
 /// The app-generic matrix: every [`App`] (airfoil, heat, jac) × every
 /// backend × plain and ≥2-rank sharded localities reproduces its own Seq
 /// single-world reference through the one shared harness — nothing in
 /// the application layer is airfoil-specific.
 #[test]
 fn every_app_agrees_across_backends_and_shardings() {
-    use op2_hpx::airfoil::AirfoilApp;
-    use op2_hpx::app::{run, App, HeatApp, JacApp, RunConfig};
+    use op2_hpx::app::{run, RunConfig};
 
-    let apps: Vec<Box<dyn App>> = vec![
-        Box::new(AirfoilApp::new(16, 8)),
-        Box::new(HeatApp::new(12)),
-        Box::new(JacApp::new(12)),
-    ];
     // Fixed iterations (not the spec's convergence exit) so every
     // backend runs the same step count and histories are comparable.
     let cfg = || RunConfig::iterations(12, 4);
 
-    for app in &apps {
+    for app in &every_app() {
         let name = app.name();
         let op2 = Op2::new(Op2Config::seq());
         let mut reference = app.declare(&op2);
@@ -293,6 +296,37 @@ fn every_app_agrees_across_backends_and_shardings() {
             assert!(d_res < 1e-7, "{name}/{cname}: residuals deviate {d_res:e}");
             assert!(d_state < 1e-9, "{name}/{cname}: state deviates {d_state:e}");
         }
+    }
+}
+
+/// Plain is the one-part case of sharded, for every app: a 1-rank group
+/// renumbers nothing, exchanges nothing and combines one partial, so
+/// under Seq it must reproduce the bare-world run bit for bit — both the
+/// residual history and the gathered state.
+#[test]
+fn one_rank_sharded_seq_is_bitwise_the_plain_seq_run_for_every_app() {
+    use op2_hpx::app::{run, RunConfig};
+
+    for app in &every_app() {
+        let name = app.name();
+        let op2 = Op2::new(Op2Config::seq());
+        let mut plain = app.declare(&op2);
+        let out_plain = run(plain.as_mut(), RunConfig::iterations(6, 2));
+
+        let mut sharded = app.declare_sharded(Op2Config::seq(), 1);
+        let out_sharded = run(sharded.as_mut(), RunConfig::iterations(6, 2));
+
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&out_plain.residuals),
+            bits(&out_sharded.residuals),
+            "{name}: residual history"
+        );
+        assert_eq!(
+            bits(&plain.state()),
+            bits(&sharded.state()),
+            "{name}: state"
+        );
     }
 }
 

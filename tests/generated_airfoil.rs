@@ -1,7 +1,14 @@
-//! Compile-and-run parity for the translator: the checked-in `op2c`
-//! output for the Airfoil programme (HPX backend) is included verbatim,
-//! driven with the real kernels, and must reproduce the hand-written
-//! solver bit-for-bit under the Seq backend.
+//! The independent reference for the Airfoil solver. The solver itself
+//! now runs on the checked-in `op2c` output for the Airfoil programme
+//! (HPX backend), submitted through the app harness: asynchronous
+//! residual reads, a backpressure window, one trailing fence. This file
+//! includes the same generated wrappers and drives them the simplest way
+//! there is — a straight-line loop that waits on every `update` and reads
+//! its `rms` before going on — so the two share the access descriptors
+//! and the kernels and nothing else. Under the Seq backend the operation
+//! order is the same, so the harness-driven solver must reproduce this
+//! loop bit for bit; whatever the harness, the part/world plumbing or the
+//! reduction futures got wrong would show up here.
 
 use airfoil_cfd::{kernels, solver, Problem, SolverConfig};
 use op2_core::{Global, Op2, Op2Config};
@@ -13,7 +20,8 @@ mod generated {
     include!("../crates/translator/tests/golden/airfoil_hpx.rs");
 }
 
-/// Runs `niter` Airfoil iterations through the *generated* wrappers.
+/// Runs `niter` Airfoil iterations as a blocking-read loop over the
+/// generated wrappers.
 fn run_generated(op2: &Op2, p: &Problem, niter: usize) -> Vec<f64> {
     let ncell = p.cells.size();
     let qinf = p.qinf;
@@ -80,10 +88,10 @@ fn run_generated(op2: &Op2, p: &Problem, niter: usize) -> Vec<f64> {
 }
 
 #[test]
-fn generated_code_matches_handwritten_solver_bitwise_under_seq() {
+fn harness_driven_solver_matches_blocking_reference_bitwise_under_seq() {
     let mesh = channel_with_bump(24, 12);
 
-    // Hand-written solver, Seq backend.
+    // The solver: one step body under the harness, Seq backend.
     let op2_a = Op2::new(Op2Config::seq());
     let p_a = Problem::declare(&op2_a, &mesh);
     let r_ref = solver::run(
@@ -97,8 +105,8 @@ fn generated_code_matches_handwritten_solver_bitwise_under_seq() {
         },
     );
 
-    // Generated wrappers, Seq backend: identical operation order ->
-    // bitwise-identical results.
+    // The blocking-read reference, Seq backend: identical operation
+    // order -> bitwise-identical results.
     let op2_b = Op2::new(Op2Config::seq());
     let p_b = Problem::declare(&op2_b, &mesh);
     let r_gen = run_generated(&op2_b, &p_b, 6);
