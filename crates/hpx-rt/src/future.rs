@@ -16,8 +16,9 @@
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use crate::runtime::{try_help, Help, Runtime, WAIT_POLL};
+use crate::runtime::{block_until, Runtime};
 use crate::task::Task;
 
 /// The payload of a caught panic.
@@ -144,28 +145,9 @@ impl<T> Future<T> {
     /// Blocks until ready without consuming the value. Workers help-execute
     /// while waiting.
     pub fn wait(&self) {
-        loop {
-            if self.is_ready() {
-                return;
-            }
-            match try_help() {
-                Help::Helped => continue,
-                Help::Idle => {
-                    let mut guard = self.inner.state.lock();
-                    if matches!(*guard, State::Done(_)) {
-                        return;
-                    }
-                    self.inner.cv.wait_for(&mut guard, WAIT_POLL);
-                }
-                Help::NotWorker => {
-                    let mut guard = self.inner.state.lock();
-                    while matches!(*guard, State::Pending(_)) {
-                        self.inner.cv.wait(&mut guard);
-                    }
-                    return;
-                }
-            }
-        }
+        block_until(&self.inner.state, &self.inner.cv, Duration::ZERO, |s| {
+            matches!(s, State::Done(_))
+        });
     }
 
     /// Blocks until the value is available and returns it, re-panicking if
@@ -433,27 +415,10 @@ impl<T> SharedFuture<T> {
 
     /// Blocks until ready. Workers help-execute while waiting.
     pub fn wait(&self) {
-        loop {
-            if self.is_ready() {
-                return;
-            }
-            match try_help() {
-                Help::Helped => continue,
-                Help::Idle => {
-                    let mut guard = self.inner.state.lock();
-                    if matches!(*guard, SharedState::Done(_)) {
-                        return;
-                    }
-                    self.inner.cv.wait_for(&mut guard, WAIT_POLL);
-                }
-                Help::NotWorker => {
-                    let mut guard = self.inner.state.lock();
-                    while matches!(*guard, SharedState::Pending(_)) {
-                        self.inner.cv.wait(&mut guard);
-                    }
-                    return;
-                }
-            }
+        if !self.is_ready() {
+            block_until(&self.inner.state, &self.inner.cv, Duration::ZERO, |s| {
+                matches!(s, SharedState::Done(_))
+            });
         }
     }
 

@@ -3,8 +3,9 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
+use std::time::Duration;
 
-use crate::runtime::{try_help, Help, WAIT_POLL};
+use crate::runtime::block_until;
 
 enum Slot<T> {
     Empty,
@@ -89,26 +90,11 @@ impl<T> OneshotReceiver<T> {
 
     /// Blocks until a value (or sender drop) arrives; workers help-execute.
     pub fn recv(self) -> Result<T, RecvError> {
-        loop {
-            if let Some(r) = self.try_recv() {
-                return r;
-            }
-            match try_help() {
-                Help::Helped => continue,
-                Help::Idle => {
-                    let mut slot = self.shared.slot.lock();
-                    if matches!(*slot, Slot::Empty) {
-                        self.shared.cv.wait_for(&mut slot, WAIT_POLL);
-                    }
-                }
-                Help::NotWorker => {
-                    let mut slot = self.shared.slot.lock();
-                    while matches!(*slot, Slot::Empty) {
-                        self.shared.cv.wait(&mut slot);
-                    }
-                }
-            }
-        }
+        block_until(&self.shared.slot, &self.shared.cv, Duration::ZERO, |slot| {
+            !matches!(slot, Slot::Empty)
+        });
+        self.try_recv()
+            .expect("oneshot value already taken by try_recv")
     }
 }
 

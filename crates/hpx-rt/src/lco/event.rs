@@ -2,8 +2,9 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-use crate::runtime::{try_help, Help, WAIT_POLL};
+use crate::runtime::block_until;
 
 /// A manual-reset event: threads wait until some other thread calls
 /// [`Event::set`]; the event stays signalled until [`Event::reset`].
@@ -40,27 +41,8 @@ impl Event {
 
     /// Blocks until signalled; workers help-execute while waiting.
     pub fn wait(&self) {
-        loop {
-            if self.is_set() {
-                return;
-            }
-            match try_help() {
-                Help::Helped => continue,
-                Help::Idle => {
-                    let mut guard = self.lock.lock();
-                    if self.is_set() {
-                        return;
-                    }
-                    self.cv.wait_for(&mut guard, WAIT_POLL);
-                }
-                Help::NotWorker => {
-                    let mut guard = self.lock.lock();
-                    while !self.is_set() {
-                        self.cv.wait(&mut guard);
-                    }
-                    return;
-                }
-            }
+        if !self.is_set() {
+            block_until(&self.lock, &self.cv, Duration::ZERO, |_| self.is_set());
         }
     }
 }

@@ -1,9 +1,10 @@
-//! Countdown latch: the join primitive of the parallel algorithms.
+//! Countdown latch: what the parallel algorithms count their chunks home on.
 
 use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
-use crate::runtime::{try_help, Help, WAIT_POLL};
+use crate::runtime::block_until;
 
 /// A single-use countdown latch.
 ///
@@ -23,11 +24,11 @@ use crate::runtime::{try_help, Help, WAIT_POLL};
 /// ```
 ///
 /// A latch may live on its waiter's stack and be popped the moment `wait`
-/// returns (the parallel algorithms borrow it into their chunk tasks). So
-/// the last `count_down` must be done with the latch's memory before any
-/// `wait` can return: the decrement and the notify happen inside one
-/// critical section of `lock`, and `wait` never returns on the lock-free
-/// view of `remaining` alone — it passes through `lock` first.
+/// returns (`sort` borrows one into its run and merge tasks). So the last
+/// `count_down` must be done with the latch's memory before any `wait` can
+/// return: the decrement and the notify happen inside one critical section
+/// of `lock`, and `wait` never returns on the lock-free view of
+/// `remaining` alone — it sees zero with `lock` held.
 pub struct Latch {
     remaining: AtomicUsize,
     lock: Mutex<()>,
@@ -68,46 +69,22 @@ impl Latch {
 
     /// Blocks until open; workers help-execute while waiting.
     pub fn wait(&self) {
-        loop {
-            if self.try_wait() {
-                // Let the opening `count_down` leave its critical section
-                // before the caller may drop the latch.
-                drop(self.lock.lock());
-                return;
-            }
-            match try_help() {
-                Help::Helped => continue,
-                Help::Idle => {
-                    let mut guard = self.lock.lock();
-                    if self.try_wait() {
-                        return;
-                    }
-                    self.cv.wait_for(&mut guard, WAIT_POLL);
-                }
-                Help::NotWorker => {
-                    let mut guard = self.lock.lock();
-                    while !self.try_wait() {
-                        self.cv.wait(&mut guard);
-                    }
-                    return;
-                }
-            }
-        }
+        self.wait_spinning(Duration::ZERO);
+    }
+
+    /// [`Latch::wait`] that polls for up to `spin` before it sleeps: the
+    /// join of the chunked algorithms, whose stragglers are about as far
+    /// from done as the caller's own share took.
+    pub(crate) fn wait_spinning(&self, spin: Duration) {
+        // `block_until` sees zero with `lock` held, so the opening
+        // `count_down` has left its critical section before the caller
+        // may drop the latch.
+        block_until(&self.lock, &self.cv, spin, |_| self.try_wait());
     }
 
     /// Remaining countdowns (diagnostic).
     pub fn pending(&self) -> usize {
         self.remaining.load(Ordering::Acquire)
-    }
-}
-
-/// Counts the latch down when dropped — used by chunk tasks so a panicking
-/// chunk still releases its waiter.
-pub(crate) struct LatchGuard<'a>(pub &'a Latch);
-
-impl Drop for LatchGuard<'_> {
-    fn drop(&mut self) {
-        self.0.count_down();
     }
 }
 
@@ -145,17 +122,6 @@ mod tests {
         let l = Latch::new(1);
         l.count_down();
         l.count_down();
-    }
-
-    #[test]
-    fn guard_counts_down_on_panic() {
-        let l = Latch::new(1);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = LatchGuard(&l);
-            panic!("chunk failed");
-        }));
-        assert!(r.is_err());
-        assert!(l.try_wait());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //!
 //! The future and dataflow LCOs live in [`crate::future`] and
 //! [`crate::dataflow`]; this module provides the synchronization-flavoured
-//! ones. [`Latch`] is the workhorse: it is how the parallel algorithms join
-//! their chunk tasks, and its `wait` help-executes pool tasks instead of
-//! sleeping. [`collect`] is the collective: a reduction tree over N
+//! ones. [`Latch`] is the workhorse: the parallel algorithms count their
+//! finished chunks on one, and its `wait` help-executes pool tasks instead
+//! of sleeping. [`collect`] is the collective: a reduction tree over N
 //! contributors whose combined result is a future — the building block of
 //! `op2-core`'s asynchronous cross-rank allreduce.
 
@@ -27,6 +27,5 @@ pub use channel::{oneshot, OneshotReceiver, OneshotSender, RecvError, SendError}
 pub use collect::{collect, Contribution};
 pub use event::Event;
 pub use latch::Latch;
-pub(crate) use latch::LatchGuard;
 pub use semaphore::Semaphore;
 pub use spinlock::{SpinLock, SpinLockGuard};

@@ -13,13 +13,43 @@
 //!   does not sleep; it executes other ready tasks ([`try_help`]). This is
 //!   the Rust substitute for HPX's suspendable user-level threads and it is
 //!   what keeps nested waits deadlock-free.
+//!
+//! # Sleeping, waking, and who may spin
+//!
+//! Putting a thread to sleep and waking it again costs two futex calls and
+//! a trip through the OS scheduler — more than a small task's whole body —
+//! so the two places where a thread runs out of work each poll for a
+//! *bounded* time first, and nowhere else does anything spin:
+//!
+//! * **A worker that has run a task since it last parked lingers**
+//!   ([`WorkerCtx::linger`]): it keeps looking at the queues for at most
+//!   [`LINGER`] before it parks. Work comes in bursts — a fork-join caller issues its next loop microseconds
+//!   after the last one joined, a finished dataflow node's successor is
+//!   pushed by a sibling — so the worker that just ran a task is the one
+//!   most likely to be needed next.
+//! * **A joining thread spins for its own share**
+//!   ([`block_until`]'s `spin`): the caller of a chunked algorithm runs
+//!   chunks itself and then waits for the stragglers for no longer than
+//!   its own chunks took, capped at [`LINGER`], before it blocks.
+//!
+//! The invariant: **an idle runtime never spins.** A worker that woke
+//! because [`PARK_TIMEOUT`] ran out, or was notified and lost the task to a
+//! sibling, has not run a task and parks again at once; so after its last
+//! task a runtime pays one linger per worker and from then on one look at
+//! the queues per worker per `PARK_TIMEOUT`, whatever its neighbours do.
+//! [`RuntimeStats`] counts `lingers` against `linger_hits` (the lingers
+//! that found a task) and `parks`.
+//!
+//! Every blocking primitive of the crate (futures, latches, events,
+//! channels, [`Runtime::wait_idle`]) waits through [`block_until`], the one
+//! place the blocked-thread protocol is written.
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::stats::{PaddedWorkerStats, RuntimeStats, WorkerStats};
 use crate::task::Task;
@@ -36,9 +66,17 @@ thread_local! {
 /// and notifies it.
 const PARK_TIMEOUT: Duration = Duration::from_millis(2);
 
-/// How long a *waiting* thread (blocked in a future/latch with nothing to
+/// How long a thread with nothing to do may poll before it goes to sleep:
+/// a worker that has just run a task looks at the queues for this long
+/// before it parks, and a joining thread spins for its stragglers for at
+/// most this long before it blocks (see the module docs). Of the order of
+/// one park/unpark round trip — polling for longer than sleeping would
+/// have cost buys nothing.
+pub(crate) const LINGER: Duration = Duration::from_micros(50);
+
+/// How long a *waiting* worker (blocked in a future/latch with nothing to
 /// help with) sleeps before re-polling its wait condition and the queues.
-pub(crate) const WAIT_POLL: Duration = Duration::from_micros(200);
+const WAIT_POLL: Duration = Duration::from_micros(200);
 
 pub(crate) struct RuntimeInner {
     injector: Injector<Task>,
@@ -46,10 +84,26 @@ pub(crate) struct RuntimeInner {
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
     sleepers: AtomicUsize,
+    /// Evidence for `late_wakes`, nothing else: notifies announced, ever
+    /// (bumped by a pusher that saw a sleeper, before it takes
+    /// `sleep_lock`), and threads between pushing a task and having dealt
+    /// with the sleepers. A sleeper whose timeout runs out with a task
+    /// queued has lost no wake-up if one was announced while it slept or a
+    /// pusher is still on its way to announcing one.
+    wake_intents: AtomicUsize,
+    spawning: AtomicUsize,
     shutdown: AtomicBool,
     /// Tasks spawned but not yet finished running; used by `wait_idle`.
     pending: AtomicUsize,
+    /// Threads inside `wait_idle`, and what the task that takes `pending`
+    /// to zero wakes them on.
+    idle_waiters: AtomicUsize,
+    idle_lock: Mutex<()>,
+    idle_cv: Condvar,
     pub(crate) stats: Box<[PaddedWorkerStats]>,
+    /// Chunks of chunked algorithms that the joining thread ran itself
+    /// (it need not be a worker, so no worker's counter block fits).
+    pub(crate) caller_chunks: AtomicU64,
     nthreads: usize,
 }
 
@@ -95,24 +149,8 @@ impl Runtime {
 
     /// Creates a pool whose worker threads are named `{prefix}-{index}`.
     pub fn with_name(nthreads: usize, prefix: &str) -> Self {
-        let nthreads = nthreads.max(1);
-        let deques: Vec<Deque<Task>> = (0..nthreads).map(|_| Deque::new_lifo()).collect();
-        let stealers: Box<[Stealer<Task>]> = deques.iter().map(|d| d.stealer()).collect();
-        let stats: Box<[PaddedWorkerStats]> = (0..nthreads)
-            .map(|_| PaddedWorkerStats::new(WorkerStats::default()))
-            .collect();
-        let inner = Arc::new(RuntimeInner {
-            injector: Injector::new(),
-            stealers,
-            sleep_lock: Mutex::new(()),
-            sleep_cv: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
-            shutdown: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
-            stats,
-            nthreads,
-        });
-        let mut threads = Vec::with_capacity(nthreads);
+        let (inner, deques) = RuntimeInner::new(nthreads.max(1));
+        let mut threads = Vec::with_capacity(deques.len());
         for (index, local) in deques.into_iter().enumerate() {
             let inner = Arc::clone(&inner);
             let name = format!("{prefix}-{index}");
@@ -165,16 +203,20 @@ impl Runtime {
     /// stats collection, not as a synchronization primitive (use futures or
     /// latches for that).
     pub fn wait_idle(&self) {
-        while self.inner.pending.load(Ordering::Acquire) != 0 {
-            if try_help() != Help::Helped {
-                std::thread::sleep(WAIT_POLL);
-            }
-        }
+        let inner = &*self.inner;
+        // Registered before the look at `pending` (both `SeqCst`): either
+        // that look sees zero or `task_finished` sees the waiter.
+        inner.idle_waiters.fetch_add(1, Ordering::SeqCst);
+        block_until(&inner.idle_lock, &inner.idle_cv, Duration::ZERO, |_| {
+            inner.pending.load(Ordering::SeqCst) == 0
+        });
+        inner.idle_waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Snapshot of scheduler counters.
     pub fn stats(&self) -> RuntimeStats {
-        RuntimeStats::aggregate(&self.inner.stats)
+        let caller_chunks = self.inner.caller_chunks.load(Ordering::Relaxed);
+        RuntimeStats::aggregate(&self.inner.stats, caller_chunks)
     }
 
     #[inline]
@@ -212,6 +254,32 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl RuntimeInner {
+    /// The shared state of a pool of `nthreads` workers and the deque each
+    /// worker is to own.
+    fn new(nthreads: usize) -> (Arc<Self>, Vec<Deque<Task>>) {
+        let deques: Vec<Deque<Task>> = (0..nthreads).map(|_| Deque::new_lifo()).collect();
+        let inner = Arc::new(RuntimeInner {
+            injector: Injector::new(),
+            stealers: deques.iter().map(|d| d.stealer()).collect(),
+            sleep_lock: Mutex::new(()),
+            sleep_cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
+            wake_intents: AtomicUsize::new(0),
+            spawning: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
+            pending: AtomicUsize::new(0),
+            idle_waiters: AtomicUsize::new(0),
+            idle_lock: Mutex::new(()),
+            idle_cv: Condvar::new(),
+            stats: (0..nthreads)
+                .map(|_| PaddedWorkerStats::new(WorkerStats::default()))
+                .collect(),
+            caller_chunks: AtomicU64::new(0),
+            nthreads,
+        });
+        (inner, deques)
+    }
+
     #[inline]
     pub(crate) fn num_threads(&self) -> usize {
         self.nthreads
@@ -221,6 +289,7 @@ impl RuntimeInner {
     /// pool (cheap, no contention), otherwise onto the shared injector.
     pub(crate) fn spawn_task(&self, task: Task) {
         self.pending.fetch_add(1, Ordering::AcqRel);
+        self.spawning.fetch_add(1, Ordering::SeqCst);
         let leftover = CURRENT_WORKER.with(|c| {
             let p = c.get();
             if !p.is_null() {
@@ -238,6 +307,7 @@ impl RuntimeInner {
             self.injector.push(task);
         }
         self.notify_one();
+        self.spawning.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// True when the injector or any worker's deque holds a task.
@@ -251,13 +321,19 @@ impl RuntimeInner {
         // sleeper, or the sleeper's queue re-check sees the task.
         fence(Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
+            self.wake_intents.fetch_add(1, Ordering::SeqCst);
             let _g = self.sleep_lock.lock();
             self.sleep_cv.notify_one();
         }
     }
 
     fn task_finished(&self) {
-        self.pending.fetch_sub(1, Ordering::AcqRel);
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1
+            && self.idle_waiters.load(Ordering::SeqCst) > 0
+        {
+            let _g = self.idle_lock.lock();
+            self.idle_cv.notify_all();
+        }
     }
 }
 
@@ -327,6 +403,27 @@ impl WorkerCtx {
         self.inner.task_finished();
     }
 
+    /// Polls the queues for up to [`LINGER`]. Only for a worker that has
+    /// run a task since it last parked. It keeps its core while it polls:
+    /// on a host with more runnable threads than cores, `yield_now` hands
+    /// the core to whoever is spinning next door for a whole scheduler
+    /// slice, and a handoff that should take a microsecond takes
+    /// milliseconds; holding on costs the neighbours at most `LINGER` per
+    /// task this worker ran.
+    fn linger(&self) -> Option<Task> {
+        let stats = &self.inner.stats[self.index];
+        stats.lingers.fetch_add(1, Ordering::Relaxed);
+        let start = Instant::now();
+        while start.elapsed() < LINGER && !self.inner.shutdown.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+            if let Some(task) = self.find_task() {
+                stats.linger_hits.fetch_add(1, Ordering::Relaxed);
+                return Some(task);
+            }
+        }
+        None
+    }
+
     fn park(&self) {
         let mut guard = self.inner.sleep_lock.lock();
         // Register first, then look at every queue once more, all under
@@ -335,6 +432,7 @@ impl WorkerCtx {
         // cannot slip in before the wait because it needs this lock. That
         // includes a sibling's *local* deque: a successor node a running
         // worker spawns there is exactly what an idle worker should steal.
+        let announced = self.inner.wake_intents.load(Ordering::SeqCst);
         self.inner.sleepers.fetch_add(1, Ordering::SeqCst);
         // Orders the registration before the queue reads below; pairs with
         // the fence between push and sleeper check in `spawn_task`.
@@ -343,7 +441,21 @@ impl WorkerCtx {
         if !self.inner.work_queued() && !self.inner.shutdown.load(Ordering::Acquire) {
             stats.parks.fetch_add(1, Ordering::Relaxed);
             let slept = self.inner.sleep_cv.wait_for(&mut guard, PARK_TIMEOUT);
-            if slept.timed_out() && self.inner.work_queued() {
+            // A lost wake-up is a task queued for a registered sleeper
+            // that nobody is going to notify. A timeout that merely races
+            // a notify is not one — sent while this thread waited for a
+            // core or for the lock (announced since the baseline, which
+            // was read before registering), or owed by a pusher that the
+            // host stopped between its push and its look at the sleepers
+            // (still `spawning`). What is left is a pusher that finished
+            // without seeing this sleeper, whose re-check missed its task.
+            // (`spawning` is read before `wake_intents`: a pusher announces
+            // before it leaves, so one seen gone has been seen announcing.)
+            if slept.timed_out()
+                && self.inner.work_queued()
+                && self.inner.spawning.load(Ordering::SeqCst) == 0
+                && self.inner.wake_intents.load(Ordering::SeqCst) == announced
+            {
                 stats.late_wakes.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -359,9 +471,16 @@ fn worker_main(inner: Arc<RuntimeInner>, index: usize, local: Deque<Task>) {
         rng: Cell::new(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1) | 1),
     };
     CURRENT_WORKER.with(|c| c.set(&ctx as *const _));
+    // True from running a task until the next park: the licence to linger.
+    let mut ran_task = false;
     loop {
-        if let Some(task) = ctx.find_task() {
+        let mut found = ctx.find_task();
+        if found.is_none() && std::mem::take(&mut ran_task) {
+            found = ctx.linger();
+        }
+        if let Some(task) = found {
             ctx.run(task, false);
+            ran_task = true;
             continue;
         }
         if ctx.inner.shutdown.load(Ordering::Acquire) {
@@ -394,6 +513,50 @@ pub(crate) fn try_help() -> Help {
             None => Help::Idle,
         }
     })
+}
+
+/// Blocks the current thread until `done` holds of the value behind `lock`
+/// — the one wait loop behind every blocking primitive of the crate.
+///
+/// `done` is only ever evaluated with `lock` held, and whoever makes it
+/// true must take `lock` before notifying `cv` (or change the value under
+/// it), so no wake-up falls between the check and the sleep — and when this
+/// returns, that critical section is over. In order of preference the
+/// thread: runs a ready task if it is a pool worker (help-first; this is
+/// what keeps nested waits on a small pool deadlock-free), polls for up to
+/// `spin` (a joining thread's bounded wait for its stragglers, see the
+/// module docs), and only then sleeps on `cv` — a worker for [`WAIT_POLL`]
+/// at a time, because a task it could help with wakes nobody who is not
+/// parked, anyone else until notified.
+pub(crate) fn block_until<T>(
+    lock: &Mutex<T>,
+    cv: &Condvar,
+    spin: Duration,
+    done: impl Fn(&T) -> bool,
+) {
+    let entered = (!spin.is_zero()).then(Instant::now);
+    loop {
+        if done(&lock.lock()) {
+            return;
+        }
+        let help = try_help();
+        if help == Help::Helped {
+            continue;
+        }
+        if entered.is_some_and(|t| t.elapsed() < spin) {
+            std::hint::spin_loop();
+            continue;
+        }
+        let mut guard = lock.lock();
+        if done(&guard) {
+            return;
+        }
+        if help == Help::Idle {
+            cv.wait_for(&mut guard, WAIT_POLL);
+        } else {
+            cv.wait(&mut guard);
+        }
+    }
 }
 
 /// True when the current thread is a pool worker (of any runtime).
@@ -527,5 +690,120 @@ mod tests {
         let s = rt.stats();
         let text = s.to_string();
         assert!(text.contains("workers=2"), "{text}");
+    }
+
+    /// `park`'s last look before sleeping must cover every queue, a
+    /// sibling's *own* deque included: a task a running worker pushed there
+    /// just before the idle worker registered as a sleeper wakes nobody, and
+    /// would otherwise wait out the whole `PARK_TIMEOUT` — the shape of
+    /// every dataflow successor node. Driven by hand, without worker
+    /// threads, so the order is exact: the push comes first, and `park`
+    /// must come back from its look at the queues without having slept.
+    #[test]
+    fn park_does_not_sleep_on_a_task_in_a_siblings_deque() {
+        let (inner, deques) = RuntimeInner::new(2);
+        let mut workers = deques
+            .into_iter()
+            .enumerate()
+            .map(|(index, local)| WorkerCtx {
+                inner: Arc::clone(&inner),
+                index,
+                local,
+                rng: Cell::new(1),
+            });
+        let (busy, idle) = (workers.next().unwrap(), workers.next().unwrap());
+        inner.pending.fetch_add(1, Ordering::SeqCst);
+        busy.local.push(Task::new(|| ()));
+        idle.park();
+        let stats = RuntimeStats::aggregate(&inner.stats, 0);
+        assert_eq!((stats.parks, stats.late_wakes), (0, 0), "{stats}");
+        let task = idle.find_task().expect("the sibling's task is stealable");
+        idle.run(task, false);
+        assert_eq!(inner.pending.load(Ordering::SeqCst), 0);
+    }
+
+    /// The linger rule's invariant: **an idle runtime never polls.** Only
+    /// a worker that has run a task since it last parked may linger, so
+    /// after the last task there is at most one more linger per worker
+    /// however long the runtime then sits idle — it is back to one look at
+    /// the queues per park timeout, which the parks show it still takes.
+    #[test]
+    fn an_idle_runtime_parks_without_lingering() {
+        let long_idle = PARK_TIMEOUT * 15;
+        let fresh = Runtime::new(2);
+        std::thread::sleep(long_idle);
+        let stats = fresh.stats();
+        assert_eq!(stats.lingers, 0, "it never ran a task: {stats}");
+        assert!(stats.parks >= 2, "{stats}");
+
+        let rt = Runtime::new(3);
+        for _ in 0..64 {
+            rt.spawn(std::thread::yield_now);
+        }
+        rt.wait_idle();
+        let settled = rt.stats();
+        assert!(settled.lingers <= settled.tasks_executed, "{settled}");
+        std::thread::sleep(long_idle);
+        let idle = rt.stats();
+        let grew = idle.lingers - settled.lingers;
+        assert!(
+            grew <= rt.num_threads() as u64,
+            "{grew} lingers on an idle runtime: {settled} -> {idle}"
+        );
+        assert!(idle.parks - settled.parks >= rt.num_threads() as u64);
+        assert_eq!(idle.linger_hits, settled.linger_hits);
+    }
+
+    /// What the linger is for: dependent short tasks bouncing between two
+    /// workers. A hop holds its worker until its successor has started, so
+    /// the successor can only run on the *other* worker — which ended the
+    /// previous hop that very moment and finds nothing, because a hop does
+    /// not push its successor before it has seen its sibling start to
+    /// linger. The sibling then picks the task up from its poll instead of
+    /// parking and being woken for it (unless the host pre-empts the
+    /// pusher for the whole linger, which it does not do 2000 times).
+    #[test]
+    fn lingering_worker_picks_up_a_ping_pong_without_parking() {
+        const HOPS: usize = 2_000;
+        struct Chain {
+            rt: Runtime,
+            started: Vec<AtomicBool>,
+            finished: std::sync::mpsc::SyncSender<()>,
+        }
+        fn hop(chain: Arc<Chain>, k: usize) {
+            let lingers = chain.rt.stats().lingers;
+            chain.started[k].store(true, Ordering::Release);
+            if k + 1 == HOPS {
+                chain.finished.send(()).unwrap();
+                return;
+            }
+            let waiting = Instant::now();
+            while k > 0 && chain.rt.stats().lingers == lingers {
+                assert!(waiting.elapsed() < Duration::from_secs(60));
+                std::thread::yield_now();
+            }
+            let next = Arc::clone(&chain);
+            assert!(spawn_on_current(move || hop(next, k + 1)));
+            while !chain.started[k + 1].load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+        }
+        let (finished, wait) = std::sync::mpsc::sync_channel(1);
+        let chain = Arc::new(Chain {
+            rt: Runtime::new(2),
+            started: (0..HOPS).map(|_| AtomicBool::new(false)).collect(),
+            finished,
+        });
+        let first = Arc::clone(&chain);
+        chain.rt.spawn(move || hop(first, 0));
+        wait.recv_timeout(Duration::from_secs(120))
+            .expect("the chain stalled");
+        chain.rt.wait_idle();
+        let stats = chain.rt.stats();
+        assert_eq!(stats.tasks_executed, HOPS as u64);
+        assert!(stats.lingers >= HOPS as u64 - 2, "{stats}");
+        assert!(stats.linger_hits > 0, "{stats}");
+        assert!(stats.linger_hits <= stats.lingers, "{stats}");
+        assert!(stats.parks < stats.tasks_executed, "{stats}");
     }
 }

@@ -28,10 +28,16 @@ pub(crate) struct WorkerStats {
     pub helped: AtomicU64,
     /// Successful steals from sibling workers.
     pub steals: AtomicU64,
+    /// Times the worker, having just run a task, polled the queues for a
+    /// bounded interval instead of parking at once.
+    pub lingers: AtomicU64,
+    /// Lingers that found a task.
+    pub linger_hits: AtomicU64,
     /// Times the worker went to sleep on the condvar.
     pub parks: AtomicU64,
     /// Parks that slept out their whole timeout although a task was
-    /// queued by then: wake-ups the sleep protocol lost.
+    /// queued by then and no pusher had announced a wake-up meanwhile:
+    /// wake-ups the sleep protocol lost.
     pub late_wakes: AtomicU64,
     /// Tasks that panicked (panics are caught and counted).
     pub panics: AtomicU64,
@@ -58,25 +64,40 @@ pub struct RuntimeStats {
     pub tasks_helped: u64,
     /// Successful steals from sibling deques.
     pub steals: u64,
+    /// Chunks of chunked algorithms (`for_each`, `reduce`, ...) that the
+    /// joining thread ran itself. They are not tasks: `tasks_executed`
+    /// counts only the helper tasks that claimed the other chunks.
+    pub caller_chunks: u64,
+    /// Times a worker that had just run a task polled the queues for a
+    /// bounded interval before parking.
+    pub lingers: u64,
+    /// Lingers that found a task — over `lingers`, the share of the
+    /// polling that saved a park/unpark round trip.
+    pub linger_hits: u64,
     /// Worker parks (sleeps on the idle condvar).
     pub parks: u64,
-    /// Parks that ran out their timeout with a task already queued — each
-    /// is a wake-up the sleep protocol lost (expected 0).
+    /// Parks that ran out their timeout with a task already queued and no
+    /// wake-up announced while they slept — each is a wake-up the sleep
+    /// protocol lost (expected 0). A timeout that merely races a notify
+    /// already on its way is not counted.
     pub late_wakes: u64,
     /// Tasks whose closure panicked.
     pub task_panics: u64,
 }
 
 impl RuntimeStats {
-    pub(crate) fn aggregate(workers: &[PaddedWorkerStats]) -> Self {
+    pub(crate) fn aggregate(workers: &[PaddedWorkerStats], caller_chunks: u64) -> Self {
         let mut out = RuntimeStats {
             workers: workers.len(),
+            caller_chunks,
             ..Default::default()
         };
         for w in workers {
             out.tasks_executed += w.executed.load(Ordering::Relaxed);
             out.tasks_helped += w.helped.load(Ordering::Relaxed);
             out.steals += w.steals.load(Ordering::Relaxed);
+            out.lingers += w.lingers.load(Ordering::Relaxed);
+            out.linger_hits += w.linger_hits.load(Ordering::Relaxed);
             out.parks += w.parks.load(Ordering::Relaxed);
             out.late_wakes += w.late_wakes.load(Ordering::Relaxed);
             out.task_panics += w.panics.load(Ordering::Relaxed);
@@ -221,11 +242,14 @@ impl std::fmt::Display for RuntimeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "workers={} executed={} (helped={}) steals={} parks={} panics={}",
+            "workers={} executed={} (helped={}) caller_chunks={} steals={} lingers={} (hits={}) parks={} panics={}",
             self.workers,
             self.tasks_executed,
             self.tasks_helped,
+            self.caller_chunks,
             self.steals,
+            self.lingers,
+            self.linger_hits,
             self.parks,
             self.task_panics
         )

@@ -148,60 +148,123 @@ fn persistent_chunker_concurrent_calibration_is_single() {
     assert!(handle.calibrated_target().is_some());
 }
 
-/// Regression for the fork-join join latch: `run_chunked` keeps its
-/// `Latch` on the submitter's stack, and `count_down` used to decrement
-/// *before* taking the latch's lock — the waiter could see zero, return and
-/// pop the frame while the last chunk task was still about to lock and
-/// notify it. Back-to-back 2-chunk joins reuse that stack slot at once, so
-/// a late touch lands in the *next* call's live latch (lost wake-ups, a
-/// foreign unlock) or in whatever else the frame became. A spinner thread
-/// keeps the two workers pre-empted at awkward points. This is a race: a
-/// pass proves nothing, a crash, hang or short count is the defect.
-#[test]
-fn stack_latch_survives_back_to_back_two_chunk_joins() {
-    let calls = if cfg!(debug_assertions) {
-        50_000
-    } else {
-        300_000
-    };
-    let rt = Runtime::new(2);
+/// Overwrites the stack below the caller, where the frame of the call that
+/// has just returned lived.
+#[inline(never)]
+fn scribble_over_dead_frames() {
+    let mut junk = [0xA5u8; 8192];
+    std::hint::black_box(&mut junk);
+}
+
+/// The chunked algorithms keep their join state (chunk list, body, result
+/// and panic slots) in the joining call's stack frame, and back-to-back
+/// two-chunk joins reuse that stack slot at once — so anything a helper
+/// task does to the frame after the join returned lands in the *next*
+/// call's live state, or in whatever else the frame became. Only the
+/// cursor/latch header is shared, on the heap, and a helper may follow its
+/// frame pointer only between claiming a chunk and counting it down.
+/// `calls` joins of two chunks from this (non-worker) thread; returns the
+/// elements the bodies saw.
+fn back_to_back_joins(rt: &Runtime, calls: usize, scribble: bool) -> usize {
     let policy = par().with_chunk(ChunkPolicy::NumChunks { chunks: 2 });
-    let stop = Arc::new(AtomicUsize::new(0));
+    let elems = AtomicUsize::new(0);
+    for _ in 0..calls {
+        for_each_chunk(rt, &policy, 0..2, |r| {
+            elems.fetch_add(r.len(), Ordering::Relaxed);
+        });
+        if scribble {
+            scribble_over_dead_frames();
+        }
+    }
+    elems.into_inner()
+}
+
+/// The race: both workers free, so helpers claim chunks while the caller
+/// does, and a spinner thread keeps all three pre-empted at awkward points.
+/// A pass proves nothing; a crash, hang or short count is the defect.
+#[test]
+fn join_frame_survives_back_to_back_two_chunk_joins() {
+    const CALLS: usize = 300_000;
+    let rt = Runtime::new(2);
+    let stop = Arc::new(AtomicBool::new(false));
     let spinner = {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            while stop.load(Ordering::Relaxed) == 0 {
+            while !stop.load(Ordering::Relaxed) {
                 std::hint::spin_loop();
             }
         })
     };
-    let elems = AtomicUsize::new(0);
-    for _ in 0..calls {
-        for_each_chunk(&rt, &policy, 0..2, |r| {
-            elems.fetch_add(r.len(), Ordering::Relaxed);
-        });
-    }
-    stop.store(1, Ordering::Relaxed);
+    let elems = back_to_back_joins(&rt, CALLS, false);
+    stop.store(true, Ordering::Relaxed);
     spinner.join().unwrap();
-    assert_eq!(elems.into_inner(), 2 * calls);
+    assert_eq!(elems, 2 * CALLS);
+    rt.wait_idle();
+    let stats = rt.stats();
+    assert_eq!(stats.tasks_executed, CALLS as u64, "one helper per join");
 }
 
-/// `park` used to re-check only the injector before sleeping, so a task a
-/// running worker pushed onto its *own* deque between the idle worker's
-/// last failed steal and its `sleepers += 1` woke nobody, and the idle
-/// worker slept out the whole 2 ms `PARK_TIMEOUT` — the shape of every
-/// dataflow successor node, which is spawned by the worker that completed
-/// its last input.
+/// The forced case: both workers are pinned inside a task for as long as
+/// the joins run, so the caller runs every chunk itself and *every* helper
+/// task starts after its loop has returned and its frame is gone — in the
+/// second pass, overwritten. Each must find its cursor exhausted in the
+/// heap header and leave; one that looked at its frame would read junk
+/// chunk bounds and run the body on them.
+#[test]
+fn join_helpers_that_start_after_the_loop_never_touch_its_frame() {
+    const CALLS: usize = 300_000;
+    let rt = Runtime::new(2);
+    for scribble in [false, true] {
+        let pinned = Arc::new(AtomicUsize::new(0));
+        let release = Arc::new(AtomicBool::new(false));
+        for _ in 0..rt.num_threads() {
+            let (pinned, release) = (Arc::clone(&pinned), Arc::clone(&release));
+            rt.spawn(move || {
+                pinned.fetch_add(1, Ordering::AcqRel);
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            });
+        }
+        while pinned.load(Ordering::Acquire) < rt.num_threads() {
+            std::thread::yield_now();
+        }
+        let before = rt.stats();
+        let elems = back_to_back_joins(&rt, CALLS, scribble);
+        assert_eq!(elems, 2 * CALLS);
+        let joined = rt.stats();
+        assert_eq!(
+            joined.caller_chunks - before.caller_chunks,
+            2 * CALLS as u64
+        );
+        assert_eq!(joined.tasks_executed, before.tasks_executed);
+        release.store(true, Ordering::Release);
+        rt.wait_idle();
+        let drained = rt.stats();
+        let helpers = drained.tasks_executed - before.tasks_executed;
+        assert_eq!(helpers, (CALLS + rt.num_threads()) as u64);
+        assert_eq!(drained.task_panics, 0);
+    }
+}
+
+/// No wake-up may be lost between two workers handing a chain of tasks
+/// back and forth. A task pushes its successor onto its *own* deque — the
+/// shape of every dataflow successor node, spawned by the worker that
+/// completed its last input — and then spins, without helping, until the
+/// successor has started: only the *other* worker can run it, and that
+/// worker has just finished the previous hop and is lingering, entering
+/// `park`, asleep or re-parking after a timeout at this very moment. (A
+/// push just before the sleeper registers, which only `park`'s re-check of
+/// *every* queue can see, is rare here because the worker lingers first;
+/// it has a deterministic unit test beside `park`.)
 ///
-/// The chain forces that shape on every hop: a task pushes its successor
-/// locally and then spins, without helping, until the successor has
-/// started — so only the *other* worker can run it, and that worker has
-/// just finished the previous hop and is looking for work at this very
-/// moment. Wall-clock gaps would also catch host pre-emption, so the
-/// evidence is the runtime's own count of parks that timed out with a task
-/// already queued: with a sound protocol a push after the sleeper
-/// registered always notifies it, so the count is exactly 0 (the parent
-/// loses ~15 wake-ups over this chain).
+/// Wall-clock gaps would also catch host pre-emption, so the evidence is
+/// the runtime's own count of parks that timed out with a task queued that
+/// nobody was going to wake them for: exactly 0 with a sound protocol. A
+/// timeout that merely races a notify — sent while the sleeper waited for
+/// a core, or owed by a pusher the host stopped between its push and its
+/// look at the sleepers — is not counted, so a loaded host cannot fail
+/// this test.
 #[test]
 fn idle_worker_wakes_for_a_task_on_a_siblings_deque() {
     const HOPS: usize = 400_000;
