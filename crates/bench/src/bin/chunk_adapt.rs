@@ -160,11 +160,7 @@ fn main() {
         stats_before.delta("op2.spec_cache.misses"),
         stats_before.delta("op2.spec_cache.replans"),
     );
-    let samples = stats_before.delta("hpx.feedback.samples");
-    println!(
-        "loop-spec cache: {hits} hits / {misses} misses / {replans} re-plans; \
-         {samples} feedback samples (this bench)"
-    );
+    println!("loop-spec cache: {hits} hits / {misses} misses / {replans} re-plans (this bench)");
 
     // Hand-rolled JSON (offline build: no serde).
     let mut json = String::from("{\n  \"bench\": \"chunk_adapt\",\n");
@@ -196,7 +192,7 @@ fn main() {
     }
     json.push_str(&format!(
         "  ],\n  \"spec_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \
-         \"replans\": {replans}}},\n  \"feedback_samples\": {samples}\n}}\n"
+         \"replans\": {replans}}}\n}}\n"
     ));
     std::fs::write(&args.json_path, json).expect("write JSON baseline");
     println!("wrote {}", args.json_path);

@@ -25,8 +25,8 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use hpx_rt::{
-    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, ExecutionPolicy,
-    GranularityFeedback, PrefetchSet, SharedFuture,
+    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, Clock, ExecutionPolicy,
+    FeedbackSlot, PrefetchSet, SharedFuture,
 };
 
 use crate::arg::{ArgInfo, ArgKind};
@@ -765,13 +765,45 @@ pub fn __dataflow_direct_blocks(world: &Op2, kernel: &str, set: &Set) -> Vec<Ran
         .collect()
 }
 
-/// What a measuring dataflow node needs to report its execution cost back
-/// to the feedback accumulator: the accumulator itself (which carries the
-/// clock), the kernel name and the set signature.
-struct MeasureCtx {
-    feedback: GranularityFeedback,
-    name: Arc<str>,
-    set: u64,
+/// Everything the nodes of one submitted loop share, behind the one `Arc`
+/// a node's closure captures next to its block indices.
+struct LoopRun {
+    body: Arc<dyn Fn(Range<usize>) + Send + Sync>,
+    /// Block table of the schedule the nodes were cut from.
+    plan: Arc<LoopPlan>,
+    /// First node to execute stamps the start; the finalize node reads it.
+    started: OnceLock<Instant>,
+    /// Where a measuring loop's nodes report (elements, elapsed) on the
+    /// feedback clock — resolved once, at submission.
+    measure: Option<(Clock, FeedbackSlot)>,
+    /// The loop's gathered containers and how many elements of the block
+    /// scheduled next a node warms the cache with before it runs its own.
+    gather: Option<(Arc<PrefetchSet>, usize)>,
+}
+
+impl LoopRun {
+    /// The body of the node over block `b`; `next` is the block scheduled
+    /// after it, if any.
+    fn node(&self, b: usize, next: Option<usize>) {
+        let blocks = self.plan.schedule.blocks();
+        self.started.get_or_init(Instant::now);
+        if let (Some((set, lookahead)), Some(next)) = (&self.gather, next) {
+            let ahead = &blocks[next];
+            for e in ahead.start..(ahead.start + lookahead).min(ahead.end) {
+                set.prefetch(e);
+            }
+        }
+        let range = blocks[b].clone();
+        match &self.measure {
+            None => (self.body)(range),
+            Some((clock, slot)) => {
+                let elems = range.len();
+                let start = clock.now_ns();
+                (self.body)(range);
+                slot.record(elems, clock.now_ns().saturating_sub(start));
+            }
+        }
+    }
 }
 
 /// Approximate main-memory latency the cross-node look-ahead is sized
@@ -819,32 +851,38 @@ pub struct SubmitStats {
 fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
     let submit_start = Instant::now();
     let rt = world.runtime_arc();
-    let stats = world.stats_handle();
     let n = spec.set.size();
-    let name = spec.name.clone();
-    // First node to execute stamps the start; the finalize node reads it.
-    let t0_cell: Arc<OnceLock<Instant>> = Arc::new(OnceLock::new());
-
-    // A measuring policy closes the feedback loop: every node times its
-    // body on the feedback clock and records (elements, elapsed), which
-    // the *next* submission of this (kernel, set) resolves its granularity
-    // from. A rank-tagged world measures regardless of policy — its
-    // samples also accumulate the per-rank busy time the rebalancer reads,
-    // which must not depend on the chunking strategy.
-    let measure: Option<Arc<MeasureCtx>> = (matches!(
-        world.config().chunk,
-        ChunkPolicy::Auto { .. } | ChunkPolicy::PersistentAuto(_) | ChunkPolicy::Guided { .. }
-    ) || world.granularity_feedback().rank().is_some())
-    .then(|| {
-        Arc::new(MeasureCtx {
-            feedback: world.granularity_feedback().clone(),
-            name: spec.name.clone(),
-            set: spec.set.signature(),
-        })
-    });
+    let set_sig = spec.set.signature();
+    let feedback = world.granularity_feedback();
 
     let plan = world.specs().get(world, &spec, n);
     let (blocks, rounds) = (plan.schedule.blocks(), plan.schedule.rounds());
+
+    let run = Arc::new(LoopRun {
+        body: Arc::clone(&spec.block_body),
+        plan: Arc::clone(&plan),
+        started: OnceLock::new(),
+        // A measuring policy closes the feedback loop: every node times its
+        // body on the feedback clock and records (elements, elapsed), which
+        // the *next* submission of this (kernel, set) resolves its
+        // granularity from. A rank-tagged world measures regardless of
+        // policy — its samples also accumulate the per-rank busy time the
+        // rebalancer reads, which must not depend on the chunking strategy.
+        measure: (matches!(
+            world.config().chunk,
+            ChunkPolicy::Auto { .. } | ChunkPolicy::PersistentAuto(_) | ChunkPolicy::Guided { .. }
+        ) || feedback.rank().is_some())
+        .then(|| (feedback.clock().clone(), feedback.slot(&spec.name, set_sig))),
+        // Cross-node gather prefetch: each node, before running its body,
+        // warms the cache with the first gathered rows of the block
+        // scheduled after it (next in its round, else the next round's
+        // first block). The look-ahead comes from the measured per-element
+        // cost when the feedback table has one.
+        gather: spec
+            .gather
+            .clone()
+            .map(|set| (set, gather_lookahead(world, &spec.name, set_sig))),
+    });
 
     // One look at every argument dat: the records this loop's access
     // conflicts with. Nodes resolve their footprints against these
@@ -872,18 +910,6 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
         }
     }
 
-    // Cross-node gather prefetch: each node, before running its body,
-    // warms the cache with the first `lookahead` gathered rows of the
-    // block scheduled after it (next in its round, else the next round's
-    // first block). The look-ahead comes from the measured per-element
-    // cost when the feedback table has one.
-    let gather = spec.gather.clone();
-    let lookahead = if gather.is_some() {
-        gather_lookahead(world, &spec.name, spec.set.signature())
-    } else {
-        0
-    };
-
     // Build one dataflow node per block, round by round.
     let mut nodes: Vec<Option<SharedFuture<()>>> = vec![None; blocks.len()];
     let mut gate: Option<SharedFuture<()>> = None;
@@ -893,14 +919,10 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
     for (r, round) in rounds.iter().enumerate() {
         let mut round_futs: Vec<SharedFuture<()>> = Vec::with_capacity(round.len());
         for (i, &b) in round.iter().enumerate() {
-            let range = blocks[b].clone();
-            let next_gather = gather.as_ref().and_then(|ps| {
-                let nb = round
-                    .get(i + 1)
-                    .copied()
-                    .or_else(|| rounds.get(r + 1).and_then(|nr| nr.first().copied()))?;
-                Some((Arc::clone(ps), blocks[nb].clone()))
-            });
+            let next = round
+                .get(i + 1)
+                .or_else(|| rounds.get(r + 1).and_then(|nr| nr.first()))
+                .copied();
             deps_buf.clear();
             deps_buf.extend(gate.iter().cloned());
             deps_buf.extend_from_slice(&node_deps);
@@ -914,35 +936,15 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
                     live.collect(touched, &mut deps_buf);
                 }
             }
-            let body = Arc::clone(&spec.block_body);
-            let t0c = Arc::clone(&t0_cell);
-            let mctx = measure.clone();
-            let (fut, wired) = schedule_after_counted(&rt, &deps_buf, move || {
-                t0c.get_or_init(Instant::now);
-                if let Some((ps, nr)) = &next_gather {
-                    let end = (nr.start + lookahead).min(nr.end);
-                    for e in nr.start..end {
-                        ps.prefetch(e);
-                    }
-                }
-                match &mctx {
-                    None => body(range),
-                    Some(m) => {
-                        let elems = range.len();
-                        let start = m.feedback.clock().now_ns();
-                        body(range);
-                        let elapsed = m.feedback.clock().now_ns().saturating_sub(start);
-                        m.feedback.record(&m.name, m.set, elems, elapsed);
-                    }
-                }
-            });
+            let run = Arc::clone(&run);
+            let (fut, wired) = schedule_after_counted(&rt, &deps_buf, move || run.node(b, next));
             edges_collected += deps_buf.len();
             edges_wired += wired;
             round_futs.push(fut.clone());
             nodes[b] = Some(fut);
         }
         if r + 1 < rounds.len() {
-            gate = Some(when_all_shared(&round_futs).share());
+            gate = Some(when_all_shared(&round_futs));
         }
         last_round = round_futs;
     }
@@ -954,9 +956,13 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
     // generation-tagged, so pipelining survives shared globals). An empty
     // set schedules only this node.
     last_round.append(&mut spec.loop_deps);
-    let finalize = Arc::clone(&spec.finalize);
+    let (finalize, stats, name) = (
+        Arc::clone(&spec.finalize),
+        world.stats_handle(),
+        spec.name.clone(),
+    );
     let done = schedule_after(&rt, &last_round, move || {
-        let t0 = *t0_cell.get_or_init(Instant::now);
+        let t0 = *run.started.get_or_init(Instant::now);
         finalize();
         record_loop_time(&stats, &name, t0.elapsed());
     });

@@ -447,6 +447,47 @@ mod tests {
         }
     }
 
+    /// A warm world that declares a new instance per solve colours each
+    /// shape once: the plan cache keys on set/map content signatures, not
+    /// on entity ids (fresh on every declare).
+    #[test]
+    fn identical_declares_share_one_plan() {
+        let op2 = Op2::new(Op2Config::fork_join(2));
+        let ring_inc = |skew: Option<u32>| {
+            let n = 300;
+            let edges = op2.decl_set(n, "edges");
+            let nodes = op2.decl_set(n, "nodes");
+            let mut idx: Vec<u32> = (0..n as u32)
+                .flat_map(|e| [e, (e + 1) % n as u32])
+                .collect();
+            if let Some(target) = skew {
+                idx[1] = target;
+            }
+            let pedge = op2.decl_map(&edges, &nodes, 2, idx, "pedge");
+            let acc = op2.decl_dat(&nodes, 1, "acc", vec![0.0f64; n]);
+            op2.loop_("ring_inc", &edges)
+                .arg(arg_inc_via(&acc, &pedge, 0))
+                .arg(arg_inc_via(&acc, &pedge, 1))
+                .run(|a: &mut [f64], b: &mut [f64]| {
+                    a[0] += 1.0;
+                    b[0] += 1.0;
+                })
+                .wait();
+            assert_eq!(acc.snapshot().iter().sum::<f64>(), 2.0 * n as f64);
+        };
+        ring_inc(None);
+        ring_inc(None);
+        let (built, hits) = op2.plan_cache_stats();
+        assert_eq!(built, 1, "the second declare recoloured the same shape");
+        assert!(hits >= 1);
+        ring_inc(Some(57));
+        assert_eq!(
+            op2.plan_cache_stats().0,
+            2,
+            "one index differs: a second plan"
+        );
+    }
+
     #[test]
     fn gbl_reduction_matches_closed_form() {
         for op2 in each_backend() {

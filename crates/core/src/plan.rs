@@ -8,8 +8,10 @@
 //! successive rounds. The fork-join backend places a global barrier after
 //! every round; the dataflow backend chains rounds with futures.
 //!
-//! Plans are cached per (set, block size, indirection signature) exactly
-//! like OP2's `op_plan_get`.
+//! Plans are cached per (set, block size, indirection signature) like OP2's
+//! `op_plan_get` — by the sets' and maps' *content* signatures, so a world
+//! that declares the same mesh again (one instance per solve, one per farm
+//! tenant) colours it once.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -391,12 +393,17 @@ pub(crate) struct PlanCache {
 
 impl PlanCache {
     pub fn get(&self, set: &Set, block_size: usize, conflicts: &[Conflict]) -> Arc<Plan> {
-        let mut key_conflicts: Vec<(u64, usize)> =
-            conflicts.iter().map(|c| (c.map.id(), c.idx)).collect();
+        // Shape, not identity: ids are fresh on every declare, and a plan
+        // depends on nothing but the set's size and the maps' index tables
+        // (both hashed into the signatures).
+        let mut key_conflicts: Vec<(u64, usize)> = conflicts
+            .iter()
+            .map(|c| (c.map.signature(), c.idx))
+            .collect();
         key_conflicts.sort_unstable();
         key_conflicts.dedup();
         let key = PlanKey {
-            set: set.id(),
+            set: set.signature(),
             block_size,
             conflicts: key_conflicts,
         };
@@ -604,6 +611,30 @@ mod tests {
         assert_eq!(cache.hits(), 1);
         // Different block size -> different plan.
         let p3 = cache.get(&set, 32, &c);
+        assert!(!Arc::ptr_eq(&p1, &p3));
+        assert_eq!(cache.built(), 2);
+    }
+
+    #[test]
+    fn plan_cache_keys_on_shape_not_identity() {
+        let cache = PlanCache::default();
+        let (_e, _n, first) = ring(100);
+        let (_e2, _n2, again) = ring(100);
+        assert_ne!(first.id(), again.id(), "two declares, two identities");
+        let p1 = cache.get(first.from_set(), 16, &ring_conflicts(&first));
+        let p2 = cache.get(again.from_set(), 16, &ring_conflicts(&again));
+        assert!(
+            Arc::ptr_eq(&p1, &p2),
+            "an identical declare recolours nothing"
+        );
+        assert_eq!((cache.built(), cache.hits()), (1, 1));
+        // One index differs: another connectivity, another colouring.
+        let edges = Set::new(100, "edges");
+        let nodes = Set::new(100, "nodes");
+        let mut idx: Vec<u32> = (0..100u32).flat_map(|e| [e, (e + 1) % 100]).collect();
+        idx[1] = 57;
+        let other = Map::new(&edges, &nodes, 2, idx, "pedge");
+        let p3 = cache.get(other.from_set(), 16, &ring_conflicts(&other));
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!(cache.built(), 2);
     }

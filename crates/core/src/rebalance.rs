@@ -324,7 +324,7 @@ pub fn migrate_rows<T: OpType>(
         .map(|futs| match futs.len() {
             0 => SharedFuture::ready(()),
             1 => futs.into_iter().next().expect("one future"),
-            _ => when_all_shared(&futs).share(),
+            _ => when_all_shared(&futs),
         })
         .collect()
 }

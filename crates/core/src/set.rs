@@ -74,10 +74,6 @@ impl Set {
         &self.inner.name
     }
 
-    pub(crate) fn id(&self) -> u64 {
-        self.inner.id
-    }
-
     /// Content signature of the set's **shape**: a stable hash of
     /// `(name, size)`. Unlike [`Set::same`] — which distinguishes every
     /// declaration — two sets declared with the same name and size in

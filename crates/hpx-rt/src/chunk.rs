@@ -120,12 +120,15 @@ pub struct KernelCost {
 /// kernel (recorded here by the executed nodes) and sizes the next
 /// submission's nodes to hit the target duration.
 ///
+/// A loop resolves its [`FeedbackSlot`] once, at submission
+/// ([`GranularityFeedback::slot`]), and its nodes fold their samples into
+/// that slot alone: the table-wide lock is taken per loop, not per node,
+/// and never by a worker.
+///
 /// All timing flows through the accumulator's [`Clock`], so tests inject
-/// [`Clock::fake`] and drive convergence deterministically. Every recorded
-/// sample also bumps the process-wide `hpx.feedback.samples` named counter
-/// in [`crate::stats`]. Cloning is cheap and shares the underlying state —
-/// a [`PersistentChunker`] clone carried into several OP2 ranks shares one
-/// cost table.
+/// [`Clock::fake`] and drive convergence deterministically. Cloning is
+/// cheap and shares the underlying state — a [`PersistentChunker`] clone
+/// carried into several OP2 ranks shares one cost table.
 #[derive(Debug, Clone, Default)]
 pub struct GranularityFeedback {
     inner: Arc<FeedbackInner>,
@@ -137,13 +140,18 @@ pub struct GranularityFeedback {
     rank: Option<u32>,
 }
 
+/// One (kernel, set)'s smoothed cost; `None` until its first sample.
+type CostSlot = Mutex<Option<KernelCost>>;
+
+/// set id -> kernel name -> cost slot.
+type CostTable = Mutex<HashMap<u64, HashMap<Arc<str>, Arc<CostSlot>>>>;
+
 #[derive(Debug, Default)]
 struct FeedbackInner {
     clock: Clock,
-    /// set id -> kernel name -> smoothed cost.
-    costs: Mutex<HashMap<u64, HashMap<Arc<str>, KernelCost>>>,
+    costs: CostTable,
     /// rank -> per-rank attribution (busy time + rank-local cost table).
-    ranks: Mutex<HashMap<u32, RankAttribution>>,
+    ranks: Mutex<HashMap<u32, Arc<RankAttribution>>>,
 }
 
 /// What a rank-tagged handle accumulates on top of the shared table.
@@ -151,50 +159,86 @@ struct FeedbackInner {
 struct RankAttribution {
     /// Total measured kernel nanoseconds attributed to this rank since the
     /// last [`GranularityFeedback::reset_rank_busy`].
-    busy_ns: u64,
+    busy_ns: AtomicU64,
     /// Rank-local cost table: without it a slow rank's samples are
     /// EWMA-mixed with a fast rank's and per-rank imbalance is invisible.
-    costs: HashMap<u64, HashMap<Arc<str>, KernelCost>>,
+    costs: CostTable,
 }
 
-/// Folds one per-element cost sample into a cost table (EWMA; snaps on a
+/// The slot of `(kernel, set)` in `table`, made on first use.
+fn slot_in(table: &CostTable, kernel: &Arc<str>, set: u64) -> Arc<CostSlot> {
+    let mut table = table.lock();
+    let by_kernel = table.entry(set).or_default();
+    match by_kernel.get(kernel.as_ref()) {
+        Some(slot) => Arc::clone(slot),
+        None => Arc::clone(by_kernel.entry(Arc::clone(kernel)).or_default()),
+    }
+}
+
+/// The cost `(kernel, set)` has in `table`, if it was ever sampled.
+fn cost_in(table: &CostTable, kernel: &str, set: u64) -> Option<KernelCost> {
+    let table = table.lock();
+    let cost = *table.get(&set)?.get(kernel)?.lock();
+    cost
+}
+
+/// Folds one per-element cost sample into a slot (EWMA; snaps on a
 /// sustained phase change, clamps lone outliers — see
 /// [`FEEDBACK_SNAP_STREAK`]).
-fn fold_sample(
-    table: &mut HashMap<u64, HashMap<Arc<str>, KernelCost>>,
-    kernel: &Arc<str>,
-    set: u64,
-    sample: f64,
-) {
-    let by_kernel = table.entry(set).or_default();
-    match by_kernel.get_mut(kernel.as_ref()) {
-        Some(c) => {
-            let (lo, hi) = (
-                c.ewma_ns_per_elem / FEEDBACK_SNAP_FACTOR,
-                c.ewma_ns_per_elem * FEEDBACK_SNAP_FACTOR,
-            );
-            c.streak = match (sample > hi, sample < lo) {
-                (true, _) => c.streak.max(0) + 1,
-                (_, true) => c.streak.min(0) - 1,
-                _ => 0,
-            };
-            if c.streak.abs() >= FEEDBACK_SNAP_STREAK {
-                c.ewma_ns_per_elem = sample;
-                c.streak = 0;
-            } else {
-                c.ewma_ns_per_elem += FEEDBACK_ALPHA * (sample.clamp(lo, hi) - c.ewma_ns_per_elem);
-            }
-            c.samples += 1;
+fn fold_sample(slot: &CostSlot, sample: f64) {
+    let mut slot = slot.lock();
+    let Some(c) = slot.as_mut() else {
+        *slot = Some(KernelCost {
+            ewma_ns_per_elem: sample,
+            samples: 1,
+            streak: 0,
+        });
+        return;
+    };
+    let (lo, hi) = (
+        c.ewma_ns_per_elem / FEEDBACK_SNAP_FACTOR,
+        c.ewma_ns_per_elem * FEEDBACK_SNAP_FACTOR,
+    );
+    c.streak = match (sample > hi, sample < lo) {
+        (true, _) => c.streak.max(0) + 1,
+        (_, true) => c.streak.min(0) - 1,
+        _ => 0,
+    };
+    if c.streak.abs() >= FEEDBACK_SNAP_STREAK {
+        c.ewma_ns_per_elem = sample;
+        c.streak = 0;
+    } else {
+        c.ewma_ns_per_elem += FEEDBACK_ALPHA * (sample.clamp(lo, hi) - c.ewma_ns_per_elem);
+    }
+    c.samples += 1;
+}
+
+/// Where the samples of one (kernel, set) go: its slot in the shared table
+/// and, from a rank-tagged handle, the rank's busy time and private slot.
+/// Samples recorded after the set was forgotten (or the table reset) are
+/// dropped with the slot.
+#[derive(Debug, Clone)]
+pub struct FeedbackSlot {
+    shared: Arc<CostSlot>,
+    rank: Option<(Arc<RankAttribution>, Arc<CostSlot>)>,
+}
+
+impl FeedbackSlot {
+    /// Folds in one measurement: `elems` elements took `elapsed_ns`.
+    /// Zero-element samples are ignored (they carry no cost information);
+    /// a zero-duration sample means the chunk ran below clock resolution
+    /// and is floored to 1 ns — dropping it would freeze a stale expensive
+    /// estimate forever and granularity could never converge downward.
+    pub fn record(&self, elems: usize, elapsed_ns: u64) {
+        if elems == 0 {
+            return;
         }
-        None => {
-            by_kernel.insert(
-                Arc::clone(kernel),
-                KernelCost {
-                    ewma_ns_per_elem: sample,
-                    samples: 1,
-                    streak: 0,
-                },
-            );
+        let elapsed_ns = elapsed_ns.max(1);
+        let sample = elapsed_ns as f64 / elems as f64;
+        fold_sample(&self.shared, sample);
+        if let Some((attribution, slot)) = &self.rank {
+            attribution.busy_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
+            fold_sample(slot, sample);
         }
     }
 }
@@ -211,8 +255,7 @@ impl GranularityFeedback {
         GranularityFeedback {
             inner: Arc::new(FeedbackInner {
                 clock,
-                costs: Mutex::new(HashMap::new()),
-                ranks: Mutex::new(HashMap::new()),
+                ..FeedbackInner::default()
             }),
             rank: None,
         }
@@ -238,26 +281,23 @@ impl GranularityFeedback {
         self.rank
     }
 
-    /// Folds in one measurement: `elems` elements of `kernel` over set
-    /// `set` took `elapsed_ns`. Zero-element samples are ignored (they
-    /// carry no cost information); a zero-duration sample means the chunk
-    /// ran below clock resolution and is floored to 1 ns — dropping it
-    /// would freeze a stale expensive estimate forever and granularity
-    /// could never converge downward.
+    /// Where this handle's samples of `kernel` over set `set` go —
+    /// resolved once per loop, so that recording takes no table-wide lock.
+    pub fn slot(&self, kernel: &Arc<str>, set: u64) -> FeedbackSlot {
+        FeedbackSlot {
+            shared: slot_in(&self.inner.costs, kernel, set),
+            rank: self.rank.map(|rank| {
+                let attribution = Arc::clone(self.inner.ranks.lock().entry(rank).or_default());
+                let slot = slot_in(&attribution.costs, kernel, set);
+                (attribution, slot)
+            }),
+        }
+    }
+
+    /// Folds in one measurement (see [`FeedbackSlot::record`]) through a
+    /// slot resolved on the spot.
     pub fn record(&self, kernel: &Arc<str>, set: u64, elems: usize, elapsed_ns: u64) {
-        if elems == 0 {
-            return;
-        }
-        let elapsed_ns = elapsed_ns.max(1);
-        let sample = elapsed_ns as f64 / elems as f64;
-        fold_sample(&mut self.inner.costs.lock(), kernel, set, sample);
-        if let Some(rank) = self.rank {
-            let mut ranks = self.inner.ranks.lock();
-            let attr = ranks.entry(rank).or_default();
-            attr.busy_ns += elapsed_ns;
-            fold_sample(&mut attr.costs, kernel, set, sample);
-        }
-        crate::static_counter!("hpx.feedback.samples").fetch_add(1, Ordering::Relaxed);
+        self.slot(kernel, set).record(elems, elapsed_ns);
     }
 
     /// The smoothed cost of `(kernel, set)`. A rank-tagged handle prefers
@@ -265,41 +305,28 @@ impl GranularityFeedback {
     /// a slow rank resolves granularity from what *it* measured rather
     /// than the cross-rank mixture.
     pub fn cost(&self, kernel: &str, set: u64) -> Option<KernelCost> {
-        if let Some(rank) = self.rank {
+        let own = self.rank.and_then(|rank| {
             let ranks = self.inner.ranks.lock();
-            if let Some(c) = ranks
-                .get(&rank)
-                .and_then(|a| a.costs.get(&set))
-                .and_then(|m| m.get(kernel))
-            {
-                return Some(*c);
-            }
-        }
-        self.inner
-            .costs
-            .lock()
-            .get(&set)
-            .and_then(|m| m.get(kernel))
-            .copied()
+            cost_in(&ranks.get(&rank)?.costs, kernel, set)
+        });
+        own.or_else(|| cost_in(&self.inner.costs, kernel, set))
     }
 
     /// Total measured kernel nanoseconds attributed to `rank` since the
     /// last [`GranularityFeedback::reset_rank_busy`] — the per-rank
     /// imbalance signal the rebalancer compares across ranks.
     pub fn rank_busy_ns(&self, rank: u32) -> u64 {
-        self.inner
-            .ranks
-            .lock()
+        let ranks = self.inner.ranks.lock();
+        ranks
             .get(&rank)
-            .map(|a| a.busy_ns)
-            .unwrap_or(0)
+            .map_or(0, |a| a.busy_ns.load(Ordering::Relaxed))
     }
 
     /// Zeroes every rank's busy accumulator (cost tables are kept), so
     /// the next measurement window starts fresh after a rebalance.
     pub fn reset_rank_busy(&self) {
-        for attr in self.inner.ranks.lock().values_mut() {
-            attr.busy_ns = 0;
+        for attribution in self.inner.ranks.lock().values() {
+            attribution.busy_ns.store(0, Ordering::Relaxed);
         }
     }
 
@@ -308,8 +335,8 @@ impl GranularityFeedback {
     /// into a new set that happens to collide.
     pub fn forget_set(&self, set: u64) {
         self.inner.costs.lock().remove(&set);
-        for attr in self.inner.ranks.lock().values_mut() {
-            attr.costs.remove(&set);
+        for attribution in self.inner.ranks.lock().values() {
+            attribution.costs.lock().remove(&set);
         }
     }
 
@@ -320,7 +347,8 @@ impl GranularityFeedback {
         let costs = self.inner.costs.lock();
         let mut out: Vec<(String, u64, KernelCost)> = costs
             .iter()
-            .flat_map(|(&set, m)| m.iter().map(move |(k, &c)| (k.as_ref().to_owned(), set, c)))
+            .flat_map(|(&set, m)| m.iter().map(move |(k, slot)| (k, set, *slot.lock())))
+            .filter_map(|(k, set, cost)| Some((k.as_ref().to_owned(), set, cost?)))
             .collect();
         out.sort_by(|a, b| (a.1, a.0.as_str()).cmp(&(b.1, b.0.as_str())));
         out
@@ -741,6 +769,37 @@ mod tests {
         clone.record(&k, 3, 10, 10_000);
         assert_eq!(fb.cost("k", 3).unwrap().samples, 1, "clones share state");
         assert_eq!(fb.snapshot().len(), 1);
+    }
+
+    /// A loop resolves its slot once and its nodes record through it: the
+    /// same samples land in the same tables as through `record`, a slot
+    /// nobody sampled is invisible, and a slot whose set was forgotten
+    /// takes its late samples with it.
+    #[test]
+    fn a_resolved_slot_records_what_record_would() {
+        let fb = GranularityFeedback::with_clock(Clock::fake());
+        let k: Arc<str> = Arc::from("kern");
+        let rank = fb.for_rank(1);
+        let slot = rank.slot(&k, 7);
+        assert!(fb.cost("kern", 7).is_none() && fb.snapshot().is_empty());
+        slot.record(100, 10_000);
+        slot.clone().record(100, 10_000);
+        rank.record(&k, 7, 100, 10_000);
+        assert_eq!(fb.cost("kern", 7).unwrap().samples, 3);
+        assert_eq!(rank.cost("kern", 7).unwrap().ewma_ns_per_elem, 100.0);
+        assert_eq!(fb.rank_busy_ns(1), 30_000);
+        assert_eq!(fb.snapshot().len(), 1);
+
+        fb.forget_set(7);
+        slot.record(100, 90_000);
+        assert!(fb.cost("kern", 7).is_none() && rank.cost("kern", 7).is_none());
+        assert_eq!(
+            fb.rank_busy_ns(1),
+            120_000,
+            "busy time is the rank's, not the set's"
+        );
+        rank.record(&k, 7, 100, 50_000);
+        assert_eq!(fb.cost("kern", 7).unwrap().ewma_ns_per_elem, 500.0);
     }
 
     /// Regression for the stale-estimate bug: a kernel whose cost collapses

@@ -8,6 +8,14 @@
 //! future for `f`'s result — so dataflow nodes chain into a dependency graph
 //! that the scheduler executes without global barriers.
 //!
+//! A call is one frame ([`crate::dep`]): it owns the inputs and `f`, every
+//! pending input holds an `Arc` of it, the input that arrives last queues
+//! that same `Arc` as the task, and the task takes the values out of the
+//! inputs where they already are — no slot per input, no joined future,
+//! no continuation hop between "all inputs ready" and "run `f`". It is the
+//! machinery `op2-core`'s loop nodes run on ([`crate::schedule_after`]),
+//! with typed inputs and a typed result.
+//!
 //! ```
 //! use hpx_rt::{dataflow, Runtime, Val};
 //! let rt = Runtime::new(2);
@@ -18,104 +26,93 @@
 //! ```
 
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::future::{channel, Future, Outcome, PanicPayload, SharedFuture, SharedOutcome};
+use crate::dep::{dep_ready, Deps, Frame};
+use crate::future::{channel, Future, Outcome, Promise, SharedFuture};
 use crate::runtime::Runtime;
 
 /// A non-future input to [`dataflow`], passed through unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Val<T>(pub T);
 
+/// The frame an input reports to (opaque outside the crate).
+#[doc(hidden)]
+#[derive(Clone, Copy)]
+pub struct FrameRef<'a>(&'a Arc<dyn Frame>);
+
 /// An input to a dataflow node: something that eventually delivers a value.
 pub trait DataflowArg: Send + 'static {
     /// The unwrapped value type.
     type Output: Send + 'static;
-    /// Arranges for `done` to be called exactly once with the outcome.
-    fn deliver(self, done: Box<dyn FnOnce(Outcome<Self::Output>) + Send>);
+    /// Arranges for `frame` to be counted down exactly once, when the value
+    /// is there (at once if it already is).
+    #[doc(hidden)]
+    fn wire(&self, frame: FrameRef<'_>);
+    /// The value, after `frame` was counted down for it.
+    #[doc(hidden)]
+    fn take(self) -> Outcome<Self::Output>;
 }
 
 impl<T: Send + 'static> DataflowArg for Future<T> {
     type Output = T;
-    fn deliver(self, done: Box<dyn FnOnce(Outcome<T>) + Send>) {
-        self.attach_callback(done);
+    fn wire(&self, frame: FrameRef<'_>) {
+        self.attach_frame(frame.0);
+    }
+    fn take(self) -> Outcome<T> {
+        self.take_outcome()
     }
 }
 
 impl<T: Clone + Send + Sync + 'static> DataflowArg for SharedFuture<T> {
     type Output = T;
-    fn deliver(self, done: Box<dyn FnOnce(Outcome<T>) + Send>) {
-        self.attach_callback(Box::new(move |outcome| match outcome {
-            SharedOutcome::Value(v) => done(Ok(v.clone())),
-            SharedOutcome::Panic(p) => done(Err(Box::new(p.message().to_owned()) as PanicPayload)),
-        }));
+    fn wire(&self, frame: FrameRef<'_>) {
+        self.attach_frame(frame.0);
+    }
+    fn take(self) -> Outcome<T> {
+        self.clone_outcome()
     }
 }
 
 impl<T: Send + 'static> DataflowArg for Val<T> {
     type Output = T;
-    fn deliver(self, done: Box<dyn FnOnce(Outcome<T>) + Send>) {
-        done(Ok(self.0));
+    fn wire(&self, frame: FrameRef<'_>) {
+        frame.0.deps().arrived_early(1, None);
+    }
+    fn take(self) -> Outcome<T> {
+        Ok(self.0)
     }
 }
 
-/// A tuple of [`DataflowArg`]s that can be joined into one future of the
-/// unwrapped values. Implemented for tuples of arity 1..=8.
+/// The inputs of a dataflow node: a tuple of [`DataflowArg`]s of arity
+/// 1..=8, or a `Vec` of them.
 pub trait FutureTuple: Send + 'static {
-    /// Tuple of unwrapped values.
+    /// The unwrapped values, in input order.
     type Values: Send + 'static;
-    /// Future completing when every element has delivered.
-    fn join(self) -> Future<Self::Values>;
+    /// Number of inputs.
+    #[doc(hidden)]
+    fn count(&self) -> usize;
+    /// Wires every input to `frame`.
+    #[doc(hidden)]
+    fn wire(&self, frame: FrameRef<'_>);
+    /// The values, once every input counted `frame` down; the first panic
+    /// in input order otherwise.
+    #[doc(hidden)]
+    fn take(self) -> Outcome<Self::Values>;
 }
 
 macro_rules! impl_future_tuple {
     ($n:literal; $($A:ident . $idx:tt),+) => {
         impl<$($A: DataflowArg),+> FutureTuple for ($($A,)+) {
             type Values = ($($A::Output,)+);
-
-            fn join(self) -> Future<Self::Values> {
-                struct JoinState<$($A: DataflowArg),+> {
-                    slots: Mutex<($(Option<$A::Output>,)+)>,
-                    promise: Mutex<Option<crate::future::Promise<($($A::Output,)+)>>>,
-                    remaining: AtomicUsize,
-                }
-                impl<$($A: DataflowArg),+> JoinState<$($A),+> {
-                    /// Countdown; the last arrival assembles the tuple.
-                    fn arrived(&self) {
-                        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            if let Some(pr) = self.promise.lock().take() {
-                                let mut slots = self.slots.lock();
-                                pr.set_value((
-                                    $(slots.$idx.take().expect("dataflow slot missing"),)+
-                                ));
-                            }
-                        }
-                    }
-                }
-                let (promise, future) = channel();
-                let state = Arc::new(JoinState::<$($A),+> {
-                    slots: Mutex::new(($(None::<$A::Output>,)+)),
-                    promise: Mutex::new(Some(promise)),
-                    remaining: AtomicUsize::new($n),
-                });
-                $(
-                    {
-                        let st = Arc::clone(&state);
-                        self.$idx.deliver(Box::new(move |outcome| {
-                            match outcome {
-                                Ok(v) => st.slots.lock().$idx = Some(v),
-                                Err(p) => {
-                                    if let Some(pr) = st.promise.lock().take() {
-                                        pr.set_panic(p);
-                                    }
-                                }
-                            }
-                            st.arrived();
-                        }));
-                    }
-                )+
-                future
+            fn count(&self) -> usize {
+                $n
+            }
+            fn wire(&self, frame: FrameRef<'_>) {
+                $(self.$idx.wire(frame);)+
+            }
+            fn take(self) -> Outcome<Self::Values> {
+                Ok(($(self.$idx.take()?,)+))
             }
         }
     };
@@ -130,6 +127,68 @@ impl_future_tuple!(6; A0.0, A1.1, A2.2, A3.3, A4.4, A5.5);
 impl_future_tuple!(7; A0.0, A1.1, A2.2, A3.3, A4.4, A5.5, A6.6);
 impl_future_tuple!(8; A0.0, A1.1, A2.2, A3.3, A4.4, A5.5, A6.6, A7.7);
 
+impl<A: DataflowArg> FutureTuple for Vec<A> {
+    type Values = Vec<A::Output>;
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn wire(&self, frame: FrameRef<'_>) {
+        self.iter().for_each(|arg| arg.wire(frame));
+    }
+    fn take(self) -> Outcome<Self::Values> {
+        self.into_iter().map(A::take).collect()
+    }
+}
+
+/// The frame of one dataflow call: the inputs, the function and the write
+/// end of the result, handed over together once the inputs are wired.
+struct Call<Args, F, R> {
+    deps: Deps,
+    call: Mutex<Option<(Args, F, Promise<R>)>>,
+}
+
+impl<Args, F, R> Frame for Call<Args, F, R>
+where
+    Args: FutureTuple,
+    R: Send + 'static,
+    F: FnOnce(Args::Values) -> R + Send + 'static,
+{
+    fn deps(&self) -> &Deps {
+        &self.deps
+    }
+
+    fn run(self: Arc<Self>) {
+        let (args, f, promise) = self.call.lock().take().expect("a frame runs once");
+        match args.take() {
+            Ok(values) => {
+                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(values)));
+                promise.set_outcome(r);
+            }
+            Err(p) => promise.set_panic(p),
+        }
+    }
+}
+
+fn call<Args, R, F>(rt: Option<&Runtime>, f: F, args: Args) -> Future<R>
+where
+    Args: FutureTuple,
+    R: Send + 'static,
+    F: FnOnce(Args::Values) -> R + Send + 'static,
+{
+    let (promise, future) = channel();
+    let call = Arc::new(Call {
+        deps: Deps::new(args.count(), rt),
+        call: Mutex::new(None),
+    });
+    let frame: Arc<dyn Frame> = call.clone();
+    // Wired before the frame owns them; the registration's hold keeps an
+    // input that completes meanwhile from firing a frame with nothing in it.
+    args.wire(FrameRef(&frame));
+    *call.call.lock() = Some((args, f, promise));
+    dep_ready(frame, None);
+    future
+}
+
 /// Schedules `f` on `rt` once every input future is ready, passing the
 /// unwrapped values as a tuple. Returns the result as a future (see module
 /// docs). If any input panicked, `f` is skipped and the result re-panics.
@@ -139,7 +198,7 @@ where
     R: Send + 'static,
     F: FnOnce(Args::Values) -> R + Send + 'static,
 {
-    args.join().then(rt, f)
+    call(Some(rt), f, args)
 }
 
 /// Like [`dataflow`] but runs `f` inline on the thread that satisfies the
@@ -150,7 +209,7 @@ where
     R: Send + 'static,
     F: FnOnce(Args::Values) -> R + Send + 'static,
 {
-    args.join().then_inline(f)
+    call(None, f, args)
 }
 
 #[cfg(test)]

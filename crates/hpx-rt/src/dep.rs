@@ -1,149 +1,194 @@
-//! Lightweight dependency-counting LCOs for fine-grained task graphs.
+//! Dataflow frames: the one "run when these are ready" mechanism.
 //!
 //! The block-granular dataflow engine in `op2-core` schedules one node per
-//! mini-partition block, so a single loop can produce thousands of small
-//! nodes. Building each node out of `when_all` + `Promise` + `Future` +
-//! `share()` costs four allocations and two continuation hops per node;
-//! this module provides the flat, batched alternative:
+//! mini-partition block, so a single loop produces many small nodes and
+//! what one node costs to build and to complete is what the engine costs.
+//! Built out of `when_all` + `Promise` + `Future` + `share()` a node is
+//! four allocations and two continuation hops; built out of a counter, a
+//! boxed action, a completion future and one boxed callback per edge it is
+//! still six allocations plus one per edge, most of them freed on another
+//! thread than the one that made them. Here a node is **one frame**, as in
+//! HPX's `dataflow`: a single `Arc` that is at once
 //!
-//! * [`DepCounter`] — an atomic countdown LCO that fires a stored action
-//!   exactly once when the count reaches zero (HPX's
-//!   `hpx::lcos::local::counting_semaphore` flavor of dependency join);
-//! * [`schedule_after`] — "run this closure on the runtime once all these
-//!   shared futures are ready", returning the node's completion as a
-//!   [`SharedFuture`] so it can be stored directly in per-block dependency
-//!   tables. One allocation for the result, one registration per input, no
-//!   intermediate futures. Panics in any input (or the body) propagate to
-//!   the returned future.
-//! * [`when_any_shared`] — a when-any-of-range join: resolves to the index
-//!   of the first ready input.
+//! * the **dependency counter** ([`Deps`]): started at `inputs + 1`, the
+//!   extra one held by the registration itself so that inputs completing
+//!   while the others are still being wired cannot fire it early;
+//! * the **continuation**: a pending input keeps an `Arc` of the frame in
+//!   its waiter list (no box, no closure), completing it is one
+//!   `fetch_sub` per successor, and the frame that reaches zero is itself
+//!   the task ([`crate::task::Task::Frame`]) — or runs on the spot when it
+//!   was built without a runtime;
+//! * the **shared state** of the result: for [`schedule_after`] the
+//!   frame is the tail of its own completion future's allocation
+//!   ([`SharedInner`]), so the `SharedFuture` handed back, the entries in
+//!   its inputs' waiter lists and the queued task are clones of one `Arc`.
+//!
+//! [`schedule_after`], [`when_all_shared`], [`crate::dataflow`] /
+//! [`crate::dataflow_inline`] and [`crate::when_all`] are all frames; they
+//! differ in what the frame holds and does when it runs. A panicked input
+//! never runs anything inline on the completing thread's stack when the
+//! frame has a runtime: the poisoned frame goes through the task queue like
+//! a healthy one, so a panic at the head of a solver-length chain does not
+//! recurse through it.
+//!
+//! [`when_any_shared`] — a when-any-of-range join resolving to the index
+//! of the first ready input — is the one callback-based LCO left here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::future::{channel, Future, SharedFuture, SharedOutcome, SharedPanic};
-use crate::runtime::Runtime;
+use crate::future::{channel, Future, SharedFuture, SharedInner, SharedOutcome, SharedPanic};
+use crate::runtime::{Runtime, RuntimeInner};
 use crate::task::Task;
 
-/// An atomic countdown LCO: created with a count and an action, it runs the
-/// action exactly once — on the thread that performs the final
-/// [`DepCounter::count_down`] — when the count reaches zero. A counter
-/// created with count 0 fires immediately on construction.
-///
-/// This is the join primitive behind [`schedule_after`]; it is exposed on
-/// its own for callers that batch completions by hand.
-///
-/// ```
-/// use std::sync::Arc;
-/// use std::sync::atomic::{AtomicBool, Ordering};
-/// use hpx_rt::DepCounter;
-///
-/// let fired = Arc::new(AtomicBool::new(false));
-/// let f2 = Arc::clone(&fired);
-/// let c = DepCounter::new(2, move || f2.store(true, Ordering::Release));
-/// c.count_down();
-/// assert!(!fired.load(Ordering::Acquire));
-/// c.count_down();
-/// assert!(fired.load(Ordering::Acquire));
-/// ```
-pub struct DepCounter {
+/// The dependency side of a frame: how many inputs are still out, the
+/// first of them that panicked, and where the frame runs.
+pub(crate) struct Deps {
     remaining: AtomicUsize,
-    action: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    panic: OnceLock<SharedPanic>,
+    /// Taken by the arrival that fires the frame; `None` from the start for
+    /// a frame that runs on whichever thread brings its last input in.
+    rt: Mutex<Option<Arc<RuntimeInner>>>,
 }
 
-impl DepCounter {
-    /// A counter that runs `action` after `count` countdowns.
-    pub fn new<F>(count: usize, action: F) -> Arc<Self>
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        let counter = Arc::new(DepCounter {
-            remaining: AtomicUsize::new(count),
-            action: Mutex::new(Some(Box::new(action))),
-        });
-        if count == 0 {
-            counter.fire();
-        }
-        counter
-    }
-
-    /// Records one completion; the final call runs the action inline.
-    pub fn count_down(&self) {
-        let prev = self.remaining.fetch_sub(1, Ordering::AcqRel);
-        assert!(prev > 0, "DepCounter counted down below zero");
-        if prev == 1 {
-            self.fire();
+impl Deps {
+    /// For `inputs` inputs plus the registration's own hold (released with
+    /// [`dep_ready`] once every input is wired).
+    pub(crate) fn new(inputs: usize, rt: Option<&Runtime>) -> Self {
+        Deps {
+            remaining: AtomicUsize::new(inputs + 1),
+            panic: OnceLock::new(),
+            rt: Mutex::new(rt.map(|rt| Arc::clone(rt.inner()))),
         }
     }
 
-    /// Remaining countdowns (diagnostic; racy by nature).
-    pub fn pending(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
+    /// `n` inputs are in, one of them with `panic` if it failed; true when
+    /// they were the last. `AcqRel`: the arrival that fires the frame has
+    /// every earlier one's writes.
+    fn arrive(&self, n: usize, panic: Option<&SharedPanic>) -> bool {
+        if let Some(p) = panic {
+            self.panic.get_or_init(|| p.clone());
+        }
+        let prev = self.remaining.fetch_sub(n, Ordering::AcqRel);
+        assert!(prev >= n, "frame counted down below zero");
+        prev == n
     }
 
-    fn fire(&self) {
-        if let Some(action) = self.action.lock().take() {
-            action();
+    /// `n` inputs need no waiting for — complete when they were wired, a
+    /// plain value, a duplicate. Only during registration, whose own hold
+    /// keeps these from being the last.
+    pub(crate) fn arrived_early(&self, n: usize, panic: Option<&SharedPanic>) {
+        let last = self.arrive(n, panic);
+        debug_assert!(!last, "counted early after the registration was over");
+    }
+}
+
+/// A dataflow frame (see the module docs).
+pub(crate) trait Frame: Send + Sync + 'static {
+    fn deps(&self) -> &Deps;
+    /// Does the node's work and completes it. Called once, after the last
+    /// input arrived.
+    fn run(self: Arc<Self>);
+}
+
+/// One of `frame`'s inputs completed (`panic`: how it failed), or its
+/// registration is over. The last of these fires the frame: as a task on
+/// its runtime, else right here.
+pub(crate) fn dep_ready(frame: Arc<dyn Frame>, panic: Option<&SharedPanic>) {
+    if frame.deps().arrive(1, panic) {
+        let rt = frame.deps().rt.lock().take();
+        match rt {
+            Some(rt) => rt.spawn_task(Task::Frame(frame)),
+            None => frame.run(),
         }
     }
 }
 
-impl std::fmt::Debug for DepCounter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DepCounter")
-            .field("pending", &self.pending())
-            .finish()
+/// What a [`schedule_after`] node keeps behind its completion state.
+struct Node<F> {
+    deps: Deps,
+    body: Mutex<Option<F>>,
+}
+
+impl<F: FnOnce() + Send + 'static> Frame for SharedInner<(), Node<F>> {
+    fn deps(&self) -> &Deps {
+        &self.node.deps
+    }
+
+    fn run(self: Arc<Self>) {
+        let body = self.node.body.lock().take().expect("a frame runs once");
+        let outcome = match self.node.deps.panic.get() {
+            Some(p) => SharedOutcome::Panic(p.clone()),
+            None => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
+                Ok(()) => SharedOutcome::Value(()),
+                Err(p) => SharedOutcome::Panic(SharedPanic::from_payload(&p)),
+            },
+        };
+        self.fulfill(outcome);
     }
 }
 
-/// Shared state of one [`schedule_after`] node.
-struct NodeState {
-    /// First panic observed among the dependencies, if any.
-    dep_panic: Mutex<Option<SharedPanic>>,
-    /// Completion future handed to consumers.
-    done: SharedFuture<()>,
-}
-
-/// Above this many inputs the duplicate scan sorts by pointer instead of
+/// Above this many inputs the duplicate scan sorts by address instead of
 /// comparing every pair.
 const QUADRATIC_DEDUP_MAX: usize = 16;
 
-/// The distinct futures of `deps` (by identity, see
-/// [`SharedFuture::ptr_eq`]): first-occurrence order for short lists,
-/// address order above [`QUADRATIC_DEDUP_MAX`].
-fn unique_deps(deps: &[SharedFuture<()>]) -> Vec<&SharedFuture<()>> {
-    let mut unique: Vec<&SharedFuture<()>> = Vec::with_capacity(deps.len());
+/// Builds the node frame, wires each distinct input once (by identity, see
+/// [`SharedFuture::ptr_eq`]) and returns the completion with the number of
+/// inputs wired.
+fn schedule<F>(
+    rt: Option<&Runtime>,
+    deps: &[SharedFuture<()>],
+    body: F,
+) -> (SharedFuture<()>, usize)
+where
+    F: FnOnce() + Send + 'static,
+{
+    let node = Arc::new(SharedInner::pending(Node {
+        deps: Deps::new(deps.len(), rt),
+        body: Mutex::new(Some(body)),
+    }));
+    let frame: Arc<dyn Frame> = node.clone();
+    let mut wired = 0;
     if deps.len() <= QUADRATIC_DEDUP_MAX {
-        for dep in deps {
-            if !unique.iter().any(|u| SharedFuture::ptr_eq(u, dep)) {
-                unique.push(dep);
+        for (i, dep) in deps.iter().enumerate() {
+            if !deps[..i].iter().any(|d| SharedFuture::ptr_eq(d, dep)) {
+                dep.attach_frame(&frame);
+                wired += 1;
             }
         }
     } else {
-        unique.extend(deps);
+        let mut unique: Vec<&SharedFuture<()>> = deps.iter().collect();
         unique.sort_unstable_by_key(|d| d.addr());
         unique.dedup_by_key(|d| d.addr());
+        for dep in &unique {
+            dep.attach_frame(&frame);
+        }
+        wired = unique.len();
     }
-    unique
+    // Each duplicate would cost a waiter entry and a countdown for no
+    // semantic effect: count it as in right away.
+    frame.deps().arrived_early(deps.len() - wired, None);
+    dep_ready(frame, None);
+    (SharedFuture { inner: node }, wired)
 }
 
 /// Schedules `body` on `rt` as soon as every future in `deps` is ready,
 /// returning the node's completion. If any dependency panicked, `body` is
-/// skipped and the completion re-panics with the first observed panic; a
-/// panic inside `body` is captured likewise.
+/// skipped (and dropped) and the completion re-panics with the first
+/// observed panic; a panic inside `body` is captured likewise.
 ///
-/// Ready dependencies are counted immediately (their callback runs inline
-/// at registration), so a node whose inputs already resolved costs one
-/// task spawn and no waiting. Duplicate inputs (clones of one future —
-/// common when several arguments of a loop reach the same predecessor
-/// node) are registered once.
+/// The node is one allocation (see the module docs). Inputs that are
+/// already complete are counted at registration, so a node whose inputs
+/// all resolved costs one task spawn and no waiting. Duplicate inputs
+/// (clones of one future — common when several arguments of a loop reach
+/// the same predecessor node) are wired once.
 pub fn schedule_after<F>(rt: &Runtime, deps: &[SharedFuture<()>], body: F) -> SharedFuture<()>
 where
     F: FnOnce() + Send + 'static,
 {
-    schedule_after_counted(rt, deps, body).0
+    schedule(Some(rt), deps, body).0
 }
 
 /// [`schedule_after`], additionally returning how many dependency edges
@@ -157,51 +202,15 @@ pub fn schedule_after_counted<F>(
 where
     F: FnOnce() + Send + 'static,
 {
-    // Each duplicate would cost a boxed callback and a countdown for no
-    // semantic effect.
-    let deps = unique_deps(deps);
-    let wired = deps.len();
+    schedule(Some(rt), deps, body)
+}
 
-    let state = Arc::new(NodeState {
-        dep_panic: Mutex::new(None),
-        done: SharedFuture::pending(),
-    });
-    let result = state.done.clone();
-
-    let inner_rt = Arc::clone(rt.inner());
-    let fire_state = Arc::clone(&state);
-    let counter = DepCounter::new(deps.len(), move || {
-        let panic = fire_state.dep_panic.lock().take();
-        match panic {
-            // Propagate through a task, never inline: fulfilling here would
-            // run the downstream node's countdown on this same stack, and a
-            // panic at the head of a long submitted chain would then recurse
-            // through every poisoned node and overflow the stack.
-            Some(p) => inner_rt.spawn_task(Task::new(move || {
-                fire_state.done.fulfill(SharedOutcome::Panic(p));
-            })),
-            None => inner_rt.spawn_task(Task::new(move || {
-                let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-                let outcome = match r {
-                    Ok(()) => SharedOutcome::Value(()),
-                    Err(p) => SharedOutcome::Panic(SharedPanic::from_payload(&p)),
-                };
-                fire_state.done.fulfill(outcome);
-            })),
-        }
-    });
-
-    for dep in deps {
-        let counter = Arc::clone(&counter);
-        let state = Arc::clone(&state);
-        dep.attach_callback(Box::new(move |outcome| {
-            if let SharedOutcome::Panic(p) = outcome {
-                state.dep_panic.lock().get_or_insert_with(|| p.clone());
-            }
-            counter.count_down();
-        }));
-    }
-    (result, wired)
+/// Completes once every future in `deps` has — the join behind the colour
+/// rounds of `op2-core`'s dataflow backend: a [`schedule_after`] node with
+/// nothing to run, completed on the thread that brings its last input in
+/// (no task). Panics in any dependency propagate.
+pub fn when_all_shared(deps: &[SharedFuture<()>]) -> SharedFuture<()> {
+    schedule(None, deps, || ()).0
 }
 
 /// Resolves to the index of the first input to become ready (HPX
@@ -214,17 +223,12 @@ where
 /// If `deps` is empty (there is nothing to wait for).
 pub fn when_any_shared(deps: &[SharedFuture<()>]) -> Future<usize> {
     assert!(!deps.is_empty(), "when_any_shared on an empty set");
-    struct AnyState {
-        promise: Mutex<Option<crate::future::Promise<usize>>>,
-    }
     let (promise, future) = channel();
-    let state = Arc::new(AnyState {
-        promise: Mutex::new(Some(promise)),
-    });
+    let promise = Arc::new(Mutex::new(Some(promise)));
     for (i, dep) in deps.iter().enumerate() {
-        let state = Arc::clone(&state);
+        let promise = Arc::clone(&promise);
         dep.attach_callback(Box::new(move |_outcome| {
-            if let Some(p) = state.promise.lock().take() {
+            if let Some(p) = promise.lock().take() {
                 p.set_value(i);
             }
         }));
@@ -237,40 +241,6 @@ mod tests {
     use super::*;
     use crate::future::ready;
     use std::sync::atomic::AtomicU64;
-
-    #[test]
-    fn zero_count_fires_immediately() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        let _c = DepCounter::new(0, move || {
-            h.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn fires_exactly_once() {
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        let c = DepCounter::new(64, move || {
-            h.fetch_add(1, Ordering::Relaxed);
-        });
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..16 {
-                        c.count_down();
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-        assert_eq!(c.pending(), 0);
-    }
 
     #[test]
     fn schedule_after_empty_deps_runs() {
@@ -328,6 +298,96 @@ mod tests {
         assert_eq!(wired, 12, "short lists keep every distinct input too");
     }
 
+    /// Inputs that are complete when they are wired count down during the
+    /// registration, which holds a count of its own: the frame fires once,
+    /// when the registration is over, as a spawn of the registering thread
+    /// — from a worker that is a push onto its own deque, which nothing
+    /// can pop while the worker is still inside the registering task.
+    #[test]
+    fn ready_inputs_fire_once_when_registration_ends() {
+        let rt = Arc::new(Runtime::new(1));
+        let hits = Arc::new(AtomicU64::new(0));
+        let (rt2, hits2) = (Arc::clone(&rt), Arc::clone(&hits));
+        let node = rt
+            .spawn_future(move || {
+                let deps: Vec<SharedFuture<()>> = (0..8).map(|_| ready(()).share()).collect();
+                let h = Arc::clone(&hits2);
+                let node = schedule_after(&rt2, &deps, move || {
+                    h.fetch_add(1, Ordering::Relaxed);
+                });
+                assert_eq!(
+                    hits2.load(Ordering::Relaxed),
+                    0,
+                    "ran inside the registration"
+                );
+                assert!(!node.is_ready());
+                node
+            })
+            .get();
+        node.get();
+        assert_eq!(hits.load(Ordering::Relaxed), 1);
+
+        // Without a runtime the frame runs where its last input arrives:
+        // in the registration if they are all in, else in the completion.
+        let h = Arc::clone(&hits);
+        let (_, wired) = schedule(None, &[ready(()).share(), ready(()).share()], move || {
+            h.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!((hits.load(Ordering::Relaxed), wired), (2, 2));
+        let late = SharedFuture::<()>::pending();
+        let h = Arc::clone(&hits);
+        let (joined, _) = schedule(None, &[ready(()).share(), late.clone()], move || {
+            h.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(
+            hits.load(Ordering::Relaxed),
+            2,
+            "fired before its last input"
+        );
+        late.inner.fulfill(SharedOutcome::Value(()));
+        assert!(joined.has_value());
+        assert_eq!(hits.load(Ordering::Relaxed), 3);
+    }
+
+    #[test]
+    fn a_frame_dropped_with_unmet_dependencies_frees_its_body() {
+        let rt = Runtime::new(1);
+        let never = SharedFuture::<()>::pending();
+        let held = Arc::new(());
+        let in_body = Arc::clone(&held);
+        let node = schedule_after(&rt, std::slice::from_ref(&never), move || drop(in_body));
+        assert_eq!(Arc::strong_count(&held), 2);
+        // The input's waiter list and the handle are all that own the frame.
+        drop(node);
+        assert_eq!(
+            Arc::strong_count(&held),
+            2,
+            "the input still owes it a wake"
+        );
+        drop(never);
+        assert_eq!(Arc::strong_count(&held), 1);
+    }
+
+    #[test]
+    fn when_all_shared_joins_inline_and_propagates_panics() {
+        let rt = Runtime::new(2);
+        assert!(when_all_shared(&[]).has_value());
+        let deps: Vec<SharedFuture<()>> = (0..10).map(|_| rt.spawn_future(|| ()).share()).collect();
+        when_all_shared(&deps).get();
+        rt.wait_idle();
+        let before = rt.stats().tasks_executed;
+        let bad: SharedFuture<()> = rt.spawn_future(|| panic!("round died")).share();
+        let gate = when_all_shared(&[deps[0].clone(), bad]);
+        gate.wait();
+        assert!(gate.is_ready() && !gate.has_value());
+        rt.wait_idle();
+        assert_eq!(
+            rt.stats().tasks_executed,
+            before + 1,
+            "the join is not a task"
+        );
+    }
+
     #[test]
     fn schedule_after_chains() {
         // A linear chain of 100 nodes through shared futures.
@@ -351,7 +411,7 @@ mod tests {
         // one call stack (which would overflow for solver-scale chains).
         let rt = Runtime::new(2);
         let mut prev = schedule_after(&rt, &[], || panic!("head died"));
-        for _ in 0..50_000 {
+        for _ in 0..100_000 {
             prev = schedule_after(&rt, std::slice::from_ref(&prev), || {
                 unreachable!("poisoned node must not run")
             });

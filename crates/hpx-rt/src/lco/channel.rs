@@ -1,11 +1,11 @@
 //! One-shot channel LCO: a future with channel-flavoured error handling
 //! (dropping the sender yields `Err(RecvError)` instead of a panic).
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::runtime::block_until;
+use crate::runtime::{block_until, Blocked};
 
 enum Slot<T> {
     Empty,
@@ -16,7 +16,7 @@ enum Slot<T> {
 
 struct Shared<T> {
     slot: Mutex<Slot<T>>,
-    cv: Condvar,
+    blocked: Blocked,
 }
 
 /// Sending half of a [`oneshot`] channel.
@@ -41,7 +41,7 @@ pub struct RecvError;
 pub fn oneshot<T>() -> (OneshotSender<T>, OneshotReceiver<T>) {
     let shared = Arc::new(Shared {
         slot: Mutex::new(Slot::Empty),
-        cv: Condvar::new(),
+        blocked: Blocked::default(),
     });
     (
         OneshotSender {
@@ -60,7 +60,7 @@ impl<T> OneshotSender<T> {
             return Err(SendError(value));
         }
         *shared.slot.lock() = Slot::Value(value);
-        shared.cv.notify_all();
+        shared.blocked.wake_all();
         Ok(())
     }
 }
@@ -69,7 +69,7 @@ impl<T> Drop for OneshotSender<T> {
     fn drop(&mut self) {
         if let Some(shared) = self.shared.take() {
             *shared.slot.lock() = Slot::SenderDropped;
-            shared.cv.notify_all();
+            shared.blocked.wake_all();
         }
     }
 }
@@ -90,9 +90,12 @@ impl<T> OneshotReceiver<T> {
 
     /// Blocks until a value (or sender drop) arrives; workers help-execute.
     pub fn recv(self) -> Result<T, RecvError> {
-        block_until(&self.shared.slot, &self.shared.cv, Duration::ZERO, |slot| {
-            !matches!(slot, Slot::Empty)
-        });
+        block_until(
+            &self.shared.slot,
+            &self.shared.blocked,
+            Duration::ZERO,
+            |slot| !matches!(slot, Slot::Empty),
+        );
         self.try_recv()
             .expect("oneshot value already taken by try_recv")
     }

@@ -46,7 +46,7 @@ struct CollectInner<T> {
 impl<T: Send + Sync + 'static> CollectInner<T> {
     fn fulfill(&self, outcome: SharedOutcome<T>) {
         if !self.fulfilled.swap(true, Ordering::AcqRel) {
-            self.result.fulfill(outcome);
+            self.result.inner.fulfill(outcome);
         }
     }
 

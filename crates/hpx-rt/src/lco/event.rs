@@ -1,10 +1,10 @@
 //! Manual-reset event LCO.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use crate::runtime::block_until;
+use crate::runtime::{block_until, Blocked};
 
 /// A manual-reset event: threads wait until some other thread calls
 /// [`Event::set`]; the event stays signalled until [`Event::reset`].
@@ -12,7 +12,7 @@ use crate::runtime::block_until;
 pub struct Event {
     set: AtomicBool,
     lock: Mutex<()>,
-    cv: Condvar,
+    blocked: Blocked,
 }
 
 impl Event {
@@ -30,8 +30,10 @@ impl Event {
     /// Signals the event, releasing all current and future waiters.
     pub fn set(&self) {
         self.set.store(true, Ordering::Release);
+        // Sleepers register under this lock before their last look at
+        // the flag, so whoever is not counted here will see it.
         let _g = self.lock.lock();
-        self.cv.notify_all();
+        self.blocked.wake_all();
     }
 
     /// Clears the signal; subsequent waiters block again.
@@ -42,7 +44,7 @@ impl Event {
     /// Blocks until signalled; workers help-execute while waiting.
     pub fn wait(&self) {
         if !self.is_set() {
-            block_until(&self.lock, &self.cv, Duration::ZERO, |_| self.is_set());
+            block_until(&self.lock, &self.blocked, Duration::ZERO, |_| self.is_set());
         }
     }
 }

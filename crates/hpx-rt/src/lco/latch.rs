@@ -1,10 +1,10 @@
 //! Countdown latch: what the parallel algorithms count their chunks home on.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-use crate::runtime::block_until;
+use crate::runtime::{block_until, Blocked};
 
 /// A single-use countdown latch.
 ///
@@ -26,13 +26,13 @@ use crate::runtime::block_until;
 /// A latch may live on its waiter's stack and be popped the moment `wait`
 /// returns (`sort` borrows one into its run and merge tasks). So the last
 /// `count_down` must be done with the latch's memory before any `wait` can
-/// return: the decrement and the notify happen inside one critical section
-/// of `lock`, and `wait` never returns on the lock-free view of
-/// `remaining` alone — it sees zero with `lock` held.
+/// return: the decrement, the look at the sleepers and the wake happen
+/// inside one critical section of `lock`, and `wait` never returns on the
+/// lock-free view of `remaining` alone — it sees zero with `lock` held.
 pub struct Latch {
     remaining: AtomicUsize,
     lock: Mutex<()>,
-    cv: Condvar,
+    blocked: Blocked,
 }
 
 impl Latch {
@@ -41,7 +41,7 @@ impl Latch {
         Latch {
             remaining: AtomicUsize::new(n),
             lock: Mutex::new(()),
-            cv: Condvar::new(),
+            blocked: Blocked::default(),
         }
     }
 
@@ -49,13 +49,15 @@ impl Latch {
     pub fn count_down(&self) {
         // Decrement under the lock: a waiter that sees zero then has to get
         // past this critical section (see `wait`), so it cannot free the
-        // latch while the notify or the unlock below still touch it — and
+        // latch while the wake or the unlock below still touch it — and
         // it cannot miss the wake between its check and its condvar wait.
+        // Sleepers register under this lock, so nobody asleep means nobody
+        // to wake.
         let _g = self.lock.lock();
         let prev = self.remaining.fetch_sub(1, Ordering::AcqRel);
         assert!(prev > 0, "latch counted down below zero");
         if prev == 1 {
-            self.cv.notify_all();
+            self.blocked.wake_all();
         }
     }
 
@@ -79,7 +81,7 @@ impl Latch {
         // `block_until` sees zero with `lock` held, so the opening
         // `count_down` has left its critical section before the caller
         // may drop the latch.
-        block_until(&self.lock, &self.cv, spin, |_| self.try_wait());
+        block_until(&self.lock, &self.blocked, spin, |_| self.try_wait());
     }
 
     /// Remaining countdowns (diagnostic).

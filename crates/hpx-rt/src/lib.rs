@@ -12,10 +12,11 @@
 //!   with continuation chaining and panic propagation (§III-A);
 //! * the **`dataflow`** LCO ([`dataflow`]) that delays a function until all
 //!   future inputs are ready, with `unwrapped` semantics built in (§III-B);
-//! * dependency-counting LCOs for fine-grained task graphs
-//!   ([`DepCounter`], [`schedule_after`], [`when_any_shared`]): the
-//!   batched, allocation-lean node scheduling behind `op2-core`'s
-//!   block-granular dataflow backend;
+//! * **dataflow frames** for fine-grained task graphs
+//!   ([`schedule_after`], [`when_all_shared`], [`when_any_shared`]): one
+//!   allocation per node, no allocation per edge — the node scheduling
+//!   behind `op2-core`'s block-granular dataflow backend, and what
+//!   [`dataflow`] itself is built on;
 //! * the LCO catalogue ([`lco`]): latch, event, barrier, semaphore,
 //!   spinlock, one-shot channel, reduction-tree collective;
 //! * **execution policies** of Table I ([`seq`], [`par`], [`par_vec`],
@@ -66,13 +67,12 @@ pub use algo::{
     inclusive_scan, max_element, min_element, reduce, reduce_async, sort, sum, transform,
 };
 pub use chunk::{
-    ChunkPolicy, GranularityFeedback, KernelCost, PersistentChunker, DEFAULT_CHUNK_TARGET,
+    ChunkPolicy, FeedbackSlot, GranularityFeedback, KernelCost, PersistentChunker,
+    DEFAULT_CHUNK_TARGET,
 };
-pub use dataflow::{dataflow, dataflow_inline, DataflowArg, FutureTuple, Val};
-pub use dep::{schedule_after, schedule_after_counted, when_any_shared, DepCounter};
-pub use future::{
-    channel, ready, when_all, when_all_shared, BrokenPromise, Future, Promise, SharedFuture,
-};
+pub use dataflow::{dataflow, dataflow_inline, DataflowArg, FrameRef, FutureTuple, Val};
+pub use dep::{schedule_after, schedule_after_counted, when_all_shared, when_any_shared};
+pub use future::{channel, ready, when_all, BrokenPromise, Future, Promise, SharedFuture};
 pub use policy::{par, par_task, par_vec, seq, seq_task, Exec, ExecutionPolicy, Launch};
 pub use prefetch::{
     for_each_prefetch, for_each_prefetch_async, make_prefetcher_context, PrefetchContainers,
@@ -81,8 +81,3 @@ pub use prefetch::{
 pub use runtime::{on_worker_thread, spawn_on_current, Runtime};
 pub use stats::RuntimeStats;
 pub use timing::Clock;
-
-// Internal cross-module plumbing re-exported for sibling crates in this
-// workspace (not part of the stable public API).
-#[doc(hidden)]
-pub use future::when_all_shared as __when_all_shared;

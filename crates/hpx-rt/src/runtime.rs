@@ -40,9 +40,19 @@
 //! [`RuntimeStats`] counts `lingers` against `linger_hits` (the lingers
 //! that found a task) and `parks`.
 //!
+//! # Who may sleep, who must wake
+//!
 //! Every blocking primitive of the crate (futures, latches, events,
 //! channels, [`Runtime::wait_idle`]) waits through [`block_until`], the one
-//! place the blocked-thread protocol is written.
+//! place the blocked-thread protocol is written, and sleeps on a
+//! [`Blocked`]: a condvar that counts its sleepers. A thread sleeps only
+//! after it registered there under the primitive's lock and looked at the
+//! condition once more; whoever completes the primitive wakes **only if
+//! the count is non-zero**. In a dataflow graph almost every completion
+//! has frames for consumers and no blocked thread at all, and a
+//! `notify_all` on a `std`-backed condvar is a futex system call whether
+//! or not anybody listens — per task, that was more than the scheduling
+//! itself.
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use parking_lot::{Condvar, Mutex};
@@ -95,11 +105,10 @@ pub(crate) struct RuntimeInner {
     shutdown: AtomicBool,
     /// Tasks spawned but not yet finished running; used by `wait_idle`.
     pending: AtomicUsize,
-    /// Threads inside `wait_idle`, and what the task that takes `pending`
-    /// to zero wakes them on.
-    idle_waiters: AtomicUsize,
+    /// Where `wait_idle` sleeps, and what the task that takes `pending`
+    /// to zero wakes.
     idle_lock: Mutex<()>,
-    idle_cv: Condvar,
+    idle: Blocked,
     pub(crate) stats: Box<[PaddedWorkerStats]>,
     /// Chunks of chunked algorithms that the joining thread ran itself
     /// (it need not be a worker, so no worker's counter block fits).
@@ -204,13 +213,9 @@ impl Runtime {
     /// latches for that).
     pub fn wait_idle(&self) {
         let inner = &*self.inner;
-        // Registered before the look at `pending` (both `SeqCst`): either
-        // that look sees zero or `task_finished` sees the waiter.
-        inner.idle_waiters.fetch_add(1, Ordering::SeqCst);
-        block_until(&inner.idle_lock, &inner.idle_cv, Duration::ZERO, |_| {
+        block_until(&inner.idle_lock, &inner.idle, Duration::ZERO, |_| {
             inner.pending.load(Ordering::SeqCst) == 0
         });
-        inner.idle_waiters.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Snapshot of scheduler counters.
@@ -268,9 +273,8 @@ impl RuntimeInner {
             spawning: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
-            idle_waiters: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
+            idle: Blocked::default(),
             stats: (0..nthreads)
                 .map(|_| PaddedWorkerStats::new(WorkerStats::default()))
                 .collect(),
@@ -328,11 +332,14 @@ impl RuntimeInner {
     }
 
     fn task_finished(&self) {
+        // `pending` does not change under `idle_lock`, so the sleeper this
+        // sees registered may not be asleep yet: passing through the lock
+        // it registered under waits until it is.
         if self.pending.fetch_sub(1, Ordering::SeqCst) == 1
-            && self.idle_waiters.load(Ordering::SeqCst) > 0
+            && self.idle.count.load(Ordering::SeqCst) > 0
         {
-            let _g = self.idle_lock.lock();
-            self.idle_cv.notify_all();
+            drop(self.idle_lock.lock());
+            self.idle.wake_all();
         }
     }
 }
@@ -515,22 +522,54 @@ pub(crate) fn try_help() -> Help {
     })
 }
 
+/// Where [`block_until`] sleeps: a condvar and the number of threads asleep
+/// on it (or about to be), so that completing something nobody waits for
+/// costs no futex call — the common case in a dataflow graph, where
+/// consumers are frames, not blocked threads.
+///
+/// The rule: a thread registers here **with the lock held, before its last
+/// look at the condition**, and whoever makes the condition true looks at
+/// the registrations only after having held that lock since (both
+/// `SeqCst`). So either the waker's critical section came first and the
+/// waiter's look sees the condition, or the waiter's came first and the
+/// waker sees it registered — and it is inside `wait` by then, because it
+/// gives the lock up only there.
+#[derive(Default)]
+pub(crate) struct Blocked {
+    cv: Condvar,
+    count: AtomicUsize,
+}
+
+impl Blocked {
+    /// Wakes every sleeper, if there is one; returns whether it had to.
+    /// For a caller that made the condition true under the sleepers' lock
+    /// or has held that lock since.
+    pub(crate) fn wake_all(&self) -> bool {
+        let sleeping = self.count.load(Ordering::SeqCst) > 0;
+        if sleeping {
+            self.cv.notify_all();
+        }
+        sleeping
+    }
+}
+
 /// Blocks the current thread until `done` holds of the value behind `lock`
 /// — the one wait loop behind every blocking primitive of the crate.
 ///
 /// `done` is only ever evaluated with `lock` held, and whoever makes it
-/// true must take `lock` before notifying `cv` (or change the value under
-/// it), so no wake-up falls between the check and the sleep — and when this
-/// returns, that critical section is over. In order of preference the
-/// thread: runs a ready task if it is a pool worker (help-first; this is
-/// what keeps nested waits on a small pool deadlock-free), polls for up to
-/// `spin` (a joining thread's bounded wait for its stragglers, see the
-/// module docs), and only then sleeps on `cv` — a worker for [`WAIT_POLL`]
-/// at a time, because a task it could help with wakes nobody who is not
-/// parked, anyone else until notified.
+/// true must take `lock` before it calls [`Blocked::wake_all`] (or change
+/// the value under it), so no wake-up falls between the check and the sleep
+/// — and when this returns, that critical section is over. In order of
+/// preference the thread: runs a ready task if it is a pool worker
+/// (help-first; this is what keeps nested waits on a small pool
+/// deadlock-free), polls for up to `spin` (a joining thread's bounded wait
+/// for its stragglers, see the module docs), and only then registers with
+/// `blocked` and sleeps — a worker for [`WAIT_POLL`] at a time, because a
+/// task it could help with wakes nobody who is not parked, anyone else
+/// until woken.
 pub(crate) fn block_until<T>(
     lock: &Mutex<T>,
-    cv: &Condvar,
+    blocked: &Blocked,
     spin: Duration,
     done: impl Fn(&T) -> bool,
 ) {
@@ -548,13 +587,20 @@ pub(crate) fn block_until<T>(
             continue;
         }
         let mut guard = lock.lock();
-        if done(&guard) {
-            return;
+        blocked.count.fetch_add(1, Ordering::SeqCst);
+        let finished = done(&guard);
+        match help {
+            _ if finished => {}
+            Help::Idle => {
+                blocked.cv.wait_for(&mut guard, WAIT_POLL);
+            }
+            _ => blocked.cv.wait(&mut guard),
         }
-        if help == Help::Idle {
-            cv.wait_for(&mut guard, WAIT_POLL);
-        } else {
-            cv.wait(&mut guard);
+        // Still under `lock`: the primitive may live on this thread's
+        // stack, and nobody else may touch it once this returns.
+        blocked.count.fetch_sub(1, Ordering::SeqCst);
+        if finished {
+            return;
         }
     }
 }

@@ -1,15 +1,22 @@
 //! The unit of work executed by the scheduler.
 //!
-//! A [`Task`] is a boxed `FnOnce` closure. Tasks are normally `'static`
-//! (created by [`Runtime::spawn`](crate::Runtime::spawn)); the parallel
-//! algorithms additionally create *borrowing* tasks through
-//! [`Task::new_unchecked`], which is sound because those algorithms join on a
-//! latch before any borrowed data goes out of scope (the same technique used
-//! by structured-concurrency scopes).
+//! A [`Task`] is a boxed `FnOnce` closure or a dataflow frame whose
+//! dependencies are all in (the frame *is* the runnable: firing a node
+//! allocates nothing). Closure tasks are normally `'static` (created by
+//! [`Runtime::spawn`](crate::Runtime::spawn)); the parallel algorithms
+//! additionally create *borrowing* tasks through [`Task::new_unchecked`],
+//! which is sound because those algorithms join on a latch before any
+//! borrowed data goes out of scope (the same technique used by
+//! structured-concurrency scopes).
+
+use std::sync::Arc;
+
+use crate::dep::Frame;
 
 /// A schedulable unit of work.
-pub(crate) struct Task {
-    f: Box<dyn FnOnce() + Send + 'static>,
+pub(crate) enum Task {
+    Closure(Box<dyn FnOnce() + Send + 'static>),
+    Frame(Arc<dyn Frame>),
 }
 
 impl Task {
@@ -18,7 +25,7 @@ impl Task {
     where
         F: FnOnce() + Send + 'static,
     {
-        Task { f: Box::new(f) }
+        Task::Closure(Box::new(f))
     }
 
     /// Creates a task from a closure that borrows data with lifetime `'a`.
@@ -36,18 +43,15 @@ impl Task {
         let boxed: Box<dyn FnOnce() + Send + 'a> = Box::new(f);
         // SAFETY: lifetime erasure; contract documented above.
         let boxed: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(boxed) };
-        Task { f: boxed }
+        Task::Closure(boxed)
     }
 
     /// Consumes and runs the task.
     #[inline]
     pub(crate) fn run(self) {
-        (self.f)()
-    }
-}
-
-impl std::fmt::Debug for Task {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Task {{ .. }}")
+        match self {
+            Task::Closure(f) => f(),
+            Task::Frame(frame) => frame.run(),
+        }
     }
 }

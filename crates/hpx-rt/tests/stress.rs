@@ -2,7 +2,7 @@
 //! parallelism, panic propagation through every construct, runtime
 //! lifecycle churn, concurrent chunker calibration, and a seeded
 //! scheduler-permutation harness for the halo-exchange task pattern
-//! (channels + `DepCounter`-gated nodes) used by the sharded driver.
+//! (channels + frame-gated nodes) used by the sharded driver.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use hpx_rt::{
     channel, dataflow, for_each, for_each_async, for_each_chunk, lco, par, par_task, ready, reduce,
-    schedule_after, spawn_on_current, when_all, ChunkPolicy, DepCounter, PersistentChunker,
-    Runtime, SharedFuture,
+    schedule_after, spawn_on_current, when_all, ChunkPolicy, PersistentChunker, Runtime,
+    SharedFuture,
 };
 
 #[test]
@@ -470,45 +470,69 @@ fn halo_exchange_pattern_survives_seeded_wake_permutations() {
     }
 }
 
-/// `DepCounter` under seeded countdown interleavings: many counters, their
-/// countdown operations shuffled together and raced across four threads —
-/// every counter must fire exactly once, never early, never twice.
+/// Frames under seeded completion interleavings: many nodes, each behind
+/// its own promise-backed inputs, the completions shuffled together and
+/// raced across four threads — every body must run exactly once, and never
+/// before the last of its inputs was fulfilled. Half the nodes run as tasks
+/// (`schedule_after`), half on the completing thread (`when_all_shared`
+/// feeding a one-input node, so the inline join is raced too).
 #[test]
-fn dep_counter_exact_fire_under_seeded_interleavings() {
-    const COUNTERS: usize = 32;
-    const COUNT: usize = 8;
+fn frames_fire_exactly_once_under_seeded_interleavings() {
+    const NODES: usize = 32;
+    const INPUTS: usize = 8;
+    let rt = Runtime::new(2);
     for seed in 0..16u64 {
         let mut rng = Rng::new(0xDEC0_47E5 ^ seed.wrapping_mul(0xD6E8_FEB8_6659_FD93));
         let fired: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..COUNTERS).map(|_| AtomicUsize::new(0)).collect());
-        let counters: Vec<Arc<DepCounter>> = (0..COUNTERS)
+            Arc::new((0..NODES).map(|_| AtomicUsize::new(0)).collect());
+        let fulfilled: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..NODES).map(|_| AtomicUsize::new(0)).collect());
+        let mut promises = Vec::new();
+        let nodes: Vec<SharedFuture<()>> = (0..NODES)
             .map(|i| {
-                let f = Arc::clone(&fired);
-                DepCounter::new(COUNT, move || {
-                    f[i].fetch_add(1, Ordering::Relaxed);
-                })
+                let inputs: Vec<SharedFuture<()>> = (0..INPUTS)
+                    .map(|_| {
+                        let (promise, fut) = channel::<()>();
+                        promises.push((i, promise));
+                        fut.share()
+                    })
+                    .collect();
+                let (fired, fulfilled) = (Arc::clone(&fired), Arc::clone(&fulfilled));
+                let body = move || {
+                    assert_eq!(fulfilled[i].load(Ordering::Acquire), INPUTS, "early");
+                    fired[i].fetch_add(1, Ordering::Relaxed);
+                };
+                if i % 2 == 0 {
+                    schedule_after(&rt, &inputs, body)
+                } else {
+                    schedule_after(&rt, &[hpx_rt::when_all_shared(&inputs)], body)
+                }
             })
             .collect();
-        // All countdown ops, shuffled, dealt round-robin to four threads.
-        let mut ops: Vec<usize> = (0..COUNTERS).flat_map(|i| [i; COUNT]).collect();
-        rng.shuffle(&mut ops);
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let my_ops: Vec<usize> = ops.iter().skip(t).step_by(4).copied().collect();
-                let counters = counters.clone();
+        // All completions, shuffled, dealt round-robin to four threads.
+        rng.shuffle(&mut promises);
+        let mut hands: Vec<Vec<_>> = (0..4).map(|_| Vec::new()).collect();
+        for (k, op) in promises.into_iter().enumerate() {
+            hands[k % 4].push(op);
+        }
+        let threads: Vec<_> = hands
+            .into_iter()
+            .map(|hand| {
+                let fulfilled = Arc::clone(&fulfilled);
                 std::thread::spawn(move || {
-                    for i in my_ops {
-                        counters[i].count_down();
+                    for (i, promise) in hand {
+                        fulfilled[i].fetch_add(1, Ordering::Release);
+                        promise.set_value(());
                     }
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
+        for t in threads {
+            t.join().unwrap();
         }
+        wait_or_deadlock(&nodes, &format!("seed {seed}"));
         for (i, f) in fired.iter().enumerate() {
-            assert_eq!(f.load(Ordering::Relaxed), 1, "seed {seed}: counter {i}");
-            assert_eq!(counters[i].pending(), 0, "seed {seed}: counter {i}");
+            assert_eq!(f.load(Ordering::Relaxed), 1, "seed {seed}: node {i}");
         }
     }
 }
