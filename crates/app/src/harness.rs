@@ -209,7 +209,12 @@ pub struct RunConfig {
     /// Exit policy (iteration count or convergence).
     pub exit: ExitPolicy,
     /// Backpressure window: in-flight iterations before the submitter
-    /// waits on the oldest (0 = fully synchronous).
+    /// waits on the oldest (0 = unbounded). An [`ExitPolicy::Converge`]
+    /// exit reads only residuals that have already resolved, and the
+    /// submitter runs up to `window` iterations ahead of the oldest one
+    /// whose loops and residual are not complete: the run may overshoot
+    /// the crossing iteration by up to the window, never by more.
+    /// Convergence-driven apps keep it short.
     pub window: usize,
     /// Print the scaled residual every so many iterations (0 = never).
     pub print_every: usize,
@@ -311,6 +316,15 @@ pub fn run<I: AppInstance + ?Sized>(inst: &mut I, cfg: RunConfig) -> RunOutcome 
         if cfg.window > 0 && window_gates.len() > cfg.window {
             for h in window_gates.pop_front().expect("window is non-empty") {
                 h.wait();
+            }
+            // A convergence-driven run lets the leaving iteration's
+            // residual resolve too (its read node runs right behind the
+            // gate), so the exit check below has seen every iteration up
+            // to `iter - window` and the overshoot is bounded by the
+            // window rather than by scheduling luck. The value is still
+            // only ever read once resolved.
+            if conv.is_some() {
+                futs[iter - 1 - cfg.window].done().wait();
             }
         }
         iterations = iter;

@@ -113,7 +113,10 @@ impl App for JacApp {
     }
 
     fn default_run(&self) -> RunConfig {
-        RunConfig::converge(generated::resid_convergence(), 16)
+        // A short window: the exit may overshoot the crossing by up to the
+        // window (see `RunConfig::window`), and at ~13 tasks per iteration
+        // four iterations in flight already keep two workers fed.
+        RunConfig::converge(generated::resid_convergence(), 4)
     }
 }
 

@@ -5,6 +5,31 @@
 //! *type* (the [`AccessTag`] parameter) so the kernel receives `&[T]` for
 //! `OP_READ` and `&mut [T]` otherwise — the Rust equivalent of OP2's
 //! access-mode-checked argument marshalling.
+//!
+//! So is the argument's **shape** (the [`Shape`] parameter): the row
+//! length, the map arity and direct-vs-via. The constructors yield the
+//! [`Dyn`] shape, which carries them as run-time values read from the dat
+//! and the map; `.row::<D>()` / `.via::<D, AR>()` move them into the type
+//! as constants — what the OP2 translator writes into its generated loops
+//! (`arg0.map_data[n * 4 + 0]`, `&data[2 * idx]`), and what `op2c` emits
+//! from the `.op2` spec's `dim` declarations. Both flavours are the one
+//! [`DatArg`]/[`DatBound`]/`ArgSpec` implementation, instantiated.
+//!
+//! What is resolved when:
+//!
+//! * **per loop** (submission): the argument is checked against the
+//!   iteration set and its shape against the dat and map
+//!   ([`ArgSpec::check_against`] — a mismatch is a named panic, never a
+//!   wrong stride); whether any argument's rows are strided (an SoA dat)
+//!   and must therefore be staged ([`ArgSpec::strided`]);
+//! * **per block**: base pointer, map table (pre-offset by the slot) and
+//!   strides go into plain locals ([`ArgSpec::bind`]); the executor picks
+//!   the staged or the unstaged instantiation of its element loop;
+//! * **per element**: for a shaped argument a map load, a multiply by a
+//!   literal and the kernel call; the slice the kernel receives has a
+//!   compile-time length once `view` is inlined. A [`Dyn`] argument
+//!   multiplies by its run-time `dim`/`arity` instead. Neither looks at
+//!   the layout or re-decides direct-vs-via from a pointer.
 
 use std::sync::Arc;
 
@@ -58,20 +83,29 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
     type View<'e>
     where
         Self: 'e;
-    /// Per-chunk scratch (reduction buffers, SoA row staging).
+    /// Per-block scratch (reduction partial, staging row).
     type TaskLocal: Send + 'static;
     /// Everything about the argument that does not change from one
-    /// element to the next — base pointers, `dim`, plane stride, map table
-    /// and slot — resolved once per executed block into plain locals, so
-    /// the element loop chases no handle (see [`DatBound`]).
+    /// element to the next — base pointer, strides, map table and slot —
+    /// resolved once per executed block into plain locals, so the element
+    /// loop chases no handle (see [`DatBound`]).
     type Bound<'b>
     where
         Self: 'b;
 
-    /// Validates the argument against the loop's iteration set.
+    /// Validates the argument against the loop's iteration set, and its
+    /// shape against the dat and map it was built from.
     fn check_against(&self, iter_set: &Set, loop_name: &str);
-    /// Creates the per-chunk scratch.
-    fn task_local(&self) -> Self::TaskLocal;
+    /// True when the argument's rows are not contiguous in storage (an SoA
+    /// dat): the loop then runs the staged instantiation of its element
+    /// loop, which copies every row through [`ArgSpec::TaskLocal`] and
+    /// calls [`ArgSpec::writeback`]. Default: contiguous.
+    fn strided(&self) -> bool {
+        false
+    }
+    /// Creates the per-block scratch; `staged` says which instantiation of
+    /// the element loop will use it.
+    fn task_local(&self, staged: bool) -> Self::TaskLocal;
     /// Resolves the loop-invariant state; the executor calls this once per
     /// block, inside the block's task.
     ///
@@ -79,36 +113,36 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
     ///
     /// Caller must be a loop executor upholding the plan/coloring
     /// discipline (see [`crate::dat`] safety model), calling from the
-    /// block whose dependencies are satisfied. The result must not outlive
-    /// that block call, be stored, or be sent to another thread.
+    /// block whose dependencies are satisfied, after
+    /// [`ArgSpec::check_against`] passed. The result must not outlive that
+    /// block call, be stored, or be sent to another thread.
     unsafe fn bind(&self) -> Self::Bound<'_>;
-    /// Builds the kernel view for element `elem`.
+    /// Builds the kernel view for element `elem`: a slice of the storage
+    /// itself, or — `STAGED` — of `tl`, filled from the (strided) row.
     ///
     /// # Safety
     ///
     /// As [`ArgSpec::bind`]; additionally `elem` must be an element of the
-    /// iteration set the argument was checked against.
-    unsafe fn view<'e>(
+    /// iteration set the argument was checked against, and with `STAGED`
+    /// `tl` must come from `task_local(true)` of the bound argument.
+    unsafe fn view<'e, const STAGED: bool>(
         bound: &'e Self::Bound<'_>,
         elem: usize,
         tl: &'e mut Self::TaskLocal,
     ) -> Self::View<'e>;
-    /// Writes staged per-element state back after the kernel ran — the
-    /// dual of [`ArgSpec::view`] for arguments whose mutable view is a
-    /// task-local staging buffer rather than a slice of the underlying
-    /// storage (an SoA dat's rows are strided across component planes, so
-    /// the contiguous kernel view is staged). No-op for AoS and read-only
-    /// arguments.
+    /// Writes the staged row back after the kernel ran — the dual of a
+    /// `STAGED` [`ArgSpec::view`]; the unstaged element loop never calls
+    /// it. No-op for read-only and global arguments.
     ///
     /// # Safety
     ///
     /// Same contract as [`ArgSpec::view`], invoked with the same `elem`
-    /// whose view the kernel just mutated.
+    /// whose staged view the kernel just mutated.
     unsafe fn writeback(bound: &Self::Bound<'_>, elem: usize, tl: &mut Self::TaskLocal) {
         let _ = (bound, elem, tl);
     }
-    /// Commits per-chunk scratch (keyed by the owning loop's generation
-    /// and the chunk's start element, so pipelined loops' partials never
+    /// Commits per-block scratch (keyed by the owning loop's generation
+    /// and the block's start element, so pipelined loops' partials never
     /// mix).
     fn commit(&self, gen: u64, chunk_start: usize, tl: Self::TaskLocal);
     /// Runs once after all chunks of loop generation `gen` completed.
@@ -158,6 +192,78 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
 }
 
 // ---------------------------------------------------------------------------
+// Shapes
+// ---------------------------------------------------------------------------
+
+mod sealed {
+    /// [`super::Shape::dim`] becomes a slice length: only this module's
+    /// shapes, whose values `check_against` pins to the dat, may exist.
+    pub trait Sealed {}
+}
+
+/// Row length, map arity and direct-vs-via of an argument (see the module
+/// docs): constants for [`Row`] and [`Via`], run-time values for [`Dyn`].
+pub trait Shape: sealed::Sealed + Copy + Send + Sync + 'static {
+    /// A `dim`-long buffer in the block's frame — the staging row of a dat
+    /// argument, the partial of a global reduction.
+    type Buf<T: OpType>: AsRef<[T]> + AsMut<[T]> + Into<Vec<T>> + Send + 'static;
+    /// Scalars per row.
+    fn dim(self) -> usize;
+    /// Entries per source element of the map gone through; 0 = direct.
+    fn arity(self) -> usize;
+    /// A buffer of `fill`; one the element loop will not use may be empty.
+    fn buf<T: OpType>(self, fill: T, used: bool) -> Self::Buf<T>;
+}
+
+/// The shape read from the dat and map when the argument was built.
+#[derive(Clone, Copy, Debug)]
+pub struct Dyn {
+    dim: usize,
+    arity: usize,
+}
+
+/// `DIM` scalars per row reached through a map of `ARITY` slots, or —
+/// `ARITY` 0, see [`Row`] — addressed directly.
+#[derive(Clone, Copy, Debug)]
+pub struct Via<const DIM: usize, const ARITY: usize>;
+
+/// `DIM` scalars per row, addressed directly (or a `DIM`-long global).
+pub type Row<const DIM: usize> = Via<DIM, 0>;
+
+impl sealed::Sealed for Dyn {}
+impl Shape for Dyn {
+    type Buf<T: OpType> = Vec<T>;
+    #[inline(always)]
+    fn dim(self) -> usize {
+        self.dim
+    }
+    #[inline(always)]
+    fn arity(self) -> usize {
+        self.arity
+    }
+    fn buf<T: OpType>(self, fill: T, used: bool) -> Vec<T> {
+        vec![fill; if used { self.dim } else { 0 }]
+    }
+}
+
+impl<const DIM: usize, const ARITY: usize> sealed::Sealed for Via<DIM, ARITY> {}
+impl<const DIM: usize, const ARITY: usize> Shape for Via<DIM, ARITY> {
+    type Buf<T: OpType> = [T; DIM];
+    #[inline(always)]
+    fn dim(self) -> usize {
+        DIM
+    }
+    #[inline(always)]
+    fn arity(self) -> usize {
+        ARITY
+    }
+    #[inline(always)]
+    fn buf<T: OpType>(self, fill: T, _used: bool) -> [T; DIM] {
+        [fill; DIM]
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Dat arguments
 // ---------------------------------------------------------------------------
 
@@ -165,6 +271,15 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
 pub trait AccessTag: Send + Sync + 'static {
     /// The runtime access descriptor.
     const ACCESS: Access;
+    /// What the kernel receives: `&[T]` for `OP_READ`, else `&mut [T]`.
+    type View<'e, T: OpType>;
+    /// The view over the `len` scalars at `row`.
+    ///
+    /// # Safety
+    ///
+    /// `row` must be valid for `'e` for `len` reads and, for a mutable
+    /// tag, writes that nothing else observes.
+    unsafe fn view<'e, T: OpType>(row: *mut T, len: usize) -> Self::View<'e, T>;
 }
 
 /// `OP_READ` marker.
@@ -178,30 +293,49 @@ pub struct IncTag;
 
 impl AccessTag for ReadTag {
     const ACCESS: Access = Access::Read;
-}
-impl AccessTag for WriteTag {
-    const ACCESS: Access = Access::Write;
-}
-impl AccessTag for RwTag {
-    const ACCESS: Access = Access::Rw;
-}
-impl AccessTag for IncTag {
-    const ACCESS: Access = Access::Inc;
+    type View<'e, T: OpType> = &'e [T];
+    #[inline(always)]
+    // SAFETY: callers uphold the trait method's contract, which is
+    // `from_raw_parts`' verbatim.
+    unsafe fn view<'e, T: OpType>(row: *mut T, len: usize) -> &'e [T] {
+        // SAFETY: see above.
+        unsafe { std::slice::from_raw_parts(row, len) }
+    }
 }
 
-/// A dat argument with access mode `A` (see module docs). Construct with
-/// [`arg_read`], [`arg_inc_via`], etc.
-pub struct DatArg<T: OpType, A: AccessTag> {
+macro_rules! impl_mut_tag {
+    ($($tag:ty => $access:expr),+) => {$(
+        impl AccessTag for $tag {
+            const ACCESS: Access = $access;
+            type View<'e, T: OpType> = &'e mut [T];
+            #[inline(always)]
+            // SAFETY: callers uphold the trait method's contract, which is
+            // `from_raw_parts_mut`'s verbatim.
+            unsafe fn view<'e, T: OpType>(row: *mut T, len: usize) -> &'e mut [T] {
+                // SAFETY: see above.
+                unsafe { std::slice::from_raw_parts_mut(row, len) }
+            }
+        }
+    )+};
+}
+impl_mut_tag!(WriteTag => Access::Write, RwTag => Access::Rw, IncTag => Access::Inc);
+
+/// A dat argument with access mode `A` and shape `S` (see module docs).
+/// Construct with [`arg_read`], [`arg_inc_via`], etc.; fix the shape with
+/// [`DatArg::row`] / [`DatArg::via`].
+pub struct DatArg<T: OpType, A: AccessTag, S: Shape = Dyn> {
     dat: Dat<T>,
     map: Option<(Map, usize)>,
+    shape: S,
     _access: std::marker::PhantomData<A>,
 }
 
-impl<T: OpType, A: AccessTag> Clone for DatArg<T, A> {
+impl<T: OpType, A: AccessTag, S: Shape> Clone for DatArg<T, A, S> {
     fn clone(&self) -> Self {
         DatArg {
             dat: self.dat.clone(),
             map: self.map.clone(),
+            shape: self.shape,
             _access: std::marker::PhantomData,
         }
     }
@@ -237,10 +371,39 @@ impl<T: OpType, A: AccessTag> DatArg<T, A> {
         DatArg {
             dat: dat.clone(),
             map: map.map(|(m, i)| (m.clone(), i)),
+            shape: Dyn {
+                dim: dat.dim(),
+                arity: map.map_or(0, |(m, _)| m.dim()),
+            },
             _access: std::marker::PhantomData,
         }
     }
 
+    fn shaped<S: Shape>(self, shape: S) -> DatArg<T, A, S> {
+        DatArg {
+            dat: self.dat,
+            map: self.map,
+            shape,
+            _access: std::marker::PhantomData,
+        }
+    }
+
+    /// Fixes the shape of a *direct* argument: rows of `DIM` scalars.
+    /// Submission panics if the dat's `dim` differs or the argument goes
+    /// through a map.
+    pub fn row<const DIM: usize>(self) -> DatArg<T, A, Row<DIM>> {
+        self.shaped(Via)
+    }
+
+    /// Fixes the shape of an *indirect* argument: rows of `DIM` scalars
+    /// through a map of `ARITY` slots. Submission panics if the dat's
+    /// `dim` or the map's differs, or the argument is direct.
+    pub fn via<const DIM: usize, const ARITY: usize>(self) -> DatArg<T, A, Via<DIM, ARITY>> {
+        self.shaped(Via)
+    }
+}
+
+impl<T: OpType, A: AccessTag, S: Shape> DatArg<T, A, S> {
     /// Target row for iteration element `e` (submission-time and debug
     /// paths; the element loop resolves rows through [`DatBound`]).
     fn target(&self, e: usize) -> usize {
@@ -250,35 +413,162 @@ impl<T: OpType, A: AccessTag> DatArg<T, A> {
         }
     }
 
-    fn bind_impl(&self) -> DatBound<'_, T> {
-        let (map, arity) = match &self.map {
-            None => (std::ptr::null(), 0),
-            // Pre-offset by the slot (`slot < m.dim()` per `DatArg::new`);
-            // wrapping because an empty source set has an empty table.
-            Some((m, slot)) => (m.indices().as_ptr().wrapping_add(*slot), m.dim()),
-        };
-        DatBound {
-            // SAFETY(clippy): address computation only.
-            base: unsafe { self.dat.ptr() },
-            dim: self.dat.dim(),
-            layout: self.dat.layout(),
-            stride: self.dat.component_stride(),
-            map,
-            arity,
-            _arg: std::marker::PhantomData,
+    /// The shape must say what the dat and the map say: the element loop
+    /// strides by it unchecked.
+    fn check_shape(&self, loop_name: &str) {
+        let (dat, dim, arity) = (self.dat.name(), self.shape.dim(), self.shape.arity());
+        assert!(
+            dim == self.dat.dim(),
+            "loop '{loop_name}': arg on dat '{dat}' is shaped for dim {dim}, the dat has dim {}",
+            self.dat.dim()
+        );
+        let found = self.map.as_ref().map_or(0, |(m, _)| m.dim());
+        if arity != found {
+            let access = |arity: usize| match arity {
+                0 => "direct access".to_owned(),
+                n => format!("a map of arity {n}"),
+            };
+            let map = self.map.as_ref().map_or("no map", |(m, _)| m.name());
+            panic!(
+                "loop '{loop_name}': arg on dat '{dat}' is shaped for {}, it goes through {} ({map})",
+                access(arity),
+                access(found)
+            );
         }
     }
 
-    /// Staging buffer for one SoA row (AoS views alias the storage and
-    /// need none).
-    fn stage_buffer(&self) -> Vec<T> {
-        match self.dat.layout() {
-            Layout::AoS => Vec::new(),
-            Layout::SoA => vec![T::default(); self.dat.dim()],
+    /// Shared implicit-communication trigger: only an *indirect* argument
+    /// through a halo-capable map can observe halo mirror rows (loops
+    /// iterate the owned prefix, so direct arguments never reach them).
+    /// Under a distributed transport the halo-capability cut is dropped:
+    /// whether *this* rank's map reaches its halo says nothing about the
+    /// peer's, and both sides must fire at the same program points (SPMD
+    /// symmetry — see [`crate::locality`]); the ring resolves stale
+    /// exports there.
+    fn refresh_halo_for_read(&self) {
+        if let Some((m, slot)) = &self.map {
+            if let Some((rank, ring)) = self.dat.halo_ring() {
+                if m.halo_targets() > 0 || ring.spmd_mode() {
+                    ring.refresh_for_read(*rank, m, *slot);
+                }
+            }
+        }
+    }
+}
+
+/// The loop-invariant half of a [`DatArg`], resolved once per executed
+/// block by [`ArgSpec::bind`]: the element loop addresses rows from these
+/// plain locals instead of re-walking `DatArg -> Arc<DatInner> -> Vec` and
+/// `Map -> Arc<MapInner> -> indices` per element (loads the optimiser
+/// cannot hoist itself, because kernels write through raw pointers that
+/// may alias those fields). A shaped argument's `dim` and `arity` are not
+/// among them: they are constants of `S`.
+///
+/// Holds raw pointers into the dat's storage and the map's index table:
+/// valid only while the argument it was bound from is alive and only
+/// under the executor discipline of [`crate::dat`] — i.e. for the one
+/// `block_body` call that bound it, whose closure owns the argument clone.
+/// The raw pointers also keep it `!Send`/`!Sync`, so it cannot leave the
+/// block's task.
+pub struct DatBound<'b, T, S = Dyn> {
+    base: *mut T,
+    /// Map table pre-offset by the slot; never read when `S::arity()` is 0.
+    map: *const u32,
+    shape: S,
+    /// Scalars between two rows / two components of a row — what the
+    /// staged path strides by: `(dim, 1)` under AoS, `(1, total_rows)`
+    /// under SoA. The unstaged path strides by `shape.dim()` alone.
+    row_stride: usize,
+    comp_stride: usize,
+    _arg: std::marker::PhantomData<&'b ()>,
+}
+
+impl<T: OpType, S: Shape> DatBound<'_, T, S> {
+    /// Target row of iteration element `e`.
+    ///
+    /// # Safety
+    ///
+    /// `e` must be an element of the iteration set the argument was
+    /// checked against.
+    #[inline(always)]
+    unsafe fn target(&self, e: usize) -> usize {
+        match self.shape.arity() {
+            0 => e,
+            // SAFETY: `check_against` pinned the map's source set to the
+            // iteration set and its arity to the shape's, and `block_body`
+            // asserts its range lies inside that set, so `e * arity + slot`
+            // is inside the `from.size() * arity` table `Map::with_halo`
+            // validated.
+            arity => unsafe { *self.map.add(e * arity) as usize },
         }
     }
 
-    fn check_impl(&self, iter_set: &Set, loop_name: &str) {
+    /// Pointer to the `dim` contiguous scalars of element `e`'s row in the
+    /// storage of an AoS dat.
+    ///
+    /// # Safety
+    ///
+    /// As [`DatBound::target`]; the dat must not be strided.
+    #[inline(always)]
+    unsafe fn row(&self, e: usize) -> *mut T {
+        // SAFETY: `target`'s contract is ours; `t < total_rows` — direct
+        // rows by the iteration-set match, mapped rows by
+        // `Map::with_halo`'s index validation and `DatArg::new`'s
+        // `target_rows <= total_rows` check — and `check_against` pinned
+        // `shape.dim()` to the dat's, so the row is inside the storage.
+        unsafe { self.base.add(self.target(e) * self.shape.dim()) }
+    }
+
+    /// Copies element `e`'s row from wherever its components live into
+    /// `stage`, so the kernel keeps its contiguous slice signature
+    /// (OP_RW/OP_INC read their current target; OP_WRITE harmlessly sees
+    /// stale values it must overwrite anyway).
+    ///
+    /// # Safety
+    ///
+    /// As [`DatBound::target`]; `stage` must be `dim` long.
+    #[inline(always)]
+    unsafe fn stage(&self, e: usize, stage: &mut [T]) -> *mut T {
+        // SAFETY: forwarded contract.
+        let at = unsafe { self.target(e) } * self.row_stride;
+        for (c, s) in stage.iter_mut().enumerate() {
+            // SAFETY: `t < total_rows` as in `row` and `c < dim`, so
+            // `t * dim + c` (AoS) and `t + c * total_rows` (SoA) are both
+            // below `dim * total_rows`.
+            *s = unsafe { *self.base.add(at + c * self.comp_stride) };
+        }
+        stage.as_mut_ptr()
+    }
+
+    /// Scatters a staged row back to where [`DatBound::stage`] read it.
+    ///
+    /// # Safety
+    ///
+    /// As [`DatBound::stage`], for a row the executor holds exclusively.
+    #[inline(always)]
+    unsafe fn scatter(&self, e: usize, stage: &[T]) {
+        // SAFETY: forwarded contract.
+        let at = unsafe { self.target(e) } * self.row_stride;
+        for (c, &v) in stage.iter().enumerate() {
+            // SAFETY: bounds as in `stage`; exclusivity of row `t` per the
+            // executor discipline.
+            unsafe { *self.base.add(at + c * self.comp_stride) = v };
+        }
+    }
+}
+
+// SAFETY: read views are shared references, aliasing is harmless; mutable
+// views are made exclusive by the executor: direct args are partitioned by
+// element, indirect ones serialized by plan coloring, and the debug
+// aliasing check guards within-element overlap. A staged view is a copy of
+// the row in the block's own buffer, scattered back by `writeback` under
+// the same exclusivity.
+unsafe impl<T: OpType, A: AccessTag, S: Shape> ArgSpec for DatArg<T, A, S> {
+    type View<'e> = A::View<'e, T>;
+    type TaskLocal = S::Buf<T>;
+    type Bound<'b> = DatBound<'b, T, S>;
+
+    fn check_against(&self, iter_set: &Set, loop_name: &str) {
         match &self.map {
             None => assert!(
                 self.dat.set().same(iter_set),
@@ -295,9 +585,72 @@ impl<T: OpType, A: AccessTag> DatArg<T, A> {
                 iter_set.name()
             ),
         }
+        self.check_shape(loop_name);
     }
-
-    fn info_impl(&self) -> ArgInfo {
+    fn strided(&self) -> bool {
+        self.dat.layout() == Layout::SoA
+    }
+    fn task_local(&self, staged: bool) -> S::Buf<T> {
+        self.shape.buf(T::default(), staged)
+    }
+    // SAFETY: callers uphold `ArgSpec::bind`'s contract; binding itself
+    // only computes addresses.
+    unsafe fn bind(&self) -> DatBound<'_, T, S> {
+        let (row_stride, comp_stride) = match self.dat.layout() {
+            Layout::AoS => (self.dat.dim(), 1),
+            Layout::SoA => (1, self.dat.component_stride()),
+        };
+        DatBound {
+            // SAFETY: address computation only; the caller is the executor
+            // that may dereference it.
+            base: unsafe { self.dat.ptr() },
+            map: match &self.map {
+                None => std::ptr::null(),
+                // Pre-offset by the slot (`slot < m.dim()` per
+                // `DatArg::new`); wrapping because an empty source set has
+                // an empty table.
+                Some((m, slot)) => m.indices().as_ptr().wrapping_add(*slot),
+            },
+            shape: self.shape,
+            row_stride,
+            comp_stride,
+            _arg: std::marker::PhantomData,
+        }
+    }
+    #[inline(always)]
+    // SAFETY: callers uphold `ArgSpec::view`'s contract, used below.
+    unsafe fn view<'e, const STAGED: bool>(
+        b: &'e DatBound<'_, T, S>,
+        elem: usize,
+        tl: &'e mut S::Buf<T>,
+    ) -> A::View<'e, T> {
+        // SAFETY: executor discipline (trait docs): `elem` is in the set,
+        // a `STAGED` `tl` is `dim` long, and the unstaged loop runs only
+        // when no argument is strided (`block_body`).
+        let row = unsafe {
+            if STAGED {
+                b.stage(elem, tl.as_mut())
+            } else {
+                b.row(elem)
+            }
+        };
+        // SAFETY: either way `row` heads `dim` scalars, shared or
+        // exclusive as `A` needs per the impl-level comment, that outlive
+        // `'e` (the storage by the bound, the buffer by its borrow).
+        unsafe { A::view(row, b.shape.dim()) }
+    }
+    #[inline(always)]
+    // SAFETY: callers uphold `ArgSpec::writeback`'s contract, used below.
+    unsafe fn writeback(b: &DatBound<'_, T, S>, elem: usize, tl: &mut S::Buf<T>) {
+        if A::ACCESS != Access::Read {
+            // SAFETY: exclusivity per the impl-level comment; the executor
+            // passes the elem whose view was just staged into `tl`.
+            unsafe { b.scatter(elem, tl.as_ref()) }
+        }
+    }
+    fn commit(&self, _gen: u64, _chunk_start: usize, _tl: S::Buf<T>) {}
+    fn finalize(&self, _gen: u64) {}
+    fn info(&self) -> ArgInfo {
         ArgInfo {
             access: A::ACCESS,
             kind: match &self.map {
@@ -310,34 +663,10 @@ impl<T: OpType, A: AccessTag> DatArg<T, A> {
             deps: Some(Arc::clone(self.dat.deps())),
         }
     }
-
-    /// Shared implicit-communication trigger: only an *indirect* argument
-    /// through a halo-capable map can observe halo mirror rows (loops
-    /// iterate the owned prefix, so direct arguments never reach them).
-    /// Under a distributed transport the halo-capability cut is dropped:
-    /// whether *this* rank's map reaches its halo says nothing about the
-    /// peer's, and both sides must fire at the same program points (SPMD
-    /// symmetry — see [`crate::locality`]); the ring resolves stale
-    /// exports there.
-    fn halo_refresh_impl(&self) {
-        if let Some((m, slot)) = &self.map {
-            if let Some((rank, ring)) = self.dat.halo_ring() {
-                if m.halo_targets() > 0 || ring.spmd_mode() {
-                    ring.refresh_for_read(*rank, m, *slot);
-                }
-            }
-        }
+    fn assert_borrowable(&self) {
+        self.dat.assert_borrowable(A::ACCESS != Access::Read);
     }
-
-    /// Shared implicit-communication trigger: any mutation makes the owned
-    /// rows (the authoritative copies) newer than the peers' mirrors.
-    fn halo_mark_dirty_impl(&self) {
-        if let Some((rank, ring)) = self.dat.halo_ring() {
-            ring.mark_exports_dirty(*rank);
-        }
-    }
-
-    fn add_prefetch_impl(&self, set: &mut PrefetchSet) {
+    fn add_prefetch(&self, set: &mut PrefetchSet) {
         // Direct (linear-stride) accesses are deliberately *not*
         // registered: modern hardware stride prefetchers already saturate
         // them, and per-iteration software prefetch code only bloats the
@@ -351,288 +680,108 @@ impl<T: OpType, A: AccessTag> DatArg<T, A> {
         // Vec outlives the loop because the argument (cloned into the
         // block body) keeps the Map alive.
         if let Some((m, idx)) = &self.map {
-            // SAFETY(clippy): address computation only.
+            // SAFETY: address computation only; prefetches never fault.
             let base = unsafe { self.dat.ptr() }.cast_const().cast::<u8>();
-            match self.dat.layout() {
-                Layout::AoS => set.add_gather_raw(
+            // A gathered SoA row spans `dim` planes a full stride apart:
+            // one entry per plane, each with a scalar-sized "row", so
+            // every touched cache line is covered.
+            let (planes, row_bytes) = match self.dat.layout() {
+                Layout::AoS => (1, self.dat.dim() * std::mem::size_of::<T>()),
+                Layout::SoA => (self.dat.dim(), std::mem::size_of::<T>()),
+            };
+            let plane_bytes = self.dat.component_stride() * std::mem::size_of::<T>();
+            for c in 0..planes {
+                set.add_gather_raw(
                     m.indices(),
                     m.dim(),
                     *idx,
-                    base,
-                    self.dat.dim() * std::mem::size_of::<T>(),
+                    // SAFETY: plane `c < dim` starts inside the storage.
+                    unsafe { base.add(c * plane_bytes) },
+                    row_bytes,
                     self.dat.set().size(),
-                ),
-                // A gathered SoA row spans `dim` planes a full stride
-                // apart: one entry per plane, each with a scalar-sized
-                // "row", so every touched cache line is covered.
-                Layout::SoA => {
-                    let plane_bytes = self.dat.component_stride() * std::mem::size_of::<T>();
-                    for c in 0..self.dat.dim() {
-                        set.add_gather_raw(
-                            m.indices(),
-                            m.dim(),
-                            *idx,
-                            // SAFETY(clippy): address computation only.
-                            unsafe { base.add(c * plane_bytes) },
-                            std::mem::size_of::<T>(),
-                            self.dat.set().size(),
-                        );
-                    }
-                }
+                );
+            }
+        }
+    }
+    fn mut_target(&self, elem: usize) -> Option<(u64, usize)> {
+        (A::ACCESS != Access::Read).then(|| (self.dat.id(), self.target(elem)))
+    }
+    fn halo_refresh(&self) {
+        // OP_READ and OP_RW read their target; OP_WRITE and OP_INC never
+        // do, so they need no fresh halo (boundary increments are covered
+        // by exec-halo redundant compute).
+        if matches!(A::ACCESS, Access::Read | Access::Rw) {
+            self.refresh_halo_for_read();
+        }
+    }
+    fn halo_mark_dirty(&self) {
+        // Any mutation makes the owned rows (the authoritative copies)
+        // newer than the peers' mirrors.
+        if A::ACCESS != Access::Read {
+            if let Some((rank, ring)) = self.dat.halo_ring() {
+                ring.mark_exports_dirty(*rank);
             }
         }
     }
 }
-
-/// The loop-invariant half of a [`DatArg`], resolved once per executed
-/// block by [`ArgSpec::bind`]: the element loop addresses rows from these
-/// plain locals instead of re-walking `DatArg -> Arc<DatInner> -> Vec` and
-/// `Map -> Arc<MapInner> -> indices` per element (loads the optimiser
-/// cannot hoist itself, because kernels write through raw pointers that
-/// may alias those fields).
-///
-/// Holds raw pointers into the dat's storage and the map's index table:
-/// valid only while the argument it was bound from is alive and only
-/// under the executor discipline of [`crate::dat`] — i.e. for the one
-/// `block_body` call that bound it, whose closure owns the argument clone.
-/// The raw pointers also keep it `!Send`/`!Sync`, so it cannot leave the
-/// block's task.
-pub struct DatBound<'b, T> {
-    base: *mut T,
-    dim: usize,
-    layout: Layout,
-    /// [`Dat::component_stride`]: scalars between two components of a row.
-    stride: usize,
-    /// Map table pre-offset by the slot; null for a direct argument.
-    map: *const u32,
-    /// Map arity (entries per source element).
-    arity: usize,
-    _arg: std::marker::PhantomData<&'b ()>,
-}
-
-impl<T: OpType> DatBound<'_, T> {
-    /// Target row of iteration element `e`.
-    ///
-    /// # Safety
-    ///
-    /// `e` must be an element of the iteration set the argument was
-    /// checked against.
-    #[inline(always)]
-    unsafe fn target(&self, e: usize) -> usize {
-        if self.map.is_null() {
-            e
-        } else {
-            // SAFETY: `check_against` pinned the map's source set to the
-            // iteration set and `block_body` asserts its range lies inside
-            // that set, so `e * arity + slot` is inside the
-            // `from.size() * arity` table `Map::with_halo` validated.
-            unsafe { *self.map.add(e * self.arity) as usize }
-        }
-    }
-
-    /// Pointer to the `dim` contiguous scalars of element `e`'s row: the
-    /// storage itself under AoS, `stage` (filled from the component
-    /// planes) under SoA.
-    ///
-    /// # Safety
-    ///
-    /// As [`ArgSpec::view`]; `stage` must come from
-    /// [`DatArg::stage_buffer`] of the bound argument.
-    #[inline(always)]
-    unsafe fn row(&self, e: usize, stage: &mut [T]) -> *mut T {
-        // SAFETY: forwarded contract.
-        let t = unsafe { self.target(e) };
-        match self.layout {
-            // SAFETY: `t < total_rows` — direct rows by the iteration-set
-            // match, mapped rows by `Map::with_halo`'s index validation
-            // and `DatArg::new`'s `target_rows <= total_rows` check.
-            Layout::AoS => unsafe { self.base.add(t * self.dim) },
-            // The row is strided one plane apart: stage it so the kernel
-            // keeps its contiguous slice signature (OP_RW/OP_INC read
-            // their current target; OP_WRITE harmlessly sees stale values
-            // it must overwrite anyway).
-            Layout::SoA => {
-                for (c, s) in stage.iter_mut().enumerate() {
-                    // SAFETY: `stage.len() == dim`, so
-                    // `c * stride + t < dim * total_rows`.
-                    *s = unsafe { *self.base.add(c * self.stride + t) };
-                }
-                stage.as_mut_ptr()
-            }
-        }
-    }
-
-    /// Scatters a staged SoA row back to the component planes (no-op
-    /// under AoS, where the kernel wrote the storage directly).
-    ///
-    /// # Safety
-    ///
-    /// As [`ArgSpec::writeback`].
-    #[inline(always)]
-    unsafe fn scatter(&self, e: usize, stage: &[T]) {
-        if self.layout == Layout::SoA {
-            // SAFETY: forwarded contract.
-            let t = unsafe { self.target(e) };
-            for (c, &v) in stage.iter().enumerate() {
-                // SAFETY: bounds as in `row`; exclusivity of row `t` per
-                // the executor discipline.
-                unsafe { *self.base.add(c * self.stride + t) = v };
-            }
-        }
-    }
-}
-
-macro_rules! impl_dat_arg {
-    // $tag: the access tag; $view: view type; $mut_target: expression
-    (read) => {
-        // SAFETY: Read views are shared references; aliasing is harmless.
-        // An SoA view points into the per-chunk staging buffer instead.
-        unsafe impl<T: OpType> ArgSpec for DatArg<T, ReadTag> {
-            type View<'e> = &'e [T];
-            type TaskLocal = Vec<T>;
-            type Bound<'b> = DatBound<'b, T>;
-
-            fn check_against(&self, iter_set: &Set, loop_name: &str) {
-                self.check_impl(iter_set, loop_name);
-            }
-            fn task_local(&self) -> Vec<T> {
-                self.stage_buffer()
-            }
-            unsafe fn bind(&self) -> DatBound<'_, T> {
-                self.bind_impl()
-            }
-            #[inline(always)]
-            unsafe fn view<'e>(b: &'e DatBound<'_, T>, elem: usize, tl: &'e mut Vec<T>) -> &'e [T] {
-                // SAFETY: executor discipline (trait docs); `row` yields
-                // `dim` readable scalars.
-                unsafe { std::slice::from_raw_parts(b.row(elem, tl), b.dim) }
-            }
-            fn commit(&self, _gen: u64, _chunk_start: usize, _tl: Vec<T>) {}
-            fn finalize(&self, _gen: u64) {}
-            fn info(&self) -> ArgInfo {
-                self.info_impl()
-            }
-            fn assert_borrowable(&self) {
-                self.dat.assert_borrowable(false);
-            }
-            fn add_prefetch(&self, set: &mut PrefetchSet) {
-                self.add_prefetch_impl(set);
-            }
-            fn mut_target(&self, _elem: usize) -> Option<(u64, usize)> {
-                None
-            }
-            fn halo_refresh(&self) {
-                self.halo_refresh_impl();
-            }
-        }
-    };
-    (mut $tag:ty) => {
-        // SAFETY: mutable views are made exclusive by the executor: direct
-        // args are partitioned by element, indirect ones serialized by
-        // plan coloring; the debug aliasing check guards within-element
-        // overlap. An SoA view is a staged copy of the strided row,
-        // scattered back by `writeback` under the same exclusivity.
-        unsafe impl<T: OpType> ArgSpec for DatArg<T, $tag> {
-            type View<'e> = &'e mut [T];
-            type TaskLocal = Vec<T>;
-            type Bound<'b> = DatBound<'b, T>;
-
-            fn check_against(&self, iter_set: &Set, loop_name: &str) {
-                self.check_impl(iter_set, loop_name);
-            }
-            fn task_local(&self) -> Vec<T> {
-                self.stage_buffer()
-            }
-            unsafe fn bind(&self) -> DatBound<'_, T> {
-                self.bind_impl()
-            }
-            #[inline(always)]
-            unsafe fn view<'e>(
-                b: &'e DatBound<'_, T>,
-                elem: usize,
-                tl: &'e mut Vec<T>,
-            ) -> &'e mut [T] {
-                // SAFETY: exclusivity per the impl-level comment; `row`
-                // yields `dim` writable scalars.
-                unsafe { std::slice::from_raw_parts_mut(b.row(elem, tl), b.dim) }
-            }
-            #[inline(always)]
-            unsafe fn writeback(b: &DatBound<'_, T>, elem: usize, tl: &mut Vec<T>) {
-                // SAFETY: exclusivity per the impl-level comment; the
-                // executor passes the elem whose view was just staged.
-                unsafe { b.scatter(elem, tl) }
-            }
-            fn commit(&self, _gen: u64, _chunk_start: usize, _tl: Vec<T>) {}
-            fn finalize(&self, _gen: u64) {}
-            fn info(&self) -> ArgInfo {
-                self.info_impl()
-            }
-            fn assert_borrowable(&self) {
-                self.dat.assert_borrowable(true);
-            }
-            fn add_prefetch(&self, set: &mut PrefetchSet) {
-                self.add_prefetch_impl(set);
-            }
-            fn mut_target(&self, elem: usize) -> Option<(u64, usize)> {
-                Some((self.dat.id(), self.target(elem)))
-            }
-            fn halo_refresh(&self) {
-                // OP_RW reads before writing; OP_WRITE and OP_INC never
-                // read their target, so they need no fresh halo (boundary
-                // increments are covered by exec-halo redundant compute).
-                if <$tag as AccessTag>::ACCESS == Access::Rw {
-                    self.halo_refresh_impl();
-                }
-            }
-            fn halo_mark_dirty(&self) {
-                self.halo_mark_dirty_impl();
-            }
-        }
-    };
-}
-
-impl_dat_arg!(read);
-impl_dat_arg!(mut WriteTag);
-impl_dat_arg!(mut RwTag);
-impl_dat_arg!(mut IncTag);
 
 // ---------------------------------------------------------------------------
 // Global arguments
 // ---------------------------------------------------------------------------
 
 /// Increment (reduction) argument on a [`Global`]; the kernel receives a
-/// `&mut [T]` accumulation buffer that is task-local and merged
-/// deterministically after the loop.
-pub struct GblIncArg<T: Reducible> {
+/// `&mut [T]` accumulation buffer that lives in the block's frame — on its
+/// stack once [`GblIncArg::row`] fixed the length — is committed once per
+/// block and merged deterministically after the loop.
+#[derive(Clone)]
+pub struct GblIncArg<T: Reducible, S: Shape = Dyn> {
     gbl: Global<T>,
+    shape: S,
 }
 
-impl<T: Reducible> Clone for GblIncArg<T> {
-    fn clone(&self) -> Self {
+impl<T: Reducible> GblIncArg<T> {
+    /// Fixes the global's length: `DIM` scalars. Submission panics if the
+    /// global's `dim` differs.
+    pub fn row<const DIM: usize>(self) -> GblIncArg<T, Row<DIM>> {
         GblIncArg {
-            gbl: self.gbl.clone(),
+            gbl: self.gbl,
+            shape: Via,
         }
     }
 }
 
-// SAFETY: views point into the per-chunk task-local buffer — never shared.
-unsafe impl<T: Reducible> ArgSpec for GblIncArg<T> {
+// SAFETY: views point into the per-block partial — never shared.
+unsafe impl<T: Reducible, S: Shape> ArgSpec for GblIncArg<T, S> {
     type View<'e> = &'e mut [T];
-    type TaskLocal = Vec<T>;
-    /// Nothing to resolve: the view is the task-local partial itself.
+    type TaskLocal = S::Buf<T>;
+    /// Nothing to resolve: the view is the block's partial itself.
     type Bound<'b> = ();
 
-    fn check_against(&self, _iter_set: &Set, _loop_name: &str) {}
-    fn task_local(&self) -> Vec<T> {
-        self.gbl.task_local()
+    fn check_against(&self, _iter_set: &Set, loop_name: &str) {
+        assert!(
+            self.shape.dim() == self.gbl.dim(),
+            "loop '{loop_name}': arg on global '{}' is shaped for dim {}, the global has dim {}",
+            self.gbl.name(),
+            self.shape.dim(),
+            self.gbl.dim()
+        );
     }
+    fn task_local(&self, _staged: bool) -> S::Buf<T> {
+        self.shape.buf(self.gbl.identity(), true)
+    }
+    // SAFETY: binds nothing, so there is nothing for a caller to uphold.
     unsafe fn bind(&self) {}
     #[inline(always)]
-    unsafe fn view<'e>(_b: &'e (), _elem: usize, tl: &'e mut Vec<T>) -> &'e mut [T] {
-        tl.as_mut_slice()
+    // SAFETY: hands out the caller's own exclusive borrow of `tl`.
+    unsafe fn view<'e, const STAGED: bool>(
+        _b: &'e (),
+        _elem: usize,
+        tl: &'e mut S::Buf<T>,
+    ) -> &'e mut [T] {
+        tl.as_mut()
     }
-    fn commit(&self, gen: u64, chunk_start: usize, tl: Vec<T>) {
-        self.gbl.commit(gen, chunk_start, tl);
+    fn commit(&self, gen: u64, chunk_start: usize, tl: S::Buf<T>) {
+        self.gbl.commit(gen, chunk_start, tl.into());
     }
     fn finalize(&self, gen: u64) {
         self.gbl.finalize(gen);
@@ -645,7 +794,7 @@ unsafe impl<T: Reducible> ArgSpec for GblIncArg<T> {
         }
     }
     // No `collect_node_deps`: block nodes only accumulate generation-tagged
-    // task-local partials — they never touch the global's value or another
+    // block-local partials — they never touch the global's value or another
     // generation's partials, so they carry no dependency and the loop
     // pipelines even when consecutive loops share a global.
     fn collect_loop_deps(&self, out: &mut Vec<SharedFuture<()>>) {
@@ -670,16 +819,9 @@ unsafe impl<T: Reducible> ArgSpec for GblIncArg<T> {
 
 /// Read-only (broadcast) argument on a [`Global`]; the kernel receives
 /// `&[T]` of the current value.
+#[derive(Clone)]
 pub struct GblReadArg<T: Reducible> {
     gbl: Global<T>,
-}
-
-impl<T: Reducible> Clone for GblReadArg<T> {
-    fn clone(&self) -> Self {
-        GblReadArg {
-            gbl: self.gbl.clone(),
-        }
-    }
 }
 
 // SAFETY: read-only view of a buffer whose writers are ordered before this
@@ -691,7 +833,8 @@ unsafe impl<T: Reducible> ArgSpec for GblReadArg<T> {
     type Bound<'b> = &'b [T];
 
     fn check_against(&self, _iter_set: &Set, _loop_name: &str) {}
-    fn task_local(&self) {}
+    fn task_local(&self, _staged: bool) {}
+    // SAFETY: callers uphold `ArgSpec::bind`'s contract, used below.
     unsafe fn bind(&self) -> &[T] {
         // SAFETY: the value vector is never resized and the argument keeps
         // the global alive; writers are ordered before this block by
@@ -699,7 +842,8 @@ unsafe impl<T: Reducible> ArgSpec for GblReadArg<T> {
         unsafe { std::slice::from_raw_parts(self.gbl.raw_value_ptr(), self.gbl.dim()) }
     }
     #[inline(always)]
-    unsafe fn view<'e>(b: &'e &[T], _elem: usize, _tl: &'e mut ()) -> &'e [T] {
+    // SAFETY: re-borrows the slice `bind` made, under `bind`'s contract.
+    unsafe fn view<'e, const STAGED: bool>(b: &'e &[T], _elem: usize, _tl: &'e mut ()) -> &'e [T] {
         b
     }
     fn commit(&self, _gen: u64, _chunk_start: usize, _tl: ()) {}
@@ -772,7 +916,14 @@ pub fn arg_inc_via<T: OpType>(dat: &Dat<T>, map: &Map, idx: usize) -> DatArg<T, 
 /// Global reduction argument (`op_arg_gbl(…, OP_INC)`), e.g. Airfoil's
 /// `rms` residual.
 pub fn arg_gbl_inc<T: Reducible>(gbl: &Global<T>) -> GblIncArg<T> {
-    GblIncArg { gbl: gbl.clone() }
+    let shape = Dyn {
+        dim: gbl.dim(),
+        arity: 0,
+    };
+    GblIncArg {
+        gbl: gbl.clone(),
+        shape,
+    }
 }
 
 /// Global broadcast argument (`op_arg_gbl(…, OP_READ)`).
@@ -849,88 +1000,151 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every access mode x direct/indirect x AoS/SoA: a loop through the
-    /// bound path (`bind` once per block, `view`/`writeback` per element)
-    /// leaves bitwise the rows a hand-written loop over the canonical
-    /// row-major data does — including SoA staging + writeback and a map
-    /// whose table reaches halo rows beyond the target set.
+    /// Every access mode x direct/indirect x AoS/SoA x {`Dyn`, shaped}: a
+    /// loop through the bound path (`bind` once per block, `view` — and,
+    /// staged, `writeback` — per element) leaves bitwise the rows a
+    /// hand-written loop over the canonical row-major data does —
+    /// including staging, a map whose table reaches halo rows beyond the
+    /// target set, and bodies where a shaped and a `Dyn` argument meet.
     #[test]
     fn bound_path_matches_reference_loop_for_every_mode_shape_and_layout() {
-        let (n, rows, halo, dim, arity, slot) = (37usize, 29usize, 5usize, 3usize, 2usize, 1usize);
-        let table: Vec<u32> = (0..n * arity)
+        const DIM: usize = 3;
+        const ARITY: usize = 2;
+        let (n, rows, halo, slot) = (37usize, 29usize, 5usize, 1usize);
+        let table: Vec<u32> = (0..n * ARITY)
             .map(|i| ((i * 7 + 3) % (rows + halo)) as u32)
             .collect();
-        for layout in [Layout::AoS, Layout::SoA] {
-            for indirect in [false, true] {
-                for access in [Access::Read, Access::Write, Access::Rw, Access::Inc] {
-                    let what = format!("{access} indirect={indirect} {layout:?}");
-                    let op2 = Op2::new(Op2Config::seq());
-                    let iter = op2.decl_set(n, "iter");
-                    let ids = op2.decl_dat(&iter, 1, "id", (0..n).map(|e| e as f64).collect());
-                    let (set, halo_rows) = if indirect {
-                        (op2.decl_set(rows, "rows"), halo)
+        let cases = [Layout::AoS, Layout::SoA].into_iter().flat_map(|layout| {
+            [false, true].into_iter().flat_map(move |indirect| {
+                [false, true]
+                    .into_iter()
+                    .map(move |shaped| (layout, indirect, shaped))
+            })
+        });
+        for (layout, indirect, shaped) in cases {
+            for access in [Access::Read, Access::Write, Access::Rw, Access::Inc] {
+                let what = format!("{access} indirect={indirect} {layout:?} shaped={shaped}");
+                let op2 = Op2::new(Op2Config::seq());
+                let iter = op2.decl_set(n, "iter");
+                let ids = op2.decl_dat(&iter, 1, "id", (0..n).map(|e| e as f64).collect());
+                let (set, halo_rows) = if indirect {
+                    (op2.decl_set(rows, "rows"), halo)
+                } else {
+                    (iter.clone(), 0)
+                };
+                let total = set.size() + halo_rows;
+                let init: Vec<f64> = (0..total * DIM).map(|i| i as f64 * 0.37 - 3.0).collect();
+                let d = op2.decl_dat_halo_layout(&set, DIM, "d", init.clone(), halo_rows, layout);
+                let m = op2.decl_map_halo(&iter, &set, ARITY, table.clone(), "m", halo_rows);
+                let target = |e: usize| {
+                    if indirect {
+                        table[e * ARITY + slot] as usize
                     } else {
-                        (iter.clone(), 0)
-                    };
-                    let total = set.size() + halo_rows;
-                    let init: Vec<f64> = (0..total * dim).map(|i| i as f64 * 0.37 - 3.0).collect();
-                    let d =
-                        op2.decl_dat_halo_layout(&set, dim, "d", init.clone(), halo_rows, layout);
-                    let m = op2.decl_map_halo(&iter, &set, arity, table.clone(), "m", halo_rows);
-                    let target = |e: usize| {
-                        if indirect {
-                            table[e * arity + slot] as usize
-                        } else {
-                            e
+                        e
+                    }
+                };
+                let via = indirect.then_some((&m, slot));
+                // Submits `$submit` with `$arg` bound to the argument on
+                // `d` in the flavour under test.
+                macro_rules! with_arg {
+                    ($tag:ty, |$arg:ident| $submit:expr) => {{
+                        let dynamic = DatArg::<f64, $tag>::new(&d, via);
+                        match (shaped, indirect) {
+                            (false, _) => {
+                                let $arg = dynamic;
+                                $submit
+                            }
+                            (true, false) => {
+                                let $arg = dynamic.row::<DIM>();
+                                $submit
+                            }
+                            (true, true) => {
+                                let $arg = dynamic.via::<DIM, ARITY>();
+                                $submit
+                            }
                         }
-                    };
-                    let via = indirect.then_some((&m, slot));
-
-                    if access == Access::Read {
-                        let out =
-                            op2.decl_dat_layout(&iter, dim, "out", vec![0.0; n * dim], layout);
-                        op2.loop_("gather", &iter)
-                            .arg(DatArg::<f64, ReadTag>::new(&d, via))
-                            .arg(arg_write(&out))
-                            .run(|row: &[f64], out: &mut [f64]| out.copy_from_slice(row))
-                            .wait();
-                        let expect: Vec<f64> = (0..n)
-                            .flat_map(|e| init[target(e) * dim..][..dim].to_vec())
-                            .collect();
-                        assert_eq!(bits(&out.snapshot()), bits(&expect), "{what}");
-                        assert_eq!(bits(&d.snapshot()), bits(&init), "{what}: source untouched");
-                        continue;
-                    }
-
-                    macro_rules! run_mut {
-                        ($tag:ty) => {
-                            op2.loop_("scatter", &iter)
-                                .arg(arg_read(&ids))
-                                .arg(DatArg::<f64, $tag>::new(&d, via))
-                                .run(move |id: &[f64], row: &mut [f64]| {
-                                    mutate(access, id[0] as usize, row)
-                                })
-                                .wait()
-                        };
-                    }
-                    match access {
-                        Access::Write => run_mut!(WriteTag),
-                        Access::Rw => run_mut!(RwTag),
-                        _ => run_mut!(IncTag),
-                    }
-                    let mut expect = init.clone();
-                    for e in 0..n {
-                        mutate(access, e, &mut expect[target(e) * dim..][..dim]);
-                    }
-                    assert_eq!(bits(&d.snapshot()), bits(&expect), "{what}");
+                    }};
                 }
+
+                if access == Access::Read {
+                    // `out` stays `Dyn`: with `shaped` both flavours sit
+                    // in one element loop.
+                    let out = op2.decl_dat_layout(&iter, DIM, "out", vec![0.0; n * DIM], layout);
+                    with_arg!(ReadTag, |arg| op2
+                        .loop_("gather", &iter)
+                        .arg(arg)
+                        .arg(arg_write(&out))
+                        .run(|row: &[f64], out: &mut [f64]| out.copy_from_slice(row))
+                        .wait());
+                    let expect: Vec<f64> = (0..n)
+                        .flat_map(|e| init[target(e) * DIM..][..DIM].to_vec())
+                        .collect();
+                    assert_eq!(bits(&out.snapshot()), bits(&expect), "{what}");
+                    assert_eq!(bits(&d.snapshot()), bits(&init), "{what}: source untouched");
+                    continue;
+                }
+
+                macro_rules! run_mut {
+                    ($tag:ty) => {
+                        with_arg!($tag, |arg| op2
+                            .loop_("scatter", &iter)
+                            .arg(arg_read(&ids).row::<1>())
+                            .arg(arg)
+                            .run(move |id: &[f64], row: &mut [f64]| {
+                                mutate(access, id[0] as usize, row)
+                            })
+                            .wait())
+                    };
+                }
+                match access {
+                    Access::Write => run_mut!(WriteTag),
+                    Access::Rw => run_mut!(RwTag),
+                    _ => run_mut!(IncTag),
+                }
+                let mut expect = init.clone();
+                for e in 0..n {
+                    mutate(access, e, &mut expect[target(e) * DIM..][..DIM]);
+                }
+                assert_eq!(bits(&d.snapshot()), bits(&expect), "{what}");
             }
         }
+
+        // One strided dat makes the whole body staged: the AoS argument
+        // then goes through its buffer too. A shaped gather from the SoA
+        // dat meets a `Dyn` read-write on the AoS one.
+        let op2 = Op2::new(Op2Config::seq());
+        let iter = op2.decl_set(n, "iter");
+        let set = op2.decl_set(rows, "rows");
+        let src: Vec<f64> = (0..(rows + halo) * DIM)
+            .map(|i| 1.0 / (i + 1) as f64)
+            .collect();
+        let acc0: Vec<f64> = (0..n * DIM).map(|i| i as f64 * 0.11).collect();
+        let d = op2.decl_dat_halo_layout(&set, DIM, "d", src.clone(), halo, Layout::SoA);
+        let acc = op2.decl_dat_layout(&iter, DIM, "acc", acc0.clone(), Layout::AoS);
+        let m = op2.decl_map_halo(&iter, &set, ARITY, table.clone(), "m", halo);
+        op2.loop_("mixed", &iter)
+            .arg(arg_read_via(&d, &m, slot).via::<DIM, ARITY>())
+            .arg(arg_rw(&acc))
+            .run(|row: &[f64], acc: &mut [f64]| {
+                for (a, r) in acc.iter_mut().zip(row) {
+                    *a = *a * 2.0 + r;
+                }
+            })
+            .wait();
+        let expect: Vec<f64> = (0..n * DIM)
+            .map(|i| acc0[i] * 2.0 + src[table[i / DIM * ARITY + slot] as usize * DIM + i % DIM])
+            .collect();
+        assert_eq!(
+            bits(&acc.snapshot()),
+            bits(&expect),
+            "mixed layouts and shapes"
+        );
+        assert_eq!(bits(&d.snapshot()), bits(&src), "mixed: source untouched");
     }
 
     /// Global arguments bind the same way: a broadcast read sees the
     /// current value on every element, a reduction accumulates into the
-    /// task-local partial.
+    /// block's partial.
     #[test]
     fn global_args_bind_once_per_block() {
         let op2 = Op2::new(Op2Config::seq());
@@ -950,6 +1164,122 @@ mod tests {
             .wait();
         assert!(x.snapshot().iter().all(|&v| v == 3.5));
         assert_eq!(total.get_scalar(), 350.0);
+
+        // A shaped reduction's partial is an array in the block's frame:
+        // the kernel meets a fresh one once per block, not per element,
+        // and every block's is merged exactly once (closed-form sums).
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let n = 6000usize;
+        let sum = (n * (n + 1) / 2) as f64;
+        let worlds = [
+            Op2Config::seq(),
+            Op2Config::fork_join(2),
+            Op2Config::dataflow(2),
+        ];
+        for op2 in worlds.map(Op2::new) {
+            let backend = op2.config().backend;
+            let cells = op2.decl_set(n, "cells");
+            let v = op2.decl_dat(&cells, 1, "v", (1..=n).map(|i| i as f64).collect());
+            let (g1, g3) = (Global::<f64>::sum(1, "g1"), Global::<f64>::sum(3, "g3"));
+            let fresh = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&fresh);
+            op2.loop_("sums", &cells)
+                .arg(arg_read(&v).row::<1>())
+                .arg(arg_gbl_inc(&g1).row::<1>())
+                .arg(arg_gbl_inc(&g3).row::<3>())
+                .run(move |v: &[f64], a: &mut [f64], b: &mut [f64]| {
+                    if a[0] == 0.0 {
+                        seen.fetch_add(1, Ordering::Relaxed);
+                    }
+                    a[0] += v[0];
+                    for (c, b) in b.iter_mut().enumerate() {
+                        *b += (c + 1) as f64 * v[0];
+                    }
+                })
+                .wait();
+            assert_eq!(g1.get(), [sum], "{backend:?}");
+            assert_eq!(g3.get(), [sum, 2.0 * sum, 3.0 * sum], "{backend:?}");
+            let fresh = fresh.load(Ordering::Relaxed);
+            match backend {
+                crate::Backend::Seq => assert_eq!(fresh, 1, "Seq runs one block"),
+                _ => assert!(
+                    (1..=n / 16).contains(&fresh),
+                    "{backend:?}: {fresh} partials"
+                ),
+            }
+        }
+    }
+
+    // ---- shape mismatches are named at submission ------------------------
+
+    /// Two edges over three cells, `res` of dim 1 through a 2-slot map.
+    fn tiny_mesh(op2: &Op2, layout: Layout, ecell: Vec<u32>) -> (Set, Map, Dat<f64>) {
+        let edges = op2.decl_set(2, "edges");
+        let cells = op2.decl_set(3, "cells");
+        let m = op2.decl_map(&edges, &cells, 2, ecell, "ecell");
+        let res = op2.decl_dat_layout(&cells, 1, "res", vec![0.0f64; 3], layout);
+        (edges, m, res)
+    }
+
+    #[test]
+    #[should_panic(expected = "loop 'copy': arg on dat 'q' is shaped for dim 3, the dat has dim 4")]
+    fn shaped_arg_rejects_a_dat_of_another_dim() {
+        let op2 = Op2::new(Op2Config::seq());
+        let cells = op2.decl_set(3, "cells");
+        let q = op2.decl_dat(&cells, 4, "q", vec![0.0f64; 12]);
+        op2.loop_("copy", &cells)
+            .arg(arg_rw(&q).row::<3>())
+            .run(|_: &mut [f64]| {});
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "loop 'res': arg on dat 'res' is shaped for a map of arity 3, it goes through a map of arity 2 (ecell)"
+    )]
+    fn shaped_arg_rejects_a_map_of_another_arity() {
+        let op2 = Op2::new(Op2Config::seq());
+        let (edges, m, res) = tiny_mesh(&op2, Layout::AoS, vec![0, 1, 1, 2]);
+        op2.loop_("res", &edges)
+            .arg(arg_inc_via(&res, &m, 0).via::<1, 3>())
+            .run(|_: &mut [f64]| {});
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "loop 'res': arg on dat 'res' is shaped for direct access, it goes through a map of arity 2 (ecell)"
+    )]
+    fn direct_shape_rejects_an_indirect_argument() {
+        let op2 = Op2::new(Op2Config::seq());
+        let (edges, m, res) = tiny_mesh(&op2, Layout::AoS, vec![0, 1, 1, 2]);
+        op2.loop_("res", &edges)
+            .arg(arg_inc_via(&res, &m, 0).row::<1>())
+            .run(|_: &mut [f64]| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "arg on global 'rms' is shaped for dim 2, the global has dim 1")]
+    fn shaped_reduction_rejects_a_global_of_another_dim() {
+        let op2 = Op2::new(Op2Config::seq());
+        let cells = op2.decl_set(3, "cells");
+        let rms = Global::<f64>::sum(1, "rms");
+        op2.loop_("norm", &cells)
+            .arg(arg_gbl_inc(&rms).row::<2>())
+            .run(|_: &mut [f64]| {});
+    }
+
+    /// Edge 1 is degenerate — both slots reach cell 2 — and `res_calc`
+    /// increments through both.
+    fn increment_both_cells_of_a_degenerate_edge(layout: Layout) {
+        let op2 = Op2::new(Op2Config::seq());
+        let (edges, m, res) = tiny_mesh(&op2, layout, vec![0, 1, 2, 2]);
+        op2.loop_("res", &edges)
+            .arg(arg_inc_via(&res, &m, 0).via::<1, 2>())
+            .arg(arg_inc_via(&res, &m, 1))
+            .run(|a: &mut [f64], b: &mut [f64]| {
+                a[0] += 1.0;
+                b[0] += 1.0;
+            })
+            .wait();
     }
 
     /// The bound path keeps the debug aliasing check: an element reaching
@@ -958,19 +1288,14 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "aliasing mutable arguments")]
     fn mutable_overlap_is_still_caught_in_debug_builds() {
-        let op2 = Op2::new(Op2Config::seq());
-        let edges = op2.decl_set(2, "edges");
-        let cells = op2.decl_set(3, "cells");
-        // Edge 1 is degenerate: both slots reach cell 2.
-        let m = op2.decl_map(&edges, &cells, 2, vec![0, 1, 2, 2], "ecell");
-        let res = op2.decl_dat(&cells, 1, "res", vec![0.0f64; 3]);
-        op2.loop_("res", &edges)
-            .arg(arg_inc_via(&res, &m, 0))
-            .arg(arg_inc_via(&res, &m, 1))
-            .run(|a: &mut [f64], b: &mut [f64]| {
-                a[0] += 1.0;
-                b[0] += 1.0;
-            })
-            .wait();
+        increment_both_cells_of_a_degenerate_edge(Layout::AoS);
+    }
+
+    /// ... and so does the staged instantiation of the element loop.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "aliasing mutable arguments")]
+    fn mutable_overlap_is_still_caught_on_the_staged_path() {
+        increment_both_cells_of_a_degenerate_edge(Layout::SoA);
     }
 }

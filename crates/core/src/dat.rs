@@ -64,8 +64,9 @@
 //!
 //! Executors do not go through the `Dat` handle per element: each block
 //! call binds its arguments once ([`crate::ArgSpec::bind`]) into a
-//! [`crate::DatBound`] holding the raw base pointer (plus `dim`,
-//! layout, plane stride and the map's index-table pointer). Such a bound
+//! [`crate::DatBound`] holding the raw base pointer (plus the row and
+//! component strides, the map's index-table pointer and the argument's
+//! [`crate::Shape`]). Such a bound
 //! value is part of path 1 and inherits its terms: it is made inside the
 //! block whose dependencies the driver satisfied, it may be dereferenced
 //! only for rows of that block's elements, and it is valid only for that

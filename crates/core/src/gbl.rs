@@ -227,9 +227,9 @@ impl<T: Reducible> Global<T> {
 
     // ---- executor protocol ----------------------------------------------
 
-    /// A fresh accumulation buffer (identity-filled).
-    pub(crate) fn task_local(&self) -> Vec<T> {
-        [T::identity(self.inner.op)].repeat(self.inner.dim)
+    /// What a fresh accumulation buffer is filled with.
+    pub(crate) fn identity(&self) -> T {
+        T::identity(self.inner.op)
     }
 
     /// Commits one chunk's partial, keyed by the owning loop's generation

@@ -64,8 +64,8 @@ mod world;
 
 pub use arg::{
     arg_gbl_inc, arg_gbl_read, arg_inc, arg_inc_via, arg_read, arg_read_via, arg_rw, arg_rw_via,
-    arg_write, arg_write_via, AccessTag, ArgInfo, ArgKind, ArgSpec, DatArg, DatBound, GblIncArg,
-    GblReadArg, IncTag, ReadTag, RwTag, WriteTag,
+    arg_write, arg_write_via, AccessTag, ArgInfo, ArgKind, ArgSpec, DatArg, DatBound, Dyn,
+    GblIncArg, GblReadArg, IncTag, ReadTag, Row, RwTag, Shape, Via, WriteTag,
 };
 pub use config::{Backend, Op2Config, DEFAULT_BLOCK_SIZE};
 pub use convergence::{Convergence, ResidualMap};

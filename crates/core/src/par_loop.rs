@@ -28,6 +28,23 @@
 //! same surface in one expression. (The pre-v2 `par_loop1..par_loop10`
 //! free functions are gone; the builder is the only loop surface.)
 //!
+//! What `run` resolves when (the argument side is in [`crate::arg`]):
+//!
+//! * **per loop**: the arguments are checked against the iteration set and
+//!   their shapes against their dats and maps; whether any argument's
+//!   rows are strided (an SoA dat) — the loop is then *staged* — and the
+//!   prefetch tables; the block body below is built once and handed to
+//!   the driver;
+//! * **per block**: every argument binds its base pointer, strides and
+//!   map table into locals, the range is checked against the set, and
+//!   `block_body` picks the staged or the unstaged instantiation of the
+//!   one element loop (each with its prefetch branch hoisted);
+//! * **per element**: one view per argument and the kernel call — for
+//!   shaped arguments a map load and a multiply by a literal each, with
+//!   slice lengths the compiler knows; the staged instantiation also
+//!   copies each row through the block's buffers and back. The unstaged
+//!   one touches no buffer and calls no `writeback`.
+//!
 //! Under the [`Dataflow`](crate::Backend::Dataflow) backend `run` returns
 //! immediately; the returned [`LoopHandle`] wraps the loop's completion
 //! future, and the arguments' dats remember it so later loops depending on
@@ -167,6 +184,52 @@ macro_rules! gen_par_loop {
             where
                 K: for<'e> Fn($(<$A as ArgSpec>::View<'e>),+) + Send + Sync + 'static,
             {
+                /// The element loop, written once: `STAGED` copies every
+                /// row through the block's buffers and back (strided
+                /// storage), otherwise views alias the storage and no
+                /// buffer or `writeback` is touched.
+                ///
+                /// # Safety
+                ///
+                /// Executor only: `bound` bound from `args` inside the
+                /// block `r`, `r` inside the iteration set, `tls` made by
+                /// `task_local(STAGED)`, and `STAGED` if any argument is
+                /// strided.
+                unsafe fn elements<const STAGED: bool, $($A: ArgSpec,)+ K>(
+                    r: Range<usize>,
+                    args: &($($A,)+),
+                    bound: &($(<$A as ArgSpec>::Bound<'_>,)+),
+                    tls: &mut ($(<$A as ArgSpec>::TaskLocal,)+),
+                    kernel: &K,
+                    prefetch: Option<&(PrefetchSet, usize)>,
+                ) where
+                    K: for<'e> Fn($(<$A as ArgSpec>::View<'e>),+),
+                {
+                    let mut element = |e: usize| {
+                        if cfg!(debug_assertions) {
+                            let targets = [$( args.$idx.mut_target(e) ),+];
+                            crate::diag::check_mut_overlap(&targets, e);
+                        }
+                        // SAFETY: the caller's contract is `view`'s and
+                        // `writeback`'s.
+                        unsafe {
+                            kernel($( $A::view::<STAGED>(&bound.$idx, e, &mut tls.$idx) ),+);
+                            if STAGED {
+                                $( $A::writeback(&bound.$idx, e, &mut tls.$idx); )+
+                            }
+                        }
+                    };
+                    // The prefetch branch is hoisted out of the element
+                    // loop so the common (no-prefetch) path stays tight.
+                    match prefetch {
+                        None => r.for_each(element),
+                        Some((ps, d)) => r.for_each(|e| {
+                            ps.prefetch(e + *d);
+                            element(e)
+                        }),
+                    }
+                }
+
                 let ParLoop { world, name, set, args } = self;
                 let ($($a,)+) = args;
                 $(
@@ -229,9 +292,15 @@ macro_rules! gen_par_loop {
                     .filter(|ps| !ps.is_empty())
                     .map(Arc::new);
 
+                // Strided rows (an SoA dat) must be staged: the layout
+                // decision is taken here, once per loop, and selects an
+                // instantiation of the element loop — it is not re-taken
+                // per element.
+                let staged = false $( || $a.strided() )+;
                 let set_size = set.size();
                 let finalize_args = ($( $a.clone(), )+);
                 let record_args = ($( $a.clone(), )+);
+                let args = ($( $a, )+);
 
                 let block_body: Arc<dyn Fn(Range<usize>) + Send + Sync> =
                     Arc::new(move |r: Range<usize>| {
@@ -239,51 +308,30 @@ macro_rules! gen_par_loop {
                         // element of the iteration set: check the range
                         // once per block instead of per access.
                         assert!(r.end <= set_size, "block {r:?} outside the iteration set");
-                        let mut tls = ($( $a.task_local(), )+);
+                        let mut tls = ($( args.$idx.task_local(staged), )+);
                         // Loop-invariant argument state (base pointers,
-                        // dims, strides, map tables) resolved once, into
-                        // locals the element loop keeps in registers.
+                        // strides, map tables) resolved once, into locals
+                        // the element loop keeps in registers.
                         // SAFETY: this is the executor, inside the block
-                        // whose dependencies the driver satisfied; `bound`
-                        // dies with this call and borrows the argument
-                        // clones this closure owns.
-                        let bound = unsafe { ($( $a.bind(), )+) };
-                        // The prefetch branch is hoisted out of the element
-                        // loop so the common (no-prefetch) path stays tight.
-                        match &prefetch {
-                            None => {
-                                for e in r.clone() {
-                                    #[cfg(debug_assertions)]
-                                    {
-                                        let targets = [$( $a.mut_target(e) ),+];
-                                        crate::diag::check_mut_overlap(&targets, e);
-                                    }
-                                    // SAFETY: the driver guarantees the
-                                    // executor discipline in `crate::dat`;
-                                    // `e < set_size` by the assert above.
-                                    unsafe {
-                                        kernel($( $A::view(&bound.$idx, e, &mut tls.$idx) ),+);
-                                        $( $A::writeback(&bound.$idx, e, &mut tls.$idx); )+
-                                    }
-                                }
-                            }
-                            Some((ps, d)) => {
-                                for e in r.clone() {
-                                    ps.prefetch(e + *d);
-                                    #[cfg(debug_assertions)]
-                                    {
-                                        let targets = [$( $a.mut_target(e) ),+];
-                                        crate::diag::check_mut_overlap(&targets, e);
-                                    }
-                                    // SAFETY: as above.
-                                    unsafe {
-                                        kernel($( $A::view(&bound.$idx, e, &mut tls.$idx) ),+);
-                                        $( $A::writeback(&bound.$idx, e, &mut tls.$idx); )+
-                                    }
-                                }
+                        // whose dependencies the driver satisfied, and
+                        // `check_against` ran at submission; `bound` dies
+                        // with this call and borrows the argument clones
+                        // this closure owns.
+                        let bound = unsafe { ($( args.$idx.bind(), )+) };
+                        // SAFETY: the driver guarantees the executor
+                        // discipline in `crate::dat`; `r` lies inside the
+                        // set by the assert above; `tls` was made for
+                        // `staged`, which is true if any argument is
+                        // strided.
+                        unsafe {
+                            let (r, prefetch) = (r.clone(), prefetch.as_ref());
+                            if staged {
+                                elements::<true, $($A,)+ K>(r, &args, &bound, &mut tls, &kernel, prefetch)
+                            } else {
+                                elements::<false, $($A,)+ K>(r, &args, &bound, &mut tls, &kernel, prefetch)
                             }
                         }
-                        $( $a.commit(gen, r.start, tls.$idx); )+
+                        $( args.$idx.commit(gen, r.start, tls.$idx); )+
                     });
 
                 let finalize: Arc<dyn Fn() + Send + Sync> = {

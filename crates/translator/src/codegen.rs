@@ -13,6 +13,18 @@
 //! The emitted file is a plain Rust item list intended to be `include!`d
 //! into a module or written next to the application (the way OP2 writes
 //! `*_kernel.cpp` files beside the user code).
+//!
+//! Like OP2's generated loops (paper §III: `arg0.map_data[n * 4 + 0]`,
+//! `&data[2 * idx]`), the wrappers carry what the spec declares as
+//! **constants**: every argument is emitted with its shape —
+//! `arg_read(p_q).row::<4>()` for `dat p_q : cells, dim 4`,
+//! `arg_inc_via(p_res, pecell, 1).via::<4, 2>()` for that dat through
+//! `map pecell : edges -> cells, dim 2`, `arg_gbl_inc(rms).row::<1>()` —
+//! for both backends and both layouts. `op2-core` compiles the element
+//! loop against those literals and checks them, when a loop is submitted,
+//! against the dats and maps the wrapper was handed (a mismatch is a panic
+//! naming the loop, the dat, the map and both numbers). `sema` has
+//! already rejected a slot beyond its map's `dim`.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -313,13 +325,14 @@ fn view_type(access: AccessKind, ty: ScalarType) -> String {
     }
 }
 
-fn arg_ctor(arg: &LoopArg) -> String {
+/// The builder argument for one `arg` line, its shape written as
+/// constants (see the module docs): `dim` of the dat or global and, for an
+/// indirect argument, the arity of its map. `op2-core` checks them against
+/// the dat and map it is handed when the loop is submitted.
+fn arg_ctor(program: &Program, arg: &LoopArg) -> String {
     match arg {
         LoopArg::Dat {
-            dat,
-            via: None,
-            access,
-            ..
+            dat, via, access, ..
         } => {
             let f = match access {
                 AccessKind::Read => "arg_read",
@@ -327,26 +340,26 @@ fn arg_ctor(arg: &LoopArg) -> String {
                 AccessKind::Rw => "arg_rw",
                 AccessKind::Inc => "arg_inc",
             };
-            format!("{f}({dat})")
+            let dim = program.dat(dat).expect("checked by sema").dim;
+            match via {
+                None => format!("{f}({dat}).row::<{dim}>()"),
+                Some((map, idx)) => {
+                    let arity = program.map(map).expect("checked by sema").dim;
+                    format!("{f}_via({dat}, {map}, {idx}).via::<{dim}, {arity}>()")
+                }
+            }
         }
-        LoopArg::Dat {
-            dat,
-            via: Some((map, idx)),
-            access,
+        LoopArg::Gbl {
+            gbl,
+            access: AccessKind::Inc,
             ..
         } => {
-            let f = match access {
-                AccessKind::Read => "arg_read_via",
-                AccessKind::Write => "arg_write_via",
-                AccessKind::Rw => "arg_rw_via",
-                AccessKind::Inc => "arg_inc_via",
-            };
-            format!("{f}({dat}, {map}, {idx})")
+            let dim = program.gbl(gbl).expect("checked by sema").dim;
+            format!("arg_gbl_inc({gbl}).row::<{dim}>()")
         }
-        LoopArg::Gbl { gbl, access, .. } => match access {
-            AccessKind::Inc => format!("arg_gbl_inc({gbl})"),
-            _ => format!("arg_gbl_read({gbl})"),
-        },
+        // A broadcast read binds the value slice once per block; it has no
+        // per-element addressing to specialise.
+        LoopArg::Gbl { gbl, .. } => format!("arg_gbl_read({gbl})"),
     }
 }
 
@@ -419,7 +432,7 @@ fn emit_loop(
         let _ = write!(params, ", {}: &Global<{}>", g.name, g.ty.rust_name());
     }
 
-    let ctors: Vec<String> = l.args.iter().map(arg_ctor).collect();
+    let ctors: Vec<String> = l.args.iter().map(|a| arg_ctor(program, a)).collect();
 
     let doc_access: Vec<String> = l
         .args
@@ -582,9 +595,11 @@ mod tests {
         let code = generate(&p, CodegenBackend::Hpx).unwrap();
         assert!(code.contains("-> LoopHandle"));
         assert!(!code.contains("handle.wait();"), "hpx must not barrier");
-        assert!(code.contains(".arg(arg_rw(q))"));
-        assert!(code.contains(".arg(arg_read_via(xn, pcell, 0))"));
-        assert!(code.contains(".arg(arg_gbl_inc(rms))"));
+        // Dims and arities from the declarations, as constants.
+        assert!(code.contains(".arg(arg_rw(q).row::<4>())"));
+        assert!(code.contains(".arg(arg_read_via(xn, pcell, 0).via::<2, 4>())"));
+        assert!(code.contains(".arg(arg_read(flag).row::<1>())"));
+        assert!(code.contains(".arg(arg_gbl_inc(rms).row::<1>())"));
         assert!(code.contains(".run(kernel)"));
     }
 

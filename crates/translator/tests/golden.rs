@@ -168,8 +168,11 @@ fn res_calc_emits_eight_builder_args_with_increments() {
         .expect("res_calc wrapper present");
     let body = res_calc.split("pub fn").next().unwrap();
     assert_eq!(body.matches(".arg(").count(), 8, "arity-free builder args");
-    assert!(body.contains(".arg(arg_inc_via(p_res, pecell, 0))"));
-    assert!(body.contains(".arg(arg_inc_via(p_res, pecell, 1))"));
+    // `p_res` has dim 4 and `pecell` two slots: both are constants of the
+    // emitted argument's type.
+    assert!(body.contains(".arg(arg_inc_via(p_res, pecell, 0).via::<4, 2>())"));
+    assert!(body.contains(".arg(arg_inc_via(p_res, pecell, 1).via::<4, 2>())"));
+    assert!(body.contains(".arg(arg_read_via(p_x, pedge, 0).via::<2, 2>())"));
     assert!(body.contains(".run(kernel)"));
 }
 

@@ -15,8 +15,8 @@ where
     K: for<'e> Fn(&'e [f64], &'e mut [f64]) + Send + Sync + 'static,
 {
     op2.loop_("save_soln", cells)
-        .arg(arg_read(p_q))
-        .arg(arg_write(p_qold))
+        .arg(arg_read(p_q).row::<4>())
+        .arg(arg_write(p_qold).row::<4>())
         .run(kernel)
 }
 
@@ -30,12 +30,12 @@ where
     K: for<'e> Fn(&'e [f64], &'e [f64], &'e [f64], &'e [f64], &'e [f64], &'e mut [f64]) + Send + Sync + 'static,
 {
     op2.loop_("adt_calc", cells)
-        .arg(arg_read_via(p_x, pcell, 0))
-        .arg(arg_read_via(p_x, pcell, 1))
-        .arg(arg_read_via(p_x, pcell, 2))
-        .arg(arg_read_via(p_x, pcell, 3))
-        .arg(arg_read(p_q))
-        .arg(arg_write(p_adt))
+        .arg(arg_read_via(p_x, pcell, 0).via::<2, 4>())
+        .arg(arg_read_via(p_x, pcell, 1).via::<2, 4>())
+        .arg(arg_read_via(p_x, pcell, 2).via::<2, 4>())
+        .arg(arg_read_via(p_x, pcell, 3).via::<2, 4>())
+        .arg(arg_read(p_q).row::<4>())
+        .arg(arg_write(p_adt).row::<1>())
         .run(kernel)
 }
 
@@ -50,14 +50,14 @@ where
     K: for<'e> Fn(&'e [f64], &'e [f64], &'e [f64], &'e [f64], &'e [f64], &'e [f64], &'e mut [f64], &'e mut [f64]) + Send + Sync + 'static,
 {
     op2.loop_("res_calc", edges)
-        .arg(arg_read_via(p_x, pedge, 0))
-        .arg(arg_read_via(p_x, pedge, 1))
-        .arg(arg_read_via(p_q, pecell, 0))
-        .arg(arg_read_via(p_q, pecell, 1))
-        .arg(arg_read_via(p_adt, pecell, 0))
-        .arg(arg_read_via(p_adt, pecell, 1))
-        .arg(arg_inc_via(p_res, pecell, 0))
-        .arg(arg_inc_via(p_res, pecell, 1))
+        .arg(arg_read_via(p_x, pedge, 0).via::<2, 2>())
+        .arg(arg_read_via(p_x, pedge, 1).via::<2, 2>())
+        .arg(arg_read_via(p_q, pecell, 0).via::<4, 2>())
+        .arg(arg_read_via(p_q, pecell, 1).via::<4, 2>())
+        .arg(arg_read_via(p_adt, pecell, 0).via::<1, 2>())
+        .arg(arg_read_via(p_adt, pecell, 1).via::<1, 2>())
+        .arg(arg_inc_via(p_res, pecell, 0).via::<4, 2>())
+        .arg(arg_inc_via(p_res, pecell, 1).via::<4, 2>())
         .run(kernel)
 }
 
@@ -72,12 +72,12 @@ where
     K: for<'e> Fn(&'e [f64], &'e [f64], &'e [f64], &'e [f64], &'e mut [f64], &'e [i32]) + Send + Sync + 'static,
 {
     op2.loop_("bres_calc", bedges)
-        .arg(arg_read_via(p_x, pbedge, 0))
-        .arg(arg_read_via(p_x, pbedge, 1))
-        .arg(arg_read_via(p_q, pbecell, 0))
-        .arg(arg_read_via(p_adt, pbecell, 0))
-        .arg(arg_inc_via(p_res, pbecell, 0))
-        .arg(arg_read(p_bound))
+        .arg(arg_read_via(p_x, pbedge, 0).via::<2, 2>())
+        .arg(arg_read_via(p_x, pbedge, 1).via::<2, 2>())
+        .arg(arg_read_via(p_q, pbecell, 0).via::<4, 1>())
+        .arg(arg_read_via(p_adt, pbecell, 0).via::<1, 1>())
+        .arg(arg_inc_via(p_res, pbecell, 0).via::<4, 1>())
+        .arg(arg_read(p_bound).row::<1>())
         .run(kernel)
 }
 
@@ -92,11 +92,11 @@ where
     K: for<'e> Fn(&'e [f64], &'e mut [f64], &'e mut [f64], &'e [f64], &'e mut [f64]) + Send + Sync + 'static,
 {
     op2.loop_("update", cells)
-        .arg(arg_read(p_qold))
-        .arg(arg_write(p_q))
-        .arg(arg_rw(p_res))
-        .arg(arg_read(p_adt))
-        .arg(arg_gbl_inc(rms))
+        .arg(arg_read(p_qold).row::<4>())
+        .arg(arg_write(p_q).row::<4>())
+        .arg(arg_rw(p_res).row::<4>())
+        .arg(arg_read(p_adt).row::<1>())
+        .arg(arg_gbl_inc(rms).row::<1>())
         .run(kernel)
 }
 

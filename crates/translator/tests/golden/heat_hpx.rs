@@ -15,10 +15,10 @@ where
     K: for<'e> Fn(&'e [f64], &'e [f64], &'e mut [f64], &'e mut [f64]) + Send + Sync + 'static,
 {
     op2.loop_("edge_flux", edges)
-        .arg(arg_read_via(temp, pedge, 0))
-        .arg(arg_read_via(temp, pedge, 1))
-        .arg(arg_inc_via(flux, pedge, 0))
-        .arg(arg_inc_via(flux, pedge, 1))
+        .arg(arg_read_via(temp, pedge, 0).via::<1, 2>())
+        .arg(arg_read_via(temp, pedge, 1).via::<1, 2>())
+        .arg(arg_inc_via(flux, pedge, 0).via::<1, 2>())
+        .arg(arg_inc_via(flux, pedge, 1).via::<1, 2>())
         .run(kernel)
 }
 
@@ -32,10 +32,10 @@ where
     K: for<'e> Fn(&'e mut [f64], &'e mut [f64], &'e [i32], &'e mut [f64]) + Send + Sync + 'static,
 {
     op2.loop_("apply_flux", nodes)
-        .arg(arg_rw(temp))
-        .arg(arg_rw(flux))
-        .arg(arg_read(boundary))
-        .arg(arg_gbl_inc(delta))
+        .arg(arg_rw(temp).row::<1>())
+        .arg(arg_rw(flux).row::<1>())
+        .arg(arg_read(boundary).row::<1>())
+        .arg(arg_gbl_inc(delta).row::<1>())
         .run(kernel)
 }
 

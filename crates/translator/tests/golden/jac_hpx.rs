@@ -15,10 +15,10 @@ where
     K: for<'e> Fn(&'e [f64], &'e [f64], &'e mut [f64], &'e mut [f64]) + Send + Sync + 'static,
 {
     op2.loop_("jac_spmv", edges)
-        .arg(arg_read_via(x, pedge, 0))
-        .arg(arg_read_via(x, pedge, 1))
-        .arg(arg_inc_via(acc, pedge, 0))
-        .arg(arg_inc_via(acc, pedge, 1))
+        .arg(arg_read_via(x, pedge, 0).via::<1, 2>())
+        .arg(arg_read_via(x, pedge, 1).via::<1, 2>())
+        .arg(arg_inc_via(acc, pedge, 0).via::<1, 2>())
+        .arg(arg_inc_via(acc, pedge, 1).via::<1, 2>())
         .run(kernel)
 }
 
@@ -33,11 +33,11 @@ where
     K: for<'e> Fn(&'e [f64], &'e [f64], &'e mut [f64], &'e mut [f64], &'e mut [f64]) + Send + Sync + 'static,
 {
     op2.loop_("jac_update", nodes)
-        .arg(arg_read(b))
-        .arg(arg_read(diag))
-        .arg(arg_rw(x))
-        .arg(arg_rw(acc))
-        .arg(arg_gbl_inc(resid))
+        .arg(arg_read(b).row::<1>())
+        .arg(arg_read(diag).row::<1>())
+        .arg(arg_rw(x).row::<1>())
+        .arg(arg_rw(acc).row::<1>())
+        .arg(arg_gbl_inc(resid).row::<1>())
         .run(kernel)
 }
 

@@ -24,7 +24,9 @@ fn jac_convergence_exit_never_blocks_on_the_residual() {
     let op2 = Op2::new(Op2Config::dataflow(2));
     let mut inst = app.declare(&op2);
     // The spec's own policy: tol 1e-12, checked every iteration, cap 500.
-    let out = run(inst.as_mut(), app.default_run());
+    let cfg = app.default_run();
+    let window = cfg.window;
+    let out = run(inst.as_mut(), cfg);
 
     let (at, resid) = out
         .converged
@@ -32,6 +34,14 @@ fn jac_convergence_exit_never_blocks_on_the_residual() {
     assert!(at < 500, "convergence should beat the iteration cap");
     assert!(resid < 1e-12, "converged residual {resid:e} above tol");
     assert!(inst.state().iter().all(|v| v.is_finite()));
+    // The exit only reads residuals that already resolved, so it lands
+    // past the crossing — but never by more than the backpressure window
+    // (`RunConfig::window`), whatever the scheduler does.
+    assert!(
+        out.iterations - at <= window,
+        "ran {} iterations past the crossing at {at} with a window of {window}",
+        out.iterations - at
+    );
 
     // The acceptance criterion: the convergence-driven loop exit rode the
     // async-reduction path end to end. Residuals observed before the fence
