@@ -92,7 +92,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
                      --cells N          target cell count (default 20000)\n\
                      --paper-scale      ~720K cells (the paper's mesh size)\n\
                      --iters N          outer iterations (default 100)\n\
-                     --threads N        worker threads\n\
+                     --threads N        computing threads, the calling one included\n\
                      --ranks N          localities (sharded mesh + halo exchange)\n\
                      --backend B        seq | forkjoin | dataflow\n\
                      --transport T      inproc (all ranks in-process, default) |\n    \
@@ -337,7 +337,10 @@ fn main() {
             }
         }
     }
-    println!("runtime: {}", op2.runtime().stats());
+    println!(
+        "runtime: {} (workers counts the calling thread)",
+        op2.runtime().stats()
+    );
 }
 
 #[cfg(test)]

@@ -38,7 +38,12 @@ pub const DEFAULT_BLOCK_SIZE: usize = 256;
 /// Configuration of an [`Op2`](crate::Op2) context.
 #[derive(Debug, Clone)]
 pub struct Op2Config {
-    /// Worker threads in the pool.
+    /// Threads that compute, **counting the one that calls into the
+    /// world**: the pool runs `threads - 1` background workers and the
+    /// calling thread is the `threads`-th whenever it blocks on the world
+    /// (a fork-join loop's join, a window wait, [`Op2::fence`](crate::Op2::fence));
+    /// see `hpx_rt::Runtime`. `1` is one background worker and a caller
+    /// that only submits.
     pub threads: usize,
     /// Loop execution strategy.
     pub backend: Backend,

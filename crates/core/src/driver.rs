@@ -224,20 +224,44 @@ fn pow2_floor(x: usize) -> usize {
     p
 }
 
+/// What the load-balance cap may not cut a node below: what a node costs
+/// to build, queue, steal and complete several times over, so that a loop
+/// whose whole body is a few microseconds is one node. Swept on `airfoil
+/// --cells 4000` (ROADMAP item 1, PR 20): 11-15 us alike, 8 and 20 us
+/// slightly behind, 40 us no better than none.
+const MIN_NODE_NS: f64 = 12_000.0;
+
+/// The floor keeps to the granularity in use while a node of that size
+/// lasts between `MIN_NODE_NS / 3` and `3 * MIN_NODE_NS`. Without memory a
+/// cost measured near a power-of-two midpoint re-plans on every jitter,
+/// and the measured cost itself moves with the granularity (one node of
+/// airfoil's `save_soln` costs 2.2x per element what two on two cores do),
+/// which a narrower band turns into a limit cycle.
+const FLOOR_STICKS_WITHIN: f64 = 3.0;
+
 /// Sizes a node to take ~`target_ns` at `per_elem_ns`, quantized to a
-/// power of two, capped for load balance (at least ~2 nodes per worker
-/// where the set allows it) and clamped to `[min, n]`.
+/// power of two, capped for load balance (at least ~2 nodes per thread
+/// where the set allows it) but not below [`MIN_NODE_NS`] worth of
+/// elements, and clamped to `[min, n]`. `in_use` is the granularity the
+/// loop last ran at, if any.
 fn feedback_block_size(
     target_ns: u64,
     per_elem_ns: f64,
     n: usize,
     threads: usize,
     min: usize,
+    in_use: Option<usize>,
 ) -> usize {
-    let ideal = target_ns as f64 / per_elem_ns.max(1e-3);
+    let per_elem_ns = per_elem_ns.max(1e-3);
+    let ideal = pow2_round(target_ns as f64 / per_elem_ns);
     let balance_cap = pow2_floor((n / (2 * threads.max(1))).max(1));
-    pow2_round(ideal)
+    let floor_elems = MIN_NODE_NS / per_elem_ns;
+    let band = 1.0 / FLOOR_STICKS_WITHIN..FLOOR_STICKS_WITHIN;
+    let sticks = |g: &usize| band.contains(&(floor_elems / *g as f64));
+    let floor = in_use.filter(sticks).unwrap_or(pow2_round(floor_elems));
+    ideal
         .min(balance_cap)
+        .max(ideal.min(floor))
         .max(min.max(1))
         .min(n.max(1))
 }
@@ -266,14 +290,20 @@ fn feedback_block_size(
 /// identity — so a second world running the same solver (a farm tenant)
 /// resolves measured granularities from the first world's samples when the
 /// two share a feedback table.
-fn resolve_granularity(world: &Op2, kernel: &str, set_sig: u64, n: usize) -> usize {
+fn resolve_granularity(
+    world: &Op2,
+    kernel: &str,
+    set_sig: u64,
+    n: usize,
+    in_use: Option<usize>,
+) -> usize {
     let cfg = world.config();
     let default_bs = cfg.block_size.max(1);
     let measured = |target_ns: u64, min: usize| -> usize {
-        match world.granularity_feedback().cost(kernel, set_sig) {
-            None => default_bs,
-            Some(c) => feedback_block_size(target_ns, c.ewma_ns_per_elem, n, cfg.threads, min),
-        }
+        let cost = world.granularity_feedback().cost(kernel, set_sig);
+        cost.map_or(default_bs, |c| {
+            feedback_block_size(target_ns, c.ewma_ns_per_elem, n, cfg.threads, min, in_use)
+        })
     };
     match &cfg.chunk {
         ChunkPolicy::Static { size } => (*size).max(1),
@@ -539,8 +569,9 @@ impl SpecCache {
     }
 
     fn get(&self, world: &Op2, spec: &LoopSpec, n: usize) -> Arc<LoopPlan> {
-        let granularity = resolve_granularity(world, &spec.name, spec.set.signature(), n);
         let key = SpecKey::of(world, spec);
+        let in_use = self.map.lock().get(&key).map(|c| c.granularity);
+        let granularity = resolve_granularity(world, &spec.name, spec.set.signature(), n, in_use);
         match self.map.lock().get_mut(&key) {
             Some(c) if c.granularity == granularity => {
                 c.stamp = self.touch();
@@ -750,7 +781,7 @@ impl std::fmt::Debug for SpecShare {
 /// into the driver.
 #[doc(hidden)]
 pub fn __dataflow_resolved_block_size(world: &Op2, kernel: &str, set: &Set) -> usize {
-    resolve_granularity(world, kernel, set.signature(), set.size())
+    resolve_granularity(world, kernel, set.signature(), set.size(), None)
 }
 
 /// The block partition a *direct* dataflow loop named `kernel` over `set`
@@ -759,7 +790,7 @@ pub fn __dataflow_resolved_block_size(world: &Op2, kernel: &str, set: &Set) -> u
 #[doc(hidden)]
 pub fn __dataflow_direct_blocks(world: &Op2, kernel: &str, set: &Set) -> Vec<Range<usize>> {
     let n = set.size();
-    let bs = resolve_granularity(world, kernel, set.signature(), n);
+    let bs = resolve_granularity(world, kernel, set.signature(), n, None);
     (0..n.div_ceil(bs))
         .map(|b| b * bs..((b + 1) * bs).min(n))
         .collect()
@@ -1053,4 +1084,92 @@ pub fn plan_for(world: &Op2, set: &Set, infos: &[ArgInfo]) -> Option<Arc<Plan>> 
             .plans()
             .get(set, world.config().block_size, &conflicts),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TARGET_NS: u64 = hpx_rt::DEFAULT_CHUNK_TARGET.as_nanos() as u64;
+
+    /// The resolution before the node-duration floor: target, cap, clamp.
+    fn capped_only(target_ns: u64, per_elem_ns: f64, n: usize, threads: usize) -> usize {
+        let ideal = target_ns as f64 / per_elem_ns.max(1e-3);
+        let balance_cap = pow2_floor((n / (2 * threads.max(1))).max(1));
+        pow2_round(ideal).min(balance_cap).max(1).min(n.max(1))
+    }
+
+    #[test]
+    fn a_loop_of_a_few_microseconds_is_one_node() {
+        // airfoil_small's bres_calc: 270 boundary edges at ~20 ns, 5.4 us
+        // in all, which the cap alone cuts into five nodes of 64.
+        assert_eq!(capped_only(TARGET_NS, 20.0, 270, 2), 64);
+        assert_eq!(feedback_block_size(TARGET_NS, 20.0, 270, 2, 1, None), 270);
+    }
+
+    #[test]
+    fn the_floor_leaves_a_mid_sized_loop_a_few_nodes() {
+        // 4050 cells at 11 ns are 45 us: not one node, not the cap's eight.
+        let size = feedback_block_size(TARGET_NS, 11.0, 4050, 2, 1, None);
+        let nodes = 4050usize.div_ceil(size);
+        assert!((2..=4).contains(&nodes), "{nodes} nodes of {size}");
+        assert_eq!(4050usize.div_ceil(capped_only(TARGET_NS, 11.0, 4050, 2)), 8);
+    }
+
+    /// Never below the capped size, never above `n` or the target's size,
+    /// whatever was in use; and a loop whose capped nodes already last the
+    /// floor, and which is not on a size the floor gave it earlier,
+    /// resolves as it did without one.
+    #[test]
+    fn the_floor_binds_only_where_capped_nodes_are_shorter_than_it() {
+        let mut unmoved = 0;
+        for threads in [1, 2, 3, 4, 8, 16] {
+            for n in [
+                1, 7, 270, 1000, 4050, 8100, 100_000, 400_000, 720_000, 3_000_000,
+            ] {
+                for cost in [0.5, 3.0, 11.0, 20.0, 47.0, 150.0, 1000.0, 25_000.0] {
+                    for target_ns in [5_000, 128_000, TARGET_NS, 2_000_000] {
+                        let was = capped_only(target_ns, cost, n, threads);
+                        for in_use in [None, Some(was), Some(n), Some(256), Some(2 * was)] {
+                            let now = feedback_block_size(target_ns, cost, n, threads, 1, in_use);
+                            let case = format!(
+                                "{n} elems at {cost} ns, {threads} threads, {in_use:?} in use"
+                            );
+                            assert!(now >= was, "{case}: {was} -> {now}");
+                            assert!(now <= n, "{case}: {now}");
+                            let ideal = pow2_round(target_ns as f64 / cost);
+                            assert!(now <= ideal, "{case}: {now}");
+                            let on_it = in_use.is_none_or(|g| g == was);
+                            if on_it && was as f64 * cost >= MIN_NODE_NS {
+                                assert_eq!(now, was, "{case}");
+                                unmoved += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(unmoved > 1000, "the grid has both sides: {unmoved}");
+    }
+
+    /// A cost that jitters around a power-of-two midpoint of the floor
+    /// (12 us / 8.29 ns = 1448 elements) must not flip the granularity,
+    /// nor one that moves with the granularity itself.
+    #[test]
+    fn the_floor_sticks_to_the_granularity_in_use() {
+        let resolve = |cost, in_use| feedback_block_size(TARGET_NS, cost, 4050, 2, 1, in_use);
+        let (below, above) = (resolve(8.2, None), resolve(8.4, None));
+        assert_eq!((below, above), (2048, 1024), "the midpoint");
+        for start in [below, above] {
+            let mut g = start;
+            for cost in [8.2, 8.4, 7.0, 10.0, 8.29, 12.0, 6.0, 16.0, 5.0] {
+                g = resolve(cost, Some(g));
+                assert_eq!(g, start, "flipped at {cost} ns");
+            }
+        }
+        // A node in use that lasts a third of the floor, or three times
+        // it, is re-planned.
+        assert_eq!(resolve(20.0, Some(2048)), 512);
+        assert_eq!(resolve(3.5, Some(1024)), 4050);
+    }
 }

@@ -330,10 +330,18 @@ impl<T: Reducible> Global<T> {
     pub(crate) fn reduce_on(&self, rt: Arc<Runtime>, hooks: CommHooks) -> ReducedFuture<T> {
         hpx_rt::static_counter!("op2.reduce.async_reads").fetch_add(1, Ordering::Relaxed);
         let deps = self.pending_snapshot();
-        let (mut contribs, value) = hpx_rt::lco::collect(1, |a: Vec<T>, _b: Vec<T>| a);
-        let c = contribs.pop().expect("one contributor");
-        let gbl = self.clone();
-        let done = schedule_after(&rt, &deps, move || c.set(gbl.value_snapshot()));
+        let (value, done) = if deps.iter().all(SharedFuture::has_value) {
+            // Nothing to order after (every Seq and fork-join read): the
+            // snapshot is taken here and no task is made for it.
+            let value = SharedFuture::ready(self.value_snapshot());
+            (value, SharedFuture::ready(()))
+        } else {
+            let (mut contribs, value) = hpx_rt::lco::collect(1, |a: Vec<T>, _b: Vec<T>| a);
+            let c = contribs.pop().expect("one contributor");
+            let gbl = self.clone();
+            let done = schedule_after(&rt, &deps, move || c.set(gbl.value_snapshot()));
+            (value, done)
+        };
         // The snapshot node joins the wait-set: a subsequent
         // `reset`/`set`/incrementing loop orders *after* this read and
         // cannot clobber (or leak into) the value it will observe.
@@ -461,13 +469,17 @@ impl<T: Reducible> ReducedFuture<T> {
     where
         F: FnOnce(Vec<T>) + Send + 'static,
     {
-        let mut deps: Vec<SharedFuture<()>> = Vec::with_capacity(after.len() + 1);
-        deps.push(self.done.clone());
-        deps.extend(after.iter().cloned());
-        let value = self.value.clone();
         // `value` is fulfilled before `done` (struct invariant), so the
-        // `get` inside the node never blocks.
-        let node = schedule_after(&self.rt, &deps, move || f(value.get()));
+        // `get`s below never block.
+        let node = if self.done.has_value() && after.iter().all(SharedFuture::has_value) {
+            // Nothing to wait for: `f` runs here, not as a task.
+            f(self.value.get());
+            SharedFuture::ready(())
+        } else {
+            let deps: Vec<_> = std::iter::once(&self.done).chain(after).cloned().collect();
+            let value = self.value.clone();
+            schedule_after(&self.rt, &deps, move || f(value.get()))
+        };
         self.hooks.track(node.clone());
         node
     }
@@ -588,6 +600,49 @@ mod tests {
             11.0,
             "get() missed a still-running incrementing loop's finalize"
         );
+    }
+
+    /// Seq is one thread: a reduction read with nothing outstanding takes
+    /// its snapshot where it is submitted, and so does a continuation on
+    /// it — no task, hence no worker woken per iteration.
+    #[test]
+    fn a_seq_world_reads_its_reductions_without_a_task() {
+        use crate::args::{gbl_inc, read};
+        use crate::Op2Config;
+
+        let op2 = Op2::new(Op2Config::seq());
+        let cells = op2.decl_set(64, "cells");
+        let x = op2.decl_dat(&cells, 1, "x", vec![1.0f64; 64]);
+        let rms = Global::<f64>::sum(1, "rms");
+        let reads = hpx_rt::static_counter!("op2.reduce.async_reads");
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let run = |iters: usize| {
+            let before = reads.load(Ordering::Relaxed);
+            let mut printed = SharedFuture::ready(());
+            for _ in 0..iters {
+                rms.reset();
+                op2.loop_("norm", &cells)
+                    .arg(read(&x))
+                    .arg(gbl_inc(&rms))
+                    .run(|x: &[f64], acc: &mut [f64]| acc[0] += x[0]);
+                let red = rms.reduce_async(&op2);
+                assert!(red.is_ready());
+                let seen = Arc::clone(&seen);
+                printed = red.then_after(&[printed], move |v| seen.lock().push(v[0]));
+                assert!(printed.has_value());
+            }
+            op2.fence();
+            assert!(reads.load(Ordering::Relaxed) - before >= iters as u64);
+            op2.runtime().stats()
+        };
+        let first = run(100);
+        assert_eq!(first.tasks_executed, 0, "{first}");
+        assert_eq!(*seen.lock(), vec![64.0; 100]);
+        // Whatever the idle worker's park timeouts added meanwhile, it is
+        // not one per iteration.
+        let more = run(2000);
+        assert_eq!(more.tasks_executed, 0, "{more}");
+        assert!(more.parks - first.parks < 1000, "{first} -> {more}");
     }
 
     #[test]

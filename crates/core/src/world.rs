@@ -249,8 +249,10 @@ impl Op2 {
     /// which transitively joins all earlier rounds),
     /// re-panicking if any kernel panicked — the explicit global
     /// synchronization point (only needed around I/O or timing boundaries
-    /// in the dataflow backend).
+    /// in the dataflow backend). The calling thread computes for this
+    /// world's runtime while it waits, whoever submitted the loops.
     pub fn fence(&self) {
+        self.rt.help_while_blocked();
         let pending = std::mem::take(&mut *self.outstanding.lock());
         for f in pending {
             f.get();

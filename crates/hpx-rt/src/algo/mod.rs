@@ -6,9 +6,11 @@
 //! chunks are put behind one atomic cursor — a **work-sharing join**. The
 //! calling thread starts claiming and running chunks at once, whether or
 //! not it is a pool worker (HPX likewise runs the caller's share of a
-//! parallel algorithm inline); beside it at most `min(chunks - 1, workers)`
-//! helper tasks are spawned, each of which claims chunks from the same
-//! cursor until it is exhausted. A loop of two 20 us chunks therefore costs
+//! parallel algorithm inline); beside it at most `min(chunks - 1, n - 1)`
+//! helper tasks are spawned on a runtime of `n` threads — the caller is
+//! the n-th, in the caller slot or as a worker (see [`crate::runtime`]) —
+//! each of which claims chunks from the same cursor until it is
+//! exhausted. A loop of two 20 us chunks therefore costs
 //! one task and, when a worker is still lingering from the previous loop
 //! (see [`crate::runtime`]), no sleep and no wake-up at all. When the
 //! cursor runs dry the caller waits for the chunks still running on
@@ -164,7 +166,7 @@ pub(crate) fn run_chunked_inner<R: Send>(
                 results: &results,
                 panic: Mutex::new(None),
             };
-            for _ in 0..(nchunks - 1).min(inner.num_threads()) {
+            for _ in 0..(nchunks - 1).min(inner.num_threads() - 1) {
                 let header = Arc::clone(&header);
                 let frame = FramePtr(&frame);
                 // SAFETY: the task borrows nothing — it owns its share of

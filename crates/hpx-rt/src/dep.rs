@@ -57,6 +57,9 @@ impl Deps {
     /// For `inputs` inputs plus the registration's own hold (released with
     /// [`dep_ready`] once every input is wired).
     pub(crate) fn new(inputs: usize, rt: Option<&Runtime>) -> Self {
+        if let Some(rt) = rt {
+            rt.inner().helped_by_caller();
+        }
         Deps {
             remaining: AtomicUsize::new(inputs + 1),
             panic: OnceLock::new(),

@@ -1,10 +1,12 @@
 //! The work-stealing task scheduler.
 //!
 //! This is the substrate that stands in for the HPX thread manager: a fixed
-//! pool of OS worker threads, each owning a lock-free LIFO deque
-//! (crossbeam), a shared FIFO injector for external submissions, and a
-//! sleep/wake protocol on a condvar. Two properties matter for the paper's
-//! experiments:
+//! pool of threads, each owning a LIFO deque, a shared FIFO injector for
+//! external submissions, and a sleep/wake protocol on a condvar. (The
+//! deques have crossbeam's interface but are **not lock-free** in this
+//! tree: `crates/compat/crossbeam` is a `Mutex<VecDeque>` stand-in whose
+//! `is_empty`, `pop` and `steal_batch_and_pop` each take a lock.) Two
+//! properties matter for the paper's experiments:
 //!
 //! * **Asynchronous tasking** — [`Runtime::spawn`] never blocks; futures and
 //!   dataflow nodes (see [`crate::future`], [`crate::dataflow`]) schedule
@@ -13,6 +15,33 @@
 //!   does not sleep; it executes other ready tasks ([`try_help`]). This is
 //!   the Rust substitute for HPX's suspendable user-level threads and it is
 //!   what keeps nested waits deadlock-free.
+//!
+//! # Who computes: `n` threads means `n`
+//!
+//! `Runtime::new(n)` is `n` computing threads **counting the one that
+//! waits on it** — `#pragma omp parallel`'s master is a member of its
+//! team, and `hpx_main` is an HPX thread on one of the `n` workers whose
+//! blocked `future::get` hands the core to other tasks. So the runtime
+//! starts `n - 1` background workers and keeps the n-th deque and counter
+//! block as the **caller slot** ([`SlotHold`]). A thread that is not a
+//! worker and blocks on one of the crate's primitives — `Future` /
+//! `SharedFuture` `wait`/`get`, `Latch`, `Event`, the one-shot channel,
+//! [`Runtime::wait_idle`], the chunk engine's join, all through
+//! [`block_until`] — claims the free slot for the duration of the wait, and
+//! inside it is a worker in every respect: its own deque (what the tasks
+//! it runs spawn lands there), steals, [`on_worker_thread`] true, panics
+//! caught and counted, its tasks counted as `tasks_helped`. Which runtime
+//! it helps is the one it last handed work to (`spawn`, a frame with a
+//! runtime, a chunked algorithm's helpers) or named
+//! ([`Runtime::help_while_blocked`], `wait_idle`). A second outside thread
+//! blocking on the same runtime finds the slot taken and sleeps until its
+//! primitive completes. `Runtime::new(1)` is one background worker and no
+//! slot, so that a runtime nobody waits on still makes progress.
+//!
+//! What a blocked thread runs sits on its stack on top of the wait: such a
+//! task must not itself wait for something that thread only does once the
+//! wait has returned (a worker helping inside a nested wait has the same
+//! limit; HPX's suspendable threads do not).
 //!
 //! # Sleeping, waking, and who may spin
 //!
@@ -32,13 +61,24 @@
 //!   chunks itself and then waits for the stragglers for no longer than
 //!   its own chunks took, capped at [`LINGER`], before it blocks.
 //!
+//! * **A blocked thread that ran a task lingers likewise**
+//!   ([`block_until`]): a worker or slot holder that helped polls its
+//!   wait condition and the queues for at most [`LINGER`] after its last
+//!   task before it sleeps on the primitive.
+//!
 //! The invariant: **an idle runtime never spins.** A worker that woke
 //! because [`PARK_TIMEOUT`] ran out, or was notified and lost the task to a
 //! sibling, has not run a task and parks again at once; so after its last
 //! task a runtime pays one linger per worker and from then on one look at
 //! the queues per worker per `PARK_TIMEOUT`, whatever its neighbours do.
+//! The slot keeps to the same terms: a holder with nothing to run sleeps
+//! on the primitive it waits for — whose completion wakes it at once,
+//! while a task pushed meanwhile waits for a worker or for the end of the
+//! nap — for [`WAIT_POLL`] the first time and twice as long each time it
+//! wakes to empty queues, up to `PARK_TIMEOUT`; a free slot costs nothing.
 //! [`RuntimeStats`] counts `lingers` against `linger_hits` (the lingers
-//! that found a task) and `parks`.
+//! that found a task) and `parks` (a worker's sleeps on the idle condvar
+//! and a helping thread's naps alike).
 //!
 //! # Who may sleep, who must wake
 //!
@@ -56,9 +96,9 @@
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use parking_lot::{Condvar, Mutex};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crate::stats::{PaddedWorkerStats, RuntimeStats, WorkerStats};
@@ -68,6 +108,10 @@ thread_local! {
     /// Pointer to the worker context of the current thread, if it is a pool
     /// worker. Set for the duration of `worker_main`.
     static CURRENT_WORKER: Cell<*const WorkerCtx> = const { Cell::new(std::ptr::null()) };
+    /// The runtime this thread, not being a worker, computes for while it
+    /// is blocked (see [`SlotHold`]): the one it last handed work to or
+    /// named in a wait.
+    static HELPS: RefCell<Weak<RuntimeInner>> = const { RefCell::new(Weak::new()) };
 }
 
 /// How long an idle worker sleeps before re-checking the queues. A backstop
@@ -84,13 +128,24 @@ const PARK_TIMEOUT: Duration = Duration::from_millis(2);
 /// have cost buys nothing.
 pub(crate) const LINGER: Duration = Duration::from_micros(50);
 
-/// How long a *waiting* worker (blocked in a future/latch with nothing to
-/// help with) sleeps before re-polling its wait condition and the queues.
-const WAIT_POLL: Duration = Duration::from_micros(200);
+/// How long a *waiting* worker or slot holder (blocked in a future/latch
+/// with nothing to help with) first sleeps before re-polling its wait
+/// condition and the queues; doubled per fruitless nap up to
+/// [`PARK_TIMEOUT`]. A task pushed while it naps wakes nobody, so the
+/// first nap is about what a wake-up would have taken (at 200 us
+/// `jac_converge`, whose ~200 us nodes leave the helper idle between
+/// loops, ran 7 % slower under Dataflow than at 50 us).
+const WAIT_POLL: Duration = Duration::from_micros(50);
 
 pub(crate) struct RuntimeInner {
+    /// For [`RuntimeInner::helped_by_caller`], which only has `&self`.
+    me: Weak<RuntimeInner>,
     injector: Injector<Task>,
     stealers: Box<[Stealer<Task>]>,
+    /// The caller slot's deque (the last of `stealers` is its other end):
+    /// there while the slot is free, `None` while a blocked thread holds
+    /// it, and always on a runtime of one thread, which has no slot.
+    slot: Mutex<Option<Deque<Task>>>,
     sleep_lock: Mutex<()>,
     sleep_cv: Condvar,
     sleepers: AtomicUsize,
@@ -135,7 +190,9 @@ pub(crate) enum Help {
     NotWorker,
 }
 
-/// A fixed-size work-stealing thread pool.
+/// A fixed-size work-stealing thread pool of `n` threads **counting the
+/// one that waits on it**: `n - 1` background workers and a caller slot
+/// (see the module docs).
 ///
 /// Dropping the runtime drains all outstanding tasks, then joins the worker
 /// threads. Benchmarks create one `Runtime` per thread-count configuration.
@@ -151,12 +208,15 @@ pub struct Runtime {
 }
 
 impl Runtime {
-    /// Creates a pool with `nthreads` workers (clamped to at least 1).
+    /// Creates a pool of `nthreads` computing threads (clamped to at least
+    /// 1): `nthreads - 1` background workers plus the caller slot, or one
+    /// worker and no slot for `nthreads == 1`, so that a runtime nobody
+    /// waits on still makes progress.
     pub fn new(nthreads: usize) -> Self {
         Self::with_name(nthreads, "hpx-worker")
     }
 
-    /// Creates a pool whose worker threads are named `{prefix}-{index}`.
+    /// [`Runtime::new`] with worker threads named `{prefix}-{index}`.
     pub fn with_name(nthreads: usize, prefix: &str) -> Self {
         let (inner, deques) = RuntimeInner::new(nthreads.max(1));
         let mut threads = Vec::with_capacity(deques.len());
@@ -173,10 +233,19 @@ impl Runtime {
         Runtime { inner, threads }
     }
 
-    /// Number of worker threads in the pool.
+    /// Number of threads that compute on the pool: the background workers
+    /// and the caller slot.
     #[inline]
     pub fn num_threads(&self) -> usize {
         self.inner.nthreads
+    }
+
+    /// Names this runtime as the one the calling thread computes for the
+    /// next time it blocks — for a wait on work some other thread
+    /// submitted; `spawn`, `schedule_after` and the chunked algorithms
+    /// name theirs themselves.
+    pub fn help_while_blocked(&self) {
+        self.inner.helped_by_caller();
     }
 
     /// Schedules `f` to run on the pool. Never blocks.
@@ -213,6 +282,7 @@ impl Runtime {
     /// latches for that).
     pub fn wait_idle(&self) {
         let inner = &*self.inner;
+        inner.helped_by_caller();
         block_until(&inner.idle_lock, &inner.idle, Duration::ZERO, |_| {
             inner.pending.load(Ordering::SeqCst) == 0
         });
@@ -259,13 +329,18 @@ impl std::fmt::Debug for Runtime {
 }
 
 impl RuntimeInner {
-    /// The shared state of a pool of `nthreads` workers and the deque each
-    /// worker is to own.
+    /// The shared state of a pool of `nthreads` threads and the deque each
+    /// background worker is to own; the last of the `nthreads` deques
+    /// stays behind as the caller slot's.
     fn new(nthreads: usize) -> (Arc<Self>, Vec<Deque<Task>>) {
-        let deques: Vec<Deque<Task>> = (0..nthreads).map(|_| Deque::new_lifo()).collect();
-        let inner = Arc::new(RuntimeInner {
+        let mut deques: Vec<Deque<Task>> = (0..nthreads).map(|_| Deque::new_lifo()).collect();
+        let stealers = deques.iter().map(|d| d.stealer()).collect();
+        let slot = if nthreads > 1 { deques.pop() } else { None };
+        let inner = Arc::new_cyclic(|me| RuntimeInner {
+            me: me.clone(),
             injector: Injector::new(),
-            stealers: deques.iter().map(|d| d.stealer()).collect(),
+            stealers,
+            slot: Mutex::new(slot),
             sleep_lock: Mutex::new(()),
             sleep_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
@@ -289,25 +364,29 @@ impl RuntimeInner {
         self.nthreads
     }
 
+    /// Makes this the runtime the current thread helps when it next blocks
+    /// outside any pool. One thread-local read when it already is.
+    pub(crate) fn helped_by_caller(&self) {
+        HELPS.with(|h| {
+            if !std::ptr::eq(h.borrow().as_ptr(), self) {
+                *h.borrow_mut() = self.me.clone();
+            }
+        });
+    }
+
     /// Pushes a task: onto the local deque when called from a worker of this
     /// pool (cheap, no contention), otherwise onto the shared injector.
     pub(crate) fn spawn_task(&self, task: Task) {
         self.pending.fetch_add(1, Ordering::AcqRel);
         self.spawning.fetch_add(1, Ordering::SeqCst);
-        let leftover = CURRENT_WORKER.with(|c| {
-            let p = c.get();
-            if !p.is_null() {
-                // SAFETY: the pointer is valid for the duration of
-                // worker_main on this thread.
-                let ctx = unsafe { &*p };
-                if std::ptr::eq(&*ctx.inner, self) {
-                    ctx.local.push(task);
-                    return None;
-                }
+        let mut task = Some(task);
+        with_worker(|ctx| {
+            if std::ptr::eq(&*ctx.inner, self) {
+                ctx.local.push(task.take().expect("pushed once"));
             }
-            Some(task)
         });
-        if let Some(task) = leftover {
+        if let Some(task) = task {
+            self.helped_by_caller();
             self.injector.push(task);
         }
         self.notify_one();
@@ -345,6 +424,21 @@ impl RuntimeInner {
 }
 
 impl WorkerCtx {
+    fn new(inner: Arc<RuntimeInner>, index: usize, local: Deque<Task>) -> Self {
+        let rng = Cell::new(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1) | 1);
+        WorkerCtx {
+            inner,
+            index,
+            local,
+            rng,
+        }
+    }
+
+    #[inline]
+    fn stats(&self) -> &WorkerStats {
+        &self.inner.stats[self.index]
+    }
+
     #[inline]
     fn next_victim(&self, n: usize) -> usize {
         // xorshift64*
@@ -384,9 +478,7 @@ impl WorkerCtx {
                 }
                 match self.inner.stealers[i].steal_batch_and_pop(&self.local) {
                     Steal::Success(t) => {
-                        self.inner.stats[self.index]
-                            .steals
-                            .fetch_add(1, Ordering::Relaxed);
+                        self.stats().steals.fetch_add(1, Ordering::Relaxed);
                         return Some(t);
                     }
                     Steal::Empty => {}
@@ -398,7 +490,7 @@ impl WorkerCtx {
     }
 
     fn run(&self, task: Task, helped: bool) {
-        let stats = &self.inner.stats[self.index];
+        let stats = self.stats();
         if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| task.run())).is_err() {
             stats.panics.fetch_add(1, Ordering::Relaxed);
         }
@@ -418,7 +510,7 @@ impl WorkerCtx {
     /// milliseconds; holding on costs the neighbours at most `LINGER` per
     /// task this worker ran.
     fn linger(&self) -> Option<Task> {
-        let stats = &self.inner.stats[self.index];
+        let stats = self.stats();
         stats.lingers.fetch_add(1, Ordering::Relaxed);
         let start = Instant::now();
         while start.elapsed() < LINGER && !self.inner.shutdown.load(Ordering::Acquire) {
@@ -444,7 +536,7 @@ impl WorkerCtx {
         // Orders the registration before the queue reads below; pairs with
         // the fence between push and sleeper check in `spawn_task`.
         fence(Ordering::SeqCst);
-        let stats = &self.inner.stats[self.index];
+        let stats = self.stats();
         if !self.inner.work_queued() && !self.inner.shutdown.load(Ordering::Acquire) {
             stats.parks.fetch_add(1, Ordering::Relaxed);
             let slept = self.inner.sleep_cv.wait_for(&mut guard, PARK_TIMEOUT);
@@ -471,12 +563,7 @@ impl WorkerCtx {
 }
 
 fn worker_main(inner: Arc<RuntimeInner>, index: usize, local: Deque<Task>) {
-    let ctx = WorkerCtx {
-        inner,
-        index,
-        local,
-        rng: Cell::new(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64 + 1) | 1),
-    };
+    let ctx = WorkerCtx::new(inner, index, local);
     CURRENT_WORKER.with(|c| c.set(&ctx as *const _));
     // True from running a task until the next park: the licence to linger.
     let mut ran_task = false;
@@ -500,26 +587,71 @@ fn worker_main(inner: Arc<RuntimeInner>, index: usize, local: Deque<Task>) {
     CURRENT_WORKER.with(|c| c.set(std::ptr::null()));
 }
 
+/// Calls `f` with the current thread's worker context, if it is a pool
+/// worker or holds a caller slot.
+fn with_worker<R>(f: impl FnOnce(&WorkerCtx) -> R) -> Option<R> {
+    let p = CURRENT_WORKER.with(Cell::get);
+    // SAFETY: non-null only between `worker_main` (or `SlotHold::enter`)
+    // setting it to a context that outlives this call and clearing it, on
+    // this thread.
+    (!p.is_null()).then(|| f(unsafe { &*p }))
+}
+
 /// Attempts to run one ready task on the current thread. Used by every
 /// blocking primitive (futures, latches, barriers) so that a blocked worker
 /// keeps the pool saturated instead of sleeping — the stand-in for HPX's
 /// suspended user-threads.
 pub(crate) fn try_help() -> Help {
-    CURRENT_WORKER.with(|c| {
-        let p = c.get();
-        if p.is_null() {
-            return Help::NotWorker;
+    with_worker(|ctx| match ctx.find_task() {
+        Some(t) => {
+            ctx.run(t, true);
+            Help::Helped
         }
-        // SAFETY: set/cleared by worker_main on this thread.
-        let ctx = unsafe { &*p };
-        match ctx.find_task() {
-            Some(t) => {
-                ctx.run(t, true);
-                Help::Helped
-            }
-            None => Help::Idle,
-        }
+        None => Help::Idle,
     })
+    .unwrap_or(Help::NotWorker)
+}
+
+/// The caller slot, held: from here until it is dropped the current
+/// thread — not a worker, and about to block on the runtime it last handed
+/// work to — is the runtime's n-th worker, with the slot's deque and counter
+/// block for its own. Must stay where [`SlotHold::enter`] found it.
+struct SlotHold(Option<WorkerCtx>);
+
+impl SlotHold {
+    /// Claims the free slot of the runtime this thread helps, if the
+    /// thread is not a worker already, there is such a runtime and nobody
+    /// else holds its slot.
+    fn claim() -> Option<Self> {
+        if on_worker_thread() {
+            return None;
+        }
+        let inner = HELPS.with(|h| h.borrow().upgrade())?;
+        let local = inner.slot.try_lock()?.take()?;
+        let index = inner.nthreads - 1;
+        Some(SlotHold(Some(WorkerCtx::new(inner, index, local))))
+    }
+
+    fn enter(&self) {
+        CURRENT_WORKER.with(|c| c.set(self.0.as_ref().expect("held until dropped")));
+    }
+}
+
+impl Drop for SlotHold {
+    fn drop(&mut self) {
+        let ctx = self.0.as_ref().expect("held until dropped");
+        // What its tasks left on the deque the workers steal — unless the
+        // runtime is shutting down and they may have left already.
+        while ctx.inner.shutdown.load(Ordering::Acquire) {
+            match ctx.local.pop() {
+                Some(task) => ctx.run(task, true),
+                None => break,
+            }
+        }
+        CURRENT_WORKER.with(|c| c.set(std::ptr::null()));
+        let ctx = self.0.take().expect("held until dropped");
+        *ctx.inner.slot.lock() = Some(ctx.local);
+    }
 }
 
 /// Where [`block_until`] sleeps: a condvar and the number of threads asleep
@@ -559,40 +691,56 @@ impl Blocked {
 /// `done` is only ever evaluated with `lock` held, and whoever makes it
 /// true must take `lock` before it calls [`Blocked::wake_all`] (or change
 /// the value under it), so no wake-up falls between the check and the sleep
-/// — and when this returns, that critical section is over. In order of
-/// preference the thread: runs a ready task if it is a pool worker
-/// (help-first; this is what keeps nested waits on a small pool
+/// — and when this returns, that critical section is over. A thread that
+/// has to wait and is not a worker first claims the caller slot of the
+/// runtime it helps, if that is free (see the module docs). Then, in order
+/// of preference, it: runs a ready task if it is a pool worker or holds a
+/// slot (help-first; this is what keeps nested waits on a small pool
 /// deadlock-free), polls for up to `spin` (a joining thread's bounded wait
-/// for its stragglers, see the module docs), and only then registers with
-/// `blocked` and sleeps — a worker for [`WAIT_POLL`] at a time, because a
-/// task it could help with wakes nobody who is not parked, anyone else
-/// until woken.
+/// for its stragglers) or for [`LINGER`] after a task it ran, and only
+/// then registers with `blocked` and sleeps — a worker or slot holder for
+/// [`WAIT_POLL`] and up at a time, because a task it could help with wakes
+/// nobody who is not parked, anyone else until woken.
 pub(crate) fn block_until<T>(
     lock: &Mutex<T>,
     blocked: &Blocked,
     spin: Duration,
     done: impl Fn(&T) -> bool,
 ) {
-    let entered = (!spin.is_zero()).then(Instant::now);
+    if done(&lock.lock()) {
+        return;
+    }
+    let slot = SlotHold::claim();
+    if let Some(slot) = &slot {
+        slot.enter();
+    }
+    // A joiner polls for `spin` at first; whoever ran a task lingers.
+    let mut poll_until = (!spin.is_zero()).then(|| Instant::now() + spin);
+    let mut nap = WAIT_POLL;
     loop {
         if done(&lock.lock()) {
             return;
         }
         let help = try_help();
         if help == Help::Helped {
+            poll_until = Some(Instant::now() + LINGER);
+            nap = WAIT_POLL;
             continue;
         }
-        if entered.is_some_and(|t| t.elapsed() < spin) {
+        if poll_until.is_some_and(|t| Instant::now() < t) {
             std::hint::spin_loop();
             continue;
         }
+        poll_until = None;
         let mut guard = lock.lock();
         blocked.count.fetch_add(1, Ordering::SeqCst);
         let finished = done(&guard);
         match help {
             _ if finished => {}
             Help::Idle => {
-                blocked.cv.wait_for(&mut guard, WAIT_POLL);
+                with_worker(|ctx| ctx.stats().parks.fetch_add(1, Ordering::Relaxed));
+                blocked.cv.wait_for(&mut guard, nap);
+                nap = (nap * 2).min(PARK_TIMEOUT);
             }
             _ => blocked.cv.wait(&mut guard),
         }
@@ -605,9 +753,10 @@ pub(crate) fn block_until<T>(
     }
 }
 
-/// True when the current thread is a pool worker (of any runtime).
+/// True when the current thread computes for a runtime: a pool worker, or
+/// a thread that holds a caller slot while it is blocked.
 pub fn on_worker_thread() -> bool {
-    CURRENT_WORKER.with(|c| !c.get().is_null())
+    with_worker(|_| ()).is_some()
 }
 
 /// Spawns `f` onto the runtime owning the current worker thread. Returns
@@ -617,16 +766,7 @@ pub fn spawn_on_current<F>(f: F) -> bool
 where
     F: FnOnce() + Send + 'static,
 {
-    CURRENT_WORKER.with(|c| {
-        let p = c.get();
-        if p.is_null() {
-            return false;
-        }
-        // SAFETY: set/cleared by worker_main on this thread.
-        let ctx = unsafe { &*p };
-        ctx.inner.spawn_task(Task::new(f));
-        true
-    })
+    with_worker(|ctx| ctx.inner.spawn_task(Task::new(f))).is_some()
 }
 
 /// Spawn a task that borrows stack data.
@@ -738,6 +878,172 @@ mod tests {
         assert!(text.contains("workers=2"), "{text}");
     }
 
+    /// Occupies every background worker of `rt` until the returned flag is
+    /// set: what is spawned meanwhile can only run on the caller slot.
+    fn pin_workers(rt: &Runtime) -> Arc<AtomicBool> {
+        let release = Arc::new(AtomicBool::new(false));
+        let pinned = Arc::new(AtomicUsize::new(0));
+        for _ in 0..rt.threads.len() {
+            let (release, pinned) = (Arc::clone(&release), Arc::clone(&pinned));
+            rt.spawn(move || {
+                pinned.fetch_add(1, Ordering::AcqRel);
+                while !release.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            });
+        }
+        while pinned.load(Ordering::Acquire) < rt.threads.len() {
+            std::thread::yield_now();
+        }
+        release
+    }
+
+    #[test]
+    fn n_threads_are_n_minus_one_workers_and_the_caller_slot() {
+        for (n, workers, slot) in [(0, 1, false), (1, 1, false), (2, 1, true), (5, 4, true)] {
+            let rt = Runtime::new(n);
+            assert_eq!(rt.threads.len(), workers, "Runtime::new({n})");
+            assert_eq!(rt.inner.slot.lock().is_some(), slot, "Runtime::new({n})");
+            assert_eq!(rt.num_threads(), n.max(1));
+            assert_eq!(rt.stats().workers, n.max(1));
+            assert_eq!(rt.inner.stealers.len(), n.max(1));
+        }
+    }
+
+    /// With the one background worker of a 2-thread runtime pinned, a
+    /// dependent chain can only run on the thread that waits for it.
+    #[test]
+    fn the_waiting_caller_runs_a_dependent_chain() {
+        const CHAIN: u64 = 10_000;
+        let rt = Runtime::new(2);
+        let release = pin_workers(&rt);
+        let mut f = crate::ready(0u64);
+        for _ in 0..CHAIN {
+            f = crate::dataflow(&rt, |(a,)| a + 1, (f,));
+        }
+        assert!(!on_worker_thread());
+        assert_eq!(f.get(), CHAIN);
+        assert!(!on_worker_thread(), "the slot is given back with the wait");
+        let stats = rt.stats();
+        assert_eq!(stats.tasks_helped, CHAIN, "{stats}");
+        release.store(true, Ordering::Release);
+        rt.wait_idle();
+        assert_eq!(rt.stats().tasks_executed, CHAIN + 1);
+    }
+
+    /// A hand-made primitive, so that the test sees who is inside
+    /// `block_until` on it.
+    #[derive(Default)]
+    struct Gate {
+        open: Mutex<bool>,
+        blocked: Blocked,
+    }
+
+    impl Gate {
+        fn wait(&self) {
+            block_until(&self.open, &self.blocked, Duration::ZERO, |open| *open);
+        }
+        fn open(&self) {
+            *self.open.lock() = true;
+            self.blocked.wake_all();
+        }
+    }
+
+    /// Two threads outside the pool block on one runtime at once: one of
+    /// them holds the slot and runs what is spawned, the other sleeps;
+    /// both return when their waits end, and the next wait takes the slot.
+    #[test]
+    fn a_second_external_waiter_sleeps_and_the_slot_is_claimed_again() {
+        let rt = Arc::new(Runtime::new(2));
+        let release = pin_workers(&rt);
+        let gates = [Arc::new(Gate::default()), Arc::new(Gate::default())];
+        let waiters: Vec<_> = gates
+            .iter()
+            .map(|gate| {
+                let (rt, gate) = (Arc::clone(&rt), Arc::clone(gate));
+                std::thread::spawn(move || {
+                    rt.help_while_blocked();
+                    gate.wait();
+                    std::thread::current().id()
+                })
+            })
+            .collect();
+        // Both inside their waits: the sleeper stays registered, the
+        // holder is whenever it naps.
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !(rt.inner.slot.lock().is_none()
+            && gates
+                .iter()
+                .all(|g| g.blocked.count.load(Ordering::SeqCst) == 1))
+        {
+            assert!(Instant::now() < deadline, "the waiters never blocked");
+            std::thread::yield_now();
+        }
+        // The worker is pinned, so whatever runs now runs on the holder —
+        // always the same one of the two.
+        let ran_on: Vec<_> = (0..100)
+            .map(|_| {
+                let (done, ran) = std::sync::mpsc::sync_channel(1);
+                rt.spawn(move || done.send(std::thread::current().id()).unwrap());
+                ran.recv_timeout(Duration::from_secs(60))
+                    .expect("nobody holds the slot")
+            })
+            .collect();
+        assert!(ran_on.iter().all(|id| *id == ran_on[0]));
+        assert!(rt.inner.slot.lock().is_none());
+        for gate in &gates {
+            gate.open();
+        }
+        let ids: Vec<_> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
+        assert!(ids.contains(&ran_on[0]), "a waiter held the slot");
+        assert!(rt.inner.slot.lock().is_some(), "given back");
+        // Only this thread can run it: it claims the slot for the wait.
+        assert!(rt.spawn_future(on_worker_thread).get());
+        let stats = rt.stats();
+        assert_eq!(stats.tasks_helped, 101, "{stats}");
+        release.store(true, Ordering::Release);
+    }
+
+    /// The caller is a worker in this respect too: a task that panics while
+    /// it runs it is caught and counted, a panicking `spawn_future` poisons
+    /// its own future, and the wait on a third one returns its value.
+    #[test]
+    fn a_panic_in_a_task_the_caller_runs_stays_in_that_task() {
+        let rt = Runtime::new(2);
+        let release = pin_workers(&rt);
+        rt.spawn(|| panic!("boom"));
+        let bad = rt.spawn_future(|| -> u32 { panic!("poisoned") });
+        let good = rt.spawn_future(|| 7u32);
+        assert_eq!(good.get(), 7);
+        let stats = rt.stats();
+        assert_eq!((stats.task_panics, stats.tasks_helped), (1, 3), "{stats}");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.get()));
+        assert_eq!(err.unwrap_err().downcast_ref::<&str>(), Some(&"poisoned"));
+        assert!(!on_worker_thread());
+        release.store(true, Ordering::Release);
+    }
+
+    /// A task the caller runs may wait itself: inside the slot the thread
+    /// is a worker, so the nested wait helps instead of claiming again.
+    #[test]
+    fn a_task_run_by_the_caller_may_wait_in_turn() {
+        let rt = Arc::new(Runtime::new(2));
+        let release = pin_workers(&rt);
+        let rt2 = Arc::clone(&rt);
+        let outer = rt.spawn_future(move || {
+            assert!(on_worker_thread());
+            let inner = rt2.spawn_future(|| 5u32);
+            assert!(
+                rt2.inner.injector.is_empty(),
+                "spawned onto the slot's deque"
+            );
+            inner.get() + 1
+        });
+        assert_eq!(outer.get(), 6);
+        assert_eq!(rt.stats().tasks_helped, 2);
+        release.store(true, Ordering::Release);
+    }
+
     /// `park`'s last look before sleeping must cover every queue, a
     /// sibling's *own* deque included: a task a running worker pushed there
     /// just before the idle worker registered as a sleeper wakes nobody, and
@@ -747,16 +1053,11 @@ mod tests {
     /// must come back from its look at the queues without having slept.
     #[test]
     fn park_does_not_sleep_on_a_task_in_a_siblings_deque() {
-        let (inner, deques) = RuntimeInner::new(2);
+        let (inner, deques) = RuntimeInner::new(3);
         let mut workers = deques
             .into_iter()
             .enumerate()
-            .map(|(index, local)| WorkerCtx {
-                inner: Arc::clone(&inner),
-                index,
-                local,
-                rng: Cell::new(1),
-            });
+            .map(|(index, local)| WorkerCtx::new(Arc::clone(&inner), index, local));
         let (busy, idle) = (workers.next().unwrap(), workers.next().unwrap());
         inner.pending.fetch_add(1, Ordering::SeqCst);
         busy.local.push(Task::new(|| ()));
@@ -835,8 +1136,9 @@ mod tests {
             }
         }
         let (finished, wait) = std::sync::mpsc::sync_channel(1);
+        // Two background workers: this thread waits on a std channel.
         let chain = Arc::new(Chain {
-            rt: Runtime::new(2),
+            rt: Runtime::new(3),
             started: (0..HOPS).map(|_| AtomicBool::new(false)).collect(),
             finished,
         });

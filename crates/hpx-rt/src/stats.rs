@@ -1,9 +1,9 @@
 //! Scheduler instrumentation.
 //!
-//! Every worker owns a cache-padded counter block; [`Runtime::stats`]
-//! aggregates them into a [`RuntimeStats`] snapshot. The counters are
-//! maintained with relaxed atomics — they are diagnostics, not
-//! synchronization.
+//! Every worker, and the caller slot, owns a cache-padded counter block;
+//! [`Runtime::stats`] aggregates them into a [`RuntimeStats`] snapshot. The
+//! counters are maintained with relaxed atomics — they are diagnostics,
+//! not synchronization.
 //!
 //! The module additionally hosts a process-wide registry of **named
 //! counters** ([`counter`], [`counter_value`], [`counters`]): cheap
@@ -33,7 +33,7 @@ pub(crate) struct WorkerStats {
     pub lingers: AtomicU64,
     /// Lingers that found a task.
     pub linger_hits: AtomicU64,
-    /// Times the worker went to sleep on the condvar.
+    /// Times the worker went to sleep: parked, or napping inside a wait.
     pub parks: AtomicU64,
     /// Parks that slept out their whole timeout although a task was
     /// queued by then and no pusher had announced a wake-up meanwhile:
@@ -56,11 +56,14 @@ pub(crate) type PaddedWorkerStats = CachePadded<WorkerStats>;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RuntimeStats {
-    /// Number of worker threads.
+    /// Number of computing threads: the background workers and the caller
+    /// slot (`Runtime::new`'s argument).
     pub workers: usize,
     /// Total tasks executed (worker loop + help execution).
     pub tasks_executed: u64,
-    /// Tasks executed while a thread was blocked waiting (help-first policy).
+    /// Tasks executed while a thread was blocked waiting (help-first
+    /// policy): by a worker inside a nested wait, or by an outside thread
+    /// in the caller slot.
     pub tasks_helped: u64,
     /// Successful steals from sibling deques.
     pub steals: u64,
@@ -74,7 +77,9 @@ pub struct RuntimeStats {
     /// Lingers that found a task — over `lingers`, the share of the
     /// polling that saved a park/unpark round trip.
     pub linger_hits: u64,
-    /// Worker parks (sleeps on the idle condvar).
+    /// Times a computing thread went to sleep: a worker on the idle
+    /// condvar, a helping thread (blocked worker or slot holder) on the
+    /// primitive it waits for with nothing to run.
     pub parks: u64,
     /// Parks that ran out their timeout with a task already queued and no
     /// wake-up announced while they slept — each is a wake-up the sleep

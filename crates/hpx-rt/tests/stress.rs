@@ -213,11 +213,13 @@ fn join_frame_survives_back_to_back_two_chunk_joins() {
 #[test]
 fn join_helpers_that_start_after_the_loop_never_touch_its_frame() {
     const CALLS: usize = 300_000;
-    let rt = Runtime::new(2);
+    // Two background workers to pin; the caller slot is this thread's.
+    let rt = Runtime::new(3);
+    let workers = rt.num_threads() - 1;
     for scribble in [false, true] {
         let pinned = Arc::new(AtomicUsize::new(0));
         let release = Arc::new(AtomicBool::new(false));
-        for _ in 0..rt.num_threads() {
+        for _ in 0..workers {
             let (pinned, release) = (Arc::clone(&pinned), Arc::clone(&release));
             rt.spawn(move || {
                 pinned.fetch_add(1, Ordering::AcqRel);
@@ -226,7 +228,7 @@ fn join_helpers_that_start_after_the_loop_never_touch_its_frame() {
                 }
             });
         }
-        while pinned.load(Ordering::Acquire) < rt.num_threads() {
+        while pinned.load(Ordering::Acquire) < workers {
             std::thread::yield_now();
         }
         let before = rt.stats();
@@ -242,7 +244,7 @@ fn join_helpers_that_start_after_the_loop_never_touch_its_frame() {
         rt.wait_idle();
         let drained = rt.stats();
         let helpers = drained.tasks_executed - before.tasks_executed;
-        assert_eq!(helpers, (CALLS + rt.num_threads()) as u64);
+        assert_eq!(helpers, (CALLS + workers) as u64);
         assert_eq!(drained.task_panics, 0);
     }
 }
@@ -284,7 +286,8 @@ fn idle_worker_wakes_for_a_task_on_a_siblings_deque() {
             std::hint::spin_loop();
         }
     }
-    let rt = Runtime::new(2);
+    // Two background workers: this thread waits on a std channel.
+    let rt = Runtime::new(3);
     let (finished, wait) = std::sync::mpsc::sync_channel(1);
     let chain = Arc::new(Chain {
         started: (0..HOPS).map(|_| AtomicBool::new(false)).collect(),
@@ -534,5 +537,113 @@ fn frames_fire_exactly_once_under_seeded_interleavings() {
         for (i, f) in fired.iter().enumerate() {
             assert_eq!(f.load(Ordering::Relaxed), 1, "seed {seed}: node {i}");
         }
+    }
+}
+
+/// The caller slot under contention: three threads outside the pools, two
+/// 2-thread runtimes (one background worker and one slot each). Round
+/// after round every thread builds a gated graph on the runtime the seed
+/// picks and blocks on its join — claiming that runtime's slot if it is
+/// free, sleeping beside its holder if not — while this thread opens the
+/// gates in a seeded order, so the waits end, and the slots change hands,
+/// in a different interleaving each replay. Every body must run exactly
+/// once whoever ran it; the watchdog is on progress, not on wall time.
+#[test]
+fn caller_slots_change_hands_under_seeded_completion_orders() {
+    const THREADS: usize = 3;
+    const ROUNDS: usize = 30;
+    const BODIES: usize = 12;
+    for seed in 0..12u64 {
+        let mut rng = Rng::new(0x510C_5107 ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let rts = [Arc::new(Runtime::new(2)), Arc::new(Runtime::new(2))];
+        let hits: Arc<Vec<AtomicUsize>> = Arc::new(
+            (0..THREADS * ROUNDS * BODIES)
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+        );
+        let progress = Arc::new(AtomicUsize::new(0));
+        let mut promises = Vec::new();
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (gates, opens): (Vec<_>, Vec<_>) = (0..ROUNDS)
+                    .map(|_| {
+                        let (promise, gate) = channel::<()>();
+                        (gate.share(), promise)
+                    })
+                    .unzip();
+                promises.push(opens.into_iter());
+                // Which runtime each round goes to.
+                let picks: Vec<usize> = (0..ROUNDS).map(|_| (rng.next() % 2) as usize).collect();
+                let (rts, hits, progress) = (rts.clone(), Arc::clone(&hits), Arc::clone(&progress));
+                std::thread::spawn(move || {
+                    for (r, gate) in gates.into_iter().enumerate() {
+                        let rt = &rts[picks[r]];
+                        let mut nodes: Vec<SharedFuture<()>> = Vec::with_capacity(BODIES);
+                        for k in 0..BODIES {
+                            let (hits, progress) = (Arc::clone(&hits), Arc::clone(&progress));
+                            let body = move || {
+                                hits[(t * ROUNDS + r) * BODIES + k].fetch_add(1, Ordering::Relaxed);
+                                progress.fetch_add(1, Ordering::Relaxed);
+                            };
+                            // A chain through the even nodes, the odd ones
+                            // fanning out of the gate.
+                            let mut deps = vec![gate.clone()];
+                            if k % 2 == 0 && k > 0 {
+                                deps.push(nodes[k - 2].clone());
+                            }
+                            nodes.push(schedule_after(rt, &deps, body));
+                        }
+                        hpx_rt::when_all_shared(&nodes).get();
+                    }
+                })
+            })
+            .collect();
+
+        // Open every gate: each thread's in round order, the threads
+        // interleaved as the seed says, running ahead of some and behind
+        // others.
+        let mut left: Vec<usize> = (0..THREADS).collect();
+        while !left.is_empty() {
+            let pick = (rng.next() % left.len() as u64) as usize;
+            match promises[left[pick]].next() {
+                Some(open) => open.set_value(()),
+                None => {
+                    left.swap_remove(pick);
+                }
+            }
+            if rng.next().is_multiple_of(4) {
+                std::thread::yield_now();
+            }
+        }
+
+        let total = THREADS * ROUNDS * BODIES;
+        let (mut seen, mut since) = (0, std::time::Instant::now());
+        while threads.iter().any(|t| !t.is_finished()) {
+            let now = progress.load(Ordering::Relaxed);
+            if now != seen {
+                (seen, since) = (now, std::time::Instant::now());
+            }
+            assert!(
+                since.elapsed() < Duration::from_secs(60),
+                "seed {seed}: stalled after {seen} of {total} bodies"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for t in threads {
+            t.join().unwrap();
+        }
+        for (i, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 1, "seed {seed}: body {i}");
+        }
+        let ran: u64 = rts
+            .iter()
+            .map(|rt| {
+                rt.wait_idle();
+                let stats = rt.stats();
+                assert_eq!(stats.task_panics, 0, "seed {seed}: {stats}");
+                stats.tasks_executed
+            })
+            .sum();
+        assert_eq!(ran, total as u64, "seed {seed}");
     }
 }

@@ -3,6 +3,7 @@
 //! (`LocalityGroup::allreduce`), and the future-chained residual path —
 //! proving the solve pipeline never meets a host-side reduction barrier.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -83,14 +84,24 @@ fn allreduce_overlaps_while_one_contributor_is_hostage() {
 
     let gate = Arc::new(Event::new());
     let hostage_gate = Arc::clone(&gate);
+    let taken = Arc::new(AtomicBool::new(false));
+    let hostage_taken = Arc::clone(&taken);
     group
         .rank(0)
         .loop_("update", &cells0)
         .arg(gbl_inc(&g0))
         .run(move |acc: &mut [f64]| {
+            hostage_taken.store(true, Ordering::Release);
             hostage_gate.wait();
             acc[0] += 1.0;
         });
+    // The hostage must sit on a background worker before this thread blocks
+    // on the runtime: in a wait it computes too (the caller slot), and a
+    // hostage it picked up itself would wait for the `gate.set()` below on
+    // top of the very wait that comes before it. Not a runtime wait.
+    while !taken.load(Ordering::Acquire) {
+        std::thread::yield_now();
+    }
     group
         .rank(1)
         .loop_("update", &cells1)

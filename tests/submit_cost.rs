@@ -1,5 +1,5 @@
 //! What submitting a dataflow loop costs, pinned as counts rather than
-//! times: Airfoil on the 4k-cell mesh under `Op2Config::dataflow(2)` with a
+//! times: Airfoil on the 4k-cell mesh under `Op2Config::dataflow(3)` with a
 //! `Static` chunk policy (no feedback, so the graph's shape is a function
 //! of the mesh alone).
 //!
@@ -27,7 +27,8 @@ const RECORDS_PER_ITER: u64 = 2 + 2 * (3 + 4 + 5 + 4);
 /// Submits `ITERS` iterations with both workers held, releases them,
 /// fences, and returns the submission counters.
 fn submit_with_workers_held() -> SubmitStats {
-    let config = Op2Config::dataflow(2).with_chunk(ChunkPolicy::Static { size: 256 });
+    // Three threads: two background workers to hold, this thread in the slot.
+    let config = Op2Config::dataflow(3).with_chunk(ChunkPolicy::Static { size: 256 });
     let op2 = Op2::new(config);
     let mesh = channel_with_bump(90, 45);
     let p = Problem::declare(&op2, &mesh);
@@ -99,4 +100,33 @@ fn a_read_only_dat_pins_nothing_once_its_readers_are_done() {
     assert_eq!(p.p_x.__dep_records(), 0);
     drop(p.p_q.read());
     assert_eq!(p.p_q.__dep_records(), 0);
+}
+
+/// The node-duration floor reaches a real application. On a clock that
+/// never advances every node measures as free, so every loop's whole body
+/// is "a few microseconds": after the warm-up each of the nine loops of an
+/// iteration is one node, `bres_calc` (which the load-balance cap alone
+/// would cut into five) included; without the floor the cap cuts every
+/// loop into four nodes or more (66 per iteration on the real clock).
+#[test]
+fn loops_of_a_few_microseconds_are_one_node_each() {
+    use op2_hpx::hpx::timing::Clock;
+    use op2_hpx::op2::__dataflow_resolved_block_size as resolved;
+
+    let op2 = Op2::new(Op2Config::dataflow(2).with_clock(Clock::fake()));
+    let mesh = channel_with_bump(90, 45);
+    let p = Problem::declare(&op2, &mesh);
+    let mut inst = PlainAirfoil::new(&op2, &p);
+    for i in 0..3 {
+        let _ = inst.step(i);
+    }
+    op2.fence();
+    assert!(resolved(&op2, "bres_calc", &p.bedges) >= p.bedges.size());
+    let warm = op2.submit_stats().nodes;
+    for i in 3..3 + ITERS as usize {
+        let _ = inst.step(i);
+    }
+    op2.fence();
+    let per_iter = (op2.submit_stats().nodes - warm) / ITERS;
+    assert_eq!(per_iter, 1 + 2 * 4, "one node per loop");
 }
