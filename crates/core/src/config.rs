@@ -254,15 +254,6 @@ impl Op2Config {
         self.shared_feedback = Some(feedback);
         self
     }
-
-    /// Attributes this world's feedback measurements to `rank` (per-rank
-    /// busy time + rank-local cost table; see
-    /// [`Op2Config::feedback_rank`]).
-    #[must_use]
-    pub fn with_feedback_rank(mut self, rank: u32) -> Self {
-        self.feedback_rank = Some(rank);
-        self
-    }
 }
 
 impl Default for Op2Config {

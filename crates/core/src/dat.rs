@@ -428,6 +428,9 @@ pub(crate) struct DatInner<T> {
 // SAFETY: see the module-level safety model; all mutable access is
 // serialized by plans/futures (executors) or the borrow counter (guards).
 unsafe impl<T: Send + Sync> Send for DatInner<T> {}
+// SAFETY: shared references only reach the payload through the two paths
+// of the module-level model, which never let two threads hold conflicting
+// access to one row; every other field is itself `Sync`.
 unsafe impl<T: Send + Sync> Sync for DatInner<T> {}
 
 /// Data on a set: `set.size()` rows of `dim` scalars. Cheap to clone (an
@@ -608,6 +611,8 @@ impl<T: OpType> Dat<T> {
     /// Caller must hold read access to row `e` per the module-level model.
     pub(crate) unsafe fn append_row_to(&self, e: usize, out: &mut Vec<T>) {
         let dim = self.inner.dim;
+        // SAFETY: taking the pointer reads nothing; the reads below stay in
+        // row `e`, which the caller may read per this function's contract.
         let base = unsafe { self.ptr() };
         match self.inner.layout {
             Layout::AoS => {
@@ -637,6 +642,8 @@ impl<T: OpType> Dat<T> {
     pub(crate) unsafe fn scatter_rows_from(&self, start: usize, buf: &[T]) {
         let dim = self.inner.dim;
         debug_assert_eq!(buf.len() % dim, 0);
+        // SAFETY: taking the pointer reads nothing; the writes below stay in
+        // the rows the caller holds exclusively per this function's contract.
         let base = unsafe { self.ptr() };
         match self.inner.layout {
             Layout::AoS => {
@@ -671,6 +678,8 @@ impl<T: OpType> Dat<T> {
     pub(crate) unsafe fn scatter_row_list_from(&self, rows: &[u32], buf: &[T]) {
         let dim = self.inner.dim;
         debug_assert_eq!(buf.len(), rows.len() * dim);
+        // SAFETY: taking the pointer reads nothing; the writes below stay in
+        // the listed rows, which the caller holds exclusively per contract.
         let base = unsafe { self.ptr() };
         match self.inner.layout {
             Layout::AoS => {
@@ -1192,6 +1201,8 @@ mod tests {
         assert_eq!(d.layout(), Layout::SoA);
         assert_eq!(d.component_stride(), 3);
         // Raw storage is transposed...
+        // SAFETY: `len()` scalars live behind `ptr()`, and no loop or guard
+        // is active on this freshly declared dat.
         let raw: Vec<f64> = unsafe { std::slice::from_raw_parts(d.ptr(), d.len()) }.to_vec();
         assert_eq!(raw, vec![0.0, 2.0, 4.0, 1.0, 3.0, 5.0]);
         // ...but guards and snapshots present canonical row order.
@@ -1202,6 +1213,8 @@ mod tests {
             w.row_mut(2).copy_from_slice(&[9.0, 10.0]);
         }
         assert_eq!(d.read().row(2), &[9.0, 10.0]);
+        // SAFETY: as above; the write guard was dropped at the end of its
+        // block.
         let raw: Vec<f64> = unsafe { std::slice::from_raw_parts(d.ptr(), d.len()) }.to_vec();
         assert_eq!(raw, vec![0.0, 2.0, 9.0, 1.0, 3.0, 10.0]);
     }
@@ -1215,8 +1228,10 @@ mod tests {
         assert_eq!(d.component_stride(), 4);
         assert_eq!(d.snapshot(), data);
         // Scatter a halo row the way the exchange receive node does.
+        // SAFETY: row 3 of 4 exists, and nothing else accesses this dat.
         unsafe { d.scatter_rows_from(3, &[42.0, 43.0]) };
         let mut row = Vec::new();
+        // SAFETY: as above.
         unsafe { d.append_row_to(3, &mut row) };
         assert_eq!(row, vec![42.0, 43.0]);
         assert_eq!(d.snapshot()[6..8], [42.0, 43.0]);

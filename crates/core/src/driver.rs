@@ -1063,13 +1063,6 @@ impl LoopHandle {
     pub fn future(&self) -> SharedFuture<()> {
         self.done.clone()
     }
-
-    /// Access the plan executed for this loop's shape — exposed for tests
-    /// and diagnostics via [`Op2::plan_cache_stats`].
-    #[doc(hidden)]
-    pub fn __done_for_tests(&self) -> &SharedFuture<()> {
-        &self.done
-    }
 }
 
 /// Fetches the cached plan for a loop shape — used by tests and the

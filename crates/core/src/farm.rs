@@ -173,20 +173,6 @@ impl FarmConfig {
         self.window = window;
         self
     }
-
-    /// Overrides the default per-tenant quota.
-    #[must_use]
-    pub fn with_quota(mut self, quota: usize) -> Self {
-        self.quota = quota.max(1);
-        self
-    }
-
-    /// Overrides the base tenant-world configuration.
-    #[must_use]
-    pub fn with_world(mut self, world: Op2Config) -> Self {
-        self.world = world;
-        self
-    }
 }
 
 impl Default for FarmConfig {
@@ -368,9 +354,6 @@ const STRIDE: u64 = 64;
 pub struct SolverFarm {
     rt: Arc<Runtime>,
     cfg: FarmConfig,
-    /// The tenant-world config: `cfg.world` with the farm-wide shared
-    /// spec cache and feedback table installed.
-    world_cfg: Op2Config,
     specs: SpecShare,
     feedback: GranularityFeedback,
     shared: Arc<Shared>,
@@ -397,6 +380,8 @@ impl SolverFarm {
             (None, hpx_rt::ChunkPolicy::PersistentAuto(h)) => h.feedback().clone(),
             (None, _) => GranularityFeedback::with_clock(cfg.world.clock.clone()),
         };
+        // The tenant-world config: the base world with the farm-wide spec
+        // cache and feedback table installed.
         let world_cfg = cfg
             .world
             .clone()
@@ -427,7 +412,6 @@ impl SolverFarm {
         SolverFarm {
             rt,
             cfg,
-            world_cfg,
             specs,
             feedback,
             shared,
@@ -567,12 +551,6 @@ impl SolverFarm {
     /// adaptive granularity from.
     pub fn feedback(&self) -> &GranularityFeedback {
         &self.feedback
-    }
-
-    /// The effective tenant-world configuration (base config + shared
-    /// warm-state handles) — what every job's `&Op2` is built from.
-    pub fn world_config(&self) -> &Op2Config {
-        &self.world_cfg
     }
 
     /// The farm configuration.

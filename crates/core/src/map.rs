@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::plan::{build_block_reach, BlockReach};
-use crate::set::{Fnv, Set};
+use crate::set::{hash_u32s, Fnv, Set};
 use crate::types::next_entity_id;
 
 /// Cache of [`Map::block_reach`] tables, keyed by `(slots, from block
@@ -65,37 +65,42 @@ impl Map {
             from.size(),
             indices.len()
         );
-        let max_target = (to.size() + halo_targets) as u32;
-        for (pos, &t) in indices.iter().enumerate() {
-            assert!(
-                t < max_target,
-                "map '{name}': index {t} at position {pos} out of range for target set '{}' of size {} (+{halo_targets} halo)",
-                to.name(),
-                to.size()
-            );
+        let rows = to.size() + halo_targets;
+        assert!(
+            rows <= u32::MAX as usize,
+            "map '{name}': {rows} target rows are more than u32 indices can address"
+        );
+        // One vectorisable pass; only a failing table is walked again, to
+        // name the first offending position.
+        if indices.iter().fold(0, |m, &t| m.max(t)) as usize >= rows {
+            for (pos, &t) in indices.iter().enumerate() {
+                assert!(
+                    (t as usize) < rows,
+                    "map '{name}': index {t} at position {pos} out of range for target set '{}' of size {} (+{halo_targets} halo)",
+                    to.name(),
+                    to.size()
+                );
+            }
         }
         // Content signature: the cached dataflow schedules keyed on it
         // embed colorings derived from the actual index table, so the
         // table's contents — not just the endpoint shapes — must be part
         // of the identity.
-        let mut sig = Fnv::new()
+        let header = Fnv::new()
             .bytes(name.as_bytes())
             .u64(dim as u64)
             .u64(from.signature())
             .u64(to.signature())
             .u64(halo_targets as u64);
-        for &t in &indices {
-            sig = sig.u64(t as u64);
-        }
         Map {
             inner: Arc::new(MapInner {
                 id: next_entity_id(),
                 from: from.clone(),
                 to: to.clone(),
                 dim,
+                signature: hash_u32s(header.finish(), &indices),
                 indices,
                 name: name.to_owned(),
-                signature: sig.finish(),
                 halo_targets,
                 reach: Mutex::new(HashMap::new()),
             }),
@@ -199,6 +204,13 @@ impl Map {
     /// signature, so loop shapes over them share warm-cache entries (see
     /// [`Set::signature`]); any difference in connectivity — which changes
     /// coloring — changes the signature.
+    ///
+    /// The name and header go through FNV-1a; the table is hashed
+    /// word-wide, two indices per 64-bit word over four independent lanes,
+    /// seeded with the header's hash. The table is hashed on every
+    /// declaration — a short solve declares a fresh map each time — so its
+    /// cost must stay close to reading the table once: byte-serial FNV
+    /// over a 391k-index table was most of such a solve's declare time.
     pub fn signature(&self) -> u64 {
         self.inner.signature
     }
@@ -271,5 +283,75 @@ mod tests {
         assert_ne!(a.signature(), c.signature(), "index table is hashed");
         let d = Map::new(&edges, &nodes, 2, table, "pecell");
         assert_ne!(a.signature(), d.signature(), "name is hashed");
+    }
+
+    #[test]
+    #[should_panic(expected = "index 3 at position 3 out of range")]
+    fn the_range_check_names_a_bad_last_index() {
+        let (edges, nodes) = sets();
+        let _ = Map::new(&edges, &nodes, 1, vec![0, 1, 2, 3], "bad");
+    }
+
+    #[test]
+    #[should_panic(expected = "index 9 at position 1 out of range")]
+    fn the_range_check_names_the_first_bad_index() {
+        let (edges, nodes) = sets();
+        let _ = Map::new(&edges, &nodes, 1, vec![0, 9, 2, 7], "bad");
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "more than u32 indices can address")]
+    fn rejects_a_target_wider_than_u32() {
+        // 2^32 rows would truncate to a bound of 0 in u32 arithmetic.
+        let (edges, _) = sets();
+        let huge = Set::new(1 << 32, "huge");
+        let _ = Map::new(&edges, &huge, 1, vec![0, 1, 2, 3], "wide");
+    }
+
+    #[test]
+    fn an_empty_table_is_in_range() {
+        let (none, nodes) = (Set::new(0, "none"), Set::new(0, "empty"));
+        assert!(Map::new(&none, &nodes, 2, vec![], "nil")
+            .indices()
+            .is_empty());
+    }
+
+    /// A 64-entry map over 64 targets, edges x nodes of a ring.
+    fn ring() -> (Set, Set, Vec<u32>) {
+        let (from, to) = (Set::new(32, "edges"), Set::new(64, "nodes"));
+        let table = (0..64u32).map(|i| (i * 37 + 11) % 64).collect();
+        (from, to, table)
+    }
+
+    #[test]
+    fn equal_tables_declared_twice_share_a_signature() {
+        // Two declarations of everything: distinct sets and maps.
+        let ((f1, t1, table1), (f2, t2, table2)) = (ring(), ring());
+        let a = Map::new(&f1, &t1, 2, table1, "pedge");
+        let b = Map::new(&f2, &t2, 2, table2, "pedge");
+        assert_ne!(a.id(), b.id());
+        assert_eq!(a.signature(), b.signature());
+    }
+
+    #[test]
+    fn any_single_index_change_changes_the_signature() {
+        let (from, to, table) = ring();
+        let base = Map::new(&from, &to, 2, table.clone(), "pedge").signature();
+        let n = to.size() as u32;
+        for pos in 0..table.len() {
+            for delta in [1, n - 1, n / 2] {
+                let mut t = table.clone();
+                t[pos] = (t[pos] + delta) % n;
+                let sig = Map::new(&from, &to, 2, t, "pedge").signature();
+                assert_ne!(sig, base, "index {pos} moved by {delta}");
+            }
+        }
+        for pos in 0..table.len() - 1 {
+            let mut t = table.clone();
+            t.swap(pos, pos + 1);
+            let sig = Map::new(&from, &to, 2, t, "pedge").signature();
+            assert_ne!(sig, base, "indices {pos} and {} swapped", pos + 1);
+        }
     }
 }

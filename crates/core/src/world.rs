@@ -325,12 +325,6 @@ impl Op2 {
         self.specs.replans()
     }
 
-    /// Number of loop-spec cache entries dropped by the LRU residency
-    /// bound (`op2.spec_cache.evictions`).
-    pub fn spec_cache_evictions(&self) -> u64 {
-        self.specs.evictions()
-    }
-
     /// The loop-spec cache handle this world resolves schedules through —
     /// its private cache, or the [`SpecShare`] installed via
     /// [`Op2Config::with_shared_specs`](crate::Op2Config::with_shared_specs).

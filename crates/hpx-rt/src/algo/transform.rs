@@ -19,6 +19,8 @@ impl<T> Copy for SendMutPtr<T> {}
 // SAFETY: the algorithms only hand each chunk task a disjoint index range,
 // so concurrent writes never alias.
 unsafe impl<T: Send> Send for SendMutPtr<T> {}
+// SAFETY: a shared wrapper only hands out element pointers through `at`,
+// whose callers hold exclusive access to the element they write.
 unsafe impl<T: Send> Sync for SendMutPtr<T> {}
 
 impl<T> SendMutPtr<T> {

@@ -20,6 +20,8 @@ pub struct SpinLock<T> {
 // SAFETY: the lock provides the needed exclusion; `T: Send` suffices
 // because only one thread touches the value at a time.
 unsafe impl<T: Send> Sync for SpinLock<T> {}
+// SAFETY: moving the lock moves the owned `T` with it, which `T: Send`
+// permits; the flag is an atomic.
 unsafe impl<T: Send> Send for SpinLock<T> {}
 
 /// RAII guard for [`SpinLock`]; releases on drop.

@@ -46,6 +46,8 @@ struct TableEntry {
 // SAFETY: the pointers are only ever used to *compute prefetch addresses*;
 // the data behind them is never read or written through this struct.
 unsafe impl Send for TableEntry {}
+// SAFETY: as for `Send`: the entry is plain address arithmetic, and a
+// prefetch hint through a shared entry neither reads nor writes memory.
 unsafe impl Sync for TableEntry {}
 
 /// A gather entry: `target = index_table[idx * index_dim + slot]`, then
@@ -68,6 +70,9 @@ struct GatherEntry {
 // that the loop keeps alive; `data_base` is only used for address
 // computation.
 unsafe impl Send for GatherEntry {}
+// SAFETY: the only read through a shared entry is of the index table,
+// which no one writes while the loop runs; `data_base` is never
+// dereferenced.
 unsafe impl Sync for GatherEntry {}
 
 /// The set of containers a loop touches, with lifetime erased for cheap
