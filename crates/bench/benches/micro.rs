@@ -13,8 +13,7 @@ use std::time::{Duration, Instant};
 
 use airfoil_cfd::{solver, Problem, SolverConfig};
 use hpx_rt::{
-    dataflow, for_each, for_each_prefetch, make_prefetcher_context, par, ready, ChunkPolicy,
-    Runtime,
+    dataflow, for_each, for_each_prefetch, make_prefetcher_context, ready, ChunkPolicy, Runtime,
 };
 use op2_core::{Op2, Op2Config};
 use op2_mesh::channel_with_bump;
@@ -109,10 +108,9 @@ fn bench_for_each(b: &Bench) {
             ChunkPolicy::Guided { min: 1024 },
         ),
     ] {
-        let policy = par().with_chunk(chunk);
         b.run(name, || {
             let acc = AtomicU64::new(0);
-            for_each(&rt, &policy, 0..data.len(), |i| {
+            for_each(&rt, &chunk, 0..data.len(), |i| {
                 acc.fetch_add(data[i] as u64, Ordering::Relaxed);
             });
             acc.into_inner()
@@ -122,12 +120,13 @@ fn bench_for_each(b: &Bench) {
 
 fn bench_prefetch(b: &Bench) {
     let rt = Runtime::new(2);
+    let chunk = ChunkPolicy::default();
     let n = 1 << 21;
     let a: Vec<f64> = (0..n).map(|i| i as f64).collect();
     let b_: Vec<f64> = (0..n).map(|i| (i * 7) as f64).collect();
     b.run("prefetch_2M_gather/standard_iterator", || {
         let acc = AtomicU64::new(0);
-        for_each(&rt, &par(), 0..n, |i| {
+        for_each(&rt, &chunk, 0..n, |i| {
             acc.fetch_add((a[i] + b_[i]) as u64, Ordering::Relaxed);
         });
         acc.into_inner()
@@ -135,7 +134,7 @@ fn bench_prefetch(b: &Bench) {
     b.run("prefetch_2M_gather/prefetching_iterator_d15", || {
         let ctx = make_prefetcher_context(0..n, 15, (&a[..], &b_[..]));
         let acc = AtomicU64::new(0);
-        for_each_prefetch(&rt, &par(), &ctx, |i| {
+        for_each_prefetch(&rt, &chunk, &ctx, |i| {
             acc.fetch_add((a[i] + b_[i]) as u64, Ordering::Relaxed);
         });
         acc.into_inner()

@@ -30,12 +30,5 @@ fn main() {
         let status = cmd.status().unwrap_or_else(|e| panic!("spawn {fig}: {e}"));
         assert!(status.success(), "{fig} failed");
     }
-    println!("\n=== table1_policies ===");
-    let status = Command::new(exe_dir.join("table1_policies"))
-        .arg("--csv")
-        .arg("results/table1_policies.csv")
-        .status()
-        .expect("spawn table1");
-    assert!(status.success(), "table1 failed");
     println!("\nall figures complete; CSVs in results/");
 }

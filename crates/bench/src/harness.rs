@@ -5,8 +5,8 @@ use std::time::Duration;
 
 use airfoil_cfd::{solver, Problem, SolverConfig};
 use hpx_rt::{
-    for_each_async, for_each_prefetch_async, make_prefetcher_context, par_task, PersistentChunker,
-    Runtime,
+    for_each_async, for_each_prefetch_async, make_prefetcher_context, ChunkPolicy,
+    PersistentChunker, Runtime,
 };
 use op2_core::{Op2, Op2Config};
 use op2_mesh::QuadMesh;
@@ -136,11 +136,12 @@ pub fn bandwidth_run(
                 }
             }
         };
+        let chunk = ChunkPolicy::default();
         let fut = match prefetch_distance {
-            None => for_each_async(&rt, par_task(), 0..elements, body),
+            None => for_each_async(&rt, &chunk, 0..elements, body),
             Some(d) => {
                 let ctx = make_prefetcher_context(0..elements, d, (&qold[..], &adt[..], &res[..]));
-                for_each_prefetch_async(&rt, par_task(), &ctx, Arc::new(body))
+                for_each_prefetch_async(&rt, &chunk, &ctx, Arc::new(body))
             }
         };
         fut.get();

@@ -25,8 +25,8 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use hpx_rt::{
-    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, Clock, ExecutionPolicy,
-    FeedbackSlot, PrefetchSet, SharedFuture,
+    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, Clock, FeedbackSlot,
+    PrefetchSet, SharedFuture,
 };
 
 use crate::arg::{ArgInfo, ArgKind};
@@ -85,10 +85,6 @@ pub(crate) fn drive(world: &Op2, spec: LoopSpec) -> SharedFuture<()> {
     }
 }
 
-fn policy_of(world: &Op2) -> ExecutionPolicy {
-    hpx_rt::par().with_chunk(world.config().chunk.clone())
-}
-
 fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
     // Any pending dataflow loops from a mixed-backend context must drain
     // first; under pure Seq/ForkJoin nothing is pending. The synchronous
@@ -131,17 +127,17 @@ fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
 /// implicit global barrier (the `for_each_chunk` join).
 fn run_parallel_phases(world: &Op2, spec: &LoopSpec, n: usize) {
     let rt = world.runtime();
-    let policy = policy_of(world);
+    let chunk = &world.config().chunk;
     let conflicts = conflicts_of(&spec.infos);
     if conflicts.is_empty() {
-        hpx_rt::for_each_chunk(rt, &policy, 0..n, |r| (spec.block_body)(r));
+        hpx_rt::for_each_chunk(rt, chunk, 0..n, |r| (spec.block_body)(r));
         return;
     }
     let plan = world
         .plans()
         .get(&spec.set, world.config().block_size, &conflicts);
     for color_list in &plan.color_blocks {
-        hpx_rt::for_each_chunk(rt, &policy, 0..color_list.len(), |br| {
+        hpx_rt::for_each_chunk(rt, chunk, 0..color_list.len(), |br| {
             for bi in br {
                 (spec.block_body)(plan.blocks[color_list[bi]].clone());
             }

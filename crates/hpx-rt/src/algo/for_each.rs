@@ -3,97 +3,75 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use super::{run_chunked, run_chunked_async};
+use super::run_chunked;
+use crate::chunk::ChunkPolicy;
 use crate::future::Future;
-use crate::policy::ExecutionPolicy;
-use crate::runtime::Runtime;
+use crate::runtime::{Runtime, RuntimeInner};
 
 /// Applies `f` to every index in `range`, dividing the work into chunks per
-/// the policy. Blocks until the loop completes; pool workers help-execute
+/// `chunk`. Blocks until the loop completes; pool workers help-execute
 /// while blocked.
 ///
 /// ```
 /// use std::sync::atomic::{AtomicU64, Ordering};
 /// let rt = hpx_rt::Runtime::new(4);
 /// let sum = AtomicU64::new(0);
-/// hpx_rt::for_each(&rt, &hpx_rt::par(), 0..1000, |i| {
+/// hpx_rt::for_each(&rt, &hpx_rt::ChunkPolicy::default(), 0..1000, |i| {
 ///     sum.fetch_add(i as u64, Ordering::Relaxed);
 /// });
 /// assert_eq!(sum.into_inner(), 499_500);
 /// ```
-pub fn for_each<F>(rt: &Runtime, policy: &ExecutionPolicy, range: Range<usize>, f: F)
+pub fn for_each<F>(rt: &Runtime, chunk: &ChunkPolicy, range: Range<usize>, f: F)
+where
+    F: Fn(usize) + Sync,
+{
+    for_each_in(rt.inner(), chunk, range, &f);
+}
+
+fn for_each_in<F>(inner: &RuntimeInner, chunk: &ChunkPolicy, range: Range<usize>, f: &F)
 where
     F: Fn(usize) + Sync,
 {
     let base = range.start;
     let n = range.end.saturating_sub(range.start);
-    run_chunked(rt, policy, n, &|r: Range<usize>| {
+    run_chunked(inner, chunk, n, &|r: Range<usize>| {
         for i in r {
             f(base + i);
         }
     });
 }
 
-/// Asynchronous `for_each` (Table I task policies): returns immediately
-/// with a completion future. The body must be `'static` because the caller
-/// may drop its frame before the loop runs.
-pub fn for_each_async<F>(
-    rt: &Runtime,
-    policy: ExecutionPolicy,
-    range: Range<usize>,
-    f: F,
-) -> Future<()>
+/// Asynchronous `for_each` (HPX's `par(task)`): returns immediately with
+/// a completion future. A prologue task runs the loop and is its joining
+/// thread. The body must be `'static` because the caller may drop its
+/// frame before the loop runs.
+pub fn for_each_async<F>(rt: &Runtime, chunk: &ChunkPolicy, range: Range<usize>, f: F) -> Future<()>
 where
     F: Fn(usize) + Send + Sync + 'static,
 {
-    let base = range.start;
-    let n = range.end.saturating_sub(range.start);
-    let body = Arc::new(move |r: Range<usize>| {
-        for i in r {
-            f(base + i);
-        }
-    });
-    run_chunked_async(rt, policy, n, body).then_inline(|_| ())
+    let inner = Arc::clone(rt.inner());
+    let chunk = chunk.clone();
+    rt.spawn_future(move || for_each_in(&inner, &chunk, range, &f))
 }
 
 /// Chunk-granular `for_each`: `f` receives whole index ranges instead of
 /// single indices. This is what `op2-core` builds its block executors on —
 /// the chunk boundaries are exactly the policy's chunks, so measuring
 /// chunkers ([`crate::PersistentChunker`]) see true per-chunk costs.
-pub fn for_each_chunk<F>(rt: &Runtime, policy: &ExecutionPolicy, range: Range<usize>, f: F)
+pub fn for_each_chunk<F>(rt: &Runtime, chunk: &ChunkPolicy, range: Range<usize>, f: F)
 where
     F: Fn(Range<usize>) + Sync,
 {
     let base = range.start;
     let n = range.end.saturating_sub(range.start);
-    run_chunked(rt, policy, n, &|r: Range<usize>| {
+    run_chunked(rt.inner(), chunk, n, &|r: Range<usize>| {
         f(base + r.start..base + r.end);
     });
-}
-
-/// Asynchronous chunk-granular `for_each`.
-pub fn for_each_chunk_async<F>(
-    rt: &Runtime,
-    policy: ExecutionPolicy,
-    range: Range<usize>,
-    f: F,
-) -> Future<()>
-where
-    F: Fn(Range<usize>) + Send + Sync + 'static,
-{
-    let base = range.start;
-    let n = range.end.saturating_sub(range.start);
-    let body = Arc::new(move |r: Range<usize>| {
-        f(base + r.start..base + r.end);
-    });
-    run_chunked_async(rt, policy, n, body).then_inline(|_| ())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{par, par_task, seq};
-    use crate::ChunkPolicy;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -102,7 +80,7 @@ mod tests {
         let rt = Runtime::new(4);
         let n = 10_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        for_each(&rt, &par(), 0..n, |i| {
+        for_each(&rt, &ChunkPolicy::default(), 0..n, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -112,31 +90,20 @@ mod tests {
     fn respects_non_zero_base() {
         let rt = Runtime::new(2);
         let seen = Mutex::new(Vec::new());
-        for_each(
-            &rt,
-            &par().with_chunk(ChunkPolicy::Static { size: 3 }),
-            10..25,
-            |i| {
-                seen.lock().push(i);
-            },
-        );
+        for_each(&rt, &ChunkPolicy::Static { size: 3 }, 10..25, |i| {
+            seen.lock().push(i);
+        });
         let mut v = seen.into_inner();
         v.sort_unstable();
         assert_eq!(v, (10..25).collect::<Vec<_>>());
     }
 
     #[test]
-    fn sequential_policy_runs_in_order() {
-        let rt = Runtime::new(4);
-        let seen = Mutex::new(Vec::new());
-        for_each(&rt, &seq(), 0..100, |i| seen.lock().push(i));
-        assert_eq!(seen.into_inner(), (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn empty_range_is_noop() {
         let rt = Runtime::new(2);
-        for_each(&rt, &par(), 5..5, |_| panic!("must not run"));
+        for_each(&rt, &ChunkPolicy::default(), 5..5, |_| {
+            panic!("must not run")
+        });
     }
 
     #[test]
@@ -144,7 +111,7 @@ mod tests {
         let rt = Runtime::new(2);
         let counter = std::sync::Arc::new(AtomicUsize::new(0));
         let c = std::sync::Arc::clone(&counter);
-        let fut = for_each_async(&rt, par_task(), 0..1000, move |_| {
+        let fut = for_each_async(&rt, &ChunkPolicy::default(), 0..1000, move |_| {
             c.fetch_add(1, Ordering::Relaxed);
         });
         fut.get();
@@ -155,28 +122,20 @@ mod tests {
     #[should_panic(expected = "iteration 7 failed")]
     fn body_panic_propagates_after_join() {
         let rt = Runtime::new(2);
-        for_each(
-            &rt,
-            &par().with_chunk(ChunkPolicy::Static { size: 2 }),
-            0..64,
-            |i| {
-                if i == 7 {
-                    panic!("iteration 7 failed");
-                }
-            },
-        );
+        for_each(&rt, &ChunkPolicy::Static { size: 2 }, 0..64, |i| {
+            if i == 7 {
+                panic!("iteration 7 failed");
+            }
+        });
     }
 
     #[test]
     fn chunk_variant_tiles_range() {
         let rt = Runtime::new(3);
         let seen = Mutex::new(Vec::new());
-        for_each_chunk(
-            &rt,
-            &par().with_chunk(ChunkPolicy::Static { size: 7 }),
-            100..200,
-            |r| seen.lock().push(r),
-        );
+        for_each_chunk(&rt, &ChunkPolicy::Static { size: 7 }, 100..200, |r| {
+            seen.lock().push(r)
+        });
         let mut v = seen.into_inner();
         v.sort_unstable_by_key(|r| r.start);
         let mut next = 100;
@@ -191,14 +150,9 @@ mod tests {
     fn works_with_guided_chunks() {
         let rt = Runtime::new(2);
         let counter = AtomicUsize::new(0);
-        for_each(
-            &rt,
-            &par().with_chunk(ChunkPolicy::Guided { min: 4 }),
-            0..5000,
-            |_| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            },
-        );
+        for_each(&rt, &ChunkPolicy::Guided { min: 4 }, 0..5000, |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
         assert_eq!(counter.into_inner(), 5000);
     }
 
@@ -206,7 +160,7 @@ mod tests {
     fn works_with_persistent_auto_chunker() {
         let rt = Runtime::new(2);
         let handle = crate::PersistentChunker::new();
-        let policy = par().with_chunk(ChunkPolicy::PersistentAuto(handle.clone()));
+        let policy = ChunkPolicy::PersistentAuto(handle.clone());
         let counter = AtomicUsize::new(0);
         for_each(&rt, &policy, 0..50_000, |_| {
             counter.fetch_add(1, Ordering::Relaxed);

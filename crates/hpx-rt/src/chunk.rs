@@ -36,7 +36,7 @@ pub const DEFAULT_CHUNK_TARGET: Duration = Duration::from_micros(200);
 const PROBE_DIVISOR: usize = 100;
 const PROBE_MAX: usize = 4096;
 
-/// Work-division strategy for the parallel algorithms.
+/// Work-division strategy for the chunked loop.
 #[derive(Debug, Clone)]
 pub enum ChunkPolicy {
     /// Fixed chunk size (OpenMP `schedule(dynamic, size)` — scheduling is

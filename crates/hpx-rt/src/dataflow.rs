@@ -203,7 +203,7 @@ where
 
 /// Like [`dataflow`] but runs `f` inline on the thread that satisfies the
 /// last dependency (HPX `dataflow(launch::sync, ...)`).
-pub fn dataflow_inline<Args, R, F>(f: F, args: Args) -> Future<R>
+pub(crate) fn dataflow_inline<Args, R, F>(f: F, args: Args) -> Future<R>
 where
     Args: FutureTuple,
     R: Send + 'static,

@@ -24,22 +24,19 @@
 //!   its inputs' waiter lists and the queued task are clones of one `Arc`.
 //!
 //! [`schedule_after`], [`when_all_shared`], [`crate::dataflow`] /
-//! [`crate::dataflow_inline`] and [`crate::when_all`] are all frames; they
+//! `dataflow_inline` and [`crate::when_all`] are all frames; they
 //! differ in what the frame holds and does when it runs. A panicked input
 //! never runs anything inline on the completing thread's stack when the
 //! frame has a runtime: the poisoned frame goes through the task queue like
 //! a healthy one, so a panic at the head of a solver-length chain does not
 //! recurse through it.
-//!
-//! [`when_any_shared`] — a when-any-of-range join resolving to the index
-//! of the first ready input — is the one callback-based LCO left here.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use crate::future::{channel, Future, SharedFuture, SharedInner, SharedOutcome, SharedPanic};
+use crate::future::{SharedFuture, SharedInner, SharedOutcome, SharedPanic};
 use crate::runtime::{Runtime, RuntimeInner};
 use crate::task::Task;
 
@@ -214,29 +211,6 @@ where
 /// (no task). Panics in any dependency propagate.
 pub fn when_all_shared(deps: &[SharedFuture<()>]) -> SharedFuture<()> {
     schedule(None, deps, || ()).0
-}
-
-/// Resolves to the index of the first input to become ready (HPX
-/// `when_any` over a range of shared futures). Inputs that panic still
-/// count as "ready" — the winner's panic is *not* propagated, only its
-/// index reported, so callers can inspect the winner themselves.
-///
-/// # Panics
-///
-/// If `deps` is empty (there is nothing to wait for).
-pub fn when_any_shared(deps: &[SharedFuture<()>]) -> Future<usize> {
-    assert!(!deps.is_empty(), "when_any_shared on an empty set");
-    let (promise, future) = channel();
-    let promise = Arc::new(Mutex::new(Some(promise)));
-    for (i, dep) in deps.iter().enumerate() {
-        let promise = Arc::clone(&promise);
-        dep.attach_callback(Box::new(move |_outcome| {
-            if let Some(p) = promise.lock().take() {
-                p.set_value(i);
-            }
-        }));
-    }
-    future
 }
 
 #[cfg(test)]
@@ -443,22 +417,5 @@ mod tests {
         let rt = Runtime::new(2);
         let done = schedule_after(&rt, &[], || panic!("body exploded"));
         done.get();
-    }
-
-    #[test]
-    fn when_any_reports_first_ready() {
-        let rt = Runtime::new(2);
-        let slow: SharedFuture<()> = rt
-            .spawn_future(|| std::thread::sleep(std::time::Duration::from_millis(50)))
-            .share();
-        let fast = ready(()).share();
-        let idx = when_any_shared(&[slow, fast]).get();
-        assert_eq!(idx, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty set")]
-    fn when_any_rejects_empty() {
-        let _ = when_any_shared(&[]);
     }
 }

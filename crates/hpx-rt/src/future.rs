@@ -16,13 +16,13 @@
 //! # Consumers are typed, sleepers are counted
 //!
 //! A pending future owes something to whoever consumes it, and there are
-//! two kinds of debt. A **callback** (`then`, `share`, `when_any_shared`)
-//! is a boxed closure. A **frame** ([`crate::dep::Frame`]: a node of
-//! `schedule_after`, a `dataflow` call, a `when_all*` join) is an `Arc` of
-//! the consumer itself — wiring such an edge is one lock-free look at the
-//! outcome and, if there is none yet, one `Vec` push of an `Arc` clone; no
-//! box, no closure — and completing the future costs that consumer one
-//! `fetch_sub`.
+//! two kinds of debt. A **callback** ([`Future::share`]) is a boxed
+//! closure. A **frame** ([`crate::dep::Frame`]: a node of
+//! `schedule_after`, a `dataflow` call, a `then`, a `when_all*` join) is
+//! an `Arc` of the consumer itself — wiring such an edge is one lock-free
+//! look at the outcome and, if there is none yet, one `Vec` push of an
+//! `Arc` clone; no box, no closure — and completing the future costs that
+//! consumer one `fetch_sub`. A [`SharedFuture`]'s consumers are all frames.
 //!
 //! Blocked *threads* are not in that list: they sleep on the future's
 //! [`Blocked`], which counts them (registered under the future's lock
@@ -248,18 +248,6 @@ impl<T> Future<T> {
         dataflow(rt, |(v,)| f(v), (self,))
     }
 
-    /// Like [`Future::then`] but runs `f` synchronously on whichever thread
-    /// fulfills the future (HPX `launch::sync`). Use for cheap transforms
-    /// only — `f` executes inside the producer's completion path.
-    pub fn then_inline<U, F>(self, f: F) -> Future<U>
-    where
-        T: Send + 'static,
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
-        dataflow_inline(|(v,)| f(v), (self,))
-    }
-
     /// Converts into a multi-consumer [`SharedFuture`].
     pub fn share(self) -> SharedFuture<T>
     where
@@ -330,24 +318,6 @@ impl<T> SharedOutcome<T> {
     }
 }
 
-type SharedCallback<T> = Box<dyn FnOnce(&SharedOutcome<T>) + Send>;
-
-/// What a pending [`SharedFuture`] owes one of its consumers (see the
-/// module docs).
-enum Waiter<T> {
-    Callback(SharedCallback<T>),
-    Frame(Arc<dyn Frame>),
-}
-
-impl<T> Waiter<T> {
-    fn complete(self, outcome: &SharedOutcome<T>) {
-        match self {
-            Waiter::Callback(cb) => cb(outcome),
-            Waiter::Frame(frame) => dep_ready(frame, outcome.panic()),
-        }
-    }
-}
-
 /// Any producer's part of a [`SharedInner`], as a [`SharedFuture`] sees it:
 /// nothing but the auto traits the handle passes on.
 type Tail = dyn Send + Sync + std::panic::UnwindSafe + std::panic::RefUnwindSafe;
@@ -364,7 +334,7 @@ pub(crate) struct SharedInner<T, N: ?Sized = Tail> {
     /// against completion: a consumer queues only if, under it, there is
     /// still no outcome, and the producer takes the list under it after
     /// the outcome is set — so nobody is queued behind the drain.
-    waiters: Mutex<Vec<Waiter<T>>>,
+    waiters: Mutex<Vec<Arc<dyn Frame>>>,
     blocked: Blocked,
     pub(crate) node: N,
 }
@@ -391,8 +361,8 @@ impl<T, N: ?Sized> SharedInner<T, N> {
         let outcome = self.outcome.get().expect("set above");
         let mut waiters = std::mem::take(&mut *self.waiters.lock());
         let woke = self.blocked.wake_all();
-        for waiter in waiters.drain(..) {
-            waiter.complete(outcome);
+        for frame in waiters.drain(..) {
+            dep_ready(frame, outcome.panic());
         }
         // The list goes back empty, to be freed with the future by whoever
         // drops it last — as a rule the thread that grew it (the one that
@@ -402,20 +372,20 @@ impl<T, N: ?Sized> SharedInner<T, N> {
         woke
     }
 
-    /// Queues `waiter` unless the future completed meanwhile, in which
-    /// case the caller gets it back to complete it itself.
-    fn queue(&self, waiter: Waiter<T>) -> Option<Waiter<T>> {
+    /// Queues `frame` unless the future completed meanwhile; returns
+    /// whether it did.
+    fn queue(&self, frame: &Arc<dyn Frame>) -> bool {
         let mut waiters = self.waiters.lock();
         if self.outcome.get().is_some() {
-            return Some(waiter);
+            return false;
         }
         if waiters.capacity() == 0 {
             // A node of a mesh loop has a handful of successors: one block
             // up front instead of the growth steps through 4.
             waiters.reserve(8);
         }
-        waiters.push(waiter);
-        None
+        waiters.push(Arc::clone(frame));
+        true
     }
 }
 
@@ -491,26 +461,13 @@ impl<T> SharedFuture<T> {
         }
     }
 
-    /// Registers a continuation receiving a reference to the outcome;
-    /// runs it at once if there is one already.
-    pub(crate) fn attach_callback(&self, cb: SharedCallback<T>) {
-        let waiter = Waiter::Callback(cb);
-        let late = match self.outcome() {
-            Some(_) => Some(waiter),
-            None => self.inner.queue(waiter),
-        };
-        if let Some(waiter) = late {
-            waiter.complete(self.outcome().expect("complete: not queued"));
-        }
-    }
-
     /// Makes `frame` a successor: queued if this future is pending,
     /// counted at once if it is complete. Only while `frame`'s
     /// registration holds its own count, so this cannot fire it.
     pub(crate) fn attach_frame(&self, frame: &Arc<dyn Frame>) {
         let late = match self.outcome() {
             Some(_) => true,
-            None => self.inner.queue(Waiter::Frame(Arc::clone(frame))).is_some(),
+            None => !self.inner.queue(frame),
         };
         if late {
             let panic = self.outcome().and_then(SharedOutcome::panic);
@@ -561,7 +518,8 @@ impl<T> std::fmt::Debug for SharedFuture<T> {
 /// Combines homogeneous futures into one producing all values (in input
 /// order). An empty input yields an immediately-ready empty vector. If any
 /// input panics, the combined future re-panics (the first in input order).
-/// One [`crate::dataflow_inline`] frame over the vector.
+/// One inline dataflow frame over the vector (no task: it completes on
+/// the thread that brings the last input in).
 pub fn when_all<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<Vec<T>> {
     dataflow_inline(|values| values, futures)
 }
@@ -594,13 +552,6 @@ mod tests {
             .then(&rt, |x| x + 1)
             .then(&rt, |x| x * 2);
         assert_eq!(f.get(), 22);
-    }
-
-    #[test]
-    fn then_inline_runs_on_completion() {
-        let rt = Runtime::new(1);
-        let f = rt.spawn_future(|| 3).then_inline(|x| x * 3);
-        assert_eq!(f.get(), 9);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Reduction-tree collective LCO: the many-contributor analogue of the
-//! one-shot channel.
+//! Reduction-tree collective LCO: the many-contributor analogue of a
+//! promise/future channel.
 //!
 //! A [`collect`] call creates `n` single-use [`Contribution`] handles and
 //! one [`SharedFuture`] carrying the combined result. Contributions may

@@ -1,4 +1,4 @@
-//! Countdown latch: what the parallel algorithms count their chunks home on.
+//! Countdown latch: what the chunked loop counts its chunks home on.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,7 +75,7 @@ impl Latch {
     }
 
     /// [`Latch::wait`] that polls for up to `spin` before it sleeps: the
-    /// join of the chunked algorithms, whose stragglers are about as far
+    /// join of the chunked loop, whose stragglers are about as far
     /// from done as the caller's own share took.
     pub(crate) fn wait_spinning(&self, spin: Duration) {
         // `block_until` sees zero with `lock` held, so the opening
@@ -128,15 +128,17 @@ mod tests {
 
     #[test]
     fn wait_on_worker_helps() {
-        let rt = crate::Runtime::new(1);
+        let rt = Arc::new(crate::Runtime::new(1));
         let l = Arc::new(Latch::new(1));
         let l2 = Arc::clone(&l);
+        let worker_rt = Arc::clone(&rt);
         // The outer task waits; the inner task (behind it in the queue)
         // opens the latch. With help-first waiting this cannot deadlock
         // even on a single worker.
         let fut = rt.spawn_future(move || {
             let l3 = Arc::clone(&l2);
-            assert!(crate::runtime::spawn_on_current(move || l3.count_down()));
+            assert!(crate::runtime::on_worker_thread());
+            worker_rt.spawn(move || l3.count_down());
             l2.wait();
             true
         });

@@ -13,25 +13,25 @@
 //! * the **`dataflow`** LCO ([`dataflow`]) that delays a function until all
 //!   future inputs are ready, with `unwrapped` semantics built in (§III-B);
 //! * **dataflow frames** for fine-grained task graphs
-//!   ([`schedule_after`], [`when_all_shared`], [`when_any_shared`]): one
-//!   allocation per node, no allocation per edge — the node scheduling
-//!   behind `op2-core`'s block-granular dataflow backend, and what
-//!   [`dataflow`] itself is built on;
-//! * the LCO catalogue ([`lco`]): latch, event, barrier, semaphore,
-//!   spinlock, one-shot channel, reduction-tree collective;
-//! * **execution policies** of Table I ([`seq`], [`par`], [`par_vec`],
-//!   [`seq_task`], [`par_task`]) and **chunk-size control** (§IV-B)
+//!   ([`schedule_after`], [`when_all_shared`]): one allocation per node,
+//!   no allocation per edge — the node scheduling behind `op2-core`'s
+//!   block-granular dataflow backend, and what [`dataflow`] itself is
+//!   built on;
+//! * the **chunked `par` loop** ([`for_each`], [`for_each_chunk`],
+//!   [`for_each_async`]) — the fork-join path `op2-core` compares dataflow
+//!   against — with **chunk-size control** (§IV-B, [`ChunkPolicy`])
 //!   including the paper's new [`PersistentChunker`]
 //!   (`persistent_auto_chunk_size`);
-//! * chunked **parallel algorithms** ([`for_each`], [`reduce`],
-//!   [`transform`], [`inclusive_scan`], …);
+//! * the LCOs OP2 waits on ([`lco`]): latch, event and the reduction-tree
+//!   collective behind the cross-rank allreduce;
 //! * the **prefetching iterator** (§V): [`make_prefetcher_context`] +
 //!   [`for_each_prefetch`].
 //!
 //! ## Quick start
 //!
 //! ```
-//! use hpx_rt::{dataflow, par, Runtime};
+//! use hpx_rt::{dataflow, for_each_chunk, ChunkPolicy, Runtime};
+//! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! let rt = Runtime::new(4);
 //!
@@ -40,10 +40,13 @@
 //! let b = dataflow(&rt, |(a,)| a * 10, (a,));
 //! assert_eq!(b.get(), 40);
 //!
-//! // A chunked parallel loop.
-//! let data: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-//! let total = hpx_rt::reduce(&rt, &par(), 0..data.len(), 0.0, |i| data[i], |x, y| x + y);
-//! assert_eq!(total, (0..10_000).map(|i| i as f64).sum::<f64>());
+//! // A chunked parallel loop: the body gets whole index ranges.
+//! let total = AtomicU64::new(0);
+//! let chunk = ChunkPolicy::Static { size: 1000 };
+//! for_each_chunk(&rt, &chunk, 0..10_000, |r| {
+//!     total.fetch_add(r.map(|i| i as u64).sum(), Ordering::Relaxed);
+//! });
+//! assert_eq!(total.into_inner(), (0..10_000).sum::<u64>());
 //! ```
 
 #![warn(missing_docs)]
@@ -55,29 +58,24 @@ mod dataflow;
 mod dep;
 mod future;
 pub mod lco;
-mod policy;
 pub mod prefetch;
 mod runtime;
 pub mod stats;
 mod task;
 pub mod timing;
 
-pub use algo::{
-    copy, count_if, fill, for_each, for_each_async, for_each_chunk, for_each_chunk_async,
-    inclusive_scan, max_element, min_element, reduce, reduce_async, sort, sum, transform,
-};
+pub use algo::{for_each, for_each_async, for_each_chunk};
 pub use chunk::{
     ChunkPolicy, FeedbackSlot, GranularityFeedback, KernelCost, PersistentChunker,
     DEFAULT_CHUNK_TARGET,
 };
-pub use dataflow::{dataflow, dataflow_inline, DataflowArg, FrameRef, FutureTuple, Val};
-pub use dep::{schedule_after, schedule_after_counted, when_all_shared, when_any_shared};
+pub use dataflow::{dataflow, DataflowArg, FrameRef, FutureTuple, Val};
+pub use dep::{schedule_after, schedule_after_counted, when_all_shared};
 pub use future::{channel, ready, when_all, BrokenPromise, Future, Promise, SharedFuture};
-pub use policy::{par, par_task, par_vec, seq, seq_task, Exec, ExecutionPolicy, Launch};
 pub use prefetch::{
     for_each_prefetch, for_each_prefetch_async, make_prefetcher_context, PrefetchContainers,
-    PrefetchSet, PrefetcherContext, CACHE_LINE_BYTES,
+    PrefetchSet, PrefetcherContext,
 };
-pub use runtime::{on_worker_thread, spawn_on_current, Runtime};
+pub use runtime::Runtime;
 pub use stats::RuntimeStats;
 pub use timing::Clock;

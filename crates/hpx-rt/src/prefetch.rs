@@ -23,12 +23,12 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::algo::{for_each, for_each_async};
+use crate::chunk::ChunkPolicy;
 use crate::future::Future;
-use crate::policy::ExecutionPolicy;
 use crate::runtime::Runtime;
 
 /// Cache-line size assumed for distance calculations.
-pub const CACHE_LINE_BYTES: usize = 64;
+const CACHE_LINE_BYTES: usize = 64;
 
 /// Erased view of one container: base pointer, element size, length.
 #[derive(Clone, Copy, Debug)]
@@ -332,21 +332,17 @@ where
 
 /// `for_each` over a prefetcher context: iteration `i` prefetches element
 /// `i + distance` of every container, then runs `f(i)` (paper Fig 14).
-pub fn for_each_prefetch<F>(
-    rt: &Runtime,
-    policy: &ExecutionPolicy,
-    ctx: &PrefetcherContext<'_>,
-    f: F,
-) where
+pub fn for_each_prefetch<F>(rt: &Runtime, chunk: &ChunkPolicy, ctx: &PrefetcherContext<'_>, f: F)
+where
     F: Fn(usize) + Sync,
 {
     let set = ctx.set.clone();
     let d = ctx.distance;
     if d == 0 || set.is_empty() {
-        for_each(rt, policy, ctx.range(), f);
+        for_each(rt, chunk, ctx.range(), f);
         return;
     }
-    for_each(rt, policy, ctx.range(), move |i| {
+    for_each(rt, chunk, ctx.range(), move |i| {
         set.prefetch(i + d);
         f(i);
     });
@@ -356,7 +352,7 @@ pub fn for_each_prefetch<F>(
 /// execution — the combination the paper highlights in §V.
 pub fn for_each_prefetch_async<F>(
     rt: &Runtime,
-    policy: ExecutionPolicy,
+    chunk: &ChunkPolicy,
     ctx: &PrefetcherContext<'_>,
     f: Arc<F>,
 ) -> Future<()>
@@ -365,7 +361,7 @@ where
 {
     let set = ctx.set.clone();
     let d = ctx.distance;
-    for_each_async(rt, policy, ctx.range(), move |i| {
+    for_each_async(rt, chunk, ctx.range(), move |i| {
         if d > 0 {
             set.prefetch(i + d);
         }
@@ -376,7 +372,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::par;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -396,7 +391,7 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i * 2) as f64).collect();
         let sum = AtomicU64::new(0);
         let ctx = make_prefetcher_context(0..n, 4, (&a[..], &b[..]));
-        for_each_prefetch(&rt, &par(), &ctx, |i| {
+        for_each_prefetch(&rt, &ChunkPolicy::default(), &ctx, |i| {
             sum.fetch_add((a[i] + b[i]) as u64, Ordering::Relaxed);
         });
         let expected: u64 = (0..n as u64).map(|i| i * 3).sum();
@@ -421,7 +416,7 @@ mod tests {
         let ctx = make_prefetcher_context(0..1000, 0, (&data[..],));
         assert_eq!(ctx.distance(), 0);
         let sum = AtomicU64::new(0);
-        for_each_prefetch(&rt, &par(), &ctx, |i| {
+        for_each_prefetch(&rt, &ChunkPolicy::default(), &ctx, |i| {
             sum.fetch_add(data[i], Ordering::Relaxed);
         });
         assert_eq!(sum.into_inner(), 1000);
@@ -438,7 +433,7 @@ mod tests {
         let sum2 = Arc::clone(&sum);
         let fut = for_each_prefetch_async(
             &rt,
-            crate::policy::par_task(),
+            &ChunkPolicy::default(),
             &ctx,
             Arc::new(move |i: usize| {
                 sum2.fetch_add(data2[i], Ordering::Relaxed);

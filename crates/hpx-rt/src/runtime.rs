@@ -25,14 +25,14 @@
 //! starts `n - 1` background workers and keeps the n-th deque and counter
 //! block as the **caller slot** ([`SlotHold`]). A thread that is not a
 //! worker and blocks on one of the crate's primitives — `Future` /
-//! `SharedFuture` `wait`/`get`, `Latch`, `Event`, the one-shot channel,
+//! `SharedFuture` `wait`/`get`, `Latch`, `Event`,
 //! [`Runtime::wait_idle`], the chunk engine's join, all through
 //! [`block_until`] — claims the free slot for the duration of the wait, and
 //! inside it is a worker in every respect: its own deque (what the tasks
 //! it runs spawn lands there), steals, [`on_worker_thread`] true, panics
 //! caught and counted, its tasks counted as `tasks_helped`. Which runtime
 //! it helps is the one it last handed work to (`spawn`, a frame with a
-//! runtime, a chunked algorithm's helpers) or named
+//! runtime, a chunked loop's helpers) or named
 //! ([`Runtime::help_while_blocked`], `wait_idle`). A second outside thread
 //! blocking on the same runtime finds the slot taken and sleeps until its
 //! primitive completes. `Runtime::new(1)` is one background worker and no
@@ -57,7 +57,7 @@
 //!   pushed by a sibling — so the worker that just ran a task is the one
 //!   most likely to be needed next.
 //! * **A joining thread spins for its own share**
-//!   ([`block_until`]'s `spin`): the caller of a chunked algorithm runs
+//!   ([`block_until`]'s `spin`): the caller of a chunked loop runs
 //!   chunks itself and then waits for the stragglers for no longer than
 //!   its own chunks took, capped at [`LINGER`], before it blocks.
 //!
@@ -83,7 +83,7 @@
 //! # Who may sleep, who must wake
 //!
 //! Every blocking primitive of the crate (futures, latches, events,
-//! channels, [`Runtime::wait_idle`]) waits through [`block_until`], the one
+//! [`Runtime::wait_idle`]) waits through [`block_until`], the one
 //! place the blocked-thread protocol is written, and sleeps on a
 //! [`Blocked`]: a condvar that counts its sleepers. A thread sleeps only
 //! after it registered there under the primitive's lock and looked at the
@@ -165,7 +165,7 @@ pub(crate) struct RuntimeInner {
     idle_lock: Mutex<()>,
     idle: Blocked,
     pub(crate) stats: Box<[PaddedWorkerStats]>,
-    /// Chunks of chunked algorithms that the joining thread ran itself
+    /// Chunks of chunked loops that the joining thread ran itself
     /// (it need not be a worker, so no worker's counter block fits).
     pub(crate) caller_chunks: AtomicU64,
     nthreads: usize,
@@ -242,8 +242,8 @@ impl Runtime {
 
     /// Names this runtime as the one the calling thread computes for the
     /// next time it blocks — for a wait on work some other thread
-    /// submitted; `spawn`, `schedule_after` and the chunked algorithms
-    /// name theirs themselves.
+    /// submitted; `spawn`, `schedule_after` and the chunked loops name
+    /// theirs themselves.
     pub fn help_while_blocked(&self) {
         self.inner.helped_by_caller();
     }
@@ -755,18 +755,8 @@ pub(crate) fn block_until<T>(
 
 /// True when the current thread computes for a runtime: a pool worker, or
 /// a thread that holds a caller slot while it is blocked.
-pub fn on_worker_thread() -> bool {
+pub(crate) fn on_worker_thread() -> bool {
     with_worker(|_| ()).is_some()
-}
-
-/// Spawns `f` onto the runtime owning the current worker thread. Returns
-/// `false` (without running `f`) when the caller is not a pool worker.
-/// The analogue of calling `hpx::async` from inside an HPX thread.
-pub fn spawn_on_current<F>(f: F) -> bool
-where
-    F: FnOnce() + Send + 'static,
-{
-    with_worker(|ctx| ctx.inner.spawn_task(Task::new(f))).is_some()
 }
 
 /// Spawn a task that borrows stack data.
@@ -1130,7 +1120,7 @@ mod tests {
                 std::thread::yield_now();
             }
             let next = Arc::clone(&chain);
-            assert!(spawn_on_current(move || hop(next, k + 1)));
+            chain.rt.spawn(move || hop(next, k + 1));
             while !chain.started[k + 1].load(Ordering::Acquire) {
                 std::thread::yield_now();
             }

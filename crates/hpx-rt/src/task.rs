@@ -3,9 +3,9 @@
 //! A [`Task`] is a boxed `FnOnce` closure or a dataflow frame whose
 //! dependencies are all in (the frame *is* the runnable: firing a node
 //! allocates nothing). Closure tasks are normally `'static` (created by
-//! [`Runtime::spawn`](crate::Runtime::spawn)); the parallel algorithms
-//! additionally create *borrowing* tasks through [`Task::new_unchecked`],
-//! which is sound because those algorithms join on a latch before any
+//! [`Runtime::spawn`](crate::Runtime::spawn)); the chunked loop
+//! additionally creates *borrowing* tasks through [`Task::new_unchecked`],
+//! which is sound because that loop joins on a latch before any
 //! borrowed data goes out of scope (the same technique used by
 //! structured-concurrency scopes).
 
@@ -33,8 +33,8 @@ impl Task {
     /// # Safety
     ///
     /// The caller must guarantee that the task has finished running (or was
-    /// dropped) before any data borrowed by `f` is invalidated. The parallel
-    /// algorithms uphold this by blocking on a completion latch that is
+    /// dropped) before any data borrowed by `f` is invalidated. The chunked
+    /// loop upholds this by blocking on a completion latch that is
     /// counted down even when the closure panics.
     pub(crate) unsafe fn new_unchecked<'a, F>(f: F) -> Self
     where

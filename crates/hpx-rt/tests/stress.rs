@@ -9,9 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hpx_rt::{
-    channel, dataflow, for_each, for_each_async, for_each_chunk, lco, par, par_task, ready, reduce,
-    schedule_after, spawn_on_current, when_all, ChunkPolicy, PersistentChunker, Runtime,
-    SharedFuture,
+    channel, dataflow, for_each, for_each_async, for_each_chunk, ready, schedule_after, when_all,
+    ChunkPolicy, PersistentChunker, Runtime, SharedFuture,
 };
 
 #[test]
@@ -20,21 +19,11 @@ fn nested_parallel_loops_do_not_deadlock_small_pools() {
     // same 1-worker pool: only help-first waiting makes this terminate.
     let rt = Runtime::new(1);
     let counter = AtomicUsize::new(0);
-    for_each(
-        &rt,
-        &par().with_chunk(ChunkPolicy::Static { size: 4 }),
-        0..16,
-        |_| {
-            for_each(
-                &rt,
-                &par().with_chunk(ChunkPolicy::Static { size: 8 }),
-                0..64,
-                |_| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                },
-            );
-        },
-    );
+    for_each(&rt, &ChunkPolicy::Static { size: 4 }, 0..16, |_| {
+        for_each(&rt, &ChunkPolicy::Static { size: 8 }, 0..64, |_| {
+            counter.fetch_add(1, Ordering::Relaxed);
+        });
+    });
     assert_eq!(counter.into_inner(), 16 * 64);
 }
 
@@ -54,28 +43,9 @@ fn deeply_nested_futures_resolve() {
 }
 
 #[test]
-#[should_panic(expected = "reduce chunk died")]
-fn reduce_panic_propagates() {
-    let rt = Runtime::new(2);
-    let _ = reduce(
-        &rt,
-        &par().with_chunk(ChunkPolicy::Static { size: 10 }),
-        0..1000,
-        0u64,
-        |i| {
-            if i == 500 {
-                panic!("reduce chunk died");
-            }
-            i as u64
-        },
-        |a, b| a + b,
-    );
-}
-
-#[test]
 fn runtime_survives_async_loop_panic() {
     let rt = Runtime::new(2);
-    let fut = for_each_async(&rt, par_task(), 0..100, |i| {
+    let fut = for_each_async(&rt, &ChunkPolicy::default(), 0..100, |i| {
         if i == 50 {
             panic!("async body died");
         }
@@ -123,8 +93,7 @@ fn persistent_chunker_concurrent_calibration_is_single() {
     // Two pools race to calibrate one shared handle; exactly one wins and
     // both loops complete correctly.
     let handle = PersistentChunker::new();
-    let chunk = ChunkPolicy::PersistentAuto(handle.clone());
-    let policy = par().with_chunk(chunk);
+    let policy = ChunkPolicy::PersistentAuto(handle.clone());
     let counters: Vec<Arc<AtomicUsize>> = (0..2).map(|_| Arc::new(AtomicUsize::new(0))).collect();
     let threads: Vec<_> = counters
         .iter()
@@ -166,7 +135,7 @@ fn scribble_over_dead_frames() {
 /// `calls` joins of two chunks from this (non-worker) thread; returns the
 /// elements the bodies saw.
 fn back_to_back_joins(rt: &Runtime, calls: usize, scribble: bool) -> usize {
-    let policy = par().with_chunk(ChunkPolicy::NumChunks { chunks: 2 });
+    let policy = ChunkPolicy::NumChunks { chunks: 2 };
     let elems = AtomicUsize::new(0);
     for _ in 0..calls {
         for_each_chunk(rt, &policy, 0..2, |r| {
@@ -271,6 +240,7 @@ fn join_helpers_that_start_after_the_loop_never_touch_its_frame() {
 fn idle_worker_wakes_for_a_task_on_a_siblings_deque() {
     const HOPS: usize = 400_000;
     struct Chain {
+        rt: Runtime,
         started: Vec<AtomicBool>,
         finished: std::sync::mpsc::SyncSender<()>,
     }
@@ -281,21 +251,25 @@ fn idle_worker_wakes_for_a_task_on_a_siblings_deque() {
             return;
         }
         let next = Arc::clone(&chain);
-        assert!(spawn_on_current(move || hop(next, k + 1)));
+        // On a worker, `spawn` pushes onto that worker's own deque.
+        chain.rt.spawn(move || hop(next, k + 1));
         while !chain.started[k + 1].load(Ordering::Acquire) {
             std::hint::spin_loop();
         }
     }
-    // Two background workers: this thread waits on a std channel.
-    let rt = Runtime::new(3);
     let (finished, wait) = std::sync::mpsc::sync_channel(1);
+    // Two background workers: this thread waits on a std channel. It also
+    // keeps the last handle on the chain, so the runtime is dropped here.
     let chain = Arc::new(Chain {
+        rt: Runtime::new(3),
         started: (0..HOPS).map(|_| AtomicBool::new(false)).collect(),
         finished,
     });
-    rt.spawn(move || hop(chain, 0));
+    let first = Arc::clone(&chain);
+    chain.rt.spawn(move || hop(first, 0));
     wait.recv_timeout(Duration::from_secs(120))
         .expect("the chain stalled");
+    let rt = &chain.rt;
     rt.wait_idle();
     assert_eq!(
         rt.stats().late_wakes,
@@ -369,15 +343,16 @@ fn wait_or_deadlock(futs: &[SharedFuture<()>], context: &str) {
 }
 
 /// The sharded driver's halo-exchange pattern under permuted wake orders:
-/// R ranks exchange D values per round over one-shot channels for several
-/// chained rounds — send nodes gated on the producing rank's previous
-/// consumer, receive nodes gated on their send (reactive `try_recv`, the
-/// non-blocking discipline `op2-core::locality` uses), consumers joining a
+/// R ranks exchange D values per round over promise/future channels for
+/// several chained rounds — send nodes gated on the producing rank's
+/// previous consumer, receive nodes gated on their send (reactive: the
+/// delivery is ready when the receive runs, the non-blocking discipline
+/// `op2-core::locality` uses), consumers joining a
 /// rank's receives. Round-0 producers fire in a different seeded
 /// permutation each replay, from two racing threads, on pools of 1-3
 /// workers. Every replay must drain completely with exact payload sums —
-/// no deadlock, no lost wakeup, no double delivery (a one-shot channel
-/// would panic).
+/// no deadlock, no lost wakeup, no double delivery (a promise is
+/// fulfilled at most once).
 #[test]
 fn halo_exchange_pattern_survives_seeded_wake_permutations() {
     const RANKS: usize = 4;
@@ -412,15 +387,15 @@ fn halo_exchange_pattern_survives_seeded_wake_permutations() {
                         continue;
                     }
                     for d in 0..DATS {
-                        let (tx, rx) = lco::oneshot::<usize>();
+                        let (tx, rx) = channel::<usize>();
                         let value = round * 1000 + src * 10 + d;
-                        let send_done =
-                            schedule_after(&rt, src_prev, move || tx.send(value).unwrap());
+                        let send_done = schedule_after(&rt, src_prev, move || tx.set_value(value));
                         let sum = Arc::clone(&payload_sum);
                         let count = Arc::clone(&received);
                         let recv_done =
                             schedule_after(&rt, std::slice::from_ref(&send_done), move || {
-                                let v = rx.try_recv().expect("sender done, channel empty").unwrap();
+                                assert!(rx.is_ready(), "sender done, channel empty");
+                                let v = rx.get();
                                 sum.fetch_add(v, Ordering::Relaxed);
                                 count.fetch_add(1, Ordering::Relaxed);
                             });

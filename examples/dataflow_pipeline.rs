@@ -1,6 +1,6 @@
 //! Tour of the hpx-rt primitives the OP2 backend is built from: futures,
-//! `dataflow` graphs, `when_all`, execution policies, and the paper's
-//! `persistent_auto_chunk_size` — shown on a three-stage pipeline of
+//! `dataflow` graphs, `when_all`, chunked loops, and the paper's
+//! `persistent_auto_chunk_size` — shown on a two-stage pipeline of
 //! dependent parallel loops with *different* per-element costs.
 //!
 //! ```text
@@ -10,7 +10,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use op2_hpx::hpx::{dataflow, par, par_task, reduce, ChunkPolicy, PersistentChunker, Runtime, Val};
+use op2_hpx::hpx::{dataflow, ChunkPolicy, PersistentChunker, Runtime, Val};
 
 fn main() {
     let rt = Runtime::new(2);
@@ -29,13 +29,13 @@ fn main() {
     println!("diamond -> {:?}", joined.get());
 
     // --- A pipeline of dependent loops with persistent chunking ---------
-    // Stage 1 is cheap per element, stage 2 is ~8x costlier, stage 3 is
-    // a reduction. With `persistent_auto_chunk_size`, stage 1 calibrates
-    // a per-chunk duration and the costlier stages automatically pick
-    // smaller chunks of the *same duration* (paper Fig 12b).
+    // Stage 1 is cheap per element, stage 2 is ~8x costlier. With
+    // `persistent_auto_chunk_size`, stage 1 calibrates a per-chunk
+    // duration and the costlier stage automatically picks smaller chunks
+    // of the *same duration* (paper Fig 12b).
     let n = 2_000_000usize;
     let chunker = PersistentChunker::new();
-    let policy = par().with_chunk(ChunkPolicy::PersistentAuto(chunker.clone()));
+    let policy = ChunkPolicy::PersistentAuto(chunker.clone());
 
     let data: Arc<Vec<f64>> = Arc::new((0..n).map(|i| (i % 1000) as f64).collect());
     let stage1 = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
@@ -66,22 +66,16 @@ fn main() {
         });
     }
 
-    // Stage 3: parallel reduction.
-    let s2 = Arc::clone(&stage2);
-    let total = reduce(
-        &rt,
-        &policy,
-        0..n,
-        0.0f64,
-        move |i| f64::from_bits(s2[i].load(Ordering::Relaxed)),
-        |a, b| a + b,
-    );
+    let total: f64 = stage2
+        .iter()
+        .map(|x| f64::from_bits(x.load(Ordering::Relaxed)))
+        .sum();
     println!("pipeline result: {total:.3}");
 
     // --- Async loop: submit, keep working, then join ---------------------
     let counter = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&counter);
-    let fut = op2_hpx::hpx::for_each_async(&rt, par_task(), 0..100_000, move |_| {
+    let fut = op2_hpx::hpx::for_each_async(&rt, &ChunkPolicy::default(), 0..100_000, move |_| {
         c.fetch_add(1, Ordering::Relaxed);
     });
     println!("async loop submitted; doing other work...");

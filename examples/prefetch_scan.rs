@@ -1,7 +1,5 @@
-//! The prefetching iterator (paper §V) and the extra parallel algorithms:
-//! a multi-container loop through `make_prefetcher_context` /
-//! `for_each_prefetch`, then `inclusive_scan`, `min_element` and
-//! `count_if` on the results.
+//! The prefetching iterator (paper §V): a multi-container loop through
+//! `make_prefetcher_context` / `for_each_prefetch`.
 //!
 //! ```text
 //! cargo run --release --example prefetch_scan
@@ -9,9 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use op2_hpx::hpx::{
-    count_if, for_each_prefetch, inclusive_scan, make_prefetcher_context, min_element, par, Runtime,
-};
+use op2_hpx::hpx::{for_each_prefetch, make_prefetcher_context, ChunkPolicy, Runtime};
 
 fn main() {
     let rt = Runtime::new(2);
@@ -32,7 +28,7 @@ fn main() {
     );
 
     let weighted = AtomicU64::new(0);
-    for_each_prefetch(&rt, &par(), &ctx, |i| {
+    for_each_prefetch(&rt, &ChunkPolicy::default(), &ctx, |i| {
         if flags[i] == 1 {
             let w = positions[i] * masses[i] as f64;
             weighted.fetch_add(w as u64, Ordering::Relaxed);
@@ -43,18 +39,7 @@ fn main() {
         weighted.into_inner()
     );
 
-    // Parallel inclusive scan over the masses (prefix sums).
-    let mass64: Vec<f64> = masses.iter().map(|&m| m as f64).collect();
-    let mut prefix = vec![0.0f64; n];
-    inclusive_scan(&rt, &par(), &mass64, &mut prefix, 0.0, |a, b| a + b);
-    println!("total mass (scan tail): {:.1}", prefix[n - 1]);
-
-    // min_element / count_if round out the algorithm set.
-    let (argmin, min) =
-        min_element(&rt, &par(), 0..n, |i| (positions[i] - 1000.0).abs()).expect("non-empty");
-    println!("closest to x=1000: index {argmin} (|dx| = {min:.4})");
-    let flagged = count_if(&rt, &par(), 0..n, |i| flags[i] == 1);
+    let flagged = flags.iter().filter(|&&f| f == 1).count();
     println!("flagged elements: {flagged} / {n}");
-
     assert_eq!(flagged, n.div_ceil(3));
 }

@@ -4,8 +4,8 @@
 //! HPX Runtime Asynchronous Techniques"* (Khatami, Kaiser, Ramanujam;
 //! IPDPSW 2017) under one roof:
 //!
-//! * [`hpx`] — the HPX-style task runtime (futures, dataflow, execution
-//!   policies, chunkers, parallel algorithms, prefetching iterator);
+//! * [`hpx`] — the HPX-style task runtime (futures, dataflow, the chunked
+//!   `par` loop and its chunkers, prefetching iterator);
 //! * [`op2`] — the OP2 loop framework (sets/maps/dats, plans & coloring,
 //!   fork-join and dataflow backends);
 //! * [`mesh`] — unstructured-mesh generators and utilities;

@@ -1,85 +1,23 @@
-//! Table I semantics, asserted through the public API: `seq` preserves
-//! order, `par` completes exactly, task policies return futures that are
-//! genuinely asynchronous, every policy computes the same result — and
-//! the chunk policy's wiring into Dataflow node granularity.
+//! Chunk policies, asserted through the public API: the chunked `par`
+//! loop visits every index exactly once under each of them — and the
+//! chunk policy's wiring into Dataflow node granularity.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
 use std::time::Duration;
 
 use op2_hpx::hpx::timing::Clock;
-use op2_hpx::hpx::{
-    for_each, for_each_async, par, par_task, par_vec, reduce, seq, seq_task, ChunkPolicy,
-    PersistentChunker, Runtime,
-};
+use op2_hpx::hpx::{for_each, ChunkPolicy, PersistentChunker, Runtime};
 use op2_hpx::op2::args::{read, write};
 use op2_hpx::op2::{Op2, Op2Config};
-
-#[test]
-fn seq_runs_in_index_order() {
-    let rt = Runtime::new(4);
-    let order = Mutex::new(Vec::new());
-    for_each(&rt, &seq(), 0..500, |i| order.lock().unwrap().push(i));
-    assert_eq!(order.into_inner().unwrap(), (0..500).collect::<Vec<_>>());
-}
 
 #[test]
 fn par_visits_exactly_once() {
     let rt = Runtime::new(4);
     let hits: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
-    for_each(&rt, &par(), 0..hits.len(), |i| {
+    for_each(&rt, &ChunkPolicy::default(), 0..hits.len(), |i| {
         hits[i].fetch_add(1, Ordering::Relaxed);
     });
     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-}
-
-#[test]
-fn par_vec_is_par() {
-    // par_vec falls back to parallel execution (vectorization delegated
-    // to the compiler) — Table I's "Parallelism TS" row.
-    assert_eq!(par_vec().name(), "par");
-    assert!(par_vec().is_parallel());
-    assert!(!par_vec().is_async());
-}
-
-#[test]
-fn task_policies_return_pending_futures() {
-    let rt = Runtime::new(2);
-    // A deliberately slow loop: the future must come back before the work
-    // can plausibly have finished, then complete correctly.
-    let counter = Arc::new(AtomicUsize::new(0));
-    let c = Arc::clone(&counter);
-    let fut = for_each_async(&rt, par_task(), 0..200_000, move |_| {
-        std::hint::black_box((0..20).sum::<u64>());
-        c.fetch_add(1, Ordering::Relaxed);
-    });
-    // (is_ready may race on a fast machine; the strong assertion is that
-    // get() joins and the count is exact.)
-    fut.get();
-    assert_eq!(counter.load(Ordering::Relaxed), 200_000);
-
-    let c2 = Arc::new(AtomicUsize::new(0));
-    let c2c = Arc::clone(&c2);
-    let fut2 = for_each_async(&rt, seq_task(), 0..1000, move |_| {
-        c2c.fetch_add(1, Ordering::Relaxed);
-    });
-    fut2.get();
-    assert_eq!(c2.load(Ordering::Relaxed), 1000);
-}
-
-#[test]
-fn every_policy_computes_the_same_reduction() {
-    let rt = Runtime::new(3);
-    let data: Vec<f64> = (0..40_000).map(|i| ((i * 37) % 1000) as f64).collect();
-    let reference = data.iter().sum::<f64>();
-    for policy in [seq(), par(), par_vec()] {
-        // Deterministic fixed chunks so float sums are exactly comparable
-        // chunk-wise; the chunk partials are merged in index order.
-        let policy = policy.with_chunk(ChunkPolicy::Static { size: 1000 });
-        let v = reduce(&rt, &policy, 0..data.len(), 0.0, |i| data[i], |a, b| a + b);
-        assert_eq!(v, reference, "policy {} deviates", policy.name());
-    }
 }
 
 #[test]
@@ -92,7 +30,7 @@ fn chunk_policies_compose_with_any_policy() {
         ChunkPolicy::default(),
     ] {
         let counter = AtomicUsize::new(0);
-        for_each(&rt, &par().with_chunk(chunk), 0..12_345, |_| {
+        for_each(&rt, &chunk, 0..12_345, |_| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.into_inner(), 12_345);

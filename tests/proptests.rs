@@ -144,7 +144,7 @@ fn chunkers_tile_ranges_exactly() {
         };
         let rt = Runtime::new(2);
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        op2_hpx::hpx::for_each(&rt, &op2_hpx::hpx::par().with_chunk(chunk), 0..n, |i| {
+        op2_hpx::hpx::for_each(&rt, &chunk, 0..n, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(
