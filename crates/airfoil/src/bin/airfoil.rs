@@ -3,7 +3,7 @@
 //! ```text
 //! airfoil [--cells N] [--iters N] [--threads N] [--ranks N]
 //!         [--backend seq|forkjoin|dataflow] [--transport inproc|process]
-//!         [--prefetch FACTOR] [--persistent] [--print-every N]
+//!         [--prefetch FACTOR] [--print-every N]
 //!         [--rms-out PATH] [--rebalance N] [--skew S]
 //! ```
 //!
@@ -39,7 +39,6 @@ struct Args {
     rendezvous: Option<PathBuf>,
     rms_out: Option<PathBuf>,
     prefetch: Option<usize>,
-    persistent: bool,
     print_every: usize,
     rebalance: usize,
     skew: f64,
@@ -57,7 +56,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
         rendezvous: None,
         rms_out: None,
         prefetch: None,
-        persistent: false,
         print_every: 100,
         rebalance: 0,
         skew: 0.0,
@@ -79,7 +77,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
             "--rendezvous" => args.rendezvous = Some(PathBuf::from(value("--rendezvous"))),
             "--rms-out" => args.rms_out = Some(PathBuf::from(value("--rms-out"))),
             "--prefetch" => args.prefetch = Some(value("--prefetch").parse().expect("--prefetch")),
-            "--persistent" => args.persistent = true,
             "--print-every" => {
                 args.print_every = value("--print-every").parse().expect("--print-every")
             }
@@ -99,8 +96,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
                                     process (one OS process per rank, Unix sockets)\n\
                      --rms-out PATH     write the residual history to PATH (rank 0)\n\
                      --prefetch F       enable prefetching, distance factor F\n\
-                     --persistent       persistent_auto_chunk_size: measured,\n    \
-                                    feedback-resolved dataflow node granularity\n\
                      --print-every N    residual print period (default 100)\n\
                      --rebalance N      live-repartition check period in iterations\n    \
                                     (0 = off, the default; needs --ranks N > 1)\n\
@@ -188,7 +183,6 @@ fn main() {
     let mut config = match args.backend.as_str() {
         "seq" => Op2Config::seq(),
         "forkjoin" => Op2Config::fork_join(args.threads),
-        "dataflow" if args.persistent => Op2Config::persistent_auto(args.threads),
         "dataflow" => Op2Config::dataflow(args.threads),
         other => panic!("unknown backend {other}"),
     };
@@ -210,13 +204,8 @@ fn main() {
     if is_rank0 {
         println!("mesh: {}", quad_stats(&mesh));
         println!(
-            "backend: {} threads={} ranks={} transport={} prefetch={:?} persistent={}",
-            config.backend,
-            config.threads,
-            args.ranks,
-            args.transport,
-            config.prefetch_distance,
-            args.persistent
+            "backend: {} threads={} ranks={} transport={} prefetch={:?}",
+            config.backend, config.threads, args.ranks, args.transport, config.prefetch_distance,
         );
     }
 
@@ -358,7 +347,7 @@ mod tests {
     fn rank_processes_inherit_every_flag_of_the_parent() {
         let parent = argv(
             "--cells 3000 --iters 7 --threads 3 --ranks 4 --backend forkjoin \
-             --transport process --prefetch 8 --persistent --print-every 5 \
+             --transport process --prefetch 8 --print-every 5 \
              --rms-out /tmp/rms.txt --rebalance 2 --skew 400",
         );
         let given = parse_args(parent.clone());
@@ -372,7 +361,6 @@ mod tests {
         assert_ne!(given.backend, defaults.backend);
         assert_ne!(given.transport, defaults.transport);
         assert_ne!(given.prefetch, defaults.prefetch);
-        assert_ne!(given.persistent, defaults.persistent);
         assert_ne!(given.print_every, defaults.print_every);
         assert_ne!(given.rms_out, defaults.rms_out);
         assert_ne!(given.rebalance, defaults.rebalance);

@@ -188,15 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn persistent_chunker_does_not_change_results() {
-        let handle = op2_core::hpx_rt::PersistentChunker::new();
-        let (r_a, q_a) = simulate(Op2Config::dataflow_persistent(2, handle), 15);
-        let (r_b, q_b) = simulate(Op2Config::seq(), 15);
-        assert!(max_rel_diff(&r_a.rms_history, &r_b.rms_history) < 1e-7);
-        assert!(max_scaled_diff(&q_a, &q_b, 1.0) < 1e-9);
-    }
-
-    #[test]
     fn fully_synchronous_window_matches_pipelined() {
         let op2 = Op2::new(Op2Config::dataflow(2));
         let mesh = channel_with_bump(24, 12);

@@ -103,10 +103,6 @@ fn bench_for_each(b: &Bench) {
             ChunkPolicy::NumChunks { chunks: 8 },
         ),
         ("for_each_1M/auto", ChunkPolicy::default()),
-        (
-            "for_each_1M/guided_min1024",
-            ChunkPolicy::Guided { min: 1024 },
-        ),
     ] {
         b.run(name, || {
             let acc = AtomicU64::new(0);

@@ -16,7 +16,6 @@ fn main() {
     let figures = [
         "fig15_exec_time",
         "fig16_strong_scaling",
-        "fig17_chunk_sizes",
         "fig18_prefetch",
         "fig19_bandwidth",
         "fig20_prefetch_distance",

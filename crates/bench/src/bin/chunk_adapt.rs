@@ -4,15 +4,15 @@
 //!
 //! The static sweep hand-tunes the Dataflow node granularity
 //! (`ChunkPolicy::Static`) across a power-of-two range; the adaptive
-//! policies (`Auto`, `PersistentAuto`) start from the conservative probe
-//! default and let measured per-element cost resolve the granularity at
-//! runtime. The claim under test: **adaptive lands within ~10% of the best
+//! policy (`Auto`, the Dataflow default) starts from the conservative
+//! probe default and lets measured per-element cost resolve the
+//! granularity at runtime. The claim under test: **adaptive lands within ~10% of the best
 //! static sweep point without hand-tuning**.
 //!
 //! Emits `BENCH_chunk.json`. Options: `--cells`, `--iters`, `--threads N`
 //! (single value — this bench compares chunkers, not scaling), `--reps`,
-//! `--json PATH`, and `--max-ratio R` (exit non-zero if any adaptive
-//! variant is more than `R`x the best static time — the CI gate).
+//! `--json PATH`, and `--max-ratio R` (exit non-zero if the adaptive
+//! policy is more than `R`x the best static time — the CI gate).
 
 use std::time::Duration;
 
@@ -137,21 +137,14 @@ fn main() {
     }
 
     // Adaptive: no hand-tuning — the probe default plus measured feedback.
-    let adaptive_cfgs: Vec<(&str, Op2Config)> = vec![
-        ("auto", Op2Config::dataflow(args.threads)),
-        ("persistent_auto", Op2Config::persistent_auto(args.threads)),
-    ];
-    let mut adaptive_rows: Vec<(String, f64, f64)> = Vec::new();
-    for (name, config) in adaptive_cfgs {
-        let secs = run_airfoil(&config, &mesh, args.iters, args.reps).as_secs_f64();
-        let ratio = secs / best_static;
-        adaptive_rows.push((name.to_owned(), secs, ratio));
-        table.row(vec![
-            name.to_owned(),
-            format!("{secs:.4}"),
-            format!("{ratio:.3}x"),
-        ]);
-    }
+    let config = Op2Config::dataflow(args.threads);
+    let auto_secs = run_airfoil(&config, &mesh, args.iters, args.reps).as_secs_f64();
+    let ratio = auto_secs / best_static;
+    table.row(vec![
+        "auto".to_owned(),
+        format!("{auto_secs:.4}"),
+        format!("{ratio:.3}x"),
+    ]);
     println!("{}", table.render());
     println!("best static point: block={best_block} ({best_static:.4}s)");
 
@@ -182,14 +175,10 @@ fn main() {
     json.push_str(&format!(
         "  ],\n  \"best_static\": {{\"block\": {best_block}, \"best_seconds\": {best_static:.6}}},\n"
     ));
-    json.push_str("  \"adaptive\": [\n");
-    for (i, (name, secs, ratio)) in adaptive_rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"policy\": \"{name}\", \"best_seconds\": {secs:.6}, \
-             \"ratio_vs_best_static\": {ratio:.4}}}{}\n",
-            if i + 1 < adaptive_rows.len() { "," } else { "" }
-        ));
-    }
+    json.push_str(&format!(
+        "  \"adaptive\": [\n    {{\"policy\": \"auto\", \"best_seconds\": {auto_secs:.6}, \
+         \"ratio_vs_best_static\": {ratio:.4}}}\n"
+    ));
     json.push_str(&format!(
         "  ],\n  \"spec_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \
          \"replans\": {replans}}}\n}}\n"
@@ -198,15 +187,13 @@ fn main() {
     println!("wrote {}", args.json_path);
 
     if let Some(max_ratio) = args.max_ratio {
-        for (name, _, ratio) in &adaptive_rows {
-            if *ratio > max_ratio {
-                eprintln!(
-                    "FAIL: adaptive '{name}' is {ratio:.3}x the best static point \
-                     (gate: {max_ratio}x)"
-                );
-                std::process::exit(1);
-            }
+        if ratio > max_ratio {
+            eprintln!(
+                "FAIL: adaptive 'auto' is {ratio:.3}x the best static point \
+                 (gate: {max_ratio}x)"
+            );
+            std::process::exit(1);
         }
-        println!("gate passed: all adaptive variants within {max_ratio}x of best static");
+        println!("gate passed: auto within {max_ratio}x of best static");
     }
 }

@@ -1,6 +1,5 @@
 //! **Fig 18**: the prefetching iterator (§V) applied on top of the
-//! dataflow + persistent-chunking configuration, distance factor 15 (the
-//! paper's optimum). The paper reports ≈45% average speedup improvement.
+//! dataflow configuration, distance factor 15 (the paper's optimum). The paper reports ≈45% average speedup improvement.
 
 use op2_bench::{parse_sweep_args, run_airfoil, tables::ms, Table, Variant};
 
@@ -18,13 +17,7 @@ fn main() {
     ]);
     let mut rows: Vec<(usize, f64, f64, f64)> = Vec::new();
     for &t in &args.threads {
-        let base = run_airfoil(
-            Variant::DataflowPersistent,
-            t,
-            args.cells,
-            args.iters,
-            args.reps,
-        );
+        let base = run_airfoil(Variant::Dataflow, t, args.cells, args.iters, args.reps);
         let pf = run_airfoil(
             Variant::DataflowPrefetch { distance: 15 },
             t,

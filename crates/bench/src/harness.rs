@@ -5,8 +5,7 @@ use std::time::Duration;
 
 use airfoil_cfd::{solver, Problem, SolverConfig};
 use hpx_rt::{
-    for_each_async, for_each_prefetch_async, make_prefetcher_context, ChunkPolicy,
-    PersistentChunker, Runtime,
+    for_each_async, for_each_prefetch_async, make_prefetcher_context, ChunkPolicy, Runtime,
 };
 use op2_core::{Op2, Op2Config};
 use op2_mesh::QuadMesh;
@@ -16,11 +15,10 @@ use op2_mesh::QuadMesh;
 pub enum Variant {
     /// `#pragma omp parallel for` equivalent (fork-join, global barriers).
     OpenMp,
-    /// Dataflow backend, per-loop `auto_chunk_size`.
+    /// Dataflow backend with its default `Auto` chunking (the paper's
+    /// `persistent_auto_chunk_size`, §IV-B).
     Dataflow,
-    /// Dataflow + the paper's `persistent_auto_chunk_size` (§IV-B).
-    DataflowPersistent,
-    /// Dataflow + persistent chunking + prefetching iterator (§V).
+    /// Dataflow + prefetching iterator (§V).
     DataflowPrefetch {
         /// Prefetch distance factor (paper optimum: 15).
         distance: usize,
@@ -33,12 +31,8 @@ impl Variant {
         match self {
             Variant::OpenMp => Op2Config::fork_join(threads),
             Variant::Dataflow => Op2Config::dataflow(threads),
-            Variant::DataflowPersistent => {
-                Op2Config::dataflow_persistent(threads, PersistentChunker::new())
-            }
             Variant::DataflowPrefetch { distance } => {
-                Op2Config::dataflow_persistent(threads, PersistentChunker::new())
-                    .with_prefetch(*distance)
+                Op2Config::dataflow(threads).with_prefetch(*distance)
             }
         }
     }
@@ -48,7 +42,6 @@ impl Variant {
         match self {
             Variant::OpenMp => "omp-parallel-for".into(),
             Variant::Dataflow => "dataflow".into(),
-            Variant::DataflowPersistent => "dataflow+persistent-chunks".into(),
             Variant::DataflowPrefetch { distance } => format!("dataflow+prefetch(d={distance})"),
         }
     }
@@ -176,7 +169,6 @@ mod tests {
         let labels = [
             Variant::OpenMp.label(),
             Variant::Dataflow.label(),
-            Variant::DataflowPersistent.label(),
             Variant::DataflowPrefetch { distance: 15 }.label(),
         ];
         let mut dedup = labels.to_vec();

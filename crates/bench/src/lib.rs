@@ -6,7 +6,7 @@
 //! |---|---|
 //! | `fig15_exec_time` | Fig 15: Airfoil execution time, OpenMP vs dataflow |
 //! | `fig16_strong_scaling` | Fig 16: strong-scaling speedup comparison |
-//! | `fig17_chunk_sizes` | Fig 17: ± `persistent_auto_chunk_size` |
+//! | `chunk_adapt` | Fig 17: static chunk-size sweep vs the adaptive policy |
 //! | `fig18_prefetch` | Fig 18: ± prefetching iterator |
 //! | `fig19_bandwidth` | Fig 19: transfer rate, standard vs prefetch iterator |
 //! | `fig20_prefetch_distance` | Fig 20: transfer rate vs prefetch distance |

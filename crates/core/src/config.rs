@@ -2,10 +2,11 @@
 //! divided.
 
 use hpx_rt::timing::Clock;
-use hpx_rt::{ChunkPolicy, GranularityFeedback, PersistentChunker};
+use hpx_rt::ChunkPolicy;
 
 use crate::dat::Layout;
 use crate::driver::SpecShare;
+use crate::granularity::GranularityFeedback;
 
 /// The three execution strategies compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,19 +49,17 @@ pub struct Op2Config {
     /// Loop execution strategy.
     pub backend: Backend,
     /// Mini-partition block size: the granularity of every dat's
-    /// dependency (epoch) table, and the *conservative probe default* a
-    /// measuring chunk policy schedules a Dataflow loop at until feedback
+    /// dependency (epoch) table, and the *conservative probe default*
+    /// [`ChunkPolicy::Auto`] schedules a Dataflow loop at until feedback
     /// for that (kernel, set) exists.
     pub block_size: usize,
     /// Chunking strategy for the ForkJoin backend's parallel-for phases —
-    /// and the node granularity of every Dataflow loop. The probe-free
-    /// uniform policies ([`ChunkPolicy::Static`], [`ChunkPolicy::NumChunks`])
-    /// set it directly; the measuring policies ([`ChunkPolicy::Auto`],
-    /// [`ChunkPolicy::PersistentAuto`]) and [`ChunkPolicy::Guided`] resolve
-    /// it from *measured feedback* — executed nodes record their per-element
-    /// cost into a [`hpx_rt::GranularityFeedback`] accumulator, and the next
+    /// and the node granularity of every Dataflow loop. [`ChunkPolicy::Static`]
+    /// and [`ChunkPolicy::NumChunks`] set it directly; [`ChunkPolicy::Auto`]
+    /// resolves it from *measured feedback* — executed nodes record their
+    /// per-element cost into a [`GranularityFeedback`] table, and the next
     /// submission of the same (kernel, set) sizes its nodes to hit the
-    /// policy's target duration (first submission probes at
+    /// target duration (first submission runs at
     /// [`Op2Config::block_size`]). See `README.md` § Adaptive chunking.
     pub chunk: ChunkPolicy,
     /// Prefetch distance factor (cache lines of look-ahead, paper §V);
@@ -71,11 +70,10 @@ pub struct Op2Config {
     /// [`Op2::decl_dat_halo`](crate::Op2::decl_dat_halo). Per-dat
     /// overrides: `decl_dat_layout` / `decl_dat_halo_layout`.
     pub layout: Layout,
-    /// Clock the granularity feedback measures through. [`Clock::real`] in
-    /// production; tests inject [`Clock::fake`] to drive adaptive-chunking
-    /// convergence deterministically. A
-    /// [`ChunkPolicy::PersistentAuto`] chunker carries its own clock and
-    /// ignores this one.
+    /// Clock the granularity feedback measures through, whichever table it
+    /// records into. [`Clock::real`] in production; tests inject
+    /// [`Clock::fake`] to drive adaptive-chunking convergence
+    /// deterministically.
     pub clock: Clock,
     /// Loop-spec cache this world resolves schedules through. `None` (the
     /// default) gives the world a private cache; a [`SpecShare`] handle
@@ -84,18 +82,16 @@ pub struct Op2Config {
     /// across worlds (see [`crate::farm`]).
     pub shared_specs: Option<SpecShare>,
     /// Measured-cost table adaptive granularity resolves from. `None` (the
-    /// default) follows the chunk policy: a
-    /// [`ChunkPolicy::PersistentAuto`] chunker's own table, else a private
-    /// accumulator on [`Op2Config::clock`]. An explicit handle overrides
-    /// both — the farm installs one table for every tenant world, so a
-    /// tenant's first loop resolves granularity from costs its neighbours
-    /// already measured.
+    /// default) gives the world a private table; a handle cloned into
+    /// several configs makes those worlds share one — the farm installs one
+    /// for every tenant world, so a tenant's first loop resolves
+    /// granularity from costs its neighbours already measured.
     pub shared_feedback: Option<GranularityFeedback>,
     /// Rank this world's feedback handle attributes measurements to.
     /// `None` (the default) leaves the handle untagged; the locality layer
     /// tags each rank world so measured kernel time accumulates per rank —
     /// the imbalance signal live repartitioning reads
-    /// ([`hpx_rt::GranularityFeedback::rank_busy_ns`]).
+    /// ([`GranularityFeedback::rank_busy_ns`]).
     pub feedback_rank: Option<u32>,
 }
 
@@ -153,43 +149,6 @@ impl Op2Config {
         }
     }
 
-    /// Dataflow with the paper's `persistent_auto_chunk_size` policy
-    /// (§IV-B) installed as the chunk policy, sharing `chunker`'s
-    /// calibrated target and measured cost table. On the Dataflow backend
-    /// node granularity is *feedback-resolved*: each executed node records
-    /// its per-element cost into the chunker's
-    /// [`hpx_rt::GranularityFeedback`], and later submissions of the same
-    /// (kernel, set) size their nodes so every node takes about the
-    /// chunker's target duration — different kernels get different node
-    /// sizes but equal node times, exactly the paper's Fig 12b behaviour.
-    /// Clone one handle into several configs (ranks, phases) to share the
-    /// calibration.
-    pub fn dataflow_persistent(threads: usize, chunker: PersistentChunker) -> Self {
-        let clock = chunker.feedback().clock().clone();
-        Op2Config {
-            threads,
-            backend: Backend::Dataflow,
-            block_size: DEFAULT_BLOCK_SIZE,
-            chunk: ChunkPolicy::PersistentAuto(chunker),
-            prefetch_distance: None,
-            layout: Layout::AoS,
-            clock,
-            shared_specs: None,
-            shared_feedback: None,
-            feedback_rank: None,
-        }
-    }
-
-    /// The paper's headline configuration: Dataflow backend with
-    /// `persistent_auto_chunk_size` — and, since the feedback-driven
-    /// granularity engine, it means the *same thing on both backends*:
-    /// measured, duration-targeted chunk sizes, whether the chunks are
-    /// ForkJoin parallel-for chunks (sized by a synchronous probe) or
-    /// Dataflow nodes (sized from the feedback of previous executions).
-    pub fn persistent_auto(threads: usize) -> Self {
-        Self::dataflow_persistent(threads, PersistentChunker::new())
-    }
-
     /// Overrides the block size.
     #[must_use]
     pub fn with_block_size(mut self, block_size: usize) -> Self {
@@ -228,9 +187,7 @@ impl Op2Config {
     }
 
     /// Overrides the feedback clock — tests install [`Clock::fake`] to
-    /// drive adaptive-granularity convergence deterministically. (A
-    /// `PersistentAuto` chunker measures through its own clock instead;
-    /// build it with [`PersistentChunker::with_target_and_clock`].)
+    /// drive adaptive-granularity convergence deterministically.
     #[must_use]
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
@@ -247,8 +204,8 @@ impl Op2Config {
         self
     }
 
-    /// Resolves adaptive granularity from `feedback` instead of the chunk
-    /// policy's own table (see [`Op2Config::shared_feedback`]).
+    /// Resolves adaptive granularity from `feedback` instead of a private
+    /// table (see [`Op2Config::shared_feedback`]).
     #[must_use]
     pub fn with_shared_feedback(mut self, feedback: GranularityFeedback) -> Self {
         self.shared_feedback = Some(feedback);
@@ -284,22 +241,6 @@ mod tests {
         assert_eq!(c.block_size, 128);
         assert_eq!(c.prefetch_distance, Some(15));
         assert_eq!(c.without_prefetch().prefetch_distance, None);
-    }
-
-    #[test]
-    fn persistent_auto_is_dataflow_with_persistent_chunker() {
-        let c = Op2Config::persistent_auto(3);
-        assert_eq!(c.backend, Backend::Dataflow);
-        assert!(matches!(c.chunk, ChunkPolicy::PersistentAuto(_)));
-        assert!(!c.clock.is_fake());
-    }
-
-    #[test]
-    fn persistent_config_inherits_the_chunker_clock() {
-        use std::time::Duration;
-        let h = PersistentChunker::with_target_and_clock(Duration::from_micros(50), Clock::fake());
-        let c = Op2Config::dataflow_persistent(2, h);
-        assert!(c.clock.is_fake(), "config clock follows the chunker");
     }
 
     #[test]

@@ -25,13 +25,14 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use hpx_rt::{
-    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, Clock, FeedbackSlot,
-    PrefetchSet, SharedFuture,
+    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, Clock, PrefetchSet,
+    SharedFuture,
 };
 
 use crate::arg::{ArgInfo, ArgKind};
 use crate::config::Backend;
 use crate::dat::{AccessRecord, DepTable, Footprint, LiveRecord};
+use crate::granularity::{resolve_granularity, FeedbackSlot};
 use crate::map::Map;
 use crate::plan::{conflicts_of, Plan};
 use crate::set::Set;
@@ -97,11 +98,11 @@ fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
     }
     let n = spec.set.size();
     let t0 = Instant::now();
-    // A rank-tagged world attributes whole-loop time to its rank through
-    // the feedback clock (so Seq sharded runs feed the rebalancer's
-    // imbalance signal — deterministically, under a fake clock).
-    let fb = world.granularity_feedback();
-    let start_ns = fb.rank().is_some().then(|| fb.clock().now_ns());
+    // A rank-tagged world attributes whole-loop time to its rank on the
+    // world clock (so Seq sharded runs feed the rebalancer's imbalance
+    // signal — deterministically, under a fake clock).
+    let (fb, clock) = (world.granularity_feedback(), &world.config().clock);
+    let start_ns = fb.rank().is_some().then(|| clock.now_ns());
     if n > 0 {
         if !parallel {
             (spec.block_body)(0..n);
@@ -111,7 +112,7 @@ fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
     }
     (spec.finalize)();
     if let Some(start) = start_ns {
-        let elapsed = fb.clock().now_ns().saturating_sub(start);
+        let elapsed = clock.now_ns().saturating_sub(start);
         fb.record(&spec.name, spec.set.signature(), n, elapsed);
     }
     record_loop_time(&world.stats_handle(), &spec.name, t0.elapsed());
@@ -196,137 +197,6 @@ struct DatAccess {
 struct LoopPlan {
     schedule: Schedule,
     dats: Vec<DatAccess>,
-}
-
-// ---------------------------------------------------------------------------
-// Feedback-resolved node granularity
-// ---------------------------------------------------------------------------
-
-/// Rounds to the nearest power of two in log space (`x >= 1`). The
-/// quantization is the chunker's hysteresis: measured costs jitter, but
-/// the resolved granularity only moves when the ideal size crosses a
-/// power-of-two midpoint — so a converged workload stops re-planning.
-fn pow2_round(x: f64) -> usize {
-    let exp = x.max(1.0).log2().round() as u32;
-    1usize << exp.min(usize::BITS - 2)
-}
-
-/// Largest power of two `<= x` (`x >= 1`).
-fn pow2_floor(x: usize) -> usize {
-    let mut p = 1usize;
-    while p * 2 <= x {
-        p *= 2;
-    }
-    p
-}
-
-/// What the load-balance cap may not cut a node below: what a node costs
-/// to build, queue, steal and complete several times over, so that a loop
-/// whose whole body is a few microseconds is one node. Swept on `airfoil
-/// --cells 4000` (ROADMAP item 1, PR 20): 11-15 us alike, 8 and 20 us
-/// slightly behind, 40 us no better than none.
-const MIN_NODE_NS: f64 = 12_000.0;
-
-/// The floor keeps to the granularity in use while a node of that size
-/// lasts between `MIN_NODE_NS / 3` and `3 * MIN_NODE_NS`. Without memory a
-/// cost measured near a power-of-two midpoint re-plans on every jitter,
-/// and the measured cost itself moves with the granularity (one node of
-/// airfoil's `save_soln` costs 2.2x per element what two on two cores do),
-/// which a narrower band turns into a limit cycle.
-const FLOOR_STICKS_WITHIN: f64 = 3.0;
-
-/// Sizes a node to take ~`target_ns` at `per_elem_ns`, quantized to a
-/// power of two, capped for load balance (at least ~2 nodes per thread
-/// where the set allows it) but not below [`MIN_NODE_NS`] worth of
-/// elements, and clamped to `[min, n]`. `in_use` is the granularity the
-/// loop last ran at, if any.
-fn feedback_block_size(
-    target_ns: u64,
-    per_elem_ns: f64,
-    n: usize,
-    threads: usize,
-    min: usize,
-    in_use: Option<usize>,
-) -> usize {
-    let per_elem_ns = per_elem_ns.max(1e-3);
-    let ideal = pow2_round(target_ns as f64 / per_elem_ns);
-    let balance_cap = pow2_floor((n / (2 * threads.max(1))).max(1));
-    let floor_elems = MIN_NODE_NS / per_elem_ns;
-    let band = 1.0 / FLOOR_STICKS_WITHIN..FLOOR_STICKS_WITHIN;
-    let sticks = |g: &usize| band.contains(&(floor_elems / *g as f64));
-    let floor = in_use.filter(sticks).unwrap_or(pow2_round(floor_elems));
-    ideal
-        .min(balance_cap)
-        .max(ideal.min(floor))
-        .max(min.max(1))
-        .min(n.max(1))
-}
-
-/// Resolves the configured chunk policy to the concrete, uniform node
-/// granularity a Dataflow loop of `n` elements over `(kernel, set_id)`
-/// schedules with *right now*:
-///
-/// * [`ChunkPolicy::Static`] / [`ChunkPolicy::NumChunks`] — probe-free,
-///   set directly;
-/// * [`ChunkPolicy::Auto`] / [`ChunkPolicy::PersistentAuto`] /
-///   [`ChunkPolicy::Guided`] — **feedback-resolved**: a synchronous timing
-///   probe has no place in graph construction, so executed nodes record
-///   their measured per-element cost into the context's
-///   [`GranularityFeedback`] and the *next* submission of the same
-///   (kernel, set) resolves the policy's target duration against it. The
-///   first submission — no feedback yet — probes at the conservative
-///   mini-partition `block_size` default. `Guided` has no target of its
-///   own and aims for the default chunk target with its `min` as the
-///   granularity floor.
-///
-/// The same resolution applies to colored (indirect) loops: the resolved
-/// granularity is the coloring block size, and the plan cache keys on it.
-///
-/// Feedback is keyed by `(kernel, set signature)` — *shape*, not entity
-/// identity — so a second world running the same solver (a farm tenant)
-/// resolves measured granularities from the first world's samples when the
-/// two share a feedback table.
-fn resolve_granularity(
-    world: &Op2,
-    kernel: &str,
-    set_sig: u64,
-    n: usize,
-    in_use: Option<usize>,
-) -> usize {
-    let cfg = world.config();
-    let default_bs = cfg.block_size.max(1);
-    let measured = |target_ns: u64, min: usize| -> usize {
-        let cost = world.granularity_feedback().cost(kernel, set_sig);
-        cost.map_or(default_bs, |c| {
-            feedback_block_size(target_ns, c.ewma_ns_per_elem, n, cfg.threads, min, in_use)
-        })
-    };
-    match &cfg.chunk {
-        ChunkPolicy::Static { size } => (*size).max(1),
-        ChunkPolicy::NumChunks { chunks } => n.div_ceil((*chunks).clamp(1, n.max(1))).max(1),
-        ChunkPolicy::Guided { min } => measured(
-            hpx_rt::DEFAULT_CHUNK_TARGET.as_nanos() as u64,
-            (*min).max(1),
-        ),
-        ChunkPolicy::Auto { target } => measured(target.as_nanos() as u64, 1),
-        ChunkPolicy::PersistentAuto(handle) => {
-            let target_ns = handle.target_ns();
-            if let Some(c) = world.granularity_feedback().cost(kernel, set_sig) {
-                // First kernel with feedback calibrates the shared
-                // duration (first-loop-wins): later kernels match this
-                // duration with their own sizes (paper Fig 12b). The
-                // duration the chunker *aimed for* is locked in — the
-                // uncapped ideal, not the first kernel's achievable node
-                // duration, so a tiny first set (whose nodes can never
-                // reach the target) does not poison every later kernel
-                // with a miniature target.
-                let ideal = (target_ns as f64 / c.ewma_ns_per_elem.max(1e-3)).max(1.0);
-                let aimed_ns = (ideal * c.ewma_ns_per_elem) as u64;
-                handle.calibrate_once(aimed_ns.max(1));
-            }
-            measured(handle.target_ns(), 1)
-        }
-    }
 }
 
 fn dataflow_plan(world: &Op2, spec: &LoopSpec, n: usize, granularity: usize) -> LoopPlan {
@@ -485,15 +355,13 @@ impl SpecKey {
         let chunk = match &world.config().chunk {
             ChunkPolicy::Static { size } => (0u8, *size),
             ChunkPolicy::NumChunks { chunks } => (1, *chunks),
-            ChunkPolicy::Guided { min } => (2, *min),
-            ChunkPolicy::Auto { .. } => (3, 0),
-            ChunkPolicy::PersistentAuto(_) => (4, 0),
+            ChunkPolicy::Auto { .. } => (2, 0),
         };
         SpecKey {
             name: spec.name.clone(),
             set: spec.set.signature(),
             sig,
-            chunk: (chunk.0, chunk.1),
+            chunk,
         }
     }
 }
@@ -801,7 +669,7 @@ struct LoopRun {
     /// First node to execute stamps the start; the finalize node reads it.
     started: OnceLock<Instant>,
     /// Where a measuring loop's nodes report (elements, elapsed) on the
-    /// feedback clock — resolved once, at submission.
+    /// world clock — resolved once, at submission.
     measure: Option<(Clock, FeedbackSlot)>,
     /// The loop's gathered containers and how many elements of the block
     /// scheduled next a node warms the cache with before it runs its own.
@@ -889,17 +757,20 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
         body: Arc::clone(&spec.block_body),
         plan: Arc::clone(&plan),
         started: OnceLock::new(),
-        // A measuring policy closes the feedback loop: every node times its
-        // body on the feedback clock and records (elements, elapsed), which
+        // `Auto` closes the feedback loop: every node times its body on the
+        // world clock and records (elements, elapsed), which
         // the *next* submission of this (kernel, set) resolves its
         // granularity from. A rank-tagged world measures regardless of
         // policy — its samples also accumulate the per-rank busy time the
         // rebalancer reads, which must not depend on the chunking strategy.
-        measure: (matches!(
-            world.config().chunk,
-            ChunkPolicy::Auto { .. } | ChunkPolicy::PersistentAuto(_) | ChunkPolicy::Guided { .. }
-        ) || feedback.rank().is_some())
-        .then(|| (feedback.clock().clone(), feedback.slot(&spec.name, set_sig))),
+        measure: (matches!(world.config().chunk, ChunkPolicy::Auto { .. })
+            || feedback.rank().is_some())
+        .then(|| {
+            (
+                world.config().clock.clone(),
+                feedback.slot(&spec.name, set_sig),
+            )
+        }),
         // Cross-node gather prefetch: each node, before running its body,
         // warms the cache with the first gathered rows of the block
         // scheduled after it (next in its round, else the next round's
@@ -1073,92 +944,4 @@ pub fn plan_for(world: &Op2, set: &Set, infos: &[ArgInfo]) -> Option<Arc<Plan>> 
             .plans()
             .get(set, world.config().block_size, &conflicts),
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const TARGET_NS: u64 = hpx_rt::DEFAULT_CHUNK_TARGET.as_nanos() as u64;
-
-    /// The resolution before the node-duration floor: target, cap, clamp.
-    fn capped_only(target_ns: u64, per_elem_ns: f64, n: usize, threads: usize) -> usize {
-        let ideal = target_ns as f64 / per_elem_ns.max(1e-3);
-        let balance_cap = pow2_floor((n / (2 * threads.max(1))).max(1));
-        pow2_round(ideal).min(balance_cap).max(1).min(n.max(1))
-    }
-
-    #[test]
-    fn a_loop_of_a_few_microseconds_is_one_node() {
-        // airfoil_small's bres_calc: 270 boundary edges at ~20 ns, 5.4 us
-        // in all, which the cap alone cuts into five nodes of 64.
-        assert_eq!(capped_only(TARGET_NS, 20.0, 270, 2), 64);
-        assert_eq!(feedback_block_size(TARGET_NS, 20.0, 270, 2, 1, None), 270);
-    }
-
-    #[test]
-    fn the_floor_leaves_a_mid_sized_loop_a_few_nodes() {
-        // 4050 cells at 11 ns are 45 us: not one node, not the cap's eight.
-        let size = feedback_block_size(TARGET_NS, 11.0, 4050, 2, 1, None);
-        let nodes = 4050usize.div_ceil(size);
-        assert!((2..=4).contains(&nodes), "{nodes} nodes of {size}");
-        assert_eq!(4050usize.div_ceil(capped_only(TARGET_NS, 11.0, 4050, 2)), 8);
-    }
-
-    /// Never below the capped size, never above `n` or the target's size,
-    /// whatever was in use; and a loop whose capped nodes already last the
-    /// floor, and which is not on a size the floor gave it earlier,
-    /// resolves as it did without one.
-    #[test]
-    fn the_floor_binds_only_where_capped_nodes_are_shorter_than_it() {
-        let mut unmoved = 0;
-        for threads in [1, 2, 3, 4, 8, 16] {
-            for n in [
-                1, 7, 270, 1000, 4050, 8100, 100_000, 400_000, 720_000, 3_000_000,
-            ] {
-                for cost in [0.5, 3.0, 11.0, 20.0, 47.0, 150.0, 1000.0, 25_000.0] {
-                    for target_ns in [5_000, 128_000, TARGET_NS, 2_000_000] {
-                        let was = capped_only(target_ns, cost, n, threads);
-                        for in_use in [None, Some(was), Some(n), Some(256), Some(2 * was)] {
-                            let now = feedback_block_size(target_ns, cost, n, threads, 1, in_use);
-                            let case = format!(
-                                "{n} elems at {cost} ns, {threads} threads, {in_use:?} in use"
-                            );
-                            assert!(now >= was, "{case}: {was} -> {now}");
-                            assert!(now <= n, "{case}: {now}");
-                            let ideal = pow2_round(target_ns as f64 / cost);
-                            assert!(now <= ideal, "{case}: {now}");
-                            let on_it = in_use.is_none_or(|g| g == was);
-                            if on_it && was as f64 * cost >= MIN_NODE_NS {
-                                assert_eq!(now, was, "{case}");
-                                unmoved += 1;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        assert!(unmoved > 1000, "the grid has both sides: {unmoved}");
-    }
-
-    /// A cost that jitters around a power-of-two midpoint of the floor
-    /// (12 us / 8.29 ns = 1448 elements) must not flip the granularity,
-    /// nor one that moves with the granularity itself.
-    #[test]
-    fn the_floor_sticks_to_the_granularity_in_use() {
-        let resolve = |cost, in_use| feedback_block_size(TARGET_NS, cost, 4050, 2, 1, in_use);
-        let (below, above) = (resolve(8.2, None), resolve(8.4, None));
-        assert_eq!((below, above), (2048, 1024), "the midpoint");
-        for start in [below, above] {
-            let mut g = start;
-            for cost in [8.2, 8.4, 7.0, 10.0, 8.29, 12.0, 6.0, 16.0, 5.0] {
-                g = resolve(cost, Some(g));
-                assert_eq!(g, start, "flipped at {cost} ns");
-            }
-        }
-        // A node in use that lasts a third of the floor, or three times
-        // it, is re-planned.
-        assert_eq!(resolve(20.0, Some(2048)), 512);
-        assert_eq!(resolve(3.5, Some(1024)), 4050);
-    }
 }

@@ -67,10 +67,11 @@ use std::thread::JoinHandle;
 
 use parking_lot::{Condvar, Mutex};
 
-use hpx_rt::{channel, GranularityFeedback, Promise, Runtime, SharedFuture};
+use hpx_rt::{channel, Promise, Runtime, SharedFuture};
 
 use crate::config::Op2Config;
 use crate::driver::SpecShare;
+use crate::granularity::GranularityFeedback;
 use crate::world::Op2;
 
 /// Scheduling weight classes. Dispatch frequency is proportional to
@@ -370,16 +371,10 @@ impl SolverFarm {
     /// Builds a farm on an existing runtime (e.g. one already hosting
     /// [`Op2::with_runtime`] worlds of the embedding application).
     pub fn with_runtime(cfg: FarmConfig, rt: Arc<Runtime>) -> Self {
-        // Farm-wide warm state. An explicit shared_feedback in the base
-        // world config becomes the farm table; otherwise a PersistentAuto
-        // chunker's own table is promoted, else a fresh accumulator on the
-        // config clock.
+        // Farm-wide warm state: the base world config's shared tables if
+        // it installs them, else fresh ones.
         let specs = cfg.world.shared_specs.clone().unwrap_or_default();
-        let feedback = match (&cfg.world.shared_feedback, &cfg.world.chunk) {
-            (Some(fb), _) => fb.clone(),
-            (None, hpx_rt::ChunkPolicy::PersistentAuto(h)) => h.feedback().clone(),
-            (None, _) => GranularityFeedback::with_clock(cfg.world.clock.clone()),
-        };
+        let feedback = cfg.world.shared_feedback.clone().unwrap_or_default();
         // The tenant-world config: the base world with the farm-wide spec
         // cache and feedback table installed.
         let world_cfg = cfg

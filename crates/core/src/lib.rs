@@ -52,6 +52,7 @@ pub mod diag;
 mod driver;
 pub mod farm;
 mod gbl;
+mod granularity;
 pub mod locality;
 mod map;
 mod par_loop;
@@ -75,6 +76,7 @@ pub use driver::{
     SubmitStats, DEFAULT_SPEC_CAPACITY,
 };
 pub use gbl::{Global, ReduceOp, ReducedFuture, Reducible};
+pub use granularity::{GranularityFeedback, KernelCost};
 pub use map::Map;
 pub use par_loop::ParLoop;
 pub use plan::{validate_coloring, Plan};

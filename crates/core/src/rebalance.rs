@@ -4,7 +4,7 @@
 //! The pipeline (driven by a solver layer, e.g. the sharded Airfoil):
 //!
 //! 1. **Measure** — every rank world of a [`LocalityGroup`] carries a
-//!    rank-tagged [`hpx_rt::GranularityFeedback`] handle, so each executed
+//!    rank-tagged [`crate::GranularityFeedback`] handle, so each executed
 //!    node's measured time accumulates per rank. [`agree_rank_busy`]
 //!    collects the per-rank busy nanoseconds across the whole job (a
 //!    control-message star under a distributed transport, so every SPMD
@@ -51,7 +51,7 @@ use crate::world::CommHooks;
 pub const DEFAULT_DEAD_ZONE: f64 = 1.5;
 
 /// Collects every rank's measured busy nanoseconds (see
-/// [`hpx_rt::GranularityFeedback::rank_busy_ns`]) across the whole job.
+/// [`crate::GranularityFeedback::rank_busy_ns`]) across the whole job.
 ///
 /// All-local groups read the rank worlds directly. Distributed groups run
 /// a gather/broadcast star over [`MsgKind::Ctrl`] messages — every process

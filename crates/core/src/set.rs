@@ -120,7 +120,7 @@ impl Set {
     /// declaration — two sets declared with the same name and size in
     /// *different* [`Op2`](crate::Op2) worlds share a signature. The
     /// warm-state caches ([`SpecCache`](crate::SpecShare) schedules, the
-    /// [`hpx_rt::GranularityFeedback`] cost table) key on it, so tenants of
+    /// [`crate::GranularityFeedback`] cost table) key on it, so tenants of
     /// a [`farm::SolverFarm`](crate::farm::SolverFarm) running the same
     /// solver shape hit each other's warm entries.
     pub fn signature(&self) -> u64 {

@@ -6,11 +6,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use hpx_rt::{ChunkPolicy, GranularityFeedback, Runtime, SharedFuture};
+use hpx_rt::{Runtime, SharedFuture};
 
 use crate::config::Op2Config;
 use crate::dat::{Dat, Layout};
 use crate::driver::{SpecShare, SubmitStats};
+use crate::granularity::GranularityFeedback;
 use crate::map::Map;
 use crate::plan::PlanCache;
 use crate::set::Set;
@@ -48,11 +49,9 @@ pub struct Op2 {
     /// handle across worlds when the config installs one (farm tenants).
     specs: crate::driver::SpecShare,
     /// Measured per-(kernel, set) cost the Dataflow driver resolves
-    /// adaptive node granularity from. Under a
-    /// [`ChunkPolicy::PersistentAuto`] config this is the chunker's own
-    /// accumulator (shared with every clone of the handle — e.g. sibling
-    /// ranks); otherwise it is private to the context, measuring through
-    /// the config's clock.
+    /// adaptive node granularity from: the config's shared table if it
+    /// installs one (sibling ranks, farm tenants), else private to the
+    /// context. Either way it is measured on the config's clock.
     feedback: GranularityFeedback,
     outstanding: Arc<Mutex<Vec<SharedFuture<()>>>>,
     stats: StatsHandle,
@@ -103,14 +102,7 @@ impl Op2 {
     /// entities) but all ranks share one worker pool, so halo-exchange
     /// tasks and loop blocks of different ranks interleave freely.
     pub fn with_runtime(config: Op2Config, rt: Arc<Runtime>) -> Self {
-        // An explicitly shared feedback table overrides the policy default
-        // (the farm installs one per-farm table so every tenant world
-        // resolves from the same measured costs).
-        let feedback = match (&config.shared_feedback, &config.chunk) {
-            (Some(fb), _) => fb.clone(),
-            (None, ChunkPolicy::PersistentAuto(h)) => h.feedback().clone(),
-            (None, _) => GranularityFeedback::with_clock(config.clock.clone()),
-        };
+        let feedback = config.shared_feedback.clone().unwrap_or_default();
         // A rank-tagged world attributes its measurements per rank (the
         // table itself stays shared across tagged clones).
         let feedback = match config.feedback_rank {
@@ -343,9 +335,8 @@ impl Op2 {
     }
 
     /// The measured per-(kernel, set) cost table adaptive Dataflow
-    /// granularity is resolved from — the context's own accumulator, or
-    /// the shared [`hpx_rt::PersistentChunker`] table under a
-    /// `PersistentAuto` config.
+    /// granularity is resolved from — the context's own, or the one the
+    /// config shares ([`Op2Config::with_shared_feedback`]).
     pub fn granularity_feedback(&self) -> &GranularityFeedback {
         &self.feedback
     }

@@ -56,8 +56,7 @@ where
 
 /// Chunk-granular `for_each`: `f` receives whole index ranges instead of
 /// single indices. This is what `op2-core` builds its block executors on —
-/// the chunk boundaries are exactly the policy's chunks, so measuring
-/// chunkers ([`crate::PersistentChunker`]) see true per-chunk costs.
+/// the chunk boundaries are exactly the policy's chunks.
 pub fn for_each_chunk<F>(rt: &Runtime, chunk: &ChunkPolicy, range: Range<usize>, f: F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -144,28 +143,5 @@ mod tests {
             next = r.end;
         }
         assert_eq!(next, 200);
-    }
-
-    #[test]
-    fn works_with_guided_chunks() {
-        let rt = Runtime::new(2);
-        let counter = AtomicUsize::new(0);
-        for_each(&rt, &ChunkPolicy::Guided { min: 4 }, 0..5000, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.into_inner(), 5000);
-    }
-
-    #[test]
-    fn works_with_persistent_auto_chunker() {
-        let rt = Runtime::new(2);
-        let handle = crate::PersistentChunker::new();
-        let policy = ChunkPolicy::PersistentAuto(handle.clone());
-        let counter = AtomicUsize::new(0);
-        for_each(&rt, &policy, 0..50_000, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.into_inner(), 50_000);
-        assert!(handle.calibrated_target().is_some());
     }
 }

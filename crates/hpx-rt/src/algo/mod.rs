@@ -159,7 +159,7 @@ pub(crate) fn run_chunked(
 mod tests {
     use super::*;
     use crate::runtime::on_worker_thread;
-    use crate::{PersistentChunker, Runtime};
+    use crate::Runtime;
     use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::time::Duration;
 
@@ -168,11 +168,9 @@ mod tests {
             ChunkPolicy::Static { size: 7 },
             ChunkPolicy::NumChunks { chunks: 2 },
             ChunkPolicy::NumChunks { chunks: 13 },
-            ChunkPolicy::Guided { min: 3 },
             ChunkPolicy::Auto {
                 target: Duration::from_micros(5),
             },
-            ChunkPolicy::PersistentAuto(PersistentChunker::new()),
         ]
     }
 

@@ -19,9 +19,8 @@
 //!   built on;
 //! * the **chunked `par` loop** ([`for_each`], [`for_each_chunk`],
 //!   [`for_each_async`]) — the fork-join path `op2-core` compares dataflow
-//!   against — with **chunk-size control** (§IV-B, [`ChunkPolicy`])
-//!   including the paper's new [`PersistentChunker`]
-//!   (`persistent_auto_chunk_size`);
+//!   against — with **chunk-size control** (§IV-B, [`ChunkPolicy`]):
+//!   static, an even split, or HPX's probe-timed `auto_chunk_size`;
 //! * the LCOs OP2 waits on ([`lco`]): latch, event and the reduction-tree
 //!   collective behind the cross-rank allreduce;
 //! * the **prefetching iterator** (§V): [`make_prefetcher_context`] +
@@ -65,10 +64,7 @@ mod task;
 pub mod timing;
 
 pub use algo::{for_each, for_each_async, for_each_chunk};
-pub use chunk::{
-    ChunkPolicy, FeedbackSlot, GranularityFeedback, KernelCost, PersistentChunker,
-    DEFAULT_CHUNK_TARGET,
-};
+pub use chunk::{ChunkPolicy, DEFAULT_CHUNK_TARGET};
 pub use dataflow::{dataflow, DataflowArg, FrameRef, FutureTuple, Val};
 pub use dep::{schedule_after, schedule_after_counted, when_all_shared};
 pub use future::{channel, ready, when_all, BrokenPromise, Future, Promise, SharedFuture};

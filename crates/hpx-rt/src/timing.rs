@@ -1,7 +1,6 @@
-//! Small timing helpers shared by the benchmarks and the measuring
-//! chunkers — plus the injectable [`Clock`] the feedback-driven
-//! granularity machinery measures through, so tests can replace wall time
-//! with a deterministic fake.
+//! Small timing helpers for the benchmarks — plus the injectable
+//! [`Clock`] the feedback-driven granularity machinery measures through,
+//! so tests can replace wall time with a deterministic fake.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -10,10 +9,9 @@ use std::time::{Duration, Instant};
 /// A monotonic nanosecond clock: either the process wall clock or an
 /// injected test clock that only moves when the test advances it.
 ///
-/// The measuring chunk policies ([`crate::GranularityFeedback`], and the
-/// OP2 dataflow driver built on it) read time exclusively through a
-/// `Clock`, so convergence behaviour can be proven deterministically: a
-/// test installs [`Clock::fake`], has the "kernel" advance it by a
+/// The OP2 dataflow driver's granularity feedback reads time exclusively
+/// through a `Clock`, so convergence behaviour can be proven
+/// deterministically: a test installs [`Clock::fake`], has the "kernel" advance it by a
 /// synthetic per-element cost, and the feedback loop observes exactly
 /// those costs.
 ///

@@ -1,6 +1,6 @@
 //! Stress and failure-injection tests for the runtime: nested
 //! parallelism, panic propagation through every construct, runtime
-//! lifecycle churn, concurrent chunker calibration, and a seeded
+//! lifecycle churn, and a seeded
 //! scheduler-permutation harness for the halo-exchange task pattern
 //! (channels + frame-gated nodes) used by the sharded driver.
 
@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use hpx_rt::{
     channel, dataflow, for_each, for_each_async, for_each_chunk, ready, schedule_after, when_all,
-    ChunkPolicy, PersistentChunker, Runtime, SharedFuture,
+    ChunkPolicy, Runtime, SharedFuture,
 };
 
 #[test]
@@ -86,35 +86,6 @@ fn two_runtimes_coexist() {
     // Cross-runtime dataflow: inputs from different pools, scheduled on a.
     let joined = dataflow(&a, |(x, y)| format!("{x}{y}"), (fa, fb));
     assert_eq!(joined.get(), "ab");
-}
-
-#[test]
-fn persistent_chunker_concurrent_calibration_is_single() {
-    // Two pools race to calibrate one shared handle; exactly one wins and
-    // both loops complete correctly.
-    let handle = PersistentChunker::new();
-    let policy = ChunkPolicy::PersistentAuto(handle.clone());
-    let counters: Vec<Arc<AtomicUsize>> = (0..2).map(|_| Arc::new(AtomicUsize::new(0))).collect();
-    let threads: Vec<_> = counters
-        .iter()
-        .map(|c| {
-            let c = Arc::clone(c);
-            let policy = policy.clone();
-            std::thread::spawn(move || {
-                let rt = Runtime::new(2);
-                for_each(&rt, &policy, 0..100_000, |_| {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-    assert!(counters
-        .iter()
-        .all(|c| c.load(Ordering::Relaxed) == 100_000));
-    assert!(handle.calibrated_target().is_some());
 }
 
 /// Overwrites the stack below the caller, where the frame of the call that

@@ -1,7 +1,7 @@
 //! Tour of the hpx-rt primitives the OP2 backend is built from: futures,
-//! `dataflow` graphs, `when_all`, chunked loops, and the paper's
-//! `persistent_auto_chunk_size` — shown on a two-stage pipeline of
-//! dependent parallel loops with *different* per-element costs.
+//! `dataflow` graphs, `when_all`, and chunked loops under the default
+//! `auto_chunk_size` policy — shown on a two-stage pipeline of dependent
+//! parallel loops with *different* per-element costs.
 //!
 //! ```text
 //! cargo run --release --example dataflow_pipeline
@@ -10,7 +10,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use op2_hpx::hpx::{dataflow, ChunkPolicy, PersistentChunker, Runtime, Val};
+use op2_hpx::hpx::timing::time;
+use op2_hpx::hpx::{dataflow, ChunkPolicy, Runtime, Val};
 
 fn main() {
     let rt = Runtime::new(2);
@@ -28,33 +29,27 @@ fn main() {
     let joined = dataflow(&rt, |(l, r)| (l, r), (left, right));
     println!("diamond -> {:?}", joined.get());
 
-    // --- A pipeline of dependent loops with persistent chunking ---------
-    // Stage 1 is cheap per element, stage 2 is ~8x costlier. With
-    // `persistent_auto_chunk_size`, stage 1 calibrates a per-chunk
-    // duration and the costlier stage automatically picks smaller chunks
-    // of the *same duration* (paper Fig 12b).
+    // --- A pipeline of dependent loops with auto chunking ---------------
+    // Stage 1 is cheap per element, stage 2 is ~8x costlier. `Auto` times
+    // a probe of each loop and sizes its chunks to the same target
+    // duration, so the costlier stage picks smaller chunks (paper Fig 12b).
     let n = 2_000_000usize;
-    let chunker = PersistentChunker::new();
-    let policy = ChunkPolicy::PersistentAuto(chunker.clone());
+    let policy = ChunkPolicy::default();
 
     let data: Arc<Vec<f64>> = Arc::new((0..n).map(|i| (i % 1000) as f64).collect());
     let stage1 = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
     let stage2 = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
 
     // Stage 1: cheap transform.
-    {
+    let ((), t1) = time(|| {
         let (d, s1) = (Arc::clone(&data), Arc::clone(&stage1));
         op2_hpx::hpx::for_each(&rt, &policy, 0..n, move |i| {
             s1[i].store((d[i] * 2.0).to_bits(), Ordering::Relaxed);
         });
-    }
-    println!(
-        "calibrated chunk duration: {:?}",
-        chunker.calibrated_target().expect("stage 1 calibrates")
-    );
+    });
 
     // Stage 2: costlier per element (same chunk duration, smaller chunks).
-    {
+    let ((), t2) = time(|| {
         let (s1, s2) = (Arc::clone(&stage1), Arc::clone(&stage2));
         op2_hpx::hpx::for_each(&rt, &policy, 0..n, move |i| {
             let x = f64::from_bits(s1[i].load(Ordering::Relaxed));
@@ -64,6 +59,10 @@ fn main() {
             }
             s2[i].store(acc.to_bits(), Ordering::Relaxed);
         });
+    });
+    for (stage, t) in [(1, t1), (2, t2)] {
+        let ns = t.as_nanos() as f64 / n as f64;
+        println!("stage {stage}: {ns:.2} ns per element");
     }
 
     let total: f64 = stage2

@@ -5,9 +5,9 @@
 use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
 use op2_hpx::airfoil::verify::{all_finite, max_rel_diff, max_scaled_diff};
 use op2_hpx::airfoil::{solver, Problem, SolverConfig};
-use op2_hpx::hpx::{ChunkPolicy, PersistentChunker};
+use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::mesh::channel_with_bump;
-use op2_hpx::op2::{Backend, Layout, Op2, Op2Config};
+use op2_hpx::op2::{Backend, GranularityFeedback, Layout, Op2, Op2Config};
 
 fn simulate(config: Op2Config) -> (Vec<f64>, Vec<f64>) {
     let op2 = Op2::new(config);
@@ -26,20 +26,19 @@ fn simulate(config: Op2Config) -> (Vec<f64>, Vec<f64>) {
     (r.rms_history, p.p_q.snapshot())
 }
 
-/// One representative of every chunk-policy family, freshly constructed
-/// per use (a `PersistentAuto` handle must not leak calibration between
-/// configs).
+/// Every chunk policy.
 fn policy_matrix() -> Vec<(&'static str, ChunkPolicy)> {
     vec![
         ("static64", ChunkPolicy::Static { size: 64 }),
         ("numchunks4", ChunkPolicy::NumChunks { chunks: 4 }),
-        ("guided16", ChunkPolicy::Guided { min: 16 }),
         ("auto", ChunkPolicy::default()),
-        (
-            "persistent_auto",
-            ChunkPolicy::PersistentAuto(PersistentChunker::new()),
-        ),
     ]
+}
+
+/// Dataflow whose config clones (ranks, repeated runs) all measure into
+/// one cost table.
+fn dataflow_shared_feedback(threads: usize) -> Op2Config {
+    Op2Config::dataflow(threads).with_shared_feedback(GranularityFeedback::new())
 }
 
 fn backend_config(backend: Backend) -> Op2Config {
@@ -58,8 +57,8 @@ fn all_backends_and_optimizations_agree() {
     let mut candidates: Vec<(String, Op2Config)> = vec![
         ("fork_join(4)".into(), Op2Config::fork_join(4)),
         (
-            "dataflow+persistent_auto()".into(),
-            Op2Config::persistent_auto(2),
+            "dataflow+shared_feedback".into(),
+            dataflow_shared_feedback(2),
         ),
         (
             "dataflow+prefetch".into(),
@@ -117,23 +116,18 @@ fn sharded_ranks_agree_with_single_locality_across_backends() {
             4,
         ),
         // Adaptive granularity across an implicit-halo exchange boundary:
-        // ranks share one persistent chunker (the config clone carries
-        // it), so feedback from every rank feeds one cost table — and the
-        // physics still matches the single-locality reference.
+        // ranks share one cost table (the config clone carries it), so
+        // feedback from every rank feeds one table — and the physics still
+        // matches the single-locality reference.
         (
-            "dataflow(2) x4 persistent_auto",
-            Op2Config::persistent_auto(2),
+            "dataflow(2) x4 shared_feedback",
+            dataflow_shared_feedback(2),
             4,
         ),
         (
-            "dataflow(2) x1 persistent_auto",
-            Op2Config::persistent_auto(2),
+            "dataflow(2) x1 shared_feedback",
+            dataflow_shared_feedback(2),
             1,
-        ),
-        (
-            "dataflow(2) x4 guided16",
-            Op2Config::dataflow(2).with_chunk(ChunkPolicy::Guided { min: 16 }),
-            4,
         ),
         (
             "fork_join(2) x4 static64",
@@ -186,8 +180,8 @@ fn soa_layout_matches_aos_across_backends() {
                 .with_layout(Layout::SoA),
         ),
         (
-            "dataflow+persistent_auto+soa",
-            Op2Config::persistent_auto(2).with_layout(Layout::SoA),
+            "dataflow+shared_feedback+soa",
+            dataflow_shared_feedback(2).with_layout(Layout::SoA),
         ),
     ];
     for (name, config) in candidates {

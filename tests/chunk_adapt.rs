@@ -18,9 +18,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use op2_hpx::hpx::timing::Clock;
-use op2_hpx::hpx::{ChunkPolicy, PersistentChunker};
+use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::op2::args::{inc_via, write};
-use op2_hpx::op2::{__dataflow_resolved_block_size as resolved, Op2, Op2Config};
+use op2_hpx::op2::{
+    __dataflow_resolved_block_size as resolved, GranularityFeedback, Op2, Op2Config,
+};
 
 /// A dataflow context on one worker with a fake clock and a 128µs `Auto`
 /// target: 1µs/element cost resolves to 128-element nodes.
@@ -294,37 +296,18 @@ fn colored_loops_adapt_and_stay_exact_across_a_change() {
     assert!(acc.snapshot().iter().all(|&v| v == 2.0 * iters as f64));
 }
 
-/// `Guided` resolves from feedback too, with its `min` as a hard floor.
-#[test]
-fn guided_floor_bounds_the_feedback_resolution() {
-    let clock = Clock::fake();
-    let op2 = Op2::new(
-        Op2Config::dataflow(1)
-            .with_clock(clock.clone())
-            .with_chunk(ChunkPolicy::Guided { min: 64 }),
-    );
-    let cells = op2.decl_set(16_384, "cells");
-    let x = op2.decl_dat(&cells, 1, "x", vec![0.0f64; 16_384]);
-    let c = clock.clone();
-    // 100µs per element dwarfs the 200µs default target: the unbounded
-    // resolution would be 2 elements per node; the floor holds it at 64.
-    op2.loop_("heavy", &cells)
-        .arg(write(&x))
-        .run(move |_: &mut [f64]| c.advance(Duration::from_micros(100)))
-        .wait();
-    assert_eq!(resolved(&op2, "heavy", &cells), 64, "min is the floor");
-}
-
-/// `PersistentAuto` shares one calibrated duration across *kernels*: after
-/// the first kernel calibrates, a later kernel with a different cost gets
-/// a different size but the same node duration — and each kernel's
-/// granularity change re-plans its own schedule exactly once.
+/// `Auto` on Dataflow is the paper's `persistent_auto_chunk_size` (Fig
+/// 12b): one target duration across *kernels*, so a kernel with a
+/// different cost gets a different size but the same node duration — and
+/// each kernel's granularity change re-plans its own schedule exactly once.
 #[test]
 fn persistent_auto_calibrates_once_and_replans_once_per_kernel() {
     let clock = Clock::fake();
-    let chunker =
-        PersistentChunker::with_target_and_clock(Duration::from_micros(256), clock.clone());
-    let op2 = Op2::new(Op2Config::dataflow_persistent(1, chunker.clone()));
+    let op2 = Op2::new(Op2Config::dataflow(1).with_clock(clock.clone()).with_chunk(
+        ChunkPolicy::Auto {
+            target: Duration::from_micros(256),
+        },
+    ));
     let cells = op2.decl_set(16_384, "cells");
     let x = op2.decl_dat(&cells, 1, "x", vec![0.0f64; 16_384]);
 
@@ -348,8 +331,33 @@ fn persistent_auto_calibrates_once_and_replans_once_per_kernel() {
     assert_eq!(heavy, 32, "256µs / 8µs — equal duration, 8x smaller nodes");
     // Fig 12b: same node *time* (size x per-element cost), different sizes.
     assert_eq!(light * 1_000, heavy * 8_000);
-    assert!(chunker.calibrated_target().is_some());
     // light converged *at* the probe default (no re-plan); heavy probed at
     // 256 then moved to 32 (one re-plan).
     assert_eq!(op2.spec_cache_replans(), 1);
+}
+
+/// A world measures on its own clock, whichever table it records into: a
+/// shared table handed in from outside does not bring a clock of its own.
+#[test]
+fn a_shared_table_records_on_the_world_clock() {
+    let clock = Clock::fake();
+    let feedback = GranularityFeedback::new();
+    let op2 = Op2::new(
+        Op2Config::dataflow(1)
+            .with_clock(clock.clone())
+            .with_shared_feedback(feedback.clone()),
+    );
+    let cells = op2.decl_set(1024, "cells");
+    let x = op2.decl_dat(&cells, 1, "x", vec![0.0f64; 1024]);
+    let c = clock.clone();
+    op2.loop_("timed", &cells)
+        .arg(write(&x))
+        .run(move |_: &mut [f64]| c.advance(Duration::from_micros(3)))
+        .wait();
+    let snapshot = feedback.snapshot();
+    assert_eq!(snapshot.len(), 1, "one (kernel, set) entry");
+    assert_eq!(
+        snapshot[0].2.ewma_ns_per_elem, 3_000.0,
+        "the fake clock's 3µs per element, exactly"
+    );
 }

@@ -378,7 +378,7 @@ fn mixed_app_tenants_share_the_farm_without_colliding() {
 #[test]
 fn spec_share_handle_works_across_plain_worlds() {
     let specs = SpecShare::new();
-    let feedback = op2_hpx::hpx::GranularityFeedback::new();
+    let feedback = op2_hpx::op2::GranularityFeedback::new();
     let run = |iterations: usize| {
         let op2 = Op2::new(
             Op2Config::dataflow(2)

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use op2_hpx::hpx::timing::Clock;
-use op2_hpx::hpx::{for_each, ChunkPolicy, PersistentChunker, Runtime};
+use op2_hpx::hpx::{for_each, ChunkPolicy, Runtime};
 use op2_hpx::op2::args::{read, write};
 use op2_hpx::op2::{Op2, Op2Config};
 
@@ -26,7 +26,6 @@ fn chunk_policies_compose_with_any_policy() {
     for chunk in [
         ChunkPolicy::Static { size: 7 },
         ChunkPolicy::NumChunks { chunks: 5 },
-        ChunkPolicy::Guided { min: 3 },
         ChunkPolicy::default(),
     ] {
         let counter = AtomicUsize::new(0);
@@ -37,11 +36,10 @@ fn chunk_policies_compose_with_any_policy() {
     }
 }
 
-/// The chunk policy governs Dataflow node granularity across the whole
-/// policy spectrum: the probe-free uniform policies set it directly, and
-/// the measuring policies (`Auto`, `PersistentAuto`) plus `Guided`
-/// resolve it from *measured feedback* — the conservative block-size
-/// default before the first measurement, duration-targeted sizes after.
+/// The chunk policy governs Dataflow node granularity: `Static` and
+/// `NumChunks` set it directly, and `Auto` resolves it from *measured
+/// feedback* — the conservative block-size default before the first
+/// measurement, duration-targeted sizes after.
 #[test]
 fn chunk_policy_sets_dataflow_direct_node_granularity() {
     use op2_hpx::op2::__dataflow_direct_blocks as blocks_of;
@@ -59,19 +57,12 @@ fn chunk_policy_sets_dataflow_direct_node_granularity() {
     assert_eq!(b.len(), 4, "NumChunks{{4}} yields 4 nodes");
     assert_eq!(b[0].len(), 250);
 
-    // Auto (the default) and Guided use the configured block size only
-    // until feedback exists — it is the probe default, not a fallback.
+    // Auto (the default) uses the configured block size only until
+    // feedback exists — it is the probe default, not a fallback.
     let auto_cfg = Op2::new(Op2Config::dataflow(2).with_block_size(128));
     let cells = auto_cfg.decl_set(1000, "cells");
     let b = blocks_of(&auto_cfg, "k", &cells);
     assert!(b.iter().take(b.len() - 1).all(|r| r.len() == 128));
-    let guided_cfg = Op2::new(
-        Op2Config::dataflow(2)
-            .with_block_size(64)
-            .with_chunk(ChunkPolicy::Guided { min: 8 }),
-    );
-    let cells = guided_cfg.decl_set(640, "cells");
-    assert_eq!(blocks_of(&guided_cfg, "k", &cells).len(), 10);
 }
 
 /// `Auto` no longer falls back to `block_size` on Dataflow: once a loop
@@ -104,18 +95,20 @@ fn auto_granularity_is_feedback_resolved_on_dataflow() {
     assert_eq!(resolved(&op2, "other", &cells), 256);
 }
 
-/// `PersistentAuto` on Dataflow implements the paper's Fig 12b semantics
-/// through feedback: the first measured kernel calibrates the shared
-/// per-node duration; a later, heavier kernel gets proportionally smaller
-/// nodes so every node takes the *same time*.
+/// `Auto` on Dataflow is the paper's `persistent_auto_chunk_size` (Fig
+/// 12b): every kernel's nodes aim for the one target duration, so a
+/// heavier kernel gets proportionally smaller nodes and every node takes
+/// the *same time*.
 #[test]
 fn persistent_auto_equalizes_node_durations_across_kernels() {
     use op2_hpx::op2::__dataflow_resolved_block_size as resolved;
 
     let clock = Clock::fake();
-    let chunker =
-        PersistentChunker::with_target_and_clock(Duration::from_micros(100), clock.clone());
-    let op2 = Op2::new(Op2Config::dataflow_persistent(1, chunker.clone()));
+    let op2 = Op2::new(Op2Config::dataflow(1).with_clock(clock.clone()).with_chunk(
+        ChunkPolicy::Auto {
+            target: Duration::from_micros(100),
+        },
+    ));
     let cells = op2.decl_set(8192, "cells");
     let a = op2.decl_dat(&cells, 1, "a", vec![0.0f64; 8192]);
 
@@ -137,22 +130,15 @@ fn persistent_auto_equalizes_node_durations_across_kernels() {
     // Same node *time* (size x per-element cost), different sizes — the
     // Fig 12b property.
     assert_eq!(light * 1_000, heavy * 4_000);
-    assert!(
-        chunker.calibrated_target().is_some(),
-        "first loop calibrated"
-    );
 }
 
 /// Dataflow results are identical regardless of the chunk-driven node
-/// granularity, including dependent-loop chains — now across the *entire*
-/// policy set, measuring policies included.
+/// granularity, including dependent-loop chains, under every policy.
 #[test]
 fn dataflow_chunked_granularity_preserves_results() {
     for chunk in [
         ChunkPolicy::Static { size: 37 },
         ChunkPolicy::NumChunks { chunks: 3 },
-        ChunkPolicy::Guided { min: 16 },
-        ChunkPolicy::PersistentAuto(PersistentChunker::new()),
         ChunkPolicy::default(),
     ] {
         let op2 = Op2::new(Op2Config::dataflow(2).with_chunk(chunk));

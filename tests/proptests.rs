@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use op2_hpx::hpx::timing::Clock;
-use op2_hpx::hpx::{dataflow, ready, ChunkPolicy, Future, PersistentChunker, Runtime};
+use op2_hpx::hpx::{dataflow, ready, ChunkPolicy, Future, Runtime};
 use op2_hpx::mesh::{
     build_halo, channel_with_bump, neighbors_from_pairs, partition_greedy_bfs, quad_stats,
     validate_quad,
@@ -136,10 +136,9 @@ fn chunkers_tile_ranges_exactly() {
         let mut rng = Rng::new(0x0C44_2BD5 ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
         let n = rng.in_range(0, 6000);
         let size = rng.in_range(1, 600);
-        let chunk = match rng.in_range(0, 4) {
+        let chunk = match rng.in_range(0, 3) {
             0 => ChunkPolicy::Static { size },
             1 => ChunkPolicy::NumChunks { chunks: size },
-            2 => ChunkPolicy::Guided { min: size },
             _ => ChunkPolicy::default(),
         };
         let rt = Runtime::new(2);
@@ -204,9 +203,9 @@ fn dataflow_trees_match_sequential() {
 /// scheduler-permutation stress harness (same xorshift seeding, driven
 /// through the public API): each case builds a random chain of dependent
 /// direct loops plus an indirect increment over a ring map, runs it on the
-/// Dataflow backend under a randomly drawn *measuring* chunk policy with a
-/// fake clock whose per-loop cost is drawn at random — so the feedback,
-/// and with it the resolved node granularity, shifts between dependent
+/// Dataflow backend under `Auto` with a random target and a fake clock
+/// whose per-loop cost is drawn at random — so the feedback, and with it
+/// the resolved node granularity, shifts between dependent
 /// loops (and, on multi-worker cases, nodes race on the shared clock,
 /// which is precisely a random feedback sequence). All arithmetic is exact
 /// in f64, so any RAW violation (a successor block reading rows its
@@ -220,17 +219,8 @@ fn loop_chains_stay_exact_under_random_granularity_feedback() {
         let n = rng.in_range(64, 2500);
         let threads = rng.in_range(1, 4);
         let clock = Clock::fake();
-        let policy = match rng.in_range(0, 3) {
-            0 => ChunkPolicy::Auto {
-                target: Duration::from_micros(rng.in_range(10, 400) as u64),
-            },
-            1 => ChunkPolicy::PersistentAuto(PersistentChunker::with_target_and_clock(
-                Duration::from_micros(rng.in_range(10, 400) as u64),
-                clock.clone(),
-            )),
-            _ => ChunkPolicy::Guided {
-                min: rng.in_range(1, 96),
-            },
+        let policy = ChunkPolicy::Auto {
+            target: Duration::from_micros(rng.in_range(10, 400) as u64),
         };
         let op2 = Op2::new(
             Op2Config::dataflow(threads)
@@ -350,9 +340,7 @@ fn random_programs_match_a_sequential_model_under_random_granularities() {
             1 => ChunkPolicy::NumChunks {
                 chunks: rng.in_range(1, 24),
             },
-            _ => ChunkPolicy::Guided {
-                min: rng.in_range(1, 64),
-            },
+            _ => ChunkPolicy::default(),
         };
         let op2 = Op2::new(
             Op2Config::dataflow(rng.in_range(1, 4))

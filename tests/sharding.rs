@@ -187,51 +187,40 @@ fn sharded_airfoil_matches_single_locality_golden() {
 }
 
 /// Adaptive (feedback-resolved) node granularity across the halo
-/// boundary: a 4-rank sharded run under `persistent_auto` — every rank's
-/// executed nodes feed one shared cost table, granularity re-resolves
-/// mid-solve as measurements arrive, boundary blocks keep gating on halo
-/// receives — must reproduce the single-locality physics within the same
-/// budget as every other backend, and must actually have *measured* (the
-/// feedback table is populated: adaptivity was live, not a Static
-/// fallback).
+/// boundary: a 4-rank sharded run under `Auto` — every rank's executed
+/// nodes feed one shared cost table, granularity re-resolves mid-solve as
+/// measurements arrive, boundary blocks keep gating on halo receives —
+/// must reproduce the single-locality physics within the same budget as
+/// every other backend, and must actually have *measured* (the feedback
+/// table is populated: adaptivity was live, not a Static fallback).
 #[test]
 fn adaptive_granularity_preserves_sharded_physics_across_halo_boundary() {
-    use op2_hpx::hpx::{ChunkPolicy, PersistentChunker};
+    use op2_hpx::op2::GranularityFeedback;
 
     let niter = 12;
     let (rms_ref, q_ref) = plain_golden(niter);
     let mesh = channel_with_bump(32, 16);
-    let chunker = PersistentChunker::new();
-    for (name, config) in [
-        (
-            "persistent_auto x4",
-            Op2Config::dataflow_persistent(2, chunker.clone()),
-        ),
-        (
-            "guided16 x4",
-            Op2Config::dataflow(2).with_chunk(ChunkPolicy::Guided { min: 16 }),
-        ),
-    ] {
-        let mut shp = ShardedProblem::declare(config, &mesh, 4);
-        let r = run_sharded(
-            &mut shp,
-            &SolverConfig {
-                niter,
-                window: 4,
-                print_every: 0,
-                ..SolverConfig::default()
-            },
-        );
-        let d_rms = max_rel_diff(&rms_ref, &r.rms_history);
-        let d_q = max_scaled_diff(&q_ref, &shp.gather_q(), 1.0);
-        assert!(d_rms < 1e-7, "{name}: rms deviates by {d_rms:e}");
-        assert!(d_q < 1e-9, "{name}: q deviates by {d_q:e}");
-    }
-    // The persistent chunker measured across all 4 ranks. The table is
-    // keyed by (kernel, set *signature*) — same-shaped rank sets share an
-    // entry — but the five airfoil kernels span several sets, so the
-    // shared table still holds at least a handful of entries.
-    let measured = chunker.feedback().snapshot();
+    let fb = GranularityFeedback::new();
+    let config = Op2Config::dataflow(2).with_shared_feedback(fb.clone());
+    let mut shp = ShardedProblem::declare(config, &mesh, 4);
+    let r = run_sharded(
+        &mut shp,
+        &SolverConfig {
+            niter,
+            window: 4,
+            print_every: 0,
+            ..SolverConfig::default()
+        },
+    );
+    let d_rms = max_rel_diff(&rms_ref, &r.rms_history);
+    let d_q = max_scaled_diff(&q_ref, &shp.gather_q(), 1.0);
+    assert!(d_rms < 1e-7, "rms deviates by {d_rms:e}");
+    assert!(d_q < 1e-9, "q deviates by {d_q:e}");
+    // The shared table measured across all 4 ranks. It is keyed by
+    // (kernel, set *signature*) — same-shaped rank sets share an entry —
+    // but the five airfoil kernels span several sets, so the shared table
+    // still holds at least a handful of entries.
+    let measured = fb.snapshot();
     assert!(
         measured.len() >= 4,
         "feedback must hold measurements from several ranks, got {}",
