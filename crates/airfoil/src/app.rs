@@ -26,6 +26,9 @@ use crate::shard::ShardedProblem;
 /// The translator-generated loop wrappers (kept as a checked-in golden
 /// file; see the spec header for the regeneration command). They carry
 /// the access descriptors; [`crate::kernels`] carries the arithmetic.
+/// Their docs spell map slots as `map[i]`, which rustdoc would read as
+/// links.
+#[allow(rustdoc::broken_intra_doc_links)]
 mod generated {
     include!("../../translator/tests/golden/airfoil_hpx.rs");
 }

@@ -44,7 +44,7 @@
 //!
 //! # Asynchronous reductions
 //!
-//! A rank's `rms` contribution is a per-rank [`Global`]; the cross-rank
+//! A rank's `rms` contribution is a per-rank [`Global`](op2_core::Global); the cross-rank
 //! total is produced by [`LocalityGroup::allreduce`], a reduction-tree LCO
 //! whose per-rank contribution nodes gate on exactly that rank's update
 //! finalize and whose combined result is a future. The time loop therefore

@@ -1,14 +1,17 @@
 //! Hand-vectorized block-level variants of the hot Airfoil kernels over
-//! SoA component planes.
+//! plain component-plane slices — kernel probes, not an OP2 storage
+//! layout.
 //!
 //! The scalar kernels in [`crate::kernels`] process one element per call
-//! through `&[f64]` row views — the shape the OP2 translator generates.
-//! Under an SoA [`op2_core::Layout`] each component lives in its own
-//! contiguous plane (`plane[c * stride + e]`), so a *block* of elements
-//! can be processed `LANES` at a time with unit-stride plane loads. These
-//! functions spell the lanes out as fixed-width `[f64; LANES]` arrays —
-//! the idiom LLVM reliably lowers to packed vector instructions without
-//! any unstable `std::simd` dependency.
+//! through `&[f64]` row views — the shape the OP2 translator generates,
+//! over OP2's row-major dats. These functions take their inputs as
+//! caller-built planes instead, one contiguous slice per component
+//! (`plane[c * stride + e]`), so a *block* of elements can be processed
+//! `LANES` at a time with unit-stride plane loads. The benchmark rig's
+//! kernel floor probe and the `simd_layout` bench measure them against the
+//! scalar kernels. They spell the lanes out as fixed-width
+//! `[f64; LANES]` arrays — the idiom LLVM reliably lowers to packed
+//! vector instructions without any unstable `std::simd` dependency.
 //!
 //! Correctness notes:
 //!

@@ -5,8 +5,8 @@
 //! `par_loop` returns a future-backed handle and the per-dat dependency
 //! chains order the work, so `save_soln` of iteration *i+1* can overlap
 //! the tail of iteration *i* — the paper's loop interleaving. The `rms`
-//! reduction uses a fresh [`Global`] per step, read through
-//! [`Global::reduce_async`] futures: residual printing chains off a
+//! reduction uses a fresh [`Global`](op2_core::Global) per step, read through
+//! [`Global::reduce_async`](op2_core::Global::reduce_async) futures: residual printing chains off a
 //! continuation and the history is collected after the final fence, so
 //! the time loop contains **zero blocking reduction reads**.
 

@@ -6,7 +6,7 @@
 //! their temperature difference; an explicit Euler step applies the
 //! accumulated flux (Dirichlet boundary nodes held fixed) and records
 //! the largest temperature change into a `ReduceOp::Max` global — whose
-//! generated [`Convergence`] policy ends the run once the field stops
+//! generated [`Convergence`](op2_core::Convergence) policy ends the run once the field stops
 //! moving. The reduction operator is chosen at `Global` creation (the
 //! DSL declares only shape), so the same `arg gbl : inc` lowering serves
 //! Sum and Max apps alike.
@@ -30,7 +30,9 @@ use crate::shard::{declare_node_graphs, NodeGraph};
 
 /// The translator-generated loop wrappers and convergence constructor
 /// (kept as a checked-in golden file; see the spec header for the
-/// regeneration command).
+/// regeneration command). Its docs spell map slots as `map[i]`, which
+/// rustdoc would read as links.
+#[allow(rustdoc::broken_intra_doc_links)]
 mod generated {
     include!("../../translator/tests/golden/heat_hpx.rs");
 }

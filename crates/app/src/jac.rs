@@ -6,7 +6,7 @@
 //! adjacency and `D = diag(degree + 4)` — strictly diagonally dominant,
 //! so Jacobi converges linearly: `x_new = (b + Adj x) / diag`. The
 //! squared-update residual accumulates into a Sum global each sweep and
-//! the generated [`Convergence`] policy exits the loop when
+//! the generated [`Convergence`](op2_core::Convergence) policy exits the loop when
 //! `sqrt(resid / nnode)` drops below the spec's tolerance — the workload
 //! whose iteration count is *data-dependent*, exercising the
 //! asynchronous-reduction convergence path end to end (the loop contains
@@ -32,6 +32,9 @@ use crate::harness::{App, AppInstance, RunConfig, StepOutput, Worlds};
 use crate::shard::{declare_node_graphs, NodeGraph};
 
 /// The translator-generated loop wrappers and convergence constructor.
+/// Their docs spell map slots as `map[i]`, which rustdoc would read as
+/// links.
+#[allow(rustdoc::broken_intra_doc_links)]
 mod generated {
     include!("../../translator/tests/golden/jac_hpx.rs");
 }

@@ -20,22 +20,21 @@
 //! * **per loop** (submission): the argument is checked against the
 //!   iteration set and its shape against the dat and map
 //!   ([`ArgSpec::check_against`] — a mismatch is a named panic, never a
-//!   wrong stride); whether any argument's rows are strided (an SoA dat)
-//!   and must therefore be staged ([`ArgSpec::strided`]);
-//! * **per block**: base pointer, map table (pre-offset by the slot) and
-//!   strides go into plain locals ([`ArgSpec::bind`]); the executor picks
-//!   the staged or the unstaged instantiation of its element loop;
+//!   wrong stride);
+//! * **per block**: base pointer and map table (pre-offset by the slot)
+//!   go into plain locals ([`ArgSpec::bind`]);
 //! * **per element**: for a shaped argument a map load, a multiply by a
-//!   literal and the kernel call; the slice the kernel receives has a
-//!   compile-time length once `view` is inlined. A [`Dyn`] argument
-//!   multiplies by its run-time `dim`/`arity` instead. Neither looks at
-//!   the layout or re-decides direct-vs-via from a pointer.
+//!   literal and the kernel call; the view is the row itself, at
+//!   `base + row * dim` (dats are row-major), with a compile-time length
+//!   once `view` is inlined. A [`Dyn`] argument multiplies by its run-time
+//!   `dim`/`arity` instead. Neither re-decides direct-vs-via from a
+//!   pointer.
 
 use std::sync::Arc;
 
 use hpx_rt::{PrefetchSet, SharedFuture};
 
-use crate::dat::{Dat, DepTable, Layout};
+use crate::dat::{Dat, DepTable};
 use crate::gbl::{Global, Reducible};
 use crate::map::Map;
 use crate::set::Set;
@@ -76,17 +75,17 @@ pub enum ArgKind {
 /// Implementations must return views that are valid for the lifetime of the
 /// borrow and must only alias as permitted by the access mode: `Read` views
 /// may alias anything read-only; mutable views must target rows that the
-/// executor guarantees exclusive (direct partitioning, plan coloring, or
-/// task-local buffers).
+/// executor guarantees exclusive (direct partitioning or plan coloring) or
+/// the block's own reduction partial.
 pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
     /// What the kernel receives per element: `&[T]` or `&mut [T]`.
     type View<'e>
     where
         Self: 'e;
-    /// Per-block scratch (reduction partial, staging row).
+    /// Per-block scratch (a reduction's partial; `()` for the rest).
     type TaskLocal: Send + 'static;
     /// Everything about the argument that does not change from one
-    /// element to the next — base pointer, strides, map table and slot —
+    /// element to the next — base pointer, map table and slot —
     /// resolved once per executed block into plain locals, so the element
     /// loop chases no handle (see [`DatBound`]).
     type Bound<'b>
@@ -96,51 +95,32 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
     /// Validates the argument against the loop's iteration set, and its
     /// shape against the dat and map it was built from.
     fn check_against(&self, iter_set: &Set, loop_name: &str);
-    /// True when the argument's rows are not contiguous in storage (an SoA
-    /// dat): the loop then runs the staged instantiation of its element
-    /// loop, which copies every row through [`ArgSpec::TaskLocal`] and
-    /// calls [`ArgSpec::writeback`]. Default: contiguous.
-    fn strided(&self) -> bool {
-        false
-    }
-    /// Creates the per-block scratch; `staged` says which instantiation of
-    /// the element loop will use it.
-    fn task_local(&self, staged: bool) -> Self::TaskLocal;
+    /// Creates the per-block scratch.
+    fn task_local(&self) -> Self::TaskLocal;
     /// Resolves the loop-invariant state; the executor calls this once per
     /// block, inside the block's task.
     ///
     /// # Safety
     ///
     /// Caller must be a loop executor upholding the plan/coloring
-    /// discipline (see [`crate::dat`] safety model), calling from the
+    /// discipline (see `crate::dat` safety model), calling from the
     /// block whose dependencies are satisfied, after
     /// [`ArgSpec::check_against`] passed. The result must not outlive that
     /// block call, be stored, or be sent to another thread.
     unsafe fn bind(&self) -> Self::Bound<'_>;
-    /// Builds the kernel view for element `elem`: a slice of the storage
-    /// itself, or — `STAGED` — of `tl`, filled from the (strided) row.
+    /// Builds the kernel view for element `elem`: the row in the storage
+    /// itself, or a global's block partial `tl`.
     ///
     /// # Safety
     ///
     /// As [`ArgSpec::bind`]; additionally `elem` must be an element of the
-    /// iteration set the argument was checked against, and with `STAGED`
-    /// `tl` must come from `task_local(true)` of the bound argument.
-    unsafe fn view<'e, const STAGED: bool>(
+    /// iteration set the argument was checked against, and `tl` must come
+    /// from `task_local` of the bound argument.
+    unsafe fn view<'e>(
         bound: &'e Self::Bound<'_>,
         elem: usize,
         tl: &'e mut Self::TaskLocal,
     ) -> Self::View<'e>;
-    /// Writes the staged row back after the kernel ran — the dual of a
-    /// `STAGED` [`ArgSpec::view`]; the unstaged element loop never calls
-    /// it. No-op for read-only and global arguments.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`ArgSpec::view`], invoked with the same `elem`
-    /// whose staged view the kernel just mutated.
-    unsafe fn writeback(bound: &Self::Bound<'_>, elem: usize, tl: &mut Self::TaskLocal) {
-        let _ = (bound, elem, tl);
-    }
     /// Commits per-block scratch (keyed by the owning loop's generation
     /// and the block's start element, so pipelined loops' partials never
     /// mix).
@@ -204,15 +184,15 @@ mod sealed {
 /// Row length, map arity and direct-vs-via of an argument (see the module
 /// docs): constants for [`Row`] and [`Via`], run-time values for [`Dyn`].
 pub trait Shape: sealed::Sealed + Copy + Send + Sync + 'static {
-    /// A `dim`-long buffer in the block's frame — the staging row of a dat
-    /// argument, the partial of a global reduction.
-    type Buf<T: OpType>: AsRef<[T]> + AsMut<[T]> + Into<Vec<T>> + Send + 'static;
+    /// A `dim`-long buffer in the block's frame — the partial of a global
+    /// reduction.
+    type Buf<T: OpType>: AsMut<[T]> + Into<Vec<T>> + Send + 'static;
     /// Scalars per row.
     fn dim(self) -> usize;
     /// Entries per source element of the map gone through; 0 = direct.
     fn arity(self) -> usize;
-    /// A buffer of `fill`; one the element loop will not use may be empty.
-    fn buf<T: OpType>(self, fill: T, used: bool) -> Self::Buf<T>;
+    /// A buffer of `dim` copies of `fill`.
+    fn buf<T: OpType>(self, fill: T) -> Self::Buf<T>;
 }
 
 /// The shape read from the dat and map when the argument was built.
@@ -241,8 +221,8 @@ impl Shape for Dyn {
     fn arity(self) -> usize {
         self.arity
     }
-    fn buf<T: OpType>(self, fill: T, used: bool) -> Vec<T> {
-        vec![fill; if used { self.dim } else { 0 }]
+    fn buf<T: OpType>(self, fill: T) -> Vec<T> {
+        vec![fill; self.dim]
     }
 }
 
@@ -258,7 +238,7 @@ impl<const DIM: usize, const ARITY: usize> Shape for Via<DIM, ARITY> {
         ARITY
     }
     #[inline(always)]
-    fn buf<T: OpType>(self, fill: T, _used: bool) -> [T; DIM] {
+    fn buf<T: OpType>(self, fill: T) -> [T; DIM] {
         [fill; DIM]
     }
 }
@@ -466,7 +446,7 @@ impl<T: OpType, A: AccessTag, S: Shape> DatArg<T, A, S> {
 ///
 /// Holds raw pointers into the dat's storage and the map's index table:
 /// valid only while the argument it was bound from is alive and only
-/// under the executor discipline of [`crate::dat`] — i.e. for the one
+/// under the executor discipline of `crate::dat` — i.e. for the one
 /// `block_body` call that bound it, whose closure owns the argument clone.
 /// The raw pointers also keep it `!Send`/`!Sync`, so it cannot leave the
 /// block's task.
@@ -475,11 +455,6 @@ pub struct DatBound<'b, T, S = Dyn> {
     /// Map table pre-offset by the slot; never read when `S::arity()` is 0.
     map: *const u32,
     shape: S,
-    /// Scalars between two rows / two components of a row — what the
-    /// staged path strides by: `(dim, 1)` under AoS, `(1, total_rows)`
-    /// under SoA. The unstaged path strides by `shape.dim()` alone.
-    row_stride: usize,
-    comp_stride: usize,
     _arg: std::marker::PhantomData<&'b ()>,
 }
 
@@ -503,12 +478,11 @@ impl<T: OpType, S: Shape> DatBound<'_, T, S> {
         }
     }
 
-    /// Pointer to the `dim` contiguous scalars of element `e`'s row in the
-    /// storage of an AoS dat.
+    /// Pointer to the `dim` contiguous scalars of element `e`'s row.
     ///
     /// # Safety
     ///
-    /// As [`DatBound::target`]; the dat must not be strided.
+    /// As [`DatBound::target`].
     #[inline(always)]
     unsafe fn row(&self, e: usize) -> *mut T {
         // SAFETY: `target`'s contract is ours; `t < total_rows` — direct
@@ -518,54 +492,15 @@ impl<T: OpType, S: Shape> DatBound<'_, T, S> {
         // `shape.dim()` to the dat's, so the row is inside the storage.
         unsafe { self.base.add(self.target(e) * self.shape.dim()) }
     }
-
-    /// Copies element `e`'s row from wherever its components live into
-    /// `stage`, so the kernel keeps its contiguous slice signature
-    /// (OP_RW/OP_INC read their current target; OP_WRITE harmlessly sees
-    /// stale values it must overwrite anyway).
-    ///
-    /// # Safety
-    ///
-    /// As [`DatBound::target`]; `stage` must be `dim` long.
-    #[inline(always)]
-    unsafe fn stage(&self, e: usize, stage: &mut [T]) -> *mut T {
-        // SAFETY: forwarded contract.
-        let at = unsafe { self.target(e) } * self.row_stride;
-        for (c, s) in stage.iter_mut().enumerate() {
-            // SAFETY: `t < total_rows` as in `row` and `c < dim`, so
-            // `t * dim + c` (AoS) and `t + c * total_rows` (SoA) are both
-            // below `dim * total_rows`.
-            *s = unsafe { *self.base.add(at + c * self.comp_stride) };
-        }
-        stage.as_mut_ptr()
-    }
-
-    /// Scatters a staged row back to where [`DatBound::stage`] read it.
-    ///
-    /// # Safety
-    ///
-    /// As [`DatBound::stage`], for a row the executor holds exclusively.
-    #[inline(always)]
-    unsafe fn scatter(&self, e: usize, stage: &[T]) {
-        // SAFETY: forwarded contract.
-        let at = unsafe { self.target(e) } * self.row_stride;
-        for (c, &v) in stage.iter().enumerate() {
-            // SAFETY: bounds as in `stage`; exclusivity of row `t` per the
-            // executor discipline.
-            unsafe { *self.base.add(at + c * self.comp_stride) = v };
-        }
-    }
 }
 
 // SAFETY: read views are shared references, aliasing is harmless; mutable
 // views are made exclusive by the executor: direct args are partitioned by
 // element, indirect ones serialized by plan coloring, and the debug
-// aliasing check guards within-element overlap. A staged view is a copy of
-// the row in the block's own buffer, scattered back by `writeback` under
-// the same exclusivity.
+// aliasing check guards within-element overlap.
 unsafe impl<T: OpType, A: AccessTag, S: Shape> ArgSpec for DatArg<T, A, S> {
     type View<'e> = A::View<'e, T>;
-    type TaskLocal = S::Buf<T>;
+    type TaskLocal = ();
     type Bound<'b> = DatBound<'b, T, S>;
 
     fn check_against(&self, iter_set: &Set, loop_name: &str) {
@@ -587,19 +522,10 @@ unsafe impl<T: OpType, A: AccessTag, S: Shape> ArgSpec for DatArg<T, A, S> {
         }
         self.check_shape(loop_name);
     }
-    fn strided(&self) -> bool {
-        self.dat.layout() == Layout::SoA
-    }
-    fn task_local(&self, staged: bool) -> S::Buf<T> {
-        self.shape.buf(T::default(), staged)
-    }
+    fn task_local(&self) {}
     // SAFETY: callers uphold `ArgSpec::bind`'s contract; binding itself
     // only computes addresses.
     unsafe fn bind(&self) -> DatBound<'_, T, S> {
-        let (row_stride, comp_stride) = match self.dat.layout() {
-            Layout::AoS => (self.dat.dim(), 1),
-            Layout::SoA => (1, self.dat.component_stride()),
-        };
         DatBound {
             // SAFETY: address computation only; the caller is the executor
             // that may dereference it.
@@ -612,43 +538,19 @@ unsafe impl<T: OpType, A: AccessTag, S: Shape> ArgSpec for DatArg<T, A, S> {
                 Some((m, slot)) => m.indices().as_ptr().wrapping_add(*slot),
             },
             shape: self.shape,
-            row_stride,
-            comp_stride,
             _arg: std::marker::PhantomData,
         }
     }
     #[inline(always)]
     // SAFETY: callers uphold `ArgSpec::view`'s contract, used below.
-    unsafe fn view<'e, const STAGED: bool>(
-        b: &'e DatBound<'_, T, S>,
-        elem: usize,
-        tl: &'e mut S::Buf<T>,
-    ) -> A::View<'e, T> {
+    unsafe fn view<'e>(b: &'e DatBound<'_, T, S>, elem: usize, _tl: &'e mut ()) -> A::View<'e, T> {
         // SAFETY: executor discipline (trait docs): `elem` is in the set,
-        // a `STAGED` `tl` is `dim` long, and the unstaged loop runs only
-        // when no argument is strided (`block_body`).
-        let row = unsafe {
-            if STAGED {
-                b.stage(elem, tl.as_mut())
-            } else {
-                b.row(elem)
-            }
-        };
-        // SAFETY: either way `row` heads `dim` scalars, shared or
-        // exclusive as `A` needs per the impl-level comment, that outlive
-        // `'e` (the storage by the bound, the buffer by its borrow).
-        unsafe { A::view(row, b.shape.dim()) }
+        // so `row` heads `dim` scalars of the storage, shared or exclusive
+        // as `A` needs per the impl-level comment, that the bound keeps
+        // alive for `'e`.
+        unsafe { A::view(b.row(elem), b.shape.dim()) }
     }
-    #[inline(always)]
-    // SAFETY: callers uphold `ArgSpec::writeback`'s contract, used below.
-    unsafe fn writeback(b: &DatBound<'_, T, S>, elem: usize, tl: &mut S::Buf<T>) {
-        if A::ACCESS != Access::Read {
-            // SAFETY: exclusivity per the impl-level comment; the executor
-            // passes the elem whose view was just staged into `tl`.
-            unsafe { b.scatter(elem, tl.as_ref()) }
-        }
-    }
-    fn commit(&self, _gen: u64, _chunk_start: usize, _tl: S::Buf<T>) {}
+    fn commit(&self, _gen: u64, _chunk_start: usize, _tl: ()) {}
     fn finalize(&self, _gen: u64) {}
     fn info(&self) -> ArgInfo {
         ArgInfo {
@@ -680,27 +582,15 @@ unsafe impl<T: OpType, A: AccessTag, S: Shape> ArgSpec for DatArg<T, A, S> {
         // Vec outlives the loop because the argument (cloned into the
         // block body) keeps the Map alive.
         if let Some((m, idx)) = &self.map {
-            // SAFETY: address computation only; prefetches never fault.
-            let base = unsafe { self.dat.ptr() }.cast_const().cast::<u8>();
-            // A gathered SoA row spans `dim` planes a full stride apart:
-            // one entry per plane, each with a scalar-sized "row", so
-            // every touched cache line is covered.
-            let (planes, row_bytes) = match self.dat.layout() {
-                Layout::AoS => (1, self.dat.dim() * std::mem::size_of::<T>()),
-                Layout::SoA => (self.dat.dim(), std::mem::size_of::<T>()),
-            };
-            let plane_bytes = self.dat.component_stride() * std::mem::size_of::<T>();
-            for c in 0..planes {
-                set.add_gather_raw(
-                    m.indices(),
-                    m.dim(),
-                    *idx,
-                    // SAFETY: plane `c < dim` starts inside the storage.
-                    unsafe { base.add(c * plane_bytes) },
-                    row_bytes,
-                    self.dat.set().size(),
-                );
-            }
+            set.add_gather_raw(
+                m.indices(),
+                m.dim(),
+                *idx,
+                // SAFETY: address computation only; prefetches never fault.
+                unsafe { self.dat.ptr() }.cast_const().cast::<u8>(),
+                self.dat.dim() * std::mem::size_of::<T>(),
+                self.dat.set().size(),
+            );
         }
     }
     fn mut_target(&self, elem: usize) -> Option<(u64, usize)> {
@@ -766,18 +656,14 @@ unsafe impl<T: Reducible, S: Shape> ArgSpec for GblIncArg<T, S> {
             self.gbl.dim()
         );
     }
-    fn task_local(&self, _staged: bool) -> S::Buf<T> {
-        self.shape.buf(self.gbl.identity(), true)
+    fn task_local(&self) -> S::Buf<T> {
+        self.shape.buf(self.gbl.identity())
     }
     // SAFETY: binds nothing, so there is nothing for a caller to uphold.
     unsafe fn bind(&self) {}
     #[inline(always)]
     // SAFETY: hands out the caller's own exclusive borrow of `tl`.
-    unsafe fn view<'e, const STAGED: bool>(
-        _b: &'e (),
-        _elem: usize,
-        tl: &'e mut S::Buf<T>,
-    ) -> &'e mut [T] {
+    unsafe fn view<'e>(_b: &'e (), _elem: usize, tl: &'e mut S::Buf<T>) -> &'e mut [T] {
         tl.as_mut()
     }
     fn commit(&self, gen: u64, chunk_start: usize, tl: S::Buf<T>) {
@@ -833,7 +719,7 @@ unsafe impl<T: Reducible> ArgSpec for GblReadArg<T> {
     type Bound<'b> = &'b [T];
 
     fn check_against(&self, _iter_set: &Set, _loop_name: &str) {}
-    fn task_local(&self, _staged: bool) {}
+    fn task_local(&self) {}
     // SAFETY: callers uphold `ArgSpec::bind`'s contract, used below.
     unsafe fn bind(&self) -> &[T] {
         // SAFETY: the value vector is never resized and the argument keeps
@@ -843,7 +729,7 @@ unsafe impl<T: Reducible> ArgSpec for GblReadArg<T> {
     }
     #[inline(always)]
     // SAFETY: re-borrows the slice `bind` made, under `bind`'s contract.
-    unsafe fn view<'e, const STAGED: bool>(b: &'e &[T], _elem: usize, _tl: &'e mut ()) -> &'e [T] {
+    unsafe fn view<'e>(b: &'e &[T], _elem: usize, _tl: &'e mut ()) -> &'e [T] {
         b
     }
     fn commit(&self, _gen: u64, _chunk_start: usize, _tl: ()) {}
@@ -1000,30 +886,25 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Every access mode x direct/indirect x AoS/SoA x {`Dyn`, shaped}: a
-    /// loop through the bound path (`bind` once per block, `view` — and,
-    /// staged, `writeback` — per element) leaves bitwise the rows a
-    /// hand-written loop over the canonical row-major data does —
-    /// including staging, a map whose table reaches halo rows beyond the
+    /// Every access mode x direct/indirect x {`Dyn`, shaped}: a loop
+    /// through the bound path (`bind` once per block, `view` per element)
+    /// leaves bitwise the rows a hand-written loop over the row-major data
+    /// does — including a map whose table reaches halo rows beyond the
     /// target set, and bodies where a shaped and a `Dyn` argument meet.
     #[test]
-    fn bound_path_matches_reference_loop_for_every_mode_shape_and_layout() {
+    fn bound_path_matches_reference_loop_for_every_mode_and_shape() {
         const DIM: usize = 3;
         const ARITY: usize = 2;
         let (n, rows, halo, slot) = (37usize, 29usize, 5usize, 1usize);
         let table: Vec<u32> = (0..n * ARITY)
             .map(|i| ((i * 7 + 3) % (rows + halo)) as u32)
             .collect();
-        let cases = [Layout::AoS, Layout::SoA].into_iter().flat_map(|layout| {
-            [false, true].into_iter().flat_map(move |indirect| {
-                [false, true]
-                    .into_iter()
-                    .map(move |shaped| (layout, indirect, shaped))
-            })
-        });
-        for (layout, indirect, shaped) in cases {
+        let cases = [false, true]
+            .into_iter()
+            .flat_map(|indirect| [false, true].map(|shaped| (indirect, shaped)));
+        for (indirect, shaped) in cases {
             for access in [Access::Read, Access::Write, Access::Rw, Access::Inc] {
-                let what = format!("{access} indirect={indirect} {layout:?} shaped={shaped}");
+                let what = format!("{access} indirect={indirect} shaped={shaped}");
                 let op2 = Op2::new(Op2Config::seq());
                 let iter = op2.decl_set(n, "iter");
                 let ids = op2.decl_dat(&iter, 1, "id", (0..n).map(|e| e as f64).collect());
@@ -1034,7 +915,7 @@ mod tests {
                 };
                 let total = set.size() + halo_rows;
                 let init: Vec<f64> = (0..total * DIM).map(|i| i as f64 * 0.37 - 3.0).collect();
-                let d = op2.decl_dat_halo_layout(&set, DIM, "d", init.clone(), halo_rows, layout);
+                let d = op2.decl_dat_halo(&set, DIM, "d", init.clone(), halo_rows);
                 let m = op2.decl_map_halo(&iter, &set, ARITY, table.clone(), "m", halo_rows);
                 let target = |e: usize| {
                     if indirect {
@@ -1069,7 +950,7 @@ mod tests {
                 if access == Access::Read {
                     // `out` stays `Dyn`: with `shaped` both flavours sit
                     // in one element loop.
-                    let out = op2.decl_dat_layout(&iter, DIM, "out", vec![0.0; n * DIM], layout);
+                    let out = op2.decl_dat(&iter, DIM, "out", vec![0.0; n * DIM]);
                     with_arg!(ReadTag, |arg| op2
                         .loop_("gather", &iter)
                         .arg(arg)
@@ -1108,38 +989,6 @@ mod tests {
                 assert_eq!(bits(&d.snapshot()), bits(&expect), "{what}");
             }
         }
-
-        // One strided dat makes the whole body staged: the AoS argument
-        // then goes through its buffer too. A shaped gather from the SoA
-        // dat meets a `Dyn` read-write on the AoS one.
-        let op2 = Op2::new(Op2Config::seq());
-        let iter = op2.decl_set(n, "iter");
-        let set = op2.decl_set(rows, "rows");
-        let src: Vec<f64> = (0..(rows + halo) * DIM)
-            .map(|i| 1.0 / (i + 1) as f64)
-            .collect();
-        let acc0: Vec<f64> = (0..n * DIM).map(|i| i as f64 * 0.11).collect();
-        let d = op2.decl_dat_halo_layout(&set, DIM, "d", src.clone(), halo, Layout::SoA);
-        let acc = op2.decl_dat_layout(&iter, DIM, "acc", acc0.clone(), Layout::AoS);
-        let m = op2.decl_map_halo(&iter, &set, ARITY, table.clone(), "m", halo);
-        op2.loop_("mixed", &iter)
-            .arg(arg_read_via(&d, &m, slot).via::<DIM, ARITY>())
-            .arg(arg_rw(&acc))
-            .run(|row: &[f64], acc: &mut [f64]| {
-                for (a, r) in acc.iter_mut().zip(row) {
-                    *a = *a * 2.0 + r;
-                }
-            })
-            .wait();
-        let expect: Vec<f64> = (0..n * DIM)
-            .map(|i| acc0[i] * 2.0 + src[table[i / DIM * ARITY + slot] as usize * DIM + i % DIM])
-            .collect();
-        assert_eq!(
-            bits(&acc.snapshot()),
-            bits(&expect),
-            "mixed layouts and shapes"
-        );
-        assert_eq!(bits(&d.snapshot()), bits(&src), "mixed: source untouched");
     }
 
     /// Global arguments bind the same way: a broadcast read sees the
@@ -1213,11 +1062,11 @@ mod tests {
     // ---- shape mismatches are named at submission ------------------------
 
     /// Two edges over three cells, `res` of dim 1 through a 2-slot map.
-    fn tiny_mesh(op2: &Op2, layout: Layout, ecell: Vec<u32>) -> (Set, Map, Dat<f64>) {
+    fn tiny_mesh(op2: &Op2, ecell: Vec<u32>) -> (Set, Map, Dat<f64>) {
         let edges = op2.decl_set(2, "edges");
         let cells = op2.decl_set(3, "cells");
         let m = op2.decl_map(&edges, &cells, 2, ecell, "ecell");
-        let res = op2.decl_dat_layout(&cells, 1, "res", vec![0.0f64; 3], layout);
+        let res = op2.decl_dat(&cells, 1, "res", vec![0.0f64; 3]);
         (edges, m, res)
     }
 
@@ -1238,7 +1087,7 @@ mod tests {
     )]
     fn shaped_arg_rejects_a_map_of_another_arity() {
         let op2 = Op2::new(Op2Config::seq());
-        let (edges, m, res) = tiny_mesh(&op2, Layout::AoS, vec![0, 1, 1, 2]);
+        let (edges, m, res) = tiny_mesh(&op2, vec![0, 1, 1, 2]);
         op2.loop_("res", &edges)
             .arg(arg_inc_via(&res, &m, 0).via::<1, 3>())
             .run(|_: &mut [f64]| {});
@@ -1250,7 +1099,7 @@ mod tests {
     )]
     fn direct_shape_rejects_an_indirect_argument() {
         let op2 = Op2::new(Op2Config::seq());
-        let (edges, m, res) = tiny_mesh(&op2, Layout::AoS, vec![0, 1, 1, 2]);
+        let (edges, m, res) = tiny_mesh(&op2, vec![0, 1, 1, 2]);
         op2.loop_("res", &edges)
             .arg(arg_inc_via(&res, &m, 0).row::<1>())
             .run(|_: &mut [f64]| {});
@@ -1267,11 +1116,16 @@ mod tests {
             .run(|_: &mut [f64]| {});
     }
 
-    /// Edge 1 is degenerate — both slots reach cell 2 — and `res_calc`
-    /// increments through both.
-    fn increment_both_cells_of_a_degenerate_edge(layout: Layout) {
+    /// The bound path keeps the debug aliasing check: an element reaching
+    /// one row through two mutable arguments is a mesh bug, not UB. Edge 1
+    /// is degenerate — both slots reach cell 2 — and `res_calc` increments
+    /// through both.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "aliasing mutable arguments")]
+    fn mutable_overlap_is_still_caught_in_debug_builds() {
         let op2 = Op2::new(Op2Config::seq());
-        let (edges, m, res) = tiny_mesh(&op2, layout, vec![0, 1, 2, 2]);
+        let (edges, m, res) = tiny_mesh(&op2, vec![0, 1, 2, 2]);
         op2.loop_("res", &edges)
             .arg(arg_inc_via(&res, &m, 0).via::<1, 2>())
             .arg(arg_inc_via(&res, &m, 1))
@@ -1280,22 +1134,5 @@ mod tests {
                 b[0] += 1.0;
             })
             .wait();
-    }
-
-    /// The bound path keeps the debug aliasing check: an element reaching
-    /// one row through two mutable arguments is a mesh bug, not UB.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "aliasing mutable arguments")]
-    fn mutable_overlap_is_still_caught_in_debug_builds() {
-        increment_both_cells_of_a_degenerate_edge(Layout::AoS);
-    }
-
-    /// ... and so does the staged instantiation of the element loop.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "aliasing mutable arguments")]
-    fn mutable_overlap_is_still_caught_on_the_staged_path() {
-        increment_both_cells_of_a_degenerate_edge(Layout::SoA);
     }
 }

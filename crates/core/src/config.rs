@@ -4,7 +4,6 @@
 use hpx_rt::timing::Clock;
 use hpx_rt::ChunkPolicy;
 
-use crate::dat::Layout;
 use crate::driver::SpecShare;
 use crate::granularity::GranularityFeedback;
 
@@ -65,11 +64,6 @@ pub struct Op2Config {
     /// Prefetch distance factor (cache lines of look-ahead, paper §V);
     /// `None` disables the prefetching iterator.
     pub prefetch_distance: Option<usize>,
-    /// Default physical layout of dats declared through
-    /// [`Op2::decl_dat`](crate::Op2::decl_dat) /
-    /// [`Op2::decl_dat_halo`](crate::Op2::decl_dat_halo). Per-dat
-    /// overrides: `decl_dat_layout` / `decl_dat_halo_layout`.
-    pub layout: Layout,
     /// Clock the granularity feedback measures through, whichever table it
     /// records into. [`Clock::real`] in production; tests inject
     /// [`Clock::fake`] to drive adaptive-chunking convergence
@@ -104,7 +98,6 @@ impl Op2Config {
             block_size: DEFAULT_BLOCK_SIZE,
             chunk: ChunkPolicy::NumChunks { chunks: 1 },
             prefetch_distance: None,
-            layout: Layout::AoS,
             clock: Clock::real(),
             shared_specs: None,
             shared_feedback: None,
@@ -123,7 +116,6 @@ impl Op2Config {
                 chunks: threads.max(1),
             },
             prefetch_distance: None,
-            layout: Layout::AoS,
             clock: Clock::real(),
             shared_specs: None,
             shared_feedback: None,
@@ -141,7 +133,6 @@ impl Op2Config {
             block_size: DEFAULT_BLOCK_SIZE,
             chunk: ChunkPolicy::default(),
             prefetch_distance: None,
-            layout: Layout::AoS,
             clock: Clock::real(),
             shared_specs: None,
             shared_feedback: None,
@@ -175,14 +166,6 @@ impl Op2Config {
     #[must_use]
     pub fn without_prefetch(mut self) -> Self {
         self.prefetch_distance = None;
-        self
-    }
-
-    /// Sets the default physical layout of declared dats (the AoS/SoA
-    /// policy; see [`Layout`]).
-    #[must_use]
-    pub fn with_layout(mut self, layout: Layout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -241,13 +224,6 @@ mod tests {
         assert_eq!(c.block_size, 128);
         assert_eq!(c.prefetch_distance, Some(15));
         assert_eq!(c.without_prefetch().prefetch_distance, None);
-    }
-
-    #[test]
-    fn layout_defaults_to_aos_and_composes() {
-        assert_eq!(Op2Config::dataflow(2).layout, Layout::AoS);
-        let c = Op2Config::seq().with_layout(Layout::SoA);
-        assert_eq!(c.layout, Layout::SoA);
     }
 
     #[test]

@@ -64,9 +64,8 @@
 //!
 //! Executors do not go through the `Dat` handle per element: each block
 //! call binds its arguments once ([`crate::ArgSpec::bind`]) into a
-//! [`crate::DatBound`] holding the raw base pointer (plus the row and
-//! component strides, the map's index-table pointer and the argument's
-//! [`crate::Shape`]). Such a bound
+//! [`crate::DatBound`] holding the raw base pointer (plus the map's
+//! index-table pointer and the argument's [`crate::Shape`]). Such a bound
 //! value is part of path 1 and inherits its terms: it is made inside the
 //! block whose dependencies the driver satisfied, it may be dereferenced
 //! only for rows of that block's elements, and it is valid only for that
@@ -88,29 +87,6 @@ use crate::config::DEFAULT_BLOCK_SIZE;
 use crate::plan::BlockReach;
 use crate::set::Set;
 use crate::types::{next_entity_id, OpType};
-
-/// Physical memory layout of a dat's scalars (the classic OP2 AoS/SoA
-/// choice). The *logical* model is always `total_rows x dim`, rows are
-/// always addressed by element index, and the per-block dependency table
-/// is row-indexed — so the dependency engine, the coloring planner and
-/// the halo dirty-bit protocol are layout-oblivious. Only the scalar
-/// offset of `(element, component)` changes:
-///
-/// * [`Layout::AoS`] — `e * dim + c`: each element's components are
-///   adjacent (best for per-element gather/scatter through maps).
-/// * [`Layout::SoA`] — `c * total_rows + e`: `dim` contiguous component
-///   *planes* (best for vectorized direct sweeps: unit-stride lanes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Layout {
-    /// Array-of-structures: row-major, `dim` consecutive scalars per
-    /// element.
-    #[default]
-    AoS,
-    /// Structure-of-arrays: `dim` contiguous planes of `total_rows`
-    /// scalars each; component `c` of element `e` lives at
-    /// `c * total_rows + e`.
-    SoA,
-}
 
 /// How the nodes of one access map onto a dat's dependency blocks (see
 /// the module docs).
@@ -412,8 +388,6 @@ pub(crate) struct DatInner<T> {
     /// elements under the multi-locality layer (see [`crate::locality`]).
     /// 0 for ordinary dats.
     pub halo_rows: usize,
-    /// Physical scalar layout (see [`Layout`]).
-    pub layout: Layout,
     data: UnsafeCell<Vec<T>>,
     pub deps: Arc<DepTable>,
     /// User-guard tracking: >0 read guards, -1 write guard, 0 free.
@@ -433,7 +407,8 @@ unsafe impl<T: Send + Sync> Send for DatInner<T> {}
 // access to one row; every other field is itself `Sync`.
 unsafe impl<T: Send + Sync> Sync for DatInner<T> {}
 
-/// Data on a set: `set.size()` rows of `dim` scalars. Cheap to clone (an
+/// Data on a set: `set.size()` rows of `dim` scalars, stored row-major
+/// (element `e`'s row is the `dim` scalars at `e * dim`). Cheap to clone (an
 /// `Arc` handle); clones alias the same storage.
 pub struct Dat<T: OpType> {
     inner: Arc<DatInner<T>>,
@@ -476,7 +451,6 @@ impl<T: OpType> Dat<T> {
     /// [`crate::locality::exchange`], whose receive nodes leave the same
     /// kind of access record as local writers — a halo block is just a
     /// remote-fed block to the dependency engine.
-    #[cfg(test)]
     pub(crate) fn with_halo(
         set: &Set,
         dim: usize,
@@ -484,21 +458,6 @@ impl<T: OpType> Dat<T> {
         data: Vec<T>,
         dep_block_size: usize,
         halo_rows: usize,
-    ) -> Self {
-        Self::with_halo_layout(set, dim, name, data, dep_block_size, halo_rows, Layout::AoS)
-    }
-
-    /// [`Dat::with_halo`] with an explicit [`Layout`]. `data` is always
-    /// given in canonical row-major (AoS) order; an SoA dat transposes it
-    /// into component planes on construction.
-    pub(crate) fn with_halo_layout(
-        set: &Set,
-        dim: usize,
-        name: &str,
-        data: Vec<T>,
-        dep_block_size: usize,
-        halo_rows: usize,
-        layout: Layout,
     ) -> Self {
         assert!(dim > 0, "dat '{name}': dim must be positive");
         let rows = set.size() + halo_rows;
@@ -509,10 +468,6 @@ impl<T: OpType> Dat<T> {
             rows * dim,
             data.len()
         );
-        let data = match layout {
-            Layout::AoS => data,
-            Layout::SoA => transpose_to_planes(&data, rows, dim),
-        };
         Dat {
             inner: Arc::new(DatInner {
                 id: next_entity_id(),
@@ -520,7 +475,6 @@ impl<T: OpType> Dat<T> {
                 dim,
                 name: name.to_owned(),
                 halo_rows,
-                layout,
                 data: UnsafeCell::new(data),
                 deps: Arc::new(DepTable::new(rows, dep_block_size)),
                 borrow: AtomicIsize::new(0),
@@ -584,55 +538,20 @@ impl<T: OpType> Dat<T> {
         unsafe { (*self.inner.data.get()).as_mut_ptr() }
     }
 
-    // ---- layout ---------------------------------------------------------
-
-    /// Physical scalar layout of this dat.
-    #[inline(always)]
-    pub fn layout(&self) -> Layout {
-        self.inner.layout
-    }
-
-    /// Distance in scalars between two components of one element: `1` for
-    /// AoS (components adjacent), `total_rows()` for SoA (one plane
-    /// apart). Kernel authors writing block-level SoA bodies index
-    /// component `c` of element `e` as `plane_base[c * stride + e]`.
-    #[inline(always)]
-    pub fn component_stride(&self) -> usize {
-        match self.inner.layout {
-            Layout::AoS => 1,
-            Layout::SoA => self.total_rows(),
-        }
-    }
-
-    /// Appends row `e` (canonical component order) to `out`.
+    /// Appends row `e` to `out`.
     ///
     /// # Safety
     ///
     /// Caller must hold read access to row `e` per the module-level model.
     pub(crate) unsafe fn append_row_to(&self, e: usize, out: &mut Vec<T>) {
         let dim = self.inner.dim;
-        // SAFETY: taking the pointer reads nothing; the reads below stay in
-        // row `e`, which the caller may read per this function's contract.
-        let base = unsafe { self.ptr() };
-        match self.inner.layout {
-            Layout::AoS => {
-                // SAFETY: row e lies within the never-resized storage.
-                out.extend_from_slice(unsafe {
-                    std::slice::from_raw_parts(base.add(e * dim), dim)
-                });
-            }
-            Layout::SoA => {
-                let stride = self.total_rows();
-                for c in 0..dim {
-                    // SAFETY: c * stride + e < dim * total_rows = len.
-                    out.push(unsafe { *base.add(c * stride + e) });
-                }
-            }
-        }
+        // SAFETY: row `e` lies within the never-resized storage, and the
+        // caller may read it per this function's contract.
+        out.extend_from_slice(unsafe { std::slice::from_raw_parts(self.ptr().add(e * dim), dim) });
     }
 
-    /// Scatters `buf` (canonical row-major order, `buf.len() / dim` rows)
-    /// into the storage starting at row `start`.
+    /// Copies `buf` (`buf.len() / dim` rows) into the storage starting at
+    /// row `start`.
     ///
     /// # Safety
     ///
@@ -642,33 +561,18 @@ impl<T: OpType> Dat<T> {
     pub(crate) unsafe fn scatter_rows_from(&self, start: usize, buf: &[T]) {
         let dim = self.inner.dim;
         debug_assert_eq!(buf.len() % dim, 0);
-        // SAFETY: taking the pointer reads nothing; the writes below stay in
-        // the rows the caller holds exclusively per this function's contract.
-        let base = unsafe { self.ptr() };
-        match self.inner.layout {
-            Layout::AoS => {
-                // SAFETY: contiguous rows under AoS; bounds per contract.
-                unsafe {
-                    std::ptr::copy_nonoverlapping(buf.as_ptr(), base.add(start * dim), buf.len())
-                };
-            }
-            Layout::SoA => {
-                let stride = self.total_rows();
-                for (i, chunk) in buf.chunks_exact(dim).enumerate() {
-                    for (c, &v) in chunk.iter().enumerate() {
-                        // SAFETY: bounds per contract (row start + i).
-                        unsafe { *base.add(c * stride + start + i) = v };
-                    }
-                }
-            }
-        }
+        // SAFETY: the rows are contiguous and in bounds per the contract,
+        // which also grants the exclusive access the write needs.
+        unsafe {
+            std::ptr::copy_nonoverlapping(buf.as_ptr(), self.ptr().add(start * dim), buf.len())
+        };
     }
 
-    /// Scatters `buf` (canonical row-major order, one `dim`-wide chunk per
-    /// entry of `rows`) into the listed — possibly non-contiguous — rows.
-    /// The row-migration path lands moved rows with this (a rank's
-    /// newly-owned rows interleave with rows it kept, so the destination
-    /// is a list, unlike a halo import's contiguous range).
+    /// Scatters `buf` (one `dim`-wide chunk per entry of `rows`) into the
+    /// listed — possibly non-contiguous — rows. The row-migration path
+    /// lands moved rows with this (a rank's newly-owned rows interleave
+    /// with rows it kept, so the destination is a list, unlike a halo
+    /// import's contiguous range).
     ///
     /// # Safety
     ///
@@ -681,46 +585,12 @@ impl<T: OpType> Dat<T> {
         // SAFETY: taking the pointer reads nothing; the writes below stay in
         // the listed rows, which the caller holds exclusively per contract.
         let base = unsafe { self.ptr() };
-        match self.inner.layout {
-            Layout::AoS => {
-                for (i, &row) in rows.iter().enumerate() {
-                    // SAFETY: row < total_rows per contract; rows are
-                    // dim-aligned in the never-resized storage.
-                    unsafe {
-                        std::ptr::copy_nonoverlapping(
-                            buf.as_ptr().add(i * dim),
-                            base.add(row as usize * dim),
-                            dim,
-                        )
-                    };
-                }
-            }
-            Layout::SoA => {
-                let stride = self.total_rows();
-                for (i, &row) in rows.iter().enumerate() {
-                    for c in 0..dim {
-                        // SAFETY: c * stride + row < dim * total_rows.
-                        unsafe { *base.add(c * stride + row as usize) = buf[i * dim + c] };
-                    }
-                }
-            }
-        }
-    }
-
-    /// Clones the payload out in canonical row-major order (gathering SoA
-    /// planes back into rows). Callers must already hold access.
-    fn to_canonical_vec(&self) -> Vec<T> {
-        match self.inner.layout {
-            // SAFETY: caller holds access per guard construction.
-            Layout::AoS => unsafe { std::slice::from_raw_parts(self.ptr(), self.len()) }.to_vec(),
-            Layout::SoA => {
-                let mut out = Vec::with_capacity(self.len());
-                for e in 0..self.total_rows() {
-                    // SAFETY: caller holds access per guard construction.
-                    unsafe { self.append_row_to(e, &mut out) };
-                }
-                out
-            }
+        for (chunk, &row) in buf.chunks_exact(dim).zip(rows) {
+            // SAFETY: row < total_rows per contract; rows are dim-aligned in
+            // the never-resized storage.
+            unsafe {
+                std::ptr::copy_nonoverlapping(chunk.as_ptr(), base.add(row as usize * dim), dim)
+            };
         }
     }
 
@@ -785,11 +655,7 @@ impl<T: OpType> Dat<T> {
             "dat '{}': read() while a write guard is live",
             self.inner.name
         );
-        let staged = match self.inner.layout {
-            Layout::AoS => None,
-            Layout::SoA => Some(self.to_canonical_vec()),
-        };
-        DatReadGuard { dat: self, staged }
+        DatReadGuard { dat: self }
     }
 
     /// Waits for all pending loops touching this dat, then returns an
@@ -809,11 +675,7 @@ impl<T: OpType> Dat<T> {
             "dat '{}': write() while another guard is live",
             self.inner.name
         );
-        let staged = match self.inner.layout {
-            Layout::AoS => None,
-            Layout::SoA => Some(self.to_canonical_vec()),
-        };
-        DatWriteGuard { dat: self, staged }
+        DatWriteGuard { dat: self }
     }
 
     /// Waits for pending writes and clones the payload out.
@@ -851,24 +713,17 @@ impl<T: OpType> std::fmt::Debug for Dat<T> {
     }
 }
 
-/// Shared read view of a dat (see [`Dat::read`]). Always presents the
-/// canonical row-major order regardless of the dat's [`Layout`]: an SoA
-/// dat's planes are gathered into a staged copy at guard construction.
+/// Shared read view of a dat (see [`Dat::read`]).
 pub struct DatReadGuard<'a, T: OpType> {
     dat: &'a Dat<T>,
-    /// Canonical row-major materialization (`Some` iff the dat is SoA).
-    staged: Option<Vec<T>>,
 }
 
 impl<T: OpType> std::ops::Deref for DatReadGuard<'_, T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        match &self.staged {
-            Some(buf) => buf,
-            // SAFETY: guard construction waited for writers and registered
-            // in the borrow counter; conflicting loop submissions panic.
-            None => unsafe { std::slice::from_raw_parts(self.dat.ptr(), self.dat.len()) },
-        }
+        // SAFETY: guard construction waited for writers and registered in
+        // the borrow counter; conflicting loop submissions panic.
+        unsafe { std::slice::from_raw_parts(self.dat.ptr(), self.dat.len()) }
     }
 }
 
@@ -886,33 +741,23 @@ impl<T: OpType> Drop for DatReadGuard<'_, T> {
     }
 }
 
-/// Exclusive view of a dat (see [`Dat::write`]). Like the read guard it
-/// always presents canonical row-major order; mutations to an SoA dat are
-/// staged and scattered back into the planes when the guard drops.
+/// Exclusive view of a dat (see [`Dat::write`]).
 pub struct DatWriteGuard<'a, T: OpType> {
     dat: &'a Dat<T>,
-    /// Canonical row-major staging buffer (`Some` iff the dat is SoA).
-    staged: Option<Vec<T>>,
 }
 
 impl<T: OpType> std::ops::Deref for DatWriteGuard<'_, T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        match &self.staged {
-            Some(buf) => buf,
-            // SAFETY: exclusive per borrow counter.
-            None => unsafe { std::slice::from_raw_parts(self.dat.ptr(), self.dat.len()) },
-        }
+        // SAFETY: exclusive per borrow counter.
+        unsafe { std::slice::from_raw_parts(self.dat.ptr(), self.dat.len()) }
     }
 }
 
 impl<T: OpType> std::ops::DerefMut for DatWriteGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut [T] {
-        match &mut self.staged {
-            Some(buf) => buf,
-            // SAFETY: exclusive per borrow counter.
-            None => unsafe { std::slice::from_raw_parts_mut(self.dat.ptr(), self.dat.len()) },
-        }
+        // SAFETY: exclusive per borrow counter.
+        unsafe { std::slice::from_raw_parts_mut(self.dat.ptr(), self.dat.len()) }
     }
 }
 
@@ -927,24 +772,8 @@ impl<T: OpType> DatWriteGuard<'_, T> {
 
 impl<T: OpType> Drop for DatWriteGuard<'_, T> {
     fn drop(&mut self) {
-        if let Some(buf) = self.staged.take() {
-            // SAFETY: exclusive per borrow counter until the store below.
-            unsafe { self.dat.scatter_rows_from(0, &buf) };
-        }
         self.dat.inner.borrow.store(0, Ordering::Release);
     }
-}
-
-/// Transposes canonical row-major `data` (`rows x dim`) into `dim`
-/// contiguous component planes of `rows` scalars each.
-fn transpose_to_planes<T: OpType>(data: &[T], rows: usize, dim: usize) -> Vec<T> {
-    let mut planes = Vec::with_capacity(data.len());
-    for c in 0..dim {
-        for e in 0..rows {
-            planes.push(data[e * dim + c]);
-        }
-    }
-    planes
 }
 
 #[cfg(test)]
@@ -1191,50 +1020,6 @@ mod tests {
         assert_eq!(deps.len(), 2);
         assert!(SharedFuture::ptr_eq(&deps[0], &nodes[2]));
         assert!(SharedFuture::ptr_eq(&deps[1], &nodes[1]));
-    }
-
-    #[test]
-    fn soa_guards_present_canonical_rows() {
-        let set = Set::new(3, "cells");
-        let data: Vec<f64> = (0..6).map(|v| v as f64).collect();
-        let d = Dat::with_halo_layout(&set, 2, "q", data.clone(), 4, 0, Layout::SoA);
-        assert_eq!(d.layout(), Layout::SoA);
-        assert_eq!(d.component_stride(), 3);
-        // Raw storage is transposed...
-        // SAFETY: `len()` scalars live behind `ptr()`, and no loop or guard
-        // is active on this freshly declared dat.
-        let raw: Vec<f64> = unsafe { std::slice::from_raw_parts(d.ptr(), d.len()) }.to_vec();
-        assert_eq!(raw, vec![0.0, 2.0, 4.0, 1.0, 3.0, 5.0]);
-        // ...but guards and snapshots present canonical row order.
-        assert_eq!(d.snapshot(), data);
-        assert_eq!(d.read().row(1), &[2.0, 3.0]);
-        {
-            let mut w = d.write();
-            w.row_mut(2).copy_from_slice(&[9.0, 10.0]);
-        }
-        assert_eq!(d.read().row(2), &[9.0, 10.0]);
-        // SAFETY: as above; the write guard was dropped at the end of its
-        // block.
-        let raw: Vec<f64> = unsafe { std::slice::from_raw_parts(d.ptr(), d.len()) }.to_vec();
-        assert_eq!(raw, vec![0.0, 2.0, 9.0, 1.0, 3.0, 10.0]);
-    }
-
-    #[test]
-    fn soa_halo_rows_extend_the_planes() {
-        let set = Set::new(2, "cells");
-        // 2 owned + 2 halo rows, dim 2.
-        let data: Vec<f64> = (0..8).map(|v| v as f64).collect();
-        let d = Dat::with_halo_layout(&set, 2, "q", data.clone(), 4, 2, Layout::SoA);
-        assert_eq!(d.component_stride(), 4);
-        assert_eq!(d.snapshot(), data);
-        // Scatter a halo row the way the exchange receive node does.
-        // SAFETY: row 3 of 4 exists, and nothing else accesses this dat.
-        unsafe { d.scatter_rows_from(3, &[42.0, 43.0]) };
-        let mut row = Vec::new();
-        // SAFETY: as above.
-        unsafe { d.append_row_to(3, &mut row) };
-        assert_eq!(row, vec![42.0, 43.0]);
-        assert_eq!(d.snapshot()[6..8], [42.0, 43.0]);
     }
 
     #[test]

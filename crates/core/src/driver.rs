@@ -403,7 +403,7 @@ pub(crate) struct SpecCache {
     capacity: std::sync::atomic::AtomicUsize,
 }
 
-/// Default bound on resident schedules (see [`SpecCache`]).
+/// Default bound on resident schedules (see `SpecCache`).
 pub const DEFAULT_SPEC_CAPACITY: usize = 512;
 
 struct CachedSpec {
@@ -559,8 +559,8 @@ impl SpecCache {
     }
 }
 
-/// A shareable handle to one loop-spec cache (see [`SpecCache`]'s
-/// internal docs): clone it into several [`Op2Config`]s via
+/// A shareable handle to one loop-spec cache (see `SpecCache`'s
+/// internal docs): clone it into several [`Op2Config`](crate::Op2Config)s via
 /// [`Op2Config::with_shared_specs`](crate::Op2Config::with_shared_specs)
 /// and every world built from them resolves loop schedules through **one**
 /// cache. Because keys are content signatures, not entity ids, a world

@@ -23,7 +23,7 @@
 //!   [window](FarmConfig::window) jobs (loop-epochs) in flight —
 //!   submitted but not complete. The W+1-th `submit` **parks on the
 //!   oldest in-flight job's future** until it completes, exactly like a
-//!   solver iteration window parking on its oldest [`LoopHandle`].
+//!   solver iteration window parking on its oldest [`LoopHandle`](crate::LoopHandle).
 //! * **Quotas.** At most [quota](FarmConfig::quota) jobs of one tenant
 //!   execute concurrently, so a hot tenant cannot occupy every lane.
 //! * **Warm-state sharing.** All tenant worlds are built with one shared

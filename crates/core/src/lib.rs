@@ -70,7 +70,7 @@ pub use arg::{
 };
 pub use config::{Backend, Op2Config, DEFAULT_BLOCK_SIZE};
 pub use convergence::{Convergence, ResidualMap};
-pub use dat::{Dat, DatReadGuard, DatWriteGuard, DepTable, Layout};
+pub use dat::{Dat, DatReadGuard, DatWriteGuard, DepTable};
 pub use driver::{
     __dataflow_direct_blocks, __dataflow_resolved_block_size, plan_for, LoopHandle, SpecShare,
     SubmitStats, DEFAULT_SPEC_CAPACITY,

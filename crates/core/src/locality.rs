@@ -9,7 +9,7 @@
 //! * a [`LocalityGroup`] holds one [`Op2`] context per **locally hosted
 //!   rank**. Under the default [`InProcessTransport`] all ranks live in
 //!   one process and share a single worker pool, so their tasks interleave
-//!   like HPX localities on one node; under a [`ProcessTransport`] each OS
+//!   like HPX localities on one node; under a [`ProcessTransport`](crate::transport::ProcessTransport) each OS
 //!   process hosts its slice of the ranks and peers exchange real bytes
 //!   over Unix-domain sockets.
 //! * each sharded dat is declared with [`Op2::decl_dat_halo`]: its owned
@@ -37,7 +37,7 @@
 //! OP2's contract is that access descriptors fully describe a loop's data
 //! movement — which is what lets the runtime insert communication for the
 //! user. [`link_halo`] restores that contract at distributed scale: it
-//! ties the per-rank shards of one logical dat into a [`HaloRing`]
+//! ties the per-rank shards of one logical dat into a `HaloRing`
 //! carrying the [`HaloSpec`] and one **dirty bit per (importer, exporter)
 //! pair**. From then on no manual [`exchange`] call is needed; `par_loop`
 //! submission drives the state machine:
@@ -92,15 +92,13 @@
 //!
 //! # Wire format
 //!
-//! Transports move rows in one canonical encoding whatever the physical
-//! layout (AoS/SoA) on either end:
+//! Transports move rows in one encoding, the dats' own row-major one:
 //!
 //! * a [`MsgKind::Halo`] payload is the exported rows in export-list
 //!   order, each row `dim` scalars **row-major**, every scalar
 //!   little-endian fixed-width (`usize`/`isize` widened to 64 bits,
-//!   `bool` one byte — see [`crate::transport::WireScalar`]); this is
-//!   exactly what the layout-aware gather produces and the scatter
-//!   re-strides.
+//!   `bool` one byte — see [`crate::transport::WireScalar`]); the gather
+//!   appends whole rows and the scatter copies them back in place.
 //! * a [`MsgKind::Reduce`] payload is a `Global`'s `dim` partial values,
 //!   same scalar encoding.
 //! * multi-process framing (Unix-domain sockets): a 32-byte header
@@ -172,7 +170,7 @@ impl LocalityGroup {
     /// Creates one context per *locally hosted* rank of `transport`, all
     /// sharing one runtime. This is the distributed entry point: every
     /// participating process builds its own group over its
-    /// [`ProcessTransport`] and runs the same program (SPMD).
+    /// [`ProcessTransport`](crate::transport::ProcessTransport) and runs the same program (SPMD).
     pub fn with_transport(config: Op2Config, transport: Arc<dyn Transport>) -> Self {
         let local = transport.local_ranks();
         assert!(
@@ -757,9 +755,7 @@ pub(crate) fn schedule_send_half<T: OpType>(
         for &row in gather_rows.iter() {
             // SAFETY: this node was scheduled after every pending
             // writer of the gathered blocks and is registered as a
-            // reader, so the rows are stable while it runs. The
-            // layout-aware gather keeps the wire format canonical
-            // (row-major) whatever the dat's physical layout.
+            // reader, so the rows are stable while it runs.
             unsafe {
                 gather_dat.append_row_to(row as usize, &mut vals);
             }
@@ -808,9 +804,7 @@ fn schedule_recv_half<T: OpType>(
                 assert_eq!(vals.len(), scatter_range.len() * dim, "halo payload size");
                 // SAFETY: scheduled after every pending reader and writer
                 // of the halo blocks, and registered as their writer, so
-                // this node has exclusive access to the rows. The payload
-                // is canonical row-major; the scatter re-strides it into
-                // the dat's physical layout.
+                // this node has exclusive access to the rows.
                 unsafe {
                     scatter_dat.scatter_rows_from(scatter_range.start, &vals);
                 }
@@ -1061,7 +1055,7 @@ pub fn link_halo<T: OpType>(group: &LocalityGroup, dats: &[Dat<T>], spec: &HaloS
     link_halo_with(group, dats, spec, &ExchangeOpts::default());
 }
 
-/// Ties the per-rank shards of one logical dat into a [`HaloRing`] so all
+/// Ties the per-rank shards of one logical dat into a `HaloRing` so all
 /// halo communication becomes **implicit**: loops that mutate a shard mark
 /// its exports stale, loops that read stale imports through a halo-capable
 /// map schedule the exchange automatically (see the module-level dirty-bit

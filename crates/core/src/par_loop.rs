@@ -31,19 +31,16 @@
 //! What `run` resolves when (the argument side is in [`crate::arg`]):
 //!
 //! * **per loop**: the arguments are checked against the iteration set and
-//!   their shapes against their dats and maps; whether any argument's
-//!   rows are strided (an SoA dat) — the loop is then *staged* — and the
-//!   prefetch tables; the block body below is built once and handed to
-//!   the driver;
-//! * **per block**: every argument binds its base pointer, strides and
-//!   map table into locals, the range is checked against the set, and
-//!   `block_body` picks the staged or the unstaged instantiation of the
-//!   one element loop (each with its prefetch branch hoisted);
+//!   their shapes against their dats and maps, and the prefetch tables are
+//!   registered; the block body below is built once and handed to the
+//!   driver;
+//! * **per block**: every argument binds its base pointer and map table
+//!   into locals, the range is checked against the set, and `block_body`
+//!   runs the one element loop (its prefetch branch hoisted);
 //! * **per element**: one view per argument and the kernel call — for
 //!   shaped arguments a map load and a multiply by a literal each, with
-//!   slice lengths the compiler knows; the staged instantiation also
-//!   copies each row through the block's buffers and back. The unstaged
-//!   one touches no buffer and calls no `writeback`.
+//!   slice lengths the compiler knows. A dat view is the row in storage
+//!   (dats are row-major), so no row is copied.
 //!
 //! Under the [`Dataflow`](crate::Backend::Dataflow) backend `run` returns
 //! immediately; the returned [`LoopHandle`] wraps the loop's completion
@@ -184,18 +181,41 @@ macro_rules! gen_par_loop {
             where
                 K: for<'e> Fn($(<$A as ArgSpec>::View<'e>),+) + Send + Sync + 'static,
             {
-                /// The element loop, written once: `STAGED` copies every
-                /// row through the block's buffers and back (strided
-                /// storage), otherwise views alias the storage and no
-                /// buffer or `writeback` is touched.
+                /// One element: its views and the kernel call, inlined
+                /// into both arms of `elements` so the kernel is compiled
+                /// into the loop body (left to the optimiser, a closure
+                /// called from two loops was not always inlined).
+                ///
+                /// # Safety
+                ///
+                /// As `elements`, for an element `e` of `r`.
+                #[inline(always)]
+                unsafe fn element<$($A: ArgSpec,)+ K>(
+                    e: usize,
+                    args: &($($A,)+),
+                    bound: &($(<$A as ArgSpec>::Bound<'_>,)+),
+                    tls: &mut ($(<$A as ArgSpec>::TaskLocal,)+),
+                    kernel: &K,
+                ) where
+                    K: for<'e> Fn($(<$A as ArgSpec>::View<'e>),+),
+                {
+                    if cfg!(debug_assertions) {
+                        let targets = [$( args.$idx.mut_target(e) ),+];
+                        crate::diag::check_mut_overlap(&targets, e);
+                    }
+                    // SAFETY: the caller's contract is `view`'s.
+                    unsafe { kernel($( $A::view(&bound.$idx, e, &mut tls.$idx) ),+) }
+                }
+
+                /// The element loop, written once: views alias the storage
+                /// (a global reduction's, its block partial in `tls`).
                 ///
                 /// # Safety
                 ///
                 /// Executor only: `bound` bound from `args` inside the
-                /// block `r`, `r` inside the iteration set, `tls` made by
-                /// `task_local(STAGED)`, and `STAGED` if any argument is
-                /// strided.
-                unsafe fn elements<const STAGED: bool, $($A: ArgSpec,)+ K>(
+                /// block `r`, `r` inside the iteration set, and `tls` made
+                /// by `task_local`.
+                unsafe fn elements<$($A: ArgSpec,)+ K>(
                     r: Range<usize>,
                     args: &($($A,)+),
                     bound: &($(<$A as ArgSpec>::Bound<'_>,)+),
@@ -205,27 +225,16 @@ macro_rules! gen_par_loop {
                 ) where
                     K: for<'e> Fn($(<$A as ArgSpec>::View<'e>),+),
                 {
-                    let mut element = |e: usize| {
-                        if cfg!(debug_assertions) {
-                            let targets = [$( args.$idx.mut_target(e) ),+];
-                            crate::diag::check_mut_overlap(&targets, e);
-                        }
-                        // SAFETY: the caller's contract is `view`'s and
-                        // `writeback`'s.
-                        unsafe {
-                            kernel($( $A::view::<STAGED>(&bound.$idx, e, &mut tls.$idx) ),+);
-                            if STAGED {
-                                $( $A::writeback(&bound.$idx, e, &mut tls.$idx); )+
-                            }
-                        }
-                    };
                     // The prefetch branch is hoisted out of the element
                     // loop so the common (no-prefetch) path stays tight.
                     match prefetch {
-                        None => r.for_each(element),
+                        // SAFETY: every `e` is in `r`; the rest is this
+                        // function's contract.
+                        None => r.for_each(|e| unsafe { element(e, args, bound, tls, kernel) }),
                         Some((ps, d)) => r.for_each(|e| {
                             ps.prefetch(e + *d);
-                            element(e)
+                            // SAFETY: as above.
+                            unsafe { element(e, args, bound, tls, kernel) }
                         }),
                     }
                 }
@@ -292,11 +301,6 @@ macro_rules! gen_par_loop {
                     .filter(|ps| !ps.is_empty())
                     .map(Arc::new);
 
-                // Strided rows (an SoA dat) must be staged: the layout
-                // decision is taken here, once per loop, and selects an
-                // instantiation of the element loop — it is not re-taken
-                // per element.
-                let staged = false $( || $a.strided() )+;
                 let set_size = set.size();
                 let finalize_args = ($( $a.clone(), )+);
                 let record_args = ($( $a.clone(), )+);
@@ -308,10 +312,10 @@ macro_rules! gen_par_loop {
                         // element of the iteration set: check the range
                         // once per block instead of per access.
                         assert!(r.end <= set_size, "block {r:?} outside the iteration set");
-                        let mut tls = ($( args.$idx.task_local(staged), )+);
-                        // Loop-invariant argument state (base pointers,
-                        // strides, map tables) resolved once, into locals
-                        // the element loop keeps in registers.
+                        let mut tls = ($( args.$idx.task_local(), )+);
+                        // Loop-invariant argument state (base pointers, map
+                        // tables) resolved once, into locals the element
+                        // loop keeps in registers.
                         // SAFETY: this is the executor, inside the block
                         // whose dependencies the driver satisfied, and
                         // `check_against` ran at submission; `bound` dies
@@ -320,16 +324,9 @@ macro_rules! gen_par_loop {
                         let bound = unsafe { ($( args.$idx.bind(), )+) };
                         // SAFETY: the driver guarantees the executor
                         // discipline in `crate::dat`; `r` lies inside the
-                        // set by the assert above; `tls` was made for
-                        // `staged`, which is true if any argument is
-                        // strided.
+                        // set by the assert above; `tls` was just made.
                         unsafe {
-                            let (r, prefetch) = (r.clone(), prefetch.as_ref());
-                            if staged {
-                                elements::<true, $($A,)+ K>(r, &args, &bound, &mut tls, &kernel, prefetch)
-                            } else {
-                                elements::<false, $($A,)+ K>(r, &args, &bound, &mut tls, &kernel, prefetch)
-                            }
+                            elements(r.clone(), &args, &bound, &mut tls, &kernel, prefetch.as_ref())
                         }
                         $( args.$idx.commit(gen, r.start, tls.$idx); )+
                     });

@@ -9,7 +9,7 @@ use std::time::Duration;
 use hpx_rt::{Runtime, SharedFuture};
 
 use crate::config::Op2Config;
-use crate::dat::{Dat, Layout};
+use crate::dat::Dat;
 use crate::driver::{SpecShare, SubmitStats};
 use crate::granularity::GranularityFeedback;
 use crate::map::Map;
@@ -173,34 +173,15 @@ impl Op2 {
     /// `set.size() * dim` scalars, row-major. The dat's dependency table
     /// is partitioned to this context's mini-partition block size, so loop
     /// blocks and dependency blocks coincide under the dataflow backend.
-    /// The physical layout follows [`Op2Config::layout`]; use
-    /// [`Op2::decl_dat_layout`] for a per-dat override.
     pub fn decl_dat<T: OpType>(&self, set: &Set, dim: usize, name: &str, data: Vec<T>) -> Dat<T> {
-        self.decl_dat_layout(set, dim, name, data, self.config.layout)
-    }
-
-    /// [`Op2::decl_dat`] with an explicit AoS/SoA [`Layout`] policy.
-    /// `data` is always canonical row-major; an SoA dat transposes it into
-    /// `dim` contiguous component planes on declaration. Kernels, guards
-    /// and the dependency engine see the same logical rows either way.
-    pub fn decl_dat_layout<T: OpType>(
-        &self,
-        set: &Set,
-        dim: usize,
-        name: &str,
-        data: Vec<T>,
-        layout: Layout,
-    ) -> Dat<T> {
-        Dat::with_halo_layout(set, dim, name, data, self.config.block_size, 0, layout)
+        self.decl_dat_halo(set, dim, name, data, 0)
     }
 
     /// Declares data on a set with `halo_rows` mirror rows appended for
     /// remote-owned elements; `data` holds `(set.size() + halo_rows) * dim`
     /// scalars, owned rows first. Loops iterate the owned prefix only;
     /// halo rows are fed by [`crate::locality::exchange`] and reached
-    /// through maps declared with [`Op2::decl_map_halo`]. The physical
-    /// layout follows [`Op2Config::layout`]; use
-    /// [`Op2::decl_dat_halo_layout`] for a per-dat override.
+    /// through maps declared with [`Op2::decl_map_halo`].
     pub fn decl_dat_halo<T: OpType>(
         &self,
         set: &Set,
@@ -209,31 +190,7 @@ impl Op2 {
         data: Vec<T>,
         halo_rows: usize,
     ) -> Dat<T> {
-        self.decl_dat_halo_layout(set, dim, name, data, halo_rows, self.config.layout)
-    }
-
-    /// [`Op2::decl_dat_halo`] with an explicit AoS/SoA [`Layout`] policy.
-    /// Under SoA the halo mirror rows extend every component plane, so a
-    /// plane's stride is `set.size() + halo_rows` (see
-    /// [`Dat::component_stride`]).
-    pub fn decl_dat_halo_layout<T: OpType>(
-        &self,
-        set: &Set,
-        dim: usize,
-        name: &str,
-        data: Vec<T>,
-        halo_rows: usize,
-        layout: Layout,
-    ) -> Dat<T> {
-        Dat::with_halo_layout(
-            set,
-            dim,
-            name,
-            data,
-            self.config.block_size,
-            halo_rows,
-            layout,
-        )
+        Dat::with_halo(set, dim, name, data, self.config.block_size, halo_rows)
     }
 
     /// Waits for every outstanding loop (every block node is covered: the

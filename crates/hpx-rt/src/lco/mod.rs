@@ -6,7 +6,7 @@
 //! and enable thread execution to proceed as far as possible without
 //! waiting."
 //!
-//! The future and dataflow LCOs live in [`crate::future`] and
+//! The future and dataflow LCOs live in `crate::future` and
 //! [`crate::dataflow`]; this module holds the three others OP2 runs on.
 //! [`Latch`] is the workhorse: the chunked loops count their finished
 //! chunks on one, and its `wait` help-executes pool tasks instead of

@@ -1,16 +1,13 @@
 //! `op2c` — the OP2 source-to-source translator CLI.
 //!
 //! ```text
-//! op2c [--backend openmp|hpx] [--layout aos|soa] [--check] [-o OUT.rs] INPUT.op2
+//! op2c [--backend openmp|hpx] [--check] [--emit-kernels] [-o OUT.rs] INPUT.op2
 //! ```
 
-use op2_translator::{
-    check_source, emit_kernel_skeletons_layout, translate_layout, CodegenBackend, CodegenLayout,
-};
+use op2_translator::{check_source, emit_kernel_skeletons, translate, CodegenBackend};
 
 fn main() {
     let mut backend = CodegenBackend::Hpx;
-    let mut layout = CodegenLayout::AoS;
     let mut check_only = false;
     let mut kernels_only = false;
     let mut output: Option<String> = None;
@@ -24,18 +21,13 @@ fn main() {
                 backend = CodegenBackend::parse(&name)
                     .unwrap_or_else(|| panic!("unknown backend `{name}` (openmp|hpx)"));
             }
-            "--layout" => {
-                let name = args.next().expect("missing value for --layout");
-                layout = CodegenLayout::parse(&name)
-                    .unwrap_or_else(|| panic!("unknown layout `{name}` (aos|soa)"));
-            }
             "--check" => check_only = true,
             "--emit-kernels" => kernels_only = true,
             "-o" | "--output" => output = Some(args.next().expect("missing value for -o")),
             "--help" | "-h" => {
                 println!(
                     "op2c: OP2 source-to-source translator\n\
-                     usage: op2c [--backend openmp|hpx] [--layout aos|soa] [--check] [--emit-kernels] [-o OUT.rs] INPUT.op2"
+                     usage: op2c [--backend openmp|hpx] [--check] [--emit-kernels] [-o OUT.rs] INPUT.op2"
                 );
                 return;
             }
@@ -78,9 +70,9 @@ fn main() {
     }
 
     let result = if kernels_only {
-        emit_kernel_skeletons_layout(&src, layout)
+        emit_kernel_skeletons(&src)
     } else {
-        translate_layout(&src, backend, layout)
+        translate(&src, backend)
     };
     match result {
         Ok(code) => match output {

@@ -6,7 +6,7 @@
 //!   generated `op_par_loop_*` blocks until the loop completes, i.e. an
 //!   implicit global barrier after every loop.
 //! * [`CodegenBackend::Hpx`] — the paper's redesign (Fig 8): each
-//!   generated function returns the loop's [`LoopHandle`] future
+//!   generated function returns the loop's `LoopHandle` future
 //!   immediately, so the calling program interleaves loops through the
 //!   dataflow dependency graph.
 //!
@@ -20,7 +20,7 @@
 //! `arg_read(p_q).row::<4>()` for `dat p_q : cells, dim 4`,
 //! `arg_inc_via(p_res, pecell, 1).via::<4, 2>()` for that dat through
 //! `map pecell : edges -> cells, dim 2`, `arg_gbl_inc(rms).row::<1>()` —
-//! for both backends and both layouts. `op2-core` compiles the element
+//! for both backends. `op2-core` compiles the element
 //! loop against those literals and checks them, when a loop is submitted,
 //! against the dats and maps the wrapper was handed (a mismatch is a panic
 //! naming the loop, the dat, the map and both numbers). `sema` has
@@ -53,48 +53,9 @@ impl CodegenBackend {
     }
 }
 
-/// Physical dat layout the generated code targets (`op2_core::Layout`).
-///
-/// The loop *wrappers* are layout-oblivious — `op2-core` stages row views
-/// over SoA planes transparently — so AoS and SoA wrappers differ only in
-/// documentation. The kernel *skeletons* differ structurally: SoA
-/// skeletons are block-level and stride-aware (whole component planes plus
-/// a plane stride per dat, an explicit element range), the shape that
-/// hand-vectorized kernels like `airfoil_cfd::simd` fill in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CodegenLayout {
-    /// Array-of-structures: `dim` adjacent scalars per element (OP2's
-    /// stock layout). The default; output is byte-identical to the
-    /// pre-layout translator.
-    #[default]
-    AoS,
-    /// Structure-of-arrays: one contiguous plane per component.
-    SoA,
-}
-
-impl CodegenLayout {
-    /// CLI spelling.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "aos" => Some(CodegenLayout::AoS),
-            "soa" => Some(CodegenLayout::SoA),
-            _ => None,
-        }
-    }
-}
-
 /// Runs semantic checks, then generates Rust source for every loop of the
-/// programme (AoS layout — byte-identical to the pre-layout translator).
+/// programme.
 pub fn generate(program: &Program, backend: CodegenBackend) -> Result<String, Vec<TranslateError>> {
-    generate_layout(program, backend, CodegenLayout::AoS)
-}
-
-/// [`generate`] with an explicit target [`CodegenLayout`].
-pub fn generate_layout(
-    program: &Program,
-    backend: CodegenBackend,
-    layout: CodegenLayout,
-) -> Result<String, Vec<TranslateError>> {
     let errors = sema::check(program);
     if !errors.is_empty() {
         return Err(errors);
@@ -111,7 +72,6 @@ pub fn generate_layout(
             program,
             l,
             backend,
-            layout,
             &mut body,
             &mut used_items,
             &mut uses_dat,
@@ -138,16 +98,10 @@ pub fn generate_layout(
         CodegenBackend::OpenMp => "openmp (blocking loops, implicit global barriers)",
         CodegenBackend::Hpx => "hpx (dataflow loops returning futures)",
     };
-    // The AoS header is byte-identical to the pre-layout translator so the
-    // default path produces zero golden diffs.
-    let (style_layout, flag_layout) = match layout {
-        CodegenLayout::AoS => ("", ""),
-        CodegenLayout::SoA => (", layout: soa (component planes)", " --layout soa"),
-    };
     let _ = writeln!(
         out,
-        "// Generated by op2c from programme `{}` — backend: {style}{style_layout}.\n\
-         // DO NOT EDIT: regenerate with `op2c --backend {}{flag_layout} {}.op2`.\n",
+        "// Generated by op2c from programme `{}` — backend: {style}.\n\
+         // DO NOT EDIT: regenerate with `op2c --backend {} {}.op2`.\n",
         program.name,
         match backend {
             CodegenBackend::OpenMp => "openmp",
@@ -166,29 +120,11 @@ pub fn generate_layout(
 /// Generates a kernel-skeleton module: one `todo!()` function per loop
 /// with the exact slice signature the generated wrappers expect — the
 /// counterpart of the `*.h` user-kernel stubs OP2 scaffolds. Runs the
-/// same semantic checks as [`generate`]. AoS layout.
+/// same semantic checks as [`generate`].
 pub fn generate_kernel_skeletons(program: &Program) -> Result<String, Vec<TranslateError>> {
-    generate_kernel_skeletons_layout(program, CodegenLayout::AoS)
-}
-
-/// [`generate_kernel_skeletons`] with an explicit target layout.
-///
-/// AoS emits the classic per-element row-view stubs. SoA emits
-/// **block-level stride-aware** stubs: each dat argument arrives as its
-/// whole component-plane slice plus a plane stride (`plane[c * stride +
-/// e]` addresses component `c` of element `e`), indirect arguments come
-/// with their map's index table, and the function processes an explicit
-/// element range — the shape hand-vectorized kernels fill in.
-pub fn generate_kernel_skeletons_layout(
-    program: &Program,
-    layout: CodegenLayout,
-) -> Result<String, Vec<TranslateError>> {
     let errors = sema::check(program);
     if !errors.is_empty() {
         return Err(errors);
-    }
-    if layout == CodegenLayout::SoA {
-        return Ok(soa_kernel_skeletons(program));
     }
     let mut out = String::new();
     let _ = writeln!(
@@ -226,82 +162,6 @@ pub fn generate_kernel_skeletons_layout(
         let _ = writeln!(out, "}}\n");
     }
     Ok(out)
-}
-
-/// The SoA block-level skeleton emitter (see
-/// [`generate_kernel_skeletons_layout`]).
-fn soa_kernel_skeletons(program: &Program) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "// SoA block-level kernel skeletons for programme `{}` — fill in the\n\
-         // bodies. Generated by `op2c --emit-kernels --layout soa`.\n\
-         //\n\
-         // Every dat argument is its whole component-plane slice plus the\n\
-         // plane stride: component `c` of element `e` is `plane[c * stride + e]`.\n\
-         // Indirect arguments gather through their map's index table\n\
-         // (`map[e * map_dim + slot]`). Each function processes the element\n\
-         // range it is given — one mini-partition block per call.\n",
-        program.name
-    );
-    for l in &program.loops {
-        let mut params: Vec<String> = Vec::new();
-        let mut maps: Vec<&MapDecl> = Vec::new();
-        for (i, arg) in l.args.iter().enumerate() {
-            match arg {
-                LoopArg::Dat {
-                    dat, via, access, ..
-                } => {
-                    let d = program.dat(dat).expect("sema");
-                    let mutability = if access.is_mut() { "&mut " } else { "&" };
-                    params.push(format!("arg{i}_{dat}: {mutability}[{}]", d.ty.rust_name()));
-                    params.push(format!("arg{i}_{dat}_stride: usize"));
-                    if let Some((map, _)) = via {
-                        let m = program.map(map).expect("sema");
-                        if !maps.iter().any(|p| p.name == m.name) {
-                            maps.push(m);
-                        }
-                    }
-                }
-                LoopArg::Gbl { gbl, access, .. } => {
-                    let g = program.gbl(gbl).expect("sema");
-                    let mutability = if access.is_mut() { "&mut " } else { "&" };
-                    params.push(format!("arg{i}_{gbl}: {mutability}[{}]", g.ty.rust_name()));
-                }
-            }
-        }
-        for m in &maps {
-            params.push(format!("{}: &[u32]", m.name));
-        }
-        params.push("range: std::ops::Range<usize>".to_owned());
-
-        let _ = writeln!(
-            out,
-            "/// Block-level SoA user kernel for loop `{}` over `{}`.",
-            l.kernel, l.set
-        );
-        for m in &maps {
-            let _ = writeln!(
-                out,
-                "/// `{}` has {} slot(s) per element: slot `s` of element `e` is `{}[e * {} + s]`.",
-                m.name, m.dim, m.name, m.dim
-            );
-        }
-        let _ = writeln!(out, "#[allow(unused_variables)]");
-        if params.len() > 7 {
-            let _ = writeln!(out, "#[allow(clippy::too_many_arguments)]");
-        }
-        let _ = writeln!(out, "pub fn {}_soa({}) {{", l.kernel, params.join(", "));
-        let _ = writeln!(out, "    for e in range {{");
-        let _ = writeln!(
-            out,
-            "        todo!(\"implement the {} kernel (stride-aware SoA block body)\")",
-            l.kernel
-        );
-        let _ = writeln!(out, "    }}");
-        let _ = writeln!(out, "}}\n");
-    }
-    out
 }
 
 const ARG_FNS: [&str; 10] = [
@@ -363,12 +223,10 @@ fn arg_ctor(program: &Program, arg: &LoopArg) -> String {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn emit_loop(
     program: &Program,
     l: &LoopDecl,
     backend: CodegenBackend,
-    layout: CodegenLayout,
     out: &mut String,
     used: &mut BTreeSet<&'static str>,
     uses_dat: &mut bool,
@@ -473,15 +331,6 @@ fn emit_loop(
                  /// chain through the dats' dataflow state (paper Figs 8-11)."
             );
         }
-    }
-    if layout == CodegenLayout::SoA {
-        let _ = writeln!(
-            out,
-            "/// Dats are expected in SoA layout (`op2_core::Layout::SoA`): the\n\
-             /// kernel's row views are staged from the component planes per\n\
-             /// element; block-level stride-aware kernels can replace this\n\
-             /// wrapper where vectorization matters."
-        );
     }
     let ret = match backend {
         CodegenBackend::OpenMp => "",

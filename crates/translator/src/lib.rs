@@ -40,41 +40,20 @@ pub mod sema;
 pub mod token;
 
 pub use ast::Program;
-pub use codegen::{CodegenBackend, CodegenLayout};
+pub use codegen::CodegenBackend;
 pub use token::TranslateError;
 
 /// One-shot translation: source text → generated Rust, or every diagnostic
-/// found on the way. AoS layout (see [`translate_layout`]).
+/// found on the way.
 pub fn translate(src: &str, backend: CodegenBackend) -> Result<String, Vec<TranslateError>> {
-    translate_layout(src, backend, CodegenLayout::AoS)
-}
-
-/// [`translate`] with an explicit target dat layout (`op2c --layout`).
-/// AoS output is byte-identical to [`translate`]; SoA output documents
-/// the plane layout on every wrapper.
-pub fn translate_layout(
-    src: &str,
-    backend: CodegenBackend,
-    layout: CodegenLayout,
-) -> Result<String, Vec<TranslateError>> {
     let program = parser::parse(src).map_err(|e| vec![e])?;
-    codegen::generate_layout(&program, backend, layout)
+    codegen::generate(&program, backend)
 }
 
 /// Generates kernel-skeleton stubs (the `op2c --emit-kernels` mode).
-/// AoS layout (see [`emit_kernel_skeletons_layout`]).
 pub fn emit_kernel_skeletons(src: &str) -> Result<String, Vec<TranslateError>> {
-    emit_kernel_skeletons_layout(src, CodegenLayout::AoS)
-}
-
-/// [`emit_kernel_skeletons`] with an explicit target layout: SoA emits
-/// block-level stride-aware stubs over component planes.
-pub fn emit_kernel_skeletons_layout(
-    src: &str,
-    layout: CodegenLayout,
-) -> Result<String, Vec<TranslateError>> {
     let program = parser::parse(src).map_err(|e| vec![e])?;
-    codegen::generate_kernel_skeletons_layout(&program, layout)
+    codegen::generate_kernel_skeletons(&program)
 }
 
 /// Parses and checks without generating (the `op2c --check` mode).

@@ -5,10 +5,7 @@
 //! `cargo run -p op2-translator --bin op2c -- --backend hpx specs/airfoil.op2 -o tests/golden/airfoil_hpx.rs`
 //! (and likewise for `openmp`).
 
-use op2_translator::{
-    check_source, emit_kernel_skeletons_layout, translate, translate_layout, CodegenBackend,
-    CodegenLayout,
-};
+use op2_translator::{check_source, translate, CodegenBackend};
 
 const AIRFOIL: &str = include_str!("../specs/airfoil.op2");
 const HEAT: &str = include_str!("../specs/heat.op2");
@@ -85,62 +82,6 @@ fn converge_decls_lower_onto_the_async_reduction_path() {
     assert!(jac.contains("pub fn resid_convergence() -> Convergence"));
     assert!(jac.contains("Convergence::new(1e-12, 1, 500)"));
     assert!(jac.contains("never blocks"));
-}
-
-#[test]
-fn aos_layout_is_byte_identical_to_the_default_path() {
-    for backend in [CodegenBackend::Hpx, CodegenBackend::OpenMp] {
-        assert_eq!(
-            translate_layout(AIRFOIL, backend, CodegenLayout::AoS).unwrap(),
-            translate(AIRFOIL, backend).unwrap(),
-            "explicit --layout aos must not change the output"
-        );
-    }
-}
-
-#[test]
-fn airfoil_hpx_soa_matches_golden() {
-    let generated = translate_layout(AIRFOIL, CodegenBackend::Hpx, CodegenLayout::SoA).unwrap();
-    let golden = include_str!("golden/airfoil_hpx_soa.rs");
-    assert_eq!(
-        generated, golden,
-        "hpx soa codegen drifted; regenerate golden"
-    );
-}
-
-#[test]
-fn airfoil_soa_kernel_skeletons_match_golden() {
-    let generated = emit_kernel_skeletons_layout(AIRFOIL, CodegenLayout::SoA).unwrap();
-    let golden = include_str!("golden/airfoil_kernels_soa.rs");
-    assert_eq!(
-        generated, golden,
-        "soa skeleton codegen drifted; regenerate golden"
-    );
-}
-
-#[test]
-fn soa_skeletons_are_block_level_and_stride_aware() {
-    let skeletons = emit_kernel_skeletons_layout(AIRFOIL, CodegenLayout::SoA).unwrap();
-    for name in ["save_soln", "adt_calc", "res_calc", "bres_calc", "update"] {
-        assert!(skeletons.contains(&format!("pub fn {name}_soa(")), "{name}");
-    }
-    // Every dat argument carries its plane stride; indirect loops get the
-    // map index table and every skeleton takes an element range.
-    assert!(skeletons.contains("arg0_p_q_stride: usize"));
-    assert!(skeletons.contains("pcell: &[u32]"));
-    assert!(skeletons.contains("pecell: &[u32]"));
-    assert!(skeletons.contains("range: std::ops::Range<usize>"));
-    // The wrappers (not the skeletons) stay layout-oblivious: SoA wrapper
-    // output differs from AoS only in documentation.
-    let aos = translate(AIRFOIL, CodegenBackend::Hpx).unwrap();
-    let soa = translate_layout(AIRFOIL, CodegenBackend::Hpx, CodegenLayout::SoA).unwrap();
-    let strip = |s: &str| {
-        s.lines()
-            .filter(|l| !l.trim_start().starts_with("//"))
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    assert_eq!(strip(&aos), strip(&soa), "wrapper code must not differ");
 }
 
 #[test]

@@ -7,7 +7,7 @@ use op2_hpx::airfoil::verify::{all_finite, max_rel_diff, max_scaled_diff};
 use op2_hpx::airfoil::{solver, Problem, SolverConfig};
 use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::mesh::channel_with_bump;
-use op2_hpx::op2::{Backend, GranularityFeedback, Layout, Op2, Op2Config};
+use op2_hpx::op2::{Backend, GranularityFeedback, Op2, Op2Config};
 
 fn simulate(config: Op2Config) -> (Vec<f64>, Vec<f64>) {
     let op2 = Op2::new(config);
@@ -108,6 +108,7 @@ fn sharded_ranks_agree_with_single_locality_across_backends() {
         ("seq x1", Op2Config::seq(), 1),
         ("seq x4", Op2Config::seq(), 4),
         ("fork_join(2) x4", Op2Config::fork_join(2), 4),
+        ("fork_join(2) x3", Op2Config::fork_join(2), 3),
         ("dataflow(2) x4", Op2Config::dataflow(2), 4),
         ("dataflow(4) x3", Op2Config::dataflow(4), 3),
         (
@@ -151,85 +152,6 @@ fn sharded_ranks_agree_with_single_locality_across_backends() {
     }
 }
 
-/// The data layout is a pure storage policy: switching every `Dat` to SoA
-/// component planes must not change the physics. Under Seq the element
-/// order and the arithmetic are identical — staging rows through scratch
-/// views must not perturb a single bit — so the results are bitwise-equal.
-/// The threaded backends and the sharded path stay within the usual
-/// summation-order rounding budget.
-#[test]
-fn soa_layout_matches_aos_across_backends() {
-    let (rms_ref, q_ref) = simulate(Op2Config::seq());
-    let (rms_soa, q_soa) = simulate(Op2Config::seq().with_layout(Layout::SoA));
-    assert_eq!(rms_soa, rms_ref, "Seq SoA is bitwise-equal to AoS");
-    assert_eq!(q_soa, q_ref, "Seq SoA is bitwise-equal to AoS");
-
-    let candidates: Vec<(&str, Op2Config)> = vec![
-        (
-            "fork_join(4)+soa",
-            Op2Config::fork_join(4).with_layout(Layout::SoA),
-        ),
-        (
-            "dataflow(2)+soa",
-            Op2Config::dataflow(2).with_layout(Layout::SoA),
-        ),
-        (
-            "dataflow(2)+soa+prefetch",
-            Op2Config::dataflow(2)
-                .with_prefetch(15)
-                .with_layout(Layout::SoA),
-        ),
-        (
-            "dataflow+shared_feedback+soa",
-            dataflow_shared_feedback(2).with_layout(Layout::SoA),
-        ),
-    ];
-    for (name, config) in candidates {
-        let (rms, q) = simulate(config);
-        let d_rms = max_rel_diff(&rms_ref, &rms);
-        let d_q = max_scaled_diff(&q_ref, &q, 1.0);
-        assert!(d_rms < 1e-7, "{name}: rms deviates by {d_rms:e}");
-        assert!(d_q < 1e-9, "{name}: q deviates by {d_q:e}");
-    }
-
-    // Sharded: the halo exchange gathers and scatters through the
-    // canonical row-major wire format, so SoA-resident ranks interoperate
-    // with the same cross-rank schedule the AoS ranks use.
-    let mesh = channel_with_bump(32, 16);
-    let cfg = SolverConfig {
-        niter: 12,
-        window: 4,
-        print_every: 0,
-        ..SolverConfig::default()
-    };
-    for (name, config, nranks) in [
-        ("seq x1 soa", Op2Config::seq().with_layout(Layout::SoA), 1),
-        (
-            "dataflow(2) x4 soa",
-            Op2Config::dataflow(2).with_layout(Layout::SoA),
-            4,
-        ),
-        (
-            "fork_join(2) x3 soa",
-            Op2Config::fork_join(2).with_layout(Layout::SoA),
-            3,
-        ),
-    ] {
-        let mut shp = ShardedProblem::declare(config, &mesh, nranks);
-        let r = run_sharded(&mut shp, &cfg);
-        let q = shp.gather_q();
-        if name == "seq x1 soa" {
-            assert_eq!(r.rms_history, rms_ref, "1-rank Seq SoA is bitwise");
-            assert_eq!(q, q_ref, "1-rank Seq SoA sharding is bitwise");
-            continue;
-        }
-        let d_rms = max_rel_diff(&rms_ref, &r.rms_history);
-        let d_q = max_scaled_diff(&q_ref, &q, 1.0);
-        assert!(d_rms < 1e-7, "{name}: rms deviates by {d_rms:e}");
-        assert!(d_q < 1e-9, "{name}: q deviates by {d_q:e}");
-    }
-}
-
 /// Airfoil, heat and jac behind the one [`App`] interface.
 fn every_app() -> Vec<Box<dyn op2_hpx::app::App>> {
     vec![
@@ -259,14 +181,10 @@ fn every_app_agrees_across_backends_and_shardings() {
         let state_ref = reference.state();
         assert!(all_finite(&out_ref.residuals) && all_finite(&state_ref));
 
-        // Plain worlds on the threaded backends (and the SoA layout).
+        // Plain worlds on the threaded backends.
         for (cname, config) in [
             ("fork_join(2)", Op2Config::fork_join(2)),
             ("dataflow(2)", Op2Config::dataflow(2)),
-            (
-                "dataflow(2)+soa",
-                Op2Config::dataflow(2).with_layout(Layout::SoA),
-            ),
         ] {
             let op2 = Op2::new(config);
             let mut inst = app.declare(&op2);

@@ -481,78 +481,15 @@ fn partition_and_halo_invariants() {
     }
 }
 
-/// SoA storage is a pure layout transform for arbitrary `dim`, set size
-/// and halo size: declaring the same canonical row-major data under AoS
-/// and SoA, mutating both through the public write guard with the same
-/// program, and reading back through guards/snapshots round-trips to
-/// bitwise-identical canonical rows — including the halo mirror rows,
-/// which under SoA extend every component plane (stride = size + halo).
-#[test]
-fn soa_layout_round_trips_bitwise_for_arbitrary_dims_and_halos() {
-    use op2_hpx::op2::Layout;
-    for case in 0..CASES {
-        let mut rng = Rng::new(0x50A1_A905 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let n = rng.in_range(1, 300);
-        let dim = rng.in_range(1, 6);
-        let halo = rng.in_range(0, 40);
-        let total = n + halo;
-        let data: Vec<f64> = (0..total * dim)
-            .map(|_| (rng.next() % 100_000) as f64 / 7.0 - 7000.0)
-            .collect();
-
-        let op2 = Op2::new(Op2Config::seq());
-        let cells = op2.decl_set(n, "cells");
-        let aos = op2.decl_dat_halo_layout(&cells, dim, "d_aos", data.clone(), halo, Layout::AoS);
-        let soa = op2.decl_dat_halo_layout(&cells, dim, "d_soa", data.clone(), halo, Layout::SoA);
-        assert_eq!(aos.component_stride(), 1, "case {case}");
-        assert_eq!(
-            soa.component_stride(),
-            total,
-            "case {case}: plane stride covers halo rows"
-        );
-
-        // Declaration round-trip: the transposed planes read back as the
-        // canonical rows that went in.
-        assert_eq!(soa.snapshot(), data, "case {case}: declared rows");
-        assert_eq!(aos.snapshot(), soa.snapshot(), "case {case}");
-
-        // Guard round-trip: the same mutation program applied through the
-        // canonical write view of both layouts (touching owned and halo
-        // rows alike) must land identically.
-        let edits: Vec<(usize, f64)> = (0..rng.in_range(1, 64))
-            .map(|_| {
-                let i = rng.in_range(0, total * dim);
-                let v = (rng.next() % 1000) as f64 * 0.125;
-                (i, v)
-            })
-            .collect();
-        for dat in [&aos, &soa] {
-            let mut w = dat.write();
-            for &(i, v) in &edits {
-                w[i] = v * w[i] + 1.0;
-            }
-        }
-        let a = aos.snapshot();
-        let s = soa.snapshot();
-        assert_eq!(a, s, "case {case}: post-edit rows diverged");
-        // Per-row view agrees with the flat view.
-        let r = soa.read();
-        for e in 0..n {
-            assert_eq!(r.row(e), &a[e * dim..(e + 1) * dim], "case {case} row {e}");
-        }
-    }
-}
-
 /// The bind-once executor path: for random dat dims, map arities, slots,
-/// halo extents, block sizes and both layouts, a gather (`read_via` every
-/// slot into a direct `write`) and a scatter (`inc_via` one slot) through
-/// a halo-extended map reproduce a hand-written loop over the canonical
-/// rows — bitwise, on every backend (values are small integers, so the
+/// halo extents and block sizes, a gather (`read_via` every slot into a
+/// direct `write`) and a scatter (`inc_via` one slot) through a
+/// halo-extended map reproduce a hand-written loop over the row-major
+/// data — bitwise, on every backend (values are small integers, so the
 /// coloured increment order cannot show in the sums).
 #[test]
 fn bound_args_match_reference_loops_for_arbitrary_dims_arity_and_slot() {
     use op2_hpx::op2::args::read_via;
-    use op2_hpx::op2::Layout;
     for case in 0..CASES {
         let mut rng = Rng::new(0xB0D0_A265 ^ case.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let n = rng.in_range(1, 500);
@@ -561,7 +498,6 @@ fn bound_args_match_reference_loops_for_arbitrary_dims_arity_and_slot() {
         let dim = rng.in_range(1, 6);
         let arity = rng.in_range(1, 5);
         let slot = rng.in_range(0, arity);
-        let layout = [Layout::AoS, Layout::SoA][rng.in_range(0, 2)];
         let block_size = rng.in_range(1, 96);
         let total = rows + halo;
         let table: Vec<u32> = (0..n * arity)
@@ -588,8 +524,8 @@ fn bound_args_match_reference_loops_for_arbitrary_dims_arity_and_slot() {
             Op2Config::fork_join(2),
             Op2Config::dataflow(2),
         ] {
-            let what = format!("case {case} {:?} {layout:?}", cfg.backend);
-            let op2 = Op2::new(cfg.with_block_size(block_size).with_layout(layout));
+            let what = format!("case {case} {:?}", cfg.backend);
+            let op2 = Op2::new(cfg.with_block_size(block_size));
             let from = op2.decl_set(n, "from");
             let to = op2.decl_set(rows, "to");
             let m = op2.decl_map_halo(&from, &to, arity, table.clone(), "m", halo);

@@ -16,7 +16,7 @@ use op2_hpx::op2::args::rw;
 use op2_hpx::op2::locality::{ExchangeOpts, LocalityGroup};
 use op2_hpx::op2::rebalance::{agree_rank_busy, migrate_rows, MigrationSpec};
 use op2_hpx::op2::transport::{ProcessTransport, Transport};
-use op2_hpx::op2::{Dat, Layout, Op2Config};
+use op2_hpx::op2::{Dat, Op2Config};
 
 /// Tiny deterministic PRNG (xorshift64*) so the randomized property runs
 /// the same cases everywhere without a proptest dependency.
@@ -49,7 +49,7 @@ fn random_ownership(rng: &mut Rng, n: usize, nranks: usize) -> Vec<Vec<u32>> {
 }
 
 /// The property at the heart of live repartitioning: for random element
-/// counts, dims, layouts, rank counts and random old→new ownership, a
+/// counts, dims, rank counts and random old→new ownership, a
 /// migration scheduled *between* loop submissions — no fence anywhere —
 /// yields bitwise the values of a scalar model. Epoch tables must gate
 /// the gathers behind the old shards' in-flight writers and the new
@@ -62,17 +62,10 @@ fn migration_substrate_preserves_values_bitwise_randomized() {
         let n = 16 + rng.below(120);
         let dim = [1, 3, 4][rng.below(3)];
         let nranks = 2 + rng.below(3);
-        let layout = if rng.below(2) == 0 {
-            Layout::AoS
-        } else {
-            Layout::SoA
-        };
         let config = if case % 2 == 0 {
-            Op2Config::seq().with_layout(layout)
+            Op2Config::seq()
         } else {
-            Op2Config::dataflow(2)
-                .with_layout(layout)
-                .with_block_size(8)
+            Op2Config::dataflow(2).with_block_size(8)
         };
         let k1 = 1 + rng.below(3);
         let k2 = 1 + rng.below(3);
