@@ -62,7 +62,7 @@
 use std::sync::Arc;
 
 use op2_app::{plan_shards, Worlds};
-use op2_core::locality::{ExchangeOpts, HaloSpec, LocalityGroup};
+use op2_core::locality::{HaloSpec, LocalityGroup};
 use op2_core::rebalance::{
     agree_rank_busy, cost_levels, migrate_rows, MigrationSpec, DEFAULT_DEAD_ZONE,
 };
@@ -320,13 +320,7 @@ impl ShardedProblem {
         let mspec = MigrationSpec::diff(&self.owned_cells, &new_owned);
         let old_q: Vec<Dat<f64>> = self.parts.iter().map(|p| p.p_q.clone()).collect();
         let new_q: Vec<Dat<f64>> = new_parts.iter().map(|p| p.p_q.clone()).collect();
-        migrate_rows(
-            &self.group,
-            &old_q,
-            &new_q,
-            &mspec,
-            &ExchangeOpts::default(),
-        );
+        migrate_rows(&self.group, &old_q, &new_q, &mspec);
 
         let report = RebalanceReport {
             busy_ns: busy.to_vec(),

@@ -19,11 +19,13 @@
 //! trajectory. Options: `--cells` (per rank), `--iters`, `--ranks`,
 //! `--threads a,b,c`, `--reps`, `--latency-us`, `--csv`, `--json`.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use op2_bench::{SweepArgs, Table};
 use op2_core::args::{read_via, write};
-use op2_core::locality::{exchange_with, ExchangeOpts, HaloSpec, LocalityGroup};
+use op2_core::locality::{exchange, HaloSpec, LocalityGroup};
+use op2_core::transport::InProcessTransport;
 use op2_core::{Dat, Map, Op2Config, Set};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +68,8 @@ fn run_ring(
     latency: Duration,
 ) -> Duration {
     let halo = (n / 8).max(1);
-    let group = LocalityGroup::new(Op2Config::dataflow(threads), ranks);
+    let link = InProcessTransport::with_delay(ranks, Some(latency));
+    let group = LocalityGroup::with_transport(Op2Config::dataflow(threads), Arc::new(link));
     let mut spec = HaloSpec::empty(ranks);
     let states: Vec<RankState> = (0..ranks)
         .map(|r| {
@@ -98,9 +101,6 @@ fn run_ring(
         .collect();
     spec.validate().expect("ring spec");
     let qs: Vec<Dat<f64>> = states.iter().map(|s| s.q.clone()).collect();
-    let opts = ExchangeOpts {
-        link_delay: Some(latency),
-    };
 
     let t0 = Instant::now();
     for it in 0..iters {
@@ -117,7 +117,7 @@ fn run_ring(
                     q[0] = v;
                 });
         }
-        let recvs = exchange_with(&group, &qs, &spec, &opts);
+        let recvs = exchange(&group, &qs, &spec);
         if schedule == Schedule::BulkSync {
             for row in &recvs {
                 for f in row {

@@ -1,5 +1,6 @@
-//! Cross-rank reduction micro-benchmark: the asynchronous reduction tree
-//! (`LocalityGroup::allreduce`) vs the blocking host-side sum it replaced.
+//! Cross-rank reduction micro-benchmark: the asynchronous allreduce
+//! (`LocalityGroup::allreduce`, a star of messages through rank 0) vs the
+//! blocking host-side sum it replaced.
 //!
 //! Every simulated rank runs one compute loop per iteration that
 //! increments a fresh per-rank `Global` (the Airfoil `update`/`rms`
@@ -16,19 +17,22 @@
 //!   chains off continuations, and the reduce (including its link delay)
 //!   overlaps the following iteration's compute.
 //!
-//! An injected per-contribution link delay models the interconnect cost
-//! of moving partials between localities. Emits a JSON baseline (default
+//! A link delay injected by the group's transport
+//! (`InProcessTransport::with_delay`) on every partial models the
+//! interconnect cost of moving partials between localities. Emits a JSON baseline (default
 //! `BENCH_reduce.json`). Options: `--cells` (per rank), `--iters`,
 //! `--ranks`, `--threads a,b,c`, `--reps`, `--latency-us`,
 //! `--min-speedup` (gate: exit non-zero if the async tree does not reach
 //! this speedup over blocking at any swept thread count), `--csv`,
 //! `--json`.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use op2_bench::{SweepArgs, Table};
 use op2_core::args::{gbl_inc, write};
-use op2_core::locality::{ExchangeOpts, LocalityGroup};
+use op2_core::locality::LocalityGroup;
+use op2_core::transport::InProcessTransport;
 use op2_core::{Dat, Global, Op2Config, ReducedFuture, Set};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +71,8 @@ fn run_solve(
     iters: usize,
     latency: Duration,
 ) -> (Duration, f64) {
-    let group = LocalityGroup::new(Op2Config::dataflow(threads), ranks);
+    let link = InProcessTransport::with_delay(ranks, Some(latency));
+    let group = LocalityGroup::with_transport(Op2Config::dataflow(threads), Arc::new(link));
     let states: Vec<RankState> = (0..ranks)
         .map(|r| {
             let op2 = group.rank(r);
@@ -76,9 +81,6 @@ fn run_solve(
             RankState { cells, q }
         })
         .collect();
-    let opts = ExchangeOpts {
-        link_delay: Some(latency),
-    };
 
     let t0 = Instant::now();
     let mut history: Vec<ReducedFuture<f64>> = Vec::with_capacity(iters);
@@ -100,7 +102,7 @@ fn run_solve(
                     acc[0] += 1.0;
                 });
         }
-        let red = group.allreduce_with(&globals, &opts);
+        let red = group.allreduce(&globals);
         match schedule {
             Schedule::Blocking => {
                 // Host-side barrier: every rank's update must finalize and
@@ -130,10 +132,6 @@ fn parse_args() -> Args {
         sweep: SweepArgs {
             cells: 20_000,
             iters: 30,
-            // The link delay occupies a worker for its duration (it models
-            // the wire inside the contribution node, like exchange_with's
-            // send node), so the pool needs at least `ranks` workers for
-            // one reduce round not to monopolize it — sweep ranks and 2x.
             threads: vec![4, 8],
             ..SweepArgs::default()
         },

@@ -26,8 +26,8 @@ use std::time::{Duration, Instant};
 
 use op2_bench::Table;
 use op2_core::args::{read_via, write};
-use op2_core::locality::{exchange_with, ExchangeOpts, HaloSpec, LocalityGroup};
-use op2_core::transport::{ProcessTransport, Transport};
+use op2_core::locality::{exchange, HaloSpec, LocalityGroup};
+use op2_core::transport::{InProcessTransport, ProcessTransport, Transport};
 use op2_core::{Dat, Map, Op2Config, Set};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,8 +126,8 @@ fn consume(group: &LocalityGroup, s: &RankState, rank: usize) {
         });
 }
 
-/// All ranks hosted on one in-process group, the delay injected per
-/// message and hidden (or not) by the schedule — the gated configuration.
+/// All ranks hosted on one in-process group, the delay injected by its
+/// transport on every message and hidden (or not) by the schedule — the gated configuration.
 fn run_inproc(
     schedule: Schedule,
     threads: usize,
@@ -138,21 +138,19 @@ fn run_inproc(
 ) -> Duration {
     let halo = (n / 8).max(1);
     let spec = ring_spec(ranks, n, halo);
-    let group = LocalityGroup::new(Op2Config::dataflow(threads), ranks);
+    let link = InProcessTransport::with_delay(ranks, Some(latency));
+    let group = LocalityGroup::with_transport(Op2Config::dataflow(threads), Arc::new(link));
     let states: Vec<RankState> = (0..ranks)
         .map(|r| declare_rank(&group, r, n, halo))
         .collect();
     let qs: Vec<Dat<f64>> = states.iter().map(|s| s.q.clone()).collect();
-    let opts = ExchangeOpts {
-        link_delay: Some(latency),
-    };
 
     let t0 = Instant::now();
     for it in 0..iters {
         for (r, s) in states.iter().enumerate() {
             produce(&group, s, r, ranks, it);
         }
-        let recvs = exchange_with(&group, &qs, &spec, &opts);
+        let recvs = exchange(&group, &qs, &spec);
         if schedule == Schedule::BulkSync {
             for row in &recvs {
                 for f in row {
@@ -204,12 +202,7 @@ fn run_sockets(
                     let t0 = Instant::now();
                     for it in 0..iters {
                         produce(&group, &state, rank, ranks, it);
-                        let recvs = exchange_with(
-                            &group,
-                            std::slice::from_ref(&state.q),
-                            &spec,
-                            &ExchangeOpts::default(),
-                        );
+                        let recvs = exchange(&group, std::slice::from_ref(&state.q), &spec);
                         if schedule == Schedule::BulkSync {
                             for row in &recvs {
                                 for f in row {

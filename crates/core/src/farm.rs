@@ -658,12 +658,14 @@ fn lane_loop(shared: &Shared, rt: &Arc<Runtime>, world_cfg: &Op2Config) {
                 t.counters.panics.fetch_add(1, Ordering::Relaxed);
                 hpx_rt::static_counter!("op2.farm.panics").fetch_add(1, Ordering::Relaxed);
             }
+            // Under the lock, like the tenant counters: `drain` returns on
+            // the idle notification below and must see this job counted.
+            hpx_rt::static_counter!("op2.farm.completed").fetch_add(1, Ordering::Relaxed);
             st.running_total -= 1;
             if st.queued_total == 0 && st.running_total == 0 {
                 shared.idle.notify_all();
             }
         }
-        hpx_rt::static_counter!("op2.farm.completed").fetch_add(1, Ordering::Relaxed);
         // Wakes window-parked submitters and handle waiters.
         job.promise.set_value(outcome);
         // A completion can unblock a quota-limited tenant; make sure some

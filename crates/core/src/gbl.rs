@@ -121,10 +121,11 @@ pub(crate) struct GlobalInner<T> {
 /// fixed-shape tree — where bitwise reproducibility matters.
 ///
 /// For reading the value *without* blocking the submitting thread, use
-/// [`Global::reduce_async`] (or, across a locality group,
-/// `Global::reduce_across` / `LocalityGroup::allreduce` in
-/// [`crate::locality`]): the reduced value becomes a [`ReducedFuture`]
-/// that dependent work chains off.
+/// [`Global::reduce_async`] (or, for per-rank globals of a locality
+/// group, [`LocalityGroup::allreduce`]): the reduced value becomes a
+/// [`ReducedFuture`] that dependent work chains off. A global shared by
+/// several ranks of an all-local group is read with `reduce_async` on any
+/// of them: its wait-set already holds every rank's loops.
 ///
 /// [`LocalityGroup::allreduce`]: crate::locality::LocalityGroup::allreduce
 pub struct Global<T: Reducible> {
@@ -321,13 +322,7 @@ impl<T: Reducible> Global<T> {
     /// The node is tracked by `op2`'s [`Op2::fence`], so a fence makes the
     /// future ready.
     pub fn reduce_async(&self, op2: &Op2) -> ReducedFuture<T> {
-        self.reduce_on(op2.runtime_arc(), op2.comm_hooks())
-    }
-
-    /// [`Global::reduce_async`] on an explicit runtime + tracking hook —
-    /// the shared engine behind `reduce_async` and the locality layer's
-    /// `Global::reduce_across`.
-    pub(crate) fn reduce_on(&self, rt: Arc<Runtime>, hooks: CommHooks) -> ReducedFuture<T> {
+        let (rt, hooks) = (op2.runtime_arc(), op2.comm_hooks());
         hpx_rt::static_counter!("op2.reduce.async_reads").fetch_add(1, Ordering::Relaxed);
         let deps = self.pending_snapshot();
         let (value, done) = if deps.iter().all(SharedFuture::has_value) {
@@ -336,11 +331,10 @@ impl<T: Reducible> Global<T> {
             let value = SharedFuture::ready(self.value_snapshot());
             (value, SharedFuture::ready(()))
         } else {
-            let (mut contribs, value) = hpx_rt::lco::collect(1, |a: Vec<T>, _b: Vec<T>| a);
-            let c = contribs.pop().expect("one contributor");
+            let (promise, value) = hpx_rt::channel();
             let gbl = self.clone();
-            let done = schedule_after(&rt, &deps, move || c.set(gbl.value_snapshot()));
-            (value, done)
+            let done = schedule_after(&rt, &deps, move || promise.set_value(gbl.value_snapshot()));
+            (value.share(), done)
         };
         // The snapshot node joins the wait-set: a subsequent
         // `reset`/`set`/incrementing loop orders *after* this read and
@@ -366,12 +360,12 @@ impl<T: Reducible> std::fmt::Debug for Global<T> {
 // ---------------------------------------------------------------------------
 
 /// The future-valued result of an asynchronous reduction read
-/// ([`Global::reduce_async`], `Global::reduce_across`,
-/// `LocalityGroup::allreduce`): the reduced vector becomes available once
-/// every contributing loop has finalized, and consumers either block
-/// *outside* the hot loop ([`ReducedFuture::get`]) or chain continuations
-/// ([`ReducedFuture::then`] / [`ReducedFuture::then_after`]) so the solve
-/// pipeline never meets a host-side barrier.
+/// ([`Global::reduce_async`], `LocalityGroup::allreduce`): the reduced
+/// vector becomes available once every contributing loop has finalized,
+/// and consumers either block *outside* the hot loop
+/// ([`ReducedFuture::get`]) or chain continuations ([`ReducedFuture::then`]
+/// / [`ReducedFuture::then_after`]) so the solve pipeline never meets a
+/// host-side barrier.
 ///
 /// Cheap to clone; clones alias the same result.
 pub struct ReducedFuture<T: Reducible> {

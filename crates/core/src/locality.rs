@@ -21,6 +21,11 @@
 //!   (gated on the transport's [`Delivery`], scatters into the halo rows).
 //!   Only the halves whose rank is locally hosted are scheduled; the
 //!   transport's sequence counters match them with the peer's halves.
+//! * [`LocalityGroup::allreduce`] moves reduction partials over the same
+//!   transport: a star through rank 0, whatever the process layout.
+//!
+//! The group's [`Transport`] is the only way rows, partials and injected
+//! latency ([`InProcessTransport::with_delay`]) move between ranks.
 //!
 //! The crucial property is *what the receive node registers as*: a
 //! mutating access record over the halo rows in the dat's dependency table
@@ -53,7 +58,7 @@
 //!   dirty bit and (b) whether the map's slot can reach that peer's
 //!   import blocks at all (the block-reach table of the whole source set,
 //!   see `Map::reaches_target_blocks`). For each stale, reachable
-//!   import it schedules exactly the [`exchange_with`] gather/send and
+//!   import it schedules exactly the [`exchange`] gather/send and
 //!   receive/scatter nodes into the dataflow graph — *before* the loop's
 //!   own nodes are built, so its boundary blocks gate on the receive
 //!   through the ordinary access records while interior blocks start
@@ -132,7 +137,6 @@
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -258,11 +262,6 @@ impl LocalityGroup {
         link_halo(self, dats, spec);
     }
 
-    /// [`LocalityGroup::allreduce_with`] under default options.
-    pub fn allreduce<T: Reducible>(&self, globals: &[Global<T>]) -> ReducedFuture<T> {
-        self.allreduce_with(globals, &ExchangeOpts::default())
-    }
-
     /// Schedules an **asynchronous cross-rank allreduce** of the per-rank
     /// globals (`globals[i]` is local rank `local_ranks().start + i`'s
     /// shard of one logical reduction, e.g. the per-rank Airfoil `rms`):
@@ -270,33 +269,32 @@ impl LocalityGroup {
     /// result becomes a [`ReducedFuture`] — nothing blocks the submitting
     /// thread.
     ///
-    /// Per rank one **contribution node** is scheduled, gated on exactly
-    /// that rank's outstanding incrementing loops (its `Global` wait-set),
-    /// so a rank whose update finished early contributes immediately while
-    /// slower ranks are still computing — and the whole reduce overlaps
-    /// the next iteration's interior compute instead of draining every
-    /// rank's pipeline the way a host-side `get_scalar` sum does.
+    /// One star over the group's [`Transport`], whatever the process
+    /// layout: every rank `r != 0` schedules a **send node**, gated on
+    /// exactly that rank's outstanding incrementing loops (its `Global`
+    /// wait-set), that sends its partial to rank 0 as a [`MsgKind::Reduce`]
+    /// message. Rank 0's **root node** gates on its own wait-set and every
+    /// partial's delivery, folds them with `tree_combine` and sends the
+    /// total to the ranks its process does not host; ranks hosted with
+    /// rank 0 read the shared value. A rank whose update finished early
+    /// contributes immediately while slower ranks are still computing, and
+    /// the whole reduce overlaps the next iteration's interior compute
+    /// instead of draining every rank's pipeline the way a host-side
+    /// `get_scalar` sum does. The fold order is fixed by rank index, so the
+    /// floating-point result is deterministic and transport-independent for
+    /// a given rank count.
     ///
-    /// All-local groups combine pairwise up a [`hpx_rt::lco::collect`]
-    /// tree whose shape is fixed by rank index; `opts.link_delay` defers
-    /// each contribution's *delivery* on the shared timer thread (no
-    /// runtime worker sleeps). Distributed groups run partial → rank 0 →
-    /// combine in the *same tree order* → broadcast over
-    /// [`MsgKind::Reduce`] messages, so the floating-point result is
-    /// deterministic and transport-independent for a given rank count.
-    ///
-    /// The nodes are tracked per rank, so [`LocalityGroup::fence`] makes
-    /// the future ready.
+    /// Every message travels under a [`SendGuard`]: a send or root node
+    /// skipped by an upstream panic (or panicking on an abandoned partial)
+    /// abandons its messages, and the ranks waiting on them panic instead
+    /// of hanging. The nodes are tracked per rank, so
+    /// [`LocalityGroup::fence`] makes the future ready.
     ///
     /// # Panics
     ///
     /// If `globals.len()` differs from the number of locally hosted
     /// ranks, or the globals disagree on `dim` or reduction operator.
-    pub fn allreduce_with<T: Reducible>(
-        &self,
-        globals: &[Global<T>],
-        opts: &ExchangeOpts,
-    ) -> ReducedFuture<T> {
+    pub fn allreduce<T: Reducible>(&self, globals: &[Global<T>]) -> ReducedFuture<T> {
         assert_eq!(
             globals.len(),
             self.ranks.len(),
@@ -312,173 +310,112 @@ impl LocalityGroup {
         hpx_rt::static_counter!("op2.reduce.allreduces").fetch_add(1, Ordering::Relaxed);
         hpx_rt::static_counter!("op2.reduce.contributions")
             .fetch_add(globals.len() as u64, Ordering::Relaxed);
-        if self.transport.all_local() {
-            self.allreduce_local(globals, opts)
-        } else {
-            self.allreduce_distributed(globals, opts)
-        }
-    }
 
-    /// All ranks in-process: one collect-tree LCO, contributions fulfilled
-    /// directly (deferred on the timer thread under an injected delay —
-    /// the pre-PR 7 implementation slept on a runtime worker instead).
-    fn allreduce_local<T: Reducible>(
-        &self,
-        globals: &[Global<T>],
-        opts: &ExchangeOpts,
-    ) -> ReducedFuture<T> {
-        let n = self.ranks.len();
-        let op = globals[0].op();
-        let (contribs, value) = hpx_rt::lco::collect(n, move |a: Vec<T>, b: Vec<T>| {
-            hpx_rt::static_counter!("op2.reduce.combines").fetch_add(1, Ordering::Relaxed);
-            a.iter()
-                .zip(b)
-                .map(|(&x, y)| T::combine(op, x, y))
-                .collect()
-        });
-        let delay = opts.link_delay;
-        let rt = self.first_local().runtime_arc();
-        let mut nodes: Vec<SharedFuture<()>> = Vec::with_capacity(n + 1);
-        for (i, c) in contribs.into_iter().enumerate() {
-            let hooks = self.ranks[i].comm_hooks();
-            let deps = globals[i].pending_snapshot();
-            let gbl = globals[i].clone();
-            let node = schedule_after(hooks.runtime(), &deps, move || {
-                let v = gbl.value_snapshot();
-                match delay {
-                    // Model link latency by *rescheduling* the delivery on
-                    // the shared timer thread; the worker that ran this
-                    // node is immediately free to execute overlap compute.
-                    Some(d) => hpx_rt::timing::defer(d, move || c.set(v)),
-                    None => c.set(v),
-                }
-            });
-            // The contribution node joins the rank-global's wait-set so a
-            // subsequent reset/set/incrementing loop on it orders after
-            // this read (same discipline as `Global::reduce_on`).
-            globals[i].record_completion(&node);
-            hooks.track(node.clone());
-            nodes.push(node);
-        }
-        // Join node: with deferred contributions a node's completion no
-        // longer implies its value was set, so `done` additionally gates
-        // on the collect result itself — preserving the ReducedFuture
-        // invariant (done ⊇ value ready). A broken collective (skipped
-        // contribution) panics `value`, which propagates here instead of
-        // hanging.
-        nodes.push(value.then(&rt, |_| ()).share());
-        let done = schedule_after(&rt, &nodes, || ());
-        let hooks0 = self.first_local().comm_hooks();
-        hooks0.track(done.clone());
-        ReducedFuture::from_parts(value, done, rt, hooks0)
-    }
-
-    /// Distributed: every rank sends its partial to rank 0 over the
-    /// transport; rank 0 combines **in collect-tree order** (identical
-    /// floating-point result to the all-local tree) and broadcasts the
-    /// total back.
-    fn allreduce_distributed<T: Reducible>(
-        &self,
-        globals: &[Global<T>],
-        opts: &ExchangeOpts,
-    ) -> ReducedFuture<T> {
         let n = self.nranks();
-        let op = globals[0].op();
-        let delay = opts.link_delay;
-        let transport = Arc::clone(&self.transport);
-        let rt = self.first_local().runtime_arc();
-        // `value` is fulfilled exactly once per process: by rank 0's
-        // combine node if hosted here, else by the first local rank's
-        // broadcast-receive node.
-        let (mut contrib, value) = hpx_rt::lco::collect(1, |a: Vec<T>, _| a);
+        let local = self.local_ranks();
+        let hosts_root = local.contains(&0);
+        let transport = &self.transport;
+        let (promise, value) = hpx_rt::channel::<Vec<T>>();
         let mut nodes: Vec<SharedFuture<()>> = Vec::new();
 
-        for (i, gbl) in globals.iter().enumerate() {
-            let r = self.first + i;
-            let hooks = self.ranks[i].comm_hooks();
-            if r == 0 {
-                // Star root: gate on rank 0's own wait-set plus every
-                // other rank's partial; combine; broadcast.
-                let ups: Vec<(usize, Delivery)> = (1..n)
-                    .map(|s| {
-                        let seq = transport.next_seq(MsgKind::Reduce, s, 0);
-                        (s, transport.recv(MsgKind::Reduce, s, 0, seq))
-                    })
-                    .collect();
-                let down_seqs: Vec<u64> = (1..n)
-                    .map(|s| transport.next_seq(MsgKind::Reduce, 0, s))
-                    .collect();
-                let mut deps = gbl.pending_snapshot();
-                for (_, d) in &ups {
-                    deps.push(d.ready().clone());
+        // Up: every partial but rank 0's own crosses the transport. One seq
+        // per message, shared by both halves when both are hosted here.
+        let mut partials: Vec<(usize, Delivery)> = Vec::new();
+        for r in (1..n).filter(|r| hosts_root || local.contains(r)) {
+            let seq = transport.next_seq(MsgKind::Reduce, r, 0);
+            if local.contains(&r) {
+                let guard = SendGuard::new(Arc::clone(transport), MsgKind::Reduce, r, 0, seq);
+                let g = &globals[r - self.first];
+                nodes.push(
+                    self.schedule_read(r, g, Vec::new(), move |v| guard.send(encode_scalars(&v))),
+                );
+            }
+            if hosts_root {
+                partials.push((r, transport.recv(MsgKind::Reduce, r, 0, seq)));
+            }
+        }
+        if hosts_root {
+            // The guards are armed here, not inside the node: a root node
+            // skipped by an upstream panic drops them and so abandons the
+            // broadcast instead of stranding the other processes' ranks.
+            let down: Vec<SendGuard> = (1..n)
+                .filter(|s| !local.contains(s))
+                .map(|s| {
+                    let seq = transport.next_seq(MsgKind::Reduce, 0, s);
+                    SendGuard::new(Arc::clone(transport), MsgKind::Reduce, 0, s, seq)
+                })
+                .collect();
+            let arrivals = partials.iter().map(|(_, d)| d.ready().clone()).collect();
+            nodes.push(self.schedule_read(0, &globals[0], arrivals, move |own| {
+                let mut parts = vec![own];
+                for (s, d) in &partials {
+                    let bytes = d.take().unwrap_or_else(|| {
+                        panic!("allreduce: contribution from rank {s} was abandoned")
+                    });
+                    parts.push(decode_scalars(&bytes));
                 }
-                let g0 = gbl.clone();
-                let t2 = Arc::clone(&transport);
-                let c = contrib.pop().expect("collect(1) yields one contribution");
-                let node = schedule_after(hooks.runtime(), &deps, move || {
-                    let mut parts: Vec<Vec<T>> = Vec::with_capacity(n);
-                    parts.push(g0.value_snapshot());
-                    for (s, d) in &ups {
-                        let bytes = d.take().unwrap_or_else(|| {
-                            panic!("allreduce: contribution from rank {s} was abandoned")
-                        });
-                        parts.push(decode_scalars(&bytes));
-                    }
-                    let total = tree_combine(parts, op);
-                    let bytes = encode_scalars(&total);
-                    for (k, s) in (1..n).enumerate() {
-                        t2.send(MsgKind::Reduce, 0, s, down_seqs[k], delay, bytes.clone());
-                    }
-                    c.set(total);
-                });
-                gbl.record_completion(&node);
-                hooks.track(node.clone());
-                nodes.push(node);
-            } else {
-                // Leaf: send the partial up once the wait-set drains
-                // (under a SendGuard so a skipped node abandons instead of
-                // stranding rank 0), then receive the broadcast total.
-                let seq_up = transport.next_seq(MsgKind::Reduce, r, 0);
-                let guard = SendGuard::new(Arc::clone(&transport), MsgKind::Reduce, r, 0, seq_up);
-                let deps = gbl.pending_snapshot();
-                let g = gbl.clone();
-                let node = schedule_after(hooks.runtime(), &deps, move || {
-                    guard.send(delay, encode_scalars(&g.value_snapshot()));
-                });
-                gbl.record_completion(&node);
-                hooks.track(node.clone());
-                nodes.push(node);
-
-                let seq_down = transport.next_seq(MsgKind::Reduce, 0, r);
-                let d = transport.recv(MsgKind::Reduce, 0, r, seq_down);
-                let down_deps = [d.ready().clone()];
-                let c = contrib.pop();
-                let result = schedule_after(hooks.runtime(), &down_deps, move || {
+                let total = tree_combine(parts, op);
+                let bytes = encode_scalars(&total);
+                for guard in down {
+                    guard.send(bytes.clone());
+                }
+                promise.set_value(total);
+            }));
+        } else {
+            // Down: the first local rank's receive fulfills `value`.
+            let mut promise = Some(promise);
+            for r in local {
+                let seq = transport.next_seq(MsgKind::Reduce, 0, r);
+                let d = transport.recv(MsgKind::Reduce, 0, r, seq);
+                let p = promise.take();
+                let hooks = self.ranks[r - self.first].comm_hooks();
+                let node = schedule_after(hooks.runtime(), &[d.ready().clone()], move || {
                     let bytes = d
                         .take()
                         .unwrap_or_else(|| panic!("allreduce: total from rank 0 was abandoned"));
-                    let total: Vec<T> = decode_scalars(&bytes);
-                    if let Some(c) = c {
-                        c.set(total);
+                    if let Some(p) = p {
+                        p.set_value(decode_scalars(&bytes));
                     }
                 });
-                hooks.track(result.clone());
-                nodes.push(result);
+                hooks.track(node.clone());
+                nodes.push(node);
             }
         }
         // `value` is set inside one of the nodes above, so gating `done`
         // on all of them preserves the ReducedFuture invariant.
+        let rt = self.first_local().runtime_arc();
         let done = schedule_after(&rt, &nodes, || ());
         let hooks0 = self.first_local().comm_hooks();
         hooks0.track(done.clone());
-        ReducedFuture::from_parts(value, done, rt, hooks0)
+        ReducedFuture::from_parts(value.share(), done, rt, hooks0)
+    }
+
+    /// Schedules `body` on local rank `r` with the finalized value of
+    /// `g`, after `g`'s wait-set and `extra`. The node joins `g`'s
+    /// wait-set, so a later reset/set/incrementing loop orders after this
+    /// read (the discipline of [`Global::reduce_async`]), and `r`'s fence.
+    fn schedule_read<T: Reducible>(
+        &self,
+        r: usize,
+        g: &Global<T>,
+        extra: Vec<SharedFuture<()>>,
+        body: impl FnOnce(Vec<T>) + Send + 'static,
+    ) -> SharedFuture<()> {
+        let hooks = self.ranks[r - self.first].comm_hooks();
+        let mut deps = g.pending_snapshot();
+        deps.extend(extra);
+        let read = g.clone();
+        let node = schedule_after(hooks.runtime(), &deps, move || body(read.value_snapshot()));
+        g.record_completion(&node);
+        hooks.track(node.clone());
+        node
     }
 }
 
-/// Combines per-rank partials in the exact order of the
-/// [`hpx_rt::lco::collect`] pairwise tree (slot `i` joins `i ^ 1`, an
-/// unpaired trailing slot passes through), so the distributed star
-/// reproduces the all-local tree's floating-point result bit for bit.
+/// Combines per-rank partials pairwise up a binary tree whose shape is
+/// fixed by rank index (slot `i` joins `i ^ 1`, an unpaired trailing slot
+/// passes through), so the allreduce's floating-point result depends only
+/// on the rank count, never on arrival order or the transport.
 fn tree_combine<T: Reducible>(mut level: Vec<Vec<T>>, op: crate::gbl::ReduceOp) -> Vec<T> {
     while level.len() > 1 {
         let mut next = Vec::with_capacity(level.len().div_ceil(2));
@@ -500,21 +437,6 @@ fn tree_combine<T: Reducible>(mut level: Vec<Vec<T>>, op: crate::gbl::ReduceOp) 
         level = next;
     }
     level.pop().expect("tree_combine of at least one partial")
-}
-
-impl<T: Reducible> Global<T> {
-    /// Asynchronous read of a **group-shared** global: one `Global` cloned
-    /// into incrementing loops on several ranks of `group` (legal now that
-    /// the wait-set tracks every outstanding loop) is snapshotted by a
-    /// single node gated on the *whole* wait-set — the cross-rank sum
-    /// already lives in the shared accumulator, so no tree is needed; the
-    /// surface just turns the read into a [`ReducedFuture`] like
-    /// [`LocalityGroup::allreduce`] does for per-rank shards. (Sharing an
-    /// accumulator requires shared memory: all-local groups only.)
-    pub fn reduce_across(&self, group: &LocalityGroup) -> ReducedFuture<T> {
-        let r0 = group.first_local();
-        self.reduce_on(r0.runtime_arc(), r0.comm_hooks())
-    }
 }
 
 impl std::fmt::Debug for LocalityGroup {
@@ -585,44 +507,73 @@ impl HaloSpec {
     }
 }
 
-/// Tuning knobs for [`exchange_with`].
-#[derive(Debug, Clone, Default)]
-pub struct ExchangeOpts {
-    /// Artificial per-message latency injected between gather and
-    /// delivery — models interconnect latency so overlap benchmarks and
-    /// tests can measure how much of it interior compute hides. The
-    /// in-process transport implements it by *deferred delivery* on the
-    /// shared timer thread (no runtime worker blocks); transports with
-    /// real wire latency ignore it. `None` (the default) delivers
-    /// immediately.
-    pub link_delay: Option<Duration>,
-}
-
-/// [`exchange_with`] under default options.
-pub fn exchange<T: OpType>(
-    group: &LocalityGroup,
-    dats: &[Dat<T>],
-    spec: &HaloSpec,
-) -> Vec<Vec<SharedFuture<()>>> {
-    exchange_with(group, dats, spec, &ExchangeOpts::default())
-}
-
 /// Schedules one asynchronous halo refresh of `dats` (one per *locally
 /// hosted* rank, all shards of the same logical dat) according to `spec`,
 /// returning the receive-completion futures: `result[i][s]` completes when
 /// local rank `local_ranks().start + i`'s halo rows from global rank `s`
 /// are in place (already-ready for pairs with no traffic).
 ///
-/// Nothing blocks: per nonempty pair this schedules a gather/send node
-/// (after the exported rows' pending writers; recorded as a *read* of
-/// their blocks so later writers wait for the send) and a receive/scatter
-/// node (after the halo rows' pending readers and writers; recorded as a
-/// *write* of the halo rows, which is what gates exactly the boundary
-/// nodes of subsequent consumer loops). Values travel through
-/// the group's [`Transport`]; under a distributed transport only the
-/// locally hosted halves are scheduled here, matched with the peer's
-/// halves by sequence number (every process must call `exchange_with` at
-/// the same program point — SPMD).
+/// Nothing blocks: every nonempty pair with an end hosted here goes to
+/// [`schedule_pairs`]. Values travel through the group's [`Transport`];
+/// under a distributed transport only the locally hosted halves are
+/// scheduled here, matched with the peer's halves by sequence number
+/// (every process must call `exchange` at the same program point — SPMD).
+pub fn exchange<T: OpType>(
+    group: &LocalityGroup,
+    dats: &[Dat<T>],
+    spec: &HaloSpec,
+) -> Vec<Vec<SharedFuture<()>>> {
+    let n = spec.nranks;
+    assert_eq!(group.nranks(), n, "spec rank count matches the group");
+    let local = group.local_ranks();
+    assert_eq!(dats.len(), local.len(), "one dat shard per local rank");
+    let pairs: Vec<(usize, usize)> = (0..n)
+        .flat_map(|src| (0..n).map(move |dst| (src, dst)))
+        .filter(|&(src, dst)| {
+            src != dst
+                && !spec.export_rows[src][dst].is_empty()
+                && (local.contains(&src) || local.contains(&dst))
+        })
+        .collect();
+    let hooks: Vec<CommHooks> = group.ranks().iter().map(Op2::comm_hooks).collect();
+    let mut recvs: Vec<Vec<SharedFuture<()>>> = (0..local.len())
+        .map(|_| vec![SharedFuture::ready(()); n])
+        .collect();
+    let shard = |r: usize| dats[r - local.start].clone();
+    let scheduled = schedule_pairs(
+        group.transport(),
+        &hooks,
+        local.clone(),
+        shard,
+        spec,
+        &pairs,
+    );
+    for (src, dst, recv) in scheduled {
+        recvs[dst - local.start][src] = recv;
+    }
+    recvs
+}
+
+/// Schedules the halo traffic of `pairs` — `(src, dst)` with at least one
+/// end among the `local` ranks, whose hooks and shards `hooks` and
+/// `shard` give — and returns the receive-completion future of every
+/// pair whose `dst` is local. Per pair one [`Transport::next_seq`] is
+/// taken (shared by both halves when both are hosted here), a send half
+/// is scheduled on a local `src` and a receive half on a local `dst`; all
+/// sends share one dependency generation and all receives another, like
+/// the records one loop leaves: two peers' halo ranges may share a
+/// dependency block, and a record of a distinct generation covering it
+/// would supersede the sibling's (a lost dependency).
+///
+/// **Every send half is scheduled before any receive half.** A receive
+/// registers as a *writer* of the halo blocks; when a dat's halo rows
+/// share a dependency block with its exported owned rows (small shards), a
+/// send gather scheduled after a receive would wait on it — and with two
+/// SPMD schedulers doing this symmetrically, each rank's send waits its
+/// own receive while each receive waits the peer's send: deadlock.
+/// Sends-first gives exchange nodes a rank-agnostic topological level
+/// (sends below receives within one event), keeping the cross-rank wait
+/// graph acyclic.
 ///
 /// The receive node is gated on the transport [`Delivery`] and *takes* the
 /// payload non-blockingly. This keeps every node *reactive*: a task that
@@ -630,92 +581,59 @@ pub fn exchange<T: OpType>(
 /// help-first execution nests other tasks above it, and a nested task
 /// whose sender transitively waits on the pinned node completing
 /// deadlocks the pool (observed with ≥ 3 ranks exchanging through one
-/// worker group). An abandoned exchange (sender panicked upstream)
-/// completes the delivery with no payload and the receive degrades to a
-/// diagnostic no-op — the original panic is what reaches the fence.
-pub fn exchange_with<T: OpType>(
-    group: &LocalityGroup,
-    dats: &[Dat<T>],
+/// worker group).
+fn schedule_pairs<T: OpType>(
+    transport: &Arc<dyn Transport>,
+    hooks: &[CommHooks],
+    local: Range<usize>,
+    shard: impl Fn(usize) -> Dat<T>,
     spec: &HaloSpec,
-    opts: &ExchangeOpts,
-) -> Vec<Vec<SharedFuture<()>>> {
-    let n = spec.nranks;
-    assert_eq!(group.nranks(), n, "spec rank count matches the group");
-    let local = group.local_ranks();
-    let first = local.start;
-    assert_eq!(dats.len(), local.len(), "one dat shard per local rank");
-    let transport = group.transport();
-    // All receive nodes of this exchange form one generation, like the
-    // records one loop leaves: two peers' halo ranges may share a
-    // dependency block, and a record of a distinct generation covering it
-    // would supersede the sibling's (a lost dependency). Sends get their
-    // own generation.
+    pairs: &[(usize, usize)],
+) -> Vec<(usize, usize, SharedFuture<()>)> {
     let send_gen = next_loop_gen();
     let recv_gen = next_loop_gen();
-    let mut recvs: Vec<Vec<SharedFuture<()>>> = (0..local.len())
-        .map(|_| vec![SharedFuture::ready(()); n])
-        .collect();
-
-    // Every send half is scheduled before ANY receive half. A receive
-    // registers as a *writer* of the halo blocks; when a dat's halo rows
-    // share a dependency block with its exported owned rows (small shards),
-    // a send gather scheduled after a receive would wait on it — and with
-    // two SPMD schedulers doing this symmetrically, each rank's send waits
-    // its own receive while each receive waits the peer's send: deadlock.
-    // Sends-first gives exchange nodes a rank-agnostic topological level
-    // (sends below receives within one event), keeping the cross-rank wait
-    // graph acyclic.
-    let mut pending_recvs: Vec<(usize, usize, Range<usize>, u64)> = Vec::new();
-    for src in 0..n {
-        for dst in 0..n {
-            let rows = &spec.export_rows[src][dst];
-            if src == dst || rows.is_empty() {
-                continue;
-            }
-            let src_local = local.contains(&src);
-            let dst_local = local.contains(&dst);
-            if !src_local && !dst_local {
-                continue;
-            }
-            let range = spec.import_range[dst][src].clone();
-            assert_eq!(
-                rows.len(),
-                range.len(),
-                "halo spec {src}->{dst}: export/import length mismatch"
+    let mut pending_recvs: Vec<(usize, usize, u64)> = Vec::new();
+    for &(src, dst) in pairs {
+        let rows = &spec.export_rows[src][dst];
+        assert_eq!(
+            rows.len(),
+            spec.import_range[dst][src].len(),
+            "halo spec {src}->{dst}: export/import length mismatch"
+        );
+        let seq = transport.next_seq(MsgKind::Halo, src, dst);
+        if local.contains(&src) {
+            let _send = schedule_send_half(
+                MsgKind::Halo,
+                src,
+                dst,
+                &hooks[src - local.start],
+                &shard(src),
+                rows,
+                send_gen,
+                seq,
+                transport,
             );
-            let seq = transport.next_seq(MsgKind::Halo, src, dst);
-            if src_local {
-                let _send = schedule_send_half(
-                    MsgKind::Halo,
-                    src,
-                    dst,
-                    &group.ranks[src - first].comm_hooks(),
-                    &dats[src - first],
-                    rows,
-                    send_gen,
-                    seq,
-                    transport,
-                    opts,
-                );
-            }
-            if dst_local {
-                pending_recvs.push((src, dst, range, seq));
-            }
+        }
+        if local.contains(&dst) {
+            pending_recvs.push((src, dst, seq));
         }
     }
-    for (src, dst, range, seq) in pending_recvs {
-        recvs[dst - first][src] = schedule_recv_half(
-            src,
-            dst,
-            &group.ranks[dst - first].comm_hooks(),
-            &dats[dst - first],
-            range,
-            recv_gen,
-            seq,
-            transport,
-        );
-    }
-    recvs
+    pending_recvs
+        .into_iter()
+        .map(|(src, dst, seq)| {
+            let recv = schedule_recv_half(
+                src,
+                dst,
+                &hooks[dst - local.start],
+                &shard(dst),
+                spec.import_range[dst][src].clone(),
+                recv_gen,
+                seq,
+                transport,
+            );
+            (src, dst, recv)
+        })
+        .collect()
 }
 
 /// Schedules the send half of one (src → dst) exchange on the locally
@@ -734,7 +652,6 @@ pub(crate) fn schedule_send_half<T: OpType>(
     send_gen: u64,
     seq: u64,
     transport: &Arc<dyn Transport>,
-    opts: &ExchangeOpts,
 ) -> SharedFuture<()> {
     assert!(
         rows.iter().all(|&r| (r as usize) < dat_src.set().size()),
@@ -747,7 +664,6 @@ pub(crate) fn schedule_send_half<T: OpType>(
     dat_src.deps().collect_for(&footprint, false, &mut deps);
     let gather_rows: Arc<[u32]> = Arc::from(rows);
     let gather_dat = dat_src.clone();
-    let delay = opts.link_delay;
     let guard = SendGuard::new(Arc::clone(transport), kind, src, dst, seq);
     let send_done = schedule_after(src_hooks.runtime(), &deps, move || {
         let dim = gather_dat.dim();
@@ -760,7 +676,7 @@ pub(crate) fn schedule_send_half<T: OpType>(
                 gather_dat.append_row_to(row as usize, &mut vals);
             }
         }
-        guard.send(delay, encode_scalars(&vals));
+        guard.send(encode_scalars(&vals));
     });
     dat_src
         .deps()
@@ -857,7 +773,6 @@ pub struct HaloStats {
 /// user-visible beyond [`HaloStats`].
 pub(crate) struct HaloRing<T> {
     spec: HaloSpec,
-    opts: ExchangeOpts,
     /// Weak so ring ↔ dat references cannot leak the payloads; a shard
     /// must outlive the ring's use, which the owning program guarantees by
     /// holding the `Dat` handles it loops over. Indexed by local rank.
@@ -921,9 +836,8 @@ impl<T: OpType> HaloRing<T> {
 
     /// A reading loop argument on rank `dst`'s shard, indirect through
     /// `map` slot `slot`: schedule the exchange for every stale import the
-    /// map can actually observe, then clear those bits. All receives of
-    /// one refresh share a writer generation, exactly like one
-    /// [`exchange_with`] call.
+    /// map can actually observe, then clear those bits. The pairs of one
+    /// refresh are scheduled together, exactly like one [`exchange`] call.
     ///
     /// In SPMD mode the reachability cut is disabled (the peer cannot see
     /// this rank's map) and the refresh additionally *sends* rank `dst`'s
@@ -934,24 +848,14 @@ impl<T: OpType> HaloRing<T> {
         let n = self.spec.nranks;
         let spmd = self.spmd_mode();
         let local = self.local_ranks();
-        let dat_dst = self.shard(dst);
-        let to_bs = dat_dst.deps().block_size();
-        let mut gens: Option<(u64, u64)> = None;
-        // Receive halves are deferred below every send half of this
-        // refresh: a receive registers as a halo-block *writer*, and a
-        // send gather scheduled after it on a shared block would wait on
-        // it — symmetric SPMD schedulers then deadlock pairwise (see
-        // [`exchange_with`]). `(src, range, seq, recv_gen)`.
-        let mut pending_recvs: Vec<(usize, Range<usize>, u64, u64)> = Vec::new();
+        let to_bs = self.shard(dst).deps().block_size();
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
         let mut dirty = self.dirty.lock();
         // --- Rank `dst`'s stale imports: receive (and send, if the
         // exporter is hosted here too).
         for src in 0..n {
-            if src == dst {
-                continue;
-            }
-            let range = self.spec.import_range[dst][src].clone();
-            if range.is_empty() {
+            let range = &self.spec.import_range[dst][src];
+            if src == dst || range.is_empty() {
                 continue;
             }
             if !dirty[dst * n + src] {
@@ -969,76 +873,43 @@ impl<T: OpType> HaloRing<T> {
                     continue;
                 }
             }
-            let (send_gen, recv_gen) =
-                *gens.get_or_insert_with(|| (next_loop_gen(), next_loop_gen()));
-            let seq = self.transport.next_seq(MsgKind::Halo, src, dst);
-            if local.contains(&src) {
-                let dat_src = self.shard(src);
-                let _send = schedule_send_half(
-                    MsgKind::Halo,
-                    src,
-                    dst,
-                    &self.hooks[src - self.first],
-                    &dat_src,
-                    &self.spec.export_rows[src][dst],
-                    send_gen,
-                    seq,
-                    &self.transport,
-                    &self.opts,
-                );
-            }
-            pending_recvs.push((src, range, seq, recv_gen));
-            dirty[dst * n + src] = false;
-            self.pair_exchanges.fetch_add(1, Ordering::Relaxed);
-            hpx_rt::static_counter!("op2.halo.pairs_fired").fetch_add(1, Ordering::Relaxed);
+            pairs.push((src, dst));
         }
         // --- SPMD only: rank `dst`'s stale exports to *remote* importers.
         // The importer's own refresh, running at this same program point in
         // its process, posts the matching receive and clears the same bit.
         if spmd {
             for imp in 0..n {
-                if imp == dst
-                    || local.contains(&imp)
-                    || self.spec.export_rows[dst][imp].is_empty()
-                    || !dirty[imp * n + dst]
+                if imp != dst
+                    && !local.contains(&imp)
+                    && !self.spec.export_rows[dst][imp].is_empty()
+                    && dirty[imp * n + dst]
                 {
-                    continue;
+                    pairs.push((dst, imp));
                 }
-                let (send_gen, _) = *gens.get_or_insert_with(|| (next_loop_gen(), next_loop_gen()));
-                let seq = self.transport.next_seq(MsgKind::Halo, dst, imp);
-                let _send = schedule_send_half(
-                    MsgKind::Halo,
-                    dst,
-                    imp,
-                    &self.hooks[dst - self.first],
-                    &dat_dst,
-                    &self.spec.export_rows[dst][imp],
-                    send_gen,
-                    seq,
-                    &self.transport,
-                    &self.opts,
-                );
-                dirty[imp * n + dst] = false;
-                self.pair_exchanges.fetch_add(1, Ordering::Relaxed);
-                hpx_rt::static_counter!("op2.halo.pairs_fired").fetch_add(1, Ordering::Relaxed);
             }
         }
-        // --- The deferred receives, after every send half. They are not
-        // waited on here: each is registered as a writer of its halo
-        // blocks, so the submitting loop's boundary blocks (and any rank
-        // fence) chain behind it.
-        for (src, range, seq, recv_gen) in pending_recvs {
-            let _recv = schedule_recv_half(
-                src,
-                dst,
-                &self.hooks[dst - self.first],
-                &dat_dst,
-                range,
-                recv_gen,
-                seq,
-                &self.transport,
-            );
+        if pairs.is_empty() {
+            return;
         }
+        for &(src, to) in &pairs {
+            dirty[to * n + src] = false;
+        }
+        self.pair_exchanges
+            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+        hpx_rt::static_counter!("op2.halo.pairs_fired")
+            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+        // The receives are not waited on here: each is registered as a
+        // writer of its halo blocks, so the submitting loop's boundary
+        // blocks (and any rank fence) chain behind it.
+        let _recvs = schedule_pairs(
+            &self.transport,
+            &self.hooks,
+            local,
+            |r| self.shard(r),
+            &self.spec,
+            &pairs,
+        );
     }
 
     fn stats(&self) -> HaloStats {
@@ -1048,11 +919,6 @@ impl<T: OpType> HaloRing<T> {
             skipped_clean: self.skipped_clean.load(Ordering::Relaxed),
         }
     }
-}
-
-/// [`link_halo_with`] under default exchange options.
-pub fn link_halo<T: OpType>(group: &LocalityGroup, dats: &[Dat<T>], spec: &HaloSpec) {
-    link_halo_with(group, dats, spec, &ExchangeOpts::default());
 }
 
 /// Ties the per-rank shards of one logical dat into a `HaloRing` so all
@@ -1067,12 +933,7 @@ pub fn link_halo<T: OpType>(group: &LocalityGroup, dats: &[Dat<T>], spec: &HaloS
 /// [`LocalityGroup::rank`]), and each shard can belong to at most one
 /// ring. The spec is global; under a distributed transport every process
 /// links with the same spec.
-pub fn link_halo_with<T: OpType>(
-    group: &LocalityGroup,
-    dats: &[Dat<T>],
-    spec: &HaloSpec,
-    opts: &ExchangeOpts,
-) {
+pub fn link_halo<T: OpType>(group: &LocalityGroup, dats: &[Dat<T>], spec: &HaloSpec) {
     let n = spec.nranks;
     assert_eq!(group.nranks(), n, "spec rank count matches the group");
     let local = group.local_ranks();
@@ -1097,7 +958,6 @@ pub fn link_halo_with<T: OpType>(
     }
     let ring = Arc::new(HaloRing {
         spec: spec.clone(),
-        opts: opts.clone(),
         shards: dats.iter().map(Dat::inner_weak).collect(),
         hooks: group.ranks().iter().map(Op2::comm_hooks).collect(),
         first: local.start,

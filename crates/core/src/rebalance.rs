@@ -41,8 +41,8 @@ use std::sync::Arc;
 use hpx_rt::{schedule_after, when_all_shared, SharedFuture};
 
 use crate::dat::{Dat, Footprint};
-use crate::locality::{schedule_send_half, ExchangeOpts, LocalityGroup};
-use crate::transport::{decode_scalars, MsgKind, Transport};
+use crate::locality::{schedule_send_half, LocalityGroup};
+use crate::transport::{decode_scalars, gather_broadcast, MsgKind, Transport};
 use crate::types::{next_loop_gen, OpType};
 use crate::world::CommHooks;
 
@@ -71,47 +71,22 @@ pub fn agree_rank_busy(group: &LocalityGroup) -> Vec<u64> {
     if transport.all_local() {
         return busy;
     }
-    // Star over rank 0, like the transport barrier: every non-zero rank
-    // sends its value up, rank 0 broadcasts the assembled vector down.
-    for r in local.clone() {
-        if r != 0 {
-            let seq = transport.next_seq(MsgKind::Ctrl, r, 0);
-            transport.send(
-                MsgKind::Ctrl,
-                r,
-                0,
-                seq,
-                None,
-                busy[r].to_le_bytes().to_vec(),
-            );
-        }
-    }
-    if local.contains(&0) {
-        for (s, slot) in busy.iter_mut().enumerate().skip(1) {
-            let seq = transport.next_seq(MsgKind::Ctrl, s, 0);
-            let d = transport.recv(MsgKind::Ctrl, s, 0, seq);
-            d.ready().wait();
-            let bytes = d.take().expect("rank-busy agreement abandoned by a peer");
-            *slot = u64::from_le_bytes(bytes.as_slice().try_into().expect("8-byte payload"));
-        }
-        let full: Vec<u8> = busy.iter().flat_map(|v| v.to_le_bytes()).collect();
-        for s in 1..n {
-            let seq = transport.next_seq(MsgKind::Ctrl, 0, s);
-            transport.send(MsgKind::Ctrl, 0, s, seq, None, full.clone());
-        }
-    }
-    for r in local {
-        if r != 0 {
-            let seq = transport.next_seq(MsgKind::Ctrl, 0, r);
-            let d = transport.recv(MsgKind::Ctrl, 0, r, seq);
-            d.ready().wait();
-            let bytes = d.take().expect("rank-busy broadcast abandoned by rank 0");
-            for (s, chunk) in bytes.chunks_exact(8).enumerate() {
-                busy[s] = u64::from_le_bytes(chunk.try_into().expect("8-byte chunks"));
-            }
-        }
-    }
-    busy
+    // Every rank's 8 bytes up to rank 0, the assembled vector back down.
+    let full = gather_broadcast(
+        transport,
+        |r| busy[r].to_le_bytes().to_vec(),
+        |parts| {
+            let abandoned = "rank-busy agreement abandoned by a peer";
+            parts
+                .into_iter()
+                .flat_map(|p| p.expect(abandoned))
+                .collect()
+        },
+    )
+    .expect("rank-busy broadcast abandoned by rank 0");
+    full.chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunks")))
+        .collect()
 }
 
 /// `max / mean` of the per-rank busy times — 1.0 is perfect balance, k
@@ -232,7 +207,6 @@ pub fn migrate_rows<T: OpType>(
     old: &[Dat<T>],
     new: &[Dat<T>],
     spec: &MigrationSpec,
-    opts: &ExchangeOpts,
 ) -> Vec<SharedFuture<()>> {
     let n = spec.nranks;
     assert_eq!(group.nranks(), n, "spec rank count matches the group");
@@ -279,7 +253,6 @@ pub fn migrate_rows<T: OpType>(
                     send_gen,
                     seq,
                     transport,
-                    opts,
                 );
                 done[src - first].push(f);
             } else {

@@ -13,15 +13,16 @@
 //! Two implementations:
 //!
 //! * [`InProcessTransport`] — all ranks in one process. Delivery is a
-//!   match-table handoff; an optional link delay is modelled by
-//!   **rescheduling** delivery onto the shared [`hpx_rt::timing::defer`]
-//!   timer thread, never by sleeping on a runtime worker (the pre-PR 7
-//!   `thread::sleep` inside the gather node stole the very compute the
-//!   overlap benches claimed to overlap).
+//!   match-table handoff; [`InProcessTransport::with_delay`] models link
+//!   latency by **rescheduling** delivery onto the shared
+//!   [`hpx_rt::timing::defer`] timer thread, never by sleeping on a
+//!   runtime worker (a `thread::sleep` inside the gather node would steal
+//!   the very compute the overlap benches claim to overlap). It is the
+//!   only way to inject latency.
 //! * [`ProcessTransport`] — each rank (or group of ranks) is its own OS
 //!   process; peers are connected over a full mesh of Unix-domain sockets
 //!   established through a filesystem rendezvous directory. Latency is
-//!   real wire latency; injected delays are ignored.
+//!   real wire latency.
 //!
 //! # Message addressing and SPMD symmetry
 //!
@@ -35,6 +36,11 @@
 //! making its scheduling decisions (dirty-bit transitions, reachability
 //! cuts) from process-local state *identically on every rank* whenever the
 //! transport is not [`Transport::all_local`].
+//!
+//! A message whose two ends are both hosted by one process takes **one**
+//! sequence number, shared by its send and its receive half: advancing
+//! the counter once per side would give the two halves different numbers
+//! and the receive would never match.
 //!
 //! # Abandonment
 //!
@@ -343,19 +349,9 @@ pub trait Transport: Send + Sync + 'static {
     /// docs on SPMD symmetry).
     fn next_seq(&self, kind: MsgKind, src: usize, dst: usize) -> u64;
 
-    /// Sends `payload` as message `(kind, src, dst, seq)`. `delay` is an
-    /// *injected* link latency for latency-modelling transports; real
-    /// transports ignore it. Must not block a runtime worker for the
-    /// delay.
-    fn send(
-        &self,
-        kind: MsgKind,
-        src: usize,
-        dst: usize,
-        seq: u64,
-        delay: Option<Duration>,
-        payload: Vec<u8>,
-    );
+    /// Sends `payload` as message `(kind, src, dst, seq)`. Must not block
+    /// a runtime worker for the link's latency, real or modelled.
+    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Vec<u8>);
 
     /// Marks message `(kind, src, dst, seq)` as abandoned: the receiver's
     /// [`Delivery`] completes with no payload (see module docs).
@@ -366,8 +362,8 @@ pub trait Transport: Send + Sync + 'static {
     fn recv(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) -> Delivery;
 
     /// True when every rank lives in this process — the locality layer
-    /// uses process-global shortcuts (map-reachability cuts, shared
-    /// collect trees) only then.
+    /// uses process-global shortcuts (map-reachability cuts, immediate
+    /// barriers) only then.
     fn all_local(&self) -> bool {
         self.local_ranks() == (0..self.nranks())
     }
@@ -425,13 +421,13 @@ impl SendGuard {
     }
 
     /// Sends the payload and disarms the guard.
-    pub fn send(mut self, delay: Option<Duration>, payload: Vec<u8>) {
+    pub fn send(mut self, payload: Vec<u8>) {
         self.armed = false;
         hpx_rt::static_counter!("op2.transport.msgs_sent").fetch_add(1, Ordering::Relaxed);
         hpx_rt::static_counter!("op2.transport.bytes_sent")
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
         self.transport
-            .send(self.kind, self.src, self.dst, self.seq, delay, payload);
+            .send(self.kind, self.src, self.dst, self.seq, payload);
     }
 }
 
@@ -453,12 +449,11 @@ impl Drop for SendGuard {
 /// All ranks in one process: delivery is a match-table handoff on the
 /// sending thread, and an injected link delay *reschedules* delivery onto
 /// the shared timer thread ([`hpx_rt::timing::defer`]) — no runtime worker
-/// sleeps, so overlap measurements under injected latency no longer lose a
+/// sleeps, so overlap measurements under injected latency do not lose a
 /// worker per in-flight message.
 pub struct InProcessTransport {
     nranks: usize,
-    /// Baseline injected latency for every message (per-message `delay`
-    /// overrides it).
+    /// Injected latency of every message.
     delay: Option<Duration>,
     table: Arc<MatchTable>,
     seqs: SeqCounters,
@@ -470,8 +465,8 @@ impl InProcessTransport {
         Self::with_delay(nranks, None)
     }
 
-    /// An in-process transport injecting `delay` on every message that
-    /// does not carry its own.
+    /// An in-process transport injecting `delay` on every message (halo
+    /// rows, reduction partials, control and migration traffic alike).
     pub fn with_delay(nranks: usize, delay: Option<Duration>) -> Self {
         assert!(nranks >= 1, "a transport needs at least one rank");
         InProcessTransport {
@@ -496,17 +491,9 @@ impl Transport for InProcessTransport {
         self.seqs.next(kind, src, dst)
     }
 
-    fn send(
-        &self,
-        kind: MsgKind,
-        src: usize,
-        dst: usize,
-        seq: u64,
-        delay: Option<Duration>,
-        payload: Vec<u8>,
-    ) {
+    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Vec<u8>) {
         let key = (kind, src as u32, dst as u32, seq);
-        match delay.or(self.delay) {
+        match self.delay {
             Some(d) => {
                 let table = Arc::clone(&self.table);
                 hpx_rt::timing::defer(d, move || table.deliver(key, Some(payload)));
@@ -731,15 +718,7 @@ impl Transport for ProcessTransport {
         self.seqs.next(kind, src, dst)
     }
 
-    fn send(
-        &self,
-        kind: MsgKind,
-        src: usize,
-        dst: usize,
-        seq: u64,
-        _delay: Option<Duration>,
-        payload: Vec<u8>,
-    ) {
+    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Vec<u8>) {
         assert_eq!(src, self.rank, "send from non-local rank {src}");
         if dst == self.rank {
             self.table
@@ -790,38 +769,63 @@ impl std::fmt::Debug for ProcessTransport {
 // ---------------------------------------------------------------------------
 
 /// A whole-job rendezvous: returns once every rank of the job has entered
-/// the barrier. All-local transports return immediately (the caller holds
-/// every rank already); distributed ones run an arrive/release star
-/// through rank 0 over [`MsgKind::Ctrl`] messages. Call from a
+/// the barrier, or its peer died. All-local transports return immediately
+/// (the caller holds every rank already); distributed ones run an
+/// arrive/release [`gather_broadcast`] of empty payloads. Call from a
 /// non-worker thread (it blocks).
 pub fn barrier(transport: &Arc<dyn Transport>) {
-    if transport.all_local() {
-        return;
+    if !transport.all_local() {
+        gather_broadcast(transport, |_| Vec::new(), |_| Vec::new());
     }
+}
+
+/// A blocking star through rank 0 over [`MsgKind::Ctrl`] messages: every
+/// rank `r` contributes `up(r)`, rank 0 folds the contributions (in rank
+/// order, `None` for one a dead peer abandoned) with `root`, and every
+/// rank returns the folded payload — `None` on a rank whose copy was
+/// abandoned. Ranks hosted with rank 0 read it directly; only the others
+/// receive it. Every process must call this at the same program point
+/// (SPMD). Call from a non-worker thread (it blocks).
+pub(crate) fn gather_broadcast(
+    transport: &Arc<dyn Transport>,
+    up: impl Fn(usize) -> Vec<u8>,
+    root: impl FnOnce(Vec<Option<Vec<u8>>>) -> Vec<u8>,
+) -> Option<Vec<u8>> {
     let n = transport.nranks();
     let local = transport.local_ranks();
-    for r in local.clone() {
-        if r != 0 {
-            let seq = transport.next_seq(MsgKind::Ctrl, r, 0);
-            transport.send(MsgKind::Ctrl, r, 0, seq, None, Vec::new());
+    let hosts_root = local.contains(&0);
+    let mut arrivals = Vec::new();
+    for r in (1..n).filter(|r| hosts_root || local.contains(r)) {
+        // One seq per message, shared by both halves when both are here.
+        let seq = transport.next_seq(MsgKind::Ctrl, r, 0);
+        if local.contains(&r) {
+            transport.send(MsgKind::Ctrl, r, 0, seq, up(r));
+        }
+        if hosts_root {
+            arrivals.push(transport.recv(MsgKind::Ctrl, r, 0, seq));
         }
     }
-    if local.contains(&0) {
-        for s in 1..n {
-            let seq = transport.next_seq(MsgKind::Ctrl, s, 0);
-            transport.recv(MsgKind::Ctrl, s, 0, seq).ready().wait();
+    if hosts_root {
+        let mut parts = vec![Some(up(0))];
+        for d in arrivals {
+            d.ready().wait();
+            parts.push(d.take());
         }
-        for s in 1..n {
+        let total = root(parts);
+        for s in (1..n).filter(|s| !local.contains(s)) {
             let seq = transport.next_seq(MsgKind::Ctrl, 0, s);
-            transport.send(MsgKind::Ctrl, 0, s, seq, None, Vec::new());
+            transport.send(MsgKind::Ctrl, 0, s, seq, total.clone());
         }
+        return Some(total);
     }
+    let mut total = Some(Vec::new());
     for r in local {
-        if r != 0 {
-            let seq = transport.next_seq(MsgKind::Ctrl, 0, r);
-            transport.recv(MsgKind::Ctrl, 0, r, seq).ready().wait();
-        }
+        let seq = transport.next_seq(MsgKind::Ctrl, 0, r);
+        let d = transport.recv(MsgKind::Ctrl, 0, r, seq);
+        d.ready().wait();
+        total = total.and(d.take());
     }
+    total
 }
 
 #[cfg(test)]
@@ -857,14 +861,14 @@ mod tests {
     fn in_process_matches_either_order() {
         let t = InProcessTransport::new(2);
         // Send before recv.
-        t.send(MsgKind::Halo, 0, 1, 0, None, vec![1, 2, 3]);
+        t.send(MsgKind::Halo, 0, 1, 0, vec![1, 2, 3]);
         let d = t.recv(MsgKind::Halo, 0, 1, 0);
         assert!(d.ready().is_ready());
         assert_eq!(d.take(), Some(vec![1, 2, 3]));
         // Recv before send.
         let d = t.recv(MsgKind::Halo, 0, 1, 1);
         assert!(!d.ready().is_ready());
-        t.send(MsgKind::Halo, 0, 1, 1, None, vec![9]);
+        t.send(MsgKind::Halo, 0, 1, 1, vec![9]);
         d.ready().wait();
         assert_eq!(d.take(), Some(vec![9]));
     }
@@ -873,7 +877,7 @@ mod tests {
     fn in_process_delay_defers_off_thread() {
         let t = InProcessTransport::with_delay(2, Some(Duration::from_millis(15)));
         let t0 = std::time::Instant::now();
-        t.send(MsgKind::Halo, 0, 1, 0, None, vec![4]);
+        t.send(MsgKind::Halo, 0, 1, 0, vec![4]);
         // The send returned immediately; delivery lands later via the
         // timer thread.
         assert!(t0.elapsed() < Duration::from_millis(15));
@@ -914,7 +918,7 @@ mod tests {
                     for dst in 0..n {
                         if dst != rank {
                             let seq = t.next_seq(MsgKind::Halo, rank, dst);
-                            t.send(MsgKind::Halo, rank, dst, seq, None, vec![rank as u8]);
+                            t.send(MsgKind::Halo, rank, dst, seq, vec![rank as u8]);
                         }
                     }
                     // ...and checks what arrives.

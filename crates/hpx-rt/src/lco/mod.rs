@@ -7,18 +7,15 @@
 //! waiting."
 //!
 //! The future and dataflow LCOs live in `crate::future` and
-//! [`crate::dataflow`]; this module holds the three others OP2 runs on.
+//! [`crate::dataflow`]; this module holds the two others OP2 runs on.
 //! [`Latch`] is the workhorse: the chunked loops count their finished
 //! chunks on one, and its `wait` help-executes pool tasks instead of
-//! sleeping. [`Event`] is a manual-reset gate. [`collect`] is the
-//! collective: a reduction tree over N contributors whose combined result
-//! is a future — the building block of `op2-core`'s asynchronous
-//! cross-rank allreduce.
+//! sleeping. [`Event`] is a manual-reset gate. (`op2-core`'s cross-rank
+//! allreduce is not an LCO here: it is a star of messages over its
+//! transport, and a reduction result is a plain [`crate::channel`].)
 
-mod collect;
 mod event;
 mod latch;
 
-pub use collect::{collect, Contribution};
 pub use event::Event;
 pub use latch::Latch;

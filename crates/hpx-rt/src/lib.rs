@@ -21,8 +21,7 @@
 //!   [`for_each_async`]) — the fork-join path `op2-core` compares dataflow
 //!   against — with **chunk-size control** (§IV-B, [`ChunkPolicy`]):
 //!   static, an even split, or HPX's probe-timed `auto_chunk_size`;
-//! * the LCOs OP2 waits on ([`lco`]): latch, event and the reduction-tree
-//!   collective behind the cross-rank allreduce;
+//! * the LCOs OP2 waits on ([`lco`]): latch and event;
 //! * the **prefetching iterator** (§V): [`make_prefetcher_context`] +
 //!   [`for_each_prefetch`].
 //!

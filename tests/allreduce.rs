@@ -182,8 +182,9 @@ fn shared_global_across_ranks_sums_exactly() {
     }
 }
 
-/// `reduce_across` turns a shared-Global read into a future gated on the
-/// whole wait-set: non-blocking at submission, complete sum at `get`.
+/// `reduce_async` on one rank turns a shared-Global read into a future
+/// gated on the whole wait-set, every rank's loops included: non-blocking
+/// at submission, complete sum at `get`.
 #[test]
 fn reduce_across_reads_shared_global_without_blocking() {
     let group = LocalityGroup::new(Op2Config::dataflow(2), 2);
@@ -206,7 +207,7 @@ fn reduce_across_reads_shared_global_without_blocking() {
         .arg(gbl_inc(&g))
         .run(|acc: &mut [f64]| acc[0] += 1.0);
 
-    let red = g.reduce_across(&group);
+    let red = g.reduce_async(group.rank(0));
     assert!(!red.is_ready(), "snapshot must wait the hostage loop");
     gate.set();
     assert_eq!(red.get_scalar(), 32.0);

@@ -13,7 +13,7 @@ use op2_hpx::airfoil::verify::{max_rel_diff, max_scaled_diff};
 use op2_hpx::airfoil::SolverConfig;
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::rw;
-use op2_hpx::op2::locality::{ExchangeOpts, LocalityGroup};
+use op2_hpx::op2::locality::LocalityGroup;
 use op2_hpx::op2::rebalance::{agree_rank_busy, migrate_rows, MigrationSpec};
 use op2_hpx::op2::transport::{ProcessTransport, Transport};
 use op2_hpx::op2::{Dat, Op2Config};
@@ -116,7 +116,7 @@ fn migration_substrate_preserves_values_bitwise_randomized() {
         }
         // Migrate with loops still in flight — no fence, no barrier.
         let spec = MigrationSpec::diff(&old_owned, &new_owned);
-        migrate_rows(&group, &old, &new, &spec, &ExchangeOpts::default());
+        migrate_rows(&group, &old, &new, &spec);
         for _ in 0..k2 {
             step(&new, 0.25, 2.0);
         }

@@ -4,15 +4,21 @@
 //! dies mid-exchange must surface its *original* panic — the receive half
 //! degrades to a diagnostic no-op instead of double-panicking.
 
+use std::collections::HashMap;
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::time::{Duration, Instant};
 
 use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
 use op2_hpx::airfoil::SolverConfig;
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::{gbl_inc, write};
 use op2_hpx::op2::locality::{exchange, HaloSpec, LocalityGroup};
-use op2_hpx::op2::transport::{ProcessTransport, Transport};
+use op2_hpx::op2::transport::{
+    barrier, Delivery, InProcessTransport, MsgKind, ProcessTransport, Transport,
+};
 use op2_hpx::op2::{Global, Op2Config};
 
 /// A fresh rendezvous directory under the system temp dir, unique per
@@ -141,9 +147,9 @@ fn sharded_airfoil_over_sockets_matches_in_process() {
     }
 }
 
-/// The distributed allreduce (partial → rank 0 → tree combine → broadcast)
-/// is bitwise identical to the in-process collect tree: `tree_combine`
-/// reproduces the pairing shape exactly.
+/// The allreduce over sockets (partial → rank 0 → tree combine →
+/// broadcast) is bitwise identical to the in-process one: both run the
+/// same star with the same fixed fold order.
 #[test]
 fn allreduce_over_sockets_is_bitwise_the_in_process_tree() {
     const NRANKS: usize = 5;
@@ -243,15 +249,13 @@ fn abandoned_exchange_surfaces_the_original_panic() {
 
 /// Injected link delay is honored by the in-process transport without
 /// blocking a runtime worker: with a single worker thread, a delayed
-/// exchange still completes (the old implementation slept *inside* the
-/// send node, wedging the lone worker for the duration and serializing
-/// every delayed pair).
+/// exchange still completes (sleeping *inside* the send node would wedge
+/// the lone worker for the duration and serialize every delayed pair).
 #[test]
 fn injected_delay_does_not_occupy_the_single_worker() {
-    use op2_hpx::op2::locality::{exchange_with, ExchangeOpts};
-    use std::time::{Duration, Instant};
-
-    let group = LocalityGroup::new(Op2Config::dataflow(1), 4);
+    let delay = Duration::from_millis(40);
+    let link = InProcessTransport::with_delay(4, Some(delay));
+    let group = LocalityGroup::with_transport(Op2Config::dataflow(1), Arc::new(link));
     let mut dats = Vec::new();
     let mut spec = HaloSpec::empty(4);
     for r in 0..4 {
@@ -276,16 +280,8 @@ fn injected_delay_does_not_occupy_the_single_worker() {
     }
     spec.validate().expect("spec");
 
-    let delay = Duration::from_millis(40);
     let t0 = Instant::now();
-    let recvs = exchange_with(
-        &group,
-        &dats,
-        &spec,
-        &ExchangeOpts {
-            link_delay: Some(delay),
-        },
-    );
+    let recvs = exchange(&group, &dats, &spec);
     for per_rank in &recvs {
         for f in per_rank {
             f.wait();
@@ -305,4 +301,241 @@ fn injected_delay_does_not_occupy_the_single_worker() {
         let expected: Vec<f64> = (0..4).filter(|&r| r != i).map(|r| r as f64).collect();
         assert_eq!(mirrored, expected, "rank {i} halo rows");
     }
+}
+
+/// One process's view of a job over a shared in-process match table: it
+/// hosts the ranks `local`, keeps its own sequence counters (like a
+/// `ProcessTransport` does) and counts the messages it sends per kind.
+struct SliceTransport {
+    link: Arc<InProcessTransport>,
+    local: Range<usize>,
+    seqs: Mutex<HashMap<(MsgKind, usize, usize), u64>>,
+    sent: [AtomicUsize; 4],
+}
+
+impl SliceTransport {
+    fn new(link: &Arc<InProcessTransport>, local: Range<usize>) -> Arc<Self> {
+        Arc::new(SliceTransport {
+            link: Arc::clone(link),
+            local,
+            seqs: Mutex::new(HashMap::new()),
+            sent: Default::default(),
+        })
+    }
+
+    fn sent(&self, kind: MsgKind) -> usize {
+        self.sent[kind as usize].load(Ordering::Relaxed)
+    }
+}
+
+impl Transport for SliceTransport {
+    fn nranks(&self) -> usize {
+        self.link.nranks()
+    }
+
+    fn local_ranks(&self) -> Range<usize> {
+        self.local.clone()
+    }
+
+    fn next_seq(&self, kind: MsgKind, src: usize, dst: usize) -> u64 {
+        let mut seqs = self.seqs.lock().unwrap();
+        let next = seqs.entry((kind, src, dst)).or_insert(0);
+        *next += 1;
+        *next - 1
+    }
+
+    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Vec<u8>) {
+        self.sent[kind as usize].fetch_add(1, Ordering::Relaxed);
+        self.link.send(kind, src, dst, seq, payload);
+    }
+
+    fn send_abandoned(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) {
+        self.link.send_abandoned(kind, src, dst, seq);
+    }
+
+    fn recv(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) -> Delivery {
+        self.link.recv(kind, src, dst, seq)
+    }
+}
+
+/// Order-sensitive partials: a left fold and the pairwise tree round
+/// `1e16 + 1.0` and `-1e16 + 3.0` differently.
+const PARTIALS: [f64; 6] = [1e16, 1.0, -1e16, 3.0, 0.5, -7.25];
+
+/// Declares one `gbl_inc` loop per hosted rank that adds `PARTIALS[r]` to
+/// a fresh global once, and returns the allreduce of those globals.
+fn allreduce_partials(group: &LocalityGroup) -> op2_hpx::op2::ReducedFuture<f64> {
+    let globals: Vec<Global<f64>> = group
+        .local_ranks()
+        .map(|r| {
+            let g = Global::<f64>::sum(1, "partial");
+            let one = group.rank(r).decl_set(1, "one");
+            let p = PARTIALS[r];
+            group
+                .rank(r)
+                .loop_("contribute", &one)
+                .arg(gbl_inc(&g))
+                .run(move |acc: &mut [f64]| acc[0] += p);
+            g
+        })
+        .collect();
+    group.allreduce(&globals)
+}
+
+/// The pairwise fold whose shape is fixed by rank index: slot `i` joins
+/// `i ^ 1`, an unpaired trailing slot passes through.
+fn fixed_tree(mut level: Vec<f64>) -> f64 {
+    while level.len() > 1 {
+        level = level
+            .chunks(2)
+            .map(|c| c.iter().copied().reduce(|a, b| a + b).unwrap())
+            .collect();
+    }
+    level[0]
+}
+
+/// All-local groups run the one star too: for n = 1..=6 ranks the result
+/// is bitwise the fixed tree, and exactly n − 1 partials cross the
+/// transport (rank 0's own partial and the total never do).
+#[test]
+fn all_local_allreduce_is_the_fixed_tree_over_n_minus_1_messages() {
+    let left_fold: f64 = PARTIALS[..4].iter().sum();
+    assert_ne!(
+        fixed_tree(PARTIALS[..4].to_vec()).to_bits(),
+        left_fold.to_bits(),
+        "the partials must tell the fold orders apart"
+    );
+    for n in 1..=6 {
+        let link = Arc::new(InProcessTransport::new(n));
+        let t = SliceTransport::new(&link, 0..n);
+        let group = LocalityGroup::with_transport(Op2Config::dataflow(2), t.clone());
+        let red = allreduce_partials(&group);
+        group.fence();
+        assert_eq!(
+            red.get_scalar().to_bits(),
+            fixed_tree(PARTIALS[..n].to_vec()).to_bits(),
+            "{n} ranks: fold order"
+        );
+        assert_eq!(t.sent(MsgKind::Reduce), n - 1, "{n} ranks: Reduce messages");
+    }
+}
+
+/// Runs `f(rank_range)` on a thread per slice and returns the results in
+/// slice order. A slice that panics re-raises its panic here; one that
+/// does not finish in time fails the test instead of hanging it (its
+/// thread is then left detached, since joining it would hang too).
+fn run_slices_bounded<T: Send + 'static>(
+    slices: Vec<Range<usize>>,
+    f: impl Fn(Range<usize>) -> T + Send + Sync + 'static,
+) -> Vec<T> {
+    let f = Arc::new(f);
+    let (tx, rx) = mpsc::channel();
+    let handles: Vec<_> = slices
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, slice)| {
+            let (f, tx) = (Arc::clone(&f), tx.clone());
+            std::thread::spawn(move || {
+                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(slice)));
+                let _ = tx.send((i, out));
+            })
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut out: Vec<Option<T>> = slices.iter().map(|_| None).collect();
+    for _ in 0..slices.len() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let (i, v) = rx.recv_timeout(left).unwrap_or_else(|_| {
+            let done: Vec<bool> = out.iter().map(Option::is_some).collect();
+            panic!("slices {slices:?} did not all finish in time (finished: {done:?})")
+        });
+        out[i] = Some(v.unwrap_or_else(|p| std::panic::resume_unwind(p)));
+    }
+    for h in handles {
+        h.join().expect("a slice thread that reported its result");
+    }
+    out.into_iter()
+        .map(|v| v.expect("every slice reported"))
+        .collect()
+}
+
+/// A process hosting rank 0 *and* other ranks: both halves of a message
+/// between two of its ranks take one sequence number, so the allreduce,
+/// the barrier and the rank-busy agreement complete, and the sum is
+/// bitwise the all-local one.
+#[test]
+fn process_hosting_rank_0_and_others_completes_collectives() {
+    use op2_hpx::op2::rebalance::agree_rank_busy;
+
+    let expected = {
+        let group = LocalityGroup::new(Op2Config::dataflow(2), 3);
+        let red = allreduce_partials(&group);
+        group.fence();
+        red.get_scalar()
+    };
+    let link = Arc::new(InProcessTransport::new(3));
+    let results = run_slices_bounded(vec![0..2, 2..3], move |slice| {
+        let t = SliceTransport::new(&link, slice);
+        let group = LocalityGroup::with_transport(Op2Config::dataflow(2), t.clone());
+        let total = allreduce_partials(&group).get_scalar();
+        group.fence();
+        let busy = agree_rank_busy(&group);
+        barrier(group.transport());
+        (total, busy)
+    });
+    for (total, busy) in &results {
+        assert_eq!(total.to_bits(), expected.to_bits(), "slice total");
+        assert_eq!(busy, &results[0].1, "every slice agrees on rank busy times");
+        assert_eq!(busy.len(), 3);
+    }
+}
+
+/// Satellite regression: rank 0's `gbl_inc` kernel panics, so its root
+/// node is skipped. The broadcast of the total must be abandoned, not
+/// forgotten: every rank's fence returns a panic (rank 0's the kernel's)
+/// instead of ranks 1 and 2 waiting forever for a total that never comes.
+/// No rank drops its transport before all fences returned, so a closed
+/// socket cannot stand in for the abandonment.
+#[test]
+fn rank_0_kernel_panic_fails_every_fence_instead_of_hanging() {
+    const NRANKS: usize = 3;
+    let dir = rendezvous_dir("root-panic");
+    let all_fenced = Arc::new(Barrier::new(NRANKS));
+    let slices = (0..NRANKS).map(|r| r..r + 1).collect();
+    let dir2 = dir.clone();
+    let messages = run_slices_bounded(slices, move |slice| {
+        let r = slice.start;
+        let t: Arc<dyn Transport> =
+            Arc::new(ProcessTransport::connect_unix(&dir2, r, NRANKS).expect("socket rendezvous"));
+        let group = LocalityGroup::with_transport(Op2Config::dataflow(2), t);
+        let g = Global::<f64>::sum(1, "rms");
+        let cells = group.rank(r).decl_set(8, "cells");
+        group
+            .rank(r)
+            .loop_("update", &cells)
+            .arg(gbl_inc(&g))
+            .run(move |acc: &mut [f64]| {
+                assert!(r != 0, "rank 0 kernel exploded");
+                acc[0] += 1.0;
+            });
+        let _red = group.allreduce(&[g]);
+        let fenced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| group.fence()));
+        all_fenced.wait();
+        fenced.err().map(|e| {
+            e.downcast_ref::<String>()
+                .cloned()
+                .or_else(|| e.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default()
+        })
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    for (r, msg) in messages.iter().enumerate() {
+        assert!(msg.is_some(), "rank {r}'s fence returned no panic");
+    }
+    let root = messages[0].as_deref().unwrap();
+    assert!(
+        root.contains("rank 0 kernel exploded"),
+        "rank 0's fence panicked with {root:?}, not the kernel's message"
+    );
 }
