@@ -24,8 +24,12 @@
 //! * [`LocalityGroup::allreduce`] moves reduction partials over the same
 //!   transport: a star through rank 0, whatever the process layout.
 //!
-//! The group's [`Transport`] is the only way rows, partials and injected
-//! latency ([`InProcessTransport::with_delay`]) move between ranks.
+//! The group's [`Transport`] is the only way halo rows, migrated rows,
+//! partials and injected latency ([`InProcessTransport::with_delay`]) move
+//! between ranks. One row mover (`move_rows`) schedules every row move —
+//! [`exchange`], the implicit halo refresh and
+//! [`crate::rebalance::migrate_rows`] — as one message each, even when
+//! both ends share a process.
 //!
 //! The crucial property is *what the receive node registers as*: a
 //! mutating access record over the halo rows in the dat's dependency table
@@ -99,8 +103,8 @@
 //!
 //! Transports move rows in one encoding, the dats' own row-major one:
 //!
-//! * a [`MsgKind::Halo`] payload is the exported rows in export-list
-//!   order, each row `dim` scalars **row-major**, every scalar
+//! * a [`MsgKind::Halo`] or [`MsgKind::Migrate`] payload is the moved rows
+//!   in source-list order, each row `dim` scalars **row-major**, every scalar
 //!   little-endian fixed-width (`usize`/`isize` widened to 64 bits,
 //!   `bool` one byte — see [`crate::transport::WireScalar`]); the gather
 //!   appends whole rows and the scatter copies them back in place.
@@ -147,7 +151,8 @@ use crate::dat::{Dat, Footprint};
 use crate::gbl::{Global, ReducedFuture, Reducible};
 use crate::map::Map;
 use crate::transport::{
-    decode_scalars, encode_scalars, Delivery, InProcessTransport, MsgKind, SendGuard, Transport,
+    decode_scalars, encode_scalars, open, Delivery, InProcessTransport, MsgKind, SendGuard,
+    Transport,
 };
 use crate::types::{next_loop_gen, OpType};
 use crate::world::{CommHooks, Op2};
@@ -318,21 +323,17 @@ impl LocalityGroup {
         let (promise, value) = hpx_rt::channel::<Vec<T>>();
         let mut nodes: Vec<SharedFuture<()>> = Vec::new();
 
-        // Up: every partial but rank 0's own crosses the transport. One seq
-        // per message, shared by both halves when both are hosted here.
+        // Up: every partial but rank 0's own crosses the transport.
         let mut partials: Vec<(usize, Delivery)> = Vec::new();
         for r in (1..n).filter(|r| hosts_root || local.contains(r)) {
-            let seq = transport.next_seq(MsgKind::Reduce, r, 0);
-            if local.contains(&r) {
-                let guard = SendGuard::new(Arc::clone(transport), MsgKind::Reduce, r, 0, seq);
+            let (guard, delivery) = open(transport, MsgKind::Reduce, r, 0);
+            if let Some(guard) = guard {
                 let g = &globals[r - self.first];
                 nodes.push(
                     self.schedule_read(r, g, Vec::new(), move |v| guard.send(encode_scalars(&v))),
                 );
             }
-            if hosts_root {
-                partials.push((r, transport.recv(MsgKind::Reduce, r, 0, seq)));
-            }
+            partials.extend(delivery.map(|d| (r, d)));
         }
         if hosts_root {
             // The guards are armed here, not inside the node: a root node
@@ -340,10 +341,7 @@ impl LocalityGroup {
             // broadcast instead of stranding the other processes' ranks.
             let down: Vec<SendGuard> = (1..n)
                 .filter(|s| !local.contains(s))
-                .map(|s| {
-                    let seq = transport.next_seq(MsgKind::Reduce, 0, s);
-                    SendGuard::new(Arc::clone(transport), MsgKind::Reduce, 0, s, seq)
-                })
+                .filter_map(|s| open(transport, MsgKind::Reduce, 0, s).0)
                 .collect();
             let arrivals = partials.iter().map(|(_, d)| d.ready().clone()).collect();
             nodes.push(self.schedule_read(0, &globals[0], arrivals, move |own| {
@@ -365,8 +363,9 @@ impl LocalityGroup {
             // Down: the first local rank's receive fulfills `value`.
             let mut promise = Some(promise);
             for r in local {
-                let seq = transport.next_seq(MsgKind::Reduce, 0, r);
-                let d = transport.recv(MsgKind::Reduce, 0, r, seq);
+                let d = open(transport, MsgKind::Reduce, 0, r)
+                    .1
+                    .expect("r is hosted here");
                 let p = promise.take();
                 let hooks = self.ranks[r - self.first].comm_hooks();
                 let node = schedule_after(hooks.runtime(), &[d.ready().clone()], move || {
@@ -505,6 +504,12 @@ impl HaloSpec {
         }
         Ok(())
     }
+
+    /// The move feeding rank `dst`'s halo rows from rank `src`.
+    fn row_move(&self, src: usize, dst: usize) -> RowMove<'_> {
+        let landing = Landing::Halo(self.import_range[dst][src].clone());
+        (src, dst, &self.export_rows[src][dst], landing)
+    }
 }
 
 /// Schedules one asynchronous halo refresh of `dats` (one per *locally
@@ -514,7 +519,7 @@ impl HaloSpec {
 /// are in place (already-ready for pairs with no traffic).
 ///
 /// Nothing blocks: every nonempty pair with an end hosted here goes to
-/// [`schedule_pairs`]. Values travel through the group's [`Transport`];
+/// `move_rows`. Values travel through the group's [`Transport`];
 /// under a distributed transport only the locally hosted halves are
 /// scheduled here, matched with the peer's halves by sequence number
 /// (every process must call `exchange` at the same program point — SPMD).
@@ -527,46 +532,78 @@ pub fn exchange<T: OpType>(
     assert_eq!(group.nranks(), n, "spec rank count matches the group");
     let local = group.local_ranks();
     assert_eq!(dats.len(), local.len(), "one dat shard per local rank");
-    let pairs: Vec<(usize, usize)> = (0..n)
+    let moves: Vec<RowMove<'_>> = (0..n)
         .flat_map(|src| (0..n).map(move |dst| (src, dst)))
         .filter(|&(src, dst)| {
             src != dst
                 && !spec.export_rows[src][dst].is_empty()
                 && (local.contains(&src) || local.contains(&dst))
         })
+        .map(|(src, dst)| spec.row_move(src, dst))
         .collect();
     let hooks: Vec<CommHooks> = group.ranks().iter().map(Op2::comm_hooks).collect();
+    let shard = |r: usize| dats[r - local.start].clone();
+    let halves = move_rows(group.transport(), &hooks, shard, shard, &moves);
     let mut recvs: Vec<Vec<SharedFuture<()>>> = (0..local.len())
         .map(|_| vec![SharedFuture::ready(()); n])
         .collect();
-    let shard = |r: usize| dats[r - local.start].clone();
-    let scheduled = schedule_pairs(
-        group.transport(),
-        &hooks,
-        local.clone(),
-        shard,
-        spec,
-        &pairs,
-    );
-    for (src, dst, recv) in scheduled {
-        recvs[dst - local.start][src] = recv;
+    for (&(src, dst, ..), (_, recv)) in moves.iter().zip(halves) {
+        if let Some(recv) = recv {
+            recvs[dst - local.start][src] = recv;
+        }
     }
     recvs
 }
 
-/// Schedules the halo traffic of `pairs` — `(src, dst)` with at least one
-/// end among the `local` ranks, whose hooks and shards `hooks` and
-/// `shard` give — and returns the receive-completion future of every
-/// pair whose `dst` is local. Per pair one [`Transport::next_seq`] is
-/// taken (shared by both halves when both are hosted here), a send half
-/// is scheduled on a local `src` and a receive half on a local `dst`; all
-/// sends share one dependency generation and all receives another, like
-/// the records one loop leaves: two peers' halo ranges may share a
-/// dependency block, and a record of a distinct generation covering it
-/// would supersede the sibling's (a lost dependency).
+/// Where a row move lands on its destination rank's target shard. The
+/// landing fixes the message kind, the receive's footprint and its scatter.
+#[derive(Debug, Clone)]
+pub(crate) enum Landing {
+    /// Contiguous halo mirror rows, fed by a [`MsgKind::Halo`] message.
+    Halo(Range<usize>),
+    /// Owned rows of a new shard, in any order, fed by a
+    /// [`MsgKind::Migrate`] message.
+    Rows(Arc<[u32]>),
+}
+
+impl Landing {
+    fn len(&self) -> usize {
+        match self {
+            Landing::Halo(range) => range.len(),
+            Landing::Rows(rows) => rows.len(),
+        }
+    }
+
+    fn kind(&self) -> MsgKind {
+        match self {
+            Landing::Halo(_) => MsgKind::Halo,
+            Landing::Rows(_) => MsgKind::Migrate,
+        }
+    }
+}
+
+/// One row move between ranks: `(src, dst, rows of src's source shard,
+/// where they land on dst's target shard)`, rows and landing in one order.
+pub(crate) type RowMove<'a> = (usize, usize, &'a [u32], Landing);
+
+/// The completion futures of one move's send and receive halves, each
+/// present when its end is hosted here.
+pub(crate) type MoveHalves = (Option<SharedFuture<()>>, Option<SharedFuture<()>>);
+
+/// The one row mover: schedules `moves` — each with at least one end among
+/// the transport's local ranks, whose hooks `hooks` gives in local order —
+/// from the `source` shards into the `target` shards, and returns per move
+/// the send half's completion future (local `src`) and the receive half's
+/// (local `dst`). Each move is one message opened with
+/// [`open`](crate::transport::open), so a move whose ends share a
+/// process, `src == dst` included, crosses the transport too. All sends
+/// share one dependency generation and all receives another, like the
+/// records one loop leaves: two peers' landings may share a dependency
+/// block, and a record of a distinct generation covering it would
+/// supersede the sibling's (a lost dependency).
 ///
 /// **Every send half is scheduled before any receive half.** A receive
-/// registers as a *writer* of the halo blocks; when a dat's halo rows
+/// registers as a *writer* of its landing blocks; when a dat's halo rows
 /// share a dependency block with its exported owned rows (small shards), a
 /// send gather scheduled after a receive would wait on it — and with two
 /// SPMD schedulers doing this symmetrically, each rank's send waits its
@@ -582,80 +619,61 @@ pub fn exchange<T: OpType>(
 /// whose sender transitively waits on the pinned node completing
 /// deadlocks the pool (observed with ≥ 3 ranks exchanging through one
 /// worker group).
-fn schedule_pairs<T: OpType>(
+pub(crate) fn move_rows<T: OpType>(
     transport: &Arc<dyn Transport>,
     hooks: &[CommHooks],
-    local: Range<usize>,
-    shard: impl Fn(usize) -> Dat<T>,
-    spec: &HaloSpec,
-    pairs: &[(usize, usize)],
-) -> Vec<(usize, usize, SharedFuture<()>)> {
+    source: impl Fn(usize) -> Dat<T>,
+    target: impl Fn(usize) -> Dat<T>,
+    moves: &[RowMove<'_>],
+) -> Vec<MoveHalves> {
+    let first = transport.local_ranks().start;
     let send_gen = next_loop_gen();
     let recv_gen = next_loop_gen();
-    let mut pending_recvs: Vec<(usize, usize, u64)> = Vec::new();
-    for &(src, dst) in pairs {
-        let rows = &spec.export_rows[src][dst];
-        assert_eq!(
-            rows.len(),
-            spec.import_range[dst][src].len(),
-            "halo spec {src}->{dst}: export/import length mismatch"
-        );
-        let seq = transport.next_seq(MsgKind::Halo, src, dst);
-        if local.contains(&src) {
-            let _send = schedule_send_half(
-                MsgKind::Halo,
-                src,
-                dst,
-                &hooks[src - local.start],
-                &shard(src),
-                rows,
-                send_gen,
-                seq,
-                transport,
+    let opened: Vec<_> = moves
+        .iter()
+        .map(|&(src, dst, rows, ref landing)| {
+            assert_eq!(
+                rows.len(),
+                landing.len(),
+                "move {src}->{dst}: source rows and landing differ in length"
             );
-        }
-        if local.contains(&dst) {
-            pending_recvs.push((src, dst, seq));
-        }
-    }
-    pending_recvs
-        .into_iter()
-        .map(|(src, dst, seq)| {
-            let recv = schedule_recv_half(
-                src,
-                dst,
-                &hooks[dst - local.start],
-                &shard(dst),
-                spec.import_range[dst][src].clone(),
-                recv_gen,
-                seq,
-                transport,
-            );
-            (src, dst, recv)
+            let (guard, delivery) = open(transport, landing.kind(), src, dst);
+            let send = guard.map(|guard| {
+                let hooks = &hooks[src - first];
+                schedule_send_half(src, dst, hooks, &source(src), rows, send_gen, guard)
+            });
+            (send, delivery)
+        })
+        .collect();
+    moves
+        .iter()
+        .zip(opened)
+        .map(|((src, dst, _, landing), (send, delivery))| {
+            let recv = delivery.map(|d| {
+                let hooks = &hooks[dst - first];
+                schedule_recv_half(*src, *dst, hooks, &target(*dst), landing, recv_gen, d)
+            });
+            (send, recv)
         })
         .collect()
 }
 
-/// Schedules the send half of one (src → dst) exchange on the locally
-/// hosted `src`: a gather node after the exported rows' pending writers,
-/// handing the canonical row-major payload to the transport under a
-/// [`SendGuard`] (a skipped or panicking node abandons the exchange so the
-/// receiver never hangs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn schedule_send_half<T: OpType>(
-    kind: MsgKind,
+/// The send half of one move on the locally hosted `src`: a gather node
+/// after the source rows' pending writers, handing the canonical row-major
+/// payload to the transport under `guard` (a skipped or panicking node
+/// abandons the move so the receiver never hangs).
+fn schedule_send_half<T: OpType>(
     src: usize,
     dst: usize,
     src_hooks: &CommHooks,
     dat_src: &Dat<T>,
     rows: &[u32],
     send_gen: u64,
-    seq: u64,
-    transport: &Arc<dyn Transport>,
+    guard: SendGuard,
 ) -> SharedFuture<()> {
     assert!(
         rows.iter().all(|&r| (r as usize) < dat_src.set().size()),
-        "halo spec {src}->{dst}: export rows must be owned rows of dat '{}' \
+        "move {src}->{dst}: source rows must be owned rows of dat '{}' \
          (halo mirror rows hold possibly-stale copies and are never authoritative)",
         dat_src.name()
     );
@@ -664,7 +682,6 @@ pub(crate) fn schedule_send_half<T: OpType>(
     dat_src.deps().collect_for(&footprint, false, &mut deps);
     let gather_rows: Arc<[u32]> = Arc::from(rows);
     let gather_dat = dat_src.clone();
-    let guard = SendGuard::new(Arc::clone(transport), kind, src, dst, seq);
     let send_done = schedule_after(src_hooks.runtime(), &deps, move || {
         let dim = gather_dat.dim();
         let mut vals = Vec::with_capacity(gather_rows.len() * dim);
@@ -685,59 +702,74 @@ pub(crate) fn schedule_send_half<T: OpType>(
     send_done
 }
 
-/// Schedules the receive half of one (src → dst) exchange on the locally
-/// hosted `dst`: a scatter node gated on the transport [`Delivery`] (plus
-/// the halo rows' pending readers/writers), registered as the halo
-/// blocks' writer. An abandoned exchange degrades to a diagnostic no-op.
-#[allow(clippy::too_many_arguments)]
+/// The receive half of one move on the locally hosted `dst`: a scatter
+/// node gated on the transport [`Delivery`] (plus the landing rows'
+/// pending readers/writers), registered as the landing blocks' writer. An
+/// abandoned move degrades to a diagnostic no-op: the sender's original
+/// failure reaches its fence.
 fn schedule_recv_half<T: OpType>(
     src: usize,
     dst: usize,
     dst_hooks: &CommHooks,
     dat_dst: &Dat<T>,
-    range: Range<usize>,
+    landing: &Landing,
     recv_gen: u64,
-    seq: u64,
-    transport: &Arc<dyn Transport>,
+    delivery: Delivery,
 ) -> SharedFuture<()> {
+    let (owned, bs) = (dat_dst.set().size(), dat_dst.deps().block_size());
+    let (fits, region, footprint) = match landing {
+        Landing::Halo(range) => (
+            range.start >= owned && range.end <= dat_dst.total_rows(),
+            "halo region",
+            Footprint::rows(range, bs),
+        ),
+        Landing::Rows(rows) => (
+            rows.iter().all(|&r| (r as usize) < owned),
+            "owned rows",
+            Footprint::row_list(rows, bs),
+        ),
+    };
     assert!(
-        range.end <= dat_dst.total_rows() && range.start >= dat_dst.set().size(),
-        "halo spec {src}->{dst}: import range {range:?} outside the halo region of dat '{}'",
+        fits,
+        "move {src}->{dst}: landing outside the {region} of dat '{}'",
         dat_dst.name()
     );
-    let delivery = transport.recv(MsgKind::Halo, src, dst, seq);
-    let footprint = Footprint::rows(&range, dat_dst.deps().block_size());
     let mut deps: Vec<SharedFuture<()>> = Vec::new();
     dat_dst.deps().collect_for(&footprint, true, &mut deps);
     deps.push(delivery.ready().clone());
     let scatter_dat = dat_dst.clone();
-    let scatter_range = range.clone();
+    let landing = landing.clone();
     let recv_done = schedule_after(dst_hooks.runtime(), &deps, move || {
-        let dim = scatter_dat.dim();
-        match delivery.take() {
-            Some(bytes) => {
-                let vals: Vec<T> = decode_scalars(&bytes);
-                assert_eq!(vals.len(), scatter_range.len() * dim, "halo payload size");
-                // SAFETY: scheduled after every pending reader and writer
-                // of the halo blocks, and registered as their writer, so
-                // this node has exclusive access to the rows.
-                unsafe {
-                    scatter_dat.scatter_rows_from(scatter_range.start, &vals);
-                }
-            }
-            None => {
-                // The sender abandoned the exchange (its gather was
-                // skipped by an upstream panic, or the peer died). Leave
-                // the mirror rows stale and let the *original* failure
-                // propagate through the sender's fence — panicking here
-                // would bury it under a secondary error.
-                hpx_rt::static_counter!("op2.transport.recvs_abandoned")
-                    .fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "op2-halo: exchange {src}->{dst} abandoned by the sender; \
-                     halo rows {scatter_range:?} of '{}' left stale",
-                    scatter_dat.name()
-                );
+        let Some(bytes) = delivery.take() else {
+            // The sender abandoned the move (its gather was skipped by an
+            // upstream panic, or the peer died). Leave the landing rows as
+            // they are and let the *original* failure propagate through
+            // the sender's fence — panicking here would bury it under a
+            // secondary error.
+            hpx_rt::static_counter!("op2.transport.recvs_abandoned")
+                .fetch_add(1, Ordering::Relaxed);
+            eprintln!(
+                "op2-transport: {:?} move {src}->{dst} abandoned by the sender; \
+                 {} landing rows of '{}' left as they were",
+                landing.kind(),
+                landing.len(),
+                scatter_dat.name()
+            );
+            return;
+        };
+        let vals: Vec<T> = decode_scalars(&bytes);
+        assert_eq!(
+            vals.len(),
+            landing.len() * scatter_dat.dim(),
+            "row payload size"
+        );
+        // SAFETY: scheduled after every pending reader and writer of the
+        // landing blocks, and registered as their writer, so this node has
+        // exclusive access to the rows.
+        unsafe {
+            match &landing {
+                Landing::Halo(range) => scatter_dat.scatter_rows_from(range.start, &vals),
+                Landing::Rows(rows) => scatter_dat.scatter_row_list_from(rows, &vals),
             }
         }
     });
@@ -902,14 +934,12 @@ impl<T: OpType> HaloRing<T> {
         // The receives are not waited on here: each is registered as a
         // writer of its halo blocks, so the submitting loop's boundary
         // blocks (and any rank fence) chain behind it.
-        let _recvs = schedule_pairs(
-            &self.transport,
-            &self.hooks,
-            local,
-            |r| self.shard(r),
-            &self.spec,
-            &pairs,
-        );
+        let moves: Vec<RowMove<'_>> = pairs
+            .iter()
+            .map(|&(src, to)| self.spec.row_move(src, to))
+            .collect();
+        let shard = |r| self.shard(r);
+        move_rows(&self.transport, &self.hooks, shard, shard, &moves);
     }
 
     fn stats(&self) -> HaloStats {

@@ -23,10 +23,11 @@
 //!    per-rank-pair row moves and [`migrate_rows`] schedules them as
 //!    ordinary dependency nodes (single-node access records over their
 //!    row lists, see `dat.rs`): gathers *read* the old shards,
-//!    landings *write* the new ones, and cross-process moves travel as
-//!    [`MsgKind::Migrate`] messages. The dataflow never stops — in-flight
-//!    loops on the old shards simply precede the gathers, and the first
-//!    loops on the new shards gate on the landings.
+//!    landings *write* the new ones, and every move travels as a
+//!    [`crate::transport::MsgKind::Migrate`] message over the group's
+//!    transport. The dataflow never stops — in-flight loops on the old
+//!    shards simply precede the gathers, and the first loops on the new
+//!    shards gate on the landings.
 //! 5. **Invalidate** — the solver retires the old set signatures
 //!    ([`crate::Op2::retire_set_signature`]) so a stale cached schedule or
 //!    cost estimate for the pre-migration shape can never be hit again.
@@ -36,15 +37,14 @@
 //! mirrors from the (already migrated) owned rows.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
-use hpx_rt::{schedule_after, when_all_shared, SharedFuture};
+use hpx_rt::{when_all_shared, SharedFuture};
 
-use crate::dat::{Dat, Footprint};
-use crate::locality::{schedule_send_half, LocalityGroup};
-use crate::transport::{decode_scalars, gather_broadcast, MsgKind, Transport};
-use crate::types::{next_loop_gen, OpType};
-use crate::world::CommHooks;
+use crate::dat::Dat;
+use crate::locality::{move_rows, Landing, LocalityGroup, RowMove};
+use crate::transport::gather_broadcast;
+use crate::types::OpType;
+use crate::world::{CommHooks, Op2};
 
 /// Default imbalance dead zone of [`cost_levels`]: per-element cost ratios
 /// under 1.5x are treated as noise, not as a reason to migrate.
@@ -54,11 +54,12 @@ pub const DEFAULT_DEAD_ZONE: f64 = 1.5;
 /// [`crate::GranularityFeedback::rank_busy_ns`]) across the whole job.
 ///
 /// All-local groups read the rank worlds directly. Distributed groups run
-/// a gather/broadcast star over [`MsgKind::Ctrl`] messages — every process
-/// must call this at the same program point (SPMD), and every process
-/// returns the identical vector, which is what lets them all take the
-/// same rebalance decision without negotiation. Only the submitting thread
-/// blocks; runtime workers keep draining the dataflow.
+/// a gather/broadcast star over [`crate::transport::MsgKind::Ctrl`]
+/// messages — every process must call this at the same program point
+/// (SPMD), and every process returns the identical vector, which is what
+/// lets them all take the same rebalance decision without negotiation.
+/// Only the submitting thread blocks; runtime workers keep draining the
+/// dataflow.
 pub fn agree_rank_busy(group: &LocalityGroup) -> Vec<u64> {
     let n = group.nranks();
     let local = group.local_ranks();
@@ -197,11 +198,12 @@ impl MigrationSpec {
 /// module docs). `old[i]` / `new[i]` are local rank
 /// `group.local_ranks().start + i`'s shards of one logical dat.
 ///
-/// Same-process pairs run as one gather+scatter copy node; cross-process
-/// pairs travel as [`MsgKind::Migrate`] messages with the send halves
-/// scheduled before any receive half (the same deadlock-avoidance
-/// discipline as halo exchange). Returns one completion future per local
-/// rank, already tracked for the rank fences.
+/// Every move with an end hosted here goes to the locality layer's one row
+/// mover and travels as a [`crate::transport::MsgKind::Migrate`] message
+/// over the group's transport, whatever the process layout (send halves
+/// before receive halves, as in halo exchange). Returns one completion
+/// future per local rank — its gathers and landings — already tracked for
+/// the rank fences.
 pub fn migrate_rows<T: OpType>(
     group: &LocalityGroup,
     old: &[Dat<T>],
@@ -211,209 +213,40 @@ pub fn migrate_rows<T: OpType>(
     let n = spec.nranks;
     assert_eq!(group.nranks(), n, "spec rank count matches the group");
     let local = group.local_ranks();
-    let first = local.start;
     assert_eq!(old.len(), local.len(), "one old shard per local rank");
     assert_eq!(new.len(), local.len(), "one new shard per local rank");
-    let transport = group.transport();
-    // One generation for every gather, one for every landing: the records
-    // of one migration are siblings that never supersede each other (they
-    // are the many nodes of one logical scatter).
-    let send_gen = next_loop_gen();
-    let recv_gen = next_loop_gen();
-    let mut done: Vec<Vec<SharedFuture<()>>> = (0..local.len()).map(|_| Vec::new()).collect();
-    let mut rows_moved = 0u64;
-    let mut pending_copies: Vec<(usize, usize)> = Vec::new();
-    let mut pending_recvs: Vec<(usize, usize, u64)> = Vec::new();
-    for src in 0..n {
-        for dst in 0..n {
-            let (src_rows, _) = &spec.moves[src][dst];
-            if src_rows.is_empty() {
-                continue;
-            }
-            let src_local = local.contains(&src);
-            let dst_local = local.contains(&dst);
-            if !src_local && !dst_local {
-                continue;
-            }
-            rows_moved += src_rows.len() as u64;
-            if src_local && dst_local {
-                // Same process: one copy node, no wire round-trip.
-                pending_copies.push((src, dst));
-                continue;
-            }
-            let seq = transport.next_seq(MsgKind::Migrate, src, dst);
-            if src_local {
-                let f = schedule_send_half(
-                    MsgKind::Migrate,
-                    src,
-                    dst,
-                    &group.ranks()[src - first].comm_hooks(),
-                    &old[src - first],
-                    src_rows,
-                    send_gen,
-                    seq,
-                    transport,
-                );
-                done[src - first].push(f);
-            } else {
-                pending_recvs.push((src, dst, seq));
-            }
-        }
-    }
-    // Copy and receive nodes register as writers of the new shards; they
-    // come after every send half so the cross-rank wait graph stays
-    // acyclic under symmetric SPMD scheduling.
-    for (src, dst) in pending_copies {
-        let f = schedule_copy(
-            src,
-            dst,
-            &group.ranks()[dst - first].comm_hooks(),
-            &old[src - first],
-            &new[dst - first],
-            &spec.moves[src][dst],
-            send_gen,
-            recv_gen,
-        );
-        done[src - first].push(f.clone());
-        if src != dst {
-            done[dst - first].push(f);
-        }
-    }
-    for (src, dst, seq) in pending_recvs {
-        let f = schedule_migrate_recv(
-            src,
-            dst,
-            &group.ranks()[dst - first].comm_hooks(),
-            &new[dst - first],
-            &spec.moves[src][dst].1,
-            recv_gen,
-            seq,
-            transport,
-        );
-        done[dst - first].push(f);
-    }
-    hpx_rt::static_counter!("op2.rebalance.rows_moved").fetch_add(rows_moved, Ordering::Relaxed);
-    done.into_iter()
-        .map(|futs| match futs.len() {
-            0 => SharedFuture::ready(()),
-            1 => futs.into_iter().next().expect("one future"),
-            _ => when_all_shared(&futs),
+    let moves: Vec<RowMove<'_>> = (0..n)
+        .flat_map(|src| (0..n).map(move |dst| (src, dst)))
+        .filter(|&(src, dst)| {
+            !spec.moves[src][dst].0.is_empty() && (local.contains(&src) || local.contains(&dst))
         })
-        .collect()
-}
-
-/// One same-process move: gather `src_rows` from the old shard (reader of
-/// their blocks), scatter into `dst_rows` of the new shard (writer of
-/// theirs).
-#[allow(clippy::too_many_arguments)]
-fn schedule_copy<T: OpType>(
-    src: usize,
-    dst: usize,
-    hooks: &CommHooks,
-    dat_old: &Dat<T>,
-    dat_new: &Dat<T>,
-    rows: &(Vec<u32>, Vec<u32>),
-    send_gen: u64,
-    recv_gen: u64,
-) -> SharedFuture<()> {
-    let (src_rows, dst_rows) = rows;
-    assert_eq!(src_rows.len(), dst_rows.len(), "move {src}->{dst} lists");
-    assert!(
-        src_rows
-            .iter()
-            .all(|&r| (r as usize) < dat_old.set().size()),
-        "move {src}->{dst}: sources must be owned rows of '{}'",
-        dat_old.name()
+        .map(|(src, dst)| {
+            let (rows, landed) = &spec.moves[src][dst];
+            (src, dst, &rows[..], Landing::Rows(landed[..].into()))
+        })
+        .collect();
+    let rows_moved: usize = moves.iter().map(|m| m.2.len()).sum();
+    hpx_rt::static_counter!("op2.rebalance.rows_moved")
+        .fetch_add(rows_moved as u64, Ordering::Relaxed);
+    let hooks: Vec<CommHooks> = group.ranks().iter().map(Op2::comm_hooks).collect();
+    let at = |dats: &[Dat<T>], r: usize| dats[r - local.start].clone();
+    let halves = move_rows(
+        group.transport(),
+        &hooks,
+        |r| at(old, r),
+        |r| at(new, r),
+        &moves,
     );
-    assert!(
-        dst_rows
-            .iter()
-            .all(|&r| (r as usize) < dat_new.set().size()),
-        "move {src}->{dst}: landings must be owned rows of '{}'",
-        dat_new.name()
-    );
-    let gathered = Footprint::row_list(src_rows, dat_old.deps().block_size());
-    let landed = Footprint::row_list(dst_rows, dat_new.deps().block_size());
-    let mut deps: Vec<SharedFuture<()>> = Vec::new();
-    dat_old.deps().collect_for(&gathered, false, &mut deps);
-    dat_new.deps().collect_for(&landed, true, &mut deps);
-    let gather_rows: Arc<[u32]> = Arc::from(src_rows.as_slice());
-    let land_rows: Arc<[u32]> = Arc::from(dst_rows.as_slice());
-    let (old, new) = (dat_old.clone(), dat_new.clone());
-    let fut = schedule_after(hooks.runtime(), &deps, move || {
-        let dim = old.dim();
-        let mut vals = Vec::with_capacity(gather_rows.len() * dim);
-        for &row in gather_rows.iter() {
-            // SAFETY: scheduled after every pending writer of the gathered
-            // blocks and registered as their reader, so the rows are
-            // stable while this node runs.
-            unsafe { old.append_row_to(row as usize, &mut vals) };
+    let mut done: Vec<Vec<SharedFuture<()>>> = vec![Vec::new(); local.len()];
+    for (&(src, dst, ..), (send, recv)) in moves.iter().zip(halves) {
+        if let Some(f) = send {
+            done[src - local.start].push(f);
         }
-        // SAFETY: scheduled after every pending reader/writer of the
-        // landing blocks and registered as their writer — exclusive
-        // access to the listed rows.
-        unsafe { new.scatter_row_list_from(&land_rows, &vals) };
-    });
-    dat_old.deps().record_node(gathered, false, send_gen, &fut);
-    dat_new.deps().record_node(landed, true, recv_gen, &fut);
-    hooks.track(fut.clone());
-    fut
-}
-
-/// The receive half of one cross-process move: gated on the transport
-/// delivery plus the landing rows' pending accesses, registered as their
-/// writer. An abandoned move degrades to a diagnostic no-op, like an
-/// abandoned halo exchange — the sender's original failure reaches the
-/// fence.
-#[allow(clippy::too_many_arguments)]
-fn schedule_migrate_recv<T: OpType>(
-    src: usize,
-    dst: usize,
-    dst_hooks: &CommHooks,
-    dat_new: &Dat<T>,
-    dst_rows: &[u32],
-    recv_gen: u64,
-    seq: u64,
-    transport: &Arc<dyn Transport>,
-) -> SharedFuture<()> {
-    assert!(
-        dst_rows
-            .iter()
-            .all(|&r| (r as usize) < dat_new.set().size()),
-        "move {src}->{dst}: landings must be owned rows of '{}'",
-        dat_new.name()
-    );
-    let delivery = transport.recv(MsgKind::Migrate, src, dst, seq);
-    let landed = Footprint::row_list(dst_rows, dat_new.deps().block_size());
-    let mut deps: Vec<SharedFuture<()>> = Vec::new();
-    dat_new.deps().collect_for(&landed, true, &mut deps);
-    deps.push(delivery.ready().clone());
-    let land_rows: Arc<[u32]> = Arc::from(dst_rows);
-    let new = dat_new.clone();
-    let fut = schedule_after(dst_hooks.runtime(), &deps, move || {
-        let dim = new.dim();
-        match delivery.take() {
-            Some(bytes) => {
-                let vals: Vec<T> = decode_scalars(&bytes);
-                assert_eq!(vals.len(), land_rows.len() * dim, "migration payload size");
-                // SAFETY: scheduled after every pending reader/writer of
-                // the landing blocks and registered as their writer.
-                unsafe { new.scatter_row_list_from(&land_rows, &vals) };
-            }
-            None => {
-                hpx_rt::static_counter!("op2.transport.recvs_abandoned")
-                    .fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "op2-rebalance: move {src}->{dst} abandoned by the sender; \
-                     rows of '{}' left at their initial values",
-                    new.name()
-                );
-            }
+        if let Some(f) = recv {
+            done[dst - local.start].push(f);
         }
-    });
-    dat_new.deps().record_node(landed, true, recv_gen, &fut);
-    dst_hooks.track(fut.clone());
-    fut
+    }
+    done.iter().map(|futs| when_all_shared(futs)).collect()
 }
 
 #[cfg(test)]

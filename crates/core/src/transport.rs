@@ -1,5 +1,6 @@
-//! The parcelport layer: moving halo rows and reduction partials between
-//! ranks, in-process or across OS processes.
+//! The parcelport layer: moving halo rows, migrated rows, reduction
+//! partials and control messages between ranks, in-process or across OS
+//! processes.
 //!
 //! The locality layer (see [`crate::locality`]) schedules *who* talks to
 //! whom and *when* (epoch-table dependencies, dirty bits, wait-sets); this
@@ -37,10 +38,12 @@
 //! cuts) from process-local state *identically on every rank* whenever the
 //! transport is not [`Transport::all_local`].
 //!
-//! A message whose two ends are both hosted by one process takes **one**
-//! sequence number, shared by its send and its receive half: advancing
-//! the counter once per side would give the two halves different numbers
-//! and the receive would never match.
+//! Every message is opened by `open`, the one place that rule lives: it
+//! takes the message's **one** sequence number, arms a [`SendGuard`] when
+//! `src` is hosted here and posts the receive when `dst` is. A message
+//! whose two ends share a process therefore shares one number between its
+//! halves; advancing the counter once per side would give them different
+//! numbers and the receive would never match.
 //!
 //! # Abandonment
 //!
@@ -189,13 +192,13 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
-    fn from_u8(v: u8) -> MsgKind {
+    fn from_u8(v: u8) -> Option<MsgKind> {
         match v {
-            0 => MsgKind::Halo,
-            1 => MsgKind::Reduce,
-            2 => MsgKind::Ctrl,
-            3 => MsgKind::Migrate,
-            _ => panic!("transport: unknown message kind {v}"),
+            0 => Some(MsgKind::Halo),
+            1 => Some(MsgKind::Reduce),
+            2 => Some(MsgKind::Ctrl),
+            3 => Some(MsgKind::Migrate),
+            _ => None,
         }
     }
 }
@@ -255,27 +258,37 @@ enum Slot {
 impl MatchTable {
     /// An incoming message (payload `None` = abandonment marker).
     fn deliver(&self, key: Key, payload: Option<Vec<u8>>) {
-        let matched = {
+        if let Err(e) = self.try_deliver(key, payload) {
+            panic!("transport: {e}");
+        }
+    }
+
+    /// [`MatchTable::deliver`], reporting a repeated key instead of
+    /// panicking (the table keeps the first message).
+    fn try_deliver(&self, key: Key, payload: Option<Vec<u8>>) -> Result<(), String> {
+        let promise = {
             let mut slots = self.slots.lock();
             match slots.remove(&key) {
                 None => {
                     slots.insert(key, Slot::Arrived(payload));
-                    None
+                    return Ok(());
                 }
                 Some(Slot::Expected(promise, cell)) => {
                     *cell.lock() = payload;
-                    Some(promise)
+                    promise
                 }
-                Some(Slot::Arrived(_)) => {
-                    panic!("transport: duplicate message for {key:?} — sequence counters desynced")
+                Some(first @ Slot::Arrived(_)) => {
+                    slots.insert(key, first);
+                    return Err(format!(
+                        "duplicate message for {key:?} — sequence counters desynced"
+                    ));
                 }
             }
         };
         // Fulfill outside the table lock: completion callbacks may re-enter
         // the transport (e.g. a dependent node posting the next receive).
-        if let Some(promise) = matched {
-            promise.set_value(());
-        }
+        promise.set_value(());
+        Ok(())
     }
 
     /// Posts a receive for `key`.
@@ -386,8 +399,33 @@ impl SeqCounters {
     }
 }
 
-/// Arms abandonment for one outgoing message: create it when the message
-/// is *scheduled*, move it into the send node, and consume it with
+/// Opens message `(kind, src → dst)`: takes its one sequence number (see
+/// module docs), arms a [`SendGuard`] when `src` is hosted here and posts
+/// the receive when `dst` is. The only caller of [`Transport::next_seq`].
+pub(crate) fn open(
+    transport: &Arc<dyn Transport>,
+    kind: MsgKind,
+    src: usize,
+    dst: usize,
+) -> (Option<SendGuard>, Option<Delivery>) {
+    let local = transport.local_ranks();
+    let seq = transport.next_seq(kind, src, dst);
+    let guard = local.contains(&src).then(|| SendGuard {
+        transport: Arc::clone(transport),
+        kind,
+        src,
+        dst,
+        seq,
+        armed: true,
+    });
+    let delivery = local
+        .contains(&dst)
+        .then(|| transport.recv(kind, src, dst, seq));
+    (guard, delivery)
+}
+
+/// Arms abandonment for one outgoing message: [`open`] creates it when the
+/// message is *scheduled*; move it into the send node and consume it with
 /// [`SendGuard::send`] when the payload is ready. If the node is skipped
 /// (upstream panic) or dies before sending, the guard's drop delivers the
 /// abandonment marker so the matching receive completes as a no-op instead
@@ -402,24 +440,6 @@ pub struct SendGuard {
 }
 
 impl SendGuard {
-    /// Arms a guard for message `(kind, src, dst, seq)`.
-    pub fn new(
-        transport: Arc<dyn Transport>,
-        kind: MsgKind,
-        src: usize,
-        dst: usize,
-        seq: u64,
-    ) -> Self {
-        SendGuard {
-            transport,
-            kind,
-            src,
-            dst,
-            seq,
-            armed: true,
-        }
-    }
-
     /// Sends the payload and disarms the guard.
     pub fn send(mut self, payload: Vec<u8>) {
         self.armed = false;
@@ -558,8 +578,9 @@ fn encode_frame(kind: MsgKind, flags: u8, src: u32, dst: u32, seq: u64, payload:
 /// *accepts* from every higher rank, which identifies itself with a hello
 /// frame. One reader thread per peer drains frames into the match table;
 /// sends are frame writes under a per-peer lock (payloads are halo-sized,
-/// well under the socket buffer). A peer whose stream hits EOF is failed:
-/// its outstanding and future deliveries complete as abandoned.
+/// well under the socket buffer). A peer whose stream hits EOF or carries
+/// a frame this rank cannot accept is failed: its outstanding and future
+/// deliveries complete as abandoned.
 pub struct ProcessTransport {
     nranks: usize,
     rank: usize,
@@ -676,33 +697,50 @@ impl ProcessTransport {
 }
 
 fn reader_loop(mut stream: UnixStream, peer: u32, my_rank: u32, table: Arc<MatchTable>) {
+    if let Err(e) = read_frames(&mut stream, peer, my_rank, &table) {
+        eprintln!("op2-transport: rank {my_rank} drops its link from rank {peer}: {e}");
+    }
+    table.fail_peer(peer);
+}
+
+/// Delivers `peer`'s frames until its stream ends (`Ok`) or carries one
+/// this rank cannot accept (`Err`: bad magic or kind, misrouted, repeated
+/// key, short payload). The payload is read as it arrives, never allocated
+/// from the header's `len` up front.
+fn read_frames(
+    stream: &mut UnixStream,
+    peer: u32,
+    my_rank: u32,
+    table: &MatchTable,
+) -> Result<(), String> {
     loop {
         let mut hdr = [0u8; FRAME_HEADER];
         if stream.read_exact(&mut hdr).is_err() {
-            break; // EOF or error: the peer is gone
+            return Ok(()); // EOF or error: the peer is gone
         }
-        let magic = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
-        assert_eq!(magic, FRAME_MAGIC, "transport: corrupt frame from {peer}");
-        let kind = MsgKind::from_u8(hdr[4]);
-        let flags = hdr[5];
-        let src = u32::from_le_bytes(hdr[8..12].try_into().unwrap());
-        let dst = u32::from_le_bytes(hdr[12..16].try_into().unwrap());
-        let seq = u64::from_le_bytes(hdr[16..24].try_into().unwrap());
-        let len = u64::from_le_bytes(hdr[24..32].try_into().unwrap()) as usize;
-        assert_eq!(src, peer, "transport: frame src {src} on link to {peer}");
-        assert_eq!(dst, my_rank, "transport: misrouted frame for {dst}");
-        let payload = if flags & FLAG_ABANDONED != 0 {
+        let word = |at: usize| u32::from_le_bytes(hdr[at..at + 4].try_into().unwrap());
+        let long = |at: usize| u64::from_le_bytes(hdr[at..at + 8].try_into().unwrap());
+        let (magic, src, dst, seq, len) = (word(0), word(8), word(12), long(16), long(24));
+        if magic != FRAME_MAGIC {
+            return Err(format!("corrupt frame (magic {magic:#x})"));
+        }
+        let kind =
+            MsgKind::from_u8(hdr[4]).ok_or_else(|| format!("unknown message kind {}", hdr[4]))?;
+        if (src, dst) != (peer, my_rank) {
+            return Err(format!("frame {src}->{dst} on the link {peer}->{my_rank}"));
+        }
+        let payload = if hdr[5] & FLAG_ABANDONED != 0 {
             None
         } else {
-            let mut buf = vec![0u8; len];
-            if stream.read_exact(&mut buf).is_err() {
-                break;
+            let mut buf = Vec::new();
+            let got = (&mut *stream).take(len).read_to_end(&mut buf);
+            if got.map_or(true, |n| (n as u64) < len) {
+                return Err(format!("short payload ({} of {len} bytes)", buf.len()));
             }
             Some(buf)
         };
-        table.deliver((kind, src, dst, seq), payload);
+        table.try_deliver((kind, src, dst, seq), payload)?;
     }
-    table.fail_peer(peer);
 }
 
 impl Transport for ProcessTransport {
@@ -796,32 +834,35 @@ pub(crate) fn gather_broadcast(
     let hosts_root = local.contains(&0);
     let mut arrivals = Vec::new();
     for r in (1..n).filter(|r| hosts_root || local.contains(r)) {
-        // One seq per message, shared by both halves when both are here.
-        let seq = transport.next_seq(MsgKind::Ctrl, r, 0);
-        if local.contains(&r) {
-            transport.send(MsgKind::Ctrl, r, 0, seq, up(r));
+        let (guard, delivery) = open(transport, MsgKind::Ctrl, r, 0);
+        if let Some(guard) = guard {
+            guard.send(up(r));
         }
-        if hosts_root {
-            arrivals.push(transport.recv(MsgKind::Ctrl, r, 0, seq));
-        }
+        arrivals.extend(delivery);
     }
     if hosts_root {
+        // Armed before `root` runs: a panicking fold abandons the
+        // broadcast instead of stranding the other processes' ranks.
+        let down: Vec<SendGuard> = (1..n)
+            .filter(|s| !local.contains(s))
+            .filter_map(|s| open(transport, MsgKind::Ctrl, 0, s).0)
+            .collect();
         let mut parts = vec![Some(up(0))];
         for d in arrivals {
             d.ready().wait();
             parts.push(d.take());
         }
         let total = root(parts);
-        for s in (1..n).filter(|s| !local.contains(s)) {
-            let seq = transport.next_seq(MsgKind::Ctrl, 0, s);
-            transport.send(MsgKind::Ctrl, 0, s, seq, total.clone());
+        for guard in down {
+            guard.send(total.clone());
         }
         return Some(total);
     }
     let mut total = Some(Vec::new());
     for r in local {
-        let seq = transport.next_seq(MsgKind::Ctrl, 0, r);
-        let d = transport.recv(MsgKind::Ctrl, 0, r, seq);
+        let d = open(transport, MsgKind::Ctrl, 0, r)
+            .1
+            .expect("rank r is hosted here");
         d.ready().wait();
         total = total.and(d.take());
     }
@@ -890,8 +931,9 @@ mod tests {
     #[test]
     fn dropped_send_guard_abandons_the_exchange() {
         let t: Arc<dyn Transport> = Arc::new(InProcessTransport::new(2));
-        let d = t.recv(MsgKind::Halo, 0, 1, 0);
-        drop(SendGuard::new(Arc::clone(&t), MsgKind::Halo, 0, 1, 0));
+        let (guard, d) = open(&t, MsgKind::Halo, 0, 1);
+        drop(guard);
+        let d = d.expect("rank 1 is hosted here");
         d.ready().wait();
         assert_eq!(d.take(), None, "abandoned delivery carries no payload");
     }
@@ -936,6 +978,78 @@ mod tests {
             }
         });
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Rank 0 of a two-rank socket job faces a raw stream posing as rank 1:
+    /// a valid hello, then `frames`, then (if `close`) EOF. The receive
+    /// rank 0 posted from rank 1 must complete as abandoned — the reader
+    /// fails the peer instead of dying with it.
+    fn bad_peer_abandons_receives(tag: &str, frames: &[Vec<u8>], close: bool) {
+        let dir = std::env::temp_dir().join(format!("op2-tp-bad-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::thread::scope(|s| {
+            let rank0 = s.spawn(|| ProcessTransport::connect_unix(&dir, 0, 2).unwrap());
+            let mut raw = retry_connect(&dir.join("rank0.sock"), Duration::from_secs(30)).unwrap();
+            let mut hello = FRAME_MAGIC.to_le_bytes().to_vec();
+            hello.extend_from_slice(&1u32.to_le_bytes());
+            raw.write_all(&hello).unwrap();
+            let t = rank0.join().unwrap();
+            let d = t.recv(MsgKind::Halo, 1, 0, 0);
+            for f in frames {
+                raw.write_all(f).unwrap();
+            }
+            if close {
+                raw.shutdown(std::net::Shutdown::Both).unwrap();
+            }
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            while !d.ready().is_ready() {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{tag}: the receive from the bad peer hangs"
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            assert_eq!(d.take(), None, "{tag}: abandoned, no payload");
+            drop(raw);
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn frame_from_1(seq: u64) -> Vec<u8> {
+        encode_frame(MsgKind::Halo, 0, 1, 0, seq, &[1, 2, 3])
+    }
+
+    #[test]
+    fn bad_frame_magic_fails_the_peer() {
+        let mut f = frame_from_1(0);
+        f[0] ^= 0xff;
+        bad_peer_abandons_receives("magic", &[f], false);
+    }
+
+    #[test]
+    fn unknown_frame_kind_fails_the_peer() {
+        let mut f = frame_from_1(0);
+        f[4] = 9;
+        bad_peer_abandons_receives("kind", &[f], false);
+    }
+
+    #[test]
+    fn misrouted_frame_fails_the_peer() {
+        let f = encode_frame(MsgKind::Halo, 0, 0, 0, 0, &[1, 2, 3]);
+        bad_peer_abandons_receives("src", &[f], false);
+    }
+
+    #[test]
+    fn repeated_frame_key_fails_the_peer() {
+        bad_peer_abandons_receives("dup", &[frame_from_1(5), frame_from_1(5)], false);
+    }
+
+    #[test]
+    fn oversized_frame_len_is_not_allocated_up_front() {
+        let mut f = frame_from_1(0);
+        f.truncate(FRAME_HEADER);
+        f[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        bad_peer_abandons_receives("len", &[f], true);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! locality groups must reproduce the in-process results (halo exchange,
 //! implicit rings, full sharded Airfoil, allreduce), and a sender that
 //! dies mid-exchange must surface its *original* panic — the receive half
-//! degrades to a diagnostic no-op instead of double-panicking.
+//! degrades to a diagnostic no-op instead of double-panicking. Live
+//! migration crosses the same transport, whatever the process layout.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -14,12 +15,13 @@ use std::time::{Duration, Instant};
 use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
 use op2_hpx::airfoil::SolverConfig;
 use op2_hpx::mesh::channel_with_bump;
-use op2_hpx::op2::args::{gbl_inc, write};
+use op2_hpx::op2::args::{gbl_inc, rw, write};
 use op2_hpx::op2::locality::{exchange, HaloSpec, LocalityGroup};
+use op2_hpx::op2::rebalance::{migrate_rows, MigrationSpec};
 use op2_hpx::op2::transport::{
     barrier, Delivery, InProcessTransport, MsgKind, ProcessTransport, Transport,
 };
-use op2_hpx::op2::{Global, Op2Config};
+use op2_hpx::op2::{Dat, Global, Op2Config};
 
 /// A fresh rendezvous directory under the system temp dir, unique per
 /// test (sockets are created inside and removed with it).
@@ -538,4 +540,166 @@ fn rank_0_kernel_panic_fails_every_fence_instead_of_hanging() {
         root.contains("rank 0 kernel exploded"),
         "rank 0's fence panicked with {root:?}, not the kernel's message"
     );
+}
+
+/// Declares one shard per rank hosted by `group` of a dim-`dim` dat over
+/// the elements `owned[r]`: element `g`'s row is `value(g, c)` per
+/// component `c`, or NaN (a landing never written shows up) without a
+/// `value`.
+fn declare_shards(
+    group: &LocalityGroup,
+    owned: &[Vec<u32>],
+    dim: usize,
+    value: Option<fn(u32, usize) -> f64>,
+) -> Vec<Dat<f64>> {
+    group
+        .local_ranks()
+        .map(|r| {
+            let set = group.rank(r).decl_set(owned[r].len(), "elems");
+            let vals = owned[r]
+                .iter()
+                .flat_map(|&g| (0..dim).map(move |c| value.map_or(f64::NAN, |v| v(g, c))))
+                .collect();
+            group.rank(r).decl_dat(&set, dim, "x", vals)
+        })
+        .collect()
+}
+
+fn element_value(g: u32, c: usize) -> f64 {
+    (g as f64).sqrt() + c as f64 / 3.0
+}
+
+/// Same-process migration crosses the transport: an all-local
+/// `migrate_rows` sends exactly one `Migrate` message per non-empty
+/// (src, dst) pair, renumbering `src == dst` moves included, and every
+/// landed row is bitwise its source row.
+#[test]
+fn all_local_migration_sends_one_migrate_message_per_move() {
+    let n = 3;
+    let dim = 2;
+    let old_owned = vec![vec![0, 3, 6, 9], vec![1, 4, 7], vec![2, 5, 8]];
+    let new_owned = vec![vec![0, 1], vec![2, 3, 4, 5, 9], vec![6, 7, 8]];
+    let spec = MigrationSpec::diff(&old_owned, &new_owned);
+    let pairs = (0..n)
+        .flat_map(|s| (0..n).map(move |d| (s, d)))
+        .filter(|&(s, d)| !spec.moves[s][d].0.is_empty())
+        .count();
+    assert!(
+        (0..n).any(|r| !spec.moves[r][r].0.is_empty()),
+        "the spec renumbers rows a rank keeps"
+    );
+    let link = Arc::new(InProcessTransport::new(n));
+    let t = SliceTransport::new(&link, 0..n);
+    let group = LocalityGroup::with_transport(Op2Config::dataflow(2), t.clone());
+    let old = declare_shards(&group, &old_owned, dim, Some(element_value));
+    let new = declare_shards(&group, &new_owned, dim, None);
+    migrate_rows(&group, &old, &new, &spec);
+    group.fence();
+    assert_eq!(t.sent(MsgKind::Migrate), pairs, "Migrate messages");
+    for (r, d) in new.iter().enumerate() {
+        let got = d.snapshot();
+        for (i, &g) in new_owned[r].iter().enumerate() {
+            for c in 0..dim {
+                assert_eq!(
+                    got[i * dim + c].to_bits(),
+                    element_value(g, c).to_bits(),
+                    "rank {r} element {g} component {c}"
+                );
+            }
+        }
+    }
+}
+
+/// Random ownership of `n` elements over `nranks` ranks from `seed`
+/// (xorshift64*); every rank gets at least one element.
+fn random_ownership(seed: &mut u64, n: usize, nranks: usize) -> Vec<Vec<u32>> {
+    let mut owned: Vec<Vec<u32>> = vec![Vec::new(); nranks];
+    for e in 0..n {
+        *seed ^= *seed << 13;
+        *seed ^= *seed >> 7;
+        *seed ^= *seed << 17;
+        let pick = (seed.wrapping_mul(0x2545F4914F6CDD1D) >> 33) as usize % nranks;
+        owned[if e < nranks { e } else { pick }].push(e as u32);
+    }
+    owned
+}
+
+/// Migrates `old_owned` to `new_owned` on the ranks `group` hosts, with
+/// loops in flight on the old shards before and on the new shards after
+/// (no fence in between), and returns the new shards' values.
+fn migrate_in_flight(
+    group: &LocalityGroup,
+    old_owned: &[Vec<u32>],
+    new_owned: &[Vec<u32>],
+    dim: usize,
+) -> Vec<Vec<f64>> {
+    let step = |dats: &[Dat<f64>], mul: f64, add: f64| {
+        for (d, r) in dats.iter().zip(group.local_ranks()) {
+            group
+                .rank(r)
+                .loop_("step", d.set())
+                .arg(rw(d))
+                .run(move |x: &mut [f64]| {
+                    for v in x {
+                        *v = *v * mul + add;
+                    }
+                });
+        }
+    };
+    let old = declare_shards(group, old_owned, dim, Some(element_value));
+    let new = declare_shards(group, new_owned, dim, None);
+    step(&old, 0.5, 1.0);
+    step(&old, 0.75, -2.0);
+    migrate_rows(
+        group,
+        &old,
+        &new,
+        &MigrationSpec::diff(old_owned, new_owned),
+    );
+    step(&new, 0.25, 2.0);
+    group.fence();
+    new.iter().map(Dat::snapshot).collect()
+}
+
+/// Migration over a split-process layout: one process hosts ranks {0, 1},
+/// another rank {2}, so one `migrate_rows` call carries both same-process
+/// and cross-process moves. For random ownership changes the landed values
+/// are bitwise those of the all-local run.
+#[test]
+fn split_process_migration_matches_all_local_bitwise() {
+    let mut seed = 0x9E3779B97F4A7C15u64;
+    for case in 0..6 {
+        let n = 24 + case * 17;
+        let dim = [1, 3, 4][case % 3];
+        let old_owned = random_ownership(&mut seed, n, 3);
+        let new_owned = random_ownership(&mut seed, n, 3);
+        let config = if case % 2 == 0 {
+            Op2Config::seq()
+        } else {
+            Op2Config::dataflow(2).with_block_size(8)
+        };
+        let expected = {
+            let group = LocalityGroup::new(config.clone(), 3);
+            migrate_in_flight(&group, &old_owned, &new_owned, dim)
+        };
+        let link = Arc::new(InProcessTransport::new(3));
+        let (old, new) = (Arc::new(old_owned), Arc::new(new_owned));
+        let got: Vec<Vec<f64>> = run_slices_bounded(vec![0..2, 2..3], move |slice| {
+            let group =
+                LocalityGroup::with_transport(config.clone(), SliceTransport::new(&link, slice));
+            migrate_in_flight(&group, &old, &new, dim)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        assert_eq!(got.len(), expected.len());
+        for (r, (g, e)) in got.iter().zip(&expected).enumerate() {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(g), bits(e), "case {case}: rank {r}'s new shard");
+            assert!(
+                g.iter().all(|v| !v.is_nan()),
+                "case {case}: rank {r} fully landed"
+            );
+        }
+    }
 }
