@@ -10,7 +10,7 @@
 //! fan-in, the fence, who prints). [`crate::solver::run`] and
 //! [`crate::shard::run_sharded`] drive it with borrowed problems,
 //! [`AirfoilApp`] packages it behind the [`App`] factory for the
-//! app-generic test matrix and the farm.
+//! app-generic test matrix.
 
 use std::sync::Arc;
 

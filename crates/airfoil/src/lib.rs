@@ -37,4 +37,4 @@ pub mod verify;
 pub use app::{AirfoilApp, AirfoilInstance, PlainAirfoil, ShardedAirfoil};
 pub use setup::Problem;
 pub use shard::{run_sharded, RebalanceReport, ShardedProblem};
-pub use solver::{run, solve, RunResult, SolverConfig};
+pub use solver::{run, RunResult, SolverConfig};

@@ -336,12 +336,8 @@ impl ShardedProblem {
     }
 
     fn reset_busy(&self) {
-        // Rank worlds in one process share the feedback table, but under
-        // a shared spec cache the table may span processes' worth of
-        // state — reset through every local world to stay correct for
-        // both wirings.
         for world in self.group.ranks() {
-            world.granularity_feedback().reset_rank_busy();
+            world.granularity_feedback().reset_busy();
         }
     }
 }

@@ -17,7 +17,6 @@ use op2_core::Op2;
 
 use crate::app::AirfoilInstance;
 use crate::setup::Problem;
-use op2_mesh::QuadMesh;
 
 /// Solver parameters.
 #[derive(Debug, Clone)]
@@ -73,26 +72,6 @@ impl RunResult {
     pub fn final_rms(&self) -> f64 {
         *self.rms_history.last().expect("at least one iteration")
     }
-}
-
-/// The farm-ready entrypoint: declares the problem on `op2` and runs the
-/// solver in one call — the shape a
-/// [`SolverFarm`](op2_core::farm::SolverFarm) tenant submits, where every
-/// job receives a fresh world and must carry its declarations with it:
-///
-/// ```no_run
-/// # let mesh = op2_mesh::channel_with_bump(24, 12);
-/// # let farm = op2_core::farm::SolverFarm::new(op2_core::farm::FarmConfig::with_threads(2));
-/// # let tenant = farm.register("t", op2_core::farm::Priority::Normal);
-/// let cfg = airfoil_cfd::SolverConfig { niter: 10, window: 4, ..Default::default() };
-/// let mesh = std::sync::Arc::new(mesh);
-/// farm.submit(&tenant, move |op2| {
-///     airfoil_cfd::solve(op2, &mesh, &cfg);
-/// });
-/// ```
-pub fn solve(op2: &Op2, mesh: &QuadMesh, cfg: &SolverConfig) -> RunResult {
-    let p = Problem::declare(op2, mesh);
-    run(op2, &p, cfg)
 }
 
 /// Runs `cfg.niter` iterations of the Airfoil pseudo-timestepping loop on

@@ -172,7 +172,7 @@ pub trait AppInstance {
 
 /// An application: the factory for [`AppInstance`]s plus its `.op2`
 /// source. One value per workload (airfoil, heat, jac), reusable across
-/// worlds — the farm and the app-matrix tests iterate `&[&dyn App]`.
+/// worlds — the app-matrix tests iterate `&[&dyn App]`.
 pub trait App {
     /// Short name (also the generated programme name).
     fn name(&self) -> &'static str;
@@ -180,9 +180,9 @@ pub trait App {
     /// The `.op2` spec this app's wrappers were generated from.
     fn spec(&self) -> &'static str;
 
-    /// Declares the app on an existing world (the farm-tenant shape:
-    /// every job receives a fresh world and carries its declarations).
-    /// The instance borrows the world, so it lives no longer than `op2`.
+    /// Declares the app on an existing world; declaring it again on the
+    /// same world reuses that world's warm schedules by shape. The
+    /// instance borrows the world, so it lives no longer than `op2`.
     fn declare<'a>(&self, op2: &'a Op2) -> Box<dyn AppInstance + 'a>;
 
     /// Declares the app sharded over `nranks` simulated localities.

@@ -117,7 +117,7 @@ fn run_variant(args: &Args, mesh: &QuadMesh, rebalance_every: usize) -> VariantR
         },
     );
     for world in shp.group.ranks() {
-        world.granularity_feedback().reset_rank_busy();
+        world.granularity_feedback().reset_busy();
     }
     let r = run_sharded(
         &mut shp,

@@ -6,7 +6,7 @@
 //! [`LocalityGroup`] over a shared transport — exactly the SPMD shape the
 //! out-of-process path runs, so the same code measures:
 //!
-//! * **inproc** — all ranks on one [`InProcessTransport`](op2_core::transport::InProcessTransport) with an injected
+//! * **inproc** — all ranks on one [`InProcessTransport`] with an injected
 //!   per-message link delay (deferred delivery on the timer thread). The
 //!   overlapped-vs-bulk-sync speedup here is the regression-gated number:
 //!   it collapses to ~1x if the delay ever blocks a worker again or the

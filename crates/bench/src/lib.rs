@@ -10,7 +10,6 @@
 //! | `fig18_prefetch` | Fig 18: ± prefetching iterator |
 //! | `fig19_bandwidth` | Fig 19: transfer rate, standard vs prefetch iterator |
 //! | `fig20_prefetch_distance` | Fig 20: transfer rate vs prefetch distance |
-//! | `solver_farm` | multi-tenant farm: throughput + p50/p95/p99 at 1/16/128 tenants |
 //! | `all_figures` | runs everything, writing CSVs to `results/` |
 //!
 //! Every binary accepts `--cells`, `--iters`, `--threads a,b,c`, `--reps`,
@@ -22,4 +21,4 @@ pub mod tables;
 
 pub use harness::{bandwidth_run, run_airfoil, Measurement, Variant};
 pub use sweep::{parse_sweep_args, SweepArgs};
-pub use tables::{percentile, LatencySummary, Table};
+pub use tables::Table;

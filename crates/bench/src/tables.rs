@@ -104,93 +104,9 @@ impl Table {
     }
 }
 
-/// Latency percentiles over a set of per-operation samples — the p50/p95/
-/// p99 columns of throughput benches (`solver_farm` being the archetype:
-/// per-solve submit-to-completion latency under steady-state arrival).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean, seconds.
-    pub mean_s: f64,
-    /// Median (p50), seconds.
-    pub p50_s: f64,
-    /// 95th percentile, seconds.
-    pub p95_s: f64,
-    /// 99th percentile, seconds.
-    pub p99_s: f64,
-    /// Largest sample, seconds.
-    pub max_s: f64,
-}
-
-impl LatencySummary {
-    /// Summarizes `samples` (seconds; any order; NaNs rejected). Returns
-    /// the zero summary for an empty slice.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
-            return LatencySummary::default();
-        }
-        assert!(
-            samples.iter().all(|s| !s.is_nan()),
-            "latency samples must not contain NaN"
-        );
-        let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-        LatencySummary {
-            count: sorted.len(),
-            mean_s: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            p50_s: percentile(&sorted, 0.50),
-            p95_s: percentile(&sorted, 0.95),
-            p99_s: percentile(&sorted, 0.99),
-            max_s: *sorted.last().expect("non-empty"),
-        }
-    }
-
-    /// `[Duration]` convenience for callers collecting `Instant` spans.
-    pub fn from_durations(samples: &[std::time::Duration]) -> Self {
-        let secs: Vec<f64> = samples.iter().map(|d| d.as_secs_f64()).collect();
-        Self::from_samples(&secs)
-    }
-
-    /// The `"mean_ms"`/`"p50_ms"`/`"p95_ms"`/`"p99_ms"`/`"max_ms"` fields
-    /// of a JSON record, pre-formatted — every bench writes the same
-    /// shape into its `BENCH_*.json`.
-    pub fn json_fields(&self) -> String {
-        format!(
-            "\"mean_ms\": {:.3}, \"p50_ms\": {:.3}, \"p95_ms\": {:.3}, \"p99_ms\": {:.3}, \"max_ms\": {:.3}",
-            self.mean_s * 1e3,
-            self.p50_s * 1e3,
-            self.p95_s * 1e3,
-            self.p99_s * 1e3,
-            self.max_s * 1e3
-        )
-    }
-}
-
-/// The `q`-quantile (0..=1) of an ascending-sorted slice, by linear
-/// interpolation between the two nearest ranks — p99 of 16 samples is a
-/// weighted blend of the two largest, not just the max.
-pub fn percentile(sorted: &[f64], q: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of an empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
 /// Formats a `Duration` in milliseconds with 2 decimals.
 pub fn ms(d: std::time::Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
-/// Formats seconds in milliseconds with 2 decimals (percentile columns).
-pub fn ms_f(secs: f64) -> String {
-    format!("{:.2}", secs * 1e3)
 }
 
 /// Formats a ratio with 3 decimals.
@@ -231,28 +147,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(text, "a,b\n1,2\n");
         let _ = std::fs::remove_dir_all(dir);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let sorted: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&sorted, 0.0), 1.0);
-        assert_eq!(percentile(&sorted, 1.0), 100.0);
-        assert!((percentile(&sorted, 0.50) - 50.5).abs() < 1e-9);
-        assert!((percentile(&sorted, 0.99) - 99.01).abs() < 1e-9);
-        assert_eq!(percentile(&[7.0], 0.99), 7.0);
-    }
-
-    #[test]
-    fn latency_summary_orders_quantiles() {
-        let samples: Vec<f64> = (0..50).map(|i| (50 - i) as f64 * 1e-3).collect();
-        let s = LatencySummary::from_samples(&samples);
-        assert_eq!(s.count, 50);
-        assert!(s.p50_s <= s.p95_s && s.p95_s <= s.p99_s && s.p99_s <= s.max_s);
-        assert_eq!(s.max_s, 50e-3);
-        let json = s.json_fields();
-        assert!(json.contains("\"p99_ms\""), "json fields present: {json}");
-        assert_eq!(LatencySummary::from_samples(&[]).count, 0);
     }
 
     #[test]

@@ -4,9 +4,6 @@
 use hpx_rt::timing::Clock;
 use hpx_rt::ChunkPolicy;
 
-use crate::driver::SpecShare;
-use crate::granularity::GranularityFeedback;
-
 /// The three execution strategies compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
@@ -56,7 +53,7 @@ pub struct Op2Config {
     /// and the node granularity of every Dataflow loop. [`ChunkPolicy::Static`]
     /// and [`ChunkPolicy::NumChunks`] set it directly; [`ChunkPolicy::Auto`]
     /// resolves it from *measured feedback* — executed nodes record their
-    /// per-element cost into a [`GranularityFeedback`] table, and the next
+    /// per-element cost into a [`GranularityFeedback`](crate::GranularityFeedback) table, and the next
     /// submission of the same (kernel, set) sizes its nodes to hit the
     /// target duration (first submission runs at
     /// [`Op2Config::block_size`]). See `README.md` § Adaptive chunking.
@@ -64,29 +61,10 @@ pub struct Op2Config {
     /// Prefetch distance factor (cache lines of look-ahead, paper §V);
     /// `None` disables the prefetching iterator.
     pub prefetch_distance: Option<usize>,
-    /// Clock the granularity feedback measures through, whichever table it
-    /// records into. [`Clock::real`] in production; tests inject
+    /// Clock the world's cost table and busy time measure through. [`Clock::real`] in production; tests inject
     /// [`Clock::fake`] to drive adaptive-chunking convergence
     /// deterministically.
     pub clock: Clock,
-    /// Loop-spec cache this world resolves schedules through. `None` (the
-    /// default) gives the world a private cache; a [`SpecShare`] handle
-    /// cloned into several configs makes those worlds share warm schedules
-    /// — cache keys are content signatures, so same-shaped meshes hit
-    /// across worlds (see [`crate::farm`]).
-    pub shared_specs: Option<SpecShare>,
-    /// Measured-cost table adaptive granularity resolves from. `None` (the
-    /// default) gives the world a private table; a handle cloned into
-    /// several configs makes those worlds share one — the farm installs one
-    /// for every tenant world, so a tenant's first loop resolves
-    /// granularity from costs its neighbours already measured.
-    pub shared_feedback: Option<GranularityFeedback>,
-    /// Rank this world's feedback handle attributes measurements to.
-    /// `None` (the default) leaves the handle untagged; the locality layer
-    /// tags each rank world so measured kernel time accumulates per rank —
-    /// the imbalance signal live repartitioning reads
-    /// ([`GranularityFeedback::rank_busy_ns`]).
-    pub feedback_rank: Option<u32>,
 }
 
 impl Op2Config {
@@ -99,9 +77,6 @@ impl Op2Config {
             chunk: ChunkPolicy::NumChunks { chunks: 1 },
             prefetch_distance: None,
             clock: Clock::real(),
-            shared_specs: None,
-            shared_feedback: None,
-            feedback_rank: None,
         }
     }
 
@@ -117,9 +92,6 @@ impl Op2Config {
             },
             prefetch_distance: None,
             clock: Clock::real(),
-            shared_specs: None,
-            shared_feedback: None,
-            feedback_rank: None,
         }
     }
 
@@ -134,9 +106,6 @@ impl Op2Config {
             chunk: ChunkPolicy::default(),
             prefetch_distance: None,
             clock: Clock::real(),
-            shared_specs: None,
-            shared_feedback: None,
-            feedback_rank: None,
         }
     }
 
@@ -174,24 +143,6 @@ impl Op2Config {
     #[must_use]
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
-        self
-    }
-
-    /// Resolves loop schedules through `specs` instead of a private cache.
-    /// Clone one [`SpecShare`] into several configs and the worlds built
-    /// from them share warm schedules (content-signature keys — see
-    /// [`Op2Config::shared_specs`]).
-    #[must_use]
-    pub fn with_shared_specs(mut self, specs: SpecShare) -> Self {
-        self.shared_specs = Some(specs);
-        self
-    }
-
-    /// Resolves adaptive granularity from `feedback` instead of a private
-    /// table (see [`Op2Config::shared_feedback`]).
-    #[must_use]
-    pub fn with_shared_feedback(mut self, feedback: GranularityFeedback) -> Self {
-        self.shared_feedback = Some(feedback);
         self
     }
 }

@@ -98,11 +98,11 @@ fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
     }
     let n = spec.set.size();
     let t0 = Instant::now();
-    // A rank-tagged world attributes whole-loop time to its rank on the
-    // world clock (so Seq sharded runs feed the rebalancer's imbalance
-    // signal — deterministically, under a fake clock).
+    // A rank world times the whole loop on the world clock (so Seq
+    // sharded runs feed the rebalancer's imbalance signal —
+    // deterministically, under a fake clock).
     let (fb, clock) = (world.granularity_feedback(), &world.config().clock);
-    let start_ns = fb.rank().is_some().then(|| clock.now_ns());
+    let start_ns = world.measures_busy().then(|| clock.now_ns());
     if n > 0 {
         if !parallel {
             (spec.block_body)(0..n);
@@ -370,10 +370,10 @@ impl SpecKey {
 /// many" applied to the *whole* loop shape: repeated solver iterations of
 /// a named loop reuse the block partition, the color rounds and every
 /// node's dependency footprint without rebuilding or even re-deriving
-/// conflicts. Private to one context by
-/// default, but key identity is **shape** (kernel name, set/map content
-/// signatures, chunk-policy kind), so a cache shared between worlds via
-/// [`SpecShare`] hits warm across tenants running the same solver.
+/// conflicts. Each world owns one. Key identity is **shape** (kernel name,
+/// set/map content signatures, chunk-policy kind), not entity identity, so
+/// a mesh declared again on the same world hits the schedules of the first
+/// declaration, and a different mesh builds its own.
 ///
 /// Every cached schedule carries the **resolved node granularity** it was
 /// built at. A lookup whose freshly resolved granularity matches is a
@@ -384,61 +384,30 @@ impl SpecKey {
 /// mirrored in the `op2.spec_cache.{hits,misses,replans}` named counters
 /// of [`hpx_rt::stats`].
 ///
-/// Residency is **bounded**: the cache holds at most `capacity` schedules
-/// (default [`DEFAULT_SPEC_CAPACITY`]); inserting past it evicts the
-/// least-recently-used entry (`op2.spec_cache.evictions`), so a shared
-/// pool serving many distinct tenant shapes cannot grow without bound.
-/// Entries for a retired set signature are dropped eagerly via
+/// The cache grows only with the loop shapes of its world. Entries for a
+/// retired set signature are dropped eagerly via
 /// [`SpecCache::invalidate_set`] (`op2.spec_cache.invalidations`) — the
 /// live-repartition path, where schedules for a migrated-away set must not
 /// be reachable once its signature is reused.
+#[derive(Default)]
 pub(crate) struct SpecCache {
     map: Mutex<HashMap<SpecKey, CachedSpec>>,
     hits: AtomicU64,
     replans: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    /// Monotonic recency clock; every hit or insert stamps the entry.
-    tick: AtomicU64,
-    capacity: std::sync::atomic::AtomicUsize,
 }
-
-/// Default bound on resident schedules (see `SpecCache`).
-pub const DEFAULT_SPEC_CAPACITY: usize = 512;
 
 struct CachedSpec {
     granularity: usize,
-    /// Recency stamp (larger = more recently used).
-    stamp: u64,
     plan: Arc<LoopPlan>,
 }
 
-impl Default for SpecCache {
-    fn default() -> Self {
-        SpecCache {
-            map: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            replans: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
-            capacity: std::sync::atomic::AtomicUsize::new(DEFAULT_SPEC_CAPACITY),
-        }
-    }
-}
-
 impl SpecCache {
-    fn touch(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     fn get(&self, world: &Op2, spec: &LoopSpec, n: usize) -> Arc<LoopPlan> {
         let key = SpecKey::of(world, spec);
         let in_use = self.map.lock().get(&key).map(|c| c.granularity);
         let granularity = resolve_granularity(world, &spec.name, spec.set.signature(), n, in_use);
-        match self.map.lock().get_mut(&key) {
+        match self.map.lock().get(&key) {
             Some(c) if c.granularity == granularity => {
-                c.stamp = self.touch();
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 hpx_rt::static_counter!("op2.spec_cache.hits").fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(&c.plan);
@@ -456,47 +425,26 @@ impl SpecCache {
         // Built outside the lock (plan construction can be expensive);
         // re-check on insert so a concurrent same-shape submission that
         // won the race at this granularity is reused, not overwritten.
-        let stamp = self.touch();
         let mut map = self.map.lock();
-        let out = match map.entry(key) {
+        match map.entry(key) {
             std::collections::hash_map::Entry::Occupied(mut e)
                 if e.get().granularity != granularity =>
             {
                 e.insert(CachedSpec {
                     granularity,
-                    stamp,
                     plan: Arc::clone(&built),
                 });
                 built
             }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                e.get_mut().stamp = stamp;
-                Arc::clone(&e.get().plan)
-            }
+            std::collections::hash_map::Entry::Occupied(e) => Arc::clone(&e.get().plan),
             std::collections::hash_map::Entry::Vacant(v) => {
                 v.insert(CachedSpec {
                     granularity,
-                    stamp,
                     plan: Arc::clone(&built),
                 });
                 built
             }
-        };
-        // Bounded residency: evict the least-recently-used entries. The
-        // just-inserted entry carries the freshest stamp, so it is never
-        // the victim.
-        let cap = self.capacity.load(Ordering::Relaxed).max(1);
-        while map.len() > cap {
-            let victim = map
-                .iter()
-                .min_by_key(|(_, c)| c.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over-capacity map");
-            map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            hpx_rt::static_counter!("op2.spec_cache.evictions").fetch_add(1, Ordering::Relaxed);
         }
-        out
     }
 
     /// Drops every cached schedule keyed on set signature `set_sig` and
@@ -512,30 +460,10 @@ impl SpecCache {
         let removed = before - map.len();
         drop(map);
         if removed > 0 {
-            self.invalidations
-                .fetch_add(removed as u64, Ordering::Relaxed);
             hpx_rt::static_counter!("op2.spec_cache.invalidations")
                 .fetch_add(removed as u64, Ordering::Relaxed);
         }
         removed
-    }
-
-    /// Bounds resident schedules to `capacity` (≥ 1), evicting LRU entries
-    /// immediately if the cache is already over the new bound.
-    pub fn set_capacity(&self, capacity: usize) {
-        let capacity = capacity.max(1);
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut map = self.map.lock();
-        while map.len() > capacity {
-            let victim = map
-                .iter()
-                .min_by_key(|(_, c)| c.stamp)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over-capacity map");
-            map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            hpx_rt::static_counter!("op2.spec_cache.evictions").fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     pub fn built(&self) -> usize {
@@ -548,93 +476,6 @@ impl SpecCache {
 
     pub fn replans(&self) -> u64 {
         self.replans.load(Ordering::Relaxed)
-    }
-
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
-    }
-}
-
-/// A shareable handle to one loop-spec cache (see `SpecCache`'s
-/// internal docs): clone it into several [`Op2Config`](crate::Op2Config)s via
-/// [`Op2Config::with_shared_specs`](crate::Op2Config::with_shared_specs)
-/// and every world built from them resolves loop schedules through **one**
-/// cache. Because keys are content signatures, not entity ids, a world
-/// declaring the same mesh shape as an earlier one hits the earlier
-/// world's warm schedules on its very first loop — the cross-tenant warm
-/// path of [`crate::farm`].
-///
-/// The default value (`SpecShare::default()`) is a fresh, empty cache —
-/// exactly what a solitary `Op2::new` gets.
-#[derive(Clone, Default)]
-pub struct SpecShare {
-    cache: Arc<SpecCache>,
-}
-
-impl SpecShare {
-    /// A fresh, empty shared cache with the default residency bound
-    /// ([`DEFAULT_SPEC_CAPACITY`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A fresh, empty shared cache holding at most `capacity` schedules
-    /// (LRU eviction past the bound; see [`SpecShare::set_capacity`]).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let share = Self::default();
-        share.cache.set_capacity(capacity);
-        share
-    }
-
-    pub(crate) fn cache(&self) -> &SpecCache {
-        &self.cache
-    }
-
-    /// Number of distinct loop shapes with a built schedule.
-    pub fn built(&self) -> usize {
-        self.cache.built()
-    }
-
-    /// Lookups served from a cached schedule (across every sharing world).
-    pub fn hits(&self) -> u64 {
-        self.cache.hits()
-    }
-
-    /// Granularity-change invalidations (see
-    /// [`Op2::spec_cache_replans`](crate::Op2::spec_cache_replans)).
-    pub fn replans(&self) -> u64 {
-        self.cache.replans()
-    }
-
-    /// Entries dropped by the LRU residency bound.
-    pub fn evictions(&self) -> u64 {
-        self.cache.evictions()
-    }
-
-    /// Entries dropped because their set signature was invalidated (live
-    /// repartition retiring a migrated set).
-    pub fn invalidations(&self) -> u64 {
-        self.cache.invalidations()
-    }
-
-    /// Re-bounds resident schedules to `capacity` (≥ 1), evicting
-    /// least-recently-used entries immediately if needed.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.cache.set_capacity(capacity);
-    }
-}
-
-impl std::fmt::Debug for SpecShare {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpecShare")
-            .field("built", &self.built())
-            .field("hits", &self.hits())
-            .field("replans", &self.replans())
-            .finish()
     }
 }
 
@@ -760,11 +601,11 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
         // `Auto` closes the feedback loop: every node times its body on the
         // world clock and records (elements, elapsed), which
         // the *next* submission of this (kernel, set) resolves its
-        // granularity from. A rank-tagged world measures regardless of
-        // policy — its samples also accumulate the per-rank busy time the
-        // rebalancer reads, which must not depend on the chunking strategy.
+        // granularity from. A rank world measures regardless of policy —
+        // its samples also accumulate the busy time the rebalancer reads,
+        // which must not depend on the chunking strategy.
         measure: (matches!(world.config().chunk, ChunkPolicy::Auto { .. })
-            || feedback.rank().is_some())
+            || world.measures_busy())
         .then(|| {
             (
                 world.config().clock.clone(),

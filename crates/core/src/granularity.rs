@@ -9,9 +9,9 @@
 //! to time. Instead every executed node folds its per-element cost into
 //! the world's [`GranularityFeedback`] table, keyed by (kernel, set
 //! signature), and the next submission of each loop sizes its nodes to
-//! last `target` — one target for every loop, one size per loop. A config
-//! whose clones carry one table ([`crate::Op2Config::with_shared_feedback`])
-//! shares the measurements across ranks or worlds, as the farm does.
+//! last `target` — one target for every loop, one size per loop. Every
+//! world owns one table; the ranks of a
+//! [`LocalityGroup`](crate::locality::LocalityGroup) each measure their own.
 //!
 //! All timing is taken on the world's [`crate::Op2Config::clock`], so tests
 //! inject `Clock::fake` and drive convergence deterministically.
@@ -59,7 +59,9 @@ pub struct KernelCost {
 
 /// Measured-cost table behind [`ChunkPolicy::Auto`] on Dataflow: per
 /// (kernel name, set signature), an EWMA of the per-element execution cost
-/// reported by executed nodes (see the module docs).
+/// reported by executed nodes (see the module docs) — plus the world's
+/// busy time, the sum of every sample's nanoseconds, which is the
+/// imbalance signal the rebalancer compares across ranks.
 ///
 /// A loop resolves its slot once, at submission, and its nodes fold their
 /// samples into that slot alone: the table-wide lock is taken per loop,
@@ -69,12 +71,6 @@ pub struct KernelCost {
 #[derive(Debug, Clone, Default)]
 pub struct GranularityFeedback {
     inner: Arc<FeedbackInner>,
-    /// Rank this *handle* attributes samples to. The table stays shared
-    /// (clones see each other's costs), but a tagged handle additionally
-    /// folds every sample into its rank's private cost table and busy-time
-    /// accumulator — the imbalance signal the rebalancer reads. Untagged
-    /// handles fold into the shared table only.
-    rank: Option<u32>,
 }
 
 /// One (kernel, set)'s smoothed cost; `None` until its first sample.
@@ -86,36 +82,9 @@ type CostTable = Mutex<HashMap<u64, HashMap<Arc<str>, Arc<CostSlot>>>>;
 #[derive(Debug, Default)]
 struct FeedbackInner {
     costs: CostTable,
-    /// rank -> per-rank attribution (busy time + rank-local cost table).
-    ranks: Mutex<HashMap<u32, Arc<RankAttribution>>>,
-}
-
-/// What a rank-tagged handle accumulates on top of the shared table.
-#[derive(Debug, Default)]
-struct RankAttribution {
-    /// Total measured kernel nanoseconds attributed to this rank since the
-    /// last [`GranularityFeedback::reset_rank_busy`].
+    /// Measured kernel nanoseconds since the last
+    /// [`GranularityFeedback::reset_busy`].
     busy_ns: AtomicU64,
-    /// Rank-local cost table: without it a slow rank's samples are
-    /// EWMA-mixed with a fast rank's and per-rank imbalance is invisible.
-    costs: CostTable,
-}
-
-/// The slot of `(kernel, set)` in `table`, made on first use.
-fn slot_in(table: &CostTable, kernel: &Arc<str>, set: u64) -> Arc<CostSlot> {
-    let mut table = table.lock();
-    let by_kernel = table.entry(set).or_default();
-    match by_kernel.get(kernel.as_ref()) {
-        Some(slot) => Arc::clone(slot),
-        None => Arc::clone(by_kernel.entry(Arc::clone(kernel)).or_default()),
-    }
-}
-
-/// The cost `(kernel, set)` has in `table`, if it was ever sampled.
-fn cost_in(table: &CostTable, kernel: &str, set: u64) -> Option<KernelCost> {
-    let table = table.lock();
-    let cost = *table.get(&set)?.get(kernel)?.lock();
-    cost
 }
 
 /// Folds one per-element cost sample into a slot (EWMA; snaps on a
@@ -149,14 +118,13 @@ fn fold_sample(slot: &CostSlot, sample: f64) {
     c.samples += 1;
 }
 
-/// Where the samples of one (kernel, set) go: its slot in the shared table
-/// and, from a rank-tagged handle, the rank's busy time and private slot.
-/// Samples recorded after the set was forgotten are dropped with the
-/// slot.
+/// Where the samples of one (kernel, set) go: its slot in the table and
+/// the table's busy time. Samples recorded after the set was forgotten
+/// count as busy time but their costs are dropped with the slot.
 #[derive(Debug, Clone)]
 pub(crate) struct FeedbackSlot {
-    shared: Arc<CostSlot>,
-    rank: Option<(Arc<RankAttribution>, Arc<CostSlot>)>,
+    cost: Arc<CostSlot>,
+    inner: Arc<FeedbackInner>,
 }
 
 impl FeedbackSlot {
@@ -170,12 +138,8 @@ impl FeedbackSlot {
             return;
         }
         let elapsed_ns = elapsed_ns.max(1);
-        let sample = elapsed_ns as f64 / elems as f64;
-        fold_sample(&self.shared, sample);
-        if let Some((attribution, slot)) = &self.rank {
-            attribution.busy_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
-            fold_sample(slot, sample);
-        }
+        fold_sample(&self.cost, elapsed_ns as f64 / elems as f64);
+        self.inner.busy_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
     }
 }
 
@@ -185,31 +149,18 @@ impl GranularityFeedback {
         Self::default()
     }
 
-    /// A handle sharing this accumulator's state that attributes every
-    /// sample it records to `rank` (busy time + a rank-local cost table)
-    /// in addition to the shared table.
-    pub fn for_rank(&self, rank: u32) -> GranularityFeedback {
-        GranularityFeedback {
-            inner: Arc::clone(&self.inner),
-            rank: Some(rank),
-        }
-    }
-
-    /// The rank this handle attributes samples to, if tagged.
-    pub fn rank(&self) -> Option<u32> {
-        self.rank
-    }
-
-    /// Where this handle's samples of `kernel` over set `set` go —
-    /// resolved once per loop, so that recording takes no table-wide lock.
+    /// Where samples of `kernel` over set `set` go — resolved once per
+    /// loop, so that recording takes no table-wide lock.
     pub(crate) fn slot(&self, kernel: &Arc<str>, set: u64) -> FeedbackSlot {
+        let mut costs = self.inner.costs.lock();
+        let by_kernel = costs.entry(set).or_default();
+        let cost = match by_kernel.get(kernel.as_ref()) {
+            Some(slot) => Arc::clone(slot),
+            None => Arc::clone(by_kernel.entry(Arc::clone(kernel)).or_default()),
+        };
         FeedbackSlot {
-            shared: slot_in(&self.inner.costs, kernel, set),
-            rank: self.rank.map(|rank| {
-                let attribution = Arc::clone(self.inner.ranks.lock().entry(rank).or_default());
-                let slot = slot_in(&attribution.costs, kernel, set);
-                (attribution, slot)
-            }),
+            cost,
+            inner: Arc::clone(&self.inner),
         }
     }
 
@@ -219,44 +170,31 @@ impl GranularityFeedback {
         self.slot(kernel, set).record(elems, elapsed_ns);
     }
 
-    /// The smoothed cost of `(kernel, set)`. A rank-tagged handle prefers
-    /// its rank's private estimate (falling back to the shared table), so
-    /// a slow rank resolves granularity from what *it* measured rather
-    /// than the cross-rank mixture.
+    /// The smoothed cost of `(kernel, set)`, if it was ever sampled.
     pub fn cost(&self, kernel: &str, set: u64) -> Option<KernelCost> {
-        let own = self.rank.and_then(|rank| {
-            let ranks = self.inner.ranks.lock();
-            cost_in(&ranks.get(&rank)?.costs, kernel, set)
-        });
-        own.or_else(|| cost_in(&self.inner.costs, kernel, set))
+        let costs = self.inner.costs.lock();
+        let cost = *costs.get(&set)?.get(kernel)?.lock();
+        cost
     }
 
-    /// Total measured kernel nanoseconds attributed to `rank` since the
-    /// last [`GranularityFeedback::reset_rank_busy`] — the per-rank
-    /// imbalance signal the rebalancer compares across ranks.
-    pub fn rank_busy_ns(&self, rank: u32) -> u64 {
-        let ranks = self.inner.ranks.lock();
-        ranks
-            .get(&rank)
-            .map_or(0, |a| a.busy_ns.load(Ordering::Relaxed))
+    /// Measured kernel nanoseconds since the last
+    /// [`GranularityFeedback::reset_busy`] — on a rank world, the
+    /// per-rank imbalance signal the rebalancer compares across ranks.
+    pub fn busy_ns(&self) -> u64 {
+        self.inner.busy_ns.load(Ordering::Relaxed)
     }
 
-    /// Zeroes every rank's busy accumulator (cost tables are kept), so
-    /// the next measurement window starts fresh after a rebalance.
-    pub fn reset_rank_busy(&self) {
-        for attribution in self.inner.ranks.lock().values() {
-            attribution.busy_ns.store(0, Ordering::Relaxed);
-        }
+    /// Zeroes the busy time (costs are kept), so the next measurement
+    /// window starts fresh after a rebalance.
+    pub fn reset_busy(&self) {
+        self.inner.busy_ns.store(0, Ordering::Relaxed);
     }
 
-    /// Forgets every measurement for set signature `set` — shared and
-    /// per-rank — so estimates for a set retired by migration cannot leak
-    /// into a new set that happens to collide.
+    /// Forgets every measured cost for set signature `set` (busy time is
+    /// kept), so estimates for a set retired by migration cannot leak into
+    /// a new set that happens to collide.
     pub fn forget_set(&self, set: u64) {
         self.inner.costs.lock().remove(&set);
-        for attribution in self.inner.ranks.lock().values() {
-            attribution.costs.lock().remove(&set);
-        }
     }
 
     /// Every measured (kernel, set) cost, sorted by (set, kernel) — the
@@ -448,34 +386,39 @@ mod tests {
         assert_eq!(fb.snapshot().len(), 1);
     }
 
-    /// A loop resolves its slot once and its nodes record through it: the
-    /// same samples land in the same tables as through `record`, a slot
-    /// nobody sampled is invisible, and a slot whose set was forgotten
-    /// takes its late samples with it.
+    /// A loop resolves its slot once and its nodes record through it: a
+    /// sample lands in the cost table and in busy time, a slot nobody
+    /// sampled is invisible, `reset_busy` keeps the costs, and
+    /// `forget_set` drops the costs (late samples through the old slot
+    /// with them) but not the busy time.
     #[test]
-    fn a_resolved_slot_records_what_record_would() {
+    fn a_sample_lands_in_the_cost_table_and_in_busy_time() {
         let fb = GranularityFeedback::new();
         let k: Arc<str> = Arc::from("kern");
-        let rank = fb.for_rank(1);
-        let slot = rank.slot(&k, 7);
+        let slot = fb.slot(&k, 7);
         assert!(fb.cost("kern", 7).is_none() && fb.snapshot().is_empty());
+        assert_eq!(fb.busy_ns(), 0);
         slot.record(100, 10_000);
         slot.clone().record(100, 10_000);
-        rank.record(&k, 7, 100, 10_000);
-        assert_eq!(fb.cost("kern", 7).unwrap().samples, 3);
-        assert_eq!(rank.cost("kern", 7).unwrap().ewma_ns_per_elem, 100.0);
-        assert_eq!(fb.rank_busy_ns(1), 30_000);
+        fb.record(&k, 7, 100, 10_000);
+        let c = fb.cost("kern", 7).unwrap();
+        assert_eq!((c.samples, c.ewma_ns_per_elem), (3, 100.0));
+        assert_eq!(fb.busy_ns(), 30_000);
         assert_eq!(fb.snapshot().len(), 1);
+
+        fb.reset_busy();
+        assert_eq!(fb.busy_ns(), 0);
+        assert_eq!(fb.cost("kern", 7), Some(c), "reset_busy keeps costs");
 
         fb.forget_set(7);
         slot.record(100, 90_000);
-        assert!(fb.cost("kern", 7).is_none() && rank.cost("kern", 7).is_none());
+        assert!(fb.cost("kern", 7).is_none() && fb.snapshot().is_empty());
         assert_eq!(
-            fb.rank_busy_ns(1),
-            120_000,
-            "busy time is the rank's, not the set's"
+            fb.busy_ns(),
+            90_000,
+            "busy time is the world's, not the set's"
         );
-        rank.record(&k, 7, 100, 50_000);
+        fb.record(&k, 7, 100, 50_000);
         assert_eq!(fb.cost("kern", 7).unwrap().ewma_ns_per_elem, 500.0);
     }
 
@@ -503,46 +446,6 @@ mod tests {
             "estimate must snap down toward the 1 ns floor, got {}",
             c.ewma_ns_per_elem
         );
-    }
-
-    #[test]
-    fn rank_tagged_handles_attribute_busy_time_and_costs() {
-        let fb = GranularityFeedback::new();
-        let k: Arc<str> = Arc::from("kern");
-        let r0 = fb.for_rank(0);
-        let r1 = fb.for_rank(1);
-        assert_eq!(r0.rank(), Some(0));
-        assert_eq!(fb.rank(), None);
-
-        // Rank 0 is fast (100 ns/elem), rank 1 slow (900 ns/elem).
-        r0.record(&k, 5, 100, 10_000);
-        r1.record(&k, 5, 100, 90_000);
-
-        // Busy time is attributed per rank — the imbalance signal.
-        assert_eq!(fb.rank_busy_ns(0), 10_000);
-        assert_eq!(fb.rank_busy_ns(1), 90_000);
-        assert_eq!(fb.rank_busy_ns(2), 0, "unmeasured rank is zero");
-
-        // Each rank's cost view is its own measurement, not the mixture;
-        // the untagged view sees the shared (mixed) table.
-        assert_eq!(r0.cost("kern", 5).unwrap().ewma_ns_per_elem, 100.0);
-        assert_eq!(r1.cost("kern", 5).unwrap().ewma_ns_per_elem, 900.0);
-        let mixed = fb.cost("kern", 5).unwrap();
-        assert_eq!(mixed.samples, 2, "shared table still folds every sample");
-
-        // A tagged rank with no private entry falls back to the shared one.
-        let r2 = fb.for_rank(2);
-        assert_eq!(r2.cost("kern", 5).unwrap(), mixed);
-
-        // reset_rank_busy zeroes the window but keeps the cost tables.
-        fb.reset_rank_busy();
-        assert_eq!(fb.rank_busy_ns(1), 0);
-        assert_eq!(r1.cost("kern", 5).unwrap().ewma_ns_per_elem, 900.0);
-
-        // forget_set drops the signature everywhere.
-        fb.forget_set(5);
-        assert!(fb.cost("kern", 5).is_none());
-        assert!(r1.cost("kern", 5).is_none());
     }
 
     const TARGET_NS: u64 = hpx_rt::DEFAULT_CHUNK_TARGET.as_nanos() as u64;

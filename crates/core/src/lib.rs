@@ -50,7 +50,6 @@ pub mod convergence;
 mod dat;
 pub mod diag;
 mod driver;
-pub mod farm;
 mod gbl;
 mod granularity;
 pub mod locality;
@@ -72,8 +71,7 @@ pub use config::{Backend, Op2Config, DEFAULT_BLOCK_SIZE};
 pub use convergence::{Convergence, ResidualMap};
 pub use dat::{Dat, DatReadGuard, DatWriteGuard, DepTable};
 pub use driver::{
-    __dataflow_direct_blocks, __dataflow_resolved_block_size, plan_for, LoopHandle, SpecShare,
-    SubmitStats, DEFAULT_SPEC_CAPACITY,
+    __dataflow_direct_blocks, __dataflow_resolved_block_size, plan_for, LoopHandle, SubmitStats,
 };
 pub use gbl::{Global, ReduceOp, ReducedFuture, Reducible};
 pub use granularity::{GranularityFeedback, KernelCost};

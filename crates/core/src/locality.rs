@@ -187,19 +187,11 @@ impl LocalityGroup {
             "a locality group needs at least one rank"
         );
         let rt = Arc::new(Runtime::with_name(config.threads, "op2-locality"));
-        // Tag each rank world's feedback with its global rank id: measured
-        // kernel time then accumulates per rank — the imbalance signal the
-        // live-repartition path reads (a caller-specified tag wins, for
-        // tests that want a fixed attribution).
+        // Every rank world measures the busy time of each loop — the
+        // imbalance signal the live-repartition path reads.
         let ranks = local
             .clone()
-            .map(|r| {
-                let mut cfg = config.clone();
-                if cfg.feedback_rank.is_none() {
-                    cfg.feedback_rank = Some(r as u32);
-                }
-                Op2::with_runtime(cfg, Arc::clone(&rt))
-            })
+            .map(|_| Op2::rank_world(config.clone(), Arc::clone(&rt)))
             .collect();
         LocalityGroup {
             ranks,

@@ -10,8 +10,8 @@
 //!
 //! Plans are cached per (set, block size, indirection signature) like OP2's
 //! `op_plan_get` — by the sets' and maps' *content* signatures, so a world
-//! that declares the same mesh again (one instance per solve, one per farm
-//! tenant) colours it once.
+//! that declares the same mesh again (one instance per solve) colours it
+//! once.
 
 use std::collections::HashMap;
 use std::ops::Range;

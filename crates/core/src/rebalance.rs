@@ -3,9 +3,9 @@
 //!
 //! The pipeline (driven by a solver layer, e.g. the sharded Airfoil):
 //!
-//! 1. **Measure** — every rank world of a [`LocalityGroup`] carries a
-//!    rank-tagged [`crate::GranularityFeedback`] handle, so each executed
-//!    node's measured time accumulates per rank. [`agree_rank_busy`]
+//! 1. **Measure** — every rank world of a [`LocalityGroup`] times each
+//!    loop it runs, whatever the backend and chunk policy, into the busy
+//!    time of its [`crate::GranularityFeedback`]. [`agree_rank_busy`]
 //!    collects the per-rank busy nanoseconds across the whole job (a
 //!    control-message star under a distributed transport, so every SPMD
 //!    process agrees on the same vector and makes the same decision).
@@ -51,7 +51,7 @@ use crate::world::{CommHooks, Op2};
 pub const DEFAULT_DEAD_ZONE: f64 = 1.5;
 
 /// Collects every rank's measured busy nanoseconds (see
-/// [`crate::GranularityFeedback::rank_busy_ns`]) across the whole job.
+/// [`crate::GranularityFeedback::busy_ns`]) across the whole job.
 ///
 /// All-local groups read the rank worlds directly. Distributed groups run
 /// a gather/broadcast star over [`crate::transport::MsgKind::Ctrl`]
@@ -62,11 +62,9 @@ pub const DEFAULT_DEAD_ZONE: f64 = 1.5;
 /// dataflow.
 pub fn agree_rank_busy(group: &LocalityGroup) -> Vec<u64> {
     let n = group.nranks();
-    let local = group.local_ranks();
     let mut busy = vec![0u64; n];
-    for (i, world) in group.ranks().iter().enumerate() {
-        let r = local.start + i;
-        busy[r] = world.granularity_feedback().rank_busy_ns(r as u32);
+    for (b, world) in busy[group.local_ranks()].iter_mut().zip(group.ranks()) {
+        *b = world.granularity_feedback().busy_ns();
     }
     let transport = group.transport();
     if transport.all_local() {

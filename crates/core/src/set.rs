@@ -117,12 +117,11 @@ impl Set {
 
     /// Content signature of the set's **shape**: a stable hash of
     /// `(name, size)`. Unlike [`Set::same`] — which distinguishes every
-    /// declaration — two sets declared with the same name and size in
-    /// *different* [`Op2`](crate::Op2) worlds share a signature. The
-    /// warm-state caches ([`SpecCache`](crate::SpecShare) schedules, the
-    /// [`crate::GranularityFeedback`] cost table) key on it, so tenants of
-    /// a [`farm::SolverFarm`](crate::farm::SolverFarm) running the same
-    /// solver shape hit each other's warm entries.
+    /// declaration — two sets declared with the same name and size share
+    /// a signature. A world's warm-state caches (loop schedules, the
+    /// [`crate::GranularityFeedback`] cost table) key on it, so a mesh
+    /// declared again on the same world hits the entries of the first
+    /// declaration.
     pub fn signature(&self) -> u64 {
         self.inner.signature
     }

@@ -424,7 +424,7 @@ pub(crate) fn open(
     (guard, delivery)
 }
 
-/// Arms abandonment for one outgoing message: [`open`] creates it when the
+/// Arms abandonment for one outgoing message: `open` creates it when the
 /// message is *scheduled*; move it into the send node and consume it with
 /// [`SendGuard::send`] when the payload is ready. If the node is skipped
 /// (upstream panic) or dies before sending, the guard's drop delivers the
@@ -809,7 +809,7 @@ impl std::fmt::Debug for ProcessTransport {
 /// A whole-job rendezvous: returns once every rank of the job has entered
 /// the barrier, or its peer died. All-local transports return immediately
 /// (the caller holds every rank already); distributed ones run an
-/// arrive/release [`gather_broadcast`] of empty payloads. Call from a
+/// arrive/release `gather_broadcast` of empty payloads. Call from a
 /// non-worker thread (it blocks).
 pub fn barrier(transport: &Arc<dyn Transport>) {
     if !transport.all_local() {

@@ -10,7 +10,7 @@ use hpx_rt::{Runtime, SharedFuture};
 
 use crate::config::Op2Config;
 use crate::dat::Dat;
-use crate::driver::{SpecShare, SubmitStats};
+use crate::driver::{SpecCache, SubmitStats};
 use crate::granularity::GranularityFeedback;
 use crate::map::Map;
 use crate::plan::PlanCache;
@@ -45,14 +45,16 @@ pub struct Op2 {
     rt: Arc<Runtime>,
     config: Op2Config,
     plans: PlanCache,
-    /// Loop-spec cache: private by default, one shared [`SpecShare`]
-    /// handle across worlds when the config installs one (farm tenants).
-    specs: crate::driver::SpecShare,
+    specs: SpecCache,
     /// Measured per-(kernel, set) cost the Dataflow driver resolves
-    /// adaptive node granularity from: the config's shared table if it
-    /// installs one (sibling ranks, farm tenants), else private to the
-    /// context. Either way it is measured on the config's clock.
+    /// adaptive node granularity from, measured on the config's clock.
     feedback: GranularityFeedback,
+    /// Whether every loop measures its busy time, whatever the backend
+    /// and chunk policy: set on the rank worlds of a
+    /// [`LocalityGroup`](crate::locality::LocalityGroup), whose busy times
+    /// the rebalancer compares. Other worlds measure only under
+    /// [`ChunkPolicy::Auto`](hpx_rt::ChunkPolicy::Auto) on Dataflow.
+    measures_busy: bool,
     outstanding: Arc<Mutex<Vec<SharedFuture<()>>>>,
     stats: StatsHandle,
     submit: Mutex<SubmitStats>,
@@ -102,20 +104,23 @@ impl Op2 {
     /// entities) but all ranks share one worker pool, so halo-exchange
     /// tasks and loop blocks of different ranks interleave freely.
     pub fn with_runtime(config: Op2Config, rt: Arc<Runtime>) -> Self {
-        let feedback = config.shared_feedback.clone().unwrap_or_default();
-        // A rank-tagged world attributes its measurements per rank (the
-        // table itself stays shared across tagged clones).
-        let feedback = match config.feedback_rank {
-            Some(r) => feedback.for_rank(r),
-            None => feedback,
-        };
-        let specs = config.shared_specs.clone().unwrap_or_default();
+        Self::build(config, rt, false)
+    }
+
+    /// A rank world of a [`LocalityGroup`](crate::locality::LocalityGroup):
+    /// [`Op2::with_runtime`] that measures the busy time of every loop.
+    pub(crate) fn rank_world(config: Op2Config, rt: Arc<Runtime>) -> Self {
+        Self::build(config, rt, true)
+    }
+
+    fn build(config: Op2Config, rt: Arc<Runtime>, measures_busy: bool) -> Self {
         Op2 {
             rt,
             config,
             plans: PlanCache::default(),
-            specs,
-            feedback,
+            specs: SpecCache::default(),
+            feedback: GranularityFeedback::default(),
+            measures_busy,
             outstanding: Arc::new(Mutex::new(Vec::new())),
             stats: Arc::new(Mutex::new(HashMap::new())),
             submit: Mutex::new(SubmitStats::default()),
@@ -216,8 +221,12 @@ impl Op2 {
         &self.plans
     }
 
-    pub(crate) fn specs(&self) -> &crate::driver::SpecCache {
-        self.specs.cache()
+    pub(crate) fn specs(&self) -> &SpecCache {
+        &self.specs
+    }
+
+    pub(crate) fn measures_busy(&self) -> bool {
+        self.measures_busy
     }
 
     pub(crate) fn stats_handle(&self) -> StatsHandle {
@@ -231,7 +240,7 @@ impl Op2 {
     /// What this world's Dataflow loop submissions cost so far: nodes
     /// scheduled, dependency edges collected and wired, access records
     /// pushed, and time spent building loop graphs. World-scoped — sibling
-    /// worlds, tenants and ranks each count their own.
+    /// worlds and ranks each count their own.
     pub fn submit_stats(&self) -> SubmitStats {
         *self.submit.lock()
     }
@@ -274,13 +283,6 @@ impl Op2 {
         self.specs.replans()
     }
 
-    /// The loop-spec cache handle this world resolves schedules through —
-    /// its private cache, or the [`SpecShare`] installed via
-    /// [`Op2Config::with_shared_specs`](crate::Op2Config::with_shared_specs).
-    pub fn spec_share(&self) -> &SpecShare {
-        &self.specs
-    }
-
     /// Retires a set signature after live repartitioning: drops every
     /// cached loop schedule keyed on it (they describe the pre-migration
     /// shard shape and must never be hit again) and forgets its measured
@@ -288,12 +290,11 @@ impl Op2 {
     /// number of schedules dropped.
     pub fn retire_set_signature(&self, sig: u64) -> usize {
         self.feedback.forget_set(sig);
-        self.specs.cache().invalidate_set(sig)
+        self.specs.invalidate_set(sig)
     }
 
     /// The measured per-(kernel, set) cost table adaptive Dataflow
-    /// granularity is resolved from — the context's own, or the one the
-    /// config shares ([`Op2Config::with_shared_feedback`]).
+    /// granularity is resolved from, and this world's busy time.
     pub fn granularity_feedback(&self) -> &GranularityFeedback {
         &self.feedback
     }

@@ -152,23 +152,6 @@ macro_rules! static_counter {
     }};
 }
 
-/// Handle to the process-wide named counter `name`, for names composed at
-/// runtime (the per-tenant `op2.tenant.<id>.*` namespaces of the solver
-/// farm). The registry keys on `&'static str`, so a name unseen before is
-/// leaked **once** to promote it; later calls for the same name reuse the
-/// promoted key. Use [`counter`] / [`static_counter!`] for names known at
-/// compile time, and keep the returned `Arc` around on hot paths — the
-/// set of distinct dynamic names must be small and long-lived (tenants),
-/// not per-request.
-pub fn counter_named(name: &str) -> Arc<AtomicU64> {
-    let mut reg = registry().lock();
-    if let Some(c) = reg.get(name) {
-        return Arc::clone(c);
-    }
-    let key: &'static str = Box::leak(name.to_owned().into_boxed_str());
-    Arc::clone(reg.entry(key).or_default())
-}
-
 /// Current value of the named counter (0 if it was never touched).
 pub fn counter_value(name: &str) -> u64 {
     registry()

@@ -7,7 +7,7 @@ use op2_hpx::airfoil::verify::{all_finite, max_rel_diff, max_scaled_diff};
 use op2_hpx::airfoil::{solver, Problem, SolverConfig};
 use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::mesh::channel_with_bump;
-use op2_hpx::op2::{Backend, GranularityFeedback, Op2, Op2Config};
+use op2_hpx::op2::{Backend, Op2, Op2Config};
 
 fn simulate(config: Op2Config) -> (Vec<f64>, Vec<f64>) {
     let op2 = Op2::new(config);
@@ -35,12 +35,6 @@ fn policy_matrix() -> Vec<(&'static str, ChunkPolicy)> {
     ]
 }
 
-/// Dataflow whose config clones (ranks, repeated runs) all measure into
-/// one cost table.
-fn dataflow_shared_feedback(threads: usize) -> Op2Config {
-    Op2Config::dataflow(threads).with_shared_feedback(GranularityFeedback::new())
-}
-
 fn backend_config(backend: Backend) -> Op2Config {
     match backend {
         Backend::Seq => Op2Config::seq(),
@@ -56,10 +50,6 @@ fn all_backends_and_optimizations_agree() {
 
     let mut candidates: Vec<(String, Op2Config)> = vec![
         ("fork_join(4)".into(), Op2Config::fork_join(4)),
-        (
-            "dataflow+shared_feedback".into(),
-            dataflow_shared_feedback(2),
-        ),
         (
             "dataflow+prefetch".into(),
             Op2Config::dataflow(2).with_prefetch(15),
@@ -116,20 +106,7 @@ fn sharded_ranks_agree_with_single_locality_across_backends() {
             Op2Config::dataflow(2).with_block_size(128),
             4,
         ),
-        // Adaptive granularity across an implicit-halo exchange boundary:
-        // ranks share one cost table (the config clone carries it), so
-        // feedback from every rank feeds one table — and the physics still
-        // matches the single-locality reference.
-        (
-            "dataflow(2) x4 shared_feedback",
-            dataflow_shared_feedback(2),
-            4,
-        ),
-        (
-            "dataflow(2) x1 shared_feedback",
-            dataflow_shared_feedback(2),
-            1,
-        ),
+        ("dataflow(2) x1", Op2Config::dataflow(2), 1),
         (
             "fork_join(2) x4 static64",
             Op2Config::fork_join(2).with_chunk(ChunkPolicy::Static { size: 64 }),

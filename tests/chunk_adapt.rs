@@ -20,9 +20,7 @@ use std::time::Duration;
 use op2_hpx::hpx::timing::Clock;
 use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::op2::args::{inc_via, write};
-use op2_hpx::op2::{
-    __dataflow_resolved_block_size as resolved, GranularityFeedback, Op2, Op2Config,
-};
+use op2_hpx::op2::{__dataflow_resolved_block_size as resolved, Op2, Op2Config};
 
 /// A dataflow context on one worker with a fake clock and a 128µs `Auto`
 /// target: 1µs/element cost resolves to 128-element nodes.
@@ -336,17 +334,12 @@ fn persistent_auto_calibrates_once_and_replans_once_per_kernel() {
     assert_eq!(op2.spec_cache_replans(), 1);
 }
 
-/// A world measures on its own clock, whichever table it records into: a
-/// shared table handed in from outside does not bring a clock of its own.
+/// A world's cost table records on the world's clock: the table has no
+/// clock of its own.
 #[test]
 fn a_shared_table_records_on_the_world_clock() {
     let clock = Clock::fake();
-    let feedback = GranularityFeedback::new();
-    let op2 = Op2::new(
-        Op2Config::dataflow(1)
-            .with_clock(clock.clone())
-            .with_shared_feedback(feedback.clone()),
-    );
+    let op2 = Op2::new(Op2Config::dataflow(1).with_clock(clock.clone()));
     let cells = op2.decl_set(1024, "cells");
     let x = op2.decl_dat(&cells, 1, "x", vec![0.0f64; 1024]);
     let c = clock.clone();
@@ -354,7 +347,7 @@ fn a_shared_table_records_on_the_world_clock() {
         .arg(write(&x))
         .run(move |_: &mut [f64]| c.advance(Duration::from_micros(3)))
         .wait();
-    let snapshot = feedback.snapshot();
+    let snapshot = op2.granularity_feedback().snapshot();
     assert_eq!(snapshot.len(), 1, "one (kernel, set) entry");
     assert_eq!(
         snapshot[0].2.ewma_ns_per_elem, 3_000.0,

@@ -240,9 +240,8 @@ fn single_rank_rebalance_is_refused() {
 }
 
 /// Migration retires exactly the affected loop-schedule cache entries:
-/// every schedule keyed on the migrated sets' signatures is dropped
-/// (counted by the per-cache invalidation counter), while schedules for
-/// unrelated sets survive.
+/// every schedule keyed on the migrated sets' signatures is dropped, while
+/// schedules for unrelated sets survive.
 #[test]
 fn migration_retires_exactly_the_affected_spec_entries() {
     let mesh = channel_with_bump(16, 8);
@@ -259,11 +258,12 @@ fn migration_retires_exactly_the_affected_spec_entries() {
         .run(|x: &mut [f64]| x[0] += 1.0)
         .wait();
 
-    let shares: Vec<_> = (0..2)
-        .map(|r| shp.group.rank(r).spec_share().clone())
-        .collect();
-    let built_before: Vec<usize> = shares.iter().map(|s| s.built()).collect();
-    let inval_before: Vec<u64> = shares.iter().map(|s| s.invalidations()).collect();
+    let built = |shp: &ShardedProblem| -> Vec<usize> {
+        (0..2)
+            .map(|r| shp.group.rank(r).spec_cache_stats().0)
+            .collect()
+    };
+    let built_before = built(&shp);
     assert!(
         built_before.iter().all(|&b| b > 0),
         "the dataflow run must have populated every rank's spec cache"
@@ -274,53 +274,75 @@ fn migration_retires_exactly_the_affected_spec_entries() {
         .expect("5x skew must migrate");
     assert!(rep.specs_dropped > 0, "stale schedules must be retired");
 
-    let mut dropped = 0;
-    for (i, share) in shares.iter().enumerate() {
-        let inval = share.invalidations() - inval_before[i];
-        dropped += inval as usize;
-        // Everything cached for this world belonged to the migrated sets,
-        // except rank 0's aux loop — exactly that one survives.
-        let survivors = if i == 0 { 1 } else { 0 };
-        assert_eq!(
-            share.built(),
-            survivors,
-            "rank {i}: only non-migrated schedules may survive"
-        );
-        assert_eq!(
-            inval as usize,
-            built_before[i] - survivors,
-            "rank {i}: exactly the affected entries are invalidated"
-        );
-    }
-    assert_eq!(dropped, rep.specs_dropped, "report matches the counters");
+    // Everything cached for a world belonged to the migrated sets, except
+    // rank 0's aux loop — exactly that one survives.
+    let built_after = built(&shp);
+    assert_eq!(
+        built_after,
+        vec![1, 0],
+        "only non-migrated schedules may survive"
+    );
+    let dropped: usize = (0..2).map(|i| built_before[i] - built_after[i]).sum();
+    assert_eq!(dropped, rep.specs_dropped, "report matches the caches");
 
     // The run continues correctly on the new shards (fresh schedules).
     let r = run_sharded(&mut shp, &cfg(2));
     assert!(r.rms_history.iter().all(|v| v.is_finite()));
 }
 
-/// The LRU residency bound: a shared spec cache capped at 2 schedules
-/// never holds more, and evicts as distinct loop shapes stream through.
+/// Busy time, the imbalance signal the rebalancer reads, accumulates on
+/// rank worlds under every backend and chunk policy: whole-loop timing on
+/// Seq and fork-join, node timing on Dataflow whether or not the policy
+/// adapts. A loop run on rank 1 alone reads as exactly its fake-clock
+/// time on rank 1 and nothing on rank 0; a plain world measures nothing.
 #[test]
-fn spec_cache_lru_bound_caps_resident_schedules() {
-    use op2_hpx::op2::{Op2, SpecShare};
+fn rank_worlds_measure_busy_time_under_every_backend() {
+    use op2_hpx::hpx::timing::Clock;
+    use op2_hpx::hpx::ChunkPolicy;
+    use op2_hpx::op2::Op2;
+    use std::time::Duration;
 
-    let share = SpecShare::with_capacity(2);
-    let op2 = Op2::new(Op2Config::dataflow(1).with_shared_specs(share.clone()));
-    for (i, n) in [100usize, 200, 300, 400].iter().enumerate() {
-        let set = op2.decl_set(*n, &format!("s{i}"));
-        let d = op2.decl_dat(&set, 1, "d", vec![0.0f64; *n]);
-        op2.loop_("k", &set)
-            .arg(rw(&d))
-            .run(|x: &mut [f64]| x[0] += 1.0)
+    const N: usize = 200;
+    const NS_PER_ELEM: u64 = 1_000;
+    let busy_loop = |world: &Op2, clock: &Clock| {
+        let cells = world.decl_set(N, "cells");
+        let x = world.decl_dat(&cells, 1, "x", vec![0.0f64; N]);
+        let c = clock.clone();
+        world
+            .loop_("busy", &cells)
+            .arg(rw(&x))
+            .run(move |_: &mut [f64]| c.advance(Duration::from_nanos(NS_PER_ELEM)))
             .wait();
+        world.fence();
+    };
+    for (name, config) in [
+        ("seq", Op2Config::seq()),
+        ("fork_join(1)", Op2Config::fork_join(1)),
+        (
+            "dataflow(1) static64",
+            Op2Config::dataflow(1).with_chunk(ChunkPolicy::Static { size: 64 }),
+        ),
+        ("dataflow(1) auto", Op2Config::dataflow(1)),
+    ] {
+        let clock = Clock::fake();
+        let group = LocalityGroup::new(config.with_clock(clock.clone()), 2);
+        busy_loop(group.rank(1), &clock);
+        assert_eq!(
+            agree_rank_busy(&group),
+            vec![0, N as u64 * NS_PER_ELEM],
+            "{name}: rank 1's fake-clock time, nothing on rank 0"
+        );
+        assert!(
+            group.rank(0).granularity_feedback().snapshot().is_empty(),
+            "{name}: rank 0 measured nothing"
+        );
     }
-    assert!(
-        share.built() <= 2,
-        "resident schedules exceed the bound: {}",
-        share.built()
-    );
-    assert_eq!(share.evictions(), 2, "two of four shapes were evicted");
+
+    let clock = Clock::fake();
+    let plain = Op2::new(Op2Config::seq().with_clock(clock.clone()));
+    busy_loop(&plain, &clock);
+    assert_eq!(plain.granularity_feedback().busy_ns(), 0);
+    assert!(plain.granularity_feedback().snapshot().is_empty());
 }
 
 /// The full protocol over real socket transports, SPMD-style: per-rank
@@ -369,7 +391,7 @@ fn rebalance_over_sockets_matches_in_process() {
                         vec![1_000, 2_000, 3_000],
                         "rank {r}: agreement must be global and exact"
                     );
-                    fb.reset_rank_busy();
+                    fb.reset_busy();
 
                     let r1 = run_sharded(&mut shp, &cfg(niter / 2));
                     shp.rebalance_with_busy(&BUSY)

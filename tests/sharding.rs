@@ -188,21 +188,17 @@ fn sharded_airfoil_matches_single_locality_golden() {
 
 /// Adaptive (feedback-resolved) node granularity across the halo
 /// boundary: a 4-rank sharded run under `Auto` — every rank's executed
-/// nodes feed one shared cost table, granularity re-resolves mid-solve as
+/// nodes feed its own cost table, granularity re-resolves mid-solve as
 /// measurements arrive, boundary blocks keep gating on halo receives —
 /// must reproduce the single-locality physics within the same budget as
-/// every other backend, and must actually have *measured* (the feedback
+/// every other backend, and must actually have *measured* (every rank's
 /// table is populated: adaptivity was live, not a Static fallback).
 #[test]
 fn adaptive_granularity_preserves_sharded_physics_across_halo_boundary() {
-    use op2_hpx::op2::GranularityFeedback;
-
     let niter = 12;
     let (rms_ref, q_ref) = plain_golden(niter);
     let mesh = channel_with_bump(32, 16);
-    let fb = GranularityFeedback::new();
-    let config = Op2Config::dataflow(2).with_shared_feedback(fb.clone());
-    let mut shp = ShardedProblem::declare(config, &mesh, 4);
+    let mut shp = ShardedProblem::declare(Op2Config::dataflow(2), &mesh, 4);
     let r = run_sharded(
         &mut shp,
         &SolverConfig {
@@ -216,20 +212,20 @@ fn adaptive_granularity_preserves_sharded_physics_across_halo_boundary() {
     let d_q = max_scaled_diff(&q_ref, &shp.gather_q(), 1.0);
     assert!(d_rms < 1e-7, "rms deviates by {d_rms:e}");
     assert!(d_q < 1e-9, "q deviates by {d_q:e}");
-    // The shared table measured across all 4 ranks. It is keyed by
-    // (kernel, set *signature*) — same-shaped rank sets share an entry —
-    // but the five airfoil kernels span several sets, so the shared table
-    // still holds at least a handful of entries.
-    let measured = fb.snapshot();
-    assert!(
-        measured.len() >= 4,
-        "feedback must hold measurements from several ranks, got {}",
-        measured.len()
-    );
-    assert!(
-        measured.iter().all(|(_, _, c)| c.samples > 0),
-        "every entry carries real samples"
-    );
+    // Every rank measured the airfoil kernels it ran, keyed by (kernel,
+    // set signature); the five kernels span several sets.
+    for (r, world) in shp.group.ranks().iter().enumerate() {
+        let measured = world.granularity_feedback().snapshot();
+        assert!(
+            measured.len() >= 4,
+            "rank {r}: feedback must hold its kernels' measurements, got {}",
+            measured.len()
+        );
+        assert!(
+            measured.iter().all(|(_, _, c)| c.samples > 0),
+            "rank {r}: every entry carries real samples"
+        );
+    }
 }
 
 /// Partition invariants of the real Airfoil decomposition, via the shard's
