@@ -1,5 +1,7 @@
 //! Declaring the Airfoil problem to OP2 (paper §II: sets, maps, dats).
 
+use std::sync::Arc;
+
 use op2_core::{Dat, Map, Op2, Set};
 use op2_mesh::QuadMesh;
 
@@ -53,15 +55,16 @@ pub struct Problem {
     pub n_halo_cells: usize,
 }
 
-/// A part's mesh tables in its own numbering: the whole mesh, or a rank's
-/// renumbered slice of it whose `edge_cells` may index the `n_halo_cells`
-/// mirror rows past the owned cells.
+/// A part's mesh tables in its own numbering: the whole mesh's shared
+/// tables, or a rank's renumbered (owned) slice of it whose `edge_cells`
+/// may index the `n_halo_cells` mirror rows past the owned cells. The maps
+/// keep these tables; they are not copied.
 pub(crate) struct PartTables {
-    pub cell_nodes: Vec<u32>,
-    pub edge_nodes: Vec<u32>,
-    pub edge_cells: Vec<u32>,
-    pub bedge_nodes: Vec<u32>,
-    pub bedge_cells: Vec<u32>,
+    pub cell_nodes: Arc<Vec<u32>>,
+    pub edge_nodes: Arc<Vec<u32>>,
+    pub edge_cells: Arc<Vec<u32>>,
+    pub bedge_nodes: Arc<Vec<u32>>,
+    pub bedge_cells: Arc<Vec<u32>>,
     pub bound: Vec<i32>,
     pub x: Vec<f64>,
     pub n_interior_edges: usize,
@@ -71,16 +74,18 @@ pub(crate) struct PartTables {
 impl Problem {
     /// Declares sets, maps and dats for `mesh` and initializes the flow to
     /// free stream (exactly the original program's setup). The one-part
-    /// case: global numbering, no halo, nothing partitioned.
+    /// case: global numbering, no halo, nothing partitioned. The maps share
+    /// `mesh`'s index tables, so one mesh declared on several worlds is
+    /// resident once.
     pub fn declare(op2: &Op2, mesh: &QuadMesh) -> Problem {
         Self::declare_part(
             op2,
             PartTables {
-                cell_nodes: mesh.cell_nodes.clone(),
-                edge_nodes: mesh.edge_nodes.clone(),
-                edge_cells: mesh.edge_cells.clone(),
-                bedge_nodes: mesh.bedge_nodes.clone(),
-                bedge_cells: mesh.bedge_cells.clone(),
+                cell_nodes: Arc::clone(&mesh.cell_nodes),
+                edge_nodes: Arc::clone(&mesh.edge_nodes),
+                edge_cells: Arc::clone(&mesh.edge_cells),
+                bedge_nodes: Arc::clone(&mesh.bedge_nodes),
+                bedge_cells: Arc::clone(&mesh.bedge_cells),
                 bound: mesh.bound.clone(),
                 x: mesh.x.clone(),
                 n_interior_edges: mesh.nedge,

@@ -97,7 +97,8 @@ pub struct ShardedProblem {
     /// Global cell count.
     pub ncell_global: usize,
     /// The global mesh, kept so [`ShardedProblem::rebalance`] can
-    /// re-derive shards for a new ownership.
+    /// re-derive shards for a new ownership. Its index tables are the
+    /// caller's, shared rather than copied.
     pub mesh: QuadMesh,
 }
 
@@ -204,11 +205,11 @@ fn declare_shards(
             }
 
             let tables = PartTables {
-                cell_nodes: renumbered(&mesh.cell_nodes, 4, owned, &g2l_node),
-                edge_nodes: renumbered(&mesh.edge_nodes, 2, ledges, &g2l_node),
-                edge_cells: renumbered(&mesh.edge_cells, 2, ledges, &shard.g2l),
-                bedge_nodes: renumbered(&mesh.bedge_nodes, 2, &lbedges, &g2l_node),
-                bedge_cells: renumbered(&mesh.bedge_cells, 1, &lbedges, &shard.g2l),
+                cell_nodes: Arc::new(renumbered(&mesh.cell_nodes, 4, owned, &g2l_node)),
+                edge_nodes: Arc::new(renumbered(&mesh.edge_nodes, 2, ledges, &g2l_node)),
+                edge_cells: Arc::new(renumbered(&mesh.edge_cells, 2, ledges, &shard.g2l)),
+                bedge_nodes: Arc::new(renumbered(&mesh.bedge_nodes, 2, &lbedges, &g2l_node)),
+                bedge_cells: Arc::new(renumbered(&mesh.bedge_cells, 1, &lbedges, &shard.g2l)),
                 bound: lbedges.iter().map(|&b| mesh.bound[b as usize]).collect(),
                 x: lnodes
                     .iter()

@@ -56,7 +56,7 @@ fn rhs(mesh: &TriMesh) -> Vec<f64> {
 /// row sum is exactly the degree).
 fn diagonal(mesh: &TriMesh) -> Vec<f64> {
     let mut degree = vec![0u32; mesh.nnode];
-    for &n in &mesh.edge_nodes {
+    for &n in mesh.edge_nodes.iter() {
         degree[n as usize] += 1;
     }
     degree.into_iter().map(|d| d as f64 + 4.0).collect()

@@ -10,6 +10,8 @@
 //! builds on it, as do the node-graph apps ([`crate::heat`],
 //! [`crate::jac`]).
 
+use std::sync::Arc;
+
 use op2_core::locality::HaloSpec;
 use op2_core::{Map, Op2, Set};
 use op2_mesh::{build_halo, neighbors_from_pairs, partition_greedy_bfs, Partition};
@@ -132,7 +134,7 @@ pub struct NodeGraph {
 }
 
 impl NodeGraph {
-    fn declare(op2: &Op2, n_halo: usize, pedge_idx: Vec<u32>, l2g: Vec<u32>) -> NodeGraph {
+    fn declare(op2: &Op2, n_halo: usize, pedge_idx: Arc<Vec<u32>>, l2g: Vec<u32>) -> NodeGraph {
         let nodes = op2.decl_set(l2g.len() - n_halo, "nodes");
         let edges = op2.decl_set(pedge_idx.len() / 2, "edges");
         let pedge = op2.decl_map_halo(&edges, &nodes, 2, pedge_idx, "pedge", n_halo);
@@ -162,19 +164,20 @@ impl NodeGraph {
 /// Declares the sets and map of every part of a node graph (dats are the
 /// application's job — it knows their initial values and which ones to
 /// halo-link), plus the halo spec the parts' node dats share. A bare
-/// world gets the whole graph in global numbering — nothing is
-/// partitioned or planned; a group gets one part per *locally hosted*
-/// rank. Deterministic: the same graph and rank count always produce the
+/// world gets the whole graph in global numbering — its map shares
+/// `edge_nodes`, nothing is copied, partitioned or planned; a group gets
+/// one part per *locally hosted* rank, each with its own renumbered
+/// table. Deterministic: the same graph and rank count always produce the
 /// same parts.
 pub fn declare_node_graphs(
     on: &Worlds<'_>,
     nnode: usize,
-    edge_nodes: &[u32],
+    edge_nodes: &Arc<Vec<u32>>,
 ) -> (Vec<NodeGraph>, HaloSpec) {
     let group = match on {
         Worlds::One(op2) => {
             let whole =
-                NodeGraph::declare(op2, 0, edge_nodes.to_vec(), (0..nnode as u32).collect());
+                NodeGraph::declare(op2, 0, Arc::clone(edge_nodes), (0..nnode as u32).collect());
             return (vec![whole], HaloSpec::empty(1));
         }
         Worlds::Group(group) => group,
@@ -202,7 +205,12 @@ pub fn declare_node_graphs(
                         .map(|&gn| shard.g2l[gn as usize])
                 })
                 .collect();
-            NodeGraph::declare(group.rank(r), shard.n_halo, pedge_idx, shard.l2g.clone())
+            NodeGraph::declare(
+                group.rank(r),
+                shard.n_halo,
+                Arc::new(pedge_idx),
+                shard.l2g.clone(),
+            )
         })
         .collect();
     (graphs, plan.spec)
@@ -213,7 +221,7 @@ mod tests {
     use super::*;
     use op2_mesh::unit_square;
 
-    fn plan(nranks: usize) -> (usize, Vec<u32>, Partition, ShardPlan) {
+    fn plan(nranks: usize) -> (usize, Arc<Vec<u32>>, Partition, ShardPlan) {
         let mesh = unit_square(6);
         let adj = neighbors_from_pairs(&mesh.edge_nodes, mesh.nnode);
         let part = partition_greedy_bfs(&adj, nranks);

@@ -81,7 +81,7 @@ fn run_ring(
                 &edges,
                 &cells,
                 1,
-                (0..(n + halo) as u32).collect(),
+                (0..(n + halo) as u32).collect::<Vec<_>>(),
                 "ident",
                 halo,
             );

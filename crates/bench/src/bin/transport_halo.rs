@@ -85,7 +85,7 @@ fn declare_rank(group: &LocalityGroup, rank: usize, n: usize, halo: usize) -> Ra
         &edges,
         &cells,
         1,
-        (0..(n + halo) as u32).collect(),
+        (0..(n + halo) as u32).collect::<Vec<_>>(),
         "ident",
         halo,
     );

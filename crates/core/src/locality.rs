@@ -1072,7 +1072,7 @@ mod tests {
         let edges = group.rank(0).decl_set(6, "edges");
         let m = group
             .rank(0)
-            .decl_map_halo(&edges, &c0, 1, (0..6).collect(), "ident", 2);
+            .decl_map_halo(&edges, &c0, 1, (0..6).collect::<Vec<_>>(), "ident", 2);
         let out = group.rank(0).decl_dat(&edges, 1, "out", vec![0.0f64; 6]);
         let h = group
             .rank(0)

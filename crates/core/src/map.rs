@@ -21,7 +21,8 @@ pub(crate) struct MapInner {
     pub from: Set,
     pub to: Set,
     pub dim: usize,
-    pub indices: Vec<u32>,
+    /// The caller's table, shared rather than copied (see [`Map::indices`]).
+    pub indices: Arc<Vec<u32>>,
     pub name: String,
     /// Content signature — see [`Map::signature`].
     pub signature: u64,
@@ -41,6 +42,7 @@ pub struct Map {
 }
 
 impl Map {
+    #[cfg(test)]
     pub(crate) fn new(from: &Set, to: &Set, dim: usize, indices: Vec<u32>, name: &str) -> Self {
         Self::with_halo(from, to, dim, indices, name, 0)
     }
@@ -52,10 +54,11 @@ impl Map {
         from: &Set,
         to: &Set,
         dim: usize,
-        indices: Vec<u32>,
+        indices: impl Into<Arc<Vec<u32>>>,
         name: &str,
         halo_targets: usize,
     ) -> Self {
+        let indices = indices.into();
         assert!(dim > 0, "map '{name}': dim must be positive");
         assert_eq!(
             indices.len(),
@@ -120,14 +123,9 @@ impl Map {
         if let Some(r) = self.inner.reach.lock().get(&key) {
             return Arc::clone(r);
         }
+        // Built unlocked; of two racing builders the first to insert wins.
         let built = Arc::new(build_block_reach(self, slots, from_bs, to_bs));
-        Arc::clone(
-            self.inner
-                .reach
-                .lock()
-                .entry(key)
-                .or_insert_with(|| Arc::clone(&built)),
-        )
+        Arc::clone(self.inner.reach.lock().entry(key).or_insert(built))
     }
 
     /// True when `slot` reaches, from any source element, at least one
@@ -215,7 +213,10 @@ impl Map {
         self.inner.signature
     }
 
-    /// The raw index table (row-major, `from.size()` rows of `dim`).
+    /// The raw index table (row-major, `from.size()` rows of `dim`): the
+    /// very buffer the caller declared, as OP2's `op_decl_map` keeps its
+    /// caller's array — an owned `Vec` moved in, or a shared table every
+    /// map declared from it (in any world) reads in place.
     pub fn indices(&self) -> &[u32] {
         &self.inner.indices
     }

@@ -24,8 +24,7 @@
 //! The kernel receives `&[T]` for reads and `&mut [T]` for writes and
 //! increments — the code the OP2 translator would generate by hand,
 //! expressed once per arity *internally* (the macro below) but behind a
-//! single user-visible entry point. The [`par_loop!`] macro offers the
-//! same surface in one expression. (The pre-v2 `par_loop1..par_loop10`
+//! single user-visible entry point. (The pre-v2 `par_loop1..par_loop10`
 //! free functions are gone; the builder is the only loop surface.)
 //!
 //! What `run` resolves when (the argument side is in [`crate::arg`]):
@@ -146,30 +145,6 @@ builder_step!(
     (A7, a7),
     (A8, a8)
 );
-
-/// Submits the loop described by `op2.loop_(name, set)` plus the given
-/// argument expressions in one expression — sugar over the [`ParLoop`]
-/// builder with the same type checking:
-///
-/// ```
-/// use op2_core::args::{read, write};
-/// use op2_core::{par_loop, Op2, Op2Config};
-///
-/// let op2 = Op2::new(Op2Config::seq());
-/// let cells = op2.decl_set(4, "cells");
-/// let a = op2.decl_dat(&cells, 1, "a", vec![2.0f64; 4]);
-/// let b = op2.decl_dat(&cells, 1, "b", vec![0.0f64; 4]);
-/// par_loop!(op2, "copy", &cells, [read(&a), write(&b)],
-///     |a: &[f64], b: &mut [f64]| b[0] = a[0])
-/// .wait();
-/// assert_eq!(b.snapshot(), vec![2.0; 4]);
-/// ```
-#[macro_export]
-macro_rules! par_loop {
-    ($op2:expr, $name:expr, $set:expr, [$($arg:expr),+ $(,)?], $kernel:expr $(,)?) => {
-        $op2.loop_($name, $set)$(.arg($arg))+.run($kernel)
-    };
-}
 
 macro_rules! gen_par_loop {
     ( $( $A:ident / $a:ident / $idx:tt ),+ ) => {
@@ -539,15 +514,13 @@ mod tests {
             let cells = op2.decl_set(5000, "cells");
             let vals = op2.decl_dat(&cells, 1, "v", (0..5000).map(|i| i as f64).collect());
             let total = Global::<f64>::sum(1, "total");
-            let h = crate::par_loop!(
-                op2,
-                "sum",
-                &cells,
-                [arg_read(&vals), arg_gbl_inc(&total)],
-                |v: &[f64], acc: &mut [f64]| {
+            let h = op2
+                .loop_("sum", &cells)
+                .arg(arg_read(&vals))
+                .arg(arg_gbl_inc(&total))
+                .run(|v: &[f64], acc: &mut [f64]| {
                     acc[0] += v[0];
-                }
-            );
+                });
             h.wait();
             assert_eq!(total.get_scalar(), 4999.0 * 5000.0 / 2.0);
         }

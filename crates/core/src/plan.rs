@@ -336,25 +336,32 @@ impl BlockReach {
 
 /// Builds the [`BlockReach`] of `map` through the union of `slots`, for a
 /// source set partitioned into `from_bs`-sized nodes and a target
-/// dependency table with `to_bs`-row blocks.
+/// dependency table with `to_bs`-row blocks. One pass over the table: each
+/// target block is stamped with the last node that listed it, so a node's
+/// list receives each block once and only its distinct blocks are sorted.
 pub(crate) fn build_block_reach(
     map: &Map,
     slots: &[usize],
     from_bs: usize,
     to_bs: usize,
 ) -> BlockReach {
-    let n = map.from_set().size();
-    let from_bs = from_bs.max(1);
-    let to_bs = to_bs.max(1);
-    let per_node: Vec<Vec<u32>> = (0..n.div_ceil(from_bs))
-        .map(|b| {
-            let range = b * from_bs..((b + 1) * from_bs).min(n);
-            let mut targets: Vec<u32> = range
-                .flat_map(|e| slots.iter().map(move |&s| (map.at(e, s) / to_bs) as u32))
-                .collect();
-            targets.sort_unstable();
-            targets.dedup();
-            targets
+    let (table, dim, to_bs) = (map.indices(), map.dim(), to_bs.max(1) as u32);
+    // stamp[k] == mark (node + 1): block k is already on the node's list.
+    let mut stamp = vec![0u32; map.target_rows().div_ceil(to_bs as usize)];
+    let per_node: Vec<Vec<u32>> = table
+        .chunks(from_bs.max(1) * dim)
+        .zip(1u32..)
+        .map(|(rows, mark)| {
+            let mut blocks = Vec::new();
+            for row in rows.chunks_exact(dim) {
+                for k in slots.iter().map(|&s| row[s] / to_bs) {
+                    if std::mem::replace(&mut stamp[k as usize], mark) != mark {
+                        blocks.push(k);
+                    }
+                }
+            }
+            blocks.sort_unstable();
+            blocks
         })
         .collect();
     BlockReach::from_node_blocks(&per_node)
@@ -637,5 +644,72 @@ mod tests {
         let p3 = cache.get(other.from_set(), 16, &ring_conflicts(&other));
         assert!(!Arc::ptr_eq(&p1, &p3));
         assert_eq!(cache.built(), 2);
+    }
+
+    #[test]
+    fn stamped_block_reach_matches_a_brute_force_reference() {
+        use std::collections::BTreeSet;
+        // SplitMix64, so every case is reproducible from its seed.
+        let mut state = 0x5eed_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % bound
+        };
+        for case in 0..40 {
+            let (nfrom, nto, dim, from_bs, to_bs, table, slots) = if case == 0 {
+                // Node 0 leaves block 0 for block 3, then returns to it.
+                (6, 40, 1, 3, 10, vec![0, 39, 1, 12, 25, 12], vec![0])
+            } else {
+                let (nfrom, nto, dim) =
+                    (1 + next(300) as usize, 1 + next(200), 1 + next(4) as usize);
+                let table: Vec<u32> = (0..nfrom * dim).map(|_| next(nto) as u32).collect();
+                let slots: Vec<usize> = (0..dim).filter(|_| next(3) > 0).collect();
+                let (from_bs, to_bs) = (1 + next(40) as usize, 1 + next(30) as usize);
+                (nfrom, nto as usize, dim, from_bs, to_bs, table, slots)
+            };
+            let m = Map::new(
+                &Set::new(nfrom, "from"),
+                &Set::new(nto, "to"),
+                dim,
+                table,
+                "m",
+            );
+            let reach = build_block_reach(&m, &slots, from_bs, to_bs);
+            let nnodes = nfrom.div_ceil(from_bs);
+            let want: Vec<BTreeSet<u32>> = (0..nnodes)
+                .map(|b| {
+                    (b * from_bs..((b + 1) * from_bs).min(nfrom))
+                        .flat_map(|e| slots.iter().map(move |&s| (e, s)))
+                        .map(|(e, s)| (m.at(e, s) / to_bs) as u32)
+                        .collect()
+                })
+                .collect();
+            assert_eq!(reach.nodes(), nnodes, "case {case}");
+            for (node, blocks) in want.iter().enumerate() {
+                let got: Vec<u32> = reach
+                    .node_blocks(node)
+                    .iter()
+                    .flat_map(|r| r.clone())
+                    .collect();
+                assert_eq!(
+                    got,
+                    blocks.iter().copied().collect::<Vec<_>>(),
+                    "case {case} node {node}"
+                );
+            }
+            for block in 0..nto.div_ceil(to_bs) as u32 + 1 {
+                let users: Vec<u32> = (0..nnodes as u32)
+                    .filter(|&node| want[node as usize].contains(&block))
+                    .collect();
+                assert_eq!(
+                    reach.nodes_of(block),
+                    &users[..],
+                    "case {case} block {block}"
+                );
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@ pub struct LoopStat {
     pub total: Duration,
 }
 
-pub(crate) type StatsHandle = Arc<Mutex<HashMap<String, LoopStat>>>;
+pub(crate) type StatsHandle = Arc<Mutex<HashMap<Arc<str>, LoopStat>>>;
 
 /// An OP2 execution context (the equivalent of `op_init` + the library
 /// state). Owns the thread pool; declaration methods mirror the OP2 API.
@@ -153,21 +153,34 @@ impl Op2 {
         Set::new(size, name)
     }
 
-    /// Declares a map (`op_decl_map`); validates arity and ranges.
-    pub fn decl_map(&self, from: &Set, to: &Set, dim: usize, indices: Vec<u32>, name: &str) -> Map {
-        Map::new(from, to, dim, indices, name)
+    /// Declares a map (`op_decl_map`); validates arity and ranges. Like
+    /// OP2's `op_decl_map` the map keeps the caller's table rather than a
+    /// copy: an owned `Vec` moves in, and a shared `Arc<Vec<u32>>` (a
+    /// mesh's table, say, declared on several worlds) costs a
+    /// reference-count bump — every map declared from it reads the one
+    /// buffer.
+    pub fn decl_map(
+        &self,
+        from: &Set,
+        to: &Set,
+        dim: usize,
+        indices: impl Into<Arc<Vec<u32>>>,
+        name: &str,
+    ) -> Map {
+        self.decl_map_halo(from, to, dim, indices, name, 0)
     }
 
     /// Declares a map whose table may index `halo_targets` rows beyond the
     /// target set — local ids of remote-owned elements mirrored in the
     /// halo region of dats declared with [`Op2::decl_dat_halo`]. This is
-    /// the sharded form of `op_decl_map` (see [`crate::locality`]).
+    /// the sharded form of `op_decl_map` (see [`crate::locality`]); the
+    /// table is kept as [`Op2::decl_map`] keeps it.
     pub fn decl_map_halo(
         &self,
         from: &Set,
         to: &Set,
         dim: usize,
-        indices: Vec<u32>,
+        indices: impl Into<Arc<Vec<u32>>>,
         name: &str,
         halo_targets: usize,
     ) -> Map {
@@ -247,12 +260,8 @@ impl Op2 {
 
     /// Per-loop cumulative statistics, sorted by name.
     pub fn loop_stats(&self) -> Vec<(String, LoopStat)> {
-        let mut v: Vec<(String, LoopStat)> = self
-            .stats
-            .lock()
-            .iter()
-            .map(|(k, s)| (k.clone(), *s))
-            .collect();
+        let stats = self.stats.lock();
+        let mut v: Vec<_> = stats.iter().map(|(k, s)| (k.to_string(), *s)).collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
@@ -309,9 +318,11 @@ impl std::fmt::Debug for Op2 {
     }
 }
 
-pub(crate) fn record_loop_time(stats: &StatsHandle, name: &str, elapsed: Duration) {
+/// Adds one completion of loop `name`, keyed by the loop's own shared name:
+/// a completion bumps a reference count, it never allocates a key.
+pub(crate) fn record_loop_time(stats: &StatsHandle, name: &Arc<str>, elapsed: Duration) {
     let mut map = stats.lock();
-    let entry = map.entry(name.to_owned()).or_default();
+    let entry = map.entry(Arc::clone(name)).or_default();
     entry.invocations += 1;
     entry.total += elapsed;
 }
@@ -342,8 +353,8 @@ mod tests {
     #[test]
     fn stats_accumulate() {
         let stats: StatsHandle = Arc::new(Mutex::new(HashMap::new()));
-        record_loop_time(&stats, "k", Duration::from_millis(2));
-        record_loop_time(&stats, "k", Duration::from_millis(3));
+        record_loop_time(&stats, &"k".into(), Duration::from_millis(2));
+        record_loop_time(&stats, &"k".into(), Duration::from_millis(3));
         let s = stats.lock()["k"];
         assert_eq!(s.invocations, 2);
         assert_eq!(s.total, Duration::from_millis(5));

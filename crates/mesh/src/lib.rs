@@ -8,10 +8,15 @@
 //! [`quad::QuadMesh::paper_scale`] matches the paper's element counts.
 //!
 //! Also provided: a triangle mesh generator for the secondary example
-//! applications, CSR adjacency inversion, BFS (RCM-style) renumbering for
-//! locality ablations, deterministic k-way partitioning with halo-list
-//! derivation for the multi-locality execution layer, and structural
-//! validation.
+//! applications, CSR adjacency inversion, deterministic k-way partitioning
+//! with halo-list derivation for the multi-locality execution layer, and
+//! structural validation.
+//!
+//! A mesh's `u32` connectivity tables are shared immutable arrays
+//! (`Arc<Vec<u32>>`): cloning a mesh shares them, and a map declared from
+//! one on any number of OP2 worlds reads the same buffer, as OP2's
+//! `op_decl_map` keeps its caller's array. Coordinates and boundary flags
+//! stay plain `Vec`s — every dat copies its initial data anyway.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -19,7 +24,6 @@
 pub mod csr;
 pub mod partition;
 pub mod quad;
-pub mod renumber;
 pub mod tri;
 pub mod validate;
 
@@ -28,6 +32,5 @@ pub use partition::{
     build_halo, partition_greedy_bfs, partition_greedy_bfs_weighted, HaloPlan, Partition,
 };
 pub use quad::{channel_with_bump, QuadMesh, BOUND_FARFIELD, BOUND_WALL};
-pub use renumber::{bfs_permutation, mean_pair_span, permute_rows, relabel_targets};
 pub use tri::{unit_square, TriMesh};
-pub use validate::{quad_stats, validate_quad, MeshStats};
+pub use validate::{mean_pair_span, quad_stats, validate_quad, MeshStats};

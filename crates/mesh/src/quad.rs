@@ -11,12 +11,16 @@
 //! identical in kind: quad cells, interior edges bordered by two cells,
 //! boundary edges flagged wall (`bound = 1`) or far-field (`bound = 2`).
 
+use std::sync::Arc;
+
 /// Boundary condition flag: solid wall (the "airfoil" surface).
 pub const BOUND_WALL: i32 = 1;
 /// Boundary condition flag: far-field.
 pub const BOUND_FARFIELD: i32 = 2;
 
-/// An unstructured quad mesh in OP2's Airfoil table layout.
+/// An unstructured quad mesh in OP2's Airfoil table layout. The index
+/// tables are shared: a clone, and every map declared from them, reads the
+/// same buffers.
 #[derive(Debug, Clone)]
 pub struct QuadMesh {
     /// Cells in x.
@@ -32,15 +36,15 @@ pub struct QuadMesh {
     /// Boundary edge count.
     pub nbedge: usize,
     /// Cell → 4 nodes (counter-clockwise), row-major `ncell x 4`.
-    pub cell_nodes: Vec<u32>,
+    pub cell_nodes: Arc<Vec<u32>>,
     /// Interior edge → 2 nodes, `nedge x 2`.
-    pub edge_nodes: Vec<u32>,
+    pub edge_nodes: Arc<Vec<u32>>,
     /// Interior edge → 2 adjacent cells, `nedge x 2`.
-    pub edge_cells: Vec<u32>,
+    pub edge_cells: Arc<Vec<u32>>,
     /// Boundary edge → 2 nodes, `nbedge x 2`.
-    pub bedge_nodes: Vec<u32>,
+    pub bedge_nodes: Arc<Vec<u32>>,
     /// Boundary edge → 1 adjacent cell, `nbedge x 1`.
-    pub bedge_cells: Vec<u32>,
+    pub bedge_cells: Arc<Vec<u32>>,
     /// Boundary edge condition flags (`nbedge`), [`BOUND_WALL`] or
     /// [`BOUND_FARFIELD`].
     pub bound: Vec<i32>,
@@ -205,11 +209,11 @@ pub fn channel_with_bump(imax: usize, jmax: usize) -> QuadMesh {
         ncell,
         nedge,
         nbedge,
-        cell_nodes,
-        edge_nodes,
-        edge_cells,
-        bedge_nodes,
-        bedge_cells,
+        cell_nodes: Arc::new(cell_nodes),
+        edge_nodes: Arc::new(edge_nodes),
+        edge_cells: Arc::new(edge_cells),
+        bedge_nodes: Arc::new(bedge_nodes),
+        bedge_cells: Arc::new(bedge_cells),
         bound,
         x,
     }

@@ -1,7 +1,10 @@
 //! Triangulated unit-square meshes for the secondary example applications
 //! (edge-based heat diffusion).
 
-/// An unstructured triangle mesh over the unit square.
+use std::sync::Arc;
+
+/// An unstructured triangle mesh over the unit square. The index tables
+/// are shared, as [`crate::QuadMesh`]'s are.
 #[derive(Debug, Clone)]
 pub struct TriMesh {
     /// Node count.
@@ -11,9 +14,9 @@ pub struct TriMesh {
     /// Unique edge count.
     pub nedge: usize,
     /// Triangle → 3 nodes, `ntri x 3`.
-    pub tri_nodes: Vec<u32>,
+    pub tri_nodes: Arc<Vec<u32>>,
     /// Edge → 2 nodes, `nedge x 2`.
-    pub edge_nodes: Vec<u32>,
+    pub edge_nodes: Arc<Vec<u32>>,
     /// Node coordinates, `nnode x 2`.
     pub x: Vec<f64>,
     /// 1 for boundary nodes, 0 for interior.
@@ -74,8 +77,8 @@ pub fn unit_square(n: usize) -> TriMesh {
         nnode,
         ntri: 2 * n * n,
         nedge,
-        tri_nodes,
-        edge_nodes,
+        tri_nodes: Arc::new(tri_nodes),
+        edge_nodes: Arc::new(edge_nodes),
         x,
         node_boundary,
     }

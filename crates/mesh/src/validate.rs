@@ -2,6 +2,19 @@
 
 use crate::quad::QuadMesh;
 
+/// Mean |a - b| over a pair table — a locality figure for indirect access
+/// (smaller = more cache friendly).
+pub fn mean_pair_span(pairs: &[u32]) -> f64 {
+    if pairs.is_empty() {
+        return 0.0;
+    }
+    let total: u64 = pairs
+        .chunks_exact(2)
+        .map(|p| u64::from(p[0].abs_diff(p[1])))
+        .sum();
+    total as f64 / (pairs.len() / 2) as f64
+}
+
 /// Checks every structural invariant of a [`QuadMesh`]; returns the list
 /// of violations (empty = valid).
 pub fn validate_quad(m: &QuadMesh) -> Vec<String> {
@@ -150,7 +163,7 @@ pub fn quad_stats(m: &QuadMesh) -> MeshStats {
             .iter()
             .filter(|&&b| b == crate::quad::BOUND_WALL)
             .count(),
-        mean_cell_span: crate::renumber::mean_pair_span(&m.edge_cells),
+        mean_cell_span: mean_pair_span(&m.edge_cells),
     }
 }
 
@@ -168,6 +181,7 @@ impl std::fmt::Display for MeshStats {
 mod tests {
     use super::*;
     use crate::quad::channel_with_bump;
+    use std::sync::Arc;
 
     #[test]
     fn generated_meshes_validate_clean() {
@@ -181,7 +195,8 @@ mod tests {
     #[test]
     fn detects_degenerate_edge() {
         let mut m = channel_with_bump(4, 2);
-        m.edge_cells[1] = m.edge_cells[0];
+        let first = m.edge_cells[0];
+        Arc::make_mut(&mut m.edge_cells)[1] = first;
         assert!(validate_quad(&m)
             .iter()
             .any(|e| e.contains("identical cells")));
@@ -190,8 +205,14 @@ mod tests {
     #[test]
     fn detects_out_of_range() {
         let mut m = channel_with_bump(4, 2);
-        m.cell_nodes[0] = m.nnode as u32;
+        Arc::make_mut(&mut m.cell_nodes)[0] = m.nnode as u32;
         assert!(!validate_quad(&m).is_empty());
+    }
+
+    #[test]
+    fn mean_pair_span_averages_pair_distances() {
+        assert_eq!(mean_pair_span(&[0, 3, 5, 4]), 2.0);
+        assert_eq!(mean_pair_span(&[]), 0.0);
     }
 
     #[test]

@@ -2,11 +2,15 @@
 //! umbrella crate's public API: every execution strategy must produce the
 //! same physics (up to summation-order rounding).
 
+use std::sync::Arc;
+
 use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
 use op2_hpx::airfoil::verify::{all_finite, max_rel_diff, max_scaled_diff};
 use op2_hpx::airfoil::{solver, Problem, SolverConfig};
+use op2_hpx::app::harness::Worlds;
+use op2_hpx::app::shard::declare_node_graphs;
 use op2_hpx::hpx::ChunkPolicy;
-use op2_hpx::mesh::channel_with_bump;
+use op2_hpx::mesh::{channel_with_bump, unit_square};
 use op2_hpx::op2::{Backend, Op2, Op2Config};
 
 fn simulate(config: Op2Config) -> (Vec<f64>, Vec<f64>) {
@@ -265,4 +269,59 @@ fn repeated_runs_on_one_context_continue_the_flow() {
         replans <= 15,
         "a converged chunker must stop re-planning, got {replans}"
     );
+}
+
+#[test]
+fn one_mesh_declared_on_every_backend_is_resident_once() {
+    let mesh = channel_with_bump(32, 16);
+    let tables = [
+        &mesh.edge_nodes,
+        &mesh.edge_cells,
+        &mesh.bedge_nodes,
+        &mesh.bedge_cells,
+        &mesh.cell_nodes,
+    ];
+    for backend in [Backend::Seq, Backend::ForkJoin, Backend::Dataflow] {
+        let op2 = Op2::new(backend_config(backend));
+        let p = Problem::declare(&op2, &mesh);
+        let maps = [&p.pedge, &p.pecell, &p.pbedge, &p.pbecell, &p.pcell];
+        for (map, table) in maps.into_iter().zip(tables) {
+            assert_eq!(
+                map.indices().as_ptr(),
+                table.as_ptr(),
+                "{backend:?}: map '{}' copied the mesh table",
+                map.name()
+            );
+        }
+    }
+
+    // The one-world node graph (heat, jac) shares the edge table too.
+    let tri = unit_square(6);
+    let op2 = Op2::new(Op2Config::seq());
+    let (graphs, _) = declare_node_graphs(&Worlds::One(&op2), tri.nnode, &tri.edge_nodes);
+    assert_eq!(graphs[0].pedge.indices().as_ptr(), tri.edge_nodes.as_ptr());
+
+    // An owned table moves in: the map keeps the very buffer.
+    let (edges, nodes) = (op2.decl_set(3, "edges"), op2.decl_set(4, "nodes"));
+    let owned = vec![0u32, 1, 1, 2, 2, 3];
+    let buffer = owned.as_ptr();
+    let map = op2.decl_map(&edges, &nodes, 2, owned, "pedge");
+    assert_eq!(map.indices().as_ptr(), buffer);
+
+    // A sharded problem keeps the caller's tables; its parts' renumbered
+    // tables are their own.
+    let shp = ShardedProblem::declare(Op2Config::seq(), &mesh, 2);
+    let kept = [
+        &shp.mesh.edge_nodes,
+        &shp.mesh.edge_cells,
+        &shp.mesh.bedge_nodes,
+        &shp.mesh.bedge_cells,
+        &shp.mesh.cell_nodes,
+    ];
+    for (kept, table) in kept.into_iter().zip(tables) {
+        assert!(Arc::ptr_eq(kept, table), "the sharded mesh copied a table");
+    }
+    for part in &shp.parts {
+        assert_ne!(part.pecell.indices().as_ptr(), mesh.edge_cells.as_ptr());
+    }
 }

@@ -79,7 +79,7 @@ fn build_ring(group: &LocalityGroup, owned: usize, halo: usize) -> (Vec<RankStat
                 &edges,
                 &cells,
                 1,
-                (0..(owned + halo) as u32).collect(),
+                (0..(owned + halo) as u32).collect::<Vec<_>>(),
                 "ident",
                 halo,
             );
@@ -242,7 +242,7 @@ fn implicit_schedule_issues_strictly_fewer_exchanges_on_redundant_writes() {
                 &edges,
                 &cells,
                 1,
-                (0..(owned + h) as u32).collect(),
+                (0..(owned + h) as u32).collect::<Vec<_>>(),
                 "ident",
                 h,
             );

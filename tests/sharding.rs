@@ -55,7 +55,14 @@ fn interior_blocks_execute_before_halo_receives_complete() {
     // reaches the halo rows. Blocks 0..4 are interior (owned reach only),
     // block 4 is the boundary block gated on the receive.
     let edges = r0.decl_set(320, "edges");
-    let ident = r0.decl_map_halo(&edges, &cells0, 1, (0..320).collect(), "ident", 64);
+    let ident = r0.decl_map_halo(
+        &edges,
+        &cells0,
+        1,
+        (0..320).collect::<Vec<_>>(),
+        "ident",
+        64,
+    );
     let out = r0.decl_dat(&edges, 1, "out", vec![f64::NAN; 320]);
     let executed = Arc::new(AtomicUsize::new(0));
     let counter = Arc::clone(&executed);
@@ -113,7 +120,7 @@ fn halo_refresh_waits_for_pending_halo_readers() {
 
     // Hostage reader of the old halo (identity gather over all 64 rows).
     let edges = r0.decl_set(64, "edges");
-    let ident = r0.decl_map_halo(&edges, &cells0, 1, (0..64).collect(), "ident", 32);
+    let ident = r0.decl_map_halo(&edges, &cells0, 1, (0..64).collect::<Vec<_>>(), "ident", 32);
     let seen = r0.decl_dat(&edges, 1, "seen", vec![0.0f64; 64]);
     let gate = Arc::new(Event::new());
     let g = Arc::clone(&gate);
