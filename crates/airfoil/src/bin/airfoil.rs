@@ -3,8 +3,7 @@
 //! ```text
 //! airfoil [--cells N] [--iters N] [--threads N] [--ranks N]
 //!         [--backend seq|forkjoin|dataflow] [--transport inproc|process]
-//!         [--prefetch FACTOR] [--print-every N]
-//!         [--rms-out PATH] [--rebalance N] [--skew S]
+//!         [--print-every N] [--rms-out PATH] [--rebalance N] [--skew S]
 //! ```
 //!
 //! `--ranks N` (N > 1) runs the multi-locality sharded path: the mesh is
@@ -38,7 +37,6 @@ struct Args {
     rank_id: Option<usize>,
     rendezvous: Option<PathBuf>,
     rms_out: Option<PathBuf>,
-    prefetch: Option<usize>,
     print_every: usize,
     rebalance: usize,
     skew: f64,
@@ -55,7 +53,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
         rank_id: None,
         rendezvous: None,
         rms_out: None,
-        prefetch: None,
         print_every: 100,
         rebalance: 0,
         skew: 0.0,
@@ -76,7 +73,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
             "--rank-id" => args.rank_id = Some(value("--rank-id").parse().expect("--rank-id")),
             "--rendezvous" => args.rendezvous = Some(PathBuf::from(value("--rendezvous"))),
             "--rms-out" => args.rms_out = Some(PathBuf::from(value("--rms-out"))),
-            "--prefetch" => args.prefetch = Some(value("--prefetch").parse().expect("--prefetch")),
             "--print-every" => {
                 args.print_every = value("--print-every").parse().expect("--print-every")
             }
@@ -95,7 +91,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
                      --transport T      inproc (all ranks in-process, default) |\n    \
                                     process (one OS process per rank, Unix sockets)\n\
                      --rms-out PATH     write the residual history to PATH (rank 0)\n\
-                     --prefetch F       enable prefetching, distance factor F\n\
                      --print-every N    residual print period (default 100)\n\
                      --rebalance N      live-repartition check period in iterations\n    \
                                     (0 = off, the default; needs --ranks N > 1)\n\
@@ -180,15 +175,12 @@ fn main() {
         eprintln!("--rebalance needs --ranks N > 1: a single rank has nothing to repartition");
         std::process::exit(2);
     }
-    let mut config = match args.backend.as_str() {
+    let config = match args.backend.as_str() {
         "seq" => Op2Config::seq(),
         "forkjoin" => Op2Config::fork_join(args.threads),
         "dataflow" => Op2Config::dataflow(args.threads),
         other => panic!("unknown backend {other}"),
     };
-    if let Some(f) = args.prefetch {
-        config = config.with_prefetch(f);
-    }
 
     match args.transport.as_str() {
         "inproc" | "process" => {}
@@ -204,8 +196,8 @@ fn main() {
     if is_rank0 {
         println!("mesh: {}", quad_stats(&mesh));
         println!(
-            "backend: {} threads={} ranks={} transport={} prefetch={:?}",
-            config.backend, config.threads, args.ranks, args.transport, config.prefetch_distance,
+            "backend: {} threads={} ranks={} transport={}",
+            config.backend, config.threads, args.ranks, args.transport,
         );
     }
 
@@ -347,7 +339,7 @@ mod tests {
     fn rank_processes_inherit_every_flag_of_the_parent() {
         let parent = argv(
             "--cells 3000 --iters 7 --threads 3 --ranks 4 --backend forkjoin \
-             --transport process --prefetch 8 --print-every 5 \
+             --transport process --print-every 5 \
              --rms-out /tmp/rms.txt --rebalance 2 --skew 400",
         );
         let given = parse_args(parent.clone());
@@ -360,7 +352,6 @@ mod tests {
         assert_ne!(given.ranks, defaults.ranks);
         assert_ne!(given.backend, defaults.backend);
         assert_ne!(given.transport, defaults.transport);
-        assert_ne!(given.prefetch, defaults.prefetch);
         assert_ne!(given.print_every, defaults.print_every);
         assert_ne!(given.rms_out, defaults.rms_out);
         assert_ne!(given.rebalance, defaults.rebalance);

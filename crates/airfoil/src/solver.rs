@@ -159,14 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetching_does_not_change_results() {
-        let (r_plain, q_plain) = simulate(Op2Config::dataflow(2), 15);
-        let (r_pf, q_pf) = simulate(Op2Config::dataflow(2).with_prefetch(15), 15);
-        assert!(max_rel_diff(&r_plain.rms_history, &r_pf.rms_history) < 1e-7);
-        assert!(max_scaled_diff(&q_plain, &q_pf, 1.0) < 1e-9);
-    }
-
-    #[test]
     fn fully_synchronous_window_matches_pipelined() {
         let op2 = Op2::new(Op2Config::dataflow(2));
         let mesh = channel_with_bump(24, 12);

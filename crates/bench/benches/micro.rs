@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the runtime substrate and the OP2 layer: the
 //! component costs behind the paper's end-to-end figures (future overhead,
-//! dataflow chaining, chunked loops, plan coloring, prefetch iterator, one
-//! Airfoil iteration per backend).
+//! dataflow chaining, chunked loops, plan coloring, one Airfoil iteration
+//! per backend).
 //!
 //! Self-contained stopwatch harness (`harness = false`; the environment is
 //! offline, so no external bench framework). Run with
@@ -12,9 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use airfoil_cfd::{solver, Problem, SolverConfig};
-use hpx_rt::{
-    dataflow, for_each, for_each_prefetch, make_prefetcher_context, ready, ChunkPolicy, Runtime,
-};
+use hpx_rt::{dataflow, for_each, ready, ChunkPolicy, Runtime};
 use op2_core::{Op2, Op2Config};
 use op2_mesh::channel_with_bump;
 
@@ -114,29 +112,6 @@ fn bench_for_each(b: &Bench) {
     }
 }
 
-fn bench_prefetch(b: &Bench) {
-    let rt = Runtime::new(2);
-    let chunk = ChunkPolicy::default();
-    let n = 1 << 21;
-    let a: Vec<f64> = (0..n).map(|i| i as f64).collect();
-    let b_: Vec<f64> = (0..n).map(|i| (i * 7) as f64).collect();
-    b.run("prefetch_2M_gather/standard_iterator", || {
-        let acc = AtomicU64::new(0);
-        for_each(&rt, &chunk, 0..n, |i| {
-            acc.fetch_add((a[i] + b_[i]) as u64, Ordering::Relaxed);
-        });
-        acc.into_inner()
-    });
-    b.run("prefetch_2M_gather/prefetching_iterator_d15", || {
-        let ctx = make_prefetcher_context(0..n, 15, (&a[..], &b_[..]));
-        let acc = AtomicU64::new(0);
-        for_each_prefetch(&rt, &chunk, &ctx, |i| {
-            acc.fetch_add((a[i] + b_[i]) as u64, Ordering::Relaxed);
-        });
-        acc.into_inner()
-    });
-}
-
 fn bench_plan(b: &Bench) {
     // Plan construction cost on a paper-shaped edge->cell conflict.
     let mesh = channel_with_bump(200, 100);
@@ -183,7 +158,6 @@ fn main() {
     let b = Bench::from_args();
     bench_futures(&b);
     bench_for_each(&b);
-    bench_prefetch(&b);
     bench_plan(&b);
     bench_airfoil_iteration(&b);
 }

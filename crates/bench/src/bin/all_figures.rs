@@ -1,6 +1,5 @@
-//! Runs every figure harness with shared settings, writing CSVs to
-//! `results/` — the one-shot reproduction driver referenced by
-//! `EXPERIMENTS.md`.
+//! Runs the Fig 15/16 harnesses with shared settings, writing CSVs to
+//! `results/` — the one-shot reproduction driver.
 
 use std::process::Command;
 
@@ -13,13 +12,7 @@ fn main() {
         .to_path_buf();
     std::fs::create_dir_all("results").expect("mkdir results");
 
-    let figures = [
-        "fig15_exec_time",
-        "fig16_strong_scaling",
-        "fig18_prefetch",
-        "fig19_bandwidth",
-        "fig20_prefetch_distance",
-    ];
+    let figures = ["fig15_exec_time", "fig16_strong_scaling"];
     for fig in figures {
         println!("\n=== {fig} ===");
         let mut cmd = Command::new(exe_dir.join(fig));

@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use hpx_rt::{PrefetchSet, SharedFuture};
+use hpx_rt::SharedFuture;
 
 use crate::dat::{Dat, DepTable};
 use crate::gbl::{Global, Reducible};
@@ -150,10 +150,6 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
     }
     /// Panics if a conflicting user guard is live.
     fn assert_borrowable(&self);
-    /// Registers containers for the prefetching iterator (§V). Indirect
-    /// dat rows are gathered through the map, so only the map table itself
-    /// is registered for them.
-    fn add_prefetch(&self, set: &mut PrefetchSet);
     /// For the debug aliasing check: `(dat id, target row)` when this
     /// argument yields a mutable view into shared storage.
     fn mut_target(&self, elem: usize) -> Option<(u64, usize)>;
@@ -568,31 +564,6 @@ unsafe impl<T: OpType, A: AccessTag, S: Shape> ArgSpec for DatArg<T, A, S> {
     fn assert_borrowable(&self) {
         self.dat.assert_borrowable(A::ACCESS != Access::Read);
     }
-    fn add_prefetch(&self, set: &mut PrefetchSet) {
-        // Direct (linear-stride) accesses are deliberately *not*
-        // registered: modern hardware stride prefetchers already saturate
-        // them, and per-iteration software prefetch code only bloats the
-        // hot loop (measured in EXPERIMENTS.md; the paper's 2016 testbed
-        // behaved differently — hpx-rt's `for_each_prefetch` still offers
-        // linear prefetching for the Fig 19/20 experiments).
-        //
-        // Indirect accesses are the real payoff: read the map entry for
-        // iteration i+d (cheap, sequential) and prefetch the gathered dat
-        // row, which no hardware prefetcher can predict. The map's index
-        // Vec outlives the loop because the argument (cloned into the
-        // block body) keeps the Map alive.
-        if let Some((m, idx)) = &self.map {
-            set.add_gather_raw(
-                m.indices(),
-                m.dim(),
-                *idx,
-                // SAFETY: address computation only; prefetches never fault.
-                unsafe { self.dat.ptr() }.cast_const().cast::<u8>(),
-                self.dat.dim() * std::mem::size_of::<T>(),
-                self.dat.set().size(),
-            );
-        }
-    }
     fn mut_target(&self, elem: usize) -> Option<(u64, usize)> {
         (A::ACCESS != Access::Read).then(|| (self.dat.id(), self.target(elem)))
     }
@@ -697,7 +668,6 @@ unsafe impl<T: Reducible, S: Shape> ArgSpec for GblIncArg<T, S> {
         self.gbl.record_completion(done);
     }
     fn assert_borrowable(&self) {}
-    fn add_prefetch(&self, _set: &mut PrefetchSet) {}
     fn mut_target(&self, _elem: usize) -> Option<(u64, usize)> {
         None
     }
@@ -747,7 +717,6 @@ unsafe impl<T: Reducible> ArgSpec for GblReadArg<T> {
         self.gbl.collect_pending(out);
     }
     fn assert_borrowable(&self) {}
-    fn add_prefetch(&self, _set: &mut PrefetchSet) {}
     fn mut_target(&self, _elem: usize) -> Option<(u64, usize)> {
         None
     }

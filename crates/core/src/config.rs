@@ -58,9 +58,6 @@ pub struct Op2Config {
     /// target duration (first submission runs at
     /// [`Op2Config::block_size`]). See `README.md` § Adaptive chunking.
     pub chunk: ChunkPolicy,
-    /// Prefetch distance factor (cache lines of look-ahead, paper §V);
-    /// `None` disables the prefetching iterator.
-    pub prefetch_distance: Option<usize>,
     /// Clock the world's cost table and busy time measure through. [`Clock::real`] in production; tests inject
     /// [`Clock::fake`] to drive adaptive-chunking convergence
     /// deterministically.
@@ -75,7 +72,6 @@ impl Op2Config {
             backend: Backend::Seq,
             block_size: DEFAULT_BLOCK_SIZE,
             chunk: ChunkPolicy::NumChunks { chunks: 1 },
-            prefetch_distance: None,
             clock: Clock::real(),
         }
     }
@@ -90,7 +86,6 @@ impl Op2Config {
             chunk: ChunkPolicy::NumChunks {
                 chunks: threads.max(1),
             },
-            prefetch_distance: None,
             clock: Clock::real(),
         }
     }
@@ -104,7 +99,6 @@ impl Op2Config {
             backend: Backend::Dataflow,
             block_size: DEFAULT_BLOCK_SIZE,
             chunk: ChunkPolicy::default(),
-            prefetch_distance: None,
             clock: Clock::real(),
         }
     }
@@ -120,21 +114,6 @@ impl Op2Config {
     #[must_use]
     pub fn with_chunk(mut self, chunk: ChunkPolicy) -> Self {
         self.chunk = chunk;
-        self
-    }
-
-    /// Enables the prefetching iterator with the given distance factor
-    /// (the paper finds 15 optimal for Airfoil).
-    #[must_use]
-    pub fn with_prefetch(mut self, distance_factor: usize) -> Self {
-        self.prefetch_distance = Some(distance_factor);
-        self
-    }
-
-    /// Disables prefetching.
-    #[must_use]
-    pub fn without_prefetch(mut self) -> Self {
-        self.prefetch_distance = None;
         self
     }
 
@@ -171,10 +150,9 @@ mod tests {
     fn builders_compose() {
         let c = Op2Config::dataflow(4)
             .with_block_size(128)
-            .with_prefetch(15);
+            .with_chunk(ChunkPolicy::Static { size: 64 });
         assert_eq!(c.block_size, 128);
-        assert_eq!(c.prefetch_distance, Some(15));
-        assert_eq!(c.without_prefetch().prefetch_distance, None);
+        assert!(matches!(c.chunk, ChunkPolicy::Static { size: 64 }));
     }
 
     #[test]

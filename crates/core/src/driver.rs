@@ -25,8 +25,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use hpx_rt::{
-    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, Clock, PrefetchSet,
-    SharedFuture,
+    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, Clock, SharedFuture,
 };
 
 use crate::arg::{ArgInfo, ArgKind};
@@ -57,13 +56,6 @@ pub(crate) struct LoopSpec {
     /// Executes the kernel over a contiguous element range and commits
     /// per-chunk state (reduction partials).
     pub block_body: Arc<dyn Fn(Range<usize>) + Send + Sync>,
-    /// The loop's gathered (indirect) containers, registered through the
-    /// maps' index tables — `None` for direct loops. The dataflow driver
-    /// uses it for **cross-node prefetching**: while node *b* executes,
-    /// it warms the cache with the first elements node *b+1* will gather,
-    /// at a look-ahead resolved from the granularity feedback's measured
-    /// per-element cost (see [`gather_lookahead`]).
-    pub gather: Option<Arc<PrefetchSet>>,
     /// Runs once after all chunks: merges reductions.
     pub finalize: Arc<dyn Fn() + Send + Sync>,
 }
@@ -512,24 +504,13 @@ struct LoopRun {
     /// Where a measuring loop's nodes report (elements, elapsed) on the
     /// world clock — resolved once, at submission.
     measure: Option<(Clock, FeedbackSlot)>,
-    /// The loop's gathered containers and how many elements of the block
-    /// scheduled next a node warms the cache with before it runs its own.
-    gather: Option<(Arc<PrefetchSet>, usize)>,
 }
 
 impl LoopRun {
-    /// The body of the node over block `b`; `next` is the block scheduled
-    /// after it, if any.
-    fn node(&self, b: usize, next: Option<usize>) {
-        let blocks = self.plan.schedule.blocks();
+    /// The body of the node over block `b`.
+    fn node(&self, b: usize) {
         self.started.get_or_init(Instant::now);
-        if let (Some((set, lookahead)), Some(next)) = (&self.gather, next) {
-            let ahead = &blocks[next];
-            for e in ahead.start..(ahead.start + lookahead).min(ahead.end) {
-                set.prefetch(e);
-            }
-        }
-        let range = blocks[b].clone();
+        let range = self.plan.schedule.blocks()[b].clone();
         match &self.measure {
             None => (self.body)(range),
             Some((clock, slot)) => {
@@ -539,29 +520,6 @@ impl LoopRun {
                 slot.record(elems, clock.now_ns().saturating_sub(start));
             }
         }
-    }
-}
-
-/// Approximate main-memory latency the cross-node look-ahead is sized
-/// against: prefetching `latency / per_elem_cost` elements ahead means the
-/// line arrives roughly when the kernel reaches it.
-const MEM_LATENCY_NS: f64 = 100.0;
-
-/// Cross-node look-ahead bounds, and the static fallback used before any
-/// feedback exists for the (kernel, set) — the paper's empirically optimal
-/// distance factor for Airfoil (§V, Fig 20).
-const GATHER_LOOKAHEAD_DEFAULT: usize = 15;
-const GATHER_LOOKAHEAD_MAX: usize = 128;
-
-/// Elements of the *next* node to prefetch while the current node runs:
-/// resolved from the granularity feedback's measured per-element cost when
-/// available (cheap kernels look further ahead, expensive ones barely need
-/// to), the static paper default otherwise.
-fn gather_lookahead(world: &Op2, kernel: &str, set_sig: u64) -> usize {
-    match world.granularity_feedback().cost(kernel, set_sig) {
-        Some(c) => ((MEM_LATENCY_NS / c.ewma_ns_per_elem.max(1e-3)) as usize)
-            .clamp(1, GATHER_LOOKAHEAD_MAX),
-        None => GATHER_LOOKAHEAD_DEFAULT,
     }
 }
 
@@ -612,15 +570,6 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
                 feedback.slot(&spec.name, set_sig),
             )
         }),
-        // Cross-node gather prefetch: each node, before running its body,
-        // warms the cache with the first gathered rows of the block
-        // scheduled after it (next in its round, else the next round's
-        // first block). The look-ahead comes from the measured per-element
-        // cost when the feedback table has one.
-        gather: spec
-            .gather
-            .clone()
-            .map(|set| (set, gather_lookahead(world, &spec.name, set_sig))),
     });
 
     // One look at every argument dat: the records this loop's access
@@ -657,11 +606,7 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
     let (mut edges_collected, mut edges_wired) = (0usize, 0usize);
     for (r, round) in rounds.iter().enumerate() {
         let mut round_futs: Vec<SharedFuture<()>> = Vec::with_capacity(round.len());
-        for (i, &b) in round.iter().enumerate() {
-            let next = round
-                .get(i + 1)
-                .or_else(|| rounds.get(r + 1).and_then(|nr| nr.first()))
-                .copied();
+        for &b in round {
             deps_buf.clear();
             deps_buf.extend(gate.iter().cloned());
             deps_buf.extend_from_slice(&node_deps);
@@ -676,7 +621,7 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
                 }
             }
             let run = Arc::clone(&run);
-            let (fut, wired) = schedule_after_counted(&rt, &deps_buf, move || run.node(b, next));
+            let (fut, wired) = schedule_after_counted(&rt, &deps_buf, move || run.node(b));
             edges_collected += deps_buf.len();
             edges_wired += wired;
             round_futs.push(fut.clone());

@@ -30,12 +30,11 @@
 //! What `run` resolves when (the argument side is in [`crate::arg`]):
 //!
 //! * **per loop**: the arguments are checked against the iteration set and
-//!   their shapes against their dats and maps, and the prefetch tables are
-//!   registered; the block body below is built once and handed to the
-//!   driver;
+//!   their shapes against their dats and maps; the block body below is
+//!   built once and handed to the driver;
 //! * **per block**: every argument binds its base pointer and map table
 //!   into locals, the range is checked against the set, and `block_body`
-//!   runs the one element loop (its prefetch branch hoisted);
+//!   runs the one element loop;
 //! * **per element**: one view per argument and the kernel call — for
 //!   shaped arguments a map load and a multiply by a literal each, with
 //!   slice lengths the compiler knows. A dat view is the row in storage
@@ -53,10 +52,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use hpx_rt::PrefetchSet;
-
 use crate::arg::ArgSpec;
-use crate::config::Backend;
 use crate::driver::{drive, LoopHandle, LoopSpec};
 use crate::set::Set;
 use crate::types::next_loop_gen;
@@ -157,9 +153,9 @@ macro_rules! gen_par_loop {
                 K: for<'e> Fn($(<$A as ArgSpec>::View<'e>),+) + Send + Sync + 'static,
             {
                 /// One element: its views and the kernel call, inlined
-                /// into both arms of `elements` so the kernel is compiled
-                /// into the loop body (left to the optimiser, a closure
-                /// called from two loops was not always inlined).
+                /// into `elements` so the kernel is compiled into the loop
+                /// body (left to the optimiser, a closure here was not
+                /// always inlined).
                 ///
                 /// # Safety
                 ///
@@ -196,22 +192,12 @@ macro_rules! gen_par_loop {
                     bound: &($(<$A as ArgSpec>::Bound<'_>,)+),
                     tls: &mut ($(<$A as ArgSpec>::TaskLocal,)+),
                     kernel: &K,
-                    prefetch: Option<&(PrefetchSet, usize)>,
                 ) where
                     K: for<'e> Fn($(<$A as ArgSpec>::View<'e>),+),
                 {
-                    // The prefetch branch is hoisted out of the element
-                    // loop so the common (no-prefetch) path stays tight.
-                    match prefetch {
-                        // SAFETY: every `e` is in `r`; the rest is this
-                        // function's contract.
-                        None => r.for_each(|e| unsafe { element(e, args, bound, tls, kernel) }),
-                        Some((ps, d)) => r.for_each(|e| {
-                            ps.prefetch(e + *d);
-                            // SAFETY: as above.
-                            unsafe { element(e, args, bound, tls, kernel) }
-                        }),
-                    }
+                    // SAFETY: every `e` is in `r`; the rest is this
+                    // function's contract.
+                    r.for_each(|e| unsafe { element(e, args, bound, tls, kernel) })
                 }
 
                 let ParLoop { world, name, set, args } = self;
@@ -229,7 +215,6 @@ macro_rules! gen_par_loop {
                 $( $a.halo_mark_dirty(); )+
                 let infos = vec![$( ArgSpec::info(&$a) ),+];
                 let gen = next_loop_gen();
-                let is_dataflow = world.config().backend == Backend::Dataflow;
 
                 // Global arguments' dependencies, collected once per loop;
                 // dat dependencies are the driver's business (it resolves
@@ -240,41 +225,6 @@ macro_rules! gen_par_loop {
                     $a.collect_node_deps(&mut node_deps);
                     $a.collect_loop_deps(&mut loop_deps);
                 )+
-
-                // Prefetching iterator tables (paper §V): registered once
-                // per loop launch, consulted every iteration. Loops with
-                // nothing useful to prefetch (no indirect args) carry no
-                // prefetch code at all.
-                let prefetch: Option<(PrefetchSet, usize)> = world
-                    .config()
-                    .prefetch_distance
-                    .and_then(|factor| {
-                        let mut ps = PrefetchSet::new();
-                        $( $a.add_prefetch(&mut ps); )+
-                        // Gather distance is in iteration elements: factor
-                        // edges of look-ahead (the gathered rows have no
-                        // meaningful cache-line stride to scale by).
-                        if ps.is_empty() {
-                            None
-                        } else {
-                            Some((ps, factor))
-                        }
-                    });
-
-                // Cross-node gather prefetch (dataflow backend): the driver
-                // issues prefetches for the *next* node's gathered rows
-                // while the current node executes, at a look-ahead distance
-                // resolved from the granularity feedback's measured
-                // per-element cost (see `driver::drive_dataflow`). Only
-                // loops with indirect arguments register anything.
-                let gather_prefetch: Option<Arc<PrefetchSet>> = is_dataflow
-                    .then(|| {
-                        let mut ps = PrefetchSet::new();
-                        $( $a.add_prefetch(&mut ps); )+
-                        ps
-                    })
-                    .filter(|ps| !ps.is_empty())
-                    .map(Arc::new);
 
                 let set_size = set.size();
                 let finalize_args = ($( $a.clone(), )+);
@@ -300,9 +250,7 @@ macro_rules! gen_par_loop {
                         // SAFETY: the driver guarantees the executor
                         // discipline in `crate::dat`; `r` lies inside the
                         // set by the assert above; `tls` was just made.
-                        unsafe {
-                            elements(r.clone(), &args, &bound, &mut tls, &kernel, prefetch.as_ref())
-                        }
+                        unsafe { elements(r.clone(), &args, &bound, &mut tls, &kernel) }
                         $( args.$idx.commit(gen, r.start, tls.$idx); )+
                     });
 
@@ -321,7 +269,6 @@ macro_rules! gen_par_loop {
                     loop_deps,
                     gen,
                     block_body,
-                    gather: gather_prefetch,
                     finalize,
                 };
                 let done = drive(world, spec);

@@ -708,7 +708,7 @@ fn reader_loop(mut stream: UnixStream, peer: u32, my_rank: u32, table: Arc<Match
 /// key, short payload). The payload is read as it arrives, never allocated
 /// from the header's `len` up front.
 fn read_frames(
-    stream: &mut UnixStream,
+    stream: &mut impl Read,
     peer: u32,
     my_rank: u32,
     table: &MatchTable,
@@ -872,6 +872,7 @@ pub(crate) fn gather_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
     fn wire_scalars_round_trip() {
@@ -1050,6 +1051,99 @@ mod tests {
         f.truncate(FRAME_HEADER);
         f[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
         bad_peer_abandons_receives("len", &[f], true);
+    }
+
+    /// xorshift64*: every fuzz case reproduces from the seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    /// A valid stream from rank 1 to rank 0 (every kind, an abandonment
+    /// marker, payloads of 0 to 40 bytes) and where its frames start.
+    fn valid_stream() -> (Vec<u8>, Vec<usize>) {
+        let kinds = [
+            MsgKind::Halo,
+            MsgKind::Reduce,
+            MsgKind::Ctrl,
+            MsgKind::Migrate,
+        ];
+        let (mut bytes, mut starts) = (Vec::new(), Vec::new());
+        for (seq, kind) in kinds.into_iter().cycle().take(6).enumerate() {
+            let payload: Vec<u8> = (0..seq * 8).map(|b| b as u8).collect();
+            starts.push(bytes.len());
+            bytes.extend(encode_frame(kind, 0, 1, 0, seq as u64, &payload));
+        }
+        starts.push(bytes.len());
+        bytes.extend(encode_frame(MsgKind::Halo, FLAG_ABANDONED, 1, 0, 99, &[]));
+        (bytes, starts)
+    }
+
+    #[test]
+    fn frame_decoder_survives_seeded_byte_mutations() {
+        let (valid, starts) = valid_stream();
+        assert_eq!(
+            read_frames(&mut &valid[..], 1, 0, &MatchTable::default()),
+            Ok(())
+        );
+        let mut rng = Rng(0x5EED_0000_0000_0001);
+        let (mut ok, mut err) = (0usize, 0usize);
+        for case in 0..20_000 {
+            let mut bytes = valid.clone();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(bytes.len());
+                let byte = rng.next() as u8;
+                match rng.below(5) {
+                    0 => bytes[at] = byte,
+                    1 => bytes[at] ^= 1 << rng.below(8),
+                    2 => bytes.insert(at, byte),
+                    3 => {
+                        bytes.remove(at);
+                    }
+                    // One byte of a header field (kind, flags, src, dst,
+                    // seq, len) of a frame at its original offset.
+                    _ => {
+                        let field = [4, 5, 8, 12, 16, 24, 31][rng.below(7)];
+                        let start = starts[rng.below(starts.len())];
+                        if let Some(b) = bytes.get_mut(start + field) {
+                            *b = byte;
+                        }
+                    }
+                }
+            }
+            bytes.truncate(bytes.len() - rng.below(8));
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                read_frames(&mut &bytes[..], 1, 0, &MatchTable::default())
+            }));
+            match outcome {
+                Ok(Ok(())) => ok += 1,
+                Ok(Err(_)) => err += 1,
+                Err(_) => panic!("case {case}: read_frames panicked on {bytes:?}"),
+            }
+        }
+        assert!(ok > 0 && err > 0, "ok={ok} err={err}");
+    }
+
+    #[test]
+    fn frame_len_past_the_end_of_the_stream_is_an_error() {
+        let mut f = frame_from_1(0);
+        f[24..32].copy_from_slice(&4u64.to_le_bytes());
+        let res = read_frames(&mut &f[..], 1, 0, &MatchTable::default());
+        assert_eq!(res, Err("short payload (3 of 4 bytes)".into()));
+        f.truncate(FRAME_HEADER);
+        f[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+        let res = read_frames(&mut &f[..], 1, 0, &MatchTable::default());
+        assert!(res.unwrap_err().starts_with("short payload (0 of"));
     }
 
     #[test]

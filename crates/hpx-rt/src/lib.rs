@@ -21,9 +21,11 @@
 //!   [`for_each_async`]) — the fork-join path `op2-core` compares dataflow
 //!   against — with **chunk-size control** (§IV-B, [`ChunkPolicy`]):
 //!   static, an even split, or HPX's probe-timed `auto_chunk_size`;
-//! * the LCOs OP2 waits on ([`lco`]): latch and event;
-//! * the **prefetching iterator** (§V): [`make_prefetcher_context`] +
-//!   [`for_each_prefetch`].
+//! * the LCOs OP2 waits on ([`lco`]): latch and event.
+//!
+//! The paper's fourth technique, the §V prefetching iterator, is not here:
+//! it lost or tied on every workload measured on this reproduction's hosts
+//! (see `README.md` § Prefetching).
 //!
 //! ## Quick start
 //!
@@ -56,7 +58,6 @@ mod dataflow;
 mod dep;
 mod future;
 pub mod lco;
-pub mod prefetch;
 mod runtime;
 pub mod stats;
 mod task;
@@ -67,10 +68,6 @@ pub use chunk::{ChunkPolicy, DEFAULT_CHUNK_TARGET};
 pub use dataflow::{dataflow, DataflowArg, FrameRef, FutureTuple, Val};
 pub use dep::{schedule_after, schedule_after_counted, when_all_shared};
 pub use future::{channel, ready, when_all, BrokenPromise, Future, Promise, SharedFuture};
-pub use prefetch::{
-    for_each_prefetch, for_each_prefetch_async, make_prefetcher_context, PrefetchContainers,
-    PrefetchSet, PrefetcherContext,
-};
 pub use runtime::Runtime;
 pub use stats::RuntimeStats;
 pub use timing::Clock;

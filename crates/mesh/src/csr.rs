@@ -1,5 +1,5 @@
-//! Compressed-sparse-row adjacency built by inverting a mapping table —
-//! the "who touches me" view used for statistics and renumbering.
+//! Compressed-sparse-row adjacency built from a pair table — the
+//! neighbour graph the partitioner grows its parts over.
 
 /// CSR adjacency: `targets of i` = `adj[offsets[i]..offsets[i+1]]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,30 +43,6 @@ impl Csr {
     }
 }
 
-/// Inverts a mapping table: given `nfrom` source elements each mapping to
-/// `dim` of `nto` targets, returns target → sources adjacency.
-pub fn invert_map(indices: &[u32], nfrom: usize, dim: usize, nto: usize) -> Csr {
-    assert_eq!(indices.len(), nfrom * dim, "table shape mismatch");
-    let mut counts = vec![0u32; nto + 1];
-    for &t in indices {
-        counts[t as usize + 1] += 1;
-    }
-    for i in 0..nto {
-        counts[i + 1] += counts[i];
-    }
-    let offsets = counts.clone();
-    let mut cursor = counts;
-    let mut adj = vec![0u32; indices.len()];
-    for e in 0..nfrom {
-        for k in 0..dim {
-            let t = indices[e * dim + k] as usize;
-            adj[cursor[t] as usize] = e as u32;
-            cursor[t] += 1;
-        }
-    }
-    Csr { offsets, adj }
-}
-
 /// Builds target-to-target adjacency (e.g. node → neighbouring nodes)
 /// from a 2-ary relation table such as edge → nodes. Neighbour lists are
 /// sorted and deduplicated.
@@ -98,19 +74,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn invert_edge_to_node_map() {
-        // 3 edges over 3 nodes in a triangle.
-        let indices = [0, 1, 1, 2, 2, 0];
-        let csr = invert_map(&indices, 3, 2, 3);
-        assert_eq!(csr.len(), 3);
-        let mut r0 = csr.row(0).to_vec();
-        r0.sort_unstable();
-        assert_eq!(r0, vec![0, 2], "node 0 touched by edges 0 and 2");
-        assert_eq!(csr.max_degree(), 2);
-        assert!((csr.mean_degree() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn neighbors_of_path_graph() {
         // 0-1-2-3 path.
         let pairs = [0, 1, 1, 2, 2, 3];
@@ -118,6 +81,8 @@ mod tests {
         assert_eq!(csr.row(0), &[1]);
         assert_eq!(csr.row(1), &[0, 2]);
         assert_eq!(csr.row(3), &[2]);
+        assert_eq!(csr.max_degree(), 2);
+        assert!((csr.mean_degree() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -130,7 +95,7 @@ mod tests {
 
     #[test]
     fn empty() {
-        let csr = invert_map(&[], 0, 1, 0);
+        let csr = neighbors_from_pairs(&[], 0);
         assert!(csr.is_empty());
         assert_eq!(csr.mean_degree(), 0.0);
     }

@@ -8,7 +8,7 @@
 //! [`quad::QuadMesh::paper_scale`] matches the paper's element counts.
 //!
 //! Also provided: a triangle mesh generator for the secondary example
-//! applications, CSR adjacency inversion, deterministic k-way partitioning
+//! applications, CSR neighbour graphs, deterministic k-way partitioning
 //! with halo-list derivation for the multi-locality execution layer, and
 //! structural validation.
 //!
@@ -27,10 +27,10 @@ pub mod quad;
 pub mod tri;
 pub mod validate;
 
-pub use csr::{invert_map, neighbors_from_pairs, Csr};
+pub use csr::{neighbors_from_pairs, Csr};
 pub use partition::{
     build_halo, partition_greedy_bfs, partition_greedy_bfs_weighted, HaloPlan, Partition,
 };
 pub use quad::{channel_with_bump, QuadMesh, BOUND_FARFIELD, BOUND_WALL};
 pub use tri::{unit_square, TriMesh};
-pub use validate::{mean_pair_span, quad_stats, validate_quad, MeshStats};
+pub use validate::{quad_stats, validate_quad, MeshStats};

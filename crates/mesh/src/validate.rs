@@ -4,7 +4,7 @@ use crate::quad::QuadMesh;
 
 /// Mean |a - b| over a pair table — a locality figure for indirect access
 /// (smaller = more cache friendly).
-pub fn mean_pair_span(pairs: &[u32]) -> f64 {
+fn mean_pair_span(pairs: &[u32]) -> f64 {
     if pairs.is_empty() {
         return 0.0;
     }

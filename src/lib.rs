@@ -5,7 +5,7 @@
 //! IPDPSW 2017) under one roof:
 //!
 //! * [`hpx`] — the HPX-style task runtime (futures, dataflow, the chunked
-//!   `par` loop and its chunkers, prefetching iterator);
+//!   `par` loop and its chunkers);
 //! * [`op2`] — the OP2 loop framework (sets/maps/dats, plans & coloring,
 //!   fork-join and dataflow backends);
 //! * [`mesh`] — unstructured-mesh generators and utilities;

@@ -55,10 +55,6 @@ fn all_backends_and_optimizations_agree() {
     let mut candidates: Vec<(String, Op2Config)> = vec![
         ("fork_join(4)".into(), Op2Config::fork_join(4)),
         (
-            "dataflow+prefetch".into(),
-            Op2Config::dataflow(2).with_prefetch(15),
-        ),
-        (
             "dataflow+block128".into(),
             Op2Config::dataflow(2).with_block_size(128),
         ),
