@@ -276,11 +276,6 @@ impl AirfoilApp {
         }
     }
 
-    /// Wraps an existing mesh.
-    pub fn with_mesh(mesh: QuadMesh) -> AirfoilApp {
-        AirfoilApp { mesh }
-    }
-
     /// The underlying mesh.
     pub fn mesh(&self) -> &QuadMesh {
         &self.mesh

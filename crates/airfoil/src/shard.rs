@@ -29,8 +29,8 @@
 //!
 //! The time loop contains **no communication calls**. At declare time the
 //! `q` and `adt` shards are tied into halo rings
-//! ([`op2_core::locality::link_halo`]); from then on the access
-//! descriptors alone drive the exchanges: `adt_calc`'s write of `adt` and
+//! ([`op2_core::locality::LocalityGroup::link_halo`]); from then on the
+//! access descriptors alone drive the exchanges: `adt_calc`'s write of `adt` and
 //! `update`'s write of `q` mark the exported halos stale, and submitting
 //! `res_calc` — whose `read_via(pecell)` arguments reach the import rows —
 //! schedules the gather/send/scatter nodes for exactly the stale pairs

@@ -23,12 +23,6 @@ pub fn all_finite(values: &[f64]) -> bool {
     values.iter().all(|v| v.is_finite())
 }
 
-/// Total mass (`ρ` summed over cells) — conserved up to boundary fluxes,
-/// used as a sanity diagnostic.
-pub fn total_mass(q: &[f64]) -> f64 {
-    q.chunks_exact(4).map(|c| c[0]).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,11 +46,5 @@ mod tests {
         assert!(all_finite(&[0.0, 1.0]));
         assert!(!all_finite(&[0.0, f64::NAN]));
         assert!(!all_finite(&[f64::INFINITY]));
-    }
-
-    #[test]
-    fn mass_sums_density() {
-        let q = [1.0, 0.0, 0.0, 0.0, 2.0, 9.0, 9.0, 9.0];
-        assert_eq!(total_mass(&q), 3.0);
     }
 }

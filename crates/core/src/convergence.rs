@@ -63,17 +63,11 @@ impl Convergence {
         }
     }
 
-    /// Sets the raw-to-scaled residual map (see [`ResidualMap`]). The
-    /// tolerance is compared against the *scaled* value, so it lives in
-    /// the same units the solver prints.
-    pub fn with_scale(mut self, scale: ResidualMap) -> Self {
-        self.scale = Some(scale);
-        self
-    }
-
-    /// [`Convergence::with_scale`] unless a map is already set — the
-    /// harness hook that injects the app's residual scaling into a
-    /// translator-generated (scale-free) policy.
+    /// Sets the raw-to-scaled residual map (see [`ResidualMap`]) unless
+    /// one is already set — the harness hook that injects the app's
+    /// residual scaling into a translator-generated (scale-free) policy.
+    /// The tolerance is compared against the *scaled* value, so it lives
+    /// in the same units the solver prints.
     pub fn ensure_scale(&mut self, scale: ResidualMap) {
         if self.scale.is_none() {
             self.scale = Some(scale);
@@ -219,7 +213,10 @@ mod tests {
         let op2 = Op2::new(Op2Config::seq());
         let set = op2.decl_set(2, "s");
         // Raw residual 4.0, scale sqrt(raw)/4 => 0.5 < tol 0.6.
-        let mut c = Convergence::new(0.6, 1, 10).with_scale(Arc::new(|raw: f64| raw.sqrt() / 4.0));
+        let mut c = Convergence::new(0.6, 1, 10);
+        c.ensure_scale(Arc::new(|raw: f64| raw.sqrt() / 4.0));
+        // A map already set is kept.
+        c.ensure_scale(Arc::new(|raw: f64| raw));
         let fut = residual_future(&op2, &set, 4.0);
         op2.fence();
         c.observe(1, &fut);

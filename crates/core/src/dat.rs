@@ -393,9 +393,9 @@ pub(crate) struct DatInner<T> {
     /// User-guard tracking: >0 read guards, -1 write guard, 0 free.
     borrow: AtomicIsize,
     /// Implicit-communication link: `(rank, ring)` once this shard was
-    /// registered with [`crate::locality::link_halo`]. The ring carries
-    /// the halo spec, the peer shards and the per-peer dirty bits that
-    /// drive automatic halo exchange at loop submission.
+    /// registered with [`crate::locality::LocalityGroup::link_halo`]. The
+    /// ring carries the halo spec, the peer shards and the per-peer dirty
+    /// bits that drive automatic halo exchange at loop submission.
     halo_ring: OnceLock<(usize, Arc<crate::locality::HaloRing<T>>)>,
 }
 

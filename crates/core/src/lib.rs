@@ -36,10 +36,10 @@
 //! ```
 //!
 //! At distributed scale the access descriptors also drive **implicit halo
-//! exchange**: [`locality::link_halo`] ties the per-rank shards of one
-//! logical dat together with per-peer dirty bits, after which loop
-//! submission alone schedules every needed gather/send/scatter — see the
-//! dirty-bit protocol in [`locality`].
+//! exchange**: [`locality::LocalityGroup::link_halo`] ties the per-rank
+//! shards of one logical dat together with per-peer dirty bits, after which
+//! loop submission alone schedules every needed gather/send/scatter — see
+//! the dirty-bit protocol in [`locality`].
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

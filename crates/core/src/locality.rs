@@ -22,7 +22,9 @@
 //!   Only the halves whose rank is locally hosted are scheduled; the
 //!   transport's sequence counters match them with the peer's halves.
 //! * [`LocalityGroup::allreduce`] moves reduction partials over the same
-//!   transport: a star through rank 0, whatever the process layout.
+//!   transport: a star through rank 0, whatever the process layout. It is
+//!   the only collective: [`LocalityGroup::barrier`] and
+//!   [`crate::rebalance::agree_rank_busy`] are allreduces too.
 //!
 //! The group's [`Transport`] is the only way halo rows, migrated rows,
 //! partials and injected latency ([`InProcessTransport::with_delay`]) move
@@ -45,8 +47,8 @@
 //!
 //! OP2's contract is that access descriptors fully describe a loop's data
 //! movement — which is what lets the runtime insert communication for the
-//! user. [`link_halo`] restores that contract at distributed scale: it
-//! ties the per-rank shards of one logical dat into a `HaloRing`
+//! user. [`LocalityGroup::link_halo`] restores that contract at distributed
+//! scale: it ties the per-rank shards of one logical dat into a `HaloRing`
 //! carrying the [`HaloSpec`] and one **dirty bit per (importer, exporter)
 //! pair**. From then on no manual [`exchange`] call is needed; `par_loop`
 //! submission drives the state machine:
@@ -109,7 +111,7 @@
 //!   `bool` one byte — see [`crate::transport::WireScalar`]); the gather
 //!   appends whole rows and the scatter copies them back in place.
 //! * a [`MsgKind::Reduce`] payload is a `Global`'s `dim` partial values,
-//!   same scalar encoding.
+//!   same scalar encoding (a barrier's is one zero `f64`).
 //! * multi-process framing (Unix-domain sockets): a 32-byte header
 //!   `magic u32 | kind u8 | flags u8 | pad u16 | src u32 | dst u32 |
 //!   seq u64 | len u64` (little-endian), then `len` payload bytes; flag
@@ -247,16 +249,76 @@ impl LocalityGroup {
         }
     }
 
-    /// A whole-job rendezvous over the transport: returns once every rank
-    /// of the job entered. Immediate for all-local groups.
+    /// A whole-job rendezvous: an allreduce ([`LocalityGroup::allreduce`])
+    /// of one zero per hosted rank, waited on through its `done()`.
+    /// Returns once every rank of the job entered, or once a dead peer
+    /// abandoned the reduction; that failure then surfaces at the next
+    /// [`LocalityGroup::fence`], as for any failed allreduce. Every process
+    /// must call this at the same program point (SPMD). Call from a
+    /// non-worker thread (it blocks).
     pub fn barrier(&self) {
-        crate::transport::barrier(&self.transport);
+        // `f64`, the one element type every allreduce caller already
+        // instantiates: a `u64` allreduce puts a second copy of the whole
+        // machinery in each binary, and that alone slowed the unrelated
+        // 4k-cell airfoil solve by ~10 % through code layout (2 vCPUs).
+        let zeros: Vec<Global<f64>> = self
+            .ranks
+            .iter()
+            .map(|_| Global::sum(1, "barrier"))
+            .collect();
+        self.allreduce(&zeros).done().wait();
     }
 
-    /// [`link_halo`] as a method: enables implicit, dirty-bit-driven halo
-    /// exchange for the per-rank shards of one logical dat.
+    /// Ties the per-rank shards of one logical dat into a `HaloRing` so
+    /// all halo communication becomes **implicit**: loops that mutate a
+    /// shard mark its exports stale, loops that read stale imports through
+    /// a halo-capable map schedule the exchange automatically (see the
+    /// module-level dirty-bit protocol). Every import starts stale, so the
+    /// first reader is fed unconditionally.
+    ///
+    /// `dats[i]` must be local rank `local_ranks().start + i`'s shard
+    /// (declared with [`crate::Op2::decl_dat_halo`] on the matching
+    /// [`LocalityGroup::rank`]), and each shard can belong to at most one
+    /// ring. The spec is global; under a distributed transport every
+    /// process links with the same spec.
     pub fn link_halo<T: OpType>(&self, dats: &[Dat<T>], spec: &HaloSpec) {
-        link_halo(self, dats, spec);
+        let n = spec.nranks;
+        assert_eq!(self.nranks(), n, "spec rank count matches the group");
+        let local = self.local_ranks();
+        assert_eq!(dats.len(), local.len(), "one dat shard per local rank");
+        spec.validate().expect("halo spec invalid");
+        for (i, d) in dats.iter().enumerate() {
+            let r = local.start + i;
+            for s in 0..n {
+                let range = &spec.import_range[r][s];
+                assert!(
+                    range.is_empty()
+                        || (range.start >= d.set().size() && range.end <= d.total_rows()),
+                    "link_halo: rank {r} import range {range:?} outside the halo region of dat '{}'",
+                    d.name()
+                );
+            }
+        }
+        let mut dirty = vec![false; n * n];
+        for dst in 0..n {
+            for src in 0..n {
+                dirty[dst * n + src] = dst != src && !spec.import_range[dst][src].is_empty();
+            }
+        }
+        let ring = Arc::new(HaloRing {
+            spec: spec.clone(),
+            shards: dats.iter().map(Dat::inner_weak).collect(),
+            hooks: self.ranks.iter().map(Op2::comm_hooks).collect(),
+            first: local.start,
+            transport: Arc::clone(&self.transport),
+            dirty: Mutex::new(dirty),
+            pair_exchanges: AtomicU64::new(0),
+            refresh_calls: AtomicU64::new(0),
+            skipped_clean: AtomicU64::new(0),
+        });
+        for (i, d) in dats.iter().enumerate() {
+            d.attach_halo_ring(local.start + i, Arc::clone(&ring));
+        }
     }
 
     /// Schedules an **asynchronous cross-rank allreduce** of the per-rank
@@ -793,8 +855,8 @@ pub struct HaloStats {
 /// The shared state tying the per-rank shards of one logical dat together
 /// for implicit communication: halo spec, per-peer dirty bits, the
 /// scheduling hooks of every locally hosted rank, and the transport (see
-/// the module-level dirty-bit protocol). Created by [`link_halo`]; not
-/// user-visible beyond [`HaloStats`].
+/// the module-level dirty-bit protocol). Created by
+/// [`LocalityGroup::link_halo`]; not user-visible beyond [`HaloStats`].
 pub(crate) struct HaloRing<T> {
     spec: HaloSpec,
     /// Weak so ring ↔ dat references cannot leak the payloads; a shard
@@ -940,57 +1002,6 @@ impl<T: OpType> HaloRing<T> {
             refresh_calls: self.refresh_calls.load(Ordering::Relaxed),
             skipped_clean: self.skipped_clean.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// Ties the per-rank shards of one logical dat into a `HaloRing` so all
-/// halo communication becomes **implicit**: loops that mutate a shard mark
-/// its exports stale, loops that read stale imports through a halo-capable
-/// map schedule the exchange automatically (see the module-level dirty-bit
-/// protocol). Every import starts stale, so the first reader is fed
-/// unconditionally.
-///
-/// `dats[i]` must be local rank `local_ranks().start + i`'s shard
-/// (declared with [`crate::Op2::decl_dat_halo`] on the matching
-/// [`LocalityGroup::rank`]), and each shard can belong to at most one
-/// ring. The spec is global; under a distributed transport every process
-/// links with the same spec.
-pub fn link_halo<T: OpType>(group: &LocalityGroup, dats: &[Dat<T>], spec: &HaloSpec) {
-    let n = spec.nranks;
-    assert_eq!(group.nranks(), n, "spec rank count matches the group");
-    let local = group.local_ranks();
-    assert_eq!(dats.len(), local.len(), "one dat shard per local rank");
-    spec.validate().expect("halo spec invalid");
-    for (i, d) in dats.iter().enumerate() {
-        let r = local.start + i;
-        for s in 0..n {
-            let range = &spec.import_range[r][s];
-            assert!(
-                range.is_empty() || (range.start >= d.set().size() && range.end <= d.total_rows()),
-                "link_halo: rank {r} import range {range:?} outside the halo region of dat '{}'",
-                d.name()
-            );
-        }
-    }
-    let mut dirty = vec![false; n * n];
-    for dst in 0..n {
-        for src in 0..n {
-            dirty[dst * n + src] = dst != src && !spec.import_range[dst][src].is_empty();
-        }
-    }
-    let ring = Arc::new(HaloRing {
-        spec: spec.clone(),
-        shards: dats.iter().map(Dat::inner_weak).collect(),
-        hooks: group.ranks().iter().map(Op2::comm_hooks).collect(),
-        first: local.start,
-        transport: Arc::clone(group.transport()),
-        dirty: Mutex::new(dirty),
-        pair_exchanges: AtomicU64::new(0),
-        refresh_calls: AtomicU64::new(0),
-        skipped_clean: AtomicU64::new(0),
-    });
-    for (i, d) in dats.iter().enumerate() {
-        d.attach_halo_ring(local.start + i, Arc::clone(&ring));
     }
 }
 

@@ -45,9 +45,10 @@
 //! future, and the arguments' dats remember it so later loops depending on
 //! the same data chain automatically (loop interleaving, paper Figs 9-11).
 //! Submission also drives the implicit-communication hooks: arguments
-//! reading stale halo imports of a [`crate::locality::link_halo`]-linked
-//! dat schedule their refresh exchanges first, and mutating arguments mark
-//! the dat's exported halos stale (see [`crate::locality`]).
+//! reading stale halo imports of a
+//! [`crate::locality::LocalityGroup::link_halo`]-linked dat schedule their
+//! refresh exchanges first, and mutating arguments mark the dat's exported
+//! halos stale (see [`crate::locality`]).
 
 use std::ops::Range;
 use std::sync::Arc;

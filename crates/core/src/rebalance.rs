@@ -6,9 +6,9 @@
 //! 1. **Measure** — every rank world of a [`LocalityGroup`] times each
 //!    loop it runs, whatever the backend and chunk policy, into the busy
 //!    time of its [`crate::GranularityFeedback`]. [`agree_rank_busy`]
-//!    collects the per-rank busy nanoseconds across the whole job (a
-//!    control-message star under a distributed transport, so every SPMD
-//!    process agrees on the same vector and makes the same decision).
+//!    collects the per-rank busy nanoseconds across the whole job (an
+//!    allreduce over the group's transport, so every SPMD process agrees
+//!    on the same vector and makes the same decision).
 //! 2. **Decide** — [`cost_levels`] turns busy times into quantized
 //!    per-element cost weights. The quantization is the protocol's
 //!    hysteresis *and* its bitwise-safety keystone: a balanced workload
@@ -41,8 +41,8 @@ use std::sync::atomic::Ordering;
 use hpx_rt::{when_all_shared, SharedFuture};
 
 use crate::dat::Dat;
+use crate::gbl::Global;
 use crate::locality::{move_rows, Landing, LocalityGroup, RowMove};
-use crate::transport::gather_broadcast;
 use crate::types::OpType;
 use crate::world::{CommHooks, Op2};
 
@@ -53,39 +53,29 @@ pub const DEFAULT_DEAD_ZONE: f64 = 1.5;
 /// Collects every rank's measured busy nanoseconds (see
 /// [`crate::GranularityFeedback::busy_ns`]) across the whole job.
 ///
-/// All-local groups read the rank worlds directly. Distributed groups run
-/// a gather/broadcast star over [`crate::transport::MsgKind::Ctrl`]
-/// messages — every process must call this at the same program point
-/// (SPMD), and every process returns the identical vector, which is what
-/// lets them all take the same rebalance decision without negotiation.
-/// Only the submitting thread blocks; runtime workers keep draining the
-/// dataflow.
+/// A Sum [`LocalityGroup::allreduce`] of an `nranks`-wide `f64` global in
+/// which each hosted rank fills only its own slot, so every slot sums one
+/// value and zeros: exact below 2^53 ns (104 days). Every process must
+/// call this at the same program point (SPMD), and every process returns
+/// the identical vector, which is what lets them all take the same
+/// rebalance decision without negotiation. Only the submitting thread
+/// blocks; runtime workers keep draining the dataflow.
 pub fn agree_rank_busy(group: &LocalityGroup) -> Vec<u64> {
     let n = group.nranks();
-    let mut busy = vec![0u64; n];
-    for (b, world) in busy[group.local_ranks()].iter_mut().zip(group.ranks()) {
-        *b = world.granularity_feedback().busy_ns();
-    }
-    let transport = group.transport();
-    if transport.all_local() {
-        return busy;
-    }
-    // Every rank's 8 bytes up to rank 0, the assembled vector back down.
-    let full = gather_broadcast(
-        transport,
-        |r| busy[r].to_le_bytes().to_vec(),
-        |parts| {
-            let abandoned = "rank-busy agreement abandoned by a peer";
-            parts
-                .into_iter()
-                .flat_map(|p| p.expect(abandoned))
-                .collect()
-        },
-    )
-    .expect("rank-busy broadcast abandoned by rank 0");
-    full.chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunks")))
-        .collect()
+    // `f64` for the reason `LocalityGroup::barrier` gives.
+    let slots: Vec<Global<f64>> = group
+        .local_ranks()
+        .zip(group.ranks())
+        .map(|(r, world)| {
+            let mut busy = vec![0.0; n];
+            busy[r] = world.granularity_feedback().busy_ns() as f64;
+            let g = Global::sum(n, "rank_busy");
+            g.set(&busy);
+            g
+        })
+        .collect();
+    let agreed = group.allreduce(&slots).get();
+    agreed.into_iter().map(|ns| ns as u64).collect()
 }
 
 /// `max / mean` of the per-rank busy times — 1.0 is perfect balance, k

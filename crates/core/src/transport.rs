@@ -1,6 +1,5 @@
-//! The parcelport layer: moving halo rows, migrated rows, reduction
-//! partials and control messages between ranks, in-process or across OS
-//! processes.
+//! The parcelport layer: moving halo rows, migrated rows and reduction
+//! partials between ranks, in-process or across OS processes.
 //!
 //! The locality layer (see [`crate::locality`]) schedules *who* talks to
 //! whom and *when* (epoch-table dependencies, dirty bits, wait-sets); this
@@ -50,11 +49,11 @@
 //! A sender that panics (or whose upstream kernel panicked, skipping the
 //! gather node) would leave the matching receive waiting forever. The
 //! send path therefore travels under a [`SendGuard`]: if the guard is
-//! dropped without sending, an *abandonment* marker is delivered (or a
-//! flagged frame is sent) so the receiver's [`Delivery`] completes with no
-//! payload and the receive node degrades to a diagnostic no-op — the
-//! original panic, not a secondary "sender dropped" panic, is what
-//! propagates to the fence. A socket peer that disappears entirely
+//! dropped without sending, it sends the *abandonment* marker (a
+//! [`Transport::send`] with no payload, a flagged frame on the wire), so
+//! the receiver's [`Delivery`] completes with no payload and the receive
+//! node degrades to a diagnostic no-op — the original panic, not a
+//! secondary "sender dropped" panic, is what propagates to the fence. A socket peer that disappears entirely
 //! (process death) abandons every outstanding and future delivery from
 //! that rank.
 
@@ -145,7 +144,7 @@ impl WireScalar for bool {
 }
 
 /// Encodes a scalar slice into the canonical wire byte stream.
-pub fn encode_scalars<T: WireScalar>(vals: &[T]) -> Vec<u8> {
+pub(crate) fn encode_scalars<T: WireScalar>(vals: &[T]) -> Vec<u8> {
     let mut out = Vec::with_capacity(vals.len() * T::WIRE_SIZE);
     for &v in vals {
         v.write_wire(&mut out);
@@ -158,7 +157,7 @@ pub fn encode_scalars<T: WireScalar>(vals: &[T]) -> Vec<u8> {
 /// # Panics
 ///
 /// If `bytes` is not a whole number of encoded scalars.
-pub fn decode_scalars<T: WireScalar>(bytes: &[u8]) -> Vec<T> {
+pub(crate) fn decode_scalars<T: WireScalar>(bytes: &[u8]) -> Vec<T> {
     assert_eq!(
         bytes.len() % T::WIRE_SIZE,
         0,
@@ -174,7 +173,7 @@ pub fn decode_scalars<T: WireScalar>(bytes: &[u8]) -> Vec<T> {
 // ---------------------------------------------------------------------------
 
 /// What a message carries — part of the match key, so halo traffic,
-/// reduction partials and control messages between the same pair of ranks
+/// reduction partials and migrated rows between the same pair of ranks
 /// never collide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
@@ -183,12 +182,10 @@ pub enum MsgKind {
     Halo = 0,
     /// Reduction partials (a `Global`'s value vector).
     Reduce = 1,
-    /// Control traffic (barrier arrivals/releases).
-    Ctrl = 2,
     /// Row migration during a live repartition (canonical row-major dat
     /// rows, like [`MsgKind::Halo`], but on a separate sequence stream so
     /// in-flight halo traffic and migration moves never collide).
-    Migrate = 3,
+    Migrate = 2,
 }
 
 impl MsgKind {
@@ -196,8 +193,7 @@ impl MsgKind {
         match v {
             0 => Some(MsgKind::Halo),
             1 => Some(MsgKind::Reduce),
-            2 => Some(MsgKind::Ctrl),
-            3 => Some(MsgKind::Migrate),
+            2 => Some(MsgKind::Migrate),
             _ => None,
         }
     }
@@ -362,21 +358,18 @@ pub trait Transport: Send + Sync + 'static {
     /// docs on SPMD symmetry).
     fn next_seq(&self, kind: MsgKind, src: usize, dst: usize) -> u64;
 
-    /// Sends `payload` as message `(kind, src, dst, seq)`. Must not block
-    /// a runtime worker for the link's latency, real or modelled.
-    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Vec<u8>);
-
-    /// Marks message `(kind, src, dst, seq)` as abandoned: the receiver's
-    /// [`Delivery`] completes with no payload (see module docs).
-    fn send_abandoned(&self, kind: MsgKind, src: usize, dst: usize, seq: u64);
+    /// Sends `payload` as message `(kind, src, dst, seq)`; `None` is the
+    /// abandonment marker, and the receiver's [`Delivery`] completes with
+    /// no payload (see module docs). Must not block a runtime worker for
+    /// the link's latency, real or modelled.
+    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Option<Vec<u8>>);
 
     /// Posts a receive for message `(kind, src, dst, seq)`; `dst` must be
     /// a local rank.
     fn recv(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) -> Delivery;
 
     /// True when every rank lives in this process — the locality layer
-    /// uses process-global shortcuts (map-reachability cuts, immediate
-    /// barriers) only then.
+    /// uses its process-global shortcut (map-reachability cuts) only then.
     fn all_local(&self) -> bool {
         self.local_ranks() == (0..self.nranks())
     }
@@ -447,7 +440,7 @@ impl SendGuard {
         hpx_rt::static_counter!("op2.transport.bytes_sent")
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
         self.transport
-            .send(self.kind, self.src, self.dst, self.seq, payload);
+            .send(self.kind, self.src, self.dst, self.seq, Some(payload));
     }
 }
 
@@ -457,7 +450,7 @@ impl Drop for SendGuard {
             hpx_rt::static_counter!("op2.transport.sends_abandoned")
                 .fetch_add(1, Ordering::Relaxed);
             self.transport
-                .send_abandoned(self.kind, self.src, self.dst, self.seq);
+                .send(self.kind, self.src, self.dst, self.seq, None);
         }
     }
 }
@@ -485,8 +478,9 @@ impl InProcessTransport {
         Self::with_delay(nranks, None)
     }
 
-    /// An in-process transport injecting `delay` on every message (halo
-    /// rows, reduction partials, control and migration traffic alike).
+    /// An in-process transport injecting `delay` on every message that
+    /// carries a payload (halo rows, reduction partials and migrated rows
+    /// alike).
     pub fn with_delay(nranks: usize, delay: Option<Duration>) -> Self {
         assert!(nranks >= 1, "a transport needs at least one rank");
         InProcessTransport {
@@ -511,22 +505,17 @@ impl Transport for InProcessTransport {
         self.seqs.next(kind, src, dst)
     }
 
-    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Vec<u8>) {
+    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Option<Vec<u8>>) {
         let key = (kind, src as u32, dst as u32, seq);
         match self.delay {
-            Some(d) => {
+            // Abandonment skips the injected delay: it exists to unblock
+            // the receiver promptly on a failure path.
+            Some(d) if payload.is_some() => {
                 let table = Arc::clone(&self.table);
-                hpx_rt::timing::defer(d, move || table.deliver(key, Some(payload)));
+                hpx_rt::timing::defer(d, move || table.deliver(key, payload));
             }
-            None => self.table.deliver(key, Some(payload)),
+            _ => self.table.deliver(key, payload),
         }
-    }
-
-    fn send_abandoned(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) {
-        // Abandonment skips the injected delay: it exists to unblock the
-        // receiver promptly on a failure path.
-        self.table
-            .deliver((kind, src as u32, dst as u32, seq), None);
     }
 
     fn recv(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) -> Delivery {
@@ -677,23 +666,6 @@ impl ProcessTransport {
     pub fn rank(&self) -> usize {
         self.rank
     }
-
-    fn write_frame(&self, dst: usize, frame: &[u8]) {
-        if dst == self.rank {
-            return; // self-sends short-circuit through the table
-        }
-        let stream = self.peers[dst]
-            .as_ref()
-            .unwrap_or_else(|| panic!("no link from rank {} to rank {dst}", self.rank));
-        if let Err(e) = stream.lock().write_all(frame) {
-            // The peer is gone; its reader thread will fail the inbound
-            // side. Dropping the payload mirrors a dead network peer.
-            eprintln!(
-                "op2-transport: rank {} -> {dst} send failed: {e}",
-                self.rank
-            );
-        }
-    }
 }
 
 fn reader_loop(mut stream: UnixStream, peer: u32, my_rank: u32, table: Arc<MatchTable>) {
@@ -756,25 +728,27 @@ impl Transport for ProcessTransport {
         self.seqs.next(kind, src, dst)
     }
 
-    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Vec<u8>) {
+    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Option<Vec<u8>>) {
         assert_eq!(src, self.rank, "send from non-local rank {src}");
         if dst == self.rank {
             self.table
-                .deliver((kind, src as u32, dst as u32, seq), Some(payload));
+                .deliver((kind, src as u32, dst as u32, seq), payload);
             return;
         }
-        let frame = encode_frame(kind, 0, src as u32, dst as u32, seq, &payload);
-        self.write_frame(dst, &frame);
-    }
-
-    fn send_abandoned(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) {
-        if dst == self.rank {
-            self.table
-                .deliver((kind, src as u32, dst as u32, seq), None);
-            return;
+        let flags = if payload.is_some() { 0 } else { FLAG_ABANDONED };
+        let bytes = payload.as_deref().unwrap_or_default();
+        let frame = encode_frame(kind, flags, src as u32, dst as u32, seq, bytes);
+        let stream = self.peers[dst]
+            .as_ref()
+            .unwrap_or_else(|| panic!("no link from rank {} to rank {dst}", self.rank));
+        if let Err(e) = stream.lock().write_all(&frame) {
+            // The peer is gone; its reader thread will fail the inbound
+            // side. Dropping the payload mirrors a dead network peer.
+            eprintln!(
+                "op2-transport: rank {} -> {dst} send failed: {e}",
+                self.rank
+            );
         }
-        let frame = encode_frame(kind, FLAG_ABANDONED, src as u32, dst as u32, seq, &[]);
-        self.write_frame(dst, &frame);
     }
 
     fn recv(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) -> Delivery {
@@ -800,73 +774,6 @@ impl std::fmt::Debug for ProcessTransport {
             .field("nranks", &self.nranks)
             .finish()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Collective helpers
-// ---------------------------------------------------------------------------
-
-/// A whole-job rendezvous: returns once every rank of the job has entered
-/// the barrier, or its peer died. All-local transports return immediately
-/// (the caller holds every rank already); distributed ones run an
-/// arrive/release `gather_broadcast` of empty payloads. Call from a
-/// non-worker thread (it blocks).
-pub fn barrier(transport: &Arc<dyn Transport>) {
-    if !transport.all_local() {
-        gather_broadcast(transport, |_| Vec::new(), |_| Vec::new());
-    }
-}
-
-/// A blocking star through rank 0 over [`MsgKind::Ctrl`] messages: every
-/// rank `r` contributes `up(r)`, rank 0 folds the contributions (in rank
-/// order, `None` for one a dead peer abandoned) with `root`, and every
-/// rank returns the folded payload — `None` on a rank whose copy was
-/// abandoned. Ranks hosted with rank 0 read it directly; only the others
-/// receive it. Every process must call this at the same program point
-/// (SPMD). Call from a non-worker thread (it blocks).
-pub(crate) fn gather_broadcast(
-    transport: &Arc<dyn Transport>,
-    up: impl Fn(usize) -> Vec<u8>,
-    root: impl FnOnce(Vec<Option<Vec<u8>>>) -> Vec<u8>,
-) -> Option<Vec<u8>> {
-    let n = transport.nranks();
-    let local = transport.local_ranks();
-    let hosts_root = local.contains(&0);
-    let mut arrivals = Vec::new();
-    for r in (1..n).filter(|r| hosts_root || local.contains(r)) {
-        let (guard, delivery) = open(transport, MsgKind::Ctrl, r, 0);
-        if let Some(guard) = guard {
-            guard.send(up(r));
-        }
-        arrivals.extend(delivery);
-    }
-    if hosts_root {
-        // Armed before `root` runs: a panicking fold abandons the
-        // broadcast instead of stranding the other processes' ranks.
-        let down: Vec<SendGuard> = (1..n)
-            .filter(|s| !local.contains(s))
-            .filter_map(|s| open(transport, MsgKind::Ctrl, 0, s).0)
-            .collect();
-        let mut parts = vec![Some(up(0))];
-        for d in arrivals {
-            d.ready().wait();
-            parts.push(d.take());
-        }
-        let total = root(parts);
-        for guard in down {
-            guard.send(total.clone());
-        }
-        return Some(total);
-    }
-    let mut total = Some(Vec::new());
-    for r in local {
-        let d = open(transport, MsgKind::Ctrl, 0, r)
-            .1
-            .expect("rank r is hosted here");
-        d.ready().wait();
-        total = total.and(d.take());
-    }
-    total
 }
 
 #[cfg(test)]
@@ -903,14 +810,14 @@ mod tests {
     fn in_process_matches_either_order() {
         let t = InProcessTransport::new(2);
         // Send before recv.
-        t.send(MsgKind::Halo, 0, 1, 0, vec![1, 2, 3]);
+        t.send(MsgKind::Halo, 0, 1, 0, Some(vec![1, 2, 3]));
         let d = t.recv(MsgKind::Halo, 0, 1, 0);
         assert!(d.ready().is_ready());
         assert_eq!(d.take(), Some(vec![1, 2, 3]));
         // Recv before send.
         let d = t.recv(MsgKind::Halo, 0, 1, 1);
         assert!(!d.ready().is_ready());
-        t.send(MsgKind::Halo, 0, 1, 1, vec![9]);
+        t.send(MsgKind::Halo, 0, 1, 1, Some(vec![9]));
         d.ready().wait();
         assert_eq!(d.take(), Some(vec![9]));
     }
@@ -919,7 +826,7 @@ mod tests {
     fn in_process_delay_defers_off_thread() {
         let t = InProcessTransport::with_delay(2, Some(Duration::from_millis(15)));
         let t0 = std::time::Instant::now();
-        t.send(MsgKind::Halo, 0, 1, 0, vec![4]);
+        t.send(MsgKind::Halo, 0, 1, 0, Some(vec![4]));
         // The send returned immediately; delivery lands later via the
         // timer thread.
         assert!(t0.elapsed() < Duration::from_millis(15));
@@ -952,16 +859,19 @@ mod tests {
     fn socket_transport_full_mesh_round_trip() {
         let dir = std::env::temp_dir().join(format!("op2-tp-test-{}", std::process::id()));
         let n = 3;
+        // No rank drops its transport while a peer still reads from it.
+        let all_read = std::sync::Barrier::new(n);
         std::thread::scope(|s| {
             for rank in 0..n {
                 let dir = dir.clone();
+                let all_read = &all_read;
                 s.spawn(move || {
                     let t = ProcessTransport::connect_unix(&dir, rank, n).unwrap();
                     // Everyone sends its rank id to every peer...
                     for dst in 0..n {
                         if dst != rank {
                             let seq = t.next_seq(MsgKind::Halo, rank, dst);
-                            t.send(MsgKind::Halo, rank, dst, seq, vec![rank as u8]);
+                            t.send(MsgKind::Halo, rank, dst, seq, Some(vec![rank as u8]));
                         }
                     }
                     // ...and checks what arrives.
@@ -973,8 +883,7 @@ mod tests {
                             assert_eq!(d.take(), Some(vec![src as u8]));
                         }
                     }
-                    let t: Arc<dyn Transport> = Arc::new(t);
-                    barrier(&t);
+                    all_read.wait();
                 });
             }
         });
@@ -1072,12 +981,7 @@ mod tests {
     /// A valid stream from rank 1 to rank 0 (every kind, an abandonment
     /// marker, payloads of 0 to 40 bytes) and where its frames start.
     fn valid_stream() -> (Vec<u8>, Vec<usize>) {
-        let kinds = [
-            MsgKind::Halo,
-            MsgKind::Reduce,
-            MsgKind::Ctrl,
-            MsgKind::Migrate,
-        ];
+        let kinds = [MsgKind::Halo, MsgKind::Reduce, MsgKind::Migrate];
         let (mut bytes, mut starts) = (Vec::new(), Vec::new());
         for (seq, kind) in kinds.into_iter().cycle().take(6).enumerate() {
             let payload: Vec<u8> = (0..seq * 8).map(|b| b as u8).collect();

@@ -1,6 +1,8 @@
-//! Small timing helpers for the benchmarks — plus the injectable
-//! [`Clock`] the feedback-driven granularity machinery measures through,
-//! so tests can replace wall time with a deterministic fake.
+//! Time for the runtime and its callers: the injectable [`Clock`] the
+//! feedback-driven granularity machinery measures through (so tests can
+//! replace wall time with a deterministic fake), [`time`] for timing one
+//! call, and [`defer`], the shared timer thread the in-process transport
+//! models link latency on.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -89,55 +91,11 @@ impl Default for Clock {
     }
 }
 
-/// A started stopwatch.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing now.
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Elapsed time since start.
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Elapsed milliseconds as f64 (bench-friendly).
-    pub fn elapsed_ms(&self) -> f64 {
-        self.start.elapsed().as_secs_f64() * 1e3
-    }
-
-    /// Restarts and returns the lap time.
-    pub fn lap(&mut self) -> Duration {
-        let e = self.start.elapsed();
-        self.start = Instant::now();
-        e
-    }
-}
-
 /// Runs `f`, returning its result and the wall time taken.
 pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let t = Instant::now();
     let r = f();
     (r, t.elapsed())
-}
-
-/// Runs `f` `reps` times and returns the *minimum* wall time — the usual
-/// low-noise estimator for short benches.
-pub fn time_min(reps: usize, mut f: impl FnMut()) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed());
-    }
-    best
 }
 
 // ---------------------------------------------------------------------------
@@ -244,25 +202,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn stopwatch_advances() {
-        let sw = Stopwatch::start();
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(sw.elapsed() >= Duration::from_millis(2));
-        assert!(sw.elapsed_ms() >= 2.0);
-    }
-
-    #[test]
     fn time_returns_value() {
         let (v, d) = time(|| 21 * 2);
         assert_eq!(v, 42);
-        assert!(d < Duration::from_secs(1));
-    }
-
-    #[test]
-    fn time_min_takes_minimum() {
-        let mut calls = 0;
-        let d = time_min(5, || calls += 1);
-        assert_eq!(calls, 5);
         assert!(d < Duration::from_secs(1));
     }
 

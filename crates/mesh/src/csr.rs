@@ -25,22 +25,6 @@ impl Csr {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Maximum row degree.
-    pub fn max_degree(&self) -> usize {
-        (0..self.len())
-            .map(|i| self.row(i).len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Mean row degree.
-    pub fn mean_degree(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.adj.len() as f64 / self.len() as f64
-    }
 }
 
 /// Builds target-to-target adjacency (e.g. node → neighbouring nodes)
@@ -81,8 +65,6 @@ mod tests {
         assert_eq!(csr.row(0), &[1]);
         assert_eq!(csr.row(1), &[0, 2]);
         assert_eq!(csr.row(3), &[2]);
-        assert_eq!(csr.max_degree(), 2);
-        assert!((csr.mean_degree() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -97,6 +79,5 @@ mod tests {
     fn empty() {
         let csr = neighbors_from_pairs(&[], 0);
         assert!(csr.is_empty());
-        assert_eq!(csr.mean_degree(), 0.0);
     }
 }

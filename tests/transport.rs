@@ -18,9 +18,7 @@ use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::{gbl_inc, rw, write};
 use op2_hpx::op2::locality::{exchange, HaloSpec, LocalityGroup};
 use op2_hpx::op2::rebalance::{migrate_rows, MigrationSpec};
-use op2_hpx::op2::transport::{
-    barrier, Delivery, InProcessTransport, MsgKind, ProcessTransport, Transport,
-};
+use op2_hpx::op2::transport::{Delivery, InProcessTransport, MsgKind, ProcessTransport, Transport};
 use op2_hpx::op2::{Dat, Global, Op2Config};
 
 /// A fresh rendezvous directory under the system temp dir, unique per
@@ -307,12 +305,13 @@ fn injected_delay_does_not_occupy_the_single_worker() {
 
 /// One process's view of a job over a shared in-process match table: it
 /// hosts the ranks `local`, keeps its own sequence counters (like a
-/// `ProcessTransport` does) and counts the messages it sends per kind.
+/// `ProcessTransport` does) and counts the messages carrying a payload it
+/// sends per kind.
 struct SliceTransport {
     link: Arc<InProcessTransport>,
     local: Range<usize>,
     seqs: Mutex<HashMap<(MsgKind, usize, usize), u64>>,
-    sent: [AtomicUsize; 4],
+    sent: [AtomicUsize; 3],
 }
 
 impl SliceTransport {
@@ -346,13 +345,11 @@ impl Transport for SliceTransport {
         *next - 1
     }
 
-    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Vec<u8>) {
-        self.sent[kind as usize].fetch_add(1, Ordering::Relaxed);
+    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Option<Vec<u8>>) {
+        if payload.is_some() {
+            self.sent[kind as usize].fetch_add(1, Ordering::Relaxed);
+        }
         self.link.send(kind, src, dst, seq, payload);
-    }
-
-    fn send_abandoned(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) {
-        self.link.send_abandoned(kind, src, dst, seq);
     }
 
     fn recv(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) -> Delivery {
@@ -483,7 +480,7 @@ fn process_hosting_rank_0_and_others_completes_collectives() {
         let total = allreduce_partials(&group).get_scalar();
         group.fence();
         let busy = agree_rank_busy(&group);
-        barrier(group.transport());
+        group.barrier();
         (total, busy)
     });
     for (total, busy) in &results {
@@ -491,6 +488,37 @@ fn process_hosting_rank_0_and_others_completes_collectives() {
         assert_eq!(busy, &results[0].1, "every slice agrees on rank busy times");
         assert_eq!(busy.len(), 3);
     }
+}
+
+/// A barrier with a peer that never enters it: rank 2 of three
+/// socket-backed ranks drops its transport instead. Ranks 0 and 1 return
+/// from `barrier` (the dead link abandons rank 2's arrival, and rank 0's
+/// root abandons the release) rather than hanging, and the failure
+/// surfaces at each one's next fence.
+#[test]
+fn barrier_returns_when_a_peer_drops_its_transport() {
+    const NRANKS: usize = 3;
+    let dir = rendezvous_dir("barrier-dead-peer");
+    let dir2 = dir.clone();
+    let slices = (0..NRANKS).map(|r| r..r + 1).collect();
+    let fence_failed = run_slices_bounded(slices, move |slice| {
+        let r = slice.start;
+        let t = ProcessTransport::connect_unix(&dir2, r, NRANKS).expect("socket rendezvous");
+        if r == 2 {
+            drop(t);
+            return None;
+        }
+        let group = LocalityGroup::with_transport(Op2Config::dataflow(2), Arc::new(t));
+        group.barrier();
+        let fenced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| group.fence()));
+        Some(fenced.is_err())
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        fence_failed,
+        [Some(true), Some(true), None],
+        "ranks 0 and 1 leave the barrier and fail their next fence"
+    );
 }
 
 /// Satellite regression: rank 0's `gbl_inc` kernel panics, so its root
