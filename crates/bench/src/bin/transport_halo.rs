@@ -1,21 +1,26 @@
 //! Transport-generic halo-exchange bench: the overlap schedule measured
 //! through the [`Transport`] abstraction, over both implementations.
 //!
-//! The workload is the `halo_overlap` ring (producer / exchange / consumer
-//! per iteration), but each rank drives its *own* single-rank
-//! [`LocalityGroup`] over a shared transport — exactly the SPMD shape the
-//! out-of-process path runs, so the same code measures:
+//! The workload is a ring: rank r exports its first `halo` owned rows to
+//! rank r+1 (mod ranks). Every iteration a producer loop writes each
+//! rank's owned rows, [`exchange`] moves the halo rows, and a consumer
+//! loop reads owned and halo rows through an identity map. *Overlapped*
+//! submits the consumer right after the exchange, so only its boundary
+//! blocks gate on the receives; *bulk-sync* waits for every receive first.
+//! The same ring runs over:
 //!
-//! * **inproc** — all ranks on one [`InProcessTransport`] with an injected
-//!   per-message link delay (deferred delivery on the timer thread). The
-//!   overlapped-vs-bulk-sync speedup here is the regression-gated number:
-//!   it collapses to ~1x if the delay ever blocks a worker again or the
-//!   boundary/interior split stops hiding the latency.
-//! * **socket** — one OS thread per rank, each rendezvousing a
-//!   [`ProcessTransport`] over Unix-domain sockets (the wire protocol of
-//!   the real multi-process launcher). Real serialization + kernel
-//!   round-trips instead of an injected delay; reported for trajectory,
-//!   not gated (wire latency is the host's, not ours).
+//! * **inproc** — all ranks on one [`LocalityGroup`] over an
+//!   [`InProcessTransport`] with an injected per-message link delay
+//!   (deferred delivery on the timer thread). The overlapped-vs-bulk-sync
+//!   speedup here is the regression-gated number: it collapses to ~1x if
+//!   the delay ever blocks a worker again or the boundary/interior split
+//!   stops hiding the latency.
+//! * **socket** — one OS thread per rank, each driving its own single-rank
+//!   [`LocalityGroup`] over a [`ProcessTransport`] rendezvoused on
+//!   Unix-domain sockets (the SPMD shape and wire protocol of the real
+//!   multi-process launcher). Real serialization + kernel round-trips
+//!   instead of an injected delay; reported for trajectory, not gated
+//!   (wire latency is the host's, not ours).
 //!
 //! Emits `BENCH_transport.json`. `--min-speedup X` exits nonzero when the
 //! in-process overlapped schedule fails to beat bulk-sync by at least `X`.

@@ -1,19 +1,18 @@
 //! # op2-bench — the figure-regeneration harness
 //!
-//! One binary per table/figure of the paper's evaluation (§VI):
+//! One binary per question of the paper's evaluation (§VI):
 //!
 //! | Binary | Paper artifact |
 //! |---|---|
-//! | `fig15_exec_time` | Fig 15: Airfoil execution time, OpenMP vs dataflow |
-//! | `fig16_strong_scaling` | Fig 16: strong-scaling speedup comparison |
+//! | `fig15_16` | Figs 15 and 16 from one thread sweep: Airfoil execution time and strong-scaling speedup, OpenMP vs dataflow |
 //! | `chunk_adapt` | Fig 17: static chunk-size sweep vs the adaptive policy |
-//! | `all_figures` | runs the fig15/fig16 binaries, writing CSVs to `results/` |
 //!
 //! Figs 18-20 (the §V prefetching iterator) have no binary: prefetching lost
 //! or tied on every workload measured here and was deleted (`README.md`
-//! § Prefetching).
+//! § Prefetching). The other binaries (`reduce_overlap`, `transport_halo`,
+//! `simd_layout`, `rebalance`) are the perf gates CI runs.
 //!
-//! Every binary accepts `--cells`, `--iters`, `--threads a,b,c`, `--reps`,
+//! `fig15_16` accepts `--cells`, `--iters`, `--threads a,b,c`, `--reps`,
 //! `--csv PATH` and `--paper-scale` (see [`sweep::parse_sweep_args`]).
 
 pub mod harness;

@@ -67,9 +67,9 @@ pub use arg::{
     arg_write, arg_write_via, AccessTag, ArgInfo, ArgKind, ArgSpec, DatArg, DatBound, Dyn,
     GblIncArg, GblReadArg, IncTag, ReadTag, Row, RwTag, Shape, Via, WriteTag,
 };
-pub use config::{Backend, Op2Config, DEFAULT_BLOCK_SIZE};
+pub use config::{Backend, Op2Config};
 pub use convergence::{Convergence, ResidualMap};
-pub use dat::{Dat, DatReadGuard, DatWriteGuard, DepTable};
+pub use dat::{Dat, DatReadGuard, DatWriteGuard};
 pub use driver::{
     __dataflow_direct_blocks, __dataflow_resolved_block_size, plan_for, LoopHandle, SubmitStats,
 };

@@ -1141,6 +1141,10 @@ mod tests {
                     let recvs = exchange(&group, std::slice::from_ref(&q0), &spec);
                     recvs[0][1].wait();
                     group.fence();
+                    // Both ranks meet at the barrier; the fence after it
+                    // panics if the barrier's allreduce failed.
+                    group.barrier();
+                    group.fence();
                     q0.snapshot()
                 }
             });
@@ -1163,6 +1167,7 @@ mod tests {
                     );
                     group.fence();
                     group.barrier();
+                    group.fence();
                 }
             });
             let snap = h0.join().unwrap();

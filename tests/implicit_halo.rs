@@ -404,8 +404,7 @@ fn interior_blocks_overlap_implicitly_scheduled_receives() {
 }
 
 /// The loop-spec cache and halo engine surface their counters through the
-/// `hpx_rt::stats` named-counter registry (reported by the
-/// `pipeline_chain` bench).
+/// `hpx_rt::stats` named-counter registry (reported by the benchmark rig).
 #[test]
 fn named_counters_expose_spec_cache_and_halo_activity() {
     // Deltas, not absolutes: the registry is process-wide and sibling

@@ -1,8 +1,7 @@
-//! Many solves on one world share its warm state by shape: the loop-spec
-//! cache keys on content signatures, so a new mesh size or a different
-//! application builds its own schedules instead of colliding with cached
-//! ones, and solving a shape again builds nothing and hits the warm
-//! entries.
+//! A world's loop-spec cache keys on content signatures: a new mesh size
+//! or a second application on the same world builds its own schedules
+//! instead of colliding with cached ones, and solving a shape again builds
+//! nothing and hits the warm entries.
 
 use op2_hpx::airfoil::verify::all_finite;
 use op2_hpx::airfoil::{solver, AirfoilApp, Problem, SolverConfig};
@@ -50,10 +49,11 @@ fn different_shapes_do_not_collide() {
     );
 }
 
-/// Two different applications on one world: airfoil (quad mesh, five CFD
-/// loops) and heat (triangulated square, two generated loops). Each app's
-/// first declaration builds its own schedules, and interleaved
-/// re-declarations of both build nothing and hit their own entries.
+/// Two applications declared on one world's spec cache: airfoil (quad
+/// mesh, five CFD loops) and heat (triangulated square, two generated
+/// loops). Each app's first declaration builds its own schedules, and
+/// interleaved re-declarations of both build nothing and hit their own
+/// entries.
 #[test]
 fn mixed_app_tenants_share_the_farm_without_colliding() {
     let op2 = Op2::new(Op2Config::dataflow(2));
