@@ -58,15 +58,15 @@ pub struct Problem {
 /// A part's mesh tables in its own numbering: the whole mesh's shared
 /// tables, or a rank's renumbered (owned) slice of it whose `edge_cells`
 /// may index the `n_halo_cells` mirror rows past the owned cells. The maps
-/// keep these tables; they are not copied.
+/// and dats keep these tables; they are not copied.
 pub(crate) struct PartTables {
     pub cell_nodes: Arc<Vec<u32>>,
     pub edge_nodes: Arc<Vec<u32>>,
     pub edge_cells: Arc<Vec<u32>>,
     pub bedge_nodes: Arc<Vec<u32>>,
     pub bedge_cells: Arc<Vec<u32>>,
-    pub bound: Vec<i32>,
-    pub x: Vec<f64>,
+    pub bound: Arc<Vec<i32>>,
+    pub x: Arc<Vec<f64>>,
     pub n_interior_edges: usize,
     pub n_halo_cells: usize,
 }
@@ -75,8 +75,9 @@ impl Problem {
     /// Declares sets, maps and dats for `mesh` and initializes the flow to
     /// free stream (exactly the original program's setup). The one-part
     /// case: global numbering, no halo, nothing partitioned. The maps share
-    /// `mesh`'s index tables, so one mesh declared on several worlds is
-    /// resident once.
+    /// `mesh`'s index tables and `p_x`/`p_bound` its coordinates and flags
+    /// (read-only dats), so one mesh declared on several worlds is resident
+    /// once.
     pub fn declare(op2: &Op2, mesh: &QuadMesh) -> Problem {
         Self::declare_part(
             op2,
@@ -86,8 +87,8 @@ impl Problem {
                 edge_cells: Arc::clone(&mesh.edge_cells),
                 bedge_nodes: Arc::clone(&mesh.bedge_nodes),
                 bedge_cells: Arc::clone(&mesh.bedge_cells),
-                bound: mesh.bound.clone(),
-                x: mesh.x.clone(),
+                bound: Arc::clone(&mesh.bound),
+                x: Arc::clone(&mesh.x),
                 n_interior_edges: mesh.nedge,
                 n_halo_cells: 0,
             },

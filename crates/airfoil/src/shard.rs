@@ -210,11 +210,13 @@ fn declare_shards(
                 edge_cells: Arc::new(renumbered(&mesh.edge_cells, 2, ledges, &shard.g2l)),
                 bedge_nodes: Arc::new(renumbered(&mesh.bedge_nodes, 2, &lbedges, &g2l_node)),
                 bedge_cells: Arc::new(renumbered(&mesh.bedge_cells, 1, &lbedges, &shard.g2l)),
-                bound: lbedges.iter().map(|&b| mesh.bound[b as usize]).collect(),
-                x: lnodes
-                    .iter()
-                    .flat_map(|&gn| [mesh.x[2 * gn as usize], mesh.x[2 * gn as usize + 1]])
-                    .collect(),
+                bound: Arc::new(lbedges.iter().map(|&b| mesh.bound[b as usize]).collect()),
+                x: Arc::new(
+                    lnodes
+                        .iter()
+                        .flat_map(|&gn| [mesh.x[2 * gn as usize], mesh.x[2 * gn as usize + 1]])
+                        .collect(),
+                ),
                 n_interior_edges: shard.n_interior,
                 n_halo_cells: shard.n_halo,
             };
@@ -243,7 +245,7 @@ impl ShardedProblem {
             .parts
             .iter()
             .enumerate()
-            .map(|(i, p)| (&p.p_q, &self.owned_cells[first + i][..]));
+            .map(|(i, p)| (&p.p_q, Some(&self.owned_cells[first + i][..])));
         Worlds::Group(&self.group).gather(self.ncell_global, 4, shards)
     }
 

@@ -93,7 +93,8 @@ impl<G: Borrow<LocalityGroup>> Worlds<'_, G> {
     /// [`AppInstance::state`]: assembles a logical dat of `nrows` global
     /// rows of `dim` scalars from the parts' shards, each given with the
     /// global row of every row it owns (local owned row `i` is global row
-    /// `owned[i]`). Waits for pending writers.
+    /// `owned[i]`), or with `None` for a shard that is the whole dat in
+    /// global order. Waits for pending writers.
     ///
     /// # Panics
     ///
@@ -102,7 +103,7 @@ impl<G: Borrow<LocalityGroup>> Worlds<'_, G> {
         &self,
         nrows: usize,
         dim: usize,
-        shards: impl IntoIterator<Item = (&'p Dat<f64>, &'p [u32])>,
+        shards: impl IntoIterator<Item = (&'p Dat<f64>, Option<&'p [u32]>)>,
     ) -> Vec<f64> {
         if let Worlds::Group(group) = self {
             assert!(
@@ -113,6 +114,10 @@ impl<G: Borrow<LocalityGroup>> Worlds<'_, G> {
         let mut out = vec![0.0; nrows * dim];
         for (dat, owned) in shards {
             let local = dat.read();
+            let Some(owned) = owned else {
+                out.copy_from_slice(&local);
+                continue;
+            };
             for (i, &g) in owned.iter().enumerate() {
                 out[g as usize * dim..][..dim].copy_from_slice(local.row(i));
             }

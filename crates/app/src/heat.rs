@@ -136,8 +136,8 @@ impl HeatApp {
             .map(|(op2, graph)| {
                 let (nodes, n_halo) = (&graph.nodes, graph.n_halo);
                 let temp = op2.decl_dat_halo(nodes, 1, "temp", graph.local(&temps0, true), n_halo);
-                let flux = op2.decl_dat_halo(nodes, 1, "flux", vec![0.0; graph.l2g.len()], n_halo);
-                let boundary = graph.local(&mesh.node_boundary, false);
+                let flux = op2.decl_dat_halo(nodes, 1, "flux", vec![0.0; graph.rows()], n_halo);
+                let boundary = graph.shared(&mesh.node_boundary);
                 let boundary = op2.decl_dat(nodes, 1, "boundary", boundary);
                 HeatPart {
                     graph,

@@ -15,7 +15,7 @@
 //!
 //! Declared and stepped once over its parts exactly like [`crate::heat`]:
 //! `x` is halo-linked, `acc` carries unlinked (dead) halo rows, `b`/`diag`
-//! are owned-only.
+//! are owned-only and read-only (a bare world's share the app's arrays).
 //!
 //! The mesh-derived inputs (`b` and the diagonal) are computed once, in
 //! [`JacApp::new`]: a declaration does only per-solve work (sets, maps and
@@ -88,16 +88,16 @@ mod kernels {
 pub struct JacApp {
     mesh: TriMesh,
     /// [`rhs`] of the mesh.
-    b: Vec<f64>,
+    b: Arc<Vec<f64>>,
     /// [`diagonal`] of the mesh.
-    diag: Vec<f64>,
+    diag: Arc<Vec<f64>>,
 }
 
 impl JacApp {
     /// An `n x n` triangulated unit square.
     pub fn new(n: usize) -> JacApp {
         let mesh = unit_square(n);
-        let (b, diag) = (rhs(&mesh), diagonal(&mesh));
+        let (b, diag) = (Arc::new(rhs(&mesh)), Arc::new(diagonal(&mesh)));
         JacApp { mesh, b, diag }
     }
 
@@ -117,11 +117,11 @@ impl App for JacApp {
     }
 
     fn declare<'a>(&self, op2: &'a Op2) -> Box<dyn AppInstance + 'a> {
-        self.declare_on(Worlds::One(op2))
+        Box::new(self.declare_on(Worlds::One(op2)))
     }
 
     fn declare_sharded(&self, config: Op2Config, nranks: usize) -> Box<dyn AppInstance> {
-        self.declare_on(Worlds::Group(LocalityGroup::new(config, nranks)))
+        Box::new(self.declare_on(Worlds::Group(LocalityGroup::new(config, nranks))))
     }
 
     fn default_run(&self) -> RunConfig {
@@ -133,7 +133,7 @@ impl App for JacApp {
 }
 
 impl JacApp {
-    fn declare_on<'a>(&self, on: Worlds<'a>) -> Box<dyn AppInstance + 'a> {
+    fn declare_on<'a>(&self, on: Worlds<'a>) -> Jac<'a> {
         let mesh = &self.mesh;
         let (graphs, spec) = declare_node_graphs(&on, mesh.nnode, &mesh.edge_nodes);
         let parts: Vec<JacPart> = on
@@ -141,9 +141,9 @@ impl JacApp {
             .iter()
             .zip(graphs)
             .map(|(op2, graph)| {
-                let (nodes, n_halo, rows) = (&graph.nodes, graph.n_halo, graph.l2g.len());
-                let b = op2.decl_dat(nodes, 1, "b", graph.local(&self.b, false));
-                let diag = op2.decl_dat(nodes, 1, "diag", graph.local(&self.diag, false));
+                let (nodes, n_halo, rows) = (&graph.nodes, graph.n_halo, graph.rows());
+                let b = op2.decl_dat(nodes, 1, "b", graph.shared(&self.b));
+                let diag = op2.decl_dat(nodes, 1, "diag", graph.shared(&self.diag));
                 let x = op2.decl_dat_halo(nodes, 1, "x", vec![0.0; rows], n_halo);
                 let acc = op2.decl_dat_halo(nodes, 1, "acc", vec![0.0; rows], n_halo);
                 JacPart {
@@ -161,11 +161,11 @@ impl JacApp {
         let xs: Vec<Dat<f64>> = parts.iter().map(|p| p.x.clone()).collect();
         on.link_halo(&xs, &spec);
 
-        Box::new(Jac {
+        Jac {
             on,
             parts,
             nnode: mesh.nnode,
-        })
+        }
     }
 }
 
@@ -270,6 +270,19 @@ mod tests {
         for i in 0..mesh.nnode {
             let ax = diag[i] * x[i] - adj[i];
             assert!((ax - b[i]).abs() < 1e-8, "row {i}: Ax = {ax}, b = {}", b[i]);
+        }
+    }
+
+    #[test]
+    fn one_world_inputs_alias_the_apps_arrays() {
+        let app = JacApp::new(6);
+        let op2 = Op2::new(Op2Config::seq());
+        let one = app.declare_on(Worlds::One(&op2));
+        assert_eq!(one.parts[0].b.read().as_ptr(), app.b.as_ptr());
+        assert_eq!(one.parts[0].diag.read().as_ptr(), app.diag.as_ptr());
+        let sharded = app.declare_on(Worlds::Group(LocalityGroup::new(Op2Config::seq(), 2)));
+        for p in &sharded.parts {
+            assert_ne!(p.b.read().as_ptr(), app.b.as_ptr());
         }
     }
 

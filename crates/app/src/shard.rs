@@ -129,13 +129,19 @@ pub struct NodeGraph {
     /// Halo mirror rows appended to node dats.
     pub n_halo: usize,
     /// Local node row → global node id: the owned rows, then the halo
-    /// rows.
-    pub l2g: Vec<u32>,
+    /// rows. `None` on the whole graph, whose local rows are global ids.
+    pub l2g: Option<Vec<u32>>,
 }
 
 impl NodeGraph {
-    fn declare(op2: &Op2, n_halo: usize, pedge_idx: Arc<Vec<u32>>, l2g: Vec<u32>) -> NodeGraph {
-        let nodes = op2.decl_set(l2g.len() - n_halo, "nodes");
+    fn declare(
+        op2: &Op2,
+        nnode: usize,
+        n_halo: usize,
+        pedge_idx: Arc<Vec<u32>>,
+        l2g: Option<Vec<u32>>,
+    ) -> NodeGraph {
+        let nodes = op2.decl_set(nnode, "nodes");
         let edges = op2.decl_set(pedge_idx.len() / 2, "edges");
         let pedge = op2.decl_map_halo(&edges, &nodes, 2, pedge_idx, "pedge", n_halo);
         NodeGraph {
@@ -147,17 +153,40 @@ impl NodeGraph {
         }
     }
 
-    /// Global ids of the owned rows, in local order.
-    pub fn owned(&self) -> &[u32] {
-        &self.l2g[..self.nodes.size()]
+    /// Storage rows of a node dat with halo rows: owned plus halo.
+    pub fn rows(&self) -> usize {
+        self.nodes.size() + self.n_halo
+    }
+
+    /// Global ids of the owned rows, in local order (`None`: the whole
+    /// graph, in global order).
+    pub fn owned(&self) -> Option<&[u32]> {
+        self.l2g.as_deref().map(|l2g| &l2g[..self.nodes.size()])
     }
 
     /// A global per-node array's entries for this part's rows, in local
     /// order: the owned rows, then (`with_halo`) the halo mirrors — the
     /// initial values of a node dat declared with or without halo rows.
     pub fn local<T: Copy>(&self, global: &[T], with_halo: bool) -> Vec<T> {
-        let rows = if with_halo { &self.l2g } else { self.owned() };
-        rows.iter().map(|&g| global[g as usize]).collect()
+        let rows = if with_halo {
+            self.rows()
+        } else {
+            self.nodes.size()
+        };
+        match &self.l2g {
+            None => global.to_vec(),
+            Some(l2g) => l2g[..rows].iter().map(|&g| global[g as usize]).collect(),
+        }
+    }
+
+    /// A global per-node array's owned entries as the data of a read-only
+    /// node dat: the array itself on the whole graph (shared, not
+    /// copied), this part's gathered copy otherwise.
+    pub fn shared<T: Copy>(&self, global: &Arc<Vec<T>>) -> Arc<Vec<T>> {
+        match self.l2g {
+            None => Arc::clone(global),
+            Some(_) => Arc::new(self.local(global, false)),
+        }
     }
 }
 
@@ -165,10 +194,10 @@ impl NodeGraph {
 /// application's job — it knows their initial values and which ones to
 /// halo-link), plus the halo spec the parts' node dats share. A bare
 /// world gets the whole graph in global numbering — its map shares
-/// `edge_nodes`, nothing is copied, partitioned or planned; a group gets
-/// one part per *locally hosted* rank, each with its own renumbered
-/// table. Deterministic: the same graph and rank count always produce the
-/// same parts.
+/// `edge_nodes`, it has no `l2g`, nothing is copied, partitioned or
+/// planned; a group gets one part per *locally hosted* rank, each with its
+/// own renumbered table. Deterministic: the same graph and rank count
+/// always produce the same parts.
 pub fn declare_node_graphs(
     on: &Worlds<'_>,
     nnode: usize,
@@ -176,8 +205,7 @@ pub fn declare_node_graphs(
 ) -> (Vec<NodeGraph>, HaloSpec) {
     let group = match on {
         Worlds::One(op2) => {
-            let whole =
-                NodeGraph::declare(op2, 0, Arc::clone(edge_nodes), (0..nnode as u32).collect());
+            let whole = NodeGraph::declare(op2, nnode, 0, Arc::clone(edge_nodes), None);
             return (vec![whole], HaloSpec::empty(1));
         }
         Worlds::Group(group) => group,
@@ -207,9 +235,10 @@ pub fn declare_node_graphs(
                 .collect();
             NodeGraph::declare(
                 group.rank(r),
+                shard.n_owned,
                 shard.n_halo,
                 Arc::new(pedge_idx),
-                shard.l2g.clone(),
+                Some(shard.l2g.clone()),
             )
         })
         .collect();

@@ -193,7 +193,7 @@ fn main() {
 
     // Free-stream state everywhere; residuals small and non-uniform; adt
     // from one scalar pass so it is physical (positive, finite).
-    let x = mesh.x.clone();
+    let x = &mesh.x;
     let qi = qinf();
     let q0: Vec<f64> = (0..ncell).flat_map(|_| qi).collect();
     let qold0 = q0.clone();
@@ -217,7 +217,7 @@ fn main() {
     let adt0 = &adt0;
 
     // SoA planes of the same state.
-    let x_p = to_planes(&x, nnode, 2);
+    let x_p = to_planes(x, nnode, 2);
     let q0_p = to_planes(&q0, ncell, 4);
     let qold0_p = q0_p.clone();
     let res0_p = to_planes(&res0, ncell, 4);

@@ -24,14 +24,6 @@ impl Variant {
             Variant::Dataflow => Op2Config::dataflow(threads),
         }
     }
-
-    /// Short label used in tables.
-    pub fn label(&self) -> String {
-        match self {
-            Variant::OpenMp => "omp-parallel-for".into(),
-            Variant::Dataflow => "dataflow".into(),
-        }
-    }
 }
 
 /// One timed Airfoil measurement.
@@ -90,10 +82,5 @@ mod tests {
         assert!(a.time > Duration::ZERO && b.time > Duration::ZERO);
         let rel = (a.final_rms - b.final_rms).abs() / a.final_rms.max(1e-12);
         assert!(rel < 1e-6, "variants disagree on physics: {rel:e}");
-    }
-
-    #[test]
-    fn variant_labels_are_distinct() {
-        assert_ne!(Variant::OpenMp.label(), Variant::Dataflow.label());
     }
 }

@@ -13,8 +13,6 @@ pub struct SweepArgs {
     pub reps: usize,
     /// Optional CSV output path.
     pub csv: Option<std::path::PathBuf>,
-    /// Optional machine-readable JSON output path.
-    pub json: Option<std::path::PathBuf>,
 }
 
 impl Default for SweepArgs {
@@ -29,7 +27,6 @@ impl Default for SweepArgs {
             threads: default_thread_sweep(hw),
             reps: 2,
             csv: None,
-            json: None,
         }
     }
 }
@@ -43,8 +40,8 @@ pub fn default_thread_sweep(hw: usize) -> Vec<usize> {
     v
 }
 
-/// Parses `--cells`, `--iters`, `--threads a,b,c`, `--reps`, `--csv PATH`,
-/// `--json PATH`; panics with a readable message on bad input.
+/// Parses `--cells`, `--iters`, `--threads a,b,c`, `--reps`, `--csv PATH`;
+/// panics with a readable message on bad input.
 pub fn parse_sweep_args() -> SweepArgs {
     let mut args = SweepArgs::default();
     let mut it = std::env::args().skip(1);
@@ -64,7 +61,6 @@ pub fn parse_sweep_args() -> SweepArgs {
                     .collect();
             }
             "--csv" => args.csv = Some(value("--csv").into()),
-            "--json" => args.json = Some(value("--json").into()),
             "--paper-scale" => {
                 args.cells = 720_000;
                 args.iters = 100;
@@ -77,7 +73,6 @@ pub fn parse_sweep_args() -> SweepArgs {
                      --threads LIST  e.g. 1,2,4,8,16,32\n\
                      --reps N        repetitions, min-of (default 2)\n\
                      --csv PATH      also write CSV\n\
-                     --json PATH     also write machine-readable JSON\n\
                      --paper-scale   ~720K cells, 100 iters"
                 );
                 std::process::exit(0);

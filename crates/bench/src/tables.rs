@@ -26,16 +26,6 @@ impl Table {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders with aligned columns.
     pub fn render(&self) -> String {
         let ncols = self.header.len();
@@ -107,11 +97,6 @@ impl Table {
 /// Formats a `Duration` in milliseconds with 2 decimals.
 pub fn ms(d: std::time::Duration) -> String {
     format!("{:.2}", d.as_secs_f64() * 1e3)
-}
-
-/// Formats a ratio with 3 decimals.
-pub fn ratio(r: f64) -> String {
-    format!("{r:.3}")
 }
 
 #[cfg(test)]

@@ -523,9 +523,7 @@ unsafe impl<T: OpType, A: AccessTag, S: Shape> ArgSpec for DatArg<T, A, S> {
     // only computes addresses.
     unsafe fn bind(&self) -> DatBound<'_, T, S> {
         DatBound {
-            // SAFETY: address computation only; the caller is the executor
-            // that may dereference it.
-            base: unsafe { self.dat.ptr() },
+            base: self.dat.ptr(),
             map: match &self.map {
                 None => std::ptr::null(),
                 // Pre-offset by the slot (`slot < m.dim()` per
@@ -876,7 +874,8 @@ mod tests {
                 let what = format!("{access} indirect={indirect} shaped={shaped}");
                 let op2 = Op2::new(Op2Config::seq());
                 let iter = op2.decl_set(n, "iter");
-                let ids = op2.decl_dat(&iter, 1, "id", (0..n).map(|e| e as f64).collect());
+                let ids =
+                    op2.decl_dat(&iter, 1, "id", (0..n).map(|e| e as f64).collect::<Vec<_>>());
                 let (set, halo_rows) = if indirect {
                     (op2.decl_set(rows, "rows"), halo)
                 } else {
@@ -997,7 +996,12 @@ mod tests {
         for op2 in worlds.map(Op2::new) {
             let backend = op2.config().backend;
             let cells = op2.decl_set(n, "cells");
-            let v = op2.decl_dat(&cells, 1, "v", (1..=n).map(|i| i as f64).collect());
+            let v = op2.decl_dat(
+                &cells,
+                1,
+                "v",
+                (1..=n).map(|i| i as f64).collect::<Vec<_>>(),
+            );
             let (g1, g3) = (Global::<f64>::sum(1, "g1"), Global::<f64>::sum(3, "g3"));
             let fresh = Arc::new(AtomicUsize::new(0));
             let seen = Arc::clone(&fresh);

@@ -49,8 +49,15 @@
 //!
 //! # Safety model
 //!
-//! The payload lives in an `UnsafeCell<Vec<T>>`. Mutable access happens on
-//! exactly two disciplined paths:
+//! The payload is the caller's buffer, kept as an `Arc<Vec<T>>` (OP2's
+//! `op_decl_dat` keeps the caller's array too); its base pointer is taken
+//! once, at construction. An owned `Vec` or a unique `Arc` moves in and is
+//! writable. An `Arc` the caller still shares is aliased, never copied,
+//! and is **read-only**: every mutating route to it (a mutable loop
+//! argument, [`Dat::write`], a halo link, a row-move landing) panics at
+//! submission, naming the dat, so nothing writes through the shared
+//! buffer. Mutable access to a writable dat happens on exactly two
+//! disciplined paths:
 //!
 //! 1. **Loop executors** (`crate::driver`): race-freedom is guaranteed by
 //!    the execution plan — direct mutable args touch disjoint rows because
@@ -75,7 +82,6 @@
 //! thread (its raw pointers make it `!Send`/`!Sync`).
 
 use parking_lot::Mutex;
-use std::cell::UnsafeCell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -84,6 +90,7 @@ use hpx_rt::SharedFuture;
 
 #[cfg(test)]
 use crate::config::DEFAULT_BLOCK_SIZE;
+use crate::locality::Landing;
 use crate::plan::BlockReach;
 use crate::set::Set;
 use crate::types::{next_entity_id, OpType};
@@ -388,7 +395,13 @@ pub(crate) struct DatInner<T> {
     /// elements under the multi-locality layer (see [`crate::locality`]).
     /// 0 for ordinary dats.
     pub halo_rows: usize,
-    data: UnsafeCell<Vec<T>>,
+    /// The storage, kept alive for `base`: unique unless `read_only`.
+    _storage: Arc<Vec<T>>,
+    /// Base pointer of `_storage`, taken once at construction (the `Vec`
+    /// is never resized).
+    base: *mut T,
+    /// The caller still shares `_storage`: nothing may write it.
+    read_only: bool,
     pub deps: Arc<DepTable>,
     /// User-guard tracking: >0 read guards, -1 write guard, 0 free.
     borrow: AtomicIsize,
@@ -400,7 +413,8 @@ pub(crate) struct DatInner<T> {
 }
 
 // SAFETY: see the module-level safety model; all mutable access is
-// serialized by plans/futures (executors) or the borrow counter (guards).
+// serialized by plans/futures (executors) or the borrow counter (guards),
+// and `base` only points into `_storage`, which moves with the struct.
 unsafe impl<T: Send + Sync> Send for DatInner<T> {}
 // SAFETY: shared references only reach the payload through the two paths
 // of the module-level model, which never let two threads hold conflicting
@@ -425,40 +439,35 @@ impl<T: OpType> Clone for Dat<T> {
 impl<T: OpType> Dat<T> {
     /// Test convenience: a dat with the default dependency-block size.
     #[cfg(test)]
-    pub(crate) fn new(set: &Set, dim: usize, name: &str, data: Vec<T>) -> Self {
-        Self::with_dep_block_size(set, dim, name, data, DEFAULT_BLOCK_SIZE)
+    pub(crate) fn new(set: &Set, dim: usize, name: &str, data: impl Into<Arc<Vec<T>>>) -> Self {
+        Self::with_halo(set, dim, name, data, DEFAULT_BLOCK_SIZE, 0)
     }
 
     /// Creates a dat whose dependency table is partitioned into blocks of
     /// `dep_block_size` rows — aligned by [`crate::Op2::decl_dat`] to the
     /// context's mini-partition block size so loop blocks and dependency
-    /// blocks coincide.
-    #[cfg(test)]
-    pub(crate) fn with_dep_block_size(
-        set: &Set,
-        dim: usize,
-        name: &str,
-        data: Vec<T>,
-        dep_block_size: usize,
-    ) -> Self {
-        Self::with_halo(set, dim, name, data, dep_block_size, 0)
-    }
-
-    /// Creates a dat with `halo_rows` mirror rows appended beyond the
+    /// blocks coincide — with `halo_rows` mirror rows appended beyond the
     /// set's own elements: storage, the dependency table and user guards
     /// all cover `set.size() + halo_rows` rows, while loops keep iterating
     /// the owned prefix only. Halo rows are fed by remote ranks through
     /// [`crate::locality::exchange`], whose receive nodes leave the same
     /// kind of access record as local writers — a halo block is just a
-    /// remote-fed block to the dependency engine.
+    /// remote-fed block to the dependency engine. `data` is kept, not
+    /// copied, and is read-only if its caller still shares it (module
+    /// docs).
     pub(crate) fn with_halo(
         set: &Set,
         dim: usize,
         name: &str,
-        data: Vec<T>,
+        data: impl Into<Arc<Vec<T>>>,
         dep_block_size: usize,
         halo_rows: usize,
     ) -> Self {
+        let mut data = data.into();
+        let (base, read_only) = match Arc::get_mut(&mut data) {
+            Some(owned) => (owned.as_mut_ptr(), false),
+            None => (data.as_ptr().cast_mut(), true),
+        };
         assert!(dim > 0, "dat '{name}': dim must be positive");
         let rows = set.size() + halo_rows;
         assert_eq!(
@@ -475,7 +484,9 @@ impl<T: OpType> Dat<T> {
                 dim,
                 name: name.to_owned(),
                 halo_rows,
-                data: UnsafeCell::new(data),
+                _storage: data,
+                base,
+                read_only,
                 deps: Arc::new(DepTable::new(rows, dep_block_size)),
                 borrow: AtomicIsize::new(0),
                 halo_ring: OnceLock::new(),
@@ -526,16 +537,11 @@ impl<T: OpType> Dat<T> {
         self.len() == 0
     }
 
-    /// Raw base pointer for the executors.
-    ///
-    /// # Safety
-    ///
-    /// Dereferencing requires the caller to uphold the module-level model.
+    /// Raw base pointer for the executors; dereferencing it is bound by the
+    /// module-level model (which never writes a read-only dat).
     #[inline(always)]
-    pub(crate) unsafe fn ptr(&self) -> *mut T {
-        // SAFETY: UnsafeCell grants the raw pointer; the Vec itself is
-        // never resized after construction, so the pointer is stable.
-        unsafe { (*self.inner.data.get()).as_mut_ptr() }
+    pub(crate) fn ptr(&self) -> *mut T {
+        self.inner.base
     }
 
     /// Appends row `e` to `out`.
@@ -550,47 +556,35 @@ impl<T: OpType> Dat<T> {
         out.extend_from_slice(unsafe { std::slice::from_raw_parts(self.ptr().add(e * dim), dim) });
     }
 
-    /// Copies `buf` (`buf.len() / dim` rows) into the storage starting at
-    /// row `start`.
+    /// Copies `buf` (one `dim`-wide chunk per landing row, in landing
+    /// order) into the rows of a row move's landing: one copy for a halo
+    /// range, one per row for a migration's row list (a rank's newly-owned
+    /// rows interleave with rows it kept).
     ///
     /// # Safety
     ///
-    /// Caller must hold exclusive access to the target rows per the
-    /// module-level model; `start * dim + buf.len()` must not exceed
-    /// [`Dat::len`].
-    pub(crate) unsafe fn scatter_rows_from(&self, start: usize, buf: &[T]) {
-        let dim = self.inner.dim;
-        debug_assert_eq!(buf.len() % dim, 0);
-        // SAFETY: the rows are contiguous and in bounds per the contract,
-        // which also grants the exclusive access the write needs.
-        unsafe {
-            std::ptr::copy_nonoverlapping(buf.as_ptr(), self.ptr().add(start * dim), buf.len())
-        };
-    }
-
-    /// Scatters `buf` (one `dim`-wide chunk per entry of `rows`) into the
-    /// listed — possibly non-contiguous — rows. The row-migration path
-    /// lands moved rows with this (a rank's newly-owned rows interleave
-    /// with rows it kept, so the destination is a list, unlike a halo
-    /// import's contiguous range).
-    ///
-    /// # Safety
-    ///
-    /// Caller must hold exclusive access to the target rows per the
-    /// module-level model; every row must be `< total_rows()` and
-    /// `buf.len()` must equal `rows.len() * dim`.
-    pub(crate) unsafe fn scatter_row_list_from(&self, rows: &[u32], buf: &[T]) {
-        let dim = self.inner.dim;
-        debug_assert_eq!(buf.len(), rows.len() * dim);
-        // SAFETY: taking the pointer reads nothing; the writes below stay in
-        // the listed rows, which the caller holds exclusively per contract.
-        let base = unsafe { self.ptr() };
-        for (chunk, &row) in buf.chunks_exact(dim).zip(rows) {
-            // SAFETY: row < total_rows per contract; rows are dim-aligned in
-            // the never-resized storage.
-            unsafe {
-                std::ptr::copy_nonoverlapping(chunk.as_ptr(), base.add(row as usize * dim), dim)
-            };
+    /// Caller must hold exclusive access to the landing rows per the
+    /// module-level model; every landing row must be `< total_rows()` and
+    /// `buf.len()` must equal the landing's row count times `dim`.
+    pub(crate) unsafe fn land_rows(&self, landing: &Landing, buf: &[T]) {
+        let (dim, base) = (self.inner.dim, self.ptr());
+        match landing {
+            // SAFETY: the range is contiguous and in bounds per contract,
+            // which also grants the exclusive access the write needs.
+            Landing::Halo(range) => unsafe {
+                base.add(range.start * dim)
+                    .copy_from_nonoverlapping(buf.as_ptr(), buf.len())
+            },
+            Landing::Rows(rows) => {
+                for (row, &r) in buf.chunks_exact(dim).zip(rows.iter()) {
+                    // SAFETY: r < total_rows per contract; rows are
+                    // dim-aligned in the never-resized storage.
+                    unsafe {
+                        base.add(r as usize * dim)
+                            .copy_from_nonoverlapping(row.as_ptr(), dim)
+                    };
+                }
+            }
         }
     }
 
@@ -663,8 +657,10 @@ impl<T: OpType> Dat<T> {
     ///
     /// # Panics
     ///
-    /// If any other guard is live.
+    /// If any other guard is live, or the dat is read-only (it shares its
+    /// caller's data).
     pub fn write(&self) -> DatWriteGuard<'_, T> {
+        self.assert_writable("write()");
         self.inner.deps.wait_conflicting(true);
         let prev = self
             .inner
@@ -683,11 +679,21 @@ impl<T: OpType> Dat<T> {
         self.read().to_vec()
     }
 
+    /// Panics if this dat shares its caller's data: `route` would write it.
+    pub(crate) fn assert_writable(&self, route: &str) {
+        assert!(
+            !self.inner.read_only,
+            "dat '{}': {route} needs a writable dat, but it shares its caller's data (read-only)",
+            self.inner.name
+        );
+    }
+
     /// Panics unless a new loop argument with the given mutability could
-    /// run now without racing a live user guard.
+    /// run now without racing a live user guard or writing shared data.
     pub(crate) fn assert_borrowable(&self, mutates: bool) {
         let b = self.inner.borrow.load(Ordering::Acquire);
         if mutates {
+            self.assert_writable("a mutable loop argument");
             assert!(
                 b == 0,
                 "dat '{}': submitted as a mutable loop argument while a user guard is live",
@@ -871,7 +877,7 @@ mod tests {
     #[test]
     fn per_block_deps_are_independent() {
         let set = Set::new(8, "cells");
-        let d: Dat<f64> = Dat::with_dep_block_size(&set, 1, "q", vec![0.0; 8], 4);
+        let d: Dat<f64> = Dat::with_halo(&set, 1, "q", vec![0.0; 8], 4, 0);
         let (_w, w) = pending();
         // Write rows 0..4 only: block 0 gains a writer, block 1 stays free.
         d.deps()
@@ -891,7 +897,7 @@ mod tests {
     #[test]
     fn sibling_records_accumulate_and_a_later_generation_supersedes_them() {
         let set = Set::new(4, "cells");
-        let d: Dat<f64> = Dat::with_dep_block_size(&set, 1, "q", vec![0.0; 4], 4);
+        let d: Dat<f64> = Dat::with_halo(&set, 1, "q", vec![0.0; 4], 4, 0);
         let gen = next_loop_gen();
         let ((_p1, w1), (_p2, w2)) = (pending(), pending());
         // Two receives of one refresh land in block 0: siblings did not
@@ -913,7 +919,7 @@ mod tests {
     #[test]
     fn a_partial_cover_trims_the_older_record() {
         let set = Set::new(16, "cells");
-        let d: Dat<f64> = Dat::with_dep_block_size(&set, 1, "q", vec![0.0; 16], 4);
+        let d: Dat<f64> = Dat::with_halo(&set, 1, "q", vec![0.0; 16], 4, 0);
         let (_r, read) = pending();
         d.deps()
             .record_node(d.deps().whole(), false, next_loop_gen(), &read);
@@ -975,7 +981,7 @@ mod tests {
     #[test]
     fn loop_records_resolve_nodes_arithmetically_and_through_reach_tables() {
         let set = Set::new(32, "cells");
-        let d: Dat<f64> = Dat::with_dep_block_size(&set, 1, "q", vec![0.0; 32], 4);
+        let d: Dat<f64> = Dat::with_halo(&set, 1, "q", vec![0.0; 32], 4, 0);
         let futs: Vec<_> = (0..4).map(|_| pending()).collect();
         let nodes: Arc<[SharedFuture<()>]> = futs.iter().map(|(_, f)| f.clone()).collect();
         let (_done, done) = pending();
@@ -1093,7 +1099,7 @@ mod tests {
             let nrows = rng.in_range(1, 160);
             let block = rng.in_range(1, 20);
             let set = Set::new(nrows, "rows");
-            let d: Dat<f64> = Dat::with_dep_block_size(&set, 1, "d", vec![0.0; nrows], block);
+            let d: Dat<f64> = Dat::with_halo(&set, 1, "d", vec![0.0; nrows], block, 0);
             let mut graph: Vec<OracleNode> = Vec::new();
             // `(done promise, node ids)` of every multi-node access.
             let mut loops: Vec<(Option<hpx_rt::Promise<()>>, Vec<usize>)> = Vec::new();

@@ -481,18 +481,6 @@ pub fn __dataflow_resolved_block_size(world: &Op2, kernel: &str, set: &Set) -> u
     resolve_granularity(world, kernel, set.signature(), set.size(), None)
 }
 
-/// The block partition a *direct* dataflow loop named `kernel` over `set`
-/// would be scheduled with under `world`'s configuration and current
-/// feedback.
-#[doc(hidden)]
-pub fn __dataflow_direct_blocks(world: &Op2, kernel: &str, set: &Set) -> Vec<Range<usize>> {
-    let n = set.size();
-    let bs = resolve_granularity(world, kernel, set.signature(), n, None);
-    (0..n.div_ceil(bs))
-        .map(|b| b * bs..((b + 1) * bs).min(n))
-        .collect()
-}
-
 /// Everything the nodes of one submitted loop share, behind the one `Arc`
 /// a node's closure captures next to its block indices.
 struct LoopRun {

@@ -70,9 +70,7 @@ pub use arg::{
 pub use config::{Backend, Op2Config};
 pub use convergence::{Convergence, ResidualMap};
 pub use dat::{Dat, DatReadGuard, DatWriteGuard};
-pub use driver::{
-    __dataflow_direct_blocks, __dataflow_resolved_block_size, plan_for, LoopHandle, SubmitStats,
-};
+pub use driver::{__dataflow_resolved_block_size, plan_for, LoopHandle, SubmitStats};
 pub use gbl::{Global, ReduceOp, ReducedFuture, Reducible};
 pub use granularity::{GranularityFeedback, KernelCost};
 pub use map::Map;

@@ -288,6 +288,7 @@ impl LocalityGroup {
         assert_eq!(dats.len(), local.len(), "one dat shard per local rank");
         spec.validate().expect("halo spec invalid");
         for (i, d) in dats.iter().enumerate() {
+            d.assert_writable("a halo link");
             let r = local.start + i;
             for s in 0..n {
                 let range = &spec.import_range[r][s];
@@ -770,6 +771,7 @@ fn schedule_recv_half<T: OpType>(
     recv_gen: u64,
     delivery: Delivery,
 ) -> SharedFuture<()> {
+    dat_dst.assert_writable("a row-move landing");
     let (owned, bs) = (dat_dst.set().size(), dat_dst.deps().block_size());
     let (fits, region, footprint) = match landing {
         Landing::Halo(range) => (
@@ -820,12 +822,7 @@ fn schedule_recv_half<T: OpType>(
         // SAFETY: scheduled after every pending reader and writer of the
         // landing blocks, and registered as their writer, so this node has
         // exclusive access to the rows.
-        unsafe {
-            match &landing {
-                Landing::Halo(range) => scatter_dat.scatter_rows_from(range.start, &vals),
-                Landing::Rows(rows) => scatter_dat.scatter_row_list_from(rows, &vals),
-            }
-        }
+        unsafe { scatter_dat.land_rows(&landing, &vals) };
     });
     dat_dst
         .deps()
@@ -1035,7 +1032,7 @@ mod tests {
             .decl_dat_halo(&c0, 2, "q", vec![0.0f64; 24], 4);
         let q1 = group
             .rank(1)
-            .decl_dat(&c1, 2, "q", (0..8).map(|i| i as f64).collect());
+            .decl_dat(&c1, 2, "q", (0..8).map(|i| i as f64).collect::<Vec<_>>());
         let spec = two_rank_spec(4, 8);
         spec.validate().unwrap();
         let recvs = exchange(&group, &[q0.clone(), q1], &spec);
@@ -1156,10 +1153,12 @@ mod tests {
                         Arc::new(ProcessTransport::connect_unix(&dir, 1, 2).unwrap());
                     let group = LocalityGroup::with_transport(Op2Config::dataflow(2), t);
                     let c1 = group.rank(1).decl_set(4, "cells");
-                    let q1 =
-                        group
-                            .rank(1)
-                            .decl_dat(&c1, 2, "q", (0..8).map(|i| i as f64).collect());
+                    let q1 = group.rank(1).decl_dat(
+                        &c1,
+                        2,
+                        "q",
+                        (0..8).map(|i| i as f64).collect::<Vec<_>>(),
+                    );
                     let recvs = exchange(&group, &[q1], &spec);
                     assert!(
                         recvs[0].iter().all(|f| f.is_ready()),

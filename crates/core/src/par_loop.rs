@@ -364,7 +364,12 @@ mod tests {
     fn direct_copy_loop_all_backends() {
         for op2 in each_backend() {
             let cells = op2.decl_set(1000, "cells");
-            let q = op2.decl_dat(&cells, 4, "q", (0..4000).map(|i| i as f64).collect());
+            let q = op2.decl_dat(
+                &cells,
+                4,
+                "q",
+                (0..4000).map(|i| i as f64).collect::<Vec<_>>(),
+            );
             let qold = op2.decl_dat(&cells, 4, "qold", vec![0.0f64; 4000]);
             let h = op2
                 .loop_("save_soln", &cells)
@@ -460,7 +465,12 @@ mod tests {
     fn gbl_reduction_matches_closed_form() {
         for op2 in each_backend() {
             let cells = op2.decl_set(5000, "cells");
-            let vals = op2.decl_dat(&cells, 1, "v", (0..5000).map(|i| i as f64).collect());
+            let vals = op2.decl_dat(
+                &cells,
+                1,
+                "v",
+                (0..5000).map(|i| i as f64).collect::<Vec<_>>(),
+            );
             let total = Global::<f64>::sum(1, "total");
             let h = op2
                 .loop_("sum", &cells)
@@ -588,7 +598,12 @@ mod tests {
             idx.push(e + 1);
         }
         let m = op2.decl_map(&edges, &nodes, 2, idx, "pedge");
-        let xn = op2.decl_dat(&nodes, 1, "xn", (0..101).map(|i| i as f64).collect());
+        let xn = op2.decl_dat(
+            &nodes,
+            1,
+            "xn",
+            (0..101).map(|i| i as f64).collect::<Vec<_>>(),
+        );
         let xe = op2.decl_dat(&edges, 1, "xe", vec![0.0f64; 100]);
         let h = op2
             .loop_("gather", &edges)

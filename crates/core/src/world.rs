@@ -95,20 +95,15 @@ impl Op2 {
     /// Creates a context with its own worker pool.
     pub fn new(config: Op2Config) -> Self {
         let rt = Arc::new(Runtime::with_name(config.threads, "op2-worker"));
-        Self::with_runtime(config, rt)
-    }
-
-    /// Creates a context on an existing runtime. This is how the
-    /// multi-locality layer ([`crate::locality`]) simulates ranks: every
-    /// rank is its own `Op2` context (own plan cache, stats, declared
-    /// entities) but all ranks share one worker pool, so halo-exchange
-    /// tasks and loop blocks of different ranks interleave freely.
-    pub fn with_runtime(config: Op2Config, rt: Arc<Runtime>) -> Self {
         Self::build(config, rt, false)
     }
 
-    /// A rank world of a [`LocalityGroup`](crate::locality::LocalityGroup):
-    /// [`Op2::with_runtime`] that measures the busy time of every loop.
+    /// A rank world of a [`LocalityGroup`](crate::locality::LocalityGroup),
+    /// on the group's runtime, that measures the busy time of every loop.
+    /// This is how the multi-locality layer simulates ranks: every rank is
+    /// its own `Op2` context (own plan cache, stats, declared entities) but
+    /// all ranks share one worker pool, so halo-exchange tasks and loop
+    /// blocks of different ranks interleave freely.
     pub(crate) fn rank_world(config: Op2Config, rt: Arc<Runtime>) -> Self {
         Self::build(config, rt, true)
     }
@@ -191,7 +186,21 @@ impl Op2 {
     /// `set.size() * dim` scalars, row-major. The dat's dependency table
     /// is partitioned to this context's mini-partition block size, so loop
     /// blocks and dependency blocks coincide under the dataflow backend.
-    pub fn decl_dat<T: OpType>(&self, set: &Set, dim: usize, name: &str, data: Vec<T>) -> Dat<T> {
+    ///
+    /// Like [`Op2::decl_map`], the dat keeps the caller's data rather than
+    /// a copy. An owned `Vec` (or an `Arc` nobody else holds) moves in and
+    /// is writable. An `Arc<Vec<T>>` the caller still shares — a mesh's
+    /// coordinates, say, declared on several worlds — becomes the dat's
+    /// storage at the cost of a reference-count bump and is read-only:
+    /// submitting it as a mutable loop argument, [`Dat::write`], a halo
+    /// link or a row-move landing on it panics, naming the dat.
+    pub fn decl_dat<T: OpType>(
+        &self,
+        set: &Set,
+        dim: usize,
+        name: &str,
+        data: impl Into<Arc<Vec<T>>>,
+    ) -> Dat<T> {
         self.decl_dat_halo(set, dim, name, data, 0)
     }
 
@@ -199,13 +208,14 @@ impl Op2 {
     /// remote-owned elements; `data` holds `(set.size() + halo_rows) * dim`
     /// scalars, owned rows first. Loops iterate the owned prefix only;
     /// halo rows are fed by [`crate::locality::exchange`] and reached
-    /// through maps declared with [`Op2::decl_map_halo`].
+    /// through maps declared with [`Op2::decl_map_halo`]. `data` is kept
+    /// as [`Op2::decl_dat`] keeps it.
     pub fn decl_dat_halo<T: OpType>(
         &self,
         set: &Set,
         dim: usize,
         name: &str,
-        data: Vec<T>,
+        data: impl Into<Arc<Vec<T>>>,
         halo_rows: usize,
     ) -> Dat<T> {
         Dat::with_halo(set, dim, name, data, self.config.block_size, halo_rows)

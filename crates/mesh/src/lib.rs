@@ -12,11 +12,11 @@
 //! with halo-list derivation for the multi-locality execution layer, and
 //! structural validation.
 //!
-//! A mesh's `u32` connectivity tables are shared immutable arrays
-//! (`Arc<Vec<u32>>`): cloning a mesh shares them, and a map declared from
-//! one on any number of OP2 worlds reads the same buffer, as OP2's
-//! `op_decl_map` keeps its caller's array. Coordinates and boundary flags
-//! stay plain `Vec`s — every dat copies its initial data anyway.
+//! A mesh's connectivity tables, coordinates and boundary flags are
+//! shared immutable arrays (`Arc<Vec<_>>`): cloning a mesh shares them,
+//! and a map or read-only dat declared from one on any number of OP2
+//! worlds reads the same buffer, as OP2's `op_decl_map` and `op_decl_dat`
+//! keep their caller's array.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -19,8 +19,8 @@ pub const BOUND_WALL: i32 = 1;
 pub const BOUND_FARFIELD: i32 = 2;
 
 /// An unstructured quad mesh in OP2's Airfoil table layout. The index
-/// tables are shared: a clone, and every map declared from them, reads the
-/// same buffers.
+/// tables, coordinates and boundary flags are shared: a clone, and every
+/// map and dat declared from them, reads the same buffers.
 #[derive(Debug, Clone)]
 pub struct QuadMesh {
     /// Cells in x.
@@ -47,9 +47,9 @@ pub struct QuadMesh {
     pub bedge_cells: Arc<Vec<u32>>,
     /// Boundary edge condition flags (`nbedge`), [`BOUND_WALL`] or
     /// [`BOUND_FARFIELD`].
-    pub bound: Vec<i32>,
+    pub bound: Arc<Vec<i32>>,
     /// Node coordinates, `nnode x 2`.
-    pub x: Vec<f64>,
+    pub x: Arc<Vec<f64>>,
 }
 
 impl QuadMesh {
@@ -214,8 +214,8 @@ pub fn channel_with_bump(imax: usize, jmax: usize) -> QuadMesh {
         edge_cells: Arc::new(edge_cells),
         bedge_nodes: Arc::new(bedge_nodes),
         bedge_cells: Arc::new(bedge_cells),
-        bound,
-        x,
+        bound: Arc::new(bound),
+        x: Arc::new(x),
     }
 }
 

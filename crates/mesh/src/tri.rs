@@ -3,8 +3,8 @@
 
 use std::sync::Arc;
 
-/// An unstructured triangle mesh over the unit square. The index tables
-/// are shared, as [`crate::QuadMesh`]'s are.
+/// An unstructured triangle mesh over the unit square. Its tables and
+/// per-node data are shared, as [`crate::QuadMesh`]'s are.
 #[derive(Debug, Clone)]
 pub struct TriMesh {
     /// Node count.
@@ -13,74 +13,55 @@ pub struct TriMesh {
     pub ntri: usize,
     /// Unique edge count.
     pub nedge: usize,
-    /// Triangle → 3 nodes, `ntri x 3`.
-    pub tri_nodes: Arc<Vec<u32>>,
-    /// Edge → 2 nodes, `nedge x 2`.
+    /// Edge → 2 nodes, `nedge x 2`, sorted pairs in ascending order.
     pub edge_nodes: Arc<Vec<u32>>,
     /// Node coordinates, `nnode x 2`.
-    pub x: Vec<f64>,
+    pub x: Arc<Vec<f64>>,
     /// 1 for boundary nodes, 0 for interior.
-    pub node_boundary: Vec<i32>,
+    pub node_boundary: Arc<Vec<i32>>,
 }
 
 /// Triangulates an `n x n` structured grid of the unit square (each quad
-/// split along its diagonal), returning fully unstructured tables.
+/// split along its diagonal from `(i, j)` to `(i + 1, j + 1)`), returning
+/// fully unstructured tables.
 pub fn unit_square(n: usize) -> TriMesh {
     assert!(n >= 1, "need at least one cell per side");
     let side = n + 1;
     let nnode = side * side;
-    let node = |i: usize, j: usize| (j * side + i) as u32;
 
     let mut x = Vec::with_capacity(nnode * 2);
     let mut node_boundary = Vec::with_capacity(nnode);
+    // Every edge as a sorted pair `(a, b)`, `a < b`, emitted in ascending
+    // order: node `a` at grid `(i, j)` is the lower end of its right,
+    // upper and upper-right diagonal edges, in that order of `b`.
+    let nedge = 3 * n * n + 2 * n;
+    let mut edge_nodes = Vec::with_capacity(nedge * 2);
     for j in 0..side {
         for i in 0..side {
             x.push(i as f64 / n as f64);
             x.push(j as f64 / n as f64);
             node_boundary.push(i32::from(i == 0 || j == 0 || i == n || j == n));
+            let (a, up) = ((j * side + i) as u32, side as u32);
+            if i < n {
+                edge_nodes.extend_from_slice(&[a, a + 1]);
+            }
+            if j < n {
+                edge_nodes.extend_from_slice(&[a, a + up]);
+            }
+            if i < n && j < n {
+                edge_nodes.extend_from_slice(&[a, a + up + 1]);
+            }
         }
     }
-
-    let mut tri_nodes = Vec::with_capacity(n * n * 6);
-    let mut edge_set: Vec<(u32, u32)> = Vec::with_capacity(3 * n * n + 2 * n);
-    let mut push_edge = |a: u32, b: u32| {
-        edge_set.push(if a < b { (a, b) } else { (b, a) });
-    };
-    for j in 0..n {
-        for i in 0..n {
-            let (a, b, c, d) = (
-                node(i, j),
-                node(i + 1, j),
-                node(i + 1, j + 1),
-                node(i, j + 1),
-            );
-            // Lower-right triangle (a, b, c) and upper-left (a, c, d).
-            tri_nodes.extend_from_slice(&[a, b, c]);
-            tri_nodes.extend_from_slice(&[a, c, d]);
-            push_edge(a, b);
-            push_edge(b, c);
-            push_edge(a, c);
-            push_edge(c, d);
-            push_edge(a, d);
-        }
-    }
-    edge_set.sort_unstable();
-    edge_set.dedup();
-    let nedge = edge_set.len();
-    let mut edge_nodes = Vec::with_capacity(nedge * 2);
-    for (a, b) in edge_set {
-        edge_nodes.push(a);
-        edge_nodes.push(b);
-    }
+    debug_assert_eq!(edge_nodes.len(), nedge * 2);
 
     TriMesh {
         nnode,
         ntri: 2 * n * n,
         nedge,
-        tri_nodes: Arc::new(tri_nodes),
         edge_nodes: Arc::new(edge_nodes),
-        x,
-        node_boundary,
+        x: Arc::new(x),
+        node_boundary: Arc::new(node_boundary),
     }
 }
 
@@ -113,6 +94,40 @@ mod tests {
         let m = unit_square(3);
         let marked = m.node_boundary.iter().filter(|&&b| b == 1).count();
         assert_eq!(marked, 4 * 3); // perimeter nodes of a 4x4 grid
+    }
+
+    /// The edge table as derived from the triangles: every triangle's
+    /// three sides as sorted pairs, sorted and deduplicated.
+    fn edges_from_triangles(n: usize) -> Vec<u32> {
+        let side = n + 1;
+        let node = |i: usize, j: usize| (j * side + i) as u32;
+        let mut pairs = Vec::new();
+        for j in 0..n {
+            for i in 0..n {
+                let (a, b, c, d) = (
+                    node(i, j),
+                    node(i + 1, j),
+                    node(i + 1, j + 1),
+                    node(i, j + 1),
+                );
+                // Triangles (a, b, c) and (a, c, d).
+                for (u, v) in [(a, b), (b, c), (a, c), (c, d), (a, d)] {
+                    pairs.push((u.min(v), u.max(v)));
+                }
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs.into_iter().flat_map(|(u, v)| [u, v]).collect()
+    }
+
+    #[test]
+    fn edge_table_is_the_triangle_derived_one() {
+        for n in [1, 2, 3, 7, 64, 255, 256, 257] {
+            let m = unit_square(n);
+            assert_eq!(*m.edge_nodes, edges_from_triangles(n), "n = {n}");
+            assert_eq!(m.edge_nodes.len(), 2 * m.nedge, "n = {n}");
+        }
     }
 
     #[test]

@@ -11,7 +11,10 @@ use op2_hpx::app::harness::Worlds;
 use op2_hpx::app::shard::declare_node_graphs;
 use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::mesh::{channel_with_bump, unit_square};
-use op2_hpx::op2::{Backend, Op2, Op2Config};
+use op2_hpx::op2::args::{inc, rw, write};
+use op2_hpx::op2::locality::{HaloSpec, LocalityGroup};
+use op2_hpx::op2::rebalance::{migrate_rows, MigrationSpec};
+use op2_hpx::op2::{Backend, Dat, Op2, Op2Config};
 
 fn simulate(config: Op2Config) -> (Vec<f64>, Vec<f64>) {
     let op2 = Op2::new(config);
@@ -320,4 +323,148 @@ fn one_mesh_declared_on_every_backend_is_resident_once() {
     for part in &shp.parts {
         assert_ne!(part.pecell.indices().as_ptr(), mesh.edge_cells.as_ptr());
     }
+}
+
+/// Read-only inputs are resident once too: a dat declared from an `Arc`
+/// its caller still shares is that buffer, not a copy of it, while an
+/// owned `Vec` moves in and stays writable.
+#[test]
+fn dats_declared_from_shared_data_alias_it() {
+    let mesh = channel_with_bump(32, 16);
+    for backend in [Backend::Seq, Backend::ForkJoin, Backend::Dataflow] {
+        let op2 = Op2::new(backend_config(backend));
+        let p = Problem::declare(&op2, &mesh);
+        assert_eq!(p.p_x.read().as_ptr(), mesh.x.as_ptr(), "{backend:?}: p_x");
+        assert_eq!(
+            p.p_bound.read().as_ptr(),
+            mesh.bound.as_ptr(),
+            "{backend:?}: p_bound"
+        );
+    }
+
+    // The one-world node graph shares per-node inputs; a rank's part
+    // gathers its own (writable) copy.
+    let tri = unit_square(6);
+    let op2 = Op2::new(Op2Config::seq());
+    let (graphs, _) = declare_node_graphs(&Worlds::One(&op2), tri.nnode, &tri.edge_nodes);
+    assert!(
+        graphs[0].l2g.is_none(),
+        "the whole graph keeps no identity l2g"
+    );
+    assert!(Arc::ptr_eq(&graphs[0].shared(&tri.x), &tri.x));
+    let group = Worlds::Group(LocalityGroup::new(Op2Config::seq(), 2));
+    let (parts, _) = declare_node_graphs(&group, tri.nnode, &tri.edge_nodes);
+    assert!(!Arc::ptr_eq(
+        &parts[0].shared(&tri.node_boundary),
+        &tri.node_boundary
+    ));
+
+    // A sharded problem's coordinates are renumbered per rank: its own.
+    let shp = ShardedProblem::declare(Op2Config::seq(), &mesh, 2);
+    for part in &shp.parts {
+        assert_ne!(part.p_x.read().as_ptr(), mesh.x.as_ptr());
+        part.p_x.write();
+    }
+
+    // An owned buffer moves in and stays writable.
+    let nodes = op2.decl_set(4, "nodes");
+    let owned = vec![0.0f64; 4];
+    let buffer = owned.as_ptr();
+    let d = op2.decl_dat(&nodes, 1, "d", owned);
+    op2.loop_("bump", &nodes)
+        .arg(rw(&d))
+        .run(|v: &mut [f64]| v[0] += 1.0);
+    assert_eq!(d.read().as_ptr(), buffer);
+    assert_eq!(d.snapshot(), vec![1.0; 4]);
+}
+
+/// A world with one dat, "shared_x", that aliases data its caller keeps.
+fn shared_dat() -> (Op2, Arc<Vec<f64>>, Dat<f64>) {
+    let op2 = Op2::new(Op2Config::seq());
+    let nodes = op2.decl_set(4, "nodes");
+    let data = Arc::new(vec![1.0f64; 4]);
+    let d = op2.decl_dat(&nodes, 1, "shared_x", Arc::clone(&data));
+    (op2, data, d)
+}
+
+#[test]
+#[should_panic(expected = "dat 'shared_x': a mutable loop argument needs a writable dat")]
+fn shared_dat_as_a_write_argument_panics() {
+    let (op2, _data, d) = shared_dat();
+    op2.loop_("w", d.set())
+        .arg(write(&d))
+        .run(|v: &mut [f64]| v[0] = 0.0);
+}
+
+#[test]
+#[should_panic(expected = "dat 'shared_x': a mutable loop argument needs a writable dat")]
+fn shared_dat_as_an_rw_argument_panics() {
+    let (op2, _data, d) = shared_dat();
+    op2.loop_("rw", d.set())
+        .arg(rw(&d))
+        .run(|v: &mut [f64]| v[0] *= 2.0);
+}
+
+#[test]
+#[should_panic(expected = "dat 'shared_x': a mutable loop argument needs a writable dat")]
+fn shared_dat_as_an_inc_argument_panics() {
+    let (op2, _data, d) = shared_dat();
+    op2.loop_("inc", d.set())
+        .arg(inc(&d))
+        .run(|v: &mut [f64]| v[0] += 1.0);
+}
+
+#[test]
+#[should_panic(expected = "dat 'shared_x': write() needs a writable dat")]
+fn shared_dat_write_guard_panics() {
+    let (_op2, _data, d) = shared_dat();
+    d.write();
+}
+
+#[test]
+#[should_panic(expected = "dat 'shared_x': a halo link needs a writable dat")]
+fn shared_dat_halo_link_panics() {
+    let group = LocalityGroup::new(Op2Config::seq(), 2);
+    let data = Arc::new(vec![0.0f64; 3]);
+    let shards: Vec<Dat<f64>> = (0..2)
+        .map(|r| {
+            let cells = group.rank(r).decl_set(2, "cells");
+            group
+                .rank(r)
+                .decl_dat_halo(&cells, 1, "shared_x", Arc::clone(&data), 1)
+        })
+        .collect();
+    group.link_halo(&shards, &HaloSpec::empty(2));
+}
+
+#[test]
+#[should_panic(expected = "dat 'shared_x': a row-move landing needs a writable dat")]
+fn shared_dat_as_a_migration_destination_panics() {
+    let group = LocalityGroup::new(Op2Config::seq(), 2);
+    let (old_owned, new_owned) = (vec![vec![0, 1], vec![2, 3]], vec![vec![0, 1, 2], vec![3]]);
+    let data: Vec<Arc<Vec<f64>>> = new_owned
+        .iter()
+        .map(|o| Arc::new(vec![0.0; o.len()]))
+        .collect();
+    let declare = |owned: &[Vec<u32>], name: &str, shared: bool| -> Vec<Dat<f64>> {
+        (0..2)
+            .map(|r| {
+                let set = group.rank(r).decl_set(owned[r].len(), "elems");
+                let vals = if shared {
+                    Arc::clone(&data[r])
+                } else {
+                    Arc::new(vec![0.0; owned[r].len()])
+                };
+                group.rank(r).decl_dat(&set, 1, name, vals)
+            })
+            .collect()
+    };
+    let old = declare(&old_owned, "x", false);
+    let new = declare(&new_owned, "shared_x", true);
+    migrate_rows(
+        &group,
+        &old,
+        &new,
+        &MigrationSpec::diff(&old_owned, &new_owned),
+    );
 }

@@ -84,7 +84,12 @@ fn converges_to_mean_cost_optimum_for_skewed_cost() {
     let cells = op2.decl_set(16_384, "cells");
     // Seed each element with its index: adding 2 per iteration preserves
     // parity, so element costs stay skewed the same way every iteration.
-    let x = op2.decl_dat(&cells, 1, "x", (0..16_384).map(|i| i as f64).collect());
+    let x = op2.decl_dat(
+        &cells,
+        1,
+        "x",
+        (0..16_384).map(|i| i as f64).collect::<Vec<_>>(),
+    );
 
     for _ in 0..5 {
         let c = clock.clone();

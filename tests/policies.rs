@@ -42,7 +42,15 @@ fn chunk_policies_compose_with_any_policy() {
 /// measurement, duration-targeted sizes after.
 #[test]
 fn chunk_policy_sets_dataflow_direct_node_granularity() {
-    use op2_hpx::op2::__dataflow_direct_blocks as blocks_of;
+    use op2_hpx::op2::__dataflow_resolved_block_size as resolved;
+
+    // The blocks a direct loop named `kernel` over `set` is cut into.
+    let blocks_of = |op2: &Op2, kernel: &str, set: &op2_hpx::op2::Set| {
+        let (n, bs) = (set.size(), resolved(op2, kernel, set));
+        (0..n.div_ceil(bs))
+            .map(|b| b * bs..((b + 1) * bs).min(n))
+            .collect::<Vec<_>>()
+    };
 
     let static_cfg = Op2::new(Op2Config::dataflow(2).with_chunk(ChunkPolicy::Static { size: 100 }));
     let cells = static_cfg.decl_set(1000, "cells");

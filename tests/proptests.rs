@@ -230,7 +230,12 @@ fn loop_chains_stay_exact_under_random_granularity_feedback() {
         );
 
         let cells = op2.decl_set(n, "cells");
-        let a = op2.decl_dat(&cells, 1, "a", (0..n).map(|i| (i % 17) as f64).collect());
+        let a = op2.decl_dat(
+            &cells,
+            1,
+            "a",
+            (0..n).map(|i| (i % 17) as f64).collect::<Vec<_>>(),
+        );
         let b = op2.decl_dat(&cells, 1, "b", vec![0.0f64; n]);
         let mut idx = Vec::with_capacity(2 * n);
         for e in 0..n {
@@ -358,7 +363,12 @@ fn random_programs_match_a_sequential_model_under_random_granularities() {
             })
             .collect();
         let e2c = op2.decl_map(&edges, &cells, 2, table.clone(), "e2c");
-        let a = op2.decl_dat(&cells, 1, "a", (0..ncell).map(|i| (i % 7) as f64).collect());
+        let a = op2.decl_dat(
+            &cells,
+            1,
+            "a",
+            (0..ncell).map(|i| (i % 7) as f64).collect::<Vec<_>>(),
+        );
         let b = op2.decl_dat(&cells, 1, "b", vec![0.0f64; ncell]);
         let w = op2.decl_dat(&edges, 1, "w", vec![0.0f64; nedge]);
 
@@ -531,7 +541,7 @@ fn bound_args_match_reference_loops_for_arbitrary_dims_arity_and_slot() {
             let m = op2.decl_map_halo(&from, &to, arity, table.clone(), "m", halo);
             let x = op2.decl_dat_halo(&to, dim, "x", src.clone(), halo);
             let acc = op2.decl_dat_halo(&to, dim, "acc", vec![0.0f64; total * dim], halo);
-            let ids = op2.decl_dat(&from, 1, "id", (0..n).map(|e| e as f64).collect());
+            let ids = op2.decl_dat(&from, 1, "id", (0..n).map(|e| e as f64).collect::<Vec<_>>());
             let out = op2.decl_dat(&from, 1, "out", vec![0.0f64; n]);
 
             // One gather loop per slot, accumulating into `out`.

@@ -78,7 +78,7 @@ fn explicit_exchange_over_sockets_matches_in_process() {
             .decl_dat_halo(&c0, 3, "q", vec![0.0f64; 24], 2);
         let q1 = group
             .rank(1)
-            .decl_dat(&c1, 3, "q", (0..12).map(f64::from).collect());
+            .decl_dat(&c1, 3, "q", (0..12).map(f64::from).collect::<Vec<_>>());
         let recvs = exchange(&group, &[q0.clone(), q1], &spec);
         recvs[0][1].wait();
         group.fence();
@@ -98,9 +98,10 @@ fn explicit_exchange_over_sockets_matches_in_process() {
             Some(q0.snapshot())
         } else {
             let c1 = group.rank(1).decl_set(4, "cells");
-            let q1 = group
-                .rank(1)
-                .decl_dat(&c1, 3, "q", (0..12).map(f64::from).collect());
+            let q1 =
+                group
+                    .rank(1)
+                    .decl_dat(&c1, 3, "q", (0..12).map(f64::from).collect::<Vec<_>>());
             let recvs = exchange(&group, &[q1], &spec2);
             assert!(recvs[0].iter().all(|r| r.is_ready()));
             None
@@ -587,7 +588,7 @@ fn declare_shards(
             let vals = owned[r]
                 .iter()
                 .flat_map(|&g| (0..dim).map(move |c| value.map_or(f64::NAN, |v| v(g, c))))
-                .collect();
+                .collect::<Vec<_>>();
             group.rank(r).decl_dat(&set, dim, "x", vals)
         })
         .collect()
