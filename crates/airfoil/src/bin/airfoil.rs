@@ -15,12 +15,17 @@
 //! directory, exchanging halos and reduction partials as real wire bytes.
 //! (The child invocation is the parent's own command line plus
 //! `--rank-id R --rendezvous DIR`, so every flag reaches every rank.)
+//!
+//! `--rebalance N` and `--skew S` act on how the ranks share the load, so
+//! both need `--ranks N > 1`; a single-rank run refuses them with exit
+//! code 2.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use airfoil_cfd::{shard, solver, Problem, RunResult, SolverConfig};
+use airfoil_cfd::{shard, PlainAirfoil, Problem, ShardedAirfoil};
+use op2_app::{ExitPolicy, RunConfig, RunOutcome};
 use op2_core::locality::implicit_halo_stats;
 use op2_core::transport::{ProcessTransport, Transport};
 use op2_core::{Op2, Op2Config};
@@ -94,8 +99,9 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
                      --print-every N    residual print period (default 100)\n\
                      --rebalance N      live-repartition check period in iterations\n    \
                                     (0 = off, the default; needs --ranks N > 1)\n\
-                     --skew S           artificial per-cell cost skew units (see\n    \
-                                    SolverConfig::skew)"
+                     --skew S           artificial per-cell cost skew units for the\n    \
+                                    load-balancing study (0 = off, the default;\n    \
+                                    needs --ranks N > 1; see ShardedAirfoil::new)"
                 );
                 std::process::exit(0);
             }
@@ -151,18 +157,18 @@ fn launch_processes(argv: &[String], ranks: usize) -> i32 {
 }
 
 /// Rank 0's end-of-run report: the summary line and the `--rms-out` file.
-fn report(args: &Args, result: &RunResult) {
+fn report(args: &Args, result: &RunOutcome) {
     println!(
         "completed {} iters on {} rank(s) in {:.3}s  ({:.2} ms/iter), final rms = {:.6e}",
         args.iters,
         args.ranks,
         result.elapsed.as_secs_f64(),
         result.elapsed.as_secs_f64() * 1e3 / args.iters as f64,
-        result.final_rms()
+        result.final_residual()
     );
     if let Some(path) = &args.rms_out {
         let mut f = std::fs::File::create(path).expect("create --rms-out file");
-        for v in &result.rms_history {
+        for v in &result.residuals {
             writeln!(f, "{v:.17e}").expect("write --rms-out file");
         }
     }
@@ -173,6 +179,10 @@ fn main() {
     let args = parse_args(argv.iter().cloned());
     if args.rebalance > 0 && args.ranks < 2 {
         eprintln!("--rebalance needs --ranks N > 1: a single rank has nothing to repartition");
+        std::process::exit(2);
+    }
+    if args.skew != 0.0 && args.ranks < 2 {
+        eprintln!("--skew needs --ranks N > 1: it skews the load the ranks balance");
         std::process::exit(2);
     }
     let config = match args.backend.as_str() {
@@ -201,11 +211,10 @@ fn main() {
         );
     }
 
-    let solver_cfg = SolverConfig {
-        niter: args.iters,
+    let run_cfg = RunConfig {
+        exit: ExitPolicy::Iterations(args.iters),
         window: 16,
         print_every: args.print_every,
-        skew: args.skew,
         rebalance_every: args.rebalance,
     };
 
@@ -226,7 +235,7 @@ fn main() {
             }
             None => shard::ShardedProblem::declare(config, &mesh, args.ranks),
         };
-        let result = shard::run_sharded(&mut shp, &solver_cfg);
+        let result = op2_app::run(&mut ShardedAirfoil::new(&mut shp, args.skew), run_cfg);
         if is_rank0 {
             report(&args, &result);
         }
@@ -259,7 +268,7 @@ fn main() {
 
     let op2 = Op2::new(config);
     let problem = Problem::declare(&op2, &mesh);
-    let result = solver::run(&op2, &problem, &solver_cfg);
+    let result = op2_app::run(&mut PlainAirfoil::new(&op2, &problem), run_cfg);
     report(&args, &result);
     println!("-- per-loop stats --");
     for (name, stat) in op2.loop_stats() {
@@ -309,7 +318,7 @@ fn main() {
                     "  {kernel:12} {:8.0} ns/elem  ({} samples) -> {} elems/node",
                     cost.ewma_ns_per_elem,
                     cost.samples,
-                    op2_core::__dataflow_resolved_block_size(&op2, &kernel, &s)
+                    op2_core::dataflow_resolved_block_size(&op2, &kernel, &s)
                 ),
                 None => println!(
                     "  {kernel:12} {:8.0} ns/elem  ({} samples)",

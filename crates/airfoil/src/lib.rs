@@ -7,19 +7,25 @@
 //! `op2-core`'s fork-join (OpenMP-equivalent) or dataflow (HPX-equivalent)
 //! backend.
 //!
+//! The time loop is the app-generic [`op2_app::run`]: a declared
+//! [`Problem`] runs under it as a [`PlainAirfoil`], a [`ShardedProblem`]
+//! as a [`ShardedAirfoil`].
+//!
 //! ```
-//! use airfoil_cfd::{solver, Problem, SolverConfig};
+//! use airfoil_cfd::{PlainAirfoil, Problem};
+//! use op2_app::RunConfig;
 //! use op2_core::{Op2, Op2Config};
 //! use op2_mesh::channel_with_bump;
 //!
 //! let op2 = Op2::new(Op2Config::dataflow(2));
 //! let mesh = channel_with_bump(24, 12);
 //! let problem = Problem::declare(&op2, &mesh);
-//! let result = solver::run(&op2, &problem, &SolverConfig {
-//!     niter: 5, window: 4, ..Default::default()
-//! });
-//! assert_eq!(result.rms_history.len(), 5);
-//! assert!(result.rms_history.iter().all(|r| r.is_finite()));
+//! let out = op2_app::run(
+//!     &mut PlainAirfoil::new(&op2, &problem),
+//!     RunConfig::iterations(5, 4),
+//! );
+//! assert_eq!(out.residuals.len(), 5);
+//! assert!(out.residuals.iter().all(|r| r.is_finite()));
 //! ```
 
 #![warn(missing_docs)]
@@ -31,10 +37,8 @@ pub mod kernels;
 pub mod setup;
 pub mod shard;
 pub mod simd;
-pub mod solver;
 pub mod verify;
 
 pub use app::{AirfoilApp, AirfoilInstance, PlainAirfoil, ShardedAirfoil};
 pub use setup::Problem;
-pub use shard::{run_sharded, RebalanceReport, ShardedProblem};
-pub use solver::{run, RunResult, SolverConfig};
+pub use shard::ShardedProblem;

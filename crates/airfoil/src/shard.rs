@@ -1,6 +1,7 @@
 //! Multi-locality sharding of the Airfoil problem: a partitioned mesh,
-//! one `Op2` context per simulated rank, and a time loop whose halo
-//! exchanges overlap interior compute.
+//! one `Op2` context per simulated rank, and halo exchanges that overlap
+//! interior compute. [`ShardedAirfoil`](crate::ShardedAirfoil) runs it
+//! under [`op2_app::run`], the same time loop a plain run uses.
 //!
 //! # Decomposition
 //!
@@ -50,7 +51,8 @@
 //! finalize and whose combined result is a future. The time loop therefore
 //! contains **zero blocking reduction reads**: residual printing chains
 //! off the reduce future (ordered behind the previous line's print node),
-//! and `rms_history` is collected from the futures after the final fence.
+//! and the residual history is collected from the futures after the final
+//! fence ([`op2_app::run`]).
 //! The reduce of iteration *i* overlaps iteration *i+1*'s interior
 //! compute instead of draining every rank's pipeline the way a host-side
 //! `get_scalar` sum per print used to.
@@ -61,7 +63,7 @@
 
 use std::sync::Arc;
 
-use op2_app::{plan_shards, Worlds};
+use op2_app::{plan_shards, RebalanceReport, Worlds};
 use op2_core::locality::{HaloSpec, LocalityGroup};
 use op2_core::rebalance::{
     agree_rank_busy, cost_levels, migrate_rows, MigrationSpec, DEFAULT_DEAD_ZONE,
@@ -72,11 +74,7 @@ use op2_mesh::{
     neighbors_from_pairs, partition_greedy_bfs, partition_greedy_bfs_weighted, Partition, QuadMesh,
 };
 
-use crate::app::ShardedAirfoil;
 use crate::setup::{PartTables, Problem};
-use crate::solver::{drive, RunResult, SolverConfig};
-
-pub use op2_app::RebalanceReport;
 
 /// The sharded Airfoil problem: the rank contexts, their local problems,
 /// and the cell halo spec shared by `q`/`adt`/`res`.
@@ -345,25 +343,11 @@ impl ShardedProblem {
     }
 }
 
-/// Runs `cfg.niter` Airfoil iterations over the sharded problem — the
-/// `--ranks N` execution path. The same iteration body as
-/// [`crate::solver::run`], submitted on every part, with **zero
-/// communication calls**: the halo rings linked at declare time schedule
-/// the `q`/`adt` exchanges when `res_calc`'s stale halo reads are
-/// submitted (overlapped with interior compute under the Dataflow
-/// backend; see module docs).
-///
-/// Takes the problem `&mut` because `cfg.rebalance_every > 0` lets the
-/// loop live-repartition between iterations
-/// ([`ShardedProblem::rebalance`]); with rebalancing off the problem is
-/// only read.
-pub fn run_sharded(shp: &mut ShardedProblem, cfg: &SolverConfig) -> RunResult {
-    drive(ShardedAirfoil::new(shp, cfg.skew), cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{PlainAirfoil, ShardedAirfoil};
+    use op2_app::RunConfig;
     use op2_mesh::channel_with_bump;
 
     fn shard(nranks: usize) -> (QuadMesh, ShardedProblem) {
@@ -414,36 +398,33 @@ mod tests {
     #[test]
     fn sharded_seq_single_rank_is_bitwise_the_plain_run() {
         let mesh = channel_with_bump(12, 6);
-        let cfg = SolverConfig {
-            niter: 4,
-            window: 2,
-            print_every: 0,
-            ..SolverConfig::default()
-        };
         // Plain single-context run.
         let op2 = op2_core::Op2::new(Op2Config::seq());
         let p = crate::Problem::declare(&op2, &mesh);
-        let plain = crate::solver::run(&op2, &p, &cfg);
+        let plain = op2_app::run(
+            &mut PlainAirfoil::new(&op2, &p),
+            RunConfig::iterations(4, 2),
+        );
         let q_plain = p.p_q.snapshot();
         // Sharded run with one rank: identical renumbering, identical
         // execution order under Seq — results must match bit for bit.
         let mut shp = ShardedProblem::declare(Op2Config::seq(), &mesh, 1);
-        let sharded = run_sharded(&mut shp, &cfg);
-        assert_eq!(sharded.rms_history, plain.rms_history);
+        let sharded = op2_app::run(
+            &mut ShardedAirfoil::new(&mut shp, 0.0),
+            RunConfig::iterations(4, 2),
+        );
+        assert_eq!(sharded.residuals, plain.residuals);
         assert_eq!(shp.gather_q(), q_plain);
     }
 
     #[test]
     fn sharded_dataflow_smoke() {
         let mesh = channel_with_bump(12, 6);
-        let cfg = SolverConfig {
-            niter: 3,
-            window: 2,
-            print_every: 0,
-            ..SolverConfig::default()
-        };
         let mut shp = ShardedProblem::declare(Op2Config::dataflow(2), &mesh, 3);
-        let r = run_sharded(&mut shp, &cfg);
-        assert!(r.rms_history.iter().all(|v| v.is_finite()));
+        let r = op2_app::run(
+            &mut ShardedAirfoil::new(&mut shp, 0.0),
+            RunConfig::iterations(3, 2),
+        );
+        assert!(r.residuals.iter().all(|v| v.is_finite()));
     }
 }

@@ -208,8 +208,9 @@ pub enum ExitPolicy {
     Converge(Convergence),
 }
 
-/// Harness parameters (the app-agnostic subset of the old Airfoil
-/// `SolverConfig`).
+/// Harness parameters: when the run ends, how far submission runs ahead,
+/// what it prints and how often it rebalances. Every app, Airfoil
+/// included, is run with these and nothing else.
 pub struct RunConfig {
     /// Exit policy (iteration count or convergence).
     pub exit: ExitPolicy,

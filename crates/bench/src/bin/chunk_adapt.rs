@@ -16,7 +16,8 @@
 
 use std::time::Duration;
 
-use airfoil_cfd::{solver, Problem, SolverConfig};
+use airfoil_cfd::{PlainAirfoil, Problem};
+use op2_app::RunConfig;
 use op2_bench::Table;
 use op2_core::hpx_rt::ChunkPolicy;
 use op2_core::{Op2, Op2Config};
@@ -79,18 +80,12 @@ fn run_airfoil(config: &Op2Config, mesh: &QuadMesh, iters: usize, reps: usize) -
     for _ in 0..reps.max(1) {
         let op2 = Op2::new(config.clone());
         let problem = Problem::declare(&op2, mesh);
-        let result = solver::run(
-            &op2,
-            &problem,
-            &SolverConfig {
-                niter: iters,
-                window: 16,
-                print_every: 0,
-                ..SolverConfig::default()
-            },
+        let result = op2_app::run(
+            &mut PlainAirfoil::new(&op2, &problem),
+            RunConfig::iterations(iters, 16),
         );
         assert!(
-            result.final_rms().is_finite(),
+            result.final_residual().is_finite(),
             "diverged under {:?}",
             config.chunk
         );

@@ -24,8 +24,8 @@
 //! `--json PATH`, and `--min-speedup S` (exit non-zero unless
 //! `makespan_static / makespan_adaptive >= S` — the CI gate).
 
-use airfoil_cfd::shard::{run_sharded, ShardedProblem};
-use airfoil_cfd::SolverConfig;
+use airfoil_cfd::{ShardedAirfoil, ShardedProblem};
+use op2_app::RunConfig;
 use op2_bench::Table;
 use op2_core::rebalance::{agree_rank_busy, imbalance_ratio};
 use op2_core::Op2Config;
@@ -102,30 +102,19 @@ struct VariantResult {
 /// measured window with the decomposition frozen.
 fn run_variant(args: &Args, mesh: &QuadMesh, rebalance_every: usize) -> VariantResult {
     let mut shp = ShardedProblem::declare(Op2Config::seq(), mesh, args.ranks);
-    let base = SolverConfig {
-        window: 4,
-        print_every: 0,
-        skew: args.skew,
-        ..SolverConfig::default()
-    };
-    run_sharded(
-        &mut shp,
-        &SolverConfig {
-            niter: args.warmup,
+    op2_app::run(
+        &mut ShardedAirfoil::new(&mut shp, args.skew),
+        RunConfig {
             rebalance_every,
-            ..base
+            ..RunConfig::iterations(args.warmup, 4)
         },
     );
     for world in shp.group.ranks() {
         world.granularity_feedback().reset_busy();
     }
-    let r = run_sharded(
-        &mut shp,
-        &SolverConfig {
-            niter: args.iters,
-            rebalance_every: 0,
-            ..base
-        },
+    let r = op2_app::run(
+        &mut ShardedAirfoil::new(&mut shp, args.skew),
+        RunConfig::iterations(args.iters, 4),
     );
     let busy = agree_rank_busy(&shp.group);
     let makespan_ns = busy.iter().copied().max().unwrap_or(0);
@@ -135,7 +124,7 @@ fn run_variant(args: &Args, mesh: &QuadMesh, rebalance_every: usize) -> VariantR
         busy,
         makespan_ns,
         total_ns,
-        final_rms: r.final_rms(),
+        final_rms: r.final_residual(),
     }
 }
 

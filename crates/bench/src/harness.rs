@@ -2,7 +2,8 @@
 
 use std::time::Duration;
 
-use airfoil_cfd::{solver, Problem, SolverConfig};
+use airfoil_cfd::{PlainAirfoil, Problem};
+use op2_app::RunConfig;
 use op2_core::{Op2, Op2Config};
 use op2_mesh::QuadMesh;
 
@@ -49,19 +50,13 @@ pub fn run_airfoil(
     for _ in 0..reps.max(1) {
         let op2 = Op2::new(variant.config(threads));
         let problem = Problem::declare(&op2, &mesh);
-        let result = solver::run(
-            &op2,
-            &problem,
-            &SolverConfig {
-                niter: iters,
-                window: 16,
-                print_every: 0,
-                ..SolverConfig::default()
-            },
+        let result = op2_app::run(
+            &mut PlainAirfoil::new(&op2, &problem),
+            RunConfig::iterations(iters, 16),
         );
         let m = Measurement {
             time: result.elapsed,
-            final_rms: result.final_rms(),
+            final_rms: result.final_residual(),
         };
         best = Some(match best {
             Some(prev) if prev.time <= m.time => prev,

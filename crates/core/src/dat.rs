@@ -45,7 +45,7 @@
 //! siblings that did not wait for one another. A record whose loop
 //! panicked stays until covered, so the panic keeps poisoning consumers.
 //! Each block also counts the writer generations that reached it
-//! ([`Dat::__dep_epochs`]).
+//! (`op2_core::testing::dep_epochs` reads them).
 //!
 //! # Safety model
 //!
@@ -620,20 +620,6 @@ impl<T: OpType> Dat<T> {
         &self.inner.deps
     }
 
-    /// Per-block epoch counters — how many writer generations reached each
-    /// dependency block, exposed for tests and diagnostics.
-    #[doc(hidden)]
-    pub fn __dep_epochs(&self) -> Vec<u64> {
-        self.inner.deps.epochs()
-    }
-
-    /// Access records the dat currently holds (completed ones are dropped
-    /// whenever the table is next consulted) — tests and diagnostics.
-    #[doc(hidden)]
-    pub fn __dep_records(&self) -> usize {
-        self.inner.deps.state.lock().records.len()
-    }
-
     // ---- guard-based user access ----------------------------------------
 
     /// Waits for all pending writes, then returns a read view of the rows.
@@ -782,6 +768,25 @@ impl<T: OpType> Drop for DatWriteGuard<'_, T> {
     }
 }
 
+/// Dependency-table state that only tests read; not part of the API.
+#[doc(hidden)]
+pub mod testing {
+    use super::Dat;
+    use crate::types::OpType;
+
+    /// Per-block epoch counters: how many writer generations reached each
+    /// dependency block of `dat`.
+    pub fn dep_epochs<T: OpType>(dat: &Dat<T>) -> Vec<u64> {
+        dat.inner.deps.epochs()
+    }
+
+    /// Access records `dat` currently holds (completed ones are dropped
+    /// whenever the table is next consulted).
+    pub fn dep_records<T: OpType>(dat: &Dat<T>) -> usize {
+        dat.inner.deps.state.lock().records.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -864,7 +869,7 @@ mod tests {
         let deps = collect(&d, 0..4, true);
         assert_eq!(deps.len(), 1, "only the new writer remains");
         assert!(SharedFuture::ptr_eq(&deps[0], &write));
-        assert_eq!(d.__dep_records(), 1);
+        assert_eq!(testing::dep_records(&d), 1);
     }
 
     #[test]
@@ -891,7 +896,7 @@ mod tests {
             1,
             "touched block must expose its writer"
         );
-        assert_eq!(d.__dep_epochs(), vec![1, 0]);
+        assert_eq!(testing::dep_epochs(&d), vec![1, 0]);
     }
 
     #[test]
@@ -907,13 +912,17 @@ mod tests {
         d.deps()
             .record_node(Footprint::rows(&(2..4), 4), true, gen, &w2);
         assert_eq!(collect(&d, 0..4, false).len(), 2);
-        assert_eq!(d.__dep_epochs(), vec![1], "one generation, one epoch");
+        assert_eq!(
+            testing::dep_epochs(&d),
+            vec![1],
+            "one generation, one epoch"
+        );
         // A later generation's writer supersedes the pair.
         let (_p3, w3) = pending();
         d.deps()
             .record_node(Footprint::rows(&(0..4), 4), true, next_loop_gen(), &w3);
         assert_eq!(collect(&d, 0..4, false).len(), 1);
-        assert_eq!(d.__dep_epochs(), vec![2]);
+        assert_eq!(testing::dep_epochs(&d), vec![2]);
     }
 
     #[test]
@@ -927,7 +936,7 @@ mod tests {
         let (_w, write) = pending();
         d.deps()
             .record_node(Footprint::rows(&(0..8), 4), true, next_loop_gen(), &write);
-        assert_eq!(d.__dep_records(), 2);
+        assert_eq!(testing::dep_records(&d), 2);
         let front = collect(&d, 0..4, true);
         assert_eq!(front.len(), 1);
         assert!(SharedFuture::ptr_eq(&front[0], &write));
@@ -956,9 +965,13 @@ mod tests {
         d.deps()
             .record_node(d.deps().whole(), false, next_loop_gen(), &read);
         promise.set_value(());
-        assert_eq!(d.__dep_records(), 1, "nothing consulted the table yet");
+        assert_eq!(
+            testing::dep_records(&d),
+            1,
+            "nothing consulted the table yet"
+        );
         assert!(collect(&d, 0..4, true).is_empty());
-        assert_eq!(d.__dep_records(), 0);
+        assert_eq!(testing::dep_records(&d), 0);
         // An access that completed before it was recorded leaves only its
         // epoch behind.
         d.deps().record_node(
@@ -967,8 +980,8 @@ mod tests {
             next_loop_gen(),
             &SharedFuture::ready(()),
         );
-        assert_eq!(d.__dep_records(), 0);
-        assert_eq!(d.__dep_epochs(), vec![1]);
+        assert_eq!(testing::dep_records(&d), 0);
+        assert_eq!(testing::dep_epochs(&d), vec![1]);
         // A broken producer keeps poisoning its consumers.
         let (promise, broken) = pending();
         d.deps()
@@ -1035,7 +1048,7 @@ mod tests {
         d.deps()
             .record_node(Footprint::rows(&(2..2), 4), true, next_loop_gen(), &w);
         assert!(collect(&d, 0..4, true).is_empty());
-        assert_eq!(d.__dep_epochs(), vec![0]);
+        assert_eq!(testing::dep_epochs(&d), vec![0]);
     }
 
     // ---- the row-level oracle -------------------------------------------

@@ -471,13 +471,13 @@ impl SpecCache {
     }
 }
 
-/// The uniform node granularity a Dataflow loop named `kernel` over `set`
-/// resolves to under `world`'s configuration and current feedback —
-/// exposed so tests can assert the feedback wiring (probe default before
-/// the first measurement, measured convergence after) without reaching
-/// into the driver.
-#[doc(hidden)]
-pub fn __dataflow_resolved_block_size(world: &Op2, kernel: &str, set: &Set) -> usize {
+/// The uniform node granularity, in elements per node, that a Dataflow
+/// loop named `kernel` over `set` resolves to under `world`'s chunk policy
+/// and current granularity feedback: the probe default before the
+/// kernel's first measurement, the measured size after. Reports show it
+/// next to the feedback table, and tests assert the feedback wiring with
+/// it.
+pub fn dataflow_resolved_block_size(world: &Op2, kernel: &str, set: &Set) -> usize {
     resolve_granularity(world, kernel, set.signature(), set.size(), None)
 }
 

@@ -69,8 +69,9 @@ pub use arg::{
 };
 pub use config::{Backend, Op2Config};
 pub use convergence::{Convergence, ResidualMap};
+pub use dat::testing;
 pub use dat::{Dat, DatReadGuard, DatWriteGuard};
-pub use driver::{__dataflow_resolved_block_size, plan_for, LoopHandle, SubmitStats};
+pub use driver::{dataflow_resolved_block_size, plan_for, LoopHandle, SubmitStats};
 pub use gbl::{Global, ReduceOp, ReducedFuture, Reducible};
 pub use granularity::{GranularityFeedback, KernelCost};
 pub use map::Map;

@@ -16,13 +16,15 @@
 //! on helpers: it polls for no longer than its own share took, then
 //! blocks.
 //!
-//! Synchronous loops may borrow stack data (`Fn(..) + Sync`); the
-//! asynchronous [`for_each_async`] requires a `'static` body because the
-//! caller may return before the loop finishes.
+//! The loop may borrow stack data (`Fn(..) + Sync`). Its asynchronous
+//! form is the same call inside [`Runtime::spawn_future`], which needs a
+//! `'static` body because the caller may return before the loop finishes.
+//!
+//! [`Runtime::spawn_future`]: crate::Runtime::spawn_future
 
 mod for_each;
 
-pub use for_each::{for_each, for_each_async, for_each_chunk};
+pub use for_each::for_each_chunk;
 
 use parking_lot::Mutex;
 use std::ops::Range;
@@ -258,8 +260,8 @@ mod tests {
         panicking_join(&rt, /*in_caller=*/ true);
         panicking_join(&rt, /*in_caller=*/ false);
         let sum = AtomicU64::new(0);
-        for_each(&rt, &ChunkPolicy::default(), 0..1000, |i| {
-            sum.fetch_add(i as u64, Ordering::Relaxed);
+        for_each_chunk(&rt, &ChunkPolicy::default(), 0..1000, |r| {
+            sum.fetch_add(r.map(|i| i as u64).sum(), Ordering::Relaxed);
         });
         assert_eq!(sum.into_inner(), 499_500);
         rt.wait_idle();

@@ -17,9 +17,8 @@
 //!   no allocation per edge — the node scheduling behind `op2-core`'s
 //!   block-granular dataflow backend, and what [`dataflow`] itself is
 //!   built on;
-//! * the **chunked `par` loop** ([`for_each`], [`for_each_chunk`],
-//!   [`for_each_async`]) — the fork-join path `op2-core` compares dataflow
-//!   against — with **chunk-size control** (§IV-B, [`ChunkPolicy`]):
+//! * the **chunked `par` loop** ([`for_each_chunk`]) — the fork-join
+//!   path `op2-core` compares dataflow against — with **chunk-size control** (§IV-B, [`ChunkPolicy`]):
 //!   static, an even split, or HPX's probe-timed `auto_chunk_size`;
 //! * the LCOs OP2 waits on ([`lco`]): latch and event.
 //!
@@ -63,7 +62,7 @@ pub mod stats;
 mod task;
 pub mod timing;
 
-pub use algo::{for_each, for_each_async, for_each_chunk};
+pub use algo::for_each_chunk;
 pub use chunk::{ChunkPolicy, DEFAULT_CHUNK_TARGET};
 pub use dataflow::{dataflow, DataflowArg, FrameRef, FutureTuple, Val};
 pub use dep::{schedule_after, schedule_after_counted, when_all_shared};

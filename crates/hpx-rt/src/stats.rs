@@ -67,7 +67,7 @@ pub struct RuntimeStats {
     pub tasks_helped: u64,
     /// Successful steals from sibling deques.
     pub steals: u64,
-    /// Chunks of chunked loops (`for_each`, `for_each_chunk`) that the
+    /// Chunks of chunked loops (`for_each_chunk`) that the
     /// joining thread ran itself. They are not tasks: `tasks_executed`
     /// counts only the helper tasks that claimed the other chunks.
     pub caller_chunks: u64,

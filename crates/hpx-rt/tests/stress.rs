@@ -9,8 +9,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hpx_rt::{
-    channel, dataflow, for_each, for_each_async, for_each_chunk, ready, schedule_after, when_all,
-    ChunkPolicy, Runtime, SharedFuture,
+    channel, dataflow, for_each_chunk, ready, schedule_after, when_all, ChunkPolicy, Runtime,
+    SharedFuture,
 };
 
 #[test]
@@ -19,10 +19,12 @@ fn nested_parallel_loops_do_not_deadlock_small_pools() {
     // same 1-worker pool: only help-first waiting makes this terminate.
     let rt = Runtime::new(1);
     let counter = AtomicUsize::new(0);
-    for_each(&rt, &ChunkPolicy::Static { size: 4 }, 0..16, |_| {
-        for_each(&rt, &ChunkPolicy::Static { size: 8 }, 0..64, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
+    for_each_chunk(&rt, &ChunkPolicy::Static { size: 4 }, 0..16, |outer| {
+        for _ in outer {
+            for_each_chunk(&rt, &ChunkPolicy::Static { size: 8 }, 0..64, |inner| {
+                counter.fetch_add(inner.len(), Ordering::Relaxed);
+            });
+        }
     });
     assert_eq!(counter.into_inner(), 16 * 64);
 }
@@ -44,11 +46,14 @@ fn deeply_nested_futures_resolve() {
 
 #[test]
 fn runtime_survives_async_loop_panic() {
-    let rt = Runtime::new(2);
-    let fut = for_each_async(&rt, &ChunkPolicy::default(), 0..100, |i| {
-        if i == 50 {
-            panic!("async body died");
-        }
+    let rt = Arc::new(Runtime::new(2));
+    let on = Arc::clone(&rt);
+    let fut = rt.spawn_future(move || {
+        for_each_chunk(&on, &ChunkPolicy::default(), 0..100, |r| {
+            if r.contains(&50) {
+                panic!("async body died");
+            }
+        })
     });
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fut.get()));
     let payload = caught.expect_err("panic must surface through the future");

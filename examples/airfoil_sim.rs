@@ -7,7 +7,8 @@
 //! cargo run --release --example airfoil_sim
 //! ```
 
-use op2_hpx::airfoil::{solver, Problem, SolverConfig};
+use op2_hpx::airfoil::{PlainAirfoil, Problem};
+use op2_hpx::app::RunConfig;
 use op2_hpx::mesh::{quad_stats, QuadMesh};
 use op2_hpx::op2::{Op2, Op2Config};
 
@@ -18,24 +19,18 @@ fn main() {
     let op2 = Op2::new(Op2Config::dataflow(2));
     let problem = Problem::declare(&op2, &mesh);
 
-    let result = solver::run(
-        &op2,
-        &problem,
-        &SolverConfig {
-            niter: 100,
-            window: 16,
-            print_every: 0,
-            ..SolverConfig::default()
-        },
+    let result = op2_hpx::app::run(
+        &mut PlainAirfoil::new(&op2, &problem),
+        RunConfig::iterations(100, 16),
     );
 
     println!(
         "{} iterations in {:.1} ms ({:.3} ms/iter)",
-        result.rms_history.len(),
+        result.residuals.len(),
         result.elapsed.as_secs_f64() * 1e3,
-        result.elapsed.as_secs_f64() * 1e3 / result.rms_history.len() as f64
+        result.elapsed.as_secs_f64() * 1e3 / result.residuals.len() as f64
     );
-    for (i, rms) in result.rms_history.iter().enumerate() {
+    for (i, rms) in result.residuals.iter().enumerate() {
         if (i + 1) % 20 == 0 {
             println!("  iter {:4}: rms = {rms:.6e}", i + 1);
         }

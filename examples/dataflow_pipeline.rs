@@ -11,10 +11,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use op2_hpx::hpx::timing::time;
-use op2_hpx::hpx::{dataflow, ChunkPolicy, Runtime, Val};
+use op2_hpx::hpx::{dataflow, for_each_chunk, ChunkPolicy, Runtime, Val};
 
 fn main() {
-    let rt = Runtime::new(2);
+    // Shared, so the async loop below can name its runtime from a task.
+    let rt = Arc::new(Runtime::new(2));
 
     // --- Futures and dataflow -------------------------------------------
     let a = rt.spawn_future(|| 6u64);
@@ -43,21 +44,25 @@ fn main() {
     // Stage 1: cheap transform.
     let ((), t1) = time(|| {
         let (d, s1) = (Arc::clone(&data), Arc::clone(&stage1));
-        op2_hpx::hpx::for_each(&rt, &policy, 0..n, move |i| {
-            s1[i].store((d[i] * 2.0).to_bits(), Ordering::Relaxed);
+        for_each_chunk(&rt, &policy, 0..n, move |r| {
+            for i in r {
+                s1[i].store((d[i] * 2.0).to_bits(), Ordering::Relaxed);
+            }
         });
     });
 
     // Stage 2: costlier per element (same chunk duration, smaller chunks).
     let ((), t2) = time(|| {
         let (s1, s2) = (Arc::clone(&stage1), Arc::clone(&stage2));
-        op2_hpx::hpx::for_each(&rt, &policy, 0..n, move |i| {
-            let x = f64::from_bits(s1[i].load(Ordering::Relaxed));
-            let mut acc = x;
-            for _ in 0..8 {
-                acc = (acc * 1.0001 + 1.0).sqrt();
+        for_each_chunk(&rt, &policy, 0..n, move |r| {
+            for i in r {
+                let x = f64::from_bits(s1[i].load(Ordering::Relaxed));
+                let mut acc = x;
+                for _ in 0..8 {
+                    acc = (acc * 1.0001 + 1.0).sqrt();
+                }
+                s2[i].store(acc.to_bits(), Ordering::Relaxed);
             }
-            s2[i].store(acc.to_bits(), Ordering::Relaxed);
         });
     });
     for (stage, t) in [(1, t1), (2, t2)] {
@@ -74,8 +79,11 @@ fn main() {
     // --- Async loop: submit, keep working, then join ---------------------
     let counter = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&counter);
-    let fut = op2_hpx::hpx::for_each_async(&rt, &ChunkPolicy::default(), 0..100_000, move |_| {
-        c.fetch_add(1, Ordering::Relaxed);
+    let on = Arc::clone(&rt);
+    let fut = rt.spawn_future(move || {
+        for_each_chunk(&on, &ChunkPolicy::default(), 0..100_000, |r| {
+            c.fetch_add(r.len() as u64, Ordering::Relaxed);
+        })
     });
     println!("async loop submitted; doing other work...");
     let other = rt.spawn_future(|| "other work done");

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
-use op2_hpx::airfoil::SolverConfig;
+use op2_hpx::airfoil::{ShardedAirfoil, ShardedProblem};
+use op2_hpx::app::{run, RunConfig};
 use op2_hpx::hpx::lco::Event;
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::gbl_inc;
@@ -345,7 +345,7 @@ fn per_iteration_reduction_prints_do_not_stall_the_pipeline() {
     assert_eq!(printed, expected, "lines must flush ordered and complete");
 }
 
-/// `run_sharded` with `print_every: 1` (a reduction consumed every
+/// A sharded run with `print_every: 1` (a reduction consumed every
 /// iteration) produces exactly the history of a silent run — the
 /// future-chained print path changes no physics and never deadlocks.
 /// A fixed Static chunk policy pins the node granularity: the default
@@ -360,27 +360,20 @@ fn run_sharded_printing_every_iteration_matches_silent_run() {
     let mesh = channel_with_bump(12, 6);
     let silent = {
         let mut shp = ShardedProblem::declare(config(), &mesh, 3);
-        run_sharded(
-            &mut shp,
-            &SolverConfig {
-                niter: 4,
-                window: 2,
-                print_every: 0,
-                ..SolverConfig::default()
-            },
+        run(
+            &mut ShardedAirfoil::new(&mut shp, 0.0),
+            RunConfig::iterations(4, 2),
         )
     };
     let printing = {
         let mut shp = ShardedProblem::declare(config(), &mesh, 3);
-        run_sharded(
-            &mut shp,
-            &SolverConfig {
-                niter: 4,
-                window: 2,
+        run(
+            &mut ShardedAirfoil::new(&mut shp, 0.0),
+            RunConfig {
                 print_every: 1,
-                ..SolverConfig::default()
+                ..RunConfig::iterations(4, 2)
             },
         )
     };
-    assert_eq!(silent.rms_history, printing.rms_history);
+    assert_eq!(silent.residuals, printing.residuals);
 }

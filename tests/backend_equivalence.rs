@@ -4,11 +4,11 @@
 
 use std::sync::Arc;
 
-use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
 use op2_hpx::airfoil::verify::{all_finite, max_rel_diff, max_scaled_diff};
-use op2_hpx::airfoil::{solver, Problem, SolverConfig};
+use op2_hpx::airfoil::{PlainAirfoil, Problem, ShardedAirfoil, ShardedProblem};
 use op2_hpx::app::harness::Worlds;
 use op2_hpx::app::shard::declare_node_graphs;
+use op2_hpx::app::{run, RunConfig};
 use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::mesh::{channel_with_bump, unit_square};
 use op2_hpx::op2::args::{inc, rw, write};
@@ -20,17 +20,11 @@ fn simulate(config: Op2Config) -> (Vec<f64>, Vec<f64>) {
     let op2 = Op2::new(config);
     let mesh = channel_with_bump(32, 16);
     let p = Problem::declare(&op2, &mesh);
-    let r = solver::run(
-        &op2,
-        &p,
-        &SolverConfig {
-            niter: 12,
-            window: 4,
-            print_every: 0,
-            ..SolverConfig::default()
-        },
+    let r = run(
+        &mut PlainAirfoil::new(&op2, &p),
+        RunConfig::iterations(12, 4),
     );
-    (r.rms_history, p.p_q.snapshot())
+    (r.residuals, p.p_q.snapshot())
 }
 
 /// Every chunk policy.
@@ -91,12 +85,7 @@ fn all_backends_and_optimizations_agree() {
 fn sharded_ranks_agree_with_single_locality_across_backends() {
     let (rms_ref, q_ref) = simulate(Op2Config::seq());
     let mesh = channel_with_bump(32, 16);
-    let cfg = SolverConfig {
-        niter: 12,
-        window: 4,
-        print_every: 0,
-        ..SolverConfig::default()
-    };
+    let cfg = || RunConfig::iterations(12, 4);
     let candidates: Vec<(&str, Op2Config, usize)> = vec![
         ("seq x1", Op2Config::seq(), 1),
         ("seq x4", Op2Config::seq(), 4),
@@ -118,14 +107,14 @@ fn sharded_ranks_agree_with_single_locality_across_backends() {
     ];
     for (name, config, nranks) in candidates {
         let mut shp = ShardedProblem::declare(config, &mesh, nranks);
-        let r = run_sharded(&mut shp, &cfg);
+        let r = run(&mut ShardedAirfoil::new(&mut shp, 0.0), cfg());
         let q = shp.gather_q();
         if name == "seq x1" {
-            assert_eq!(r.rms_history, rms_ref, "1-rank Seq sharding is bitwise");
+            assert_eq!(r.residuals, rms_ref, "1-rank Seq sharding is bitwise");
             assert_eq!(q, q_ref, "1-rank Seq sharding is bitwise");
             continue;
         }
-        let d_rms = max_rel_diff(&rms_ref, &r.rms_history);
+        let d_rms = max_rel_diff(&rms_ref, &r.residuals);
         let d_q = max_scaled_diff(&q_ref, &q, 1.0);
         assert!(d_rms < 1e-7, "{name}: rms deviates by {d_rms:e}");
         assert!(d_q < 1e-9, "{name}: q deviates by {d_q:e}");
@@ -227,17 +216,12 @@ fn repeated_runs_on_one_context_continue_the_flow() {
     let op2 = Op2::new(Op2Config::dataflow(2));
     let mesh = channel_with_bump(24, 12);
     let p = Problem::declare(&op2, &mesh);
-    let cfg = SolverConfig {
-        niter: 4,
-        window: 2,
-        print_every: 0,
-        ..SolverConfig::default()
-    };
-    let r1 = solver::run(&op2, &p, &cfg);
-    let r2 = solver::run(&op2, &p, &cfg);
+    let cfg = || RunConfig::iterations(4, 2);
+    let r1 = run(&mut PlainAirfoil::new(&op2, &p), cfg());
+    let r2 = run(&mut PlainAirfoil::new(&op2, &p), cfg());
     // The flow keeps evolving — histories are different but all finite.
-    assert!(all_finite(&r1.rms_history) && all_finite(&r2.rms_history));
-    assert_ne!(r1.rms_history, r2.rms_history);
+    assert!(all_finite(&r1.residuals) && all_finite(&r2.residuals));
+    assert_ne!(r1.residuals, r2.residuals);
     // Plans are cached across calls: 2 colored shapes (res, bres), each at
     // the probe-default granularity plus the granularities the measured
     // feedback later resolved (adaptive chunking builds a plan per

@@ -20,7 +20,7 @@ use std::time::Duration;
 use op2_hpx::hpx::timing::Clock;
 use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::op2::args::{inc_via, write};
-use op2_hpx::op2::{__dataflow_resolved_block_size as resolved, Op2, Op2Config};
+use op2_hpx::op2::{dataflow_resolved_block_size as resolved, Op2, Op2Config};
 
 /// A dataflow context on one worker with a fake clock and a 128µs `Auto`
 /// target: 1µs/element cost resolves to 128-element nodes.

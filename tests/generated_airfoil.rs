@@ -10,7 +10,8 @@
 //! loop bit for bit; whatever the harness, the part/world plumbing or the
 //! reduction futures got wrong would show up here.
 
-use airfoil_cfd::{kernels, solver, Problem, SolverConfig};
+use airfoil_cfd::{kernels, PlainAirfoil, Problem};
+use op2_app::{run, RunConfig};
 use op2_core::{Global, Op2, Op2Config};
 use op2_mesh::channel_with_bump;
 
@@ -94,15 +95,9 @@ fn harness_driven_solver_matches_blocking_reference_bitwise_under_seq() {
     // The solver: one step body under the harness, Seq backend.
     let op2_a = Op2::new(Op2Config::seq());
     let p_a = Problem::declare(&op2_a, &mesh);
-    let r_ref = solver::run(
-        &op2_a,
-        &p_a,
-        &SolverConfig {
-            niter: 6,
-            window: 0,
-            print_every: 0,
-            ..SolverConfig::default()
-        },
+    let r_ref = run(
+        &mut PlainAirfoil::new(&op2_a, &p_a),
+        RunConfig::iterations(6, 0),
     );
 
     // The blocking-read reference, Seq backend: identical operation
@@ -111,8 +106,8 @@ fn harness_driven_solver_matches_blocking_reference_bitwise_under_seq() {
     let p_b = Problem::declare(&op2_b, &mesh);
     let r_gen = run_generated(&op2_b, &p_b, 6);
 
-    assert_eq!(r_ref.rms_history.len(), r_gen.len());
-    for (a, b) in r_ref.rms_history.iter().zip(&r_gen) {
+    assert_eq!(r_ref.residuals.len(), r_gen.len());
+    for (a, b) in r_ref.residuals.iter().zip(&r_gen) {
         assert_eq!(a.to_bits(), b.to_bits(), "rms must match bitwise");
     }
     let qa = p_a.p_q.snapshot();

@@ -19,8 +19,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
-use op2_hpx::airfoil::SolverConfig;
+use op2_hpx::airfoil::{ShardedAirfoil, ShardedProblem};
+use op2_hpx::app::{run, RunConfig};
 use op2_hpx::hpx::lco::Event;
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::{read_via, write};
@@ -307,16 +307,11 @@ fn airfoil_implicit_exchange_count_matches_the_manual_schedule() {
         .count() as u64;
     assert!(nonempty_pairs > 0, "4-rank decomposition must communicate");
 
-    let r = run_sharded(
-        &mut shp,
-        &SolverConfig {
-            niter,
-            window: 2,
-            print_every: 0,
-            ..SolverConfig::default()
-        },
+    let r = run(
+        &mut ShardedAirfoil::new(&mut shp, 0.0),
+        RunConfig::iterations(niter, 2),
     );
-    assert!(r.rms_history.iter().all(|v| v.is_finite()));
+    assert!(r.residuals.iter().all(|v| v.is_finite()));
 
     let q_stats = implicit_halo_stats(&shp.parts[0].p_q).unwrap();
     let adt_stats = implicit_halo_stats(&shp.parts[0].p_adt).unwrap();

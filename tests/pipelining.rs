@@ -11,6 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use op2_hpx::op2::args::{inc_via, read, rw, write};
+use op2_hpx::op2::testing::dep_epochs;
 use op2_hpx::op2::{Op2, Op2Config};
 
 const BS: usize = 64;
@@ -174,21 +175,21 @@ fn epoch_tables_advance_per_block() {
     let op2 = Op2::new(Op2Config::dataflow(2).with_block_size(BS));
     let cells = op2.decl_set(N, "cells");
     let x = op2.decl_dat(&cells, 1, "x", vec![0.0; N]);
-    assert_eq!(x.__dep_epochs(), vec![0; NBLOCKS]);
+    assert_eq!(dep_epochs(&x), vec![0; NBLOCKS]);
     op2.loop_("w1", &cells)
         .arg(write(&x))
         .run(|x: &mut [f64]| {
             x[0] = 1.0;
         })
         .wait();
-    assert_eq!(x.__dep_epochs(), vec![1; NBLOCKS]);
+    assert_eq!(dep_epochs(&x), vec![1; NBLOCKS]);
     op2.loop_("w2", &cells)
         .arg(write(&x))
         .run(|x: &mut [f64]| {
             x[0] = 2.0;
         })
         .wait();
-    assert_eq!(x.__dep_epochs(), vec![2; NBLOCKS]);
+    assert_eq!(dep_epochs(&x), vec![2; NBLOCKS]);
 }
 
 /// A reduction into a *shared* global must not re-introduce a whole-loop

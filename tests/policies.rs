@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use op2_hpx::hpx::timing::Clock;
-use op2_hpx::hpx::{for_each, ChunkPolicy, Runtime};
+use op2_hpx::hpx::{for_each_chunk, ChunkPolicy, Runtime};
 use op2_hpx::op2::args::{read, write};
 use op2_hpx::op2::{Op2, Op2Config};
 
@@ -14,8 +14,10 @@ use op2_hpx::op2::{Op2, Op2Config};
 fn par_visits_exactly_once() {
     let rt = Runtime::new(4);
     let hits: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
-    for_each(&rt, &ChunkPolicy::default(), 0..hits.len(), |i| {
-        hits[i].fetch_add(1, Ordering::Relaxed);
+    for_each_chunk(&rt, &ChunkPolicy::default(), 0..hits.len(), |r| {
+        for i in r {
+            hits[i].fetch_add(1, Ordering::Relaxed);
+        }
     });
     assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
 }
@@ -29,8 +31,8 @@ fn chunk_policies_compose_with_any_policy() {
         ChunkPolicy::default(),
     ] {
         let counter = AtomicUsize::new(0);
-        for_each(&rt, &chunk, 0..12_345, |_| {
-            counter.fetch_add(1, Ordering::Relaxed);
+        for_each_chunk(&rt, &chunk, 0..12_345, |r| {
+            counter.fetch_add(r.len(), Ordering::Relaxed);
         });
         assert_eq!(counter.into_inner(), 12_345);
     }
@@ -42,7 +44,7 @@ fn chunk_policies_compose_with_any_policy() {
 /// measurement, duration-targeted sizes after.
 #[test]
 fn chunk_policy_sets_dataflow_direct_node_granularity() {
-    use op2_hpx::op2::__dataflow_resolved_block_size as resolved;
+    use op2_hpx::op2::dataflow_resolved_block_size as resolved;
 
     // The blocks a direct loop named `kernel` over `set` is cut into.
     let blocks_of = |op2: &Op2, kernel: &str, set: &op2_hpx::op2::Set| {
@@ -79,7 +81,7 @@ fn chunk_policy_sets_dataflow_direct_node_granularity() {
 /// clock so the "cost" is exact.
 #[test]
 fn auto_granularity_is_feedback_resolved_on_dataflow() {
-    use op2_hpx::op2::__dataflow_resolved_block_size as resolved;
+    use op2_hpx::op2::dataflow_resolved_block_size as resolved;
 
     let clock = Clock::fake();
     let op2 = Op2::new(Op2Config::dataflow(1).with_clock(clock.clone()).with_chunk(
@@ -109,7 +111,7 @@ fn auto_granularity_is_feedback_resolved_on_dataflow() {
 /// the *same time*.
 #[test]
 fn persistent_auto_equalizes_node_durations_across_kernels() {
-    use op2_hpx::op2::__dataflow_resolved_block_size as resolved;
+    use op2_hpx::op2::dataflow_resolved_block_size as resolved;
 
     let clock = Clock::fake();
     let op2 = Op2::new(Op2Config::dataflow(1).with_clock(clock.clone()).with_chunk(

@@ -143,8 +143,10 @@ fn chunkers_tile_ranges_exactly() {
         };
         let rt = Runtime::new(2);
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        op2_hpx::hpx::for_each(&rt, &chunk, 0..n, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
+        op2_hpx::hpx::for_each_chunk(&rt, &chunk, 0..n, |r| {
+            for i in r {
+                hits[i].fetch_add(1, Ordering::Relaxed);
+            }
         });
         assert!(
             hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),

@@ -8,9 +8,9 @@
 
 use std::sync::Arc;
 
-use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
 use op2_hpx::airfoil::verify::{max_rel_diff, max_scaled_diff};
-use op2_hpx::airfoil::SolverConfig;
+use op2_hpx::airfoil::{ShardedAirfoil, ShardedProblem};
+use op2_hpx::app::{run, RunConfig, RunOutcome};
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::rw;
 use op2_hpx::op2::locality::LocalityGroup;
@@ -145,13 +145,12 @@ fn migration_substrate_preserves_values_bitwise_randomized() {
     }
 }
 
-fn cfg(niter: usize) -> SolverConfig {
-    SolverConfig {
-        niter,
-        window: 2,
-        print_every: 0,
-        ..SolverConfig::default()
-    }
+/// `niter` unskewed iterations of the sharded solve, window 2.
+fn solve(shp: &mut ShardedProblem, niter: usize) -> RunOutcome {
+    run(
+        &mut ShardedAirfoil::new(shp, 0.0),
+        RunConfig::iterations(niter, 2),
+    )
 }
 
 /// A forced mid-solve repartition (skewed busy times injected) preserves
@@ -163,11 +162,11 @@ fn forced_mid_solve_repartition_preserves_airfoil_physics() {
     let niter = 8;
 
     let mut reference = ShardedProblem::declare(Op2Config::seq(), &mesh, 3);
-    let r_ref = run_sharded(&mut reference, &cfg(niter));
+    let r_ref = solve(&mut reference, niter);
     let q_ref = reference.gather_q();
 
     let mut shp = ShardedProblem::declare(Op2Config::seq(), &mesh, 3);
-    let r1 = run_sharded(&mut shp, &cfg(niter / 2));
+    let r1 = solve(&mut shp, niter / 2);
     // Rank 0 claims to be 4x as expensive per element: well outside the
     // dead zone, so this must repartition.
     let before = shp.owned_cells.clone();
@@ -183,15 +182,10 @@ fn forced_mid_solve_repartition_preserves_airfoil_physics() {
         before[0].len(),
         shp.owned_cells[0].len()
     );
-    let r2 = run_sharded(&mut shp, &cfg(niter - niter / 2));
+    let r2 = solve(&mut shp, niter - niter / 2);
 
-    let rms: Vec<f64> = r1
-        .rms_history
-        .iter()
-        .chain(&r2.rms_history)
-        .copied()
-        .collect();
-    let d_rms = max_rel_diff(&r_ref.rms_history, &rms);
+    let rms: Vec<f64> = r1.residuals.iter().chain(&r2.residuals).copied().collect();
+    let d_rms = max_rel_diff(&r_ref.residuals, &rms);
     let d_q = max_scaled_diff(&q_ref, &shp.gather_q(), 1.0);
     assert!(d_rms < 1e-7, "rebalanced rms deviates by {d_rms:e}");
     assert!(d_q < 1e-9, "rebalanced q deviates by {d_q:e}");
@@ -207,25 +201,20 @@ fn balanced_load_never_migrates_and_stays_bitwise() {
     let niter = 6;
 
     let mut reference = ShardedProblem::declare(Op2Config::seq(), &mesh, 3);
-    let r_ref = run_sharded(&mut reference, &cfg(niter));
+    let r_ref = solve(&mut reference, niter);
 
     let mut shp = ShardedProblem::declare(Op2Config::seq(), &mesh, 3);
-    let r1 = run_sharded(&mut shp, &cfg(niter / 2));
+    let r1 = solve(&mut shp, niter / 2);
     // Within the 1.5x dead zone (owned counts are near-equal): no-op.
     assert!(
         shp.rebalance_with_busy(&[1_000_000, 1_200_000, 1_100_000])
             .is_none(),
         "near-balanced busy times must not migrate"
     );
-    let r2 = run_sharded(&mut shp, &cfg(niter - niter / 2));
+    let r2 = solve(&mut shp, niter - niter / 2);
 
-    let rms: Vec<f64> = r1
-        .rms_history
-        .iter()
-        .chain(&r2.rms_history)
-        .copied()
-        .collect();
-    assert_eq!(r_ref.rms_history, rms, "bitwise-equal residual history");
+    let rms: Vec<f64> = r1.residuals.iter().chain(&r2.residuals).copied().collect();
+    assert_eq!(r_ref.residuals, rms, "bitwise-equal residual history");
     assert_eq!(reference.gather_q(), shp.gather_q(), "bitwise-equal state");
 }
 
@@ -234,7 +223,7 @@ fn balanced_load_never_migrates_and_stays_bitwise() {
 fn single_rank_rebalance_is_refused() {
     let mesh = channel_with_bump(10, 5);
     let mut shp = ShardedProblem::declare(Op2Config::seq(), &mesh, 1);
-    run_sharded(&mut shp, &cfg(2));
+    solve(&mut shp, 2);
     assert!(shp.rebalance_with_busy(&[u64::MAX / 2]).is_none());
     assert!(shp.rebalance().is_none());
 }
@@ -246,7 +235,7 @@ fn single_rank_rebalance_is_refused() {
 fn migration_retires_exactly_the_affected_spec_entries() {
     let mesh = channel_with_bump(16, 8);
     let mut shp = ShardedProblem::declare(Op2Config::dataflow(2), &mesh, 2);
-    run_sharded(&mut shp, &cfg(4));
+    solve(&mut shp, 4);
 
     // An unrelated set on rank 0's world: its schedule must survive.
     let aux_op2 = shp.group.rank(0);
@@ -286,8 +275,8 @@ fn migration_retires_exactly_the_affected_spec_entries() {
     assert_eq!(dropped, rep.specs_dropped, "report matches the caches");
 
     // The run continues correctly on the new shards (fresh schedules).
-    let r = run_sharded(&mut shp, &cfg(2));
-    assert!(r.rms_history.iter().all(|v| v.is_finite()));
+    let r = solve(&mut shp, 2);
+    assert!(r.residuals.iter().all(|v| v.is_finite()));
 }
 
 /// Busy time, the imbalance signal the rebalancer reads, accumulates on
@@ -358,11 +347,11 @@ fn rebalance_over_sockets_matches_in_process() {
     let reference = {
         let mesh = channel_with_bump(12, 6);
         let mut shp = ShardedProblem::declare(Op2Config::dataflow(2), &mesh, NRANKS);
-        let r1 = run_sharded(&mut shp, &cfg(niter / 2));
+        let r1 = solve(&mut shp, niter / 2);
         shp.rebalance_with_busy(&BUSY).expect("4x skew migrates");
-        let r2 = run_sharded(&mut shp, &cfg(niter - niter / 2));
-        let mut rms = r1.rms_history;
-        rms.extend(r2.rms_history);
+        let r2 = solve(&mut shp, niter - niter / 2);
+        let mut rms = r1.residuals;
+        rms.extend(r2.residuals);
         rms
     };
 
@@ -393,13 +382,13 @@ fn rebalance_over_sockets_matches_in_process() {
                     );
                     fb.reset_busy();
 
-                    let r1 = run_sharded(&mut shp, &cfg(niter / 2));
+                    let r1 = solve(&mut shp, niter / 2);
                     shp.rebalance_with_busy(&BUSY)
                         .expect("same decision everywhere");
-                    let r2 = run_sharded(&mut shp, &cfg(niter - niter / 2));
+                    let r2 = solve(&mut shp, niter - niter / 2);
                     shp.group.barrier();
-                    let mut rms = r1.rms_history;
-                    rms.extend(r2.rms_history);
+                    let mut rms = r1.residuals;
+                    rms.extend(r2.residuals);
                     rms
                 })
             })

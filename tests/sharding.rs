@@ -7,9 +7,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
 use op2_hpx::airfoil::verify::{max_rel_diff, max_scaled_diff};
-use op2_hpx::airfoil::{solver, Problem, SolverConfig};
+use op2_hpx::airfoil::{PlainAirfoil, Problem, ShardedAirfoil, ShardedProblem};
+use op2_hpx::app::{run, RunConfig};
 use op2_hpx::hpx::lco::Event;
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::{read_via, write};
@@ -156,17 +156,11 @@ fn plain_golden(niter: usize) -> (Vec<f64>, Vec<f64>) {
     let op2 = op2_hpx::op2::Op2::new(Op2Config::seq());
     let mesh = channel_with_bump(32, 16);
     let p = Problem::declare(&op2, &mesh);
-    let r = solver::run(
-        &op2,
-        &p,
-        &SolverConfig {
-            niter,
-            window: 4,
-            print_every: 0,
-            ..SolverConfig::default()
-        },
+    let r = run(
+        &mut PlainAirfoil::new(&op2, &p),
+        RunConfig::iterations(niter, 4),
     );
-    (r.rms_history, p.p_q.snapshot())
+    (r.residuals, p.p_q.snapshot())
 }
 
 /// A 4-rank sharded run reproduces the single-locality physics within
@@ -178,16 +172,11 @@ fn sharded_airfoil_matches_single_locality_golden() {
     let (rms_ref, q_ref) = plain_golden(niter);
     let mesh = channel_with_bump(32, 16);
     let mut shp = ShardedProblem::declare(Op2Config::dataflow(2), &mesh, 4);
-    let r = run_sharded(
-        &mut shp,
-        &SolverConfig {
-            niter,
-            window: 4,
-            print_every: 0,
-            ..SolverConfig::default()
-        },
+    let r = run(
+        &mut ShardedAirfoil::new(&mut shp, 0.0),
+        RunConfig::iterations(niter, 4),
     );
-    let d_rms = max_rel_diff(&rms_ref, &r.rms_history);
+    let d_rms = max_rel_diff(&rms_ref, &r.residuals);
     let d_q = max_scaled_diff(&q_ref, &shp.gather_q(), 1.0);
     assert!(d_rms < 1e-7, "sharded rms deviates by {d_rms:e}");
     assert!(d_q < 1e-9, "sharded q deviates by {d_q:e}");
@@ -206,16 +195,11 @@ fn adaptive_granularity_preserves_sharded_physics_across_halo_boundary() {
     let (rms_ref, q_ref) = plain_golden(niter);
     let mesh = channel_with_bump(32, 16);
     let mut shp = ShardedProblem::declare(Op2Config::dataflow(2), &mesh, 4);
-    let r = run_sharded(
-        &mut shp,
-        &SolverConfig {
-            niter,
-            window: 4,
-            print_every: 0,
-            ..SolverConfig::default()
-        },
+    let r = run(
+        &mut ShardedAirfoil::new(&mut shp, 0.0),
+        RunConfig::iterations(niter, 4),
     );
-    let d_rms = max_rel_diff(&rms_ref, &r.rms_history);
+    let d_rms = max_rel_diff(&rms_ref, &r.residuals);
     let d_q = max_scaled_diff(&q_ref, &shp.gather_q(), 1.0);
     assert!(d_rms < 1e-7, "rms deviates by {d_rms:e}");
     assert!(d_q < 1e-9, "q deviates by {d_q:e}");

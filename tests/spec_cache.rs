@@ -4,20 +4,15 @@
 //! nothing and hits the warm entries.
 
 use op2_hpx::airfoil::verify::all_finite;
-use op2_hpx::airfoil::{solver, AirfoilApp, Problem, SolverConfig};
+use op2_hpx::airfoil::{AirfoilApp, PlainAirfoil, Problem};
 use op2_hpx::app::{run, App, HeatApp, RunConfig};
 use op2_hpx::mesh::QuadMesh;
 use op2_hpx::op2::{Op2, Op2Config};
 
 fn solve(op2: &Op2, mesh: &QuadMesh) {
     let p = Problem::declare(op2, mesh);
-    let cfg = SolverConfig {
-        niter: 2,
-        window: 4,
-        print_every: 0,
-        ..SolverConfig::default()
-    };
-    assert!(all_finite(&solver::run(op2, &p, &cfg).rms_history));
+    let r = run(&mut PlainAirfoil::new(op2, &p), RunConfig::iterations(2, 4));
+    assert!(all_finite(&r.residuals));
 }
 
 /// Different mesh shapes key different cache entries: airfoil at 800

@@ -14,6 +14,7 @@ use op2_hpx::airfoil::{PlainAirfoil, Problem};
 use op2_hpx::app::AppInstance;
 use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::mesh::channel_with_bump;
+use op2_hpx::op2::testing::dep_records;
 use op2_hpx::op2::{Op2, Op2Config, SubmitStats};
 
 const ITERS: u64 = 6;
@@ -97,9 +98,9 @@ fn a_read_only_dat_pins_nothing_once_its_readers_are_done() {
     // Consulting the table (here: a read guard's wait) drops every
     // completed record; none of the 300 loops that read `x` is left.
     drop(p.p_x.read());
-    assert_eq!(p.p_x.__dep_records(), 0);
+    assert_eq!(dep_records(&p.p_x), 0);
     drop(p.p_q.read());
-    assert_eq!(p.p_q.__dep_records(), 0);
+    assert_eq!(dep_records(&p.p_q), 0);
 }
 
 /// The node-duration floor reaches a real application. On a clock that
@@ -111,7 +112,7 @@ fn a_read_only_dat_pins_nothing_once_its_readers_are_done() {
 #[test]
 fn loops_of_a_few_microseconds_are_one_node_each() {
     use op2_hpx::hpx::timing::Clock;
-    use op2_hpx::op2::__dataflow_resolved_block_size as resolved;
+    use op2_hpx::op2::dataflow_resolved_block_size as resolved;
 
     let op2 = Op2::new(Op2Config::dataflow(2).with_clock(Clock::fake()));
     let mesh = channel_with_bump(90, 45);

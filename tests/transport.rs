@@ -12,8 +12,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-use op2_hpx::airfoil::shard::{run_sharded, ShardedProblem};
-use op2_hpx::airfoil::SolverConfig;
+use op2_hpx::airfoil::{ShardedAirfoil, ShardedProblem};
+use op2_hpx::app::{run, RunConfig};
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::{gbl_inc, rw, write};
 use op2_hpx::op2::locality::{exchange, HaloSpec, LocalityGroup};
@@ -119,28 +119,23 @@ fn explicit_exchange_over_sockets_matches_in_process() {
 #[test]
 fn sharded_airfoil_over_sockets_matches_in_process() {
     const NRANKS: usize = 3;
-    let cfg = SolverConfig {
-        niter: 4,
-        window: 2,
-        print_every: 0,
-        ..SolverConfig::default()
-    };
+    let cfg = || RunConfig::iterations(4, 2);
     let mesh = channel_with_bump(12, 6);
     let reference = {
         let mut shp = ShardedProblem::declare(Op2Config::dataflow(2), &mesh, NRANKS);
-        run_sharded(&mut shp, &cfg)
+        run(&mut ShardedAirfoil::new(&mut shp, 0.0), cfg())
     };
 
     let history = spmd("airfoil", NRANKS, |_rank, t| {
         let mesh = channel_with_bump(12, 6);
         let mut shp = ShardedProblem::declare_with_transport(Op2Config::dataflow(2), &mesh, t);
-        let result = run_sharded(&mut shp, &cfg);
+        let result = run(&mut ShardedAirfoil::new(&mut shp, 0.0), cfg());
         shp.group.barrier();
-        result.rms_history
+        result.residuals
     });
 
-    assert_eq!(history.len(), reference.rms_history.len());
-    for (i, (a, b)) in history.iter().zip(&reference.rms_history).enumerate() {
+    assert_eq!(history.len(), reference.residuals.len());
+    for (i, (a, b)) in history.iter().zip(&reference.residuals).enumerate() {
         assert!(
             (a - b).abs() <= 1e-9 * b.abs().max(1.0),
             "iteration {i}: socket rms {a} vs in-process {b}"
