@@ -17,8 +17,10 @@
 //! `--rank-id R --rendezvous DIR`, so every flag reaches every rank.)
 //!
 //! `--rebalance N` and `--skew S` act on how the ranks share the load, so
-//! both need `--ranks N > 1`; a single-rank run refuses them with exit
-//! code 2.
+//! both need `--ranks N > 1`, as does `--transport process`. A usage error
+//! `main` detects (one of these on a single rank, an unknown `--backend`
+//! or `--transport`) exits with code 2 and a one-line message naming the
+//! flag.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -174,30 +176,35 @@ fn report(args: &Args, result: &RunOutcome) {
     }
 }
 
+/// Stops on a usage error: one line on stderr naming the flag, exit code 2.
+fn usage_error(message: String) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2);
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(argv.iter().cloned());
-    if args.rebalance > 0 && args.ranks < 2 {
-        eprintln!("--rebalance needs --ranks N > 1: a single rank has nothing to repartition");
-        std::process::exit(2);
-    }
-    if args.skew != 0.0 && args.ranks < 2 {
-        eprintln!("--skew needs --ranks N > 1: it skews the load the ranks balance");
-        std::process::exit(2);
+    for (given, flag) in [
+        (args.rebalance > 0, "--rebalance"),
+        (args.skew != 0.0, "--skew"),
+        (args.transport == "process", "--transport process"),
+    ] {
+        if given && args.ranks < 2 {
+            usage_error(format!("{flag} acts between ranks: it needs --ranks N > 1"));
+        }
     }
     let config = match args.backend.as_str() {
         "seq" => Op2Config::seq(),
         "forkjoin" => Op2Config::fork_join(args.threads),
         "dataflow" => Op2Config::dataflow(args.threads),
-        other => panic!("unknown backend {other}"),
+        other => usage_error(format!("unknown --backend {other} (seq|forkjoin|dataflow)")),
     };
-
     match args.transport.as_str() {
         "inproc" | "process" => {}
-        other => panic!("unknown transport {other} (inproc | process)"),
+        other => usage_error(format!("unknown --transport {other} (inproc | process)")),
     }
     if args.transport == "process" && args.rank_id.is_none() {
-        assert!(args.ranks > 1, "--transport process needs --ranks N > 1");
         std::process::exit(launch_processes(&argv, args.ranks));
     }
 
@@ -302,23 +309,14 @@ fn main() {
     let measured = op2.granularity_feedback().snapshot();
     if !measured.is_empty() {
         println!("-- adaptive granularity (measured feedback) --");
-        for (kernel, _set, cost) in measured {
-            let set = [
-                ("save_soln", &problem.cells),
-                ("adt_calc", &problem.cells),
-                ("update", &problem.cells),
-                ("res_calc", &problem.edges),
-                ("bres_calc", &problem.bedges),
-            ]
-            .iter()
-            .find(|(k, _)| *k == kernel)
-            .map(|(_, s)| (*s).clone());
-            match set {
+        for (kernel, set, cost) in measured {
+            let sets = [&problem.cells, &problem.edges, &problem.bedges];
+            match sets.into_iter().find(|s| s.signature() == set) {
                 Some(s) => println!(
                     "  {kernel:12} {:8.0} ns/elem  ({} samples) -> {} elems/node",
                     cost.ewma_ns_per_elem,
                     cost.samples,
-                    op2_core::dataflow_resolved_block_size(&op2, &kernel, &s)
+                    op2_core::dataflow_resolved_block_size(&op2, &kernel, s)
                 ),
                 None => println!(
                     "  {kernel:12} {:8.0} ns/elem  ({} samples)",

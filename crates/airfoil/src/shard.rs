@@ -36,7 +36,7 @@
 //! `res_calc` — whose `read_via(pecell)` arguments reach the import rows —
 //! schedules the gather/send/scatter nodes for exactly the stale pairs
 //! before its own nodes are built. Nothing blocks: the send nodes chain
-//! behind the epoch-table writers of the exported rows, the receive nodes
+//! behind the dependency-table writers of the exported rows, the receive nodes
 //! register as writers of the halo blocks, and `res_calc`'s interior
 //! blocks — which reach no halo block — start immediately while the
 //! exchange is in flight. Only the boundary blocks gate on the receives;
@@ -316,7 +316,7 @@ impl ShardedProblem {
         // Only `q` carries state across iteration boundaries (`qold`,
         // `adt`, `res` are recomputed from it every iteration, and halo
         // mirrors refresh on first read) — migrate its owned rows as
-        // ordinary epoch-table nodes and let the dependency chains gate
+        // ordinary dependency-table nodes and let the dependency chains gate
         // the new shards' first loops on the landings.
         let mspec = MigrationSpec::diff(&self.owned_cells, &new_owned);
         let old_q: Vec<Dat<f64>> = self.parts.iter().map(|p| p.p_q.clone()).collect();

@@ -4,8 +4,8 @@
 //!
 //! The static sweep hand-tunes the Dataflow node granularity
 //! (`ChunkPolicy::Static`) across a power-of-two range; the adaptive
-//! policy (`Auto`, the Dataflow default) starts from the conservative
-//! probe default and lets measured per-element cost resolve the
+//! policy (`Auto`, the Dataflow default) starts at the mini-partition
+//! block size and lets measured per-element cost resolve the
 //! granularity at runtime. The claim under test: **adaptive lands within ~10% of the best
 //! static sweep point without hand-tuning**.
 //!
@@ -14,13 +14,8 @@
 //! `--json PATH`, and `--max-ratio R` (exit non-zero if the adaptive
 //! policy is more than `R`x the best static time — the CI gate).
 
-use std::time::Duration;
-
-use airfoil_cfd::{PlainAirfoil, Problem};
-use op2_app::RunConfig;
-use op2_bench::Table;
-use op2_core::hpx_rt::ChunkPolicy;
-use op2_core::{Op2, Op2Config};
+use op2_bench::{run_airfoil, Table};
+use op2_core::{ChunkPolicy, Op2Config};
 use op2_mesh::QuadMesh;
 
 struct Args {
@@ -74,26 +69,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// One timed airfoil run under `config`; returns best wall time over reps.
-fn run_airfoil(config: &Op2Config, mesh: &QuadMesh, iters: usize, reps: usize) -> Duration {
-    let mut best = Duration::MAX;
-    for _ in 0..reps.max(1) {
-        let op2 = Op2::new(config.clone());
-        let problem = Problem::declare(&op2, mesh);
-        let result = op2_app::run(
-            &mut PlainAirfoil::new(&op2, &problem),
-            RunConfig::iterations(iters, 16),
-        );
-        assert!(
-            result.final_residual().is_finite(),
-            "diverged under {:?}",
-            config.chunk
-        );
-        best = best.min(result.elapsed);
-    }
-    best
-}
-
 fn main() {
     let args = parse_args();
     let mesh = QuadMesh::with_cells(args.cells);
@@ -115,7 +90,9 @@ fn main() {
     for &block in &sweep {
         let config =
             Op2Config::dataflow(args.threads).with_chunk(ChunkPolicy::Static { size: block });
-        let secs = run_airfoil(&config, &mesh, args.iters, args.reps).as_secs_f64();
+        let secs = run_airfoil(&config, &mesh, args.iters, args.reps)
+            .time
+            .as_secs_f64();
         static_rows.push((block, secs));
     }
     let &(best_block, best_static) = static_rows
@@ -131,9 +108,11 @@ fn main() {
         ]);
     }
 
-    // Adaptive: no hand-tuning — the probe default plus measured feedback.
+    // Adaptive: no hand-tuning — the block-size start plus measured feedback.
     let config = Op2Config::dataflow(args.threads);
-    let auto_secs = run_airfoil(&config, &mesh, args.iters, args.reps).as_secs_f64();
+    let auto_secs = run_airfoil(&config, &mesh, args.iters, args.reps)
+        .time
+        .as_secs_f64();
     let ratio = auto_secs / best_static;
     table.row(vec![
         "auto".to_owned(),

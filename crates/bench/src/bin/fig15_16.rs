@@ -6,6 +6,7 @@
 //! asynchronous task execution and loop interleaving.
 
 use op2_bench::{parse_sweep_args, run_airfoil, tables::ms, Table, Variant};
+use op2_mesh::QuadMesh;
 
 fn main() {
     let args = parse_sweep_args();
@@ -13,10 +14,11 @@ fn main() {
         "Figs 15/16 — Airfoil execution time and strong scaling (cells={}, iters={}, min of {} reps)\n",
         args.cells, args.iters, args.reps
     );
+    let mesh = QuadMesh::with_cells(args.cells);
     let mut runs = Vec::new();
     for &t in &args.threads {
-        let omp = run_airfoil(Variant::OpenMp, t, args.cells, args.iters, args.reps);
-        let df = run_airfoil(Variant::Dataflow, t, args.cells, args.iters, args.reps);
+        let omp = run_airfoil(&Variant::OpenMp.config(t), &mesh, args.iters, args.reps);
+        let df = run_airfoil(&Variant::Dataflow.config(t), &mesh, args.iters, args.reps);
         // Physics must agree or the comparison is meaningless.
         let drift = (omp.final_rms - df.final_rms).abs() / omp.final_rms.max(1e-300);
         assert!(drift < 1e-6, "backends disagree on rms: {drift:e}");

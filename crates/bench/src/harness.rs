@@ -36,34 +36,27 @@ pub struct Measurement {
     pub final_rms: f64,
 }
 
-/// Runs the Airfoil benchmark: `reps` repetitions (fresh state each),
-/// returning the minimum time. The mesh is built once per call.
-pub fn run_airfoil(
-    variant: Variant,
-    threads: usize,
-    cells: usize,
-    iters: usize,
-    reps: usize,
-) -> Measurement {
-    let mesh = QuadMesh::with_cells(cells);
-    let mut best: Option<Measurement> = None;
-    for _ in 0..reps.max(1) {
-        let op2 = Op2::new(variant.config(threads));
-        let problem = Problem::declare(&op2, &mesh);
-        let result = op2_app::run(
-            &mut PlainAirfoil::new(&op2, &problem),
-            RunConfig::iterations(iters, 16),
-        );
-        let m = Measurement {
-            time: result.elapsed,
-            final_rms: result.final_residual(),
-        };
-        best = Some(match best {
-            Some(prev) if prev.time <= m.time => prev,
-            _ => m,
-        });
-    }
-    best.expect("reps >= 1")
+/// Runs the Airfoil benchmark under `config` on `mesh`: `reps`
+/// repetitions, each on a fresh world with a fresh `Problem::declare`,
+/// returning the fastest. Panics if a repetition diverges.
+pub fn run_airfoil(config: &Op2Config, mesh: &QuadMesh, iters: usize, reps: usize) -> Measurement {
+    (0..reps.max(1))
+        .map(|_| {
+            let op2 = Op2::new(config.clone());
+            let problem = Problem::declare(&op2, mesh);
+            let result = op2_app::run(
+                &mut PlainAirfoil::new(&op2, &problem),
+                RunConfig::iterations(iters, 16),
+            );
+            let final_rms = result.final_residual();
+            assert!(final_rms.is_finite(), "diverged under {:?}", config.chunk);
+            Measurement {
+                time: result.elapsed,
+                final_rms,
+            }
+        })
+        .min_by_key(|m| m.time)
+        .expect("reps >= 1")
 }
 
 #[cfg(test)]
@@ -72,8 +65,9 @@ mod tests {
 
     #[test]
     fn airfoil_measurement_is_consistent_across_variants() {
-        let a = run_airfoil(Variant::OpenMp, 2, 2000, 5, 1);
-        let b = run_airfoil(Variant::Dataflow, 2, 2000, 5, 1);
+        let mesh = QuadMesh::with_cells(2000);
+        let a = run_airfoil(&Variant::OpenMp.config(2), &mesh, 5, 1);
+        let b = run_airfoil(&Variant::Dataflow.config(2), &mesh, 5, 1);
         assert!(a.time > Duration::ZERO && b.time > Duration::ZERO);
         let rel = (a.final_rms - b.final_rms).abs() / a.final_rms.max(1e-12);
         assert!(rel < 1e-6, "variants disagree on physics: {rel:e}");

@@ -1,8 +1,9 @@
 //! Execution configuration: which backend runs the loops and how work is
 //! divided.
 
+use std::time::Duration;
+
 use hpx_rt::timing::Clock;
-use hpx_rt::ChunkPolicy;
 
 /// The three execution strategies compared in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +30,44 @@ impl std::fmt::Display for Backend {
     }
 }
 
+/// Default per-chunk duration target of [`ChunkPolicy::Auto`].
+pub const DEFAULT_CHUNK_TARGET: Duration = Duration::from_micros(200);
+
+/// How a parallel loop is cut into chunks (paper §IV-B, Fig 12): the
+/// length of a fork-join loop's chunks and of a Dataflow loop's nodes.
+/// `crate::granularity` resolves it, for both backends.
+#[derive(Debug, Clone)]
+pub enum ChunkPolicy {
+    /// Fixed chunk size (OpenMP `schedule(dynamic, size)` — scheduling is
+    /// always dynamic here because chunks are stealable tasks).
+    Static {
+        /// Iterations per chunk.
+        size: usize,
+    },
+    /// Split the range into exactly `chunks` nearly-equal pieces (OpenMP
+    /// `schedule(static)` when `chunks == nthreads` — the fork-join
+    /// baseline's behaviour).
+    NumChunks {
+        /// Total number of chunks.
+        chunks: usize,
+    },
+    /// Size chunks to take ~`target` each from the per-element cost that
+    /// earlier runs of the same loop measured: HPX's
+    /// `persistent_auto_chunk_size` (Fig 12b).
+    Auto {
+        /// Per-chunk execution-time target.
+        target: Duration,
+    },
+}
+
+impl Default for ChunkPolicy {
+    fn default() -> Self {
+        ChunkPolicy::Auto {
+            target: DEFAULT_CHUNK_TARGET,
+        }
+    }
+}
+
 /// OP2's default mini-partition block size.
 pub const DEFAULT_BLOCK_SIZE: usize = 256;
 
@@ -45,18 +84,22 @@ pub struct Op2Config {
     /// Loop execution strategy.
     pub backend: Backend,
     /// Mini-partition block size: the granularity of every dat's
-    /// dependency (epoch) table, and the *conservative probe default*
-    /// [`ChunkPolicy::Auto`] schedules a Dataflow loop at until feedback
-    /// for that (kernel, set) exists.
+    /// dependency table, of the colouring plans, and the chunk length
+    /// [`ChunkPolicy::Auto`] runs a loop at until that (kernel, set) has
+    /// been measured.
     pub block_size: usize,
-    /// Chunking strategy for the ForkJoin backend's parallel-for phases —
-    /// and the node granularity of every Dataflow loop. [`ChunkPolicy::Static`]
-    /// and [`ChunkPolicy::NumChunks`] set it directly; [`ChunkPolicy::Auto`]
-    /// resolves it from *measured feedback* — executed nodes record their
-    /// per-element cost into a [`GranularityFeedback`](crate::GranularityFeedback) table, and the next
-    /// submission of the same (kernel, set) sizes its nodes to hit the
-    /// target duration (first submission runs at
-    /// [`Op2Config::block_size`]). See `README.md` § Adaptive chunking.
+    /// Chunking strategy: the chunk length of the ForkJoin backend's
+    /// parallel-for phases and the node granularity of every Dataflow
+    /// loop, resolved the same way on both. [`ChunkPolicy::Static`] and
+    /// [`ChunkPolicy::NumChunks`] set it directly (a colour round counts
+    /// its blocks); [`ChunkPolicy::Auto`] resolves it from *measured
+    /// feedback* — each run of a loop records its per-element cost into
+    /// the world's [`GranularityFeedback`](crate::GranularityFeedback)
+    /// table (every Dataflow node, or a fork-join loop as a whole), and
+    /// the next run of the same (kernel, set) sizes its chunks to hit the
+    /// target duration (a fork-join colour round in whole blocks; the
+    /// first run uses [`Op2Config::block_size`]). See `README.md`
+    /// § Adaptive chunking.
     pub chunk: ChunkPolicy,
     /// Clock the world's cost table and busy time measure through. [`Clock::real`] in production; tests inject
     /// [`Clock::fake`] to drive adaptive-chunking convergence

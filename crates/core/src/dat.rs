@@ -44,8 +44,6 @@
 //! receives of one halo refresh, or the landings of one migration, are
 //! siblings that did not wait for one another. A record whose loop
 //! panicked stays until covered, so the panic keeps poisoning consumers.
-//! Each block also counts the writer generations that reached it
-//! (`op2_core::testing::dep_epochs` reads them).
 //!
 //! # Safety model
 //!
@@ -139,14 +137,6 @@ impl Footprint {
                 ..
             } => (first / block_rows) as u32..((end - 1) / block_rows + 1) as u32,
             Footprint::Via(reach) => reach.span(),
-        }
-    }
-
-    /// True when some node touches block `block` of the span.
-    fn touches(&self, block: u32) -> bool {
-        match self {
-            Footprint::Rows { .. } => true,
-            Footprint::Via(reach) => !reach.nodes_of(block).is_empty(),
         }
     }
 
@@ -244,27 +234,21 @@ impl LiveRecord {
     }
 }
 
-struct DepState {
-    /// Live records, oldest first.
-    records: Vec<LiveRecord>,
-    /// Per block: writer generations seen, and the latest of them.
-    epochs: Vec<(u64, u64)>,
-}
-
 /// A dat's dependency table: its access records (see the module docs).
 /// Opaque outside the crate; loop arguments hand it to the driver through
 /// [`crate::ArgInfo`].
 pub struct DepTable {
     rows: usize,
     block_size: usize,
-    state: Mutex<DepState>,
+    /// Live records, oldest first.
+    records: Mutex<Vec<LiveRecord>>,
 }
 
 impl std::fmt::Debug for DepTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DepTable")
             .field("block_size", &self.block_size)
-            .field("records", &self.state.lock().records.len())
+            .field("records", &self.records.lock().len())
             .finish()
     }
 }
@@ -275,10 +259,7 @@ impl DepTable {
         DepTable {
             rows,
             block_size,
-            state: Mutex::new(DepState {
-                records: Vec::new(),
-                epochs: vec![(0, 0); rows.div_ceil(block_size)],
-            }),
+            records: Mutex::new(Vec::new()),
         }
     }
 
@@ -297,10 +278,9 @@ impl DepTable {
     /// mutating access, the mutating ones for a read — dropping the
     /// completed ones on the way.
     pub(crate) fn conflicting(&self, mutates: bool) -> Vec<LiveRecord> {
-        let mut state = self.state.lock();
-        state.records.retain(|l| !l.rec.done.has_value());
-        state
-            .records
+        let mut records = self.records.lock();
+        records.retain(|l| !l.rec.done.has_value());
+        records
             .iter()
             .filter(|l| mutates || l.rec.mutates)
             .cloned()
@@ -339,22 +319,12 @@ impl DepTable {
     }
 
     /// Adds a record, dropping or trimming what it supersedes (module
-    /// docs). A record that already completed only advances the epochs.
+    /// docs). A record that already completed is not kept.
     pub(crate) fn push(&self, rec: AccessRecord) {
         let span = rec.footprint.span();
-        let mut state = self.state.lock();
-        if rec.mutates {
-            for b in span.clone().filter(|&b| rec.footprint.touches(b)) {
-                if let Some((count, gen)) = state.epochs.get_mut(b as usize) {
-                    if *gen != rec.gen {
-                        *gen = rec.gen;
-                        *count += 1;
-                    }
-                }
-            }
-        }
+        let mut records = self.records.lock();
         let supersedes = rec.mutates && rec.footprint.dense();
-        state.records.retain_mut(|live| {
+        records.retain_mut(|live| {
             if supersedes && live.rec.gen != rec.gen {
                 if span.start <= live.blocks.start {
                     live.blocks.start = live.blocks.start.max(span.end);
@@ -366,7 +336,7 @@ impl DepTable {
             live.blocks.start < live.blocks.end && !live.rec.done.has_value()
         });
         if !span.is_empty() && !rec.done.has_value() {
-            state.records.push(LiveRecord {
+            records.push(LiveRecord {
                 blocks: span,
                 rec: Arc::new(rec),
             });
@@ -379,10 +349,6 @@ impl DepTable {
         for live in self.conflicting(mutates) {
             live.rec.done.wait();
         }
-    }
-
-    fn epochs(&self) -> Vec<u64> {
-        self.state.lock().epochs.iter().map(|e| e.0).collect()
     }
 }
 
@@ -774,16 +740,10 @@ pub mod testing {
     use super::Dat;
     use crate::types::OpType;
 
-    /// Per-block epoch counters: how many writer generations reached each
-    /// dependency block of `dat`.
-    pub fn dep_epochs<T: OpType>(dat: &Dat<T>) -> Vec<u64> {
-        dat.inner.deps.epochs()
-    }
-
     /// Access records `dat` currently holds (completed ones are dropped
     /// whenever the table is next consulted).
     pub fn dep_records<T: OpType>(dat: &Dat<T>) -> usize {
-        dat.inner.deps.state.lock().records.len()
+        dat.inner.deps.records.lock().len()
     }
 }
 
@@ -896,7 +856,6 @@ mod tests {
             1,
             "touched block must expose its writer"
         );
-        assert_eq!(testing::dep_epochs(&d), vec![1, 0]);
     }
 
     #[test]
@@ -912,17 +871,11 @@ mod tests {
         d.deps()
             .record_node(Footprint::rows(&(2..4), 4), true, gen, &w2);
         assert_eq!(collect(&d, 0..4, false).len(), 2);
-        assert_eq!(
-            testing::dep_epochs(&d),
-            vec![1],
-            "one generation, one epoch"
-        );
         // A later generation's writer supersedes the pair.
         let (_p3, w3) = pending();
         d.deps()
             .record_node(Footprint::rows(&(0..4), 4), true, next_loop_gen(), &w3);
         assert_eq!(collect(&d, 0..4, false).len(), 1);
-        assert_eq!(testing::dep_epochs(&d), vec![2]);
     }
 
     #[test]
@@ -972,8 +925,8 @@ mod tests {
         );
         assert!(collect(&d, 0..4, true).is_empty());
         assert_eq!(testing::dep_records(&d), 0);
-        // An access that completed before it was recorded leaves only its
-        // epoch behind.
+        // An access that completed before it was recorded leaves no
+        // record behind.
         d.deps().record_node(
             d.deps().whole(),
             true,
@@ -981,7 +934,6 @@ mod tests {
             &SharedFuture::ready(()),
         );
         assert_eq!(testing::dep_records(&d), 0);
-        assert_eq!(testing::dep_epochs(&d), vec![1]);
         // A broken producer keeps poisoning its consumers.
         let (promise, broken) = pending();
         d.deps()
@@ -1048,7 +1000,6 @@ mod tests {
         d.deps()
             .record_node(Footprint::rows(&(2..2), 4), true, next_loop_gen(), &w);
         assert!(collect(&d, 0..4, true).is_empty());
-        assert_eq!(testing::dep_epochs(&d), vec![0]);
     }
 
     // ---- the row-level oracle -------------------------------------------

@@ -24,14 +24,12 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use hpx_rt::{
-    schedule_after, schedule_after_counted, when_all_shared, ChunkPolicy, Clock, SharedFuture,
-};
+use hpx_rt::{schedule_after, schedule_after_counted, when_all_shared, Clock, SharedFuture};
 
 use crate::arg::{ArgInfo, ArgKind};
 use crate::config::Backend;
 use crate::dat::{AccessRecord, DepTable, Footprint, LiveRecord};
-use crate::granularity::{resolve_granularity, FeedbackSlot};
+use crate::granularity::{resolve_granularity, round_chunk_len, FeedbackSlot};
 use crate::map::Map;
 use crate::plan::{conflicts_of, Plan};
 use crate::set::Set;
@@ -90,11 +88,12 @@ fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
     }
     let n = spec.set.size();
     let t0 = Instant::now();
-    // A rank world times the whole loop on the world clock (so Seq
-    // sharded runs feed the rebalancer's imbalance signal —
+    // A measuring world times the whole loop on the world clock: the cost
+    // `Auto` sizes the next run's chunks from, and on a rank world the
+    // busy time the rebalancer compares (Seq sharded runs included —
     // deterministically, under a fake clock).
     let (fb, clock) = (world.granularity_feedback(), &world.config().clock);
-    let start_ns = world.measures_busy().then(|| clock.now_ns());
+    let start_ns = world.measures().then(|| clock.now_ns());
     if n > 0 {
         if !parallel {
             (spec.block_body)(0..n);
@@ -117,20 +116,20 @@ fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
 
 /// The synchronous parallel schedule: direct loops are one chunked
 /// parallel-for; indirect loops run color rounds, each ending in an
-/// implicit global barrier (the `for_each_chunk` join).
+/// implicit global barrier (the `for_each_chunk` join). Chunk lengths
+/// come from the resolver Dataflow uses.
 fn run_parallel_phases(world: &Op2, spec: &LoopSpec, n: usize) {
-    let rt = world.runtime();
-    let chunk = &world.config().chunk;
+    let (rt, cfg) = (world.runtime(), world.config());
+    let len = resolve_granularity(world, &spec.name, spec.set.signature(), n, None);
     let conflicts = conflicts_of(&spec.infos);
     if conflicts.is_empty() {
-        hpx_rt::for_each_chunk(rt, chunk, 0..n, |r| (spec.block_body)(r));
+        hpx_rt::for_each_chunk(rt, len, 0..n, |r| (spec.block_body)(r));
         return;
     }
-    let plan = world
-        .plans()
-        .get(&spec.set, world.config().block_size, &conflicts);
+    let plan = world.plans().get(&spec.set, cfg.block_size, &conflicts);
     for color_list in &plan.color_blocks {
-        hpx_rt::for_each_chunk(rt, chunk, 0..color_list.len(), |br| {
+        let blocks = round_chunk_len(cfg, len, color_list.len());
+        hpx_rt::for_each_chunk(rt, blocks, 0..color_list.len(), |br| {
             for bi in br {
                 (spec.block_body)(plan.blocks[color_list[bi]].clone());
             }
@@ -302,23 +301,23 @@ enum SigKind {
     Global,
 }
 
-/// Cache key of a built [`LoopPlan`]: kernel name, iteration set, argument
-/// signature (access mode + direct/indirect/global shape), and the chunk
-/// policy *kind*. The **resolved granularity** is deliberately not part of
-/// the key — it is stored next to the cached schedule, so a feedback-driven
-/// granularity change *re-keys* (invalidates and rebuilds) the entry
-/// exactly once instead of accumulating one entry per granularity ever
-/// seen.
+/// Cache key of a built [`LoopPlan`]: kernel name, iteration set and
+/// argument signature (access mode + direct/indirect/global shape). The
+/// chunk policy is not part of it: a world's config cannot change, and
+/// each world owns its cache. The **resolved granularity** is deliberately
+/// not part of the key either — it is stored next to the cached schedule,
+/// so a feedback-driven granularity change *re-keys* (invalidates and
+/// rebuilds) the entry exactly once instead of accumulating one entry per
+/// granularity ever seen.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct SpecKey {
     name: Arc<str>,
     set: u64,
     sig: Vec<(Access, SigKind)>,
-    chunk: (u8, usize),
 }
 
 impl SpecKey {
-    fn of(world: &Op2, spec: &LoopSpec) -> SpecKey {
+    fn of(spec: &LoopSpec) -> SpecKey {
         let sig = spec
             .infos
             .iter()
@@ -344,16 +343,10 @@ impl SpecKey {
                 (i.access, kind)
             })
             .collect();
-        let chunk = match &world.config().chunk {
-            ChunkPolicy::Static { size } => (0u8, *size),
-            ChunkPolicy::NumChunks { chunks } => (1, *chunks),
-            ChunkPolicy::Auto { .. } => (2, 0),
-        };
         SpecKey {
             name: spec.name.clone(),
             set: spec.set.signature(),
             sig,
-            chunk,
         }
     }
 }
@@ -363,7 +356,7 @@ impl SpecKey {
 /// a named loop reuse the block partition, the color rounds and every
 /// node's dependency footprint without rebuilding or even re-deriving
 /// conflicts. Each world owns one. Key identity is **shape** (kernel name,
-/// set/map content signatures, chunk-policy kind), not entity identity, so
+/// set/map content signatures), not entity identity, so
 /// a mesh declared again on the same world hits the schedules of the first
 /// declaration, and a different mesh builds its own.
 ///
@@ -395,7 +388,7 @@ struct CachedSpec {
 
 impl SpecCache {
     fn get(&self, world: &Op2, spec: &LoopSpec, n: usize) -> Arc<LoopPlan> {
-        let key = SpecKey::of(world, spec);
+        let key = SpecKey::of(spec);
         let in_use = self.map.lock().get(&key).map(|c| c.granularity);
         let granularity = resolve_granularity(world, &spec.name, spec.set.signature(), n, in_use);
         match self.map.lock().get(&key) {
@@ -550,9 +543,7 @@ fn drive_dataflow(world: &Op2, mut spec: LoopSpec) -> SharedFuture<()> {
         // granularity from. A rank world measures regardless of policy —
         // its samples also accumulate the busy time the rebalancer reads,
         // which must not depend on the chunking strategy.
-        measure: (matches!(world.config().chunk, ChunkPolicy::Auto { .. })
-            || world.measures_busy())
-        .then(|| {
+        measure: world.measures().then(|| {
             (
                 world.config().clock.clone(),
                 feedback.slot(&spec.name, set_sig),

@@ -1,16 +1,18 @@
-//! Dataflow node granularity: the measured-cost table and the one rule
-//! that sizes nodes from it (paper §IV-B, Fig 12b).
+//! Chunk length, decided once for both parallel backends: the
+//! measured-cost table and the one rule that sizes chunks from it (paper
+//! §IV-B, Fig 12b).
 //!
-//! The paper's `persistent_auto_chunk_size` gives the chunks of dependent
-//! loops the same *duration*, so loops of different per-element cost get
-//! different chunk *sizes* (Fig 12b) and wait on each other as little as
-//! possible. On the Dataflow backend [`ChunkPolicy::Auto`] is that policy:
-//! a node graph is built before anything in it runs, so there is no probe
-//! to time. Instead every executed node folds its per-element cost into
-//! the world's [`GranularityFeedback`] table, keyed by (kernel, set
-//! signature), and the next submission of each loop sizes its nodes to
-//! last `target` — one target for every loop, one size per loop. Every
-//! world owns one table; the ranks of a
+//! [`ChunkPolicy::Static`] and [`ChunkPolicy::NumChunks`] fix the length.
+//! [`ChunkPolicy::Auto`] is the paper's `persistent_auto_chunk_size`: it
+//! gives the chunks of dependent loops the same *duration*, so loops of
+//! different per-element cost get different chunk *sizes* (Fig 12b) and
+//! wait on each other as little as possible. A Dataflow graph is built
+//! before anything in it runs, so nothing can be timed up front: instead
+//! every run of a loop folds its per-element cost into the world's
+//! [`GranularityFeedback`] table, keyed by (kernel, set signature) — each
+//! Dataflow node its own, a fork-join loop its whole — and the next run of
+//! that loop sizes its chunks to last `target`: one target for every loop,
+//! one size per loop. Every world owns one table; the ranks of a
 //! [`LocalityGroup`](crate::locality::LocalityGroup) each measure their own.
 //!
 //! All timing is taken on the world's [`crate::Op2Config::clock`], so tests
@@ -20,9 +22,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use hpx_rt::ChunkPolicy;
 use parking_lot::Mutex;
 
+use crate::config::{ChunkPolicy, Op2Config};
 use crate::world::Op2;
 
 // ---------------------------------------------------------------------------
@@ -57,9 +59,9 @@ pub struct KernelCost {
     streak: i8,
 }
 
-/// Measured-cost table behind [`ChunkPolicy::Auto`] on Dataflow: per
-/// (kernel name, set signature), an EWMA of the per-element execution cost
-/// reported by executed nodes (see the module docs) — plus the world's
+/// Measured-cost table behind [`ChunkPolicy::Auto`]: per (kernel name,
+/// set signature), an EWMA of the per-element execution cost reported by
+/// executed loops and nodes (see the module docs) — plus the world's
 /// busy time, the sum of every sample's nanoseconds, which is the
 /// imbalance signal the rebalancer compares across ranks.
 ///
@@ -213,7 +215,7 @@ impl GranularityFeedback {
 }
 
 // ---------------------------------------------------------------------------
-// Sizing nodes from the measured cost
+// Sizing chunks
 // ---------------------------------------------------------------------------
 
 /// Rounds to the nearest power of two in log space (`x >= 1`). The
@@ -275,17 +277,29 @@ fn feedback_block_size(
         .min(n.max(1))
 }
 
-/// Resolves the configured chunk policy to the concrete, uniform node
-/// granularity a Dataflow loop of `n` elements over `(kernel, set_sig)`
-/// schedules with *right now*:
+/// The chunk length `Static` and `NumChunks` set for a range of `n` items
+/// (elements, or the blocks of a colour round); `None` under `Auto`, whose
+/// length comes from measured cost.
+fn fixed_len(chunk: &ChunkPolicy, n: usize) -> Option<usize> {
+    match *chunk {
+        ChunkPolicy::Static { size } => Some(size.max(1)),
+        ChunkPolicy::NumChunks { chunks } => Some(n.div_ceil(chunks.clamp(1, n.max(1))).max(1)),
+        ChunkPolicy::Auto { .. } => None,
+    }
+}
+
+/// Resolves the configured chunk policy to the uniform chunk length, in
+/// elements, that a loop of `n` elements over `(kernel, set_sig)` runs at
+/// *right now*, on either parallel backend:
 ///
 /// * [`ChunkPolicy::Static`] / [`ChunkPolicy::NumChunks`] — set directly;
 /// * [`ChunkPolicy::Auto`] — from the world's [`GranularityFeedback`]
-///   (module docs); the first submission, with nothing measured yet, runs
-///   at the conservative mini-partition `block_size`.
+///   (module docs); the first run, with nothing measured yet, uses the
+///   mini-partition `block_size`.
 ///
-/// The same resolution applies to colored (indirect) loops: the resolved
-/// granularity is the coloring block size, and the plan cache keys on it.
+/// A Dataflow loop's nodes are chunks of this length, colored loops
+/// included (it is their coloring block size, and the plan cache keys on
+/// it); a fork-join colour round converts it with [`round_chunk_len`].
 /// `in_use` is the granularity the loop's cached schedule was built at.
 pub(crate) fn resolve_granularity(
     world: &Op2,
@@ -295,20 +309,27 @@ pub(crate) fn resolve_granularity(
     in_use: Option<usize>,
 ) -> usize {
     let cfg = world.config();
-    match &cfg.chunk {
-        ChunkPolicy::Static { size } => (*size).max(1),
-        ChunkPolicy::NumChunks { chunks } => n.div_ceil((*chunks).clamp(1, n.max(1))).max(1),
-        ChunkPolicy::Auto { target } => match world.granularity_feedback().cost(kernel, set_sig) {
-            Some(c) => feedback_block_size(
-                target.as_nanos() as u64,
-                c.ewma_ns_per_elem,
-                n,
-                cfg.threads,
-                in_use,
-            ),
-            None => cfg.block_size.max(1),
-        },
+    let ChunkPolicy::Auto { target } = cfg.chunk else {
+        return fixed_len(&cfg.chunk, n).expect("only Auto is measured");
+    };
+    match world.granularity_feedback().cost(kernel, set_sig) {
+        Some(c) => feedback_block_size(
+            target.as_nanos() as u64,
+            c.ewma_ns_per_elem,
+            n,
+            cfg.threads,
+            in_use,
+        ),
+        None => cfg.block_size.max(1),
     }
+}
+
+/// The chunk length, in blocks, of a fork-join colour round of `blocks`
+/// blocks, in a loop [`resolve_granularity`] resolved to `len` elements:
+/// `Static` and `NumChunks` count the round's blocks as a direct loop
+/// counts its elements, and `Auto` takes `len` in whole blocks.
+pub(crate) fn round_chunk_len(cfg: &Op2Config, len: usize, blocks: usize) -> usize {
+    fixed_len(&cfg.chunk, blocks).unwrap_or((len / cfg.block_size.max(1)).max(1))
 }
 
 #[cfg(test)]
@@ -448,7 +469,90 @@ mod tests {
         );
     }
 
-    const TARGET_NS: u64 = hpx_rt::DEFAULT_CHUNK_TARGET.as_nanos() as u64;
+    /// The chunks a loop of `n` elements runs under `chunk` on a world
+    /// that has measured nothing: `0..n` cut at the resolved length, as
+    /// `hpx_rt::for_each_chunk` cuts it.
+    fn plan(chunk: ChunkPolicy, n: usize) -> Vec<std::ops::Range<usize>> {
+        let world = Op2::new(Op2Config::seq().with_chunk(chunk));
+        let len = resolve_granularity(&world, "k", 0, n, None);
+        (0..n.div_ceil(len))
+            .map(|i| i * len..((i + 1) * len).min(n))
+            .collect()
+    }
+
+    /// The invariant every plan must satisfy: the chunks tile 0..n
+    /// exactly, in order, without gaps or overlap.
+    fn assert_tiles(chunks: &[std::ops::Range<usize>], n: usize) {
+        let mut next = 0;
+        for c in chunks {
+            assert_eq!(c.start, next, "gap or overlap at {next}");
+            assert!(c.end > c.start, "empty chunk");
+            next = c.end;
+        }
+        assert_eq!(next, n, "range not fully covered");
+    }
+
+    #[test]
+    fn static_chunks_tile_exactly() {
+        for n in [1usize, 7, 64, 1000, 1001] {
+            for size in [1usize, 3, 64, 2000] {
+                let chunks = plan(ChunkPolicy::Static { size }, n);
+                assert_tiles(&chunks, n);
+                for c in &chunks {
+                    assert!(c.end - c.start <= size);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn num_chunks_split_is_even() {
+        let chunks = plan(ChunkPolicy::NumChunks { chunks: 4 }, 100);
+        assert_tiles(&chunks, 100);
+        assert_eq!(chunks.len(), 4);
+        assert!(chunks.iter().all(|c| c.len() == 25));
+    }
+
+    #[test]
+    fn num_chunks_never_exceeds_n() {
+        let chunks = plan(ChunkPolicy::NumChunks { chunks: 16 }, 5);
+        assert_tiles(&chunks, 5);
+        assert!(chunks.len() <= 5);
+    }
+
+    #[test]
+    fn empty_range_yields_no_chunks() {
+        assert!(plan(ChunkPolicy::default(), 0).is_empty());
+    }
+
+    #[test]
+    fn single_iteration_range() {
+        for chunk in [
+            ChunkPolicy::Static { size: 64 },
+            ChunkPolicy::NumChunks { chunks: 8 },
+            ChunkPolicy::default(),
+        ] {
+            assert_eq!(plan(chunk, 1), vec![0..1]);
+        }
+    }
+
+    /// A fork-join colour round chunks its block list: the fixed policies
+    /// count blocks, `Auto` takes its resolved length in whole blocks.
+    #[test]
+    fn colour_rounds_chunk_whole_blocks() {
+        let cfg = |chunk| Op2Config::fork_join(2).with_chunk(chunk);
+        assert_eq!(
+            round_chunk_len(&cfg(ChunkPolicy::Static { size: 3 }), 4096, 10),
+            3
+        );
+        let numchunks = cfg(ChunkPolicy::NumChunks { chunks: 4 });
+        assert_eq!(round_chunk_len(&numchunks, 4096, 10), 3);
+        let auto = cfg(ChunkPolicy::default());
+        assert_eq!(round_chunk_len(&auto, 4096, 10), 16);
+        assert_eq!(round_chunk_len(&auto, 100, 10), 1);
+    }
+
+    const TARGET_NS: u64 = crate::config::DEFAULT_CHUNK_TARGET.as_nanos() as u64;
 
     /// The resolution before the node-duration floor: target, cap, clamp.
     fn capped_only(target_ns: u64, per_elem_ns: f64, n: usize, threads: usize) -> usize {

@@ -67,7 +67,7 @@ pub use arg::{
     arg_write, arg_write_via, AccessTag, ArgInfo, ArgKind, ArgSpec, DatArg, DatBound, Dyn,
     GblIncArg, GblReadArg, IncTag, ReadTag, Row, RwTag, Shape, Via, WriteTag,
 };
-pub use config::{Backend, Op2Config};
+pub use config::{Backend, ChunkPolicy, Op2Config};
 pub use convergence::{Convergence, ResidualMap};
 pub use dat::testing;
 pub use dat::{Dat, DatReadGuard, DatWriteGuard};

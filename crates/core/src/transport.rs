@@ -2,7 +2,7 @@
 //! partials between ranks, in-process or across OS processes.
 //!
 //! The locality layer (see [`crate::locality`]) schedules *who* talks to
-//! whom and *when* (epoch-table dependencies, dirty bits, wait-sets); this
+//! whom and *when* (dependency-table records, dirty bits, wait-sets); this
 //! module owns *how* the bytes move. A [`Transport`] carries *messages* —
 //! `(kind, src, dst, seq)`-addressed byte payloads in the canonical
 //! row-major wire encoding — and hands receivers a [`Delivery`]: a

@@ -57,10 +57,10 @@ pub(crate) fn next_entity_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Process-unique generation stamp for one loop submission. The epoch
-/// tables use it to tell "another node of the same loop scattering into
-/// this block" (accumulate the writer set) from "a newer loop writing the
-/// block" (supersede the writer set).
+/// Process-unique generation stamp for one loop submission. The
+/// dependency tables use it to tell "another node of the same loop
+/// scattering into this block" (keep both records) from "a newer loop
+/// writing the block" (supersede the older record).
 pub(crate) fn next_loop_gen() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)

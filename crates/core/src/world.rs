@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use hpx_rt::{Runtime, SharedFuture};
 
-use crate::config::Op2Config;
+use crate::config::{Backend, ChunkPolicy, Op2Config};
 use crate::dat::Dat;
 use crate::driver::{SpecCache, SubmitStats};
 use crate::granularity::GranularityFeedback;
@@ -46,15 +46,18 @@ pub struct Op2 {
     config: Op2Config,
     plans: PlanCache,
     specs: SpecCache,
-    /// Measured per-(kernel, set) cost the Dataflow driver resolves
-    /// adaptive node granularity from, measured on the config's clock.
+    /// Measured per-(kernel, set) cost both parallel backends resolve
+    /// [`ChunkPolicy::Auto`] chunk lengths from, measured on the config's
+    /// clock.
     feedback: GranularityFeedback,
-    /// Whether every loop measures its busy time, whatever the backend
-    /// and chunk policy: set on the rank worlds of a
+    /// Whether every loop times itself into `feedback` (its costs and its
+    /// busy time): under [`ChunkPolicy::Auto`] on a parallel backend,
+    /// whose chunk lengths come from those costs, and on every backend on
+    /// the rank worlds of a
     /// [`LocalityGroup`](crate::locality::LocalityGroup), whose busy times
-    /// the rebalancer compares. Other worlds measure only under
-    /// [`ChunkPolicy::Auto`](hpx_rt::ChunkPolicy::Auto) on Dataflow.
-    measures_busy: bool,
+    /// the rebalancer compares whatever the policy. Other worlds measure
+    /// nothing.
+    measures: bool,
     outstanding: Arc<Mutex<Vec<SharedFuture<()>>>>,
     stats: StatsHandle,
     submit: Mutex<SubmitStats>,
@@ -108,14 +111,16 @@ impl Op2 {
         Self::build(config, rt, true)
     }
 
-    fn build(config: Op2Config, rt: Arc<Runtime>, measures_busy: bool) -> Self {
+    fn build(config: Op2Config, rt: Arc<Runtime>, rank: bool) -> Self {
         Op2 {
+            measures: rank
+                || (config.backend != Backend::Seq
+                    && matches!(config.chunk, ChunkPolicy::Auto { .. })),
             rt,
             config,
             plans: PlanCache::default(),
             specs: SpecCache::default(),
             feedback: GranularityFeedback::default(),
-            measures_busy,
             outstanding: Arc::new(Mutex::new(Vec::new())),
             stats: Arc::new(Mutex::new(HashMap::new())),
             submit: Mutex::new(SubmitStats::default()),
@@ -248,8 +253,8 @@ impl Op2 {
         &self.specs
     }
 
-    pub(crate) fn measures_busy(&self) -> bool {
-        self.measures_busy
+    pub(crate) fn measures(&self) -> bool {
+        self.measures
     }
 
     pub(crate) fn stats_handle(&self) -> StatsHandle {
@@ -340,7 +345,6 @@ pub(crate) fn record_loop_time(stats: &StatsHandle, name: &Arc<str>, elapsed: Du
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Op2Config;
 
     #[test]
     fn declarations() {

@@ -111,7 +111,7 @@ fn single_element_set() {
 
 #[test]
 fn fork_join_with_measuring_chunker_is_correct() {
-    use op2_core::hpx_rt::ChunkPolicy;
+    use op2_core::ChunkPolicy;
     let op2 = Op2::new(Op2Config::fork_join(2).with_chunk(ChunkPolicy::default()));
     let cells = op2.decl_set(50_000, "cells");
     let x = op2.decl_dat(&cells, 1, "x", vec![1.0f64; 50_000]);

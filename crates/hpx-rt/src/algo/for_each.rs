@@ -4,14 +4,16 @@
 use std::ops::Range;
 
 use super::run_chunked;
-use crate::chunk::ChunkPolicy;
 use crate::runtime::Runtime;
 
-/// Chunk-granular `for_each`: applies `f` to the chunks of `range` that
-/// `chunk` divides it into, each a whole index range. Blocks until the
-/// loop completes; the caller runs chunks itself and pool workers
-/// help-execute while blocked. This is what `op2-core` builds its block
-/// executors on — the chunk boundaries are exactly the policy's chunks.
+/// Chunk-granular `for_each`: applies `f` to `range` cut into chunks of
+/// `chunk_len` indices (the last one shorter; 0 counts as 1), each a whole
+/// index range.
+/// Blocks until the loop completes; the caller runs chunks itself and
+/// pool workers help-execute while blocked. The caller decides the
+/// length: `op2-core`'s fork-join backend resolves it from its chunk
+/// policy, the way HPX passes a chunk size to an algorithm as an executor
+/// parameter.
 /// For the asynchronous form (HPX's `par(task)`), run it in
 /// [`Runtime::spawn_future`] with a `'static` body.
 ///
@@ -19,18 +21,18 @@ use crate::runtime::Runtime;
 /// use std::sync::atomic::{AtomicU64, Ordering};
 /// let rt = hpx_rt::Runtime::new(4);
 /// let sum = AtomicU64::new(0);
-/// hpx_rt::for_each_chunk(&rt, &hpx_rt::ChunkPolicy::default(), 0..1000, |r| {
+/// hpx_rt::for_each_chunk(&rt, 100, 0..1000, |r| {
 ///     sum.fetch_add(r.map(|i| i as u64).sum(), Ordering::Relaxed);
 /// });
 /// assert_eq!(sum.into_inner(), 499_500);
 /// ```
-pub fn for_each_chunk<F>(rt: &Runtime, chunk: &ChunkPolicy, range: Range<usize>, f: F)
+pub fn for_each_chunk<F>(rt: &Runtime, chunk_len: usize, range: Range<usize>, f: F)
 where
     F: Fn(Range<usize>) + Sync,
 {
     let base = range.start;
     let n = range.end.saturating_sub(range.start);
-    run_chunked(rt.inner(), chunk, n, &|r: Range<usize>| {
+    run_chunked(rt.inner(), chunk_len, n, &|r: Range<usize>| {
         f(base + r.start..base + r.end);
     });
 }
@@ -47,7 +49,7 @@ mod tests {
         let rt = Runtime::new(4);
         let n = 10_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        for_each_chunk(&rt, &ChunkPolicy::default(), 0..n, |r| {
+        for_each_chunk(&rt, 256, 0..n, |r| {
             for i in r {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
@@ -59,7 +61,7 @@ mod tests {
     fn respects_non_zero_base() {
         let rt = Runtime::new(2);
         let seen = Mutex::new(Vec::new());
-        for_each_chunk(&rt, &ChunkPolicy::Static { size: 3 }, 10..25, |r| {
+        for_each_chunk(&rt, 3, 10..25, |r| {
             seen.lock().extend(r);
         });
         let mut v = seen.into_inner();
@@ -70,9 +72,7 @@ mod tests {
     #[test]
     fn empty_range_is_noop() {
         let rt = Runtime::new(2);
-        for_each_chunk(&rt, &ChunkPolicy::default(), 5..5, |_| {
-            panic!("must not run")
-        });
+        for_each_chunk(&rt, 256, 5..5, |_| panic!("must not run"));
     }
 
     #[test]
@@ -82,7 +82,7 @@ mod tests {
         let c = Arc::clone(&counter);
         let on = Arc::clone(&rt);
         let fut = rt.spawn_future(move || {
-            for_each_chunk(&on, &ChunkPolicy::default(), 0..1000, |r| {
+            for_each_chunk(&on, 100, 0..1000, |r| {
                 c.fetch_add(r.len(), Ordering::Relaxed);
             })
         });
@@ -94,7 +94,7 @@ mod tests {
     #[should_panic(expected = "iteration 7 failed")]
     fn body_panic_propagates_after_join() {
         let rt = Runtime::new(2);
-        for_each_chunk(&rt, &ChunkPolicy::Static { size: 2 }, 0..64, |r| {
+        for_each_chunk(&rt, 2, 0..64, |r| {
             if r.contains(&7) {
                 panic!("iteration 7 failed");
             }
@@ -105,9 +105,7 @@ mod tests {
     fn chunk_variant_tiles_range() {
         let rt = Runtime::new(3);
         let seen = Mutex::new(Vec::new());
-        for_each_chunk(&rt, &ChunkPolicy::Static { size: 7 }, 100..200, |r| {
-            seen.lock().push(r)
-        });
+        for_each_chunk(&rt, 7, 100..200, |r| seen.lock().push(r));
         let mut v = seen.into_inner();
         v.sort_unstable_by_key(|r| r.start);
         let mut next = 100;

@@ -1,9 +1,10 @@
 //! The chunked parallel loop (paper §IV-A): HPX's `for_each` under `par`.
 //!
 //! Every loop shares one engine, [`run_chunked`]: the iteration space is
-//! divided according to a [`ChunkPolicy`] (possibly after a timing probe
-//! that executes real iterations) and the chunks are put behind one atomic
-//! cursor — a **work-sharing join**. The calling thread starts claiming
+//! cut into chunks of the length the caller chose (`op2-core` decides it,
+//! HPX hands its algorithms a chunk size the same way, as an executor
+//! parameter) and the chunks are put behind one atomic cursor — a
+//! **work-sharing join**. The calling thread starts claiming
 //! and running chunks at once, whether or not it is a pool worker (HPX
 //! likewise runs the caller's share of a parallel algorithm inline);
 //! beside it at most `min(chunks - 1, n - 1)` helper tasks are spawned on
@@ -32,7 +33,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::chunk::ChunkPolicy;
 use crate::future::PanicPayload;
 use crate::lco::Latch;
 use crate::runtime::{spawn_unchecked, RuntimeInner, LINGER};
@@ -50,7 +50,9 @@ struct JoinHeader {
 
 /// The part of a join that lives in the joining call's stack frame.
 struct JoinFrame<'a> {
-    chunks: Vec<Range<usize>>,
+    /// Chunk `i` is `i * len..min((i + 1) * len, n)`.
+    len: usize,
+    n: usize,
     body: &'a (dyn Fn(Range<usize>) + Sync),
     panic: Mutex<Option<PanicPayload>>,
 }
@@ -83,7 +85,7 @@ unsafe fn claim_chunks(header: &JoinHeader, frame: *const JoinFrame<'_>) -> usiz
         }
         // SAFETY: chunk `i` is claimed and not counted down, see above.
         let frame = unsafe { &*frame };
-        let c = frame.chunks[i].clone();
+        let c = i * frame.len..((i + 1) * frame.len).min(frame.n);
         if let Err(p) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (frame.body)(c))) {
             frame.panic.lock().get_or_insert(p);
         }
@@ -92,29 +94,20 @@ unsafe fn claim_chunks(header: &JoinHeader, frame: *const JoinFrame<'_>) -> usiz
     }
 }
 
-/// Runs `body` over `0..n` in chunks planned by `chunk`. Returns only
-/// after every chunk has finished, re-panicking the first chunk panic
-/// once they all have.
+/// Runs `body` over `0..n` in chunks of `len` iterations (the last one
+/// shorter). Returns only after every chunk has finished, re-panicking
+/// the first chunk panic once they all have.
 pub(crate) fn run_chunked(
     inner: &RuntimeInner,
-    chunk: &ChunkPolicy,
+    len: usize,
     n: usize,
     body: &(dyn Fn(Range<usize>) + Sync),
 ) {
-    if n == 0 {
-        return;
-    }
-    // The timing probe executes real iterations: they are the plan's prefix.
-    let plan = chunk.plan(n, inner.num_threads(), &mut |r: Range<usize>| {
-        let t = Instant::now();
-        body(r);
-        t.elapsed()
-    });
-
-    match plan.chunks.len() {
+    let len = len.max(1);
+    match n.div_ceil(len) {
         0 => {}
         // Nothing to parallelize; run inline.
-        1 if plan.prefix_done == 0 => body(plan.chunks[0].clone()),
+        1 => body(0..n),
         nchunks => {
             let header = Arc::new(JoinHeader {
                 cursor: AtomicUsize::new(0),
@@ -122,7 +115,8 @@ pub(crate) fn run_chunked(
                 finished: Latch::new(nchunks),
             });
             let frame = JoinFrame {
-                chunks: plan.chunks,
+                len,
+                n,
                 body,
                 panic: Mutex::new(None),
             };
@@ -165,23 +159,12 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU64};
     use std::time::Duration;
 
-    fn every_policy() -> Vec<ChunkPolicy> {
-        vec![
-            ChunkPolicy::Static { size: 7 },
-            ChunkPolicy::NumChunks { chunks: 2 },
-            ChunkPolicy::NumChunks { chunks: 13 },
-            ChunkPolicy::Auto {
-                target: Duration::from_micros(5),
-            },
-        ]
-    }
-
     #[test]
     fn every_chunk_runs_exactly_once_whoever_joins() {
         const N: usize = 1000;
         for threads in [1, 2, 4] {
             let rt = Runtime::new(threads);
-            for chunk in every_policy() {
+            for len in [1, 7, 77, 500, 1000, 5000] {
                 for caller_is_worker in [false, true] {
                     let hits: Arc<Vec<AtomicUsize>> =
                         Arc::new((0..N).map(|_| AtomicUsize::new(0)).collect());
@@ -195,17 +178,16 @@ mod tests {
                     if caller_is_worker {
                         // The engine runs inside a pool task.
                         let inner = Arc::clone(rt.inner());
-                        let chunk = chunk.clone();
-                        rt.spawn_future(move || run_chunked(&inner, &chunk, N, &body))
+                        rt.spawn_future(move || run_chunked(&inner, len, N, &body))
                             .get();
                     } else {
-                        for_each_chunk(&rt, &chunk, 0..N, body);
+                        for_each_chunk(&rt, len, 0..N, body);
                     }
                     let wrong = hits.iter().filter(|h| h.load(Ordering::Relaxed) != 1);
                     assert_eq!(
                         wrong.count(),
                         0,
-                        "{chunk:?}, {threads} threads, caller_is_worker = {caller_is_worker}"
+                        "chunks of {len}, {threads} threads, caller_is_worker = {caller_is_worker}"
                     );
                 }
             }
@@ -234,9 +216,8 @@ mod tests {
         let helper_in = AtomicBool::new(false);
         let panicked = AtomicBool::new(false);
         let finished = AtomicUsize::new(0);
-        let chunk = ChunkPolicy::NumChunks { chunks: CHUNKS };
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            for_each_chunk(rt, &chunk, 0..CHUNKS, |_| {
+            for_each_chunk(rt, 1, 0..CHUNKS, |_| {
                 let on_caller = !on_worker_thread();
                 if on_caller { &caller_in } else { &helper_in }.store(true, Ordering::Release);
                 await_flag(&caller_in);
@@ -260,7 +241,7 @@ mod tests {
         panicking_join(&rt, /*in_caller=*/ true);
         panicking_join(&rt, /*in_caller=*/ false);
         let sum = AtomicU64::new(0);
-        for_each_chunk(&rt, &ChunkPolicy::default(), 0..1000, |r| {
+        for_each_chunk(&rt, 100, 0..1000, |r| {
             sum.fetch_add(r.map(|i| i as u64).sum(), Ordering::Relaxed);
         });
         assert_eq!(sum.into_inner(), 499_500);

@@ -18,8 +18,10 @@
 //!   block-granular dataflow backend, and what [`dataflow`] itself is
 //!   built on;
 //! * the **chunked `par` loop** ([`for_each_chunk`]) — the fork-join
-//!   path `op2-core` compares dataflow against — with **chunk-size control** (§IV-B, [`ChunkPolicy`]):
-//!   static, an even split, or HPX's probe-timed `auto_chunk_size`;
+//!   path `op2-core` compares dataflow against. It runs chunks of the
+//!   length its caller passes; choosing that length (§IV-B's chunk
+//!   policies) is `op2-core`'s decision, made in one place for both of its
+//!   parallel backends;
 //! * the LCOs OP2 waits on ([`lco`]): latch and event.
 //!
 //! The paper's fourth technique, the §V prefetching iterator, is not here:
@@ -29,7 +31,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use hpx_rt::{dataflow, for_each_chunk, ChunkPolicy, Runtime};
+//! use hpx_rt::{dataflow, for_each_chunk, Runtime};
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! let rt = Runtime::new(4);
@@ -39,10 +41,9 @@
 //! let b = dataflow(&rt, |(a,)| a * 10, (a,));
 //! assert_eq!(b.get(), 40);
 //!
-//! // A chunked parallel loop: the body gets whole index ranges.
+//! // A chunked parallel loop: the body gets whole index ranges of 1000.
 //! let total = AtomicU64::new(0);
-//! let chunk = ChunkPolicy::Static { size: 1000 };
-//! for_each_chunk(&rt, &chunk, 0..10_000, |r| {
+//! for_each_chunk(&rt, 1000, 0..10_000, |r| {
 //!     total.fetch_add(r.map(|i| i as u64).sum(), Ordering::Relaxed);
 //! });
 //! assert_eq!(total.into_inner(), (0..10_000).sum::<u64>());
@@ -52,7 +53,6 @@
 #![warn(rust_2018_idioms)]
 
 mod algo;
-mod chunk;
 mod dataflow;
 mod dep;
 mod future;
@@ -63,7 +63,6 @@ mod task;
 pub mod timing;
 
 pub use algo::for_each_chunk;
-pub use chunk::{ChunkPolicy, DEFAULT_CHUNK_TARGET};
 pub use dataflow::{dataflow, DataflowArg, FrameRef, FutureTuple, Val};
 pub use dep::{schedule_after, schedule_after_counted, when_all_shared};
 pub use future::{channel, ready, when_all, BrokenPromise, Future, Promise, SharedFuture};

@@ -9,8 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hpx_rt::{
-    channel, dataflow, for_each_chunk, ready, schedule_after, when_all, ChunkPolicy, Runtime,
-    SharedFuture,
+    channel, dataflow, for_each_chunk, ready, schedule_after, when_all, Runtime, SharedFuture,
 };
 
 #[test]
@@ -19,9 +18,9 @@ fn nested_parallel_loops_do_not_deadlock_small_pools() {
     // same 1-worker pool: only help-first waiting makes this terminate.
     let rt = Runtime::new(1);
     let counter = AtomicUsize::new(0);
-    for_each_chunk(&rt, &ChunkPolicy::Static { size: 4 }, 0..16, |outer| {
+    for_each_chunk(&rt, 4, 0..16, |outer| {
         for _ in outer {
-            for_each_chunk(&rt, &ChunkPolicy::Static { size: 8 }, 0..64, |inner| {
+            for_each_chunk(&rt, 8, 0..64, |inner| {
                 counter.fetch_add(inner.len(), Ordering::Relaxed);
             });
         }
@@ -49,7 +48,7 @@ fn runtime_survives_async_loop_panic() {
     let rt = Arc::new(Runtime::new(2));
     let on = Arc::clone(&rt);
     let fut = rt.spawn_future(move || {
-        for_each_chunk(&on, &ChunkPolicy::default(), 0..100, |r| {
+        for_each_chunk(&on, 10, 0..100, |r| {
             if r.contains(&50) {
                 panic!("async body died");
             }
@@ -111,10 +110,9 @@ fn scribble_over_dead_frames() {
 /// `calls` joins of two chunks from this (non-worker) thread; returns the
 /// elements the bodies saw.
 fn back_to_back_joins(rt: &Runtime, calls: usize, scribble: bool) -> usize {
-    let policy = ChunkPolicy::NumChunks { chunks: 2 };
     let elems = AtomicUsize::new(0);
     for _ in 0..calls {
-        for_each_chunk(rt, &policy, 0..2, |r| {
+        for_each_chunk(rt, 1, 0..2, |r| {
             elems.fetch_add(r.len(), Ordering::Relaxed);
         });
         if scribble {

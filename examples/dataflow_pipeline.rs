@@ -1,7 +1,7 @@
 //! Tour of the hpx-rt primitives the OP2 backend is built from: futures,
-//! `dataflow` graphs, `when_all`, and chunked loops under the default
-//! `auto_chunk_size` policy — shown on a two-stage pipeline of dependent
-//! parallel loops with *different* per-element costs.
+//! `dataflow` graphs, `when_all`, and chunked loops — shown on a two-stage
+//! pipeline of dependent parallel loops with *different* per-element
+//! costs.
 //!
 //! ```text
 //! cargo run --release --example dataflow_pipeline
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use op2_hpx::hpx::timing::time;
-use op2_hpx::hpx::{dataflow, for_each_chunk, ChunkPolicy, Runtime, Val};
+use op2_hpx::hpx::{dataflow, for_each_chunk, Runtime, Val};
 
 fn main() {
     // Shared, so the async loop below can name its runtime from a task.
@@ -30,12 +30,12 @@ fn main() {
     let joined = dataflow(&rt, |(l, r)| (l, r), (left, right));
     println!("diamond -> {:?}", joined.get());
 
-    // --- A pipeline of dependent loops with auto chunking ---------------
-    // Stage 1 is cheap per element, stage 2 is ~8x costlier. `Auto` times
-    // a probe of each loop and sizes its chunks to the same target
-    // duration, so the costlier stage picks smaller chunks (paper Fig 12b).
+    // --- A pipeline of dependent loops ----------------------------------
+    // Stage 1 is cheap per element, stage 2 is ~8x costlier. The loop runs
+    // chunks of the length its caller passes; op2-core's chunk policies
+    // are what choose it for OP2 loops.
     let n = 2_000_000usize;
-    let policy = ChunkPolicy::default();
+    let chunk_len = 16_384;
 
     let data: Arc<Vec<f64>> = Arc::new((0..n).map(|i| (i % 1000) as f64).collect());
     let stage1 = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>());
@@ -44,17 +44,17 @@ fn main() {
     // Stage 1: cheap transform.
     let ((), t1) = time(|| {
         let (d, s1) = (Arc::clone(&data), Arc::clone(&stage1));
-        for_each_chunk(&rt, &policy, 0..n, move |r| {
+        for_each_chunk(&rt, chunk_len, 0..n, move |r| {
             for i in r {
                 s1[i].store((d[i] * 2.0).to_bits(), Ordering::Relaxed);
             }
         });
     });
 
-    // Stage 2: costlier per element (same chunk duration, smaller chunks).
+    // Stage 2: costlier per element.
     let ((), t2) = time(|| {
         let (s1, s2) = (Arc::clone(&stage1), Arc::clone(&stage2));
-        for_each_chunk(&rt, &policy, 0..n, move |r| {
+        for_each_chunk(&rt, chunk_len, 0..n, move |r| {
             for i in r {
                 let x = f64::from_bits(s1[i].load(Ordering::Relaxed));
                 let mut acc = x;
@@ -81,7 +81,7 @@ fn main() {
     let c = Arc::clone(&counter);
     let on = Arc::clone(&rt);
     let fut = rt.spawn_future(move || {
-        for_each_chunk(&on, &ChunkPolicy::default(), 0..100_000, |r| {
+        for_each_chunk(&on, chunk_len, 0..100_000, |r| {
             c.fetch_add(r.len() as u64, Ordering::Relaxed);
         })
     });

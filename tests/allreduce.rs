@@ -355,7 +355,7 @@ fn per_iteration_reduction_prints_do_not_stall_the_pipeline() {
 /// not the print path under test.
 #[test]
 fn run_sharded_printing_every_iteration_matches_silent_run() {
-    use op2_hpx::hpx::ChunkPolicy;
+    use op2_hpx::op2::ChunkPolicy;
     let config = || Op2Config::dataflow(2).with_chunk(ChunkPolicy::Static { size: 64 });
     let mesh = channel_with_bump(12, 6);
     let silent = {

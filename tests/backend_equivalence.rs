@@ -9,11 +9,11 @@ use op2_hpx::airfoil::{PlainAirfoil, Problem, ShardedAirfoil, ShardedProblem};
 use op2_hpx::app::harness::Worlds;
 use op2_hpx::app::shard::declare_node_graphs;
 use op2_hpx::app::{run, RunConfig};
-use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::mesh::{channel_with_bump, unit_square};
 use op2_hpx::op2::args::{inc, rw, write};
 use op2_hpx::op2::locality::{HaloSpec, LocalityGroup};
 use op2_hpx::op2::rebalance::{migrate_rows, MigrationSpec};
+use op2_hpx::op2::ChunkPolicy;
 use op2_hpx::op2::{Backend, Dat, Op2, Op2Config};
 
 fn simulate(config: Op2Config) -> (Vec<f64>, Vec<f64>) {

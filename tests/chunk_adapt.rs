@@ -18,8 +18,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use op2_hpx::hpx::timing::Clock;
-use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::op2::args::{inc_via, write};
+use op2_hpx::op2::ChunkPolicy;
 use op2_hpx::op2::{dataflow_resolved_block_size as resolved, Op2, Op2Config};
 
 /// A dataflow context on one worker with a fake clock and a 128µs `Auto`

@@ -11,7 +11,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use op2_hpx::op2::args::{inc_via, read, rw, write};
-use op2_hpx::op2::testing::dep_epochs;
 use op2_hpx::op2::{Op2, Op2Config};
 
 const BS: usize = 64;
@@ -145,7 +144,7 @@ fn successor_blocks_start_before_predecessor_finishes() {
 
 /// Every block the successor ran must respect its *own* RAW dependency:
 /// successor block i logs after predecessor block i (the per-block order
-/// the epoch tables enforce), for every i.
+/// the dependency tables enforce), for every i.
 #[test]
 fn per_block_raw_order_is_respected() {
     let (events, _) = run_chain_once();
@@ -165,31 +164,6 @@ fn per_block_raw_order_is_respected() {
             pred.seq
         );
     }
-}
-
-/// The epoch tables advance per block: after one writing loop every block
-/// of the written dat is at epoch 1, and a second writing loop moves every
-/// block to epoch 2.
-#[test]
-fn epoch_tables_advance_per_block() {
-    let op2 = Op2::new(Op2Config::dataflow(2).with_block_size(BS));
-    let cells = op2.decl_set(N, "cells");
-    let x = op2.decl_dat(&cells, 1, "x", vec![0.0; N]);
-    assert_eq!(dep_epochs(&x), vec![0; NBLOCKS]);
-    op2.loop_("w1", &cells)
-        .arg(write(&x))
-        .run(|x: &mut [f64]| {
-            x[0] = 1.0;
-        })
-        .wait();
-    assert_eq!(dep_epochs(&x), vec![1; NBLOCKS]);
-    op2.loop_("w2", &cells)
-        .arg(write(&x))
-        .run(|x: &mut [f64]| {
-            x[0] = 2.0;
-        })
-        .wait();
-    assert_eq!(dep_epochs(&x), vec![2; NBLOCKS]);
 }
 
 /// A reduction into a *shared* global must not re-introduce a whole-loop

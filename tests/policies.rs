@@ -1,20 +1,20 @@
-//! Chunk policies, asserted through the public API: the chunked `par`
-//! loop visits every index exactly once under each of them — and the
-//! chunk policy's wiring into Dataflow node granularity.
+//! Chunking, asserted through the public API: the chunked `par` loop
+//! visits every index exactly once at any chunk length, and the chunk
+//! policy sets Dataflow node granularity and fork-join chunk lengths.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use op2_hpx::hpx::timing::Clock;
-use op2_hpx::hpx::{for_each_chunk, ChunkPolicy, Runtime};
+use op2_hpx::hpx::{for_each_chunk, Runtime};
 use op2_hpx::op2::args::{read, write};
-use op2_hpx::op2::{Op2, Op2Config};
+use op2_hpx::op2::{ChunkPolicy, Op2, Op2Config};
 
 #[test]
 fn par_visits_exactly_once() {
     let rt = Runtime::new(4);
     let hits: Vec<AtomicUsize> = (0..10_000).map(|_| AtomicUsize::new(0)).collect();
-    for_each_chunk(&rt, &ChunkPolicy::default(), 0..hits.len(), |r| {
+    for_each_chunk(&rt, 100, 0..hits.len(), |r| {
         for i in r {
             hits[i].fetch_add(1, Ordering::Relaxed);
         }
@@ -25,13 +25,9 @@ fn par_visits_exactly_once() {
 #[test]
 fn chunk_policies_compose_with_any_policy() {
     let rt = Runtime::new(2);
-    for chunk in [
-        ChunkPolicy::Static { size: 7 },
-        ChunkPolicy::NumChunks { chunks: 5 },
-        ChunkPolicy::default(),
-    ] {
+    for len in [1, 7, 2469, 20_000] {
         let counter = AtomicUsize::new(0);
-        for_each_chunk(&rt, &chunk, 0..12_345, |r| {
+        for_each_chunk(&rt, len, 0..12_345, |r| {
             counter.fetch_add(r.len(), Ordering::Relaxed);
         });
         assert_eq!(counter.into_inner(), 12_345);
@@ -103,6 +99,37 @@ fn auto_granularity_is_feedback_resolved_on_dataflow() {
     assert_eq!(resolved(&op2, "work", &cells), 128);
     // Other kernels and sets are unaffected (feedback is per kernel+set).
     assert_eq!(resolved(&op2, "other", &cells), 256);
+}
+
+/// `Auto` on fork-join is the same feedback loop: a loop records its
+/// whole-loop cost, and its next run is cut at the length Dataflow's rule
+/// resolves. On one thread the caller runs every chunk itself, so the
+/// runtime's `caller_chunks` counts them.
+#[test]
+fn auto_sizes_fork_join_chunks_from_the_measured_cost() {
+    let clock = Clock::fake();
+    let op2 = Op2::new(
+        Op2Config::fork_join(1)
+            .with_clock(clock.clone())
+            .with_chunk(ChunkPolicy::Auto {
+                target: Duration::from_micros(128),
+            }),
+    );
+    let cells = op2.decl_set(4096, "cells");
+    let x = op2.decl_dat(&cells, 1, "x", vec![0.0f64; 4096]);
+    let chunks_of_one_run = || {
+        let before = op2.runtime().stats().caller_chunks;
+        let c = clock.clone();
+        op2.loop_("work", &cells)
+            .arg(write(&x))
+            .run(move |_: &mut [f64]| c.advance(Duration::from_micros(1)))
+            .wait();
+        op2.runtime().stats().caller_chunks - before
+    };
+    // Nothing measured yet: chunks of the mini-partition block size.
+    assert_eq!(chunks_of_one_run(), 4096 / 256);
+    // 1µs/element measured, 128µs target -> 128-element chunks.
+    assert_eq!(chunks_of_one_run(), 4096 / 128);
 }
 
 /// `Auto` on Dataflow is the paper's `persistent_auto_chunk_size` (Fig

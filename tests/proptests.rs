@@ -11,13 +11,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use op2_hpx::hpx::timing::Clock;
-use op2_hpx::hpx::{dataflow, ready, ChunkPolicy, Future, Runtime};
+use op2_hpx::hpx::{dataflow, ready, Future, Runtime};
 use op2_hpx::mesh::{
     build_halo, channel_with_bump, neighbors_from_pairs, partition_greedy_bfs, quad_stats,
     validate_quad,
 };
 use op2_hpx::op2::args::{inc_via, read, read_via, rw, write};
-use op2_hpx::op2::{arg_inc_via, plan_for, validate_coloring, ArgSpec, Op2, Op2Config};
+use op2_hpx::op2::{
+    arg_inc_via, plan_for, validate_coloring, ArgSpec, ChunkPolicy, Op2, Op2Config,
+};
 
 /// Cases per property; each case spins up pools, keep CI-speed sane.
 const CASES: u64 = 24;
@@ -128,29 +130,30 @@ fn coloring_is_valid_and_increments_exact() {
     }
 }
 
-/// Every chunk policy visits every index exactly once, for arbitrary
-/// range sizes.
+/// The chunked loop visits every index exactly once, for arbitrary range
+/// sizes and chunk lengths: a fixed size, an even split into `size`
+/// chunks, or one past the whole range.
 #[test]
 fn chunkers_tile_ranges_exactly() {
     for case in 0..CASES {
         let mut rng = Rng::new(0x0C44_2BD5 ^ case.wrapping_mul(0xA076_1D64_78BD_642F));
         let n = rng.in_range(0, 6000);
         let size = rng.in_range(1, 600);
-        let chunk = match rng.in_range(0, 3) {
-            0 => ChunkPolicy::Static { size },
-            1 => ChunkPolicy::NumChunks { chunks: size },
-            _ => ChunkPolicy::default(),
+        let len = match rng.in_range(0, 3) {
+            0 => size,
+            1 => n.div_ceil(size).max(1),
+            _ => n + 1,
         };
         let rt = Runtime::new(2);
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        op2_hpx::hpx::for_each_chunk(&rt, &chunk, 0..n, |r| {
+        op2_hpx::hpx::for_each_chunk(&rt, len, 0..n, |r| {
             for i in r {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }
         });
         assert!(
             hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-            "case {case}: some index not visited exactly once (n={n}, size={size})"
+            "case {case}: some index not visited exactly once (n={n}, len={len})"
         );
     }
 }

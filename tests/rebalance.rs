@@ -287,7 +287,7 @@ fn migration_retires_exactly_the_affected_spec_entries() {
 #[test]
 fn rank_worlds_measure_busy_time_under_every_backend() {
     use op2_hpx::hpx::timing::Clock;
-    use op2_hpx::hpx::ChunkPolicy;
+    use op2_hpx::op2::ChunkPolicy;
     use op2_hpx::op2::Op2;
     use std::time::Duration;
 

@@ -12,9 +12,9 @@ use std::sync::{Arc, Barrier};
 
 use op2_hpx::airfoil::{PlainAirfoil, Problem};
 use op2_hpx::app::AppInstance;
-use op2_hpx::hpx::ChunkPolicy;
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::testing::dep_records;
+use op2_hpx::op2::ChunkPolicy;
 use op2_hpx::op2::{Op2, Op2Config, SubmitStats};
 
 const ITERS: u64 = 6;
