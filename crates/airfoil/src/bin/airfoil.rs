@@ -18,9 +18,9 @@
 //!
 //! `--rebalance N` and `--skew S` act on how the ranks share the load, so
 //! both need `--ranks N > 1`, as does `--transport process`. A usage error
-//! `main` detects (one of these on a single rank, an unknown `--backend`
-//! or `--transport`) exits with code 2 and a one-line message naming the
-//! flag.
+//! (one of these on a single rank, an unknown flag, `--backend` or
+//! `--transport`, a flag's value missing or unparsable) exits with code 2
+//! and a one-line message naming the flag.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -66,25 +66,19 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
     };
     let mut it = argv.into_iter();
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
         match flag.as_str() {
-            "--cells" => args.cells = value("--cells").parse().expect("--cells"),
-            "--iters" => args.iters = value("--iters").parse().expect("--iters"),
-            "--threads" => args.threads = value("--threads").parse().expect("--threads"),
-            "--ranks" => args.ranks = value("--ranks").parse().expect("--ranks"),
-            "--backend" => args.backend = value("--backend"),
-            "--transport" => args.transport = value("--transport"),
-            "--rank-id" => args.rank_id = Some(value("--rank-id").parse().expect("--rank-id")),
-            "--rendezvous" => args.rendezvous = Some(PathBuf::from(value("--rendezvous"))),
-            "--rms-out" => args.rms_out = Some(PathBuf::from(value("--rms-out"))),
-            "--print-every" => {
-                args.print_every = value("--print-every").parse().expect("--print-every")
-            }
-            "--rebalance" => args.rebalance = value("--rebalance").parse().expect("--rebalance"),
-            "--skew" => args.skew = value("--skew").parse().expect("--skew"),
+            "--cells" => args.cells = value(&flag, it.next()),
+            "--iters" => args.iters = value(&flag, it.next()),
+            "--threads" => args.threads = value(&flag, it.next()),
+            "--ranks" => args.ranks = value(&flag, it.next()),
+            "--backend" => args.backend = value(&flag, it.next()),
+            "--transport" => args.transport = value(&flag, it.next()),
+            "--rank-id" => args.rank_id = Some(value(&flag, it.next())),
+            "--rendezvous" => args.rendezvous = Some(value(&flag, it.next())),
+            "--rms-out" => args.rms_out = Some(value(&flag, it.next())),
+            "--print-every" => args.print_every = value(&flag, it.next()),
+            "--rebalance" => args.rebalance = value(&flag, it.next()),
+            "--skew" => args.skew = value(&flag, it.next()),
             "--paper-scale" => args.cells = 720_000,
             "--help" | "-h" => {
                 println!(
@@ -107,10 +101,18 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
                 );
                 std::process::exit(0);
             }
-            other => panic!("unknown flag {other} (try --help)"),
+            other => usage_error(format!("unknown flag {other} (try --help)")),
         }
     }
     args
+}
+
+/// The value given after `flag`, parsed; a usage error if it is missing or
+/// does not parse.
+fn value<T: std::str::FromStr>(flag: &str, given: Option<String>) -> T {
+    let given = given.unwrap_or_else(|| usage_error(format!("{flag} needs a value")));
+    let bad = || usage_error(format!("{flag}: bad value {given:?}"));
+    given.parse().unwrap_or_else(|_| bad())
 }
 
 /// The command line of rank `rank`'s process: the parent's own, plus the

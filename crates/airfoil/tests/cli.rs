@@ -43,3 +43,20 @@ fn unknown_transport_exits_2_naming_the_flag() {
     assert_usage_error(&["--transport", "mpi"], "--transport");
     assert_usage_error(&["--transport", "mpi", "--ranks", "2"], "--transport");
 }
+
+/// An unknown flag, a value that does not parse and a flag with no value
+/// are usage errors too, not panics.
+#[test]
+fn unknown_flag_exits_2_naming_it() {
+    assert_usage_error(&["--bogus"], "--bogus");
+}
+
+#[test]
+fn unparsable_value_exits_2_naming_the_flag() {
+    assert_usage_error(&["--cells", "abc"], "--cells");
+}
+
+#[test]
+fn missing_value_exits_2_naming_the_flag() {
+    assert_usage_error(&["--iters", "3", "--cells"], "--cells");
+}

@@ -796,8 +796,7 @@ mod tests {
 
     /// A pending single-node access and the promise completing it.
     fn pending() -> (hpx_rt::Promise<()>, SharedFuture<()>) {
-        let (promise, future) = hpx_rt::channel();
-        (promise, future.share())
+        hpx_rt::channel()
     }
 
     fn collect(d: &Dat<f64>, rows: Range<usize>, mutates: bool) -> Vec<SharedFuture<()>> {
@@ -927,12 +926,8 @@ mod tests {
         assert_eq!(testing::dep_records(&d), 0);
         // An access that completed before it was recorded leaves no
         // record behind.
-        d.deps().record_node(
-            d.deps().whole(),
-            true,
-            next_loop_gen(),
-            &SharedFuture::ready(()),
-        );
+        d.deps()
+            .record_node(d.deps().whole(), true, next_loop_gen(), &hpx_rt::ready(()));
         assert_eq!(testing::dep_records(&d), 0);
         // A broken producer keeps poisoning its consumers.
         let (promise, broken) = pending();

@@ -107,7 +107,7 @@ fn drive_sync(world: &Op2, spec: LoopSpec, parallel: bool) -> SharedFuture<()> {
         fb.record(&spec.name, spec.set.signature(), n, elapsed);
     }
     record_loop_time(&world.stats_handle(), &spec.name, t0.elapsed());
-    let done = SharedFuture::ready(());
+    let done = hpx_rt::ready(());
     for (table, mutates) in spec.dat_args() {
         table.record_node(table.whole(), mutates, spec.gen, &done);
     }

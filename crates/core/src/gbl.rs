@@ -328,13 +328,13 @@ impl<T: Reducible> Global<T> {
         let (value, done) = if deps.iter().all(SharedFuture::has_value) {
             // Nothing to order after (every Seq and fork-join read): the
             // snapshot is taken here and no task is made for it.
-            let value = SharedFuture::ready(self.value_snapshot());
-            (value, SharedFuture::ready(()))
+            let value = hpx_rt::ready(self.value_snapshot());
+            (value, hpx_rt::ready(()))
         } else {
             let (promise, value) = hpx_rt::channel();
             let gbl = self.clone();
             let done = schedule_after(&rt, &deps, move || promise.set_value(gbl.value_snapshot()));
-            (value.share(), done)
+            (value, done)
         };
         // The snapshot node joins the wait-set: a subsequent
         // `reset`/`set`/incrementing loop orders *after* this read and
@@ -468,7 +468,7 @@ impl<T: Reducible> ReducedFuture<T> {
         let node = if self.done.has_value() && after.iter().all(SharedFuture::has_value) {
             // Nothing to wait for: `f` runs here, not as a task.
             f(self.value.get());
-            SharedFuture::ready(())
+            hpx_rt::ready(())
         } else {
             let deps: Vec<_> = std::iter::once(&self.done).chain(after).cloned().collect();
             let value = self.value.clone();
@@ -569,19 +569,21 @@ mod tests {
         g.commit(1, 0, vec![1.0]);
         let g1 = g.clone();
         let gate1 = Arc::clone(&gate);
-        let f1 = rt
-            .spawn_future(move || {
+        let f1 = hpx_rt::dataflow(
+            &rt,
+            move |()| {
                 gate1.wait();
                 g1.finalize(1);
-            })
-            .share();
+            },
+            (),
+        );
         g.record_completion(&f1);
 
         // Loop 2: complete before registration — the single-slot bug
         // dropped f1 here and `get()` observed only this loop's merge.
         g.commit(2, 0, vec![10.0]);
         g.finalize(2);
-        g.record_completion(&SharedFuture::ready(()));
+        g.record_completion(&hpx_rt::ready(()));
 
         let g2 = g.clone();
         let reader = std::thread::spawn(move || g2.get_scalar());
@@ -612,7 +614,7 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
         let run = |iters: usize| {
             let before = reads.load(Ordering::Relaxed);
-            let mut printed = SharedFuture::ready(());
+            let mut printed = hpx_rt::ready(());
             for _ in 0..iters {
                 rms.reset();
                 op2.loop_("norm", &cells)
@@ -645,7 +647,7 @@ mod tests {
         // run never accumulates one entry per past loop.
         let g = Global::<i64>::sum(1, "r");
         for _ in 0..1000 {
-            g.record_completion(&SharedFuture::ready(()));
+            g.record_completion(&hpx_rt::ready(()));
         }
         assert!(
             g.pending_len() <= 1,
@@ -664,7 +666,7 @@ mod tests {
         let futs: Vec<SharedFuture<()>> = (0..3)
             .map(|_| {
                 let gate = Arc::clone(&gate);
-                rt.spawn_future(move || gate.wait()).share()
+                hpx_rt::dataflow(&rt, move |()| gate.wait(), ())
             })
             .collect();
         for f in &futs {

@@ -441,7 +441,7 @@ impl LocalityGroup {
         let done = schedule_after(&rt, &nodes, || ());
         let hooks0 = self.first_local().comm_hooks();
         hooks0.track(done.clone());
-        ReducedFuture::from_parts(value.share(), done, rt, hooks0)
+        ReducedFuture::from_parts(value, done, rt, hooks0)
     }
 
     /// Schedules `body` on local rank `r` with the finalized value of
@@ -600,7 +600,7 @@ pub fn exchange<T: OpType>(
     let shard = |r: usize| dats[r - local.start].clone();
     let halves = move_rows(group.transport(), &hooks, shard, shard, &moves);
     let mut recvs: Vec<Vec<SharedFuture<()>>> = (0..local.len())
-        .map(|_| vec![SharedFuture::ready(()); n])
+        .map(|_| vec![hpx_rt::ready(()); n])
         .collect();
     for (&(src, dst, ..), (_, recv)) in moves.iter().zip(halves) {
         if let Some(recv) = recv {

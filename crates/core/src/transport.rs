@@ -292,7 +292,7 @@ impl MatchTable {
         let mut slots = self.slots.lock();
         match slots.remove(&key) {
             Some(Slot::Arrived(payload)) => Delivery {
-                ready: SharedFuture::ready(()),
+                ready: hpx_rt::ready(()),
                 payload: Arc::new(Mutex::new(payload)),
             },
             Some(Slot::Expected(..)) => {
@@ -301,7 +301,7 @@ impl MatchTable {
             None => {
                 if self.dead.lock().contains(&key.1) {
                     return Delivery {
-                        ready: SharedFuture::ready(()),
+                        ready: hpx_rt::ready(()),
                         payload: Arc::new(Mutex::new(None)),
                     };
                 }
@@ -309,7 +309,7 @@ impl MatchTable {
                 let cell = Arc::new(Mutex::new(None));
                 slots.insert(key, Slot::Expected(promise, Arc::clone(&cell)));
                 Delivery {
-                    ready: future.share(),
+                    ready: future,
                     payload: cell,
                 }
             }

@@ -14,8 +14,8 @@ use crate::runtime::Runtime;
 /// length: `op2-core`'s fork-join backend resolves it from its chunk
 /// policy, the way HPX passes a chunk size to an algorithm as an executor
 /// parameter.
-/// For the asynchronous form (HPX's `par(task)`), run it in
-/// [`Runtime::spawn_future`] with a `'static` body.
+/// For the asynchronous form (HPX's `par(task)`), run it in a zero-input
+/// [`dataflow`](crate::dataflow) with a `'static` body.
 ///
 /// ```
 /// use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,11 +81,15 @@ mod tests {
         let counter = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&counter);
         let on = Arc::clone(&rt);
-        let fut = rt.spawn_future(move || {
-            for_each_chunk(&on, 100, 0..1000, |r| {
-                c.fetch_add(r.len(), Ordering::Relaxed);
-            })
-        });
+        let fut = crate::dataflow(
+            &rt,
+            move |()| {
+                for_each_chunk(&on, 100, 0..1000, |r| {
+                    c.fetch_add(r.len(), Ordering::Relaxed);
+                })
+            },
+            (),
+        );
         fut.get();
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
     }

@@ -18,10 +18,9 @@
 //! blocks.
 //!
 //! The loop may borrow stack data (`Fn(..) + Sync`). Its asynchronous
-//! form is the same call inside [`Runtime::spawn_future`], which needs a
-//! `'static` body because the caller may return before the loop finishes.
-//!
-//! [`Runtime::spawn_future`]: crate::Runtime::spawn_future
+//! form is the same call inside a zero-input [`crate::dataflow`], which
+//! needs a `'static` body because the caller may return before the loop
+//! finishes.
 
 mod for_each;
 
@@ -178,7 +177,7 @@ mod tests {
                     if caller_is_worker {
                         // The engine runs inside a pool task.
                         let inner = Arc::clone(rt.inner());
-                        rt.spawn_future(move || run_chunked(&inner, len, N, &body))
+                        crate::dataflow(&rt, move |()| run_chunked(&inner, len, N, &body), ())
                             .get();
                     } else {
                         for_each_chunk(&rt, len, 0..N, body);

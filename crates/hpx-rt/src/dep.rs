@@ -3,12 +3,8 @@
 //! The block-granular dataflow engine in `op2-core` schedules one node per
 //! mini-partition block, so a single loop produces many small nodes and
 //! what one node costs to build and to complete is what the engine costs.
-//! Built out of `when_all` + `Promise` + `Future` + `share()` a node is
-//! four allocations and two continuation hops; built out of a counter, a
-//! boxed action, a completion future and one boxed callback per edge it is
-//! still six allocations plus one per edge, most of them freed on another
-//! thread than the one that made them. Here a node is **one frame**, as in
-//! HPX's `dataflow`: a single `Arc` that is at once
+//! Here a node is **one frame**, as in HPX's `dataflow`: a single `Arc`
+//! that is at once
 //!
 //! * the **dependency counter** ([`Deps`]): started at `inputs + 1`, the
 //!   extra one held by the registration itself so that inputs completing
@@ -18,18 +14,30 @@
 //!   `fetch_sub` per successor, and the frame that reaches zero is itself
 //!   the task ([`crate::task::Task::Frame`]) — or runs on the spot when it
 //!   was built without a runtime;
-//! * the **shared state** of the result: for [`schedule_after`] the
-//!   frame is the tail of its own completion future's allocation
-//!   ([`SharedInner`]), so the `SharedFuture` handed back, the entries in
-//!   its inputs' waiter lists and the queued task are clones of one `Arc`.
+//! * the **shared state** of the result: the frame is the tail of its own
+//!   result future's allocation ([`SharedInner`]), so the `SharedFuture`
+//!   handed back, the entries in its inputs' waiter lists and the queued
+//!   task are clones of one `Arc`.
 //!
-//! [`schedule_after`], [`when_all_shared`], [`crate::dataflow`] /
-//! `dataflow_inline` and [`crate::when_all`] are all frames; they
-//! differ in what the frame holds and does when it runs. A panicked input
-//! never runs anything inline on the completing thread's stack when the
-//! frame has a runtime: the poisoned frame goes through the task queue like
-//! a healthy one, so a panic at the head of a solver-length chain does not
-//! recurse through it.
+//! One [`Node`] serves two front ends. [`dataflow`] is the paper's §III-B
+//! LCO: a tuple of typed futures in, their values passed *unwrapped* to
+//! the function (HPX's `hpx::util::unwrapped` is built in), a typed future
+//! out. [`schedule_after`] and [`when_all_shared`] are `op2-core`'s node
+//! and join: a slice of `SharedFuture<()>`s, each distinct one wired once,
+//! and a body that returns nothing. A node drops its inputs when it runs,
+//! so a long chain keeps no predecessor alive and drops without recursing
+//! through it. A panicked input never runs anything inline on the
+//! completing thread's stack when the frame has a runtime: the poisoned
+//! frame goes through the task queue like a healthy one, so a panic at the
+//! head of a solver-length chain does not recurse through it.
+//!
+//! ```
+//! use hpx_rt::{dataflow, ready, Runtime};
+//! let rt = Runtime::new(2);
+//! let a = dataflow(&rt, |()| 2, ());
+//! let sum = dataflow(&rt, |(a, b)| a + b + 10, (a, ready(3)));
+//! assert_eq!(sum.get(), 15);
+//! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -42,7 +50,10 @@ use crate::task::Task;
 
 /// The dependency side of a frame: how many inputs are still out, the
 /// first of them that panicked, and where the frame runs.
-pub(crate) struct Deps {
+///
+/// `pub` only because [`Inputs::wire`] names [`Frame`], which returns it;
+/// the module is private, so nothing outside the crate can reach either.
+pub struct Deps {
     remaining: AtomicUsize,
     panic: OnceLock<SharedPanic>,
     /// Taken by the arrival that fires the frame; `None` from the start for
@@ -76,9 +87,9 @@ impl Deps {
         prev == n
     }
 
-    /// `n` inputs need no waiting for — complete when they were wired, a
-    /// plain value, a duplicate. Only during registration, whose own hold
-    /// keeps these from being the last.
+    /// `n` inputs need no waiting for — complete when they were wired, or
+    /// duplicates. Only during registration, whose own hold keeps these
+    /// from being the last.
     pub(crate) fn arrived_early(&self, n: usize, panic: Option<&SharedPanic>) {
         let last = self.arrive(n, panic);
         debug_assert!(!last, "counted early after the registration was over");
@@ -86,7 +97,8 @@ impl Deps {
 }
 
 /// A dataflow frame (see the module docs).
-pub(crate) trait Frame: Send + Sync + 'static {
+pub trait Frame: Send + Sync + 'static {
+    /// The frame's dependency count.
     fn deps(&self) -> &Deps;
     /// Does the node's work and completes it. Called once, after the last
     /// input arrived.
@@ -106,28 +118,96 @@ pub(crate) fn dep_ready(frame: Arc<dyn Frame>, panic: Option<&SharedPanic>) {
     }
 }
 
-/// What a [`schedule_after`] node keeps behind its completion state.
-struct Node<F> {
-    deps: Deps,
-    body: Mutex<Option<F>>,
+/// The typed inputs of a [`dataflow`] node: a tuple of up to eight
+/// [`SharedFuture`]s, or `()` for none.
+pub trait Inputs: Send + 'static {
+    /// The inputs' values, in order.
+    type Values;
+    /// How many inputs there are.
+    const COUNT: usize;
+    /// Makes `frame` a successor of every input.
+    fn wire(&self, frame: &Arc<dyn Frame>);
+    /// The values, once every input completed with one.
+    fn values(self) -> Self::Values;
 }
 
-impl<F: FnOnce() + Send + 'static> Frame for SharedInner<(), Node<F>> {
+macro_rules! impl_inputs {
+    ($n:literal $(, $T:ident . $i:tt)*) => {
+        impl<$($T: Clone + Send + Sync + 'static),*> Inputs for ($(SharedFuture<$T>,)*) {
+            type Values = ($($T,)*);
+            const COUNT: usize = $n;
+            fn wire(&self, _frame: &Arc<dyn Frame>) {
+                $(self.$i.attach_frame(_frame);)*
+            }
+            #[allow(clippy::unused_unit)] // `()`, for no inputs
+            fn values(self) -> Self::Values {
+                ($(self.$i.get(),)*)
+            }
+        }
+    };
+}
+
+impl_inputs!(0);
+impl_inputs!(1, A.0);
+impl_inputs!(2, A.0, B.1);
+impl_inputs!(3, A.0, B.1, C.2);
+impl_inputs!(4, A.0, B.1, C.2, D.3);
+impl_inputs!(5, A.0, B.1, C.2, D.3, E.4);
+impl_inputs!(6, A.0, B.1, C.2, D.3, E.4, G.5);
+impl_inputs!(7, A.0, B.1, C.2, D.3, E.4, G.5, H.6);
+impl_inputs!(8, A.0, B.1, C.2, D.3, E.4, G.5, H.6, I.7);
+
+/// What a node keeps behind its result: the dependency count, and its
+/// typed inputs with the function until it runs.
+struct Node<Args, F> {
+    deps: Deps,
+    call: Mutex<Option<(Args, F)>>,
+}
+
+impl<Args, R, F> Frame for SharedInner<R, Node<Args, F>>
+where
+    Args: Inputs,
+    R: Send + Sync + 'static,
+    F: FnOnce(Args::Values) -> R + Send + 'static,
+{
     fn deps(&self) -> &Deps {
         &self.node.deps
     }
 
     fn run(self: Arc<Self>) {
-        let body = self.node.body.lock().take().expect("a frame runs once");
+        // Taken out: the inputs go with this run, not with the result.
+        let (args, f) = self.node.call.lock().take().expect("a frame runs once");
         let outcome = match self.node.deps.panic.get() {
             Some(p) => SharedOutcome::Panic(p.clone()),
-            None => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
-                Ok(()) => SharedOutcome::Value(()),
-                Err(p) => SharedOutcome::Panic(SharedPanic::from_payload(&p)),
-            },
+            None => SharedOutcome::catch(move || f(args.values())),
         };
         self.fulfill(outcome);
     }
+}
+
+/// Schedules `f` on `rt` once every future in `args` — a tuple of up to
+/// eight `SharedFuture`s of `Clone` values — is ready, passing `f` their
+/// values as a tuple, and returns `f`'s result as a future (see the module
+/// docs). If any input panicked, `f` is skipped (and dropped) and the
+/// result re-panics; a panic inside `f` is captured likewise. With no
+/// inputs, `dataflow(rt, |()| work(), ())`, it is an asynchronous call.
+pub fn dataflow<Args, R, F>(rt: &Runtime, f: F, args: Args) -> SharedFuture<R>
+where
+    Args: Inputs,
+    R: Send + Sync + 'static,
+    F: FnOnce(Args::Values) -> R + Send + 'static,
+{
+    let node = Arc::new(SharedInner::pending(Node::<Args, F> {
+        deps: Deps::new(Args::COUNT, Some(rt)),
+        call: Mutex::new(None),
+    }));
+    let frame: Arc<dyn Frame> = node.clone();
+    // Wired before the node owns them; the registration's hold keeps an
+    // input that completes meanwhile from firing a node with nothing in it.
+    args.wire(&frame);
+    *node.node.call.lock() = Some((args, f));
+    dep_ready(frame, None);
+    SharedFuture { inner: node }
 }
 
 /// Above this many inputs the duplicate scan sorts by address instead of
@@ -147,7 +227,7 @@ where
 {
     let node = Arc::new(SharedInner::pending(Node {
         deps: Deps::new(deps.len(), rt),
-        body: Mutex::new(Some(body)),
+        call: Mutex::new(Some(((), move |()| body()))),
     }));
     let frame: Arc<dyn Frame> = node.clone();
     let mut wired = 0;
@@ -216,7 +296,7 @@ pub fn when_all_shared(deps: &[SharedFuture<()>]) -> SharedFuture<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::future::ready;
+    use crate::future::{channel, ready};
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -234,7 +314,7 @@ mod tests {
     #[test]
     fn schedule_after_waits_for_all() {
         let rt = Runtime::new(2);
-        let deps: Vec<SharedFuture<()>> = (0..32).map(|_| rt.spawn_future(|| ()).share()).collect();
+        let deps: Vec<SharedFuture<()>> = (0..32).map(|_| dataflow(&rt, |()| (), ())).collect();
         let order = Arc::new(AtomicU64::new(0));
         let o = Arc::clone(&order);
         let done = schedule_after(&rt, &deps, move || {
@@ -248,7 +328,7 @@ mod tests {
     #[test]
     fn schedule_after_dedups_cloned_inputs() {
         let rt = Runtime::new(2);
-        let dep = rt.spawn_future(|| ()).share();
+        let dep = dataflow(&rt, |()| (), ());
         // The same future passed five times must count as one dependency
         // (a duplicate-counting bug would fire the body early or never).
         let deps = vec![dep.clone(), dep.clone(), dep.clone(), dep.clone(), dep];
@@ -264,8 +344,7 @@ mod tests {
     #[test]
     fn long_input_lists_dedup_by_sorting() {
         let rt = Runtime::new(2);
-        let distinct: Vec<SharedFuture<()>> =
-            (0..40).map(|_| rt.spawn_future(|| ()).share()).collect();
+        let distinct: Vec<SharedFuture<()>> = (0..40).map(|_| dataflow(&rt, |()| (), ())).collect();
         // 40 distinct futures, each passed three times, interleaved.
         let deps: Vec<SharedFuture<()>> = (0..120).map(|i| distinct[i % 40].clone()).collect();
         let (done, wired) = schedule_after_counted(&rt, &deps, || ());
@@ -285,9 +364,10 @@ mod tests {
         let rt = Arc::new(Runtime::new(1));
         let hits = Arc::new(AtomicU64::new(0));
         let (rt2, hits2) = (Arc::clone(&rt), Arc::clone(&hits));
-        let node = rt
-            .spawn_future(move || {
-                let deps: Vec<SharedFuture<()>> = (0..8).map(|_| ready(()).share()).collect();
+        let node = dataflow(
+            &rt,
+            move |()| {
+                let deps: Vec<SharedFuture<()>> = (0..8).map(|_| ready(())).collect();
                 let h = Arc::clone(&hits2);
                 let node = schedule_after(&rt2, &deps, move || {
                     h.fetch_add(1, Ordering::Relaxed);
@@ -299,21 +379,23 @@ mod tests {
                 );
                 assert!(!node.is_ready());
                 node
-            })
-            .get();
+            },
+            (),
+        )
+        .get();
         node.get();
         assert_eq!(hits.load(Ordering::Relaxed), 1);
 
         // Without a runtime the frame runs where its last input arrives:
         // in the registration if they are all in, else in the completion.
         let h = Arc::clone(&hits);
-        let (_, wired) = schedule(None, &[ready(()).share(), ready(()).share()], move || {
+        let (_, wired) = schedule(None, &[ready(()), ready(())], move || {
             h.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!((hits.load(Ordering::Relaxed), wired), (2, 2));
         let late = SharedFuture::<()>::pending();
         let h = Arc::clone(&hits);
-        let (joined, _) = schedule(None, &[ready(()).share(), late.clone()], move || {
+        let (joined, _) = schedule(None, &[ready(()), late.clone()], move || {
             h.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(
@@ -349,11 +431,11 @@ mod tests {
     fn when_all_shared_joins_inline_and_propagates_panics() {
         let rt = Runtime::new(2);
         assert!(when_all_shared(&[]).has_value());
-        let deps: Vec<SharedFuture<()>> = (0..10).map(|_| rt.spawn_future(|| ()).share()).collect();
+        let deps: Vec<SharedFuture<()>> = (0..10).map(|_| dataflow(&rt, |()| (), ())).collect();
         when_all_shared(&deps).get();
         rt.wait_idle();
         let before = rt.stats().tasks_executed;
-        let bad: SharedFuture<()> = rt.spawn_future(|| panic!("round died")).share();
+        let bad: SharedFuture<()> = dataflow(&rt, |()| panic!("round died"), ());
         let gate = when_all_shared(&[deps[0].clone(), bad]);
         gate.wait();
         assert!(gate.is_ready() && !gate.has_value());
@@ -406,7 +488,7 @@ mod tests {
     #[should_panic(expected = "node dependency died")]
     fn schedule_after_propagates_dep_panic() {
         let rt = Runtime::new(2);
-        let bad: SharedFuture<()> = rt.spawn_future(|| panic!("node dependency died")).share();
+        let bad: SharedFuture<()> = dataflow(&rt, |()| panic!("node dependency died"), ());
         let done = schedule_after(&rt, &[bad], || unreachable!("must be skipped"));
         done.get();
     }
@@ -417,5 +499,83 @@ mod tests {
         let rt = Runtime::new(2);
         let done = schedule_after(&rt, &[], || panic!("body exploded"));
         done.get();
+    }
+
+    #[test]
+    fn dataflow_mixes_pending_and_ready_inputs() {
+        let rt = Runtime::new(2);
+        let a = dataflow(&rt, |()| 1u64, ());
+        let (promise, c) = channel();
+        let out = dataflow(&rt, |(a, b, c)| a + b + c, (a, ready(2u64), c));
+        promise.set_value(3u64);
+        assert_eq!(out.get(), 6);
+    }
+
+    #[test]
+    fn diamond_graph() {
+        // a -> (b, c) -> d : the classic dependency diamond.
+        let rt = Runtime::new(2);
+        let a = dataflow(&rt, |()| 5i64, ());
+        let b = dataflow(&rt, |(x,)| x * 2, (a.clone(),));
+        let c = dataflow(&rt, |(x,)| x + 100, (a,));
+        let d = dataflow(&rt, |(b, c)| b + c, (b, c));
+        assert_eq!(d.get(), 115);
+    }
+
+    /// The rig's `hpxrt.dataflow_node_ns` chain. Every node lets go of
+    /// its input when it runs: once the tail resolves nothing holds the
+    /// head but this test, and dropping the tail frees one node — on a
+    /// stack far too small to recurse through ten thousand.
+    #[test]
+    fn a_long_dataflow_chain_resolves_and_keeps_no_predecessor_alive() {
+        const CHAIN: u64 = 10_000;
+        let rt = Runtime::new(2);
+        let (start, head) = channel();
+        let mut f = head.clone();
+        for _ in 0..CHAIN {
+            f = dataflow(&rt, |(a,)| a + 1, (f,));
+        }
+        start.set_value(0u64);
+        assert_eq!(f.get(), CHAIN);
+        assert_eq!(Arc::strong_count(&head.inner), 1, "a node kept its input");
+        std::thread::Builder::new()
+            .stack_size(32 * 1024)
+            .spawn(move || drop(f))
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "input died")]
+    fn panic_in_input_skips_function() {
+        let rt = Runtime::new(2);
+        let bad = dataflow(&rt, |()| -> u32 { panic!("input died") }, ());
+        let out = dataflow(
+            &rt,
+            |(_x, _y)| unreachable!("must not run"),
+            (bad, ready(1u32)),
+        );
+        let _: u32 = out.get();
+    }
+
+    #[test]
+    fn eight_arity() {
+        let rt = Runtime::new(2);
+        let out = dataflow(
+            &rt,
+            |(a, b, c, d, e, f, g, h)| a + b + c + d + e + f + g + h,
+            (
+                ready(1u32),
+                ready(2u32),
+                ready(3u32),
+                ready(4u32),
+                ready(5u32),
+                ready(6u32),
+                ready(7u32),
+                ready(8u32),
+            ),
+        );
+        assert_eq!(out.get(), 36);
     }
 }

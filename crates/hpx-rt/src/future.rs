@@ -1,28 +1,31 @@
 //! Futures and promises (paper §III-A, Fig 5).
 //!
-//! A [`Future`] is "a computational result that is initially unknown but
-//! becomes available at a later time". The design mirrors HPX:
+//! A [`SharedFuture`] is "a computational result that is initially unknown
+//! but becomes available at a later time", and the crate's one future
+//! type. The design mirrors HPX:
 //!
-//! * [`Future::get`] blocks, but a *worker* blocked in `get` executes other
-//!   ready tasks (help-first), so the pool never starves — the substitute
-//!   for HPX suspending its user-level threads.
-//! * [`Future::then`] attaches a continuation that is scheduled as a task
-//!   when the value arrives, building execution graphs without barriers.
-//! * [`SharedFuture`] is clonable and supports many consumers; it is what
-//!   `op2-core` threads through dats to chain dependent loops.
+//! * [`SharedFuture::get`] blocks, but a *worker* blocked in `get` executes
+//!   other ready tasks (help-first), so the pool never starves — the
+//!   substitute for HPX suspending its user-level threads.
+//! * Continuations are dataflow frames ([`crate::dataflow`],
+//!   [`crate::schedule_after`]), scheduled as tasks when their inputs
+//!   arrive, building execution graphs without barriers.
+//! * A future is clonable and has many consumers; it is what `op2-core`
+//!   threads through dats to chain dependent loops.
+//! * [`channel`] hands out the write end, a [`Promise`]. A promise dropped
+//!   unfulfilled completes its future with a "broken promise" panic, so
+//!   nobody waits on it forever.
 //! * Panics travel through the graph: a panicking producer re-panics every
 //!   consumer (`get`), like `std::future` exceptions in HPX.
 //!
-//! # Consumers are typed, sleepers are counted
+//! # Consumers are frames, sleepers are counted
 //!
-//! A pending future owes something to whoever consumes it, and there are
-//! two kinds of debt. A **callback** ([`Future::share`]) is a boxed
-//! closure. A **frame** ([`crate::dep::Frame`]: a node of
-//! `schedule_after`, a `dataflow` call, a `then`, a `when_all*` join) is
-//! an `Arc` of the consumer itself — wiring such an edge is one lock-free
+//! A pending future's consumers are **frames** ([`crate::dep::Frame`]: a
+//! `dataflow` call, a `schedule_after` node, a `when_all_shared` join) —
+//! an `Arc` of the consumer itself. Wiring such an edge is one lock-free
 //! look at the outcome and, if there is none yet, one `Vec` push of an
-//! `Arc` clone; no box, no closure — and completing the future costs that
-//! consumer one `fetch_sub`. A [`SharedFuture`]'s consumers are all frames.
+//! `Arc` clone; no box, no closure. Completing the future costs that
+//! consumer one `fetch_sub`.
 //!
 //! Blocked *threads* are not in that list: they sleep on the future's
 //! [`Blocked`], which counts them (registered under the future's lock
@@ -35,244 +38,55 @@ use parking_lot::Mutex;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use crate::dataflow::{dataflow, dataflow_inline};
 use crate::dep::{dep_ready, Frame};
-use crate::runtime::{block_until, Blocked, Runtime};
+use crate::runtime::{block_until, Blocked};
 
 /// The payload of a caught panic.
 pub(crate) type PanicPayload = Box<dyn std::any::Any + Send + 'static>;
 
-/// Result of a producer: a value or a captured panic.
-pub(crate) type Outcome<T> = Result<T, PanicPayload>;
+/// What the consumers of a promise dropped unfulfilled panic with.
+const BROKEN_PROMISE: &str =
+    "broken promise: the producing task was dropped before fulfilling its future";
 
-type Callback<T> = Box<dyn FnOnce(Outcome<T>) + Send>;
-
-/// The one consumer of a [`Future`] (see the module docs).
-enum Consumer<T> {
-    /// Takes the outcome.
-    Callback(Callback<T>),
-    /// Is told the outcome is there and takes it when it runs.
-    Frame(Arc<dyn Frame>),
-}
-
-enum State<T> {
-    /// Not yet fulfilled; at most one consumer may be registered
-    /// (uniqueness is enforced by move semantics on `Future`).
-    Pending(Option<Consumer<T>>),
-    /// Fulfilled; `None` once the value has been consumed.
-    Done(Option<Outcome<T>>),
-}
-
-struct Inner<T> {
-    state: Mutex<State<T>>,
-    blocked: Blocked,
-}
-
-/// Write end of a future. Dropping a `Promise` without fulfilling it breaks
-/// the future: consumers observe a panic instead of hanging forever.
+/// Write end of a [`channel`]. Dropping a `Promise` without fulfilling it
+/// breaks the future: every consumer observes a panic instead of hanging
+/// forever.
 pub struct Promise<T> {
-    inner: Option<Arc<Inner<T>>>,
-}
-
-/// A single-consumer future (see module docs).
-#[must_use = "futures do nothing unless waited on"]
-pub struct Future<T> {
-    inner: Arc<Inner<T>>,
-}
-
-fn future_in<T>(state: State<T>) -> Arc<Inner<T>> {
-    Arc::new(Inner {
-        state: Mutex::new(state),
-        blocked: Blocked::default(),
-    })
+    inner: Option<Arc<SharedInner<T>>>,
 }
 
 /// Creates a connected promise/future pair.
-pub fn channel<T>() -> (Promise<T>, Future<T>) {
-    let inner = future_in(State::Pending(None));
-    (
-        Promise {
-            inner: Some(Arc::clone(&inner)),
-        },
-        Future { inner },
-    )
+pub fn channel<T>() -> (Promise<T>, SharedFuture<T>) {
+    let future = SharedFuture::pending();
+    let promise = Promise {
+        inner: Some(Arc::clone(&future.inner)),
+    };
+    (promise, future)
 }
 
 /// A future that is already fulfilled (HPX `make_ready_future`).
-pub fn ready<T>(value: T) -> Future<T> {
-    Future {
-        inner: future_in(State::Done(Some(Ok(value)))),
-    }
-}
-
-/// Completes `inner`; returns whether a sleeping thread had to be woken.
-fn fulfill<T>(inner: &Inner<T>, outcome: Outcome<T>) -> bool {
-    let mut outcome = Some(outcome);
-    let consumer = {
-        let mut guard = inner.state.lock();
-        let State::Pending(consumer) = std::mem::replace(&mut *guard, State::Done(None)) else {
-            panic!("promise fulfilled twice");
-        };
-        // A callback takes the outcome with it; anyone else finds it here.
-        if !matches!(consumer, Some(Consumer::Callback(_))) {
-            *guard = State::Done(outcome.take());
-        }
-        consumer
-    };
-    let woke = inner.blocked.wake_all();
-    match consumer {
-        Some(Consumer::Callback(cb)) => cb(outcome.expect("kept for the callback")),
-        Some(Consumer::Frame(frame)) => dep_ready(frame, None),
-        None => {}
-    }
-    woke
+pub fn ready<T>(value: T) -> SharedFuture<T> {
+    let ready = SharedFuture::pending();
+    let _ = ready.inner.outcome.set(SharedOutcome::Value(value));
+    ready
 }
 
 impl<T> Promise<T> {
     /// Fulfills the future with a value, waking and/or scheduling consumers.
-    pub fn set_value(self, value: T) {
-        self.set_outcome(Ok(value));
-    }
-
-    /// Propagates a captured panic to all consumers.
-    pub(crate) fn set_panic(self, payload: PanicPayload) {
-        self.set_outcome(Err(payload));
-    }
-
-    /// Fulfills from a `catch_unwind` result.
-    pub(crate) fn set_outcome(mut self, outcome: Outcome<T>) {
-        let inner = self.inner.take().expect("promise already consumed");
-        fulfill(&inner, outcome);
+    pub fn set_value(mut self, value: T) {
+        let inner = self.inner.take().expect("a promise is fulfilled once");
+        inner.fulfill(SharedOutcome::Value(value));
     }
 }
 
 impl<T> Drop for Promise<T> {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
-            // A String payload so `get()` re-panics with a readable message.
-            fulfill(&inner, Err(Box::new(BrokenPromise.to_string())));
+            let broken = SharedPanic(Arc::new(BROKEN_PROMISE.to_owned()));
+            inner.fulfill(SharedOutcome::Panic(broken));
         }
     }
 }
-
-/// Panic payload used when a promise is dropped unfulfilled.
-#[derive(Debug, Clone, Copy)]
-pub struct BrokenPromise;
-
-impl std::fmt::Display for BrokenPromise {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("broken promise: the producing task was dropped before fulfilling its future")
-    }
-}
-
-impl<T> Future<T> {
-    /// True once the value (or a panic) is available.
-    pub fn is_ready(&self) -> bool {
-        matches!(*self.inner.state.lock(), State::Done(_))
-    }
-
-    /// Blocks until ready without consuming the value. Workers help-execute
-    /// while waiting.
-    pub fn wait(&self) {
-        block_until(
-            &self.inner.state,
-            &self.inner.blocked,
-            Duration::ZERO,
-            |s| matches!(s, State::Done(_)),
-        );
-    }
-
-    /// Blocks until the value is available and returns it, re-panicking if
-    /// the producer panicked.
-    pub fn get(self) -> T {
-        self.wait();
-        match self.take_outcome() {
-            Ok(v) => v,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
-
-    /// The outcome of a future that is ready.
-    pub(crate) fn take_outcome(self) -> Outcome<T> {
-        match &mut *self.inner.state.lock() {
-            State::Done(slot) => slot.take().expect("future value consumed twice"),
-            State::Pending(_) => unreachable!("outcome taken from a pending future"),
-        }
-    }
-
-    /// Registers the (single) continuation. Runs inline if already ready.
-    pub(crate) fn attach_callback(self, cb: Callback<T>) {
-        let run_now = {
-            let mut guard = self.inner.state.lock();
-            match &mut *guard {
-                State::Pending(slot) => {
-                    assert!(slot.is_none(), "future continuation attached twice");
-                    *slot = Some(Consumer::Callback(cb));
-                    None
-                }
-                State::Done(slot) => {
-                    let out = slot.take().expect("future value consumed twice");
-                    Some((cb, out))
-                }
-            }
-        };
-        if let Some((cb, out)) = run_now {
-            cb(out);
-        }
-    }
-
-    /// Makes `frame` the consumer: it is told when the outcome is there
-    /// (at once if it already is) and takes it with
-    /// [`Future::take_outcome`] when it runs. Only while `frame`'s
-    /// registration holds its own count, so this cannot fire it.
-    pub(crate) fn attach_frame(&self, frame: &Arc<dyn Frame>) {
-        match &mut *self.inner.state.lock() {
-            State::Pending(slot) => {
-                assert!(slot.is_none(), "future continuation attached twice");
-                *slot = Some(Consumer::Frame(Arc::clone(frame)));
-            }
-            State::Done(_) => frame.deps().arrived_early(1, None),
-        }
-    }
-
-    /// Attaches a continuation scheduled on `rt` when the value arrives
-    /// (HPX `future::then(launch::async, f)`): a one-input
-    /// [`crate::dataflow`]. Panics propagate: if `self` panicked, `f` is
-    /// skipped and the returned future re-panics.
-    pub fn then<U, F>(self, rt: &Runtime, f: F) -> Future<U>
-    where
-        T: Send + 'static,
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
-        dataflow(rt, |(v,)| f(v), (self,))
-    }
-
-    /// Converts into a multi-consumer [`SharedFuture`].
-    pub fn share(self) -> SharedFuture<T>
-    where
-        T: Send + Sync + 'static,
-    {
-        let shared = SharedFuture::pending();
-        let inner = Arc::clone(&shared.inner);
-        self.attach_callback(Box::new(move |outcome| {
-            inner.fulfill(SharedOutcome::from_outcome(outcome));
-        }));
-        shared
-    }
-}
-
-impl<T> std::fmt::Debug for Future<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Future")
-            .field("ready", &self.is_ready())
-            .finish()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// SharedFuture
-// ---------------------------------------------------------------------------
 
 /// A clonable description of a panic, usable by many consumers.
 #[derive(Clone, Debug)]
@@ -284,8 +98,6 @@ impl SharedPanic {
             (*s).to_owned()
         } else if let Some(s) = p.downcast_ref::<String>() {
             s.clone()
-        } else if p.downcast_ref::<BrokenPromise>().is_some() {
-            BrokenPromise.to_string()
         } else {
             "task panicked".to_owned()
         };
@@ -303,8 +115,9 @@ pub(crate) enum SharedOutcome<T> {
 }
 
 impl<T> SharedOutcome<T> {
-    fn from_outcome(outcome: Outcome<T>) -> Self {
-        match outcome {
+    /// Runs `f`, capturing a panic.
+    pub(crate) fn catch(f: impl FnOnce() -> T) -> Self {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
             Ok(v) => SharedOutcome::Value(v),
             Err(p) => SharedOutcome::Panic(SharedPanic::from_payload(&p)),
         }
@@ -323,9 +136,9 @@ impl<T> SharedOutcome<T> {
 type Tail = dyn Send + Sync + std::panic::UnwindSafe + std::panic::RefUnwindSafe;
 
 /// The state behind a [`SharedFuture`], followed by whatever its producer
-/// keeps in the same allocation: nothing for a plain future, the
-/// dependency count and the body for a [`crate::schedule_after`] node —
-/// whose completion future *is* its frame.
+/// keeps in the same allocation: nothing for a [`channel`]'s future, the
+/// dependency count and the call for a node of [`crate::dataflow`] or
+/// [`crate::schedule_after`] — whose result future *is* its frame.
 pub(crate) struct SharedInner<T, N: ?Sized = Tail> {
     /// Written once, before `waiters` is drained; read lock-free (a reader
     /// that sees it also sees everything the producer wrote before).
@@ -390,11 +203,12 @@ impl<T, N: ?Sized> SharedInner<T, N> {
 }
 
 /// A multi-consumer future. Cloning is cheap (one `Arc`); every clone can
-/// `wait`, attach continuations, or (for `T: Clone`) `get` a copy of the
-/// value. This is the type `op2-core` stores per dat to chain loops.
+/// `wait`, be an input of a dataflow frame, or (for `T: Clone`) `get` a
+/// copy of the value. This is the type `op2-core` stores per dat to chain
+/// loops.
 #[must_use = "futures do nothing unless waited on"]
 pub struct SharedFuture<T> {
-    /// A plain future's state, or a frame's (see [`SharedInner`]).
+    /// A channel's state, or a frame's (see [`SharedInner`]).
     pub(crate) inner: Arc<SharedInner<T>>,
 }
 
@@ -410,13 +224,6 @@ impl<T> SharedFuture<T> {
     pub(crate) fn pending() -> Self {
         let inner = Arc::new(SharedInner::pending(()));
         SharedFuture { inner }
-    }
-
-    /// An already-fulfilled shared future.
-    pub fn ready(value: T) -> Self {
-        let ready = Self::pending();
-        let _ = ready.inner.outcome.set(SharedOutcome::Value(value));
-        ready
     }
 
     /// True when both handles denote the same underlying future (clones
@@ -474,28 +281,9 @@ impl<T> SharedFuture<T> {
             frame.deps().arrived_early(1, panic);
         }
     }
-
-    /// Attaches a continuation scheduled on `rt`; receives a clone of the
-    /// value.
-    pub fn then<U, F>(&self, rt: &Runtime, f: F) -> Future<U>
-    where
-        T: Clone + Send + Sync + 'static,
-        U: Send + 'static,
-        F: FnOnce(T) -> U + Send + 'static,
-    {
-        dataflow(rt, |(v,)| f(v), (self.clone(),))
-    }
 }
 
 impl<T: Clone> SharedFuture<T> {
-    /// The outcome of a future that is ready, the value cloned.
-    pub(crate) fn clone_outcome(&self) -> Outcome<T> {
-        match self.outcome().expect("outcome taken from a pending future") {
-            SharedOutcome::Value(v) => Ok(v.clone()),
-            SharedOutcome::Panic(p) => Err(Box::new(p.message().to_owned())),
-        }
-    }
-
     /// Blocks until ready and returns a clone of the value, re-panicking if
     /// the producer panicked.
     pub fn get(&self) -> T {
@@ -515,18 +303,11 @@ impl<T> std::fmt::Debug for SharedFuture<T> {
     }
 }
 
-/// Combines homogeneous futures into one producing all values (in input
-/// order). An empty input yields an immediately-ready empty vector. If any
-/// input panics, the combined future re-panics (the first in input order).
-/// One inline dataflow frame over the vector (no task: it completes on
-/// the thread that brings the last input in).
-pub fn when_all<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<Vec<T>> {
-    dataflow_inline(|values| values, futures)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{dataflow, schedule_after, Runtime};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn ready_future_get() {
@@ -545,60 +326,50 @@ mod tests {
     }
 
     #[test]
-    fn then_chain_on_runtime() {
-        let rt = Runtime::new(2);
-        let f = rt
-            .spawn_future(|| 10)
-            .then(&rt, |x| x + 1)
-            .then(&rt, |x| x * 2);
-        assert_eq!(f.get(), 22);
-    }
-
-    #[test]
     #[should_panic(expected = "kernel exploded")]
     fn panic_propagates_through_get() {
         let rt = Runtime::new(1);
-        let f: Future<u32> = rt.spawn_future(|| panic!("kernel exploded"));
+        let f = dataflow(&rt, |()| -> u32 { panic!("kernel exploded") }, ());
         let _ = f.get();
     }
 
+    /// A promise dropped unfulfilled completes its future with the broken
+    /// promise panic: every clone re-panics, and a node waiting on it is
+    /// poisoned (its body skipped) instead of waiting forever.
     #[test]
-    #[should_panic(expected = "kernel exploded")]
-    fn panic_skips_continuation() {
-        let rt = Runtime::new(1);
-        let f: Future<u32> = rt.spawn_future(|| panic!("kernel exploded"));
-        // The continuation must not run.
-        let g = f.then(&rt, |_| unreachable!("must be skipped"));
-        g.get();
-    }
-
-    #[test]
-    #[should_panic(expected = "broken promise")]
-    fn broken_promise_panics_not_hangs() {
-        let (p, f): (Promise<u8>, Future<u8>) = channel();
-        drop(p);
-        let _ = f.get();
+    fn a_dropped_promise_breaks_every_clone_and_poisons_its_successor() {
+        let rt = Runtime::new(2);
+        let (promise, future) = channel::<()>();
+        let clones = [future.clone(), future.clone()];
+        let ran = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&ran);
+        let successor = schedule_after(&rt, &clones[..1], move || {
+            flag.store(true, Ordering::SeqCst)
+        });
+        drop(promise);
+        for f in clones.iter().chain([&future]) {
+            let err = std::panic::catch_unwind(|| f.get()).expect_err("a broken promise panics");
+            let msg = err.downcast_ref::<String>().expect("a message");
+            assert!(msg.starts_with("broken promise"), "{msg}");
+        }
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while !successor.is_ready() {
+            assert!(std::time::Instant::now() < deadline, "the successor hangs");
+            std::thread::yield_now();
+        }
+        assert!(!successor.has_value(), "the successor is poisoned");
+        assert!(!ran.load(Ordering::SeqCst), "its body is skipped");
     }
 
     #[test]
     fn shared_future_multiple_consumers() {
         let rt = Runtime::new(2);
-        let shared = rt.spawn_future(|| vec![1, 2, 3]).share();
+        let shared = dataflow(&rt, |()| vec![1, 2, 3], ());
         let a = shared.clone();
         let b = shared.clone();
         let t = std::thread::spawn(move || a.get());
         assert_eq!(b.get(), vec![1, 2, 3]);
         assert_eq!(t.join().unwrap(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn shared_then_gets_clone() {
-        let rt = Runtime::new(2);
-        let shared = rt.spawn_future(|| 7u64).share();
-        let f1 = shared.then(&rt, |x| x + 1);
-        let f2 = shared.then(&rt, |x| x + 2);
-        assert_eq!(f1.get(), 8);
-        assert_eq!(f2.get(), 9);
     }
 
     #[test]
@@ -608,38 +379,11 @@ mod tests {
         assert!(!pending.is_ready() && !pending.has_value());
         pending.inner.fulfill(SharedOutcome::Value(3));
         assert!(pending.is_ready() && pending.has_value());
-        assert!(SharedFuture::ready(()).has_value());
-        let bad: SharedFuture<()> = rt.spawn_future(|| panic!("producer died")).share();
+        assert!(ready(()).has_value());
+        let bad = dataflow(&rt, |()| panic!("producer died"), ());
         bad.wait();
         assert!(bad.is_ready());
         assert!(!bad.has_value(), "a panicked future holds no value");
-    }
-
-    #[test]
-    fn when_all_preserves_order() {
-        let rt = Runtime::new(4);
-        let futs: Vec<_> = (0..64u64).map(|i| rt.spawn_future(move || i * i)).collect();
-        let all = when_all(futs).get();
-        assert_eq!(all, (0..64u64).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn when_all_empty_is_ready() {
-        let f = when_all::<u8>(Vec::new());
-        assert!(f.is_ready());
-        assert!(f.get().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "subtask failed")]
-    fn when_all_propagates_panic() {
-        let rt = Runtime::new(2);
-        let futs = vec![
-            rt.spawn_future(|| 1u32),
-            rt.spawn_future(|| panic!("subtask failed")),
-            rt.spawn_future(|| 3u32),
-        ];
-        let _ = when_all(futs).get();
     }
 
     #[test]
@@ -647,10 +391,10 @@ mod tests {
         // A worker task blocking on a future must keep executing other tasks
         // rather than deadlocking a small pool.
         let rt = Runtime::new(1);
-        let f = rt.spawn_future(|| 1u32);
+        let f = dataflow(&rt, |()| 1u32, ());
         let outer = {
-            let inner_fut = f.then(&rt, |x| x + 1);
-            rt.spawn_future(move || inner_fut.get() + 10)
+            let inner_fut = dataflow(&rt, |(x,)| x + 1, (f,));
+            dataflow(&rt, move |()| inner_fut.get() + 10, ())
         };
         assert_eq!(outer.get(), 12);
     }
@@ -673,15 +417,7 @@ mod tests {
     /// holds back until the future is complete, so such rounds exist
     /// whatever the host's timing.
     fn race_completion_against_wait(rounds: usize, on_worker: bool) {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        enum Write {
-            Shared(SharedFuture<usize>),
-            Single(Promise<usize>),
-        }
-        enum Read {
-            Shared(SharedFuture<usize>),
-            Single(Future<usize>),
-        }
+        use std::sync::atomic::AtomicUsize;
         fn spin(n: u64) {
             for _ in 0..n {
                 std::hint::spin_loop();
@@ -696,7 +432,7 @@ mod tests {
         const BATCH: usize = 1000;
         // Round the waiter has entered, plus one; the completer follows it.
         let turn = Arc::new(AtomicUsize::new(0));
-        let (batches, next_batch) = std::sync::mpsc::channel::<Vec<Write>>();
+        let (batches, next_batch) = std::sync::mpsc::channel::<Vec<Promise<usize>>>();
         let (finished, watchdog) = std::sync::mpsc::channel::<(usize, usize)>();
 
         let completer = {
@@ -705,17 +441,13 @@ mod tests {
                 let mut rng = 0x9E37_79B9_7F4A_7C15u64;
                 let (mut round, mut woke) = (0usize, Vec::new());
                 for batch in next_batch {
-                    for write in batch {
+                    for mut promise in batch {
                         while turn.load(Ordering::Acquire) <= round {
                             std::thread::yield_now();
                         }
                         spin(xorshift(&mut rng) % 256);
-                        woke.push(match write {
-                            Write::Shared(f) => f.inner.fulfill(SharedOutcome::Value(round)),
-                            Write::Single(mut p) => {
-                                fulfill(&p.inner.take().expect("unused promise"), Ok(round))
-                            }
-                        });
+                        let inner = promise.inner.take().expect("unused promise");
+                        woke.push(inner.fulfill(SharedOutcome::Value(round)));
                         round += 1;
                     }
                 }
@@ -727,36 +459,22 @@ mod tests {
             let mut rng = 0xD6E8_FEB8_6659_FD93u64;
             let mut found_complete = Vec::new();
             for first in (0..rounds).step_by(BATCH) {
-                let (writes, reads): (Vec<Write>, Vec<Read>) = (first..(first + BATCH).min(rounds))
-                    .map(|round| {
-                        if round % 2 == 0 {
-                            let f = SharedFuture::pending();
-                            (Write::Shared(f.clone()), Read::Shared(f))
-                        } else {
-                            let (p, f) = channel();
-                            (Write::Single(p), Read::Single(f))
-                        }
-                    })
+                let (writes, reads): (Vec<_>, Vec<_>) = (first..(first + BATCH).min(rounds))
+                    .map(|_| channel())
                     .unzip();
                 batches.send(writes).unwrap();
-                for (round, read) in (first..).zip(reads) {
+                for (round, f) in (first..).zip(reads) {
                     entered.store(round + 1, Ordering::Release);
                     spin(xorshift(&mut rng) % 256);
-                    let hold_back = |ready: &dyn Fn() -> bool| {
-                        while round % 4 == 3 && !ready() {
-                            std::thread::yield_now();
-                        }
-                        ready()
-                    };
-                    let (complete, value) = match read {
-                        Read::Shared(f) => {
-                            let complete = hold_back(&|| f.is_ready());
-                            f.wait();
-                            (complete, f.get())
-                        }
-                        Read::Single(f) => (hold_back(&|| f.is_ready()), f.get()),
-                    };
-                    assert_eq!(value, round);
+                    while round % 4 == 3 && !f.is_ready() {
+                        std::thread::yield_now();
+                    }
+                    let complete = f.is_ready();
+                    // Half the rounds block in `wait`, half in `get`.
+                    if round % 2 == 0 {
+                        f.wait();
+                    }
+                    assert_eq!(f.get(), round);
                     found_complete.push(complete);
                 }
             }
@@ -764,7 +482,7 @@ mod tests {
         };
         let waiter = if on_worker {
             let rt = Runtime::new(1);
-            std::thread::spawn(move || rt.spawn_future(waiter).get())
+            std::thread::spawn(move || dataflow(&rt, move |()| waiter(), ()).get())
         } else {
             std::thread::spawn(waiter)
         };

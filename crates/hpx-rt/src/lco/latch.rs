@@ -135,13 +135,17 @@ mod tests {
         // The outer task waits; the inner task (behind it in the queue)
         // opens the latch. With help-first waiting this cannot deadlock
         // even on a single worker.
-        let fut = rt.spawn_future(move || {
-            let l3 = Arc::clone(&l2);
-            assert!(crate::runtime::on_worker_thread());
-            worker_rt.spawn(move || l3.count_down());
-            l2.wait();
-            true
-        });
+        let fut = crate::dataflow(
+            &rt,
+            move |()| {
+                let l3 = Arc::clone(&l2);
+                assert!(crate::runtime::on_worker_thread());
+                worker_rt.spawn(move || l3.count_down());
+                l2.wait();
+                true
+            },
+            (),
+        );
         assert!(fut.get());
     }
 }

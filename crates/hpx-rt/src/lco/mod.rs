@@ -6,8 +6,8 @@
 //! and enable thread execution to proceed as far as possible without
 //! waiting."
 //!
-//! The future and dataflow LCOs live in `crate::future` and
-//! [`crate::dataflow`]; this module holds the two others OP2 runs on.
+//! The future and dataflow LCOs live in `crate::future` and `crate::dep`
+//! ([`crate::dataflow`]); this module holds the two others OP2 runs on.
 //! [`Latch`] is the workhorse: the chunked loops count their finished
 //! chunks on one, and its `wait` help-executes pool tasks instead of
 //! sleeping. [`Event`] is a manual-reset gate. (`op2-core`'s cross-rank

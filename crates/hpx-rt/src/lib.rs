@@ -8,15 +8,16 @@
 //! * a **work-stealing scheduler** ([`Runtime`]) with help-first blocking —
 //!   a thread blocked on a future executes other ready tasks, the stand-in
 //!   for HPX's suspendable user-level threads;
-//! * **futures** ([`Future`], [`SharedFuture`], [`Promise`], [`when_all`])
-//!   with continuation chaining and panic propagation (§III-A);
+//! * **one future type**, [`SharedFuture`], fulfilled through a
+//!   [`Promise`] ([`channel`]) or by a dataflow node, with panic
+//!   propagation (§III-A);
 //! * the **`dataflow`** LCO ([`dataflow`]) that delays a function until all
-//!   future inputs are ready, with `unwrapped` semantics built in (§III-B);
-//! * **dataflow frames** for fine-grained task graphs
-//!   ([`schedule_after`], [`when_all_shared`]): one allocation per node,
-//!   no allocation per edge — the node scheduling behind `op2-core`'s
-//!   block-granular dataflow backend, and what [`dataflow`] itself is
-//!   built on;
+//!   its input futures are ready, with `unwrapped` semantics built in
+//!   (§III-B);
+//! * **dataflow frames** for fine-grained task graphs: every [`dataflow`]
+//!   call, [`schedule_after`] node and [`when_all_shared`] join is one
+//!   allocation, with none per edge — [`schedule_after`] is the node
+//!   `op2-core`'s block-granular dataflow backend builds;
 //! * the **chunked `par` loop** ([`for_each_chunk`]) — the fork-join
 //!   path `op2-core` compares dataflow against. It runs chunks of the
 //!   length its caller passes; choosing that length (§IV-B's chunk
@@ -31,14 +32,15 @@
 //! ## Quick start
 //!
 //! ```
-//! use hpx_rt::{dataflow, for_each_chunk, Runtime};
+//! use hpx_rt::{channel, dataflow, for_each_chunk, Runtime};
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! let rt = Runtime::new(4);
 //!
 //! // Futures + dataflow: an execution graph without global barriers.
-//! let a = rt.spawn_future(|| 2 + 2);
+//! let (promise, a) = channel();
 //! let b = dataflow(&rt, |(a,)| a * 10, (a,));
+//! promise.set_value(2 + 2);
 //! assert_eq!(b.get(), 40);
 //!
 //! // A chunked parallel loop: the body gets whole index ranges of 1000.
@@ -53,7 +55,6 @@
 #![warn(rust_2018_idioms)]
 
 mod algo;
-mod dataflow;
 mod dep;
 mod future;
 pub mod lco;
@@ -63,9 +64,8 @@ mod task;
 pub mod timing;
 
 pub use algo::for_each_chunk;
-pub use dataflow::{dataflow, DataflowArg, FrameRef, FutureTuple, Val};
-pub use dep::{schedule_after, schedule_after_counted, when_all_shared};
-pub use future::{channel, ready, when_all, BrokenPromise, Future, Promise, SharedFuture};
+pub use dep::{dataflow, schedule_after, schedule_after_counted, when_all_shared};
+pub use future::{channel, ready, Promise, SharedFuture};
 pub use runtime::Runtime;
 pub use stats::RuntimeStats;
 pub use timing::Clock;

@@ -8,9 +8,8 @@
 //! `is_empty`, `pop` and `steal_batch_and_pop` each take a lock.) Two
 //! properties matter for the paper's experiments:
 //!
-//! * **Asynchronous tasking** — [`Runtime::spawn`] never blocks; futures and
-//!   dataflow nodes (see [`crate::future`], [`crate::dataflow`]) schedule
-//!   continuations as plain tasks.
+//! * **Asynchronous tasking** — [`Runtime::spawn`] never blocks; dataflow
+//!   nodes (see [`crate::dep`]) schedule continuations as plain tasks.
 //! * **Help-first blocking** — a worker that blocks on a future or latch
 //!   does not sleep; it executes other ready tasks ([`try_help`]). This is
 //!   the Rust substitute for HPX's suspendable user-level threads and it is
@@ -24,8 +23,8 @@
 //! blocked `future::get` hands the core to other tasks. So the runtime
 //! starts `n - 1` background workers and keeps the n-th deque and counter
 //! block as the **caller slot** ([`SlotHold`]). A thread that is not a
-//! worker and blocks on one of the crate's primitives — `Future` /
-//! `SharedFuture` `wait`/`get`, `Latch`, `Event`,
+//! worker and blocks on one of the crate's primitives — `SharedFuture`
+//! `wait`/`get`, `Latch`, `Event`,
 //! [`Runtime::wait_idle`], the chunk engine's join, all through
 //! [`block_until`] — claims the free slot for the duration of the wait, and
 //! inside it is a worker in every respect: its own deque (what the tasks
@@ -199,7 +198,7 @@ pub(crate) enum Help {
 ///
 /// ```
 /// let rt = hpx_rt::Runtime::new(4);
-/// let fut = rt.spawn_future(|| 21 * 2);
+/// let fut = hpx_rt::dataflow(&rt, |()| 21 * 2, ());
 /// assert_eq!(fut.get(), 42);
 /// ```
 pub struct Runtime {
@@ -250,31 +249,14 @@ impl Runtime {
 
     /// Schedules `f` to run on the pool. Never blocks.
     ///
-    /// Panics inside `f` are caught and counted in [`RuntimeStats`]; use
-    /// [`Runtime::spawn_future`] when the caller needs the result or the
-    /// panic propagated.
+    /// Panics inside `f` are caught and counted in [`RuntimeStats`]; use a
+    /// zero-input [`dataflow`](crate::dataflow) when the caller needs the
+    /// result or the panic propagated.
     pub fn spawn<F>(&self, f: F)
     where
         F: FnOnce() + Send + 'static,
     {
         self.inner.spawn_task(Task::new(f));
-    }
-
-    /// Schedules `f` and returns a [`Future`](crate::Future) for its result.
-    /// A panic in `f` is captured and re-thrown by `Future::get`.
-    pub fn spawn_future<R, F>(&self, f: F) -> crate::Future<R>
-    where
-        R: Send + 'static,
-        F: FnOnce() -> R + Send + 'static,
-    {
-        let (promise, future) = crate::future::channel();
-        self.spawn(
-            move || match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-                Ok(v) => promise.set_value(v),
-                Err(p) => promise.set_panic(p),
-            },
-        );
-        future
     }
 
     /// Blocks until every spawned task has finished. Intended for tests and
@@ -799,19 +781,23 @@ mod tests {
         let counter = Arc::new(AtomicU64::new(0));
         let fut = {
             let c = Arc::clone(&counter);
-            rt.spawn_future(move || {
-                // Spawning from a worker goes through the local deque path.
-                for _ in 0..100 {
-                    let c2 = Arc::clone(&c);
-                    crate::runtime::CURRENT_WORKER.with(|cur| {
-                        assert!(!cur.get().is_null(), "must run on a worker");
-                    });
-                    // Use try_help to exercise the help path too.
-                    let _ = try_help();
-                    c2.fetch_add(1, Ordering::Relaxed);
-                }
-                7u32
-            })
+            crate::dataflow(
+                &rt,
+                move |()| {
+                    // Spawning from a worker goes through the local deque path.
+                    for _ in 0..100 {
+                        let c2 = Arc::clone(&c);
+                        crate::runtime::CURRENT_WORKER.with(|cur| {
+                            assert!(!cur.get().is_null(), "must run on a worker");
+                        });
+                        // Use try_help to exercise the help path too.
+                        let _ = try_help();
+                        c2.fetch_add(1, Ordering::Relaxed);
+                    }
+                    7u32
+                },
+                (),
+            )
         };
         assert_eq!(fut.get(), 7);
         rt.wait_idle();
@@ -825,14 +811,14 @@ mod tests {
         rt.wait_idle();
         assert_eq!(rt.stats().task_panics, 1);
         // Pool still works.
-        let fut = rt.spawn_future(|| 5);
+        let fut = crate::dataflow(&rt, |()| 5, ());
         assert_eq!(fut.get(), 5);
     }
 
     #[test]
     fn single_thread_pool() {
         let rt = Runtime::new(1);
-        let fut = rt.spawn_future(|| (0..100u64).sum::<u64>());
+        let fut = crate::dataflow(&rt, |()| (0..100u64).sum::<u64>(), ());
         assert_eq!(fut.get(), 4950);
     }
 
@@ -988,27 +974,28 @@ mod tests {
         assert!(ids.contains(&ran_on[0]), "a waiter held the slot");
         assert!(rt.inner.slot.lock().is_some(), "given back");
         // Only this thread can run it: it claims the slot for the wait.
-        assert!(rt.spawn_future(on_worker_thread).get());
+        assert!(crate::dataflow(&rt, |()| on_worker_thread(), ()).get());
         let stats = rt.stats();
         assert_eq!(stats.tasks_helped, 101, "{stats}");
         release.store(true, Ordering::Release);
     }
 
     /// The caller is a worker in this respect too: a task that panics while
-    /// it runs it is caught and counted, a panicking `spawn_future` poisons
+    /// it runs it is caught and counted, a panicking `dataflow` node poisons
     /// its own future, and the wait on a third one returns its value.
     #[test]
     fn a_panic_in_a_task_the_caller_runs_stays_in_that_task() {
         let rt = Runtime::new(2);
         let release = pin_workers(&rt);
         rt.spawn(|| panic!("boom"));
-        let bad = rt.spawn_future(|| -> u32 { panic!("poisoned") });
-        let good = rt.spawn_future(|| 7u32);
+        let bad = crate::dataflow(&rt, |()| -> u32 { panic!("poisoned") }, ());
+        let good = crate::dataflow(&rt, |()| 7u32, ());
         assert_eq!(good.get(), 7);
         let stats = rt.stats();
         assert_eq!((stats.task_panics, stats.tasks_helped), (1, 3), "{stats}");
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| bad.get()));
-        assert_eq!(err.unwrap_err().downcast_ref::<&str>(), Some(&"poisoned"));
+        let err = err.unwrap_err();
+        assert_eq!(err.downcast_ref::<String>().unwrap(), "poisoned");
         assert!(!on_worker_thread());
         release.store(true, Ordering::Release);
     }
@@ -1020,15 +1007,19 @@ mod tests {
         let rt = Arc::new(Runtime::new(2));
         let release = pin_workers(&rt);
         let rt2 = Arc::clone(&rt);
-        let outer = rt.spawn_future(move || {
-            assert!(on_worker_thread());
-            let inner = rt2.spawn_future(|| 5u32);
-            assert!(
-                rt2.inner.injector.is_empty(),
-                "spawned onto the slot's deque"
-            );
-            inner.get() + 1
-        });
+        let outer = crate::dataflow(
+            &rt,
+            move |()| {
+                assert!(on_worker_thread());
+                let inner = crate::dataflow(&rt2, |()| 5u32, ());
+                assert!(
+                    rt2.inner.injector.is_empty(),
+                    "spawned onto the slot's deque"
+                );
+                inner.get() + 1
+            },
+            (),
+        );
         assert_eq!(outer.get(), 6);
         assert_eq!(rt.stats().tasks_helped, 2);
         release.store(true, Ordering::Release);

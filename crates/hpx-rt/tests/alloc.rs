@@ -45,12 +45,8 @@ const NODES: usize = 10_000;
 /// the same `edges` pending predecessors, the predecessors complete, and
 /// every node runs on a two-worker runtime.
 fn blocks_per_node(rt: &Runtime, edges: usize) -> f64 {
-    let (promises, deps): (Vec<_>, Vec<SharedFuture<()>>) = (0..edges)
-        .map(|_| {
-            let (promise, future) = channel::<()>();
-            (promise, future.share())
-        })
-        .unzip();
+    let (promises, deps): (Vec<_>, Vec<SharedFuture<()>>) =
+        (0..edges).map(|_| channel::<()>()).unzip();
     let ran = Arc::new(AtomicUsize::new(0));
     let mut nodes: Vec<SharedFuture<()>> = Vec::with_capacity(NODES);
 

@@ -8,9 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use hpx_rt::{
-    channel, dataflow, for_each_chunk, ready, schedule_after, when_all, Runtime, SharedFuture,
-};
+use hpx_rt::{channel, dataflow, for_each_chunk, schedule_after, Runtime, SharedFuture};
 
 #[test]
 fn nested_parallel_loops_do_not_deadlock_small_pools() {
@@ -36,8 +34,8 @@ fn deeply_nested_futures_resolve() {
         if depth == 0 {
             return 1;
         }
-        let rt2_inner = rt.spawn_future(|| 1u64);
-        rt2_inner.get() + depth as u64
+        let inner = dataflow(rt, |()| 1u64, ());
+        inner.get() + depth as u64
     }
     let total = nest(&rt, 16);
     assert_eq!(total, 17);
@@ -47,23 +45,26 @@ fn deeply_nested_futures_resolve() {
 fn runtime_survives_async_loop_panic() {
     let rt = Arc::new(Runtime::new(2));
     let on = Arc::clone(&rt);
-    let fut = rt.spawn_future(move || {
-        for_each_chunk(&on, 10, 0..100, |r| {
-            if r.contains(&50) {
-                panic!("async body died");
-            }
-        })
-    });
+    let fut = dataflow(
+        &rt,
+        move |()| {
+            for_each_chunk(&on, 10, 0..100, |r| {
+                if r.contains(&50) {
+                    panic!("async body died");
+                }
+            })
+        },
+        (),
+    );
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fut.get()));
     let payload = caught.expect_err("panic must surface through the future");
     let msg = payload
-        .downcast_ref::<&str>()
-        .copied()
-        .unwrap_or("(non-string payload)");
+        .downcast_ref::<String>()
+        .map_or("(non-string payload)", String::as_str);
     assert!(msg.contains("async body died"), "got: {msg}");
     // The pool remains fully usable. (Loop-chunk panics are captured into
     // the completion future, not counted as unhandled task panics.)
-    let v = rt.spawn_future(|| 7u32).get();
+    let v = dataflow(&rt, |()| 7u32, ()).get();
     assert_eq!(v, 7);
     assert_eq!(rt.stats().task_panics, 0);
 }
@@ -73,8 +74,10 @@ fn rapid_runtime_lifecycle() {
     for threads in [1usize, 2, 3] {
         for _ in 0..10 {
             let rt = Runtime::new(threads);
-            let futs: Vec<_> = (0..16).map(|i| rt.spawn_future(move || i * i)).collect();
-            let vals = when_all(futs).get();
+            let futs: Vec<_> = (0..16)
+                .map(|i| dataflow(&rt, move |()| i * i, ()))
+                .collect();
+            let vals: Vec<_> = futs.iter().map(SharedFuture::get).collect();
             assert_eq!(vals.len(), 16);
             // Drop joins all workers.
         }
@@ -85,8 +88,8 @@ fn rapid_runtime_lifecycle() {
 fn two_runtimes_coexist() {
     let a = Runtime::new(2);
     let b = Runtime::new(2);
-    let fa = a.spawn_future(|| "a");
-    let fb = b.spawn_future(|| "b");
+    let fa = dataflow(&a, |()| "a", ());
+    let fb = dataflow(&b, |()| "b", ());
     // Cross-runtime dataflow: inputs from different pools, scheduled on a.
     let joined = dataflow(&a, |(x, y)| format!("{x}{y}"), (fa, fb));
     assert_eq!(joined.get(), "ab");
@@ -253,25 +256,16 @@ fn idle_worker_wakes_for_a_task_on_a_siblings_deque() {
 }
 
 #[test]
-fn when_all_of_mixed_ready_and_pending() {
-    let rt = Runtime::new(2);
-    let mut futs = vec![ready(0u64)];
-    futs.extend((1..50u64).map(|i| rt.spawn_future(move || i)));
-    let vals = when_all(futs).get();
-    assert_eq!(vals, (0..50).collect::<Vec<u64>>());
-}
-
-#[test]
 fn heavy_dataflow_fan_out_and_in() {
     let rt = Runtime::new(2);
-    let src = rt.spawn_future(|| 1u64).share();
+    let src = dataflow(&rt, |()| 1u64, ());
     let mids: Vec<_> = (0..100u64)
         .map(|i| {
             let s = src.clone();
             dataflow(&rt, move |(x,)| x + i, (s,))
         })
         .collect();
-    let total: u64 = when_all(mids).get().into_iter().sum();
+    let total: u64 = mids.iter().map(SharedFuture::get).sum();
     assert_eq!(total, 100 + (0..100).sum::<u64>());
 }
 
@@ -344,7 +338,7 @@ fn halo_exchange_pattern_survives_seeded_wake_permutations() {
         for futs in &mut producer_futs {
             for _ in 0..DATS {
                 let (promise, fut) = channel::<()>();
-                futs.push(fut.share());
+                futs.push(fut);
                 triggers.push(promise);
             }
         }
@@ -446,7 +440,7 @@ fn frames_fire_exactly_once_under_seeded_interleavings() {
                     .map(|_| {
                         let (promise, fut) = channel::<()>();
                         promises.push((i, promise));
-                        fut.share()
+                        fut
                     })
                     .collect();
                 let (fired, fulfilled) = (Arc::clone(&fired), Arc::clone(&fulfilled));
@@ -517,7 +511,7 @@ fn caller_slots_change_hands_under_seeded_completion_orders() {
                 let (gates, opens): (Vec<_>, Vec<_>) = (0..ROUNDS)
                     .map(|_| {
                         let (promise, gate) = channel::<()>();
-                        (gate.share(), promise)
+                        (gate, promise)
                     })
                     .unzip();
                 promises.push(opens.into_iter());

@@ -1,5 +1,5 @@
 //! Tour of the hpx-rt primitives the OP2 backend is built from: futures,
-//! `dataflow` graphs, `when_all`, and chunked loops — shown on a two-stage
+//! `dataflow` graphs and chunked loops — shown on a two-stage
 //! pipeline of dependent parallel loops with *different* per-element
 //! costs.
 //!
@@ -11,22 +11,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use op2_hpx::hpx::timing::time;
-use op2_hpx::hpx::{dataflow, for_each_chunk, Runtime, Val};
+use op2_hpx::hpx::{channel, dataflow, for_each_chunk, ready, Runtime};
 
 fn main() {
     // Shared, so the async loop below can name its runtime from a task.
     let rt = Arc::new(Runtime::new(2));
 
     // --- Futures and dataflow -------------------------------------------
-    let a = rt.spawn_future(|| 6u64);
-    let b = rt.spawn_future(|| 7u64);
-    let product = dataflow(&rt, |(a, b, c)| a * b * c, (a, b, Val(1u64)));
-    println!("dataflow(6, 7, Val(1)) = {}", product.get());
+    let a = dataflow(&rt, |()| 6u64, ());
+    let (promise, b) = channel();
+    let product = dataflow(&rt, |(a, b, c)| a * b * c, (a, b, ready(1u64)));
+    promise.set_value(7u64);
+    println!("dataflow(6, 7, ready(1)) = {}", product.get());
 
     // A diamond: one producer, two independent consumers, one join.
-    let src = rt.spawn_future(|| (0..1000u64).sum::<u64>()).share();
-    let left = src.then(&rt, |s| s / 2);
-    let right = src.then(&rt, |s| s % 97);
+    let src = dataflow(&rt, |()| (0..1000u64).sum::<u64>(), ());
+    let left = dataflow(&rt, |(s,)| s / 2, (src.clone(),));
+    let right = dataflow(&rt, |(s,)| s % 97, (src,));
     let joined = dataflow(&rt, |(l, r)| (l, r), (left, right));
     println!("diamond -> {:?}", joined.get());
 
@@ -80,13 +81,17 @@ fn main() {
     let counter = Arc::new(AtomicU64::new(0));
     let c = Arc::clone(&counter);
     let on = Arc::clone(&rt);
-    let fut = rt.spawn_future(move || {
-        for_each_chunk(&on, chunk_len, 0..100_000, |r| {
-            c.fetch_add(r.len() as u64, Ordering::Relaxed);
-        })
-    });
+    let fut = dataflow(
+        &rt,
+        move |()| {
+            for_each_chunk(&on, chunk_len, 0..100_000, |r| {
+                c.fetch_add(r.len() as u64, Ordering::Relaxed);
+            })
+        },
+        (),
+    );
     println!("async loop submitted; doing other work...");
-    let other = rt.spawn_future(|| "other work done");
+    let other = dataflow(&rt, |()| "other work done", ());
     println!("{}", other.get());
     fut.get();
     println!(

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use op2_hpx::hpx::timing::Clock;
-use op2_hpx::hpx::{dataflow, ready, Future, Runtime};
+use op2_hpx::hpx::{dataflow, ready, Runtime, SharedFuture};
 use op2_hpx::mesh::{
     build_halo, channel_with_bump, neighbors_from_pairs, partition_greedy_bfs, quad_stats,
     validate_quad,
@@ -166,7 +166,7 @@ fn dataflow_trees_match_sequential() {
         let mut rng = Rng::new(0xDA7A_F10F ^ case.wrapping_mul(0xD6E8_FEB8_6659_FD93));
         let rt = Runtime::new(2);
         let mut expect = 1u64;
-        let mut fut: Future<u64> = ready(1);
+        let mut fut: SharedFuture<u64> = ready(1);
         for _ in 0..rng.in_range(1, 40) {
             let v = rng.in_range(1, 100) as u64;
             match rng.in_range(0, 3) {
@@ -176,15 +176,14 @@ fn dataflow_trees_match_sequential() {
                 }
                 1 => {
                     expect = expect.wrapping_mul(v);
-                    let extra = rt.spawn_future(move || v);
+                    let extra = dataflow(&rt, move |()| v, ());
                     fut = dataflow(&rt, |(x, y)| x.wrapping_mul(y), (fut, extra));
                 }
                 _ => {
                     expect ^= v;
-                    let shared = fut.share();
                     // Diamond: two readers of the same value re-joined.
-                    let l = shared.then(&rt, move |x| x ^ v);
-                    let r = shared.then(&rt, |x| x);
+                    let l = dataflow(&rt, move |(x,)| x ^ v, (fut.clone(),));
+                    let r = dataflow(&rt, |(x,)| x, (fut,));
                     fut = dataflow(
                         &rt,
                         |(l, r)| {
