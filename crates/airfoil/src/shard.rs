@@ -259,8 +259,11 @@ impl ShardedProblem {
     /// SPMD-safe: the decision is taken from [`agree_rank_busy`]'s agreed
     /// vector, so every process repartitions identically or not at all.
     /// Measured busy times reset after every check, triggered or not, so
-    /// each decision sees only the load profile since the last one.
+    /// each decision sees only the load profile since the last one. The
+    /// check first fences the group: under Dataflow, iterations still in
+    /// flight would keep adding to a counter the reset has just zeroed.
     pub fn rebalance(&mut self) -> Option<RebalanceReport> {
+        self.group.fence();
         let busy = agree_rank_busy(&self.group);
         self.rebalance_with_busy(&busy)
     }

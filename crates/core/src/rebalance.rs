@@ -36,8 +36,6 @@
 //! every import stale, so the first post-migration reader refreshes its
 //! mirrors from the (already migrated) owned rows.
 
-use std::sync::atomic::Ordering;
-
 use hpx_rt::{when_all_shared, SharedFuture};
 
 use crate::dat::Dat;
@@ -76,17 +74,6 @@ pub fn agree_rank_busy(group: &LocalityGroup) -> Vec<u64> {
         .collect();
     let agreed = group.allreduce(&slots).get();
     agreed.into_iter().map(|ns| ns as u64).collect()
-}
-
-/// `max / mean` of the per-rank busy times — 1.0 is perfect balance, k
-/// means the slowest rank carries k× the average load. `None` if any rank
-/// has no measurement yet (no decision can be taken).
-pub fn imbalance_ratio(busy: &[u64]) -> Option<f64> {
-    if busy.is_empty() || busy.contains(&0) {
-        return None;
-    }
-    let mean = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
-    Some(*busy.iter().max().expect("non-empty") as f64 / mean)
 }
 
 /// Quantizes measured per-rank busy times into integer per-element cost
@@ -213,9 +200,6 @@ pub fn migrate_rows<T: OpType>(
             (src, dst, &rows[..], Landing::Rows(landed[..].into()))
         })
         .collect();
-    let rows_moved: usize = moves.iter().map(|m| m.2.len()).sum();
-    hpx_rt::static_counter!("op2.rebalance.rows_moved")
-        .fetch_add(rows_moved as u64, Ordering::Relaxed);
     let hooks: Vec<CommHooks> = group.ranks().iter().map(Op2::comm_hooks).collect();
     let at = |dats: &[Dat<T>], r: usize| dats[r - local.start].clone();
     let halves = move_rows(
@@ -240,14 +224,6 @@ pub fn migrate_rows<T: OpType>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn imbalance_ratio_basics() {
-        assert_eq!(imbalance_ratio(&[]), None);
-        assert_eq!(imbalance_ratio(&[10, 0]), None, "unmeasured rank");
-        assert_eq!(imbalance_ratio(&[5, 5, 5]), Some(1.0));
-        assert_eq!(imbalance_ratio(&[30, 10, 20]), Some(1.5));
-    }
 
     #[test]
     fn cost_levels_dead_zone_and_quantization() {

@@ -212,18 +212,6 @@ impl CounterSnapshot {
     pub fn delta(&self, name: &str) -> u64 {
         counter_value(name).saturating_sub(self.at.get(name).copied().unwrap_or(0))
     }
-
-    /// The deltas of every counter that grew since the snapshot, sorted by
-    /// name — the per-scope view benches print.
-    pub fn deltas(&self) -> Vec<(&'static str, u64)> {
-        counters()
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let d = v.saturating_sub(self.at.get(k).copied().unwrap_or(0));
-                (d > 0).then_some((k, d))
-            })
-            .collect()
-    }
 }
 
 impl std::fmt::Display for RuntimeStats {

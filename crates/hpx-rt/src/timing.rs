@@ -27,9 +27,6 @@ use std::time::{Duration, Instant};
 /// let t0 = fake.now_ns();
 /// fake.advance(Duration::from_micros(3));
 /// assert_eq!(fake.now_ns() - t0, 3_000);
-///
-/// let real = Clock::real();
-/// assert!(!real.is_fake());
 /// ```
 #[derive(Clone, Debug)]
 pub struct Clock {
@@ -56,11 +53,6 @@ impl Clock {
         Clock {
             fake: Some(Arc::new(AtomicU64::new(0))),
         }
-    }
-
-    /// True for a test clock created by [`Clock::fake`].
-    pub fn is_fake(&self) -> bool {
-        self.fake.is_some()
     }
 
     /// Monotonic nanoseconds; only differences are meaningful.
@@ -211,7 +203,6 @@ mod tests {
     #[test]
     fn fake_clock_is_deterministic_and_shared() {
         let c = Clock::fake();
-        assert!(c.is_fake());
         assert_eq!(c.now_ns(), 0);
         let clone = c.clone();
         c.advance(Duration::from_nanos(250));

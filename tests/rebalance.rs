@@ -228,6 +228,48 @@ fn single_rank_rebalance_is_refused() {
     assert!(shp.rebalance().is_none());
 }
 
+/// A rebalance check judges only finished work. Under Dataflow, loops of
+/// earlier iterations may still be running when the check is reached; if
+/// the busy times were agreed (and reset) while they ran, their time would
+/// land in the next window instead of this one. Here a rank-0 loop is held
+/// on a gate that a helper thread opens ~200 ms later: `rebalance()` may
+/// not return before that loop has finished.
+#[test]
+fn rebalance_judges_only_finished_iterations() {
+    use op2_hpx::hpx::channel;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    let mesh = channel_with_bump(12, 6);
+    let mut shp = ShardedProblem::declare(Op2Config::dataflow(2), &mesh, 2);
+    let (open, gate) = channel::<()>();
+    let finished = Arc::new(AtomicBool::new(false));
+
+    let rank0 = shp.group.rank(0);
+    let held = rank0.decl_set(1, "held");
+    let x = rank0.decl_dat(&held, 1, "held_dat", vec![0.0f64]);
+    let done = Arc::clone(&finished);
+    rank0
+        .loop_("held", &held)
+        .arg(rw(&x))
+        .run(move |x: &mut [f64]| {
+            gate.wait();
+            x[0] += 1.0;
+            done.store(true, Ordering::Release);
+        });
+    let opener = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(200));
+        open.set_value(());
+    });
+
+    shp.rebalance();
+    assert!(
+        finished.load(Ordering::Acquire),
+        "rebalance() returned while a loop it should judge was still running"
+    );
+    opener.join().expect("gate opener");
+}
+
 /// Migration retires exactly the affected loop-schedule cache entries:
 /// every schedule keyed on the migrated sets' signatures is dropped, while
 /// schedules for unrelated sets survive.
