@@ -17,10 +17,12 @@
 //! `--rank-id R --rendezvous DIR`, so every flag reaches every rank.)
 //!
 //! `--rebalance N` and `--skew S` act on how the ranks share the load, so
-//! both need `--ranks N > 1`, as does `--transport process`. A usage error
-//! (one of these on a single rank, an unknown flag, `--backend` or
-//! `--transport`, a flag's value missing or unparsable) exits with code 2
-//! and a one-line message naming the flag.
+//! both need `--ranks N > 1`, as does `--transport process`. `--rebalance`
+//! also needs `--transport process`: it weighs each rank by its measured
+//! busy time, and ranks sharing one in-process runtime measure each other's
+//! contention, not their own cost. A usage error (one of these unmet, an
+//! unknown flag, `--backend` or `--transport`, a flag's value missing or
+//! unparsable) exits with code 2 and a one-line message naming the flag.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -94,7 +96,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Args {
                      --rms-out PATH     write the residual history to PATH (rank 0)\n\
                      --print-every N    residual print period (default 100)\n\
                      --rebalance N      live-repartition check period in iterations\n    \
-                                    (0 = off, the default; needs --ranks N > 1)\n\
+                                    (0 = off, the default; needs --transport process)\n\
                      --skew S           artificial per-cell cost skew units for the\n    \
                                     load-balancing study (0 = off, the default;\n    \
                                     needs --ranks N > 1; see ShardedAirfoil::new)"
@@ -187,13 +189,14 @@ fn usage_error(message: String) -> ! {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(argv.iter().cloned());
-    for (given, flag) in [
-        (args.rebalance > 0, "--rebalance"),
-        (args.skew != 0.0, "--skew"),
-        (args.transport == "process", "--transport process"),
+    // Each of these acts between ranks; `also` is what else it needs.
+    for (given, flag, also) in [
+        (args.rebalance > 0, "--rebalance", " --transport process"),
+        (args.skew != 0.0, "--skew", ""),
+        (args.transport == "process", "--transport process", ""),
     ] {
-        if given && args.ranks < 2 {
-            usage_error(format!("{flag} acts between ranks: it needs --ranks N > 1"));
+        if given && (args.ranks < 2 || !also.is_empty() && args.transport != "process") {
+            usage_error(format!("{flag} needs --ranks N > 1{also}"));
         }
     }
     let config = match args.backend.as_str() {

@@ -7,9 +7,10 @@
 //! over OP2's row-major dats. These functions take their inputs as
 //! caller-built planes instead, one contiguous slice per component
 //! (`plane[c * stride + e]`), so a *block* of elements can be processed
-//! `LANES` at a time with unit-stride plane loads. The benchmark rig's
-//! kernel floor probe and the `simd_layout` bench measure them against the
-//! scalar kernels. They spell the lanes out as fixed-width
+//! `LANES` at a time with unit-stride plane loads. Their one user is the
+//! benchmark rig's kernel floor probe, which reports them per element
+//! beside the scalar kernels (`airfoil.kernel_soa_ns_per_elem.*` next to
+//! `airfoil.kernel_ns_per_elem.*`). They spell the lanes out as fixed-width
 //! `[f64; LANES]` arrays — the idiom LLVM reliably lowers to packed
 //! vector instructions without any unstable `std::simd` dependency.
 //!
@@ -31,7 +32,7 @@ use crate::constants::{CFL, EPS, GAM, GM1};
 use crate::kernels;
 
 /// Vector width: 4 × f64 = one AVX2 register (two NEON registers).
-pub const LANES: usize = 4;
+const LANES: usize = 4;
 
 /// Block-level SoA `update` over cells `range`.
 ///

@@ -26,6 +26,15 @@ fn skew_on_one_rank_exits_2_naming_the_flag() {
     assert_usage_error(&["--skew", "5"], "--skew");
 }
 
+/// Rebalancing weighs each rank by its measured busy time. Ranks sharing
+/// one in-process runtime measure each other's contention, so `--rebalance`
+/// needs one OS process per rank, on one rank or on several.
+#[test]
+fn rebalance_without_process_transport_exits_2_naming_the_flag() {
+    assert_usage_error(&["--rebalance", "5"], "--rebalance");
+    assert_usage_error(&["--rebalance", "5", "--ranks", "2"], "--rebalance");
+}
+
 /// One process per rank needs more than one rank.
 #[test]
 fn process_transport_on_one_rank_exits_2_naming_the_flag() {

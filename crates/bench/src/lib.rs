@@ -9,10 +9,12 @@
 //!
 //! Figs 18-20 (the §V prefetching iterator) have no binary: prefetching lost
 //! or tied on every workload measured here and was deleted (`README.md`
-//! § Prefetching). The other binaries (`reduce_overlap`, `transport_halo`,
-//! `simd_layout`) are the perf gates CI runs. Dynamic rebalancing has no
-//! binary: CI races the `airfoil` binary itself, as 2 processes, with and
-//! without `--rebalance`.
+//! § Prefetching). The other binaries (`reduce_overlap`, `transport_halo`)
+//! are perf gates CI runs, like `chunk_adapt`; each gates OP2 code a solve
+//! runs. Dynamic rebalancing has no binary: CI races the `airfoil` binary
+//! itself, as 2 processes, with and without `--rebalance`. The hand-vectorized
+//! plane kernels have none either: the benchmark rig reports them per
+//! element beside the scalar kernels.
 //!
 //! `fig15_16` accepts `--cells`, `--iters`, `--threads a,b,c`, `--reps`,
 //! `--csv PATH` and `--paper-scale` (see [`sweep::parse_sweep_args`]).

@@ -555,24 +555,21 @@ mod tests {
     /// single-slot `pending`, registering a second (already complete)
     /// incrementing loop *overwrote* the first loop's still-running
     /// completion future, so `get()` returned a partially-finalized value.
-    /// Deterministic exposure: loop 1 is held hostage on an event, loop 2
+    /// Deterministic exposure: loop 1 is held hostage on a gate, loop 2
     /// completes immediately — `get()` must still see both.
     #[test]
     fn get_waits_every_outstanding_loop_not_just_the_latest() {
-        use hpx_rt::lco::Event;
-
         let rt = Runtime::new(2);
         let g = Global::<f64>::sum(1, "rms");
-        let gate = Arc::new(Event::new());
+        let (open, gate) = hpx_rt::channel::<()>();
 
         // Loop 1: partial committed, finalize hostage on the gate.
         g.commit(1, 0, vec![1.0]);
         let g1 = g.clone();
-        let gate1 = Arc::clone(&gate);
         let f1 = hpx_rt::dataflow(
             &rt,
             move |()| {
-                gate1.wait();
+                gate.wait();
                 g1.finalize(1);
             },
             (),
@@ -590,7 +587,7 @@ mod tests {
         // Loop 1 is provably still hostage while the reader runs.
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(!f1.is_ready(), "hostage loop completed early");
-        gate.set();
+        open.set_value(());
         assert_eq!(
             reader.join().expect("reader thread"),
             11.0,
@@ -662,10 +659,10 @@ mod tests {
     fn collect_pending_reports_all_outstanding() {
         let rt = Runtime::new(1);
         let g = Global::<i64>::sum(1, "r");
-        let gate = Arc::new(hpx_rt::lco::Event::new());
+        let (open, gate) = hpx_rt::channel::<()>();
         let futs: Vec<SharedFuture<()>> = (0..3)
             .map(|_| {
-                let gate = Arc::clone(&gate);
+                let gate = gate.clone();
                 hpx_rt::dataflow(&rt, move |()| gate.wait(), ())
             })
             .collect();
@@ -675,7 +672,7 @@ mod tests {
         let mut out = Vec::new();
         g.collect_pending(&mut out);
         assert_eq!(out.len(), 3, "every outstanding loop must be reported");
-        gate.set();
+        open.set_value(());
         g.get();
         assert_eq!(g.pending_len(), 0);
     }

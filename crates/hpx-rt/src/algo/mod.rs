@@ -142,7 +142,7 @@ pub(crate) fn run_chunked(
             // the same size: they are about as far from done as its own
             // share took. Past that something is off (a helper was
             // pre-empted, chunks are uneven) and polling buys nothing.
-            header.finished.wait_spinning(joined.elapsed().min(LINGER));
+            header.finished.wait(joined.elapsed().min(LINGER));
             if let Some(p) = frame.panic.into_inner() {
                 std::panic::resume_unwind(p);
             }

@@ -12,23 +12,12 @@ use crate::runtime::{block_until, Blocked};
 /// blocked in `wait` executes other ready tasks (help-first), which is what
 /// allows nested parallel loops without deadlocking a small pool.
 ///
-/// ```
-/// use std::sync::Arc;
-/// let rt = hpx_rt::Runtime::new(2);
-/// let latch = Arc::new(hpx_rt::lco::Latch::new(10));
-/// for _ in 0..10 {
-///     let l = Arc::clone(&latch);
-///     rt.spawn(move || l.count_down());
-/// }
-/// latch.wait();
-/// ```
-///
 /// A latch may live on its waiter's stack and be popped the moment `wait`
-/// returns (`sort` borrows one into its run and merge tasks). So the last
-/// `count_down` must be done with the latch's memory before any `wait` can
-/// return: the decrement, the look at the sleepers and the wake happen
-/// inside one critical section of `lock`, and `wait` never returns on the
-/// lock-free view of `remaining` alone — it sees zero with `lock` held.
+/// returns. So the last `count_down` must be done with the latch's memory
+/// before any `wait` can return: the decrement, the look at the sleepers
+/// and the wake happen inside one critical section of `lock`, and `wait`
+/// never returns on the lock-free view of `remaining` alone — it sees zero
+/// with `lock` held.
 pub struct Latch {
     remaining: AtomicUsize,
     lock: Mutex<()>,
@@ -69,24 +58,14 @@ impl Latch {
         self.remaining.load(Ordering::Acquire) == 0
     }
 
-    /// Blocks until open; workers help-execute while waiting.
-    pub fn wait(&self) {
-        self.wait_spinning(Duration::ZERO);
-    }
-
-    /// [`Latch::wait`] that polls for up to `spin` before it sleeps: the
-    /// join of the chunked loop, whose stragglers are about as far
-    /// from done as the caller's own share took.
-    pub(crate) fn wait_spinning(&self, spin: Duration) {
+    /// Blocks until open, polling for up to `spin` before it sleeps; workers
+    /// help-execute while waiting. The chunked loop's join spins about as
+    /// long as the caller's own share took: its stragglers started with it.
+    pub fn wait(&self, spin: Duration) {
         // `block_until` sees zero with `lock` held, so the opening
         // `count_down` has left its critical section before the caller
         // may drop the latch.
         block_until(&self.lock, &self.blocked, spin, |_| self.try_wait());
-    }
-
-    /// Remaining countdowns (diagnostic).
-    pub fn pending(&self) -> usize {
-        self.remaining.load(Ordering::Acquire)
     }
 }
 
@@ -99,7 +78,7 @@ mod tests {
     fn zero_latch_is_open() {
         let l = Latch::new(0);
         assert!(l.try_wait());
-        l.wait();
+        l.wait(Duration::ZERO);
     }
 
     #[test]
@@ -111,11 +90,22 @@ mod tests {
                 std::thread::spawn(move || l.count_down())
             })
             .collect();
-        l.wait();
-        assert_eq!(l.pending(), 0);
+        l.wait(Duration::ZERO);
+        assert!(l.try_wait());
         for t in threads {
             t.join().unwrap();
         }
+    }
+
+    #[test]
+    fn opens_after_n_countdowns_spawned_on_the_runtime() {
+        let rt = crate::Runtime::new(2);
+        let latch = Arc::new(Latch::new(10));
+        for _ in 0..10 {
+            let l = Arc::clone(&latch);
+            rt.spawn(move || l.count_down());
+        }
+        latch.wait(Duration::ZERO);
     }
 
     #[test]
@@ -141,7 +131,7 @@ mod tests {
                 let l3 = Arc::clone(&l2);
                 assert!(crate::runtime::on_worker_thread());
                 worker_rt.spawn(move || l3.count_down());
-                l2.wait();
+                l2.wait(Duration::ZERO);
                 true
             },
             (),

@@ -7,15 +7,14 @@
 //! waiting."
 //!
 //! The future and dataflow LCOs live in `crate::future` and `crate::dep`
-//! ([`crate::dataflow`]); this module holds the two others OP2 runs on.
-//! [`Latch`] is the workhorse: the chunked loops count their finished
-//! chunks on one, and its `wait` help-executes pool tasks instead of
-//! sleeping. [`Event`] is a manual-reset gate. (`op2-core`'s cross-rank
+//! ([`crate::dataflow`]); this module holds the one other LCO OP2 runs on.
+//! [`Latch`]: the chunked loop counts its finished chunks on one, and its
+//! `wait` help-executes pool tasks instead of sleeping. A gate that one
+//! thread opens for others is a `channel::<()>()`: its [`crate::SharedFuture`]
+//! waits through the same `block_until`. (`op2-core`'s cross-rank
 //! allreduce is not an LCO here: it is a star of messages over its
 //! transport, and a reduction result is a plain [`crate::channel`].)
 
-mod event;
 mod latch;
 
-pub use event::Event;
 pub use latch::Latch;

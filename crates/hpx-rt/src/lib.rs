@@ -22,8 +22,9 @@
 //!   path `op2-core` compares dataflow against. It runs chunks of the
 //!   length its caller passes; choosing that length (§IV-B's chunk
 //!   policies) is `op2-core`'s decision, made in one place for both of its
-//!   parallel backends;
-//! * the LCOs OP2 waits on ([`lco`]): latch and event.
+//!   parallel backends. The loop counts its chunks home on a latch, the
+//!   one LCO besides the future and dataflow that OP2 runs on; a gate one
+//!   thread opens for others is a `channel::<()>()`.
 //!
 //! The paper's fourth technique, the §V prefetching iterator, is not here:
 //! it lost or tied on every workload measured on this reproduction's hosts
@@ -57,7 +58,7 @@
 mod algo;
 mod dep;
 mod future;
-pub mod lco;
+mod lco;
 mod runtime;
 pub mod stats;
 mod task;

@@ -24,14 +24,13 @@
 //! starts `n - 1` background workers and keeps the n-th deque and counter
 //! block as the **caller slot** ([`SlotHold`]). A thread that is not a
 //! worker and blocks on one of the crate's primitives — `SharedFuture`
-//! `wait`/`get`, `Latch`, `Event`,
-//! [`Runtime::wait_idle`], the chunk engine's join, all through
-//! [`block_until`] — claims the free slot for the duration of the wait, and
-//! inside it is a worker in every respect: its own deque (what the tasks
-//! it runs spawn lands there), steals, [`on_worker_thread`] true, panics
-//! caught and counted, its tasks counted as `tasks_helped`. Which runtime
-//! it helps is the one it last handed work to (`spawn`, a frame with a
-//! runtime, a chunked loop's helpers) or named
+//! `wait`/`get`, [`Runtime::wait_idle`], the chunk engine's `Latch` join,
+//! all through [`block_until`] — claims the free slot for the duration of
+//! the wait, and inside it is a worker in every respect: its own deque
+//! (what the tasks it runs spawn lands there), steals, [`on_worker_thread`]
+//! true, panics caught and counted, its tasks counted as `tasks_helped`.
+//! Which runtime it helps is the one it last handed work to (`spawn`, a
+//! frame with a runtime, a chunked loop's helpers) or named
 //! ([`Runtime::help_while_blocked`], `wait_idle`). A second outside thread
 //! blocking on the same runtime finds the slot taken and sleeps until its
 //! primitive completes. `Runtime::new(1)` is one background worker and no
@@ -81,7 +80,7 @@
 //!
 //! # Who may sleep, who must wake
 //!
-//! Every blocking primitive of the crate (futures, latches, events,
+//! Every blocking primitive of the crate (futures, latches,
 //! [`Runtime::wait_idle`]) waits through [`block_until`], the one
 //! place the blocked-thread protocol is written, and sleeps on a
 //! [`Blocked`]: a condvar that counts its sleepers. A thread sleeps only

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use op2_hpx::airfoil::{ShardedAirfoil, ShardedProblem};
 use op2_hpx::app::{run, RunConfig};
-use op2_hpx::hpx::lco::Event;
+use op2_hpx::hpx::channel;
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::gbl_inc;
 use op2_hpx::op2::locality::LocalityGroup;
@@ -82,8 +82,7 @@ fn allreduce_overlaps_while_one_contributor_is_hostage() {
     let cells0 = group.rank(0).decl_set(8, "cells");
     let cells1 = group.rank(1).decl_set(8, "cells");
 
-    let gate = Arc::new(Event::new());
-    let hostage_gate = Arc::clone(&gate);
+    let (open, hostage_gate) = channel::<()>();
     let taken = Arc::new(AtomicBool::new(false));
     let hostage_taken = Arc::clone(&taken);
     group
@@ -97,7 +96,7 @@ fn allreduce_overlaps_while_one_contributor_is_hostage() {
         });
     // The hostage must sit on a background worker before this thread blocks
     // on the runtime: in a wait it computes too (the caller slot), and a
-    // hostage it picked up itself would wait for the `gate.set()` below on
+    // hostage it picked up itself would wait for the `open` below on
     // top of the very wait that comes before it. Not a runtime wait.
     while !taken.load(Ordering::Acquire) {
         std::thread::yield_now();
@@ -122,7 +121,7 @@ fn allreduce_overlaps_while_one_contributor_is_hostage() {
         "allreduce completed although a contributor is still hostage"
     );
 
-    gate.set();
+    open.set_value(());
     red.wait();
     assert_eq!(red.get_scalar(), 8.0 + 16.0);
 }
@@ -189,10 +188,9 @@ fn shared_global_across_ranks_sums_exactly() {
 fn reduce_across_reads_shared_global_without_blocking() {
     let group = LocalityGroup::new(Op2Config::dataflow(2), 2);
     let g = Global::<f64>::sum(1, "shared");
-    let gate = Arc::new(Event::new());
+    let (open, hostage_gate) = channel::<()>();
     let cells0 = group.rank(0).decl_set(16, "cells");
     let cells1 = group.rank(1).decl_set(16, "cells");
-    let hostage_gate = Arc::clone(&gate);
     group
         .rank(0)
         .loop_("inc", &cells0)
@@ -209,7 +207,7 @@ fn reduce_across_reads_shared_global_without_blocking() {
 
     let red = g.reduce_async(group.rank(0));
     assert!(!red.is_ready(), "snapshot must wait the hostage loop");
-    gate.set();
+    open.set_value(());
     assert_eq!(red.get_scalar(), 32.0);
 }
 
@@ -293,7 +291,7 @@ fn per_iteration_reduction_prints_do_not_stall_the_pipeline() {
     let cells: Vec<_> = (0..2)
         .map(|r| group.rank(r).decl_set(32, "cells"))
         .collect();
-    let gate = Arc::new(Event::new());
+    let (open, gate) = channel::<()>();
     let lines: Arc<Mutex<Vec<(usize, f64)>>> = Arc::new(Mutex::new(Vec::new()));
 
     let mut reds: Vec<ReducedFuture<f64>> = Vec::new();
@@ -301,7 +299,7 @@ fn per_iteration_reduction_prints_do_not_stall_the_pipeline() {
     for iter in 0..ITERS {
         let globals: Vec<Global<f64>> = (0..2).map(|_| Global::<f64>::sum(1, "rms")).collect();
         for r in 0..2 {
-            let hostage = (iter == 0 && r == 0).then(|| Arc::clone(&gate));
+            let hostage = (iter == 0 && r == 0).then(|| gate.clone());
             let v = (iter * 2 + r) as f64;
             group
                 .rank(r)
@@ -336,7 +334,7 @@ fn per_iteration_reduction_prints_do_not_stall_the_pipeline() {
         "print chain must hold every line behind the hostage iteration"
     );
 
-    gate.set();
+    open.set_value(());
     group.fence();
     let printed = lines.lock().expect("lines lock").clone();
     let expected: Vec<(usize, f64)> = (0..ITERS)

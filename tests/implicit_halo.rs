@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 
 use op2_hpx::airfoil::{ShardedAirfoil, ShardedProblem};
 use op2_hpx::app::{run, RunConfig};
-use op2_hpx::hpx::lco::Event;
+use op2_hpx::hpx::channel;
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::{read_via, write};
 use op2_hpx::op2::locality::{exchange, implicit_halo_stats, HaloSpec, LocalityGroup};
@@ -349,14 +349,13 @@ fn interior_blocks_overlap_implicitly_scheduled_receives() {
     // Hostage writer on rank 1 (rank 0's exporter): marks q dirty, then
     // blocks until the gate opens — so the implicit exchange triggered by
     // rank 0's consumer cannot complete early.
-    let gate = Arc::new(Event::new());
-    let g = Arc::clone(&gate);
+    let (open, gate) = channel::<()>();
     group
         .rank(1)
         .loop_("produce", &states[1].cells)
         .arg(write(&states[1].q))
         .run(move |q: &mut [f64]| {
-            g.wait();
+            gate.wait();
             q[0] = 42.0;
         });
 
@@ -380,7 +379,7 @@ fn interior_blocks_overlap_implicitly_scheduled_receives() {
         std::thread::sleep(Duration::from_millis(1));
     }
     assert!(!h.is_done(), "the boundary block cannot have run yet");
-    gate.set();
+    open.set_value(());
     h.wait();
     let snap = s.out.snapshot();
     assert!(

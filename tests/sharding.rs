@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use op2_hpx::airfoil::verify::{max_rel_diff, max_scaled_diff};
 use op2_hpx::airfoil::{PlainAirfoil, Problem, ShardedAirfoil, ShardedProblem};
 use op2_hpx::app::{run, RunConfig};
-use op2_hpx::hpx::lco::Event;
+use op2_hpx::hpx::channel;
 use op2_hpx::mesh::channel_with_bump;
 use op2_hpx::op2::args::{read_via, write};
 use op2_hpx::op2::locality::{exchange, HaloSpec, LocalityGroup};
@@ -36,12 +36,11 @@ fn interior_blocks_execute_before_halo_receives_complete() {
     // Rank 1: the exporter, its writer loop held hostage on `gate`.
     let cells1 = r1.decl_set(64, "cells");
     let q1 = r1.decl_dat(&cells1, 1, "q", vec![0.0f64; 64]);
-    let gate = Arc::new(Event::new());
-    let g = Arc::clone(&gate);
+    let (open, gate) = channel::<()>();
     r1.loop_("produce", &cells1)
         .arg(write(&q1))
         .run(move |q: &mut [f64]| {
-            g.wait();
+            gate.wait();
             q[0] = 42.0;
         });
 
@@ -88,7 +87,7 @@ fn interior_blocks_execute_before_halo_receives_complete() {
     );
     assert!(!h.is_done(), "the boundary block cannot have run yet");
 
-    gate.set();
+    open.set_value(());
     h.wait();
     recvs[0][1].wait();
     let snap = out.snapshot();
@@ -122,14 +121,13 @@ fn halo_refresh_waits_for_pending_halo_readers() {
     let edges = r0.decl_set(64, "edges");
     let ident = r0.decl_map_halo(&edges, &cells0, 1, (0..64).collect::<Vec<_>>(), "ident", 32);
     let seen = r0.decl_dat(&edges, 1, "seen", vec![0.0f64; 64]);
-    let gate = Arc::new(Event::new());
-    let g = Arc::clone(&gate);
+    let (open, gate) = channel::<()>();
     let h = r0
         .loop_("reader", &edges)
         .arg(read_via(&q0, &ident, 0))
         .arg(write(&seen))
         .run(move |q: &[f64], o: &mut [f64]| {
-            g.wait();
+            gate.wait();
             o[0] = q[0];
         });
 
@@ -139,7 +137,7 @@ fn halo_refresh_waits_for_pending_halo_readers() {
     let recvs = exchange(&group, &[q0.clone(), q1], &spec);
     assert!(!recvs[0][1].is_ready(), "refresh must wait for the reader");
 
-    gate.set();
+    open.set_value(());
     h.wait();
     recvs[0][1].wait();
     assert!(
