@@ -106,8 +106,9 @@ impl<G: Borrow<LocalityGroup>> Worlds<'_, G> {
         shards: impl IntoIterator<Item = (&'p Dat<f64>, Option<&'p [u32]>)>,
     ) -> Vec<f64> {
         if let Worlds::Group(group) = self {
+            let group = group.borrow();
             assert!(
-                group.borrow().transport().all_local(),
+                group.local_ranks().len() == group.nranks(),
                 "gathering state needs every rank's rows in this process"
             );
         }

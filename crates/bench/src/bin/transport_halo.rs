@@ -284,7 +284,7 @@ fn parse_args() -> Args {
                      --iters N        producer/exchange/consumer rounds (default 20)\n\
                      --ranks N        ring size (default 4)\n\
                      --threads N      worker threads per rank group (default 2)\n\
-                     --reps N         repetitions, min-of (default 2)\n\
+                     --reps N         repetitions, schedules alternating, min-of (default 2)\n\
                      --latency-us N   injected in-process link delay (default 200)\n\
                      --min-speedup X  exit 1 unless inproc overlap >= X (gate)\n\
                      --json PATH      JSON baseline (default BENCH_transport.json)"
@@ -321,28 +321,30 @@ fn main() {
     let mut inproc_speedup = f64::NAN;
 
     for transport in ["inproc", "socket"] {
-        let mut bulk_best = f64::NAN;
-        for schedule in [Schedule::BulkSync, Schedule::Overlapped] {
-            let mut best = Duration::MAX;
-            for _ in 0..args.reps.max(1) {
-                let run = match transport {
-                    "inproc" => run_inproc(
-                        schedule,
-                        args.threads,
-                        args.ranks,
-                        args.cells,
-                        args.iters,
-                        latency,
-                    ),
-                    _ => run_sockets(schedule, args.threads, args.ranks, args.cells, args.iters),
-                };
-                best = best.min(run);
-            }
+        let run = |schedule| match transport {
+            "inproc" => run_inproc(
+                schedule,
+                args.threads,
+                args.ranks,
+                args.cells,
+                args.iters,
+                latency,
+            ),
+            _ => run_sockets(schedule, args.threads, args.ranks, args.cells, args.iters),
+        };
+        // The two schedules alternate within each rep, so a burst of host
+        // noise lands on both sides rather than on one side's best-of.
+        let (mut bulk, mut overlapped) = (Duration::MAX, Duration::MAX);
+        for _ in 0..args.reps.max(1) {
+            bulk = bulk.min(run(Schedule::BulkSync));
+            overlapped = overlapped.min(run(Schedule::Overlapped));
+        }
+        for (schedule, best) in [
+            (Schedule::BulkSync, bulk),
+            (Schedule::Overlapped, overlapped),
+        ] {
             let secs = best.as_secs_f64();
-            if schedule == Schedule::BulkSync {
-                bulk_best = secs;
-            }
-            let speedup = bulk_best / secs;
+            let speedup = bulk.as_secs_f64() / secs;
             if transport == "inproc" && schedule == Schedule::Overlapped {
                 inproc_speedup = speedup;
             }

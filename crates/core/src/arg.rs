@@ -154,14 +154,14 @@ pub unsafe trait ArgSpec: Clone + Send + Sync + 'static {
     /// argument yields a mutable view into shared storage.
     fn mut_target(&self, elem: usize) -> Option<(u64, usize)>;
     /// Implicit-communication pre-submission hook: an argument that *reads*
-    /// a halo-linked dat through a halo-capable map schedules the refresh
-    /// of every stale, reachable import (see the dirty-bit protocol in
+    /// a halo-linked dat through a map schedules the refresh of every
+    /// stale pair its rank takes part in (see the dirty-bit protocol in
     /// [`crate::locality`]). Runs before the loop's dependency graph is
     /// built, so the exchange nodes become ordinary predecessors of its
     /// boundary blocks. Default: no-op.
     fn halo_refresh(&self) {}
     /// Implicit-communication pre-submission hook: a *mutating* argument on
-    /// a halo-linked dat marks that rank's exported halos stale. Called
+    /// a halo-linked dat marks every exporting pair of its ring stale. Called
     /// after [`ArgSpec::halo_refresh`] ran for all of the loop's
     /// arguments. Default: no-op.
     fn halo_mark_dirty(&self) {}
@@ -412,24 +412,6 @@ impl<T: OpType, A: AccessTag, S: Shape> DatArg<T, A, S> {
             );
         }
     }
-
-    /// Shared implicit-communication trigger: only an *indirect* argument
-    /// through a halo-capable map can observe halo mirror rows (loops
-    /// iterate the owned prefix, so direct arguments never reach them).
-    /// Under a distributed transport the halo-capability cut is dropped:
-    /// whether *this* rank's map reaches its halo says nothing about the
-    /// peer's, and both sides must fire at the same program points (SPMD
-    /// symmetry — see [`crate::locality`]); the ring resolves stale
-    /// exports there.
-    fn refresh_halo_for_read(&self) {
-        if let Some((m, slot)) = &self.map {
-            if let Some((rank, ring)) = self.dat.halo_ring() {
-                if m.halo_targets() > 0 || ring.spmd_mode() {
-                    ring.refresh_for_read(*rank, m, *slot);
-                }
-            }
-        }
-    }
 }
 
 /// The loop-invariant half of a [`DatArg`], resolved once per executed
@@ -568,17 +550,20 @@ unsafe impl<T: OpType, A: AccessTag, S: Shape> ArgSpec for DatArg<T, A, S> {
     fn halo_refresh(&self) {
         // OP_READ and OP_RW read their target; OP_WRITE and OP_INC never
         // do, so they need no fresh halo (boundary increments are covered
-        // by exec-halo redundant compute).
-        if matches!(A::ACCESS, Access::Read | Access::Rw) {
-            self.refresh_halo_for_read();
+        // by exec-halo redundant compute). Only an indirect argument can
+        // reach halo mirror rows: loops iterate the owned prefix.
+        if matches!(A::ACCESS, Access::Read | Access::Rw) && self.map.is_some() {
+            if let Some((rank, ring)) = self.dat.halo_ring() {
+                ring.refresh_for_read(*rank);
+            }
         }
     }
     fn halo_mark_dirty(&self) {
         // Any mutation makes the owned rows (the authoritative copies)
         // newer than the peers' mirrors.
         if A::ACCESS != Access::Read {
-            if let Some((rank, ring)) = self.dat.halo_ring() {
-                ring.mark_exports_dirty(*rank);
+            if let Some((_, ring)) = self.dat.halo_ring() {
+                ring.mark_all_dirty();
             }
         }
     }

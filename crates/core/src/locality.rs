@@ -20,7 +20,7 @@
 //!   writers finish, hands them to the transport) and a **receive node**
 //!   (gated on the transport's [`Delivery`], scatters into the halo rows).
 //!   Only the halves whose rank is locally hosted are scheduled; the
-//!   transport's sequence counters match them with the peer's halves.
+//!   group's sequence counters match them with the peer's halves.
 //! * [`LocalityGroup::allreduce`] moves reduction partials over the same
 //!   transport: a star through rank 0, whatever the process layout. It is
 //!   the only collective: [`LocalityGroup::barrier`] and
@@ -51,27 +51,38 @@
 //! scale: it ties the per-rank shards of one logical dat into a `HaloRing`
 //! carrying the [`HaloSpec`] and one **dirty bit per (importer, exporter)
 //! pair**. From then on no manual [`exchange`] call is needed; `par_loop`
-//! submission drives the state machine:
+//! submission drives the state machine, with one rule for every process
+//! layout:
 //!
 //! * **Write ⇒ stale.** A loop with a *mutating* argument on a linked dat
 //!   (any of `OP_WRITE`/`OP_RW`/`OP_INC`, direct or indirect — the owned
-//!   rows are the authoritative copies) marks every export of that rank
-//!   stale: `dirty[dst][rank] = true` for each peer `dst` importing from
-//!   it. Bits start stale at link time (the peers have never been fed).
-//! * **Stale read ⇒ exchange.** A loop submitted later with an argument
-//!   that *reads* the dat through a halo-capable map (`OP_READ`/`OP_RW`
-//!   indirect via a map with halo targets) checks, per peer, (a) the
-//!   dirty bit and (b) whether the map's slot can reach that peer's
-//!   import blocks at all (the block-reach table of the whole source set,
-//!   see `Map::reaches_target_blocks`). For each stale, reachable
-//!   import it schedules exactly the [`exchange`] gather/send and
-//!   receive/scatter nodes into the dataflow graph — *before* the loop's
-//!   own nodes are built, so its boundary blocks gate on the receive
-//!   through the ordinary access records while interior blocks start
-//!   immediately — and clears the bit.
+//!   rows are the authoritative copies) marks **every** exporting pair
+//!   stale. Every process runs the same program over its own ranks (SPMD),
+//!   so every rank runs this mutating loop on its shard; a process cannot
+//!   observe a remote mutation, only mirror it. Bits start stale at link
+//!   time (the peers have never been fed).
+//! * **Stale read ⇒ exchange.** A loop submitted later with an *indirect*
+//!   argument that reads the dat (`OP_READ`/`OP_RW` through a map) on rank
+//!   `r` schedules, for each stale pair it concerns, the [`exchange`]
+//!   gather/send and receive/scatter nodes into the dataflow graph —
+//!   *before* the loop's own nodes are built, so its boundary blocks gate
+//!   on the receive through the ordinary access records while interior
+//!   blocks start immediately — and clears the bit. The pairs it concerns
+//!   are `r`'s imports (received, and sent too when the exporter is hosted
+//!   in this process) and `r`'s exports to importers hosted in *other*
+//!   processes (sent only: the importer's own read, at the same program
+//!   point in its process, posts the receive and clears the same bit).
+//!   Each pair is thus opened exactly once per process that hosts one of
+//!   its ends, so the per-stream sequence counters stay aligned without
+//!   header negotiation, and an all-local group sends exactly the halo
+//!   messages the same job sends across processes.
 //! * **Clean read ⇒ skip.** A read of an up-to-date import schedules
 //!   nothing (counted in [`HaloStats::skipped_clean`]): redundant
 //!   exchanges of a manually scheduled program simply disappear.
+//!
+//! Nothing in the rule looks at a rank's private map contents: whether a
+//! map reaches a peer's halo is invisible to the exporting process, so a
+//! cut on it would desynchronize the two ends.
 //!
 //! `OP_INC` deliberately does not trigger a refresh: increments are
 //! computed without reading the target, and partition-boundary work is
@@ -81,25 +92,6 @@
 //! peers' import ranges may share a dependency block; a refresh
 //! superseding an in-flight older receive chains behind it through the
 //! ordinary collect-then-record discipline, so no dependency is lost.
-//!
-//! ## SPMD symmetry under distributed transports
-//!
-//! When the transport is not [`Transport::all_local`], every process runs
-//! the same program over its own shard (SPMD) and the two endpoints of a
-//! pair must *independently* agree, per program point, on whether an
-//! exchange fires — that is what keeps the per-`(kind, src → dst)`
-//! sequence counters aligned without header negotiation. The protocol
-//! therefore tightens in two ways in distributed mode:
-//!
-//! * a mutation marks the **whole** dirty matrix (every rank executes the
-//!   same mutating loop on its shard, so all exports everywhere are stale
-//!   — the local process cannot observe remote mutations, it can only
-//!   mirror them);
-//! * the per-map **reachability cut is disabled** (it depends on the
-//!   reading rank's private map contents, which the exporting side cannot
-//!   see), and a stale-read refresh on rank `r` both *receives* `r`'s
-//!   stale imports and *sends* `r`'s stale exports — the matching halves
-//!   fire at the same program point on the peer.
 //!
 //! # Wire format
 //!
@@ -117,7 +109,8 @@
 //!   seq u64 | len u64` (little-endian), then `len` payload bytes; flag
 //!   bit 0 marks an **abandoned** exchange (no payload follows).
 //!   Messages are matched by `(kind, src, dst, seq)` where `seq` is the
-//!   per-`(kind, src → dst)` stream counter of [`Transport::next_seq`].
+//!   per-`(kind, src → dst)` stream counter the group keeps (see
+//!   [`crate::transport`]).
 //!
 //! ```
 //! use op2_core::locality::{exchange, HaloSpec, LocalityGroup};
@@ -151,9 +144,8 @@ use hpx_rt::{schedule_after, Runtime, SharedFuture};
 use crate::config::Op2Config;
 use crate::dat::{Dat, Footprint};
 use crate::gbl::{Global, ReducedFuture, Reducible};
-use crate::map::Map;
 use crate::transport::{
-    decode_scalars, encode_scalars, open, Delivery, InProcessTransport, MsgKind, SendGuard,
+    decode_scalars, encode_scalars, Comm, Delivery, InProcessTransport, MsgKind, SendGuard,
     Transport,
 };
 use crate::types::{next_loop_gen, OpType};
@@ -164,10 +156,10 @@ use crate::world::{CommHooks, Op2};
 /// the group hosts *every* rank; under a multi-process transport it hosts
 /// the local slice and [`LocalityGroup::rank`] accepts only those ids.
 pub struct LocalityGroup {
-    /// Contexts of the locally hosted ranks; global id = `first + index`.
+    /// Contexts of the locally hosted ranks; index `i` is global rank
+    /// `local_ranks().start + i`.
     ranks: Vec<Op2>,
-    first: usize,
-    transport: Arc<dyn Transport>,
+    comm: Arc<Comm>,
 }
 
 impl LocalityGroup {
@@ -191,30 +183,29 @@ impl LocalityGroup {
         let rt = Arc::new(Runtime::with_name(config.threads, "op2-locality"));
         // Every rank world measures the busy time of each loop — the
         // imbalance signal the live-repartition path reads.
-        let ranks = local
-            .clone()
+        let ranks: Vec<Op2> = local
             .map(|_| Op2::rank_world(config.clone(), Arc::clone(&rt)))
             .collect();
+        let hooks = ranks.iter().map(Op2::comm_hooks).collect();
         LocalityGroup {
             ranks,
-            first: local.start,
-            transport,
+            comm: Arc::new(Comm::new(transport, hooks)),
         }
     }
 
     /// Total number of ranks in the job (across all processes).
     pub fn nranks(&self) -> usize {
-        self.transport.nranks()
+        self.comm.nranks()
     }
 
     /// The global ids of the ranks hosted by this group.
     pub fn local_ranks(&self) -> Range<usize> {
-        self.first..self.first + self.ranks.len()
+        self.comm.local_ranks()
     }
 
-    /// The transport moving bytes between ranks.
-    pub fn transport(&self) -> &Arc<dyn Transport> {
-        &self.transport
+    /// What the group's ranks share to talk to their peers.
+    pub(crate) fn comm(&self) -> &Comm {
+        &self.comm
     }
 
     /// The context of one locally hosted rank (global id).
@@ -228,17 +219,13 @@ impl LocalityGroup {
             "rank {r} is not hosted here (local ranks {:?})",
             self.local_ranks()
         );
-        &self.ranks[r - self.first]
+        &self.ranks[r - self.local_ranks().start]
     }
 
     /// All locally hosted rank contexts; index `i` is global rank
     /// `local_ranks().start + i`.
     pub fn ranks(&self) -> &[Op2] {
         &self.ranks
-    }
-
-    fn first_local(&self) -> &Op2 {
-        &self.ranks[0]
     }
 
     /// Fences every locally hosted rank — the process-level global
@@ -271,8 +258,8 @@ impl LocalityGroup {
 
     /// Ties the per-rank shards of one logical dat into a `HaloRing` so
     /// all halo communication becomes **implicit**: loops that mutate a
-    /// shard mark its exports stale, loops that read stale imports through
-    /// a halo-capable map schedule the exchange automatically (see the
+    /// shard mark every exporting pair stale, loops that read a shard
+    /// through a map schedule the stale exchanges automatically (see the
     /// module-level dirty-bit protocol). Every import starts stale, so the
     /// first reader is fed unconditionally.
     ///
@@ -309,9 +296,7 @@ impl LocalityGroup {
         let ring = Arc::new(HaloRing {
             spec: spec.clone(),
             shards: dats.iter().map(Dat::inner_weak).collect(),
-            hooks: self.ranks.iter().map(Op2::comm_hooks).collect(),
-            first: local.start,
-            transport: Arc::clone(&self.transport),
+            comm: Arc::clone(&self.comm),
             dirty: Mutex::new(dirty),
             pair_exchanges: AtomicU64::new(0),
             refresh_calls: AtomicU64::new(0),
@@ -362,8 +347,8 @@ impl LocalityGroup {
         );
         let dim = globals[0].dim();
         let op = globals[0].op();
-        for (i, g) in globals.iter().enumerate() {
-            let r = self.first + i;
+        let local = self.local_ranks();
+        for (g, r) in globals.iter().zip(local.clone()) {
             assert_eq!(g.dim(), dim, "rank {r}: allreduce dim mismatch");
             assert_eq!(g.op(), op, "rank {r}: allreduce operator mismatch");
         }
@@ -372,18 +357,17 @@ impl LocalityGroup {
             .fetch_add(globals.len() as u64, Ordering::Relaxed);
 
         let n = self.nranks();
-        let local = self.local_ranks();
         let hosts_root = local.contains(&0);
-        let transport = &self.transport;
+        let comm = &self.comm;
         let (promise, value) = hpx_rt::channel::<Vec<T>>();
         let mut nodes: Vec<SharedFuture<()>> = Vec::new();
 
         // Up: every partial but rank 0's own crosses the transport.
         let mut partials: Vec<(usize, Delivery)> = Vec::new();
         for r in (1..n).filter(|r| hosts_root || local.contains(r)) {
-            let (guard, delivery) = open(transport, MsgKind::Reduce, r, 0);
+            let (guard, delivery) = comm.open(MsgKind::Reduce, r, 0);
             if let Some(guard) = guard {
-                let g = &globals[r - self.first];
+                let g = &globals[r - local.start];
                 nodes.push(
                     self.schedule_read(r, g, Vec::new(), move |v| guard.send(encode_scalars(&v))),
                 );
@@ -396,7 +380,7 @@ impl LocalityGroup {
             // broadcast instead of stranding the other processes' ranks.
             let down: Vec<SendGuard> = (1..n)
                 .filter(|s| !local.contains(s))
-                .filter_map(|s| open(transport, MsgKind::Reduce, 0, s).0)
+                .filter_map(|s| comm.open(MsgKind::Reduce, 0, s).0)
                 .collect();
             let arrivals = partials.iter().map(|(_, d)| d.ready().clone()).collect();
             nodes.push(self.schedule_read(0, &globals[0], arrivals, move |own| {
@@ -417,12 +401,13 @@ impl LocalityGroup {
         } else {
             // Down: the first local rank's receive fulfills `value`.
             let mut promise = Some(promise);
-            for r in local {
-                let d = open(transport, MsgKind::Reduce, 0, r)
+            for r in local.clone() {
+                let d = comm
+                    .open(MsgKind::Reduce, 0, r)
                     .1
                     .expect("r is hosted here");
                 let p = promise.take();
-                let hooks = self.ranks[r - self.first].comm_hooks();
+                let hooks = comm.hooks(r);
                 let node = schedule_after(hooks.runtime(), &[d.ready().clone()], move || {
                     let bytes = d
                         .take()
@@ -437,9 +422,9 @@ impl LocalityGroup {
         }
         // `value` is set inside one of the nodes above, so gating `done`
         // on all of them preserves the ReducedFuture invariant.
-        let rt = self.first_local().runtime_arc();
+        let rt = self.ranks[0].runtime_arc();
         let done = schedule_after(&rt, &nodes, || ());
-        let hooks0 = self.first_local().comm_hooks();
+        let hooks0 = comm.hooks(local.start).clone();
         hooks0.track(done.clone());
         ReducedFuture::from_parts(value, done, rt, hooks0)
     }
@@ -455,7 +440,7 @@ impl LocalityGroup {
         extra: Vec<SharedFuture<()>>,
         body: impl FnOnce(Vec<T>) + Send + 'static,
     ) -> SharedFuture<()> {
-        let hooks = self.ranks[r - self.first].comm_hooks();
+        let hooks = self.comm.hooks(r);
         let mut deps = g.pending_snapshot();
         deps.extend(extra);
         let read = g.clone();
@@ -574,10 +559,10 @@ impl HaloSpec {
 /// are in place (already-ready for pairs with no traffic).
 ///
 /// Nothing blocks: every nonempty pair with an end hosted here goes to
-/// `move_rows`. Values travel through the group's [`Transport`];
-/// under a distributed transport only the locally hosted halves are
-/// scheduled here, matched with the peer's halves by sequence number
-/// (every process must call `exchange` at the same program point — SPMD).
+/// `move_rows`. Values travel through the group's [`Transport`]; only the
+/// locally hosted halves are scheduled here, matched with the peer's
+/// halves by sequence number (every process must call `exchange` at the
+/// same program point — SPMD).
 pub fn exchange<T: OpType>(
     group: &LocalityGroup,
     dats: &[Dat<T>],
@@ -596,9 +581,8 @@ pub fn exchange<T: OpType>(
         })
         .map(|(src, dst)| spec.row_move(src, dst))
         .collect();
-    let hooks: Vec<CommHooks> = group.ranks().iter().map(Op2::comm_hooks).collect();
     let shard = |r: usize| dats[r - local.start].clone();
-    let halves = move_rows(group.transport(), &hooks, shard, shard, &moves);
+    let halves = move_rows(group.comm(), shard, shard, &moves);
     let mut recvs: Vec<Vec<SharedFuture<()>>> = (0..local.len())
         .map(|_| vec![hpx_rt::ready(()); n])
         .collect();
@@ -646,12 +630,11 @@ pub(crate) type RowMove<'a> = (usize, usize, &'a [u32], Landing);
 pub(crate) type MoveHalves = (Option<SharedFuture<()>>, Option<SharedFuture<()>>);
 
 /// The one row mover: schedules `moves` — each with at least one end among
-/// the transport's local ranks, whose hooks `hooks` gives in local order —
-/// from the `source` shards into the `target` shards, and returns per move
-/// the send half's completion future (local `src`) and the receive half's
-/// (local `dst`). Each move is one message opened with
-/// [`open`](crate::transport::open), so a move whose ends share a
-/// process, `src == dst` included, crosses the transport too. All sends
+/// `comm`'s local ranks — from the `source` shards into the `target`
+/// shards, and returns per move the send half's completion future (local
+/// `src`) and the receive half's (local `dst`). Each move is one message
+/// opened with `Comm::open`, so a move whose ends share a process,
+/// `src == dst` included, crosses the transport too. All sends
 /// share one dependency generation and all receives another, like the
 /// records one loop leaves: two peers' landings may share a dependency
 /// block, and a record of a distinct generation covering it would
@@ -675,13 +658,11 @@ pub(crate) type MoveHalves = (Option<SharedFuture<()>>, Option<SharedFuture<()>>
 /// deadlocks the pool (observed with ≥ 3 ranks exchanging through one
 /// worker group).
 pub(crate) fn move_rows<T: OpType>(
-    transport: &Arc<dyn Transport>,
-    hooks: &[CommHooks],
+    comm: &Comm,
     source: impl Fn(usize) -> Dat<T>,
     target: impl Fn(usize) -> Dat<T>,
     moves: &[RowMove<'_>],
 ) -> Vec<MoveHalves> {
-    let first = transport.local_ranks().start;
     let send_gen = next_loop_gen();
     let recv_gen = next_loop_gen();
     let opened: Vec<_> = moves
@@ -692,9 +673,9 @@ pub(crate) fn move_rows<T: OpType>(
                 landing.len(),
                 "move {src}->{dst}: source rows and landing differ in length"
             );
-            let (guard, delivery) = open(transport, landing.kind(), src, dst);
+            let (guard, delivery) = comm.open(landing.kind(), src, dst);
             let send = guard.map(|guard| {
-                let hooks = &hooks[src - first];
+                let hooks = comm.hooks(src);
                 schedule_send_half(src, dst, hooks, &source(src), rows, send_gen, guard)
             });
             (send, delivery)
@@ -705,7 +686,7 @@ pub(crate) fn move_rows<T: OpType>(
         .zip(opened)
         .map(|((src, dst, _, landing), (send, delivery))| {
             let recv = delivery.map(|d| {
-                let hooks = &hooks[dst - first];
+                let hooks = comm.hooks(*dst);
                 schedule_recv_half(*src, *dst, hooks, &target(*dst), landing, recv_gen, d)
             });
             (send, recv)
@@ -839,10 +820,12 @@ fn schedule_recv_half<T: OpType>(
 /// [`implicit_halo_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HaloStats {
-    /// (src → dst) pair exchanges actually scheduled (a distributed
-    /// process counts the pairs it scheduled at least one half of).
+    /// (src → dst) pair exchanges actually scheduled (a process counts the
+    /// pairs it scheduled at least one half of).
     pub pair_exchanges: u64,
-    /// Loop submissions that checked this ring for stale imports.
+    /// Indirect reads of a linked shard (one per loop argument) that
+    /// checked the rank's imports and its exports to other processes for
+    /// stale pairs.
     pub refresh_calls: u64,
     /// Per-pair checks that found the import clean and scheduled nothing —
     /// the exchanges a manual schedule would have issued redundantly.
@@ -850,9 +833,8 @@ pub struct HaloStats {
 }
 
 /// The shared state tying the per-rank shards of one logical dat together
-/// for implicit communication: halo spec, per-peer dirty bits, the
-/// scheduling hooks of every locally hosted rank, and the transport (see
-/// the module-level dirty-bit protocol). Created by
+/// for implicit communication: halo spec, per-pair dirty bits and the
+/// group's [`Comm`] (see the module-level dirty-bit protocol). Created by
 /// [`LocalityGroup::link_halo`]; not user-visible beyond [`HaloStats`].
 pub(crate) struct HaloRing<T> {
     spec: HaloSpec,
@@ -860,11 +842,7 @@ pub(crate) struct HaloRing<T> {
     /// must outlive the ring's use, which the owning program guarantees by
     /// holding the `Dat` handles it loops over. Indexed by local rank.
     shards: Vec<std::sync::Weak<crate::dat::DatInner<T>>>,
-    /// Indexed by local rank.
-    hooks: Vec<CommHooks>,
-    /// Global id of local rank 0.
-    first: usize,
-    transport: Arc<dyn Transport>,
+    comm: Arc<Comm>,
     /// `dirty[dst * nranks + src]`: rank `dst`'s import from `src` is
     /// stale.
     dirty: Mutex<Vec<bool>>,
@@ -875,7 +853,7 @@ pub(crate) struct HaloRing<T> {
 
 impl<T: OpType> HaloRing<T> {
     fn shard(&self, rank: usize) -> Dat<T> {
-        self.shards[rank - self.first]
+        self.shards[rank - self.comm.local_ranks().start]
             .upgrade()
             .map(Dat::from_inner)
             .unwrap_or_else(|| {
@@ -883,93 +861,47 @@ impl<T: OpType> HaloRing<T> {
             })
     }
 
-    fn local_ranks(&self) -> Range<usize> {
-        self.first..self.first + self.shards.len()
-    }
-
-    /// True when scheduling decisions must be made SPMD-symmetrically
-    /// (distributed transport; see module docs).
-    pub(crate) fn spmd_mode(&self) -> bool {
-        !self.transport.all_local()
-    }
-
-    /// A mutating loop argument on rank `src`'s shard: every peer
-    /// importing from `src` now holds a stale mirror. In SPMD mode the
-    /// *whole* matrix is marked — every rank runs this same mutating loop
-    /// on its own shard, and remote mutations are mirrored, not observed.
-    pub(crate) fn mark_exports_dirty(&self, src: usize) {
+    /// A mutating loop argument on a shard: every exporting pair is now
+    /// stale. Every rank runs this same mutating loop on its own shard,
+    /// and a remote mutation is mirrored, not observed.
+    pub(crate) fn mark_all_dirty(&self) {
         let n = self.spec.nranks;
         let mut dirty = self.dirty.lock();
-        if self.spmd_mode() {
-            for s in 0..n {
-                for dst in 0..n {
-                    if dst != s && !self.spec.export_rows[s][dst].is_empty() {
-                        dirty[dst * n + s] = true;
-                    }
-                }
-            }
-        } else {
+        for src in 0..n {
             for dst in 0..n {
-                if dst != src && !self.spec.export_rows[src][dst].is_empty() {
+                if !self.spec.export_rows[src][dst].is_empty() {
                     dirty[dst * n + src] = true;
                 }
             }
         }
     }
 
-    /// A reading loop argument on rank `dst`'s shard, indirect through
-    /// `map` slot `slot`: schedule the exchange for every stale import the
-    /// map can actually observe, then clear those bits. The pairs of one
-    /// refresh are scheduled together, exactly like one [`exchange`] call.
-    ///
-    /// In SPMD mode the reachability cut is disabled (the peer cannot see
-    /// this rank's map) and the refresh additionally *sends* rank `dst`'s
-    /// stale exports to remote importers — the peer's matching refresh,
-    /// at the same program point, posts the receive.
-    pub(crate) fn refresh_for_read(&self, dst: usize, map: &Map, slot: usize) {
+    /// An indirect reading loop argument on rank `dst`'s shard: schedule
+    /// the exchange of every stale import of `dst` and of every stale
+    /// export of `dst` to an importer hosted in another process (whose own
+    /// read, at the same program point, posts the receive), then clear
+    /// those bits. The pairs of one refresh are scheduled together,
+    /// exactly like one [`exchange`] call.
+    pub(crate) fn refresh_for_read(&self, dst: usize) {
         self.refresh_calls.fetch_add(1, Ordering::Relaxed);
         let n = self.spec.nranks;
-        let spmd = self.spmd_mode();
-        let local = self.local_ranks();
-        let to_bs = self.shard(dst).deps().block_size();
+        let local = self.comm.local_ranks();
         let mut pairs: Vec<(usize, usize)> = Vec::new();
         let mut dirty = self.dirty.lock();
-        // --- Rank `dst`'s stale imports: receive (and send, if the
-        // exporter is hosted here too).
         for src in 0..n {
-            let range = &self.spec.import_range[dst][src];
-            if src == dst || range.is_empty() {
+            if src == dst || self.spec.import_range[dst][src].is_empty() {
                 continue;
             }
-            if !dirty[dst * n + src] {
+            if dirty[dst * n + src] {
+                pairs.push((src, dst));
+            } else {
                 self.skipped_clean.fetch_add(1, Ordering::Relaxed);
                 hpx_rt::static_counter!("op2.halo.refresh_skipped").fetch_add(1, Ordering::Relaxed);
-                continue;
             }
-            // Leave the bit set when this map cannot observe the import at
-            // all — a later loop through a reaching map still needs it.
-            // (All-local only: the cut depends on this rank's private map,
-            // which the SPMD peer cannot replicate.)
-            if !spmd {
-                let block_range = range.start / to_bs..(range.end - 1) / to_bs + 1;
-                if !map.reaches_target_blocks(slot, to_bs, block_range) {
-                    continue;
-                }
-            }
-            pairs.push((src, dst));
         }
-        // --- SPMD only: rank `dst`'s stale exports to *remote* importers.
-        // The importer's own refresh, running at this same program point in
-        // its process, posts the matching receive and clears the same bit.
-        if spmd {
-            for imp in 0..n {
-                if imp != dst
-                    && !local.contains(&imp)
-                    && !self.spec.export_rows[dst][imp].is_empty()
-                    && dirty[imp * n + dst]
-                {
-                    pairs.push((dst, imp));
-                }
+        for imp in (0..n).filter(|imp| !local.contains(imp)) {
+            if !self.spec.export_rows[dst][imp].is_empty() && dirty[imp * n + dst] {
+                pairs.push((dst, imp));
             }
         }
         if pairs.is_empty() {
@@ -990,7 +922,7 @@ impl<T: OpType> HaloRing<T> {
             .map(|&(src, to)| self.spec.row_move(src, to))
             .collect();
         let shard = |r| self.shard(r);
-        move_rows(&self.transport, &self.hooks, shard, shard, &moves);
+        move_rows(&self.comm, shard, shard, &moves);
     }
 
     fn stats(&self) -> HaloStats {

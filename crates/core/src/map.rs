@@ -128,27 +128,6 @@ impl Map {
         Arc::clone(self.inner.reach.lock().entry(key).or_insert(built))
     }
 
-    /// True when `slot` reaches, from any source element, at least one
-    /// target dependency block in `block_range` (block indices for
-    /// `to_bs`-row blocks): the reach table of the whole source set taken
-    /// as one node. The implicit halo-exchange engine asks this to decide
-    /// whether a loop through this map can observe a peer's halo at all.
-    pub(crate) fn reaches_target_blocks(
-        &self,
-        slot: usize,
-        to_bs: usize,
-        block_range: std::ops::Range<usize>,
-    ) -> bool {
-        let n = self.inner.from.size();
-        if n == 0 || block_range.is_empty() {
-            return false;
-        }
-        self.block_reach(&[slot], n, to_bs)
-            .node_blocks(0)
-            .iter()
-            .any(|r| (r.start as usize) < block_range.end && block_range.start < r.end as usize)
-    }
-
     /// Target element for source element `e`, slot `k` (`k < dim`).
     #[inline(always)]
     pub fn at(&self, e: usize, k: usize) -> usize {
@@ -166,14 +145,8 @@ impl Map {
         &self.inner.to
     }
 
-    /// Halo rows beyond the target set the table may index (0 for
-    /// ordinary maps).
-    #[inline]
-    pub fn halo_targets(&self) -> usize {
-        self.inner.halo_targets
-    }
-
-    /// Total addressable target rows: `to_set().size() + halo_targets()`.
+    /// Total addressable target rows: the target set's size plus the halo
+    /// rows the map was declared with.
     /// This — not the target set size — bounds the table's indices, and is
     /// what the planner sizes its conflict masks by.
     #[inline]
@@ -252,7 +225,6 @@ mod tests {
         let (edges, nodes) = sets();
         // Index 3 is out of range for the 3-node set but inside the halo.
         let m = Map::with_halo(&edges, &nodes, 1, vec![0, 1, 2, 3], "pecell", 1);
-        assert_eq!(m.halo_targets(), 1);
         assert_eq!(m.target_rows(), 4);
         assert_eq!(m.at(3, 0), 3);
     }

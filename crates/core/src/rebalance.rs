@@ -42,7 +42,6 @@ use crate::dat::Dat;
 use crate::gbl::Global;
 use crate::locality::{move_rows, Landing, LocalityGroup, RowMove};
 use crate::types::OpType;
-use crate::world::{CommHooks, Op2};
 
 /// Default imbalance dead zone of [`cost_levels`]: per-element cost ratios
 /// under 1.5x are treated as noise, not as a reason to migrate.
@@ -200,15 +199,8 @@ pub fn migrate_rows<T: OpType>(
             (src, dst, &rows[..], Landing::Rows(landed[..].into()))
         })
         .collect();
-    let hooks: Vec<CommHooks> = group.ranks().iter().map(Op2::comm_hooks).collect();
     let at = |dats: &[Dat<T>], r: usize| dats[r - local.start].clone();
-    let halves = move_rows(
-        group.transport(),
-        &hooks,
-        |r| at(old, r),
-        |r| at(new, r),
-        &moves,
-    );
+    let halves = move_rows(group.comm(), |r| at(old, r), |r| at(new, r), &moves);
     let mut done: Vec<Vec<SharedFuture<()>>> = vec![Vec::new(); local.len()];
     for (&(src, dst, ..), (send, recv)) in moves.iter().zip(halves) {
         if let Some(f) = send {

@@ -24,25 +24,27 @@
 //!   established through a filesystem rendezvous directory. Latency is
 //!   real wire latency.
 //!
-//! # Message addressing and SPMD symmetry
+//! # Message addressing
 //!
-//! Messages are matched by `(kind, src, dst, seq)` where `seq` comes from
-//! [`Transport::next_seq`], a per-`(kind, src → dst)` counter. There is no
-//! header negotiation: both endpoints of a distributed pair run the same
-//! program (SPMD), so the *k*-th halo exchange scheduled from `src` to
-//! `dst` on the sender side is matched with the *k*-th receive posted on
-//! the receiver side because both sides advanced the same counter at the
-//! same program points. The locality layer guarantees this symmetry by
-//! making its scheduling decisions (dirty-bit transitions, reachability
-//! cuts) from process-local state *identically on every rank* whenever the
-//! transport is not [`Transport::all_local`].
+//! Messages are matched by `(kind, src, dst, seq)` where `seq` is the
+//! per-`(kind, src → dst)` stream counter of the sending or receiving
+//! process. There is no header negotiation: every process runs the same
+//! program over its own ranks (SPMD), so the *k*-th message opened from
+//! `src` to `dst` on the sender side is matched with the *k*-th receive
+//! posted on the receiver side because both sides take numbers at the
+//! same program points. The locality layer guarantees this by taking every
+//! scheduling decision (dirty-bit transitions) from state that each
+//! process holds identically, whatever the process layout.
 //!
-//! Every message is opened by `open`, the one place that rule lives: it
-//! takes the message's **one** sequence number, arms a [`SendGuard`] when
-//! `src` is hosted here and posts the receive when `dst` is. A message
-//! whose two ends share a process therefore shares one number between its
-//! halves; advancing the counter once per side would give them different
-//! numbers and the receive would never match.
+//! The counters are not the transport's: each process's locality group
+//! owns them, in a crate-private `Comm` with the transport and its ranks'
+//! scheduling hooks. Every message is opened by `Comm::open`, the one
+//! place that rule lives: it takes the message's **one** sequence number,
+//! arms a [`SendGuard`] when `src` is hosted here and posts the receive
+//! when `dst` is. A message whose two ends share a process therefore
+//! shares one number between its halves; advancing the counter once per
+//! side would give them different numbers and the receive would never
+//! match.
 //!
 //! # Abandonment
 //!
@@ -69,6 +71,8 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use hpx_rt::SharedFuture;
+
+use crate::world::CommHooks;
 
 // ---------------------------------------------------------------------------
 // Wire scalars
@@ -345,18 +349,14 @@ impl MatchTable {
 /// layer. Implementations must be fully asynchronous on the receive side
 /// ([`Transport::recv`] returns immediately; arrival is signalled through
 /// the [`Delivery`]'s future) and must not occupy a runtime worker while
-/// modelling or incurring latency on the send side.
+/// modelling or incurring latency on the send side. Each process serves
+/// one locality group from it: the group numbers the messages.
 pub trait Transport: Send + Sync + 'static {
     /// Total number of ranks in the job (across all processes).
     fn nranks(&self) -> usize;
 
     /// The contiguous range of global rank ids hosted by *this* process.
     fn local_ranks(&self) -> Range<usize>;
-
-    /// Next sequence number of the `(kind, src → dst)` stream. Both
-    /// endpoints must advance this at the same program points (see module
-    /// docs on SPMD symmetry).
-    fn next_seq(&self, kind: MsgKind, src: usize, dst: usize) -> u64;
 
     /// Sends `payload` as message `(kind, src, dst, seq)`; `None` is the
     /// abandonment marker, and the receiver's [`Delivery`] completes with
@@ -367,23 +367,17 @@ pub trait Transport: Send + Sync + 'static {
     /// Posts a receive for message `(kind, src, dst, seq)`; `dst` must be
     /// a local rank.
     fn recv(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) -> Delivery;
-
-    /// True when every rank lives in this process — the locality layer
-    /// uses its process-global shortcut (map-reachability cuts) only then.
-    fn all_local(&self) -> bool {
-        self.local_ranks() == (0..self.nranks())
-    }
 }
 
-/// Per-`(kind, src → dst)` stream counters (shared helper of both
-/// implementations).
+/// Per-`(kind, src → dst)` stream counters of one process.
 #[derive(Default)]
-struct SeqCounters {
+pub(crate) struct SeqCounters {
     next: Mutex<HashMap<(MsgKind, u32, u32), u64>>,
 }
 
 impl SeqCounters {
-    fn next(&self, kind: MsgKind, src: usize, dst: usize) -> u64 {
+    /// The next sequence number of the `(kind, src → dst)` stream.
+    pub(crate) fn next(&self, kind: MsgKind, src: usize, dst: usize) -> u64 {
         let mut map = self.next.lock();
         let c = map.entry((kind, src as u32, dst as u32)).or_insert(0);
         let v = *c;
@@ -392,32 +386,70 @@ impl SeqCounters {
     }
 }
 
-/// Opens message `(kind, src → dst)`: takes its one sequence number (see
-/// module docs), arms a [`SendGuard`] when `src` is hosted here and posts
-/// the receive when `dst` is. The only caller of [`Transport::next_seq`].
-pub(crate) fn open(
-    transport: &Arc<dyn Transport>,
-    kind: MsgKind,
-    src: usize,
-    dst: usize,
-) -> (Option<SendGuard>, Option<Delivery>) {
-    let local = transport.local_ranks();
-    let seq = transport.next_seq(kind, src, dst);
-    let guard = local.contains(&src).then(|| SendGuard {
-        transport: Arc::clone(transport),
-        kind,
-        src,
-        dst,
-        seq,
-        armed: true,
-    });
-    let delivery = local
-        .contains(&dst)
-        .then(|| transport.recv(kind, src, dst, seq));
-    (guard, delivery)
+/// What one process's ranks share to talk to their peers: the transport,
+/// this process's sequence counters and each hosted rank's [`CommHooks`]
+/// in local order. The locality group owns it; its halo rings, the row
+/// mover and migration share it.
+pub(crate) struct Comm {
+    transport: Arc<dyn Transport>,
+    seqs: SeqCounters,
+    local: Range<usize>,
+    hooks: Vec<CommHooks>,
 }
 
-/// Arms abandonment for one outgoing message: `open` creates it when the
+impl Comm {
+    /// `hooks[i]` schedules for rank `transport.local_ranks().start + i`.
+    pub(crate) fn new(transport: Arc<dyn Transport>, hooks: Vec<CommHooks>) -> Self {
+        Comm {
+            local: transport.local_ranks(),
+            transport,
+            seqs: SeqCounters::default(),
+            hooks,
+        }
+    }
+
+    /// Total number of ranks in the job.
+    pub(crate) fn nranks(&self) -> usize {
+        self.transport.nranks()
+    }
+
+    /// The global ids of the ranks hosted by this process.
+    pub(crate) fn local_ranks(&self) -> Range<usize> {
+        self.local.clone()
+    }
+
+    /// The scheduling hooks of the locally hosted rank `rank` (global id).
+    pub(crate) fn hooks(&self, rank: usize) -> &CommHooks {
+        &self.hooks[rank - self.local.start]
+    }
+
+    /// Opens message `(kind, src → dst)`: takes its one sequence number
+    /// (see module docs), arms a [`SendGuard`] when `src` is hosted here
+    /// and posts the receive when `dst` is.
+    pub(crate) fn open(
+        &self,
+        kind: MsgKind,
+        src: usize,
+        dst: usize,
+    ) -> (Option<SendGuard>, Option<Delivery>) {
+        let seq = self.seqs.next(kind, src, dst);
+        let guard = self.local.contains(&src).then(|| SendGuard {
+            transport: Arc::clone(&self.transport),
+            kind,
+            src,
+            dst,
+            seq,
+            armed: true,
+        });
+        let delivery = self
+            .local
+            .contains(&dst)
+            .then(|| self.transport.recv(kind, src, dst, seq));
+        (guard, delivery)
+    }
+}
+
+/// Arms abandonment for one outgoing message: `Comm::open` creates it when the
 /// message is *scheduled*; move it into the send node and consume it with
 /// [`SendGuard::send`] when the payload is ready. If the node is skipped
 /// (upstream panic) or dies before sending, the guard's drop delivers the
@@ -469,7 +501,6 @@ pub struct InProcessTransport {
     /// Injected latency of every message.
     delay: Option<Duration>,
     table: Arc<MatchTable>,
-    seqs: SeqCounters,
 }
 
 impl InProcessTransport {
@@ -487,7 +518,6 @@ impl InProcessTransport {
             nranks,
             delay,
             table: Arc::new(MatchTable::default()),
-            seqs: SeqCounters::default(),
         }
     }
 }
@@ -499,10 +529,6 @@ impl Transport for InProcessTransport {
 
     fn local_ranks(&self) -> Range<usize> {
         0..self.nranks
-    }
-
-    fn next_seq(&self, kind: MsgKind, src: usize, dst: usize) -> u64 {
-        self.seqs.next(kind, src, dst)
     }
 
     fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Option<Vec<u8>>) {
@@ -575,7 +601,6 @@ pub struct ProcessTransport {
     rank: usize,
     table: Arc<MatchTable>,
     peers: Vec<Option<Mutex<UnixStream>>>,
-    seqs: SeqCounters,
     /// Rendezvous socket path, unlinked on drop.
     sock_path: PathBuf,
 }
@@ -657,7 +682,6 @@ impl ProcessTransport {
             rank,
             table,
             peers: streams.into_iter().map(|s| s.map(Mutex::new)).collect(),
-            seqs: SeqCounters::default(),
             sock_path,
         })
     }
@@ -722,10 +746,6 @@ impl Transport for ProcessTransport {
 
     fn local_ranks(&self) -> Range<usize> {
         self.rank..self.rank + 1
-    }
-
-    fn next_seq(&self, kind: MsgKind, src: usize, dst: usize) -> u64 {
-        self.seqs.next(kind, src, dst)
     }
 
     fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Option<Vec<u8>>) {
@@ -838,8 +858,8 @@ mod tests {
 
     #[test]
     fn dropped_send_guard_abandons_the_exchange() {
-        let t: Arc<dyn Transport> = Arc::new(InProcessTransport::new(2));
-        let (guard, d) = open(&t, MsgKind::Halo, 0, 1);
+        let comm = Comm::new(Arc::new(InProcessTransport::new(2)), Vec::new());
+        let (guard, d) = comm.open(MsgKind::Halo, 0, 1);
         drop(guard);
         let d = d.expect("rank 1 is hosted here");
         d.ready().wait();
@@ -848,11 +868,11 @@ mod tests {
 
     #[test]
     fn seq_counters_are_per_stream() {
-        let t = InProcessTransport::new(3);
-        assert_eq!(t.next_seq(MsgKind::Halo, 0, 1), 0);
-        assert_eq!(t.next_seq(MsgKind::Halo, 0, 1), 1);
-        assert_eq!(t.next_seq(MsgKind::Halo, 1, 0), 0);
-        assert_eq!(t.next_seq(MsgKind::Reduce, 0, 1), 0);
+        let seqs = SeqCounters::default();
+        assert_eq!(seqs.next(MsgKind::Halo, 0, 1), 0);
+        assert_eq!(seqs.next(MsgKind::Halo, 0, 1), 1);
+        assert_eq!(seqs.next(MsgKind::Halo, 1, 0), 0);
+        assert_eq!(seqs.next(MsgKind::Reduce, 0, 1), 0);
     }
 
     #[test]
@@ -867,17 +887,18 @@ mod tests {
                 let all_read = &all_read;
                 s.spawn(move || {
                     let t = ProcessTransport::connect_unix(&dir, rank, n).unwrap();
+                    let seqs = SeqCounters::default();
                     // Everyone sends its rank id to every peer...
                     for dst in 0..n {
                         if dst != rank {
-                            let seq = t.next_seq(MsgKind::Halo, rank, dst);
+                            let seq = seqs.next(MsgKind::Halo, rank, dst);
                             t.send(MsgKind::Halo, rank, dst, seq, Some(vec![rank as u8]));
                         }
                     }
                     // ...and checks what arrives.
                     for src in 0..n {
                         if src != rank {
-                            let seq = t.next_seq(MsgKind::Halo, src, rank);
+                            let seq = seqs.next(MsgKind::Halo, src, rank);
                             let d = t.recv(MsgKind::Halo, src, rank, seq);
                             d.ready().wait();
                             assert_eq!(d.take(), Some(vec![src as u8]));

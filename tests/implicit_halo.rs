@@ -129,7 +129,8 @@ fn dirty_bit_state_machine_fires_exactly_on_stale_reads() {
             let r = rng.in_range(0, nranks);
             if rng.next().is_multiple_of(2) {
                 // Owned write on rank r: all its owned rows get a fresh
-                // value; the importer's mirror goes stale.
+                // value, and every mirror goes stale (every rank is taken
+                // to run the same mutating loop on its own shard).
                 let v = next_value;
                 next_value += 1.0;
                 group
@@ -138,8 +139,7 @@ fn dirty_bit_state_machine_fires_exactly_on_stale_reads() {
                     .arg(write(&states[r].q))
                     .run(move |q: &mut [f64]| q[0] = v);
                 last_written[r] = v;
-                let importer = (r + nranks - 1) % nranks;
-                dirty[importer] = true;
+                dirty.fill(true);
             } else {
                 // Halo read on rank r (identity gather over owned + halo).
                 let s = &states[r];

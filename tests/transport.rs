@@ -8,7 +8,6 @@
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -299,15 +298,17 @@ fn injected_delay_does_not_occupy_the_single_worker() {
     }
 }
 
+/// Payload messages sent, per `(kind, src, dst)` stream.
+type Traffic = HashMap<(MsgKind, usize, usize), usize>;
+
 /// One process's view of a job over a shared in-process match table: it
-/// hosts the ranks `local`, keeps its own sequence counters (like a
-/// `ProcessTransport` does) and counts the messages carrying a payload it
-/// sends per kind.
+/// hosts the ranks `local` (the group over it numbers the messages, as over
+/// a `ProcessTransport`) and counts the messages carrying a payload it
+/// sends per stream.
 struct SliceTransport {
     link: Arc<InProcessTransport>,
     local: Range<usize>,
-    seqs: Mutex<HashMap<(MsgKind, usize, usize), u64>>,
-    sent: [AtomicUsize; 3],
+    sent: Mutex<Traffic>,
 }
 
 impl SliceTransport {
@@ -315,13 +316,16 @@ impl SliceTransport {
         Arc::new(SliceTransport {
             link: Arc::clone(link),
             local,
-            seqs: Mutex::new(HashMap::new()),
-            sent: Default::default(),
+            sent: Mutex::default(),
         })
     }
 
     fn sent(&self, kind: MsgKind) -> usize {
-        self.sent[kind as usize].load(Ordering::Relaxed)
+        let sent = self.sent.lock().unwrap();
+        sent.iter()
+            .filter(|(k, _)| k.0 == kind)
+            .map(|(_, n)| n)
+            .sum()
     }
 }
 
@@ -334,16 +338,14 @@ impl Transport for SliceTransport {
         self.local.clone()
     }
 
-    fn next_seq(&self, kind: MsgKind, src: usize, dst: usize) -> u64 {
-        let mut seqs = self.seqs.lock().unwrap();
-        let next = seqs.entry((kind, src, dst)).or_insert(0);
-        *next += 1;
-        *next - 1
-    }
-
     fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Option<Vec<u8>>) {
         if payload.is_some() {
-            self.sent[kind as usize].fetch_add(1, Ordering::Relaxed);
+            *self
+                .sent
+                .lock()
+                .unwrap()
+                .entry((kind, src, dst))
+                .or_default() += 1;
         }
         self.link.send(kind, src, dst, seq, payload);
     }
@@ -453,6 +455,70 @@ fn run_slices_bounded<T: Send + 'static>(
     out.into_iter()
         .map(|v| v.expect("every slice reported"))
         .collect()
+}
+
+/// The payload messages of a 4-iteration, 3-rank sharded Airfoil run,
+/// summed over its processes: one per entry of `starts`, hosting the ranks
+/// from that entry up to the next one.
+fn sharded_airfoil_traffic(starts: &[usize]) -> Traffic {
+    const NRANKS: usize = 3;
+    let ends = starts.iter().skip(1).copied().chain([NRANKS]);
+    let slices = starts.iter().zip(ends).map(|(&a, b)| a..b).collect();
+    let link = Arc::new(InProcessTransport::new(NRANKS));
+    let per_slice = run_slices_bounded(slices, move |slice| {
+        let t = SliceTransport::new(&link, slice);
+        let mesh = channel_with_bump(12, 6);
+        let mut shp =
+            ShardedProblem::declare_with_transport(Op2Config::dataflow(2), &mesh, t.clone());
+        run(
+            &mut ShardedAirfoil::new(&mut shp, 0.0),
+            RunConfig::iterations(4, 2),
+        );
+        shp.group.fence();
+        let sent = t.sent.lock().unwrap().clone();
+        sent
+    });
+    let mut total = Traffic::new();
+    for (stream, n) in per_slice.into_iter().flatten() {
+        *total.entry(stream).or_default() += n;
+    }
+    total
+}
+
+/// An all-local group sends the messages the same job sends across
+/// processes: a 3-rank sharded Airfoil over one process and over the
+/// processes {0} and {1, 2} sends the same `Halo` messages on every stream
+/// and the same `Reduce` partials to rank 0. The only difference is the
+/// allreduce's total, which goes back only to ranks outside rank 0's
+/// process: once per partial that came from there.
+#[test]
+fn all_local_group_sends_the_messages_of_the_split_process_job() {
+    let all_local = sharded_airfoil_traffic(&[0]);
+    let split = sharded_airfoil_traffic(&[0, 1]);
+    // `(src, dst, messages)` of the streams whose `(kind, dst)` passes `keep`.
+    let streams = |traffic: &Traffic, keep: fn(MsgKind, usize) -> bool| {
+        let mut s: Vec<_> = traffic
+            .iter()
+            .filter(|((kind, _, dst), _)| keep(*kind, *dst))
+            .map(|(&(_, src, dst), &n)| (src, dst, n))
+            .collect();
+        s.sort_unstable();
+        s
+    };
+    let halo = |kind, _| kind == MsgKind::Halo;
+    let partial = |kind, dst| kind == MsgKind::Reduce && dst == 0;
+    let total = |kind, dst| kind == MsgKind::Reduce && dst != 0;
+    assert!(
+        !streams(&all_local, halo).is_empty(),
+        "the mesh exchanges halos"
+    );
+    assert_eq!(streams(&all_local, halo), streams(&split, halo), "Halo");
+    let partials = streams(&all_local, partial);
+    assert!(!partials.is_empty(), "every iteration allreduces the rms");
+    assert_eq!(partials, streams(&split, partial), "partials");
+    assert!(streams(&all_local, total).is_empty(), "all-local totals");
+    let back: Vec<_> = partials.iter().map(|&(s, d, n)| (d, s, n)).collect();
+    assert_eq!(streams(&split, total), back, "split totals");
 }
 
 /// A process hosting rank 0 *and* other ranks: both halves of a message
