@@ -3,13 +3,20 @@
 //! [`run`] drives any [`AppInstance`] the way the original Airfoil
 //! driver drove its five loops: per iteration it asks the instance to
 //! submit one step, chains the residual print behind the previous line's
-//! print node, feeds the residual future to the convergence policy,
-//! applies the backpressure window, optionally live-rebalances, and
-//! fences exactly once at the end. Nothing in the loop blocks on a
-//! reduction: residual values are consumed through [`ReducedFuture`]s —
-//! printing via continuations, the history after the final fence, and
-//! the data-dependent exit through [`Convergence`], which consults only
-//! futures that are already resolved.
+//! print node, applies the backpressure window, checks the
+//! data-dependent exit, optionally live-rebalances, and fences exactly
+//! once at the end. Nothing in the loop blocks on a reduction: residual
+//! values are consumed through [`ReducedFuture`]s — printing via
+//! continuations, the history after the final fence, and the exit of a
+//! [`Convergence`] policy on the *resolved prefix* of the residuals
+//! (every one on the policy's grid up to the window's trailing edge,
+//! plus any later ones already resolved). The exit stops at the first
+//! prefix residual below the tolerance; while the decay rate of the last
+//! two prefix residuals predicts the crossing at or before the last
+//! submitted iteration, the loop waits for the next residual's
+//! completion instead of submitting more. Where every residual resolves
+//! as it is submitted (Seq, fork-join) nothing is ever waited for; on
+//! Dataflow the run stops at the crossing instead of a window past it.
 
 use std::borrow::Borrow;
 use std::collections::VecDeque;
@@ -203,9 +210,10 @@ pub trait App {
 pub enum ExitPolicy {
     /// Exactly this many iterations.
     Iterations(usize),
-    /// Data-dependent: stop when the policy's scaled residual drops
-    /// below tolerance (checked through resolved futures only — see
-    /// [`Convergence`]), with the policy's cap as the iteration bound.
+    /// Data-dependent: stop at the first iteration on the policy's grid
+    /// whose scaled residual is below tolerance (read through resolved
+    /// futures only — see the module docs), with the policy's cap as the
+    /// iteration bound.
     Converge(Convergence),
 }
 
@@ -216,12 +224,14 @@ pub struct RunConfig {
     /// Exit policy (iteration count or convergence).
     pub exit: ExitPolicy,
     /// Backpressure window: in-flight iterations before the submitter
-    /// waits on the oldest (0 = unbounded). An [`ExitPolicy::Converge`]
-    /// exit reads only residuals that have already resolved, and the
-    /// submitter runs up to `window` iterations ahead of the oldest one
-    /// whose loops and residual are not complete: the run may overshoot
-    /// the crossing iteration by up to the window, never by more.
-    /// Convergence-driven apps keep it short.
+    /// waits on the oldest (0 = unbounded). It bounds how far submission
+    /// runs ahead, not where an [`ExitPolicy::Converge`] run stops: the
+    /// exit waits for a residual as soon as the measured decay predicts
+    /// the crossing among the submitted iterations, so the run stops at
+    /// the crossing, with any window, unbounded included, as long as the
+    /// residual does not decay faster than the prefix predicts (a run
+    /// that does may pass the crossing, never by more than the window
+    /// when it is bounded).
     pub window: usize,
     /// Print the scaled residual every so many iterations (0 = never).
     pub print_every: usize,
@@ -273,6 +283,68 @@ impl RunOutcome {
     }
 }
 
+/// A convergence-driven run's exit: the policy plus the resolved prefix
+/// of the residuals on its grid (see the module docs).
+struct Exit {
+    conv: Convergence,
+    /// The first grid iteration past the prefix.
+    next: usize,
+    /// The last two prefix residuals (scaled), the older first.
+    last: [Option<f64>; 2],
+    /// The first prefix `(iteration, scaled residual)` below tolerance.
+    converged: Option<(usize, f64)>,
+}
+
+impl Exit {
+    fn new(conv: Convergence) -> Exit {
+        Exit {
+            next: conv.every(),
+            conv,
+            last: [None; 2],
+            converged: None,
+        }
+    }
+
+    /// Extends the prefix after iteration `iter` was submitted (`futs`
+    /// holds every residual so far) and returns whether the loop stops.
+    /// A residual is waited for (its completion, never a blocking read)
+    /// only if it is at or behind the window's trailing edge, whose
+    /// gates were just waited for, or if the crossing is predicted among
+    /// the submitted iterations.
+    fn stops_after(&mut self, iter: usize, window: usize, futs: &[ReducedFuture<f64>]) -> bool {
+        while self.converged.is_none() && self.next <= iter {
+            let fut = &futs[self.next - 1];
+            if !fut.is_ready() {
+                let behind = window > 0 && self.next + window <= iter;
+                if !behind && !self.predicts_crossing_by(iter) {
+                    break;
+                }
+                fut.done().wait();
+            }
+            let r = self.conv.scaled(fut.get_scalar());
+            self.last = [self.last[1], Some(r)];
+            if r < self.conv.tol() {
+                self.converged = Some((self.next, r));
+            }
+            self.next += self.conv.every();
+        }
+        self.converged.is_some() || iter >= self.conv.max_iters()
+    }
+
+    /// Whether the geometric decay of the last two prefix residuals puts
+    /// the crossing at or before the last grid iteration up to `iter`.
+    /// With fewer than two the rate is unknown, and the crossing may be
+    /// anywhere.
+    fn predicts_crossing_by(&self, iter: usize) -> bool {
+        let [Some(older), Some(newer)] = self.last else {
+            return true;
+        };
+        let rate = newer / older;
+        let steps = (iter + self.conv.every() - self.next) / self.conv.every();
+        rate < 1.0 && newer * rate.powi(i32::try_from(steps).unwrap_or(i32::MAX)) < self.conv.tol()
+    }
+}
+
 /// Runs the time loop over `inst` (see module docs for the loop shape).
 ///
 /// With `ExitPolicy::Iterations` the control flow is statement-for-
@@ -282,13 +354,13 @@ impl RunOutcome {
 pub fn run<I: AppInstance + ?Sized>(inst: &mut I, cfg: RunConfig) -> RunOutcome {
     let scale = inst.residual_map();
     let prints_here = inst.prints_here();
-    let (max_iters, mut conv) = match cfg.exit {
+    let (max_iters, mut exit) = match cfg.exit {
         ExitPolicy::Iterations(n) => (n, None),
         ExitPolicy::Converge(mut c) => {
             // The policy compares what the app reports: inject the app's
             // scaling unless the caller already set one.
             c.ensure_scale(Arc::clone(&scale));
-            (c.max_iters(), Some(c))
+            (c.max_iters(), Some(Exit::new(c)))
         }
     };
     let t0 = Instant::now();
@@ -312,34 +384,22 @@ pub fn run<I: AppInstance + ?Sized>(inst: &mut I, cfg: RunConfig) -> RunOutcome 
                 println!(" {iter:6} {:10.5e}", scale(v[0]));
             }));
         }
-        if let Some(c) = conv.as_mut() {
-            c.observe(iter, &residual);
-        }
         futs.push(residual);
         window_gates.push_back(gates);
 
         // Backpressure: bound in-flight iterations across all ranks,
-        // draining the waited handles out of the window.
+        // draining the waited handles out of the window. A
+        // convergence-driven run also waits for the leaving iteration's
+        // residual, inside the exit check below.
         if cfg.window > 0 && window_gates.len() > cfg.window {
             for h in window_gates.pop_front().expect("window is non-empty") {
                 h.wait();
             }
-            // A convergence-driven run lets the leaving iteration's
-            // residual resolve too (its read node runs right behind the
-            // gate), so the exit check below has seen every iteration up
-            // to `iter - window` and the overshoot is bounded by the
-            // window rather than by scheduling luck. The value is still
-            // only ever read once resolved.
-            if conv.is_some() {
-                futs[iter - 1 - cfg.window].done().wait();
-            }
         }
         iterations = iter;
 
-        // Data-dependent exit: consults only already-resolved residual
-        // futures, so the check never blocks the loop.
-        if let Some(c) = conv.as_mut() {
-            if c.should_stop(iter) {
+        if let Some(exit) = exit.as_mut() {
+            if exit.stops_after(iter, cfg.window, &futs) {
                 break;
             }
         }
@@ -365,7 +425,7 @@ pub fn run<I: AppInstance + ?Sized>(inst: &mut I, cfg: RunConfig) -> RunOutcome 
     let elapsed = t0.elapsed();
 
     let residuals: Vec<f64> = futs.iter().map(|r| scale(r.get_scalar())).collect();
-    let converged = conv.as_ref().and_then(Convergence::converged);
+    let converged = exit.and_then(|e| e.converged);
 
     RunOutcome {
         residuals,
@@ -379,39 +439,34 @@ pub fn run<I: AppInstance + ?Sized>(inst: &mut I, cfg: RunConfig) -> RunOutcome 
 mod tests {
     use super::*;
     use op2_core::args::{gbl_inc, rw};
+    use op2_core::hpx_rt::stats;
     use op2_core::{Dat, Global, Set};
 
-    /// A scalar toy app: one dat halves itself each step, the residual
-    /// is the sum of its values — so the residual sequence is exactly
-    /// `n/2, n/4, ...` and convergence behavior is analytic.
+    /// A scalar toy app: one dat halves itself each step (down to
+    /// `floor`), the residual is the sum of its values — so the scaled
+    /// residual sequence is exactly `1/2, 1/4, ...` and convergence
+    /// behavior is analytic.
     struct Halver {
         op2: Op2,
         cells: Set,
         x: Dat<f64>,
-        /// Fence inside every step, so each residual future is already
-        /// resolved when the harness observes it — makes the exact exit
-        /// iteration deterministic for the convergence tests (real apps
-        /// never do this; their exit lands within the resolution lag).
-        eager: bool,
+        floor: f64,
     }
 
     impl Halver {
         fn new(n: usize) -> Halver {
-            let op2 = Op2::new(Op2Config::seq());
+            Halver::on(Op2Config::seq(), n, 0.0)
+        }
+
+        fn on(config: Op2Config, n: usize, floor: f64) -> Halver {
+            let op2 = Op2::new(config);
             let cells = op2.decl_set(n, "cells");
             let x = op2.decl_dat(&cells, 1, "x", vec![1.0f64; n]);
             Halver {
                 op2,
                 cells,
                 x,
-                eager: false,
-            }
-        }
-
-        fn eager(n: usize) -> Halver {
-            Halver {
-                eager: true,
-                ..Halver::new(n)
+                floor,
             }
         }
     }
@@ -419,21 +474,18 @@ mod tests {
     impl AppInstance for Halver {
         fn step(&mut self, _iter: usize) -> StepOutput {
             let g = Global::<f64>::sum(1, "total");
+            let floor = self.floor;
             let h = self
                 .op2
                 .loop_("halve", &self.cells)
                 .arg(rw(&self.x))
                 .arg(gbl_inc(&g))
-                .run(|x: &mut [f64], t: &mut [f64]| {
-                    x[0] *= 0.5;
+                .run(move |x: &mut [f64], t: &mut [f64]| {
+                    x[0] = (x[0] * 0.5).max(floor);
                     t[0] += x[0];
                 });
-            let residual = g.reduce_async(&self.op2);
-            if self.eager {
-                self.op2.fence();
-            }
             StepOutput {
-                residual,
+                residual: g.reduce_async(&self.op2),
                 gates: vec![h],
             }
         }
@@ -452,6 +504,16 @@ mod tests {
         }
     }
 
+    /// Runs a Dataflow Halver of 8 cells and checks that the exit never
+    /// blocked on a residual. No other test in this crate reads an
+    /// unresolved reduction, so the process-wide counter is this run's.
+    fn run_dataflow(floor: f64, cfg: RunConfig) -> RunOutcome {
+        let before = stats::snapshot();
+        let out = run(&mut Halver::on(Op2Config::dataflow(2), 8, floor), cfg);
+        assert_eq!(before.delta("op2.reduce.blocking_reads"), 0);
+        out
+    }
+
     #[test]
     fn fixed_iterations_run_to_the_count() {
         let mut app = Halver::new(8);
@@ -468,9 +530,9 @@ mod tests {
 
     #[test]
     fn convergence_exit_stops_early() {
-        let mut app = Halver::eager(4);
-        // 2^-k < 1e-3 first at k = 10; the eager toy resolves each
-        // future before it is observed, so the exit lands exactly there.
+        let mut app = Halver::new(4);
+        // 2^-k < 1e-3 first at k = 10; Seq resolves each residual as it
+        // is submitted, so the exit lands exactly there.
         let out = run(
             &mut app,
             RunConfig::converge(Convergence::new(1e-3, 1, 100), 2),
@@ -480,6 +542,50 @@ mod tests {
         assert_eq!(at, 10);
         assert!(value < 1e-3);
         assert_eq!(out.residuals.len(), 10);
+    }
+
+    #[test]
+    fn dataflow_exit_lands_exactly_at_the_crossing() {
+        // 2^-k < 1e-12 first at k = 40, well past the window of 16: the
+        // submitter could run 16 iterations past the crossing, but the
+        // prefix's exact rate of 1/2 predicts it, and the loop waits there.
+        for window in [16, 0] {
+            let out = run_dataflow(
+                0.0,
+                RunConfig::converge(Convergence::new(1e-12, 1, 100), window),
+            );
+            assert_eq!(out.iterations, 40, "window {window}");
+            assert_eq!(
+                out.converged,
+                Some((40, 0.5f64.powi(40))),
+                "window {window}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_residual_that_stops_decaying_runs_to_the_cap() {
+        // The residual settles at 2^-20 > tol: the rate reads 1, no
+        // crossing is ever predicted, and the cap ends the run.
+        let out = run_dataflow(
+            0.5f64.powi(20),
+            RunConfig::converge(Convergence::new(1e-12, 1, 60), 4),
+        );
+        assert_eq!(out.iterations, 60);
+        assert!(out.converged.is_none());
+        assert_eq!(out.final_residual(), 0.5f64.powi(20));
+    }
+
+    #[test]
+    fn the_exit_lands_on_the_every_grid() {
+        // Checked every 3 iterations (heat's `every 50` shape): 2^-39 on
+        // the grid is still above 1e-12, so the exit is 42, not 40.
+        let out = run_dataflow(
+            0.0,
+            RunConfig::converge(Convergence::new(1e-12, 3, 100), 16),
+        );
+        assert_eq!(out.iterations, 42);
+        assert_eq!(out.converged, Some((42, 0.5f64.powi(42))));
     }
 
     #[test]

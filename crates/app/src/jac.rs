@@ -125,9 +125,9 @@ impl App for JacApp {
     }
 
     fn default_run(&self) -> RunConfig {
-        // A short window: the exit may overshoot the crossing by up to the
-        // window (see `RunConfig::window`), and at ~15 tasks per iteration
-        // four iterations in flight already keep two workers fed.
+        // A short window: at ~15 tasks per iteration four iterations in
+        // flight already keep two workers fed. It bounds the run-ahead, not
+        // the exit, which stops at the crossing (see `RunConfig::window`).
         RunConfig::converge(generated::resid_convergence(), 4)
     }
 }

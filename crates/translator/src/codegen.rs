@@ -382,18 +382,18 @@ fn emit_loop(
 
 /// Emits the constructor for one `converge` declaration: a
 /// [`op2_core::Convergence`] policy lowered onto the asynchronous
-/// reduction path — the time loop observes each iteration's
-/// `ReducedFuture` and polls `should_stop`, which drains only resolved
-/// futures and therefore never blocks.
+/// reduction path — the time loop (`op2_app::run`) decides on the
+/// resolved prefix of the iterations' `ReducedFuture`s and therefore
+/// never reads an unresolved residual.
 fn emit_converge(c: &ConvergeDecl, out: &mut String, used: &mut BTreeSet<&'static str>) {
     used.insert("Convergence");
     let _ = writeln!(
         out,
         "/// Convergence-driven exit for global `{}`: stop once the scaled\n\
          /// residual drops below `{:?}`, checking every {} iteration(s), hard\n\
-         /// cap {} iterations. Lowered onto the async-reduction path: feed each\n\
-         /// iteration's `ReducedFuture` to `Convergence::observe` and poll\n\
-         /// `Convergence::should_stop` — the residual check never blocks the\n\
+         /// cap {} iterations. Lowered onto the async-reduction path: hand it\n\
+         /// to `op2_app::run`, which decides on the resolved prefix of the\n\
+         /// iterations' `ReducedFuture`s — the residual check never blocks the\n\
          /// time loop.",
         c.gbl, c.tol, c.every, c.max
     );

@@ -74,7 +74,8 @@ fn jac_hpx_matches_golden() {
 fn converge_decls_lower_onto_the_async_reduction_path() {
     // The generated constructor is the only hook the app layer needs:
     // parameters travel from the spec into `Convergence::new`, and the
-    // doc steers users to observe/should_stop (never a blocking read).
+    // doc steers users to the harness's resolved-prefix exit (never a
+    // blocking read).
     let heat = translate(HEAT, CodegenBackend::Hpx).unwrap();
     assert!(heat.contains("pub fn delta_convergence() -> Convergence"));
     assert!(heat.contains("Convergence::new(1e-6, 50, 2000)"));

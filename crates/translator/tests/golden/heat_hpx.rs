@@ -41,9 +41,9 @@ where
 
 /// Convergence-driven exit for global `delta`: stop once the scaled
 /// residual drops below `1e-6`, checking every 50 iteration(s), hard
-/// cap 2000 iterations. Lowered onto the async-reduction path: feed each
-/// iteration's `ReducedFuture` to `Convergence::observe` and poll
-/// `Convergence::should_stop` — the residual check never blocks the
+/// cap 2000 iterations. Lowered onto the async-reduction path: hand it
+/// to `op2_app::run`, which decides on the resolved prefix of the
+/// iterations' `ReducedFuture`s — the residual check never blocks the
 /// time loop.
 pub fn delta_convergence() -> Convergence {
     Convergence::new(1e-6, 50, 2000)

@@ -43,9 +43,9 @@ where
 
 /// Convergence-driven exit for global `resid`: stop once the scaled
 /// residual drops below `1e-12`, checking every 1 iteration(s), hard
-/// cap 500 iterations. Lowered onto the async-reduction path: feed each
-/// iteration's `ReducedFuture` to `Convergence::observe` and poll
-/// `Convergence::should_stop` — the residual check never blocks the
+/// cap 500 iterations. Lowered onto the async-reduction path: hand it
+/// to `op2_app::run`, which decides on the resolved prefix of the
+/// iterations' `ReducedFuture`s — the residual check never blocks the
 /// time loop.
 pub fn resid_convergence() -> Convergence {
     Convergence::new(1e-12, 1, 500)
