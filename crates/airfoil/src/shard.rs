@@ -299,8 +299,8 @@ impl ShardedProblem {
 
         let (new_parts, new_spec) = declare_shards(&self.group, &self.mesh, &part, &new_owned);
 
-        // Retire the old shards' cached schedules and measured costs
-        // BEFORE any loop runs over the new sets: set signatures are
+        // Retire the old shards' cached schedules, plans and measured
+        // costs BEFORE any loop runs over the new sets: set signatures are
         // shape-based, so a rank re-declaring "cells" at an unchanged
         // size would otherwise hit the old shard's stale entries.
         let local = self.group.local_ranks();

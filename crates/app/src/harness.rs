@@ -144,7 +144,8 @@ pub struct RebalanceReport {
     pub levels: Vec<u64>,
     /// Rows that changed owner rank.
     pub rows_crossing: usize,
-    /// Cached loop schedules retired with the old shards.
+    /// Cached loop schedules and colouring plans retired with the old
+    /// shards.
     pub specs_dropped: usize,
 }
 

@@ -9,12 +9,13 @@
 //!
 //! Figs 18-20 (the §V prefetching iterator) have no binary: prefetching lost
 //! or tied on every workload measured here and was deleted (`README.md`
-//! § Prefetching). The other binaries (`reduce_overlap`, `transport_halo`)
-//! are perf gates CI runs, like `chunk_adapt`; each gates OP2 code a solve
-//! runs. Dynamic rebalancing has no binary: CI races the `airfoil` binary
-//! itself, as 2 processes, with and without `--rebalance`. The hand-vectorized
-//! plane kernels have none either: the benchmark rig reports them per
-//! element beside the scalar kernels.
+//! § Prefetching). `chunk_adapt` is the one perf gate CI runs. Overlap of
+//! communication with compute has no binary: the held-link tests in
+//! `tests/transport.rs` hold halo and reduction messages in flight and
+//! assert exactly what runs meanwhile. Dynamic rebalancing has no binary
+//! either: CI races the `airfoil` binary itself, as 2 processes, with and
+//! without `--rebalance`. Nor do the hand-vectorized plane kernels: the
+//! benchmark rig reports them per element beside the scalar kernels.
 //!
 //! `fig15_16` accepts `--cells`, `--iters`, `--threads a,b,c`, `--reps`,
 //! `--csv PATH` and `--paper-scale` (see [`sweep::parse_sweep_args`]).
@@ -24,5 +25,5 @@ pub mod sweep;
 pub mod tables;
 
 pub use harness::{run_airfoil, Measurement, Variant};
-pub use sweep::{parse_sweep_args, SweepArgs};
+pub use sweep::parse_sweep_args;
 pub use tables::Table;

@@ -32,7 +32,7 @@ impl Default for SweepArgs {
 }
 
 /// 1, 2, 4, ... up to `2 * hw` (the paper's hyperthreaded tail).
-pub fn default_thread_sweep(hw: usize) -> Vec<usize> {
+fn default_thread_sweep(hw: usize) -> Vec<usize> {
     let mut v = vec![1usize];
     while *v.last().unwrap() < 2 * hw {
         v.push(v.last().unwrap() * 2);

@@ -26,10 +26,9 @@
 //!   the only collective: [`LocalityGroup::barrier`] and
 //!   [`crate::rebalance::agree_rank_busy`] are allreduces too.
 //!
-//! The group's [`Transport`] is the only way halo rows, migrated rows,
-//! partials and injected latency ([`InProcessTransport::with_delay`]) move
-//! between ranks. One row mover (`move_rows`) schedules every row move —
-//! [`exchange`], the implicit halo refresh and
+//! The group's [`Transport`] is the only way halo rows, migrated rows and
+//! partials move between ranks. One row mover (`move_rows`) schedules
+//! every row move — [`exchange`], the implicit halo refresh and
 //! [`crate::rebalance::migrate_rows`] — as one message each, even when
 //! both ends share a process.
 //!
@@ -41,7 +40,9 @@
 //! receive future, through the ordinary footprint resolution; its interior
 //! nodes carry no such edge and start immediately. Halo blocks are just
 //! remote-fed blocks, and communication overlaps interior compute with no
-//! global barrier per loop.
+//! global barrier per loop. The held-link tests in `tests/transport.rs`
+//! assert this exactly: with the halo message held in the link, every
+//! interior element of the consumer runs and no boundary element does.
 //!
 //! # Implicit communication: the dirty-bit protocol
 //!

@@ -434,6 +434,14 @@ impl PlanCache {
         plan
     }
 
+    /// Drops every plan of set signature `set_sig`; returns how many.
+    pub fn invalidate_set(&self, set_sig: u64) -> usize {
+        let mut plans = self.plans.lock();
+        let before = plans.len();
+        plans.retain(|k, _| k.set != set_sig);
+        before - plans.len()
+    }
+
     pub fn built(&self) -> usize {
         self.plans.lock().len()
     }

@@ -29,8 +29,9 @@
 //!    shards simply precede the gathers, and the first loops on the new
 //!    shards gate on the landings.
 //! 5. **Invalidate** — the solver retires the old set signatures
-//!    ([`crate::Op2::retire_set_signature`]) so a stale cached schedule or
-//!    cost estimate for the pre-migration shape can never be hit again.
+//!    ([`crate::Op2::retire_set_signature`]) so a stale cached schedule,
+//!    colouring plan or cost estimate for the pre-migration shape can never
+//!    be hit again, nor kept for the life of the world.
 //!
 //! Halo mirrors are *not* migrated: a freshly linked halo ring starts with
 //! every import stale, so the first post-migration reader refreshes its

@@ -13,12 +13,11 @@
 //! Two implementations:
 //!
 //! * [`InProcessTransport`] — all ranks in one process. Delivery is a
-//!   match-table handoff; [`InProcessTransport::with_delay`] models link
-//!   latency by **rescheduling** delivery onto the shared
-//!   [`hpx_rt::timing::defer`] timer thread, never by sleeping on a
-//!   runtime worker (a `thread::sleep` inside the gather node would steal
-//!   the very compute the overlap benches claim to overlap). It is the
-//!   only way to inject latency.
+//!   match-table handoff on the sending thread, with no modelled latency.
+//!   Overlap is tested by holding messages in flight instead: the
+//!   held-link tests in `tests/transport.rs` wrap this transport, keep one
+//!   message kind back until they release it, and assert what the schedule
+//!   ran in the meantime.
 //! * [`ProcessTransport`] — each rank (or group of ranks) is its own OS
 //!   process; peers are connected over a full mesh of Unix-domain sockets
 //!   established through a filesystem rendezvous directory. Latency is
@@ -492,32 +491,19 @@ impl Drop for SendGuard {
 // ---------------------------------------------------------------------------
 
 /// All ranks in one process: delivery is a match-table handoff on the
-/// sending thread, and an injected link delay *reschedules* delivery onto
-/// the shared timer thread ([`hpx_rt::timing::defer`]) — no runtime worker
-/// sleeps, so overlap measurements under injected latency do not lose a
-/// worker per in-flight message.
+/// sending thread.
 pub struct InProcessTransport {
     nranks: usize,
-    /// Injected latency of every message.
-    delay: Option<Duration>,
-    table: Arc<MatchTable>,
+    table: MatchTable,
 }
 
 impl InProcessTransport {
-    /// A zero-latency in-process transport between `nranks` ranks.
+    /// An in-process transport between `nranks` ranks.
     pub fn new(nranks: usize) -> Self {
-        Self::with_delay(nranks, None)
-    }
-
-    /// An in-process transport injecting `delay` on every message that
-    /// carries a payload (halo rows, reduction partials and migrated rows
-    /// alike).
-    pub fn with_delay(nranks: usize, delay: Option<Duration>) -> Self {
         assert!(nranks >= 1, "a transport needs at least one rank");
         InProcessTransport {
             nranks,
-            delay,
-            table: Arc::new(MatchTable::default()),
+            table: MatchTable::default(),
         }
     }
 }
@@ -532,16 +518,8 @@ impl Transport for InProcessTransport {
     }
 
     fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Option<Vec<u8>>) {
-        let key = (kind, src as u32, dst as u32, seq);
-        match self.delay {
-            // Abandonment skips the injected delay: it exists to unblock
-            // the receiver promptly on a failure path.
-            Some(d) if payload.is_some() => {
-                let table = Arc::clone(&self.table);
-                hpx_rt::timing::defer(d, move || table.deliver(key, payload));
-            }
-            _ => self.table.deliver(key, payload),
-        }
+        self.table
+            .deliver((kind, src as u32, dst as u32, seq), payload);
     }
 
     fn recv(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) -> Delivery {
@@ -554,7 +532,6 @@ impl std::fmt::Debug for InProcessTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("InProcessTransport")
             .field("nranks", &self.nranks)
-            .field("delay", &self.delay)
             .finish()
     }
 }
@@ -840,20 +817,6 @@ mod tests {
         t.send(MsgKind::Halo, 0, 1, 1, Some(vec![9]));
         d.ready().wait();
         assert_eq!(d.take(), Some(vec![9]));
-    }
-
-    #[test]
-    fn in_process_delay_defers_off_thread() {
-        let t = InProcessTransport::with_delay(2, Some(Duration::from_millis(15)));
-        let t0 = std::time::Instant::now();
-        t.send(MsgKind::Halo, 0, 1, 0, Some(vec![4]));
-        // The send returned immediately; delivery lands later via the
-        // timer thread.
-        assert!(t0.elapsed() < Duration::from_millis(15));
-        let d = t.recv(MsgKind::Halo, 0, 1, 0);
-        d.ready().wait();
-        assert!(t0.elapsed() >= Duration::from_millis(15));
-        assert_eq!(d.take(), Some(vec![4]));
     }
 
     #[test]

@@ -308,13 +308,13 @@ impl Op2 {
     }
 
     /// Retires a set signature after live repartitioning: drops every
-    /// cached loop schedule keyed on it (they describe the pre-migration
-    /// shard shape and must never be hit again) and forgets its measured
-    /// costs so post-migration feedback restarts clean. Returns the
-    /// number of schedules dropped.
+    /// cached loop schedule and colouring plan keyed on it (they describe
+    /// the pre-migration shard shape and must never be hit again) and
+    /// forgets its measured costs so post-migration feedback restarts
+    /// clean. Returns the number of schedules and plans dropped.
     pub fn retire_set_signature(&self, sig: u64) -> usize {
         self.feedback.forget_set(sig);
-        self.specs.invalidate_set(sig)
+        self.specs.invalidate_set(sig) + self.plans.invalidate_set(sig)
     }
 
     /// The measured per-(kernel, set) cost table adaptive Dataflow

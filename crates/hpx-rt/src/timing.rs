@@ -1,8 +1,9 @@
 //! Time for the runtime and its callers: the injectable [`Clock`] the
 //! feedback-driven granularity machinery measures through (so tests can
-//! replace wall time with a deterministic fake), [`time`] for timing one
-//! call, and [`defer`], the shared timer thread the in-process transport
-//! models link latency on.
+//! replace wall time with a deterministic fake) and [`time`] for timing
+//! one call. The runtime has no timer thread: a test that needs a message
+//! in flight holds it in the link (`tests/transport.rs`'s `HeldLink`)
+//! instead of delaying it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -90,105 +91,6 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     (r, t.elapsed())
 }
 
-// ---------------------------------------------------------------------------
-// Deferred actions: a shared deadline-timer thread
-// ---------------------------------------------------------------------------
-
-/// An action queued on the timer thread.
-struct Deferred {
-    at: Instant,
-    /// Tie-breaker so equal deadlines fire in submission order.
-    seq: u64,
-    action: Box<dyn FnOnce() + Send>,
-}
-
-impl PartialEq for Deferred {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Deferred {}
-impl PartialOrd for Deferred {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Deferred {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: `BinaryHeap` is a max-heap, the earliest deadline must
-        // surface first.
-        other.at.cmp(&self.at).then(other.seq.cmp(&self.seq))
-    }
-}
-
-struct TimerQueue {
-    heap: parking_lot::Mutex<std::collections::BinaryHeap<Deferred>>,
-    cv: parking_lot::Condvar,
-    next_seq: AtomicU64,
-}
-
-fn timer() -> &'static TimerQueue {
-    static TIMER: OnceLock<&'static TimerQueue> = OnceLock::new();
-    TIMER.get_or_init(|| {
-        let q: &'static TimerQueue = Box::leak(Box::new(TimerQueue {
-            heap: parking_lot::Mutex::new(std::collections::BinaryHeap::new()),
-            cv: parking_lot::Condvar::new(),
-            next_seq: AtomicU64::new(0),
-        }));
-        std::thread::Builder::new()
-            .name("hpx-timer".into())
-            .spawn(move || loop {
-                let mut heap = q.heap.lock();
-                match heap.peek().map(|d| d.at) {
-                    None => q.cv.wait(&mut heap),
-                    Some(at) => {
-                        let now = Instant::now();
-                        if at <= now {
-                            let d = heap.pop().unwrap();
-                            drop(heap);
-                            (d.action)();
-                        } else {
-                            q.cv.wait_for(&mut heap, at - now);
-                        }
-                    }
-                }
-            })
-            .expect("spawn hpx-timer thread");
-        q
-    })
-}
-
-/// Runs `action` on a shared timer thread after `delay`, without occupying
-/// any runtime worker in the meantime — the deferred-delivery primitive the
-/// in-process transport uses to model link latency (a node that must fire
-/// late *reschedules* instead of sleeping on a worker). Actions with equal
-/// deadlines fire in submission order; the timer thread is lazily created
-/// on first use and shared process-wide.
-///
-/// The action runs on the timer thread itself, so it must be short — push a
-/// value, fulfill a promise, spawn a task — or it delays later deadlines.
-///
-/// ```
-/// use std::sync::mpsc::channel;
-/// use std::time::Duration;
-///
-/// let (tx, rx) = channel();
-/// hpx_rt::timing::defer(Duration::from_millis(5), move || {
-///     let _ = tx.send(42);
-/// });
-/// assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(42));
-/// ```
-pub fn defer(delay: Duration, action: impl FnOnce() + Send + 'static) {
-    let q = timer();
-    let d = Deferred {
-        at: Instant::now() + delay,
-        seq: q.next_seq.fetch_add(1, Ordering::Relaxed),
-        action: Box::new(action),
-    };
-    q.heap.lock().push(d);
-    q.cv.notify_one();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,37 +125,5 @@ mod tests {
     #[should_panic(expected = "Clock::advance on the real clock")]
     fn real_clock_cannot_be_steered() {
         Clock::default().advance(Duration::from_nanos(1));
-    }
-
-    #[test]
-    fn defer_fires_after_the_delay() {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let t0 = Instant::now();
-        defer(Duration::from_millis(10), move || {
-            let _ = tx.send(());
-        });
-        rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(t0.elapsed() >= Duration::from_millis(10));
-    }
-
-    #[test]
-    fn defer_orders_equal_deadlines_by_submission() {
-        let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        let (tx, rx) = std::sync::mpsc::channel();
-        // A long-deadline entry first, then several equal short deadlines:
-        // the heap must surface the earliest deadline, not insertion order.
-        let delay = Duration::from_millis(20);
-        for i in 0..4u32 {
-            let log = Arc::clone(&log);
-            let tx = tx.clone();
-            defer(delay, move || {
-                log.lock().push(i);
-                let _ = tx.send(());
-            });
-        }
-        for _ in 0..4 {
-            rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        }
-        assert_eq!(&*log.lock(), &[0, 1, 2, 3]);
     }
 }

@@ -271,8 +271,8 @@ fn rebalance_judges_only_finished_iterations() {
 }
 
 /// Migration retires exactly the affected loop-schedule cache entries:
-/// every schedule keyed on the migrated sets' signatures is dropped, while
-/// schedules for unrelated sets survive.
+/// every schedule and colouring plan keyed on the migrated sets'
+/// signatures is dropped, while schedules for unrelated sets survive.
 #[test]
 fn migration_retires_exactly_the_affected_spec_entries() {
     let mesh = channel_with_bump(16, 8);
@@ -291,7 +291,10 @@ fn migration_retires_exactly_the_affected_spec_entries() {
 
     let built = |shp: &ShardedProblem| -> Vec<usize> {
         (0..2)
-            .map(|r| shp.group.rank(r).spec_cache_stats().0)
+            .map(|r| {
+                let op2 = shp.group.rank(r);
+                op2.spec_cache_stats().0 + op2.plan_cache_stats().0
+            })
             .collect()
     };
     let built_before = built(&shp);
@@ -319,6 +322,38 @@ fn migration_retires_exactly_the_affected_spec_entries() {
     // The run continues correctly on the new shards (fresh schedules).
     let r = solve(&mut shp, 2);
     assert!(r.residuals.iter().all(|v| v.is_finite()));
+}
+
+/// A migration retires the colouring plans of the shard shapes it leaves
+/// behind, on fork-join too, which caches no loop schedules: right after
+/// it no world holds a plan, the report counts the plans it dropped, and
+/// once the solve continues each world holds the plans of its live shapes
+/// only, as many as before.
+#[test]
+fn fork_join_migration_retires_the_plans_of_the_old_shards() {
+    let mesh = channel_with_bump(16, 8);
+    let mut shp = ShardedProblem::declare(Op2Config::fork_join(2), &mesh, 2);
+    solve(&mut shp, 2);
+    let plans = |shp: &ShardedProblem| -> Vec<usize> {
+        (0..2)
+            .map(|r| shp.group.rank(r).plan_cache_stats().0)
+            .collect()
+    };
+    let before = plans(&shp);
+    assert!(
+        before.iter().all(|&p| p > 0),
+        "fork-join colours the indirect increments of every rank"
+    );
+
+    let rep = shp
+        .rebalance_with_busy(&[5_000_000, 1_000_000])
+        .expect("5x skew must migrate");
+    assert_eq!(plans(&shp), vec![0, 0], "the old shards' plans are retired");
+    assert!(rep.specs_dropped > 0, "the report counts the retired plans");
+    assert_eq!(rep.specs_dropped, before.iter().sum::<usize>());
+
+    solve(&mut shp, 2);
+    assert_eq!(plans(&shp), before, "only the live shapes keep a plan");
 }
 
 /// Busy time, the imbalance signal the rebalancer reads, accumulates on

@@ -4,21 +4,28 @@
 //! dies mid-exchange must surface its *original* panic — the receive half
 //! degrades to a diagnostic no-op instead of double-panicking. Live
 //! migration crosses the same transport, whatever the process layout.
+//!
+//! The `held_*` tests check the paper's overlap claims exactly, with no
+//! clock: a `HeldLink` keeps one message kind in flight until the test
+//! releases it, and the test asserts what the schedule ran meanwhile —
+//! every interior element of a halo consumer and no boundary one, the
+//! loops after an allreduce but not its total, no fork-join element.
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use op2_hpx::airfoil::{ShardedAirfoil, ShardedProblem};
 use op2_hpx::app::{run, RunConfig};
 use op2_hpx::mesh::channel_with_bump;
-use op2_hpx::op2::args::{gbl_inc, rw, write};
+use op2_hpx::op2::args::{gbl_inc, read, read_via, rw, write};
 use op2_hpx::op2::locality::{exchange, HaloSpec, LocalityGroup};
 use op2_hpx::op2::rebalance::{migrate_rows, MigrationSpec};
 use op2_hpx::op2::transport::{Delivery, InProcessTransport, MsgKind, ProcessTransport, Transport};
-use op2_hpx::op2::{Dat, Global, Op2Config};
+use op2_hpx::op2::{Dat, Global, LoopHandle, Map, Op2Config, Set};
 
 /// A fresh rendezvous directory under the system temp dir, unique per
 /// test (sockets are created inside and removed with it).
@@ -240,62 +247,6 @@ fn abandoned_exchange_surfaces_the_original_panic() {
         msg.contains("kernel exploded"),
         "fence panicked with a secondary error instead of the root cause: {msg:?}"
     );
-}
-
-/// Injected link delay is honored by the in-process transport without
-/// blocking a runtime worker: with a single worker thread, a delayed
-/// exchange still completes (sleeping *inside* the send node would wedge
-/// the lone worker for the duration and serialize every delayed pair).
-#[test]
-fn injected_delay_does_not_occupy_the_single_worker() {
-    let delay = Duration::from_millis(40);
-    let link = InProcessTransport::with_delay(4, Some(delay));
-    let group = LocalityGroup::with_transport(Op2Config::dataflow(1), Arc::new(link));
-    let mut dats = Vec::new();
-    let mut spec = HaloSpec::empty(4);
-    for r in 0..4 {
-        let cells = group.rank(r).decl_set(4, "cells");
-        let d = group
-            .rank(r)
-            .decl_dat_halo(&cells, 1, "q", vec![r as f64; 7], 3);
-        dats.push(d);
-    }
-    // All-to-all: every rank exports row 0 to every other rank; each
-    // rank's three halo rows (4..7) are fed in exporter order.
-    for dst in 0..4 {
-        let mut off = 4;
-        for src in 0..4 {
-            if src == dst {
-                continue;
-            }
-            spec.export_rows[src][dst] = vec![0];
-            spec.import_range[dst][src] = off..off + 1;
-            off += 1;
-        }
-    }
-    spec.validate().expect("spec");
-
-    let t0 = Instant::now();
-    let recvs = exchange(&group, &dats, &spec);
-    for per_rank in &recvs {
-        for f in per_rank {
-            f.wait();
-        }
-    }
-    let elapsed = t0.elapsed();
-    // 12 delayed pairs on ONE worker: worker-blocking sleeps would need
-    // ≥ 12 × 40ms serialized; timer-deferred delivery needs ~one delay.
-    assert!(
-        elapsed < delay * 6,
-        "12 pairs took {elapsed:?} — delay is blocking the worker"
-    );
-    for (i, d) in dats.iter().enumerate() {
-        let snap = d.snapshot();
-        let mut mirrored: Vec<f64> = snap[4..7].to_vec();
-        mirrored.sort_by(f64::total_cmp);
-        let expected: Vec<f64> = (0..4).filter(|&r| r != i).map(|r| r as f64).collect();
-        assert_eq!(mirrored, expected, "rank {i} halo rows");
-    }
 }
 
 /// Payload messages sent, per `(kind, src, dst)` stream.
@@ -791,5 +742,403 @@ fn split_process_migration_matches_all_local_bitwise() {
                 "case {case}: rank {r} fully landed"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Held link: messages kept in flight until the test releases them
+// ---------------------------------------------------------------------------
+
+/// How long a `HeldLink` holds its messages if the test never releases
+/// them.
+const WATCHDOG: Duration = Duration::from_secs(30);
+
+/// An in-process link that holds every payload message of one kind until
+/// the test calls [`HeldLink::release`]; later ones pass straight through,
+/// and so do abandonment markers (`None` payloads) and other kinds. A
+/// watchdog releases the held messages itself at the [`WATCHDOG`] deadline
+/// and the test then fails at its next `until` or `release`: a schedule
+/// that waits on a held message fails the test instead of hanging it.
+struct HeldLink {
+    link: InProcessTransport,
+    kind: MsgKind,
+    hold: Mutex<Hold>,
+    opened: Condvar,
+}
+
+#[derive(Default)]
+struct Hold {
+    /// `(src, dst, seq, payload)` of each held message.
+    msgs: Vec<(usize, usize, u64, Vec<u8>)>,
+    open: bool,
+    by_watchdog: bool,
+}
+
+impl HeldLink {
+    fn new(nranks: usize, kind: MsgKind) -> Arc<Self> {
+        let link = Arc::new(HeldLink {
+            link: InProcessTransport::new(nranks),
+            kind,
+            hold: Mutex::default(),
+            opened: Condvar::new(),
+        });
+        let watched = Arc::clone(&link);
+        std::thread::spawn(move || {
+            let hold = watched.hold.lock().unwrap();
+            let (mut hold, wait) = watched
+                .opened
+                .wait_timeout_while(hold, WATCHDOG, |h| !h.open)
+                .unwrap();
+            if wait.timed_out() {
+                hold.by_watchdog = true;
+                drop(hold);
+                watched.open();
+            }
+        });
+        link
+    }
+
+    /// Messages held right now.
+    fn held(&self) -> usize {
+        self.hold.lock().unwrap().msgs.len()
+    }
+
+    fn assert_not_released_by_watchdog(&self, what: &str) {
+        let fired = self.hold.lock().unwrap().by_watchdog;
+        assert!(
+            !fired,
+            "{what}: the schedule waited on a held message until the watchdog released it"
+        );
+    }
+
+    /// Polls `done` until it holds, sleeping: the test thread takes no
+    /// runtime slot and runs no task meanwhile.
+    fn until(&self, what: &str, done: impl Fn() -> bool) {
+        while !done() {
+            self.assert_not_released_by_watchdog(what);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        self.assert_not_released_by_watchdog(what);
+    }
+
+    /// Delivers the held messages; later ones pass straight through.
+    fn release(&self) {
+        self.assert_not_released_by_watchdog("release");
+        self.open();
+    }
+
+    fn open(&self) {
+        let msgs = {
+            let mut hold = self.hold.lock().unwrap();
+            hold.open = true;
+            std::mem::take(&mut hold.msgs)
+        };
+        self.opened.notify_all();
+        for (src, dst, seq, payload) in msgs {
+            self.link.send(self.kind, src, dst, seq, Some(payload));
+        }
+    }
+}
+
+impl Transport for HeldLink {
+    fn nranks(&self) -> usize {
+        self.link.nranks()
+    }
+
+    fn local_ranks(&self) -> Range<usize> {
+        self.link.local_ranks()
+    }
+
+    fn send(&self, kind: MsgKind, src: usize, dst: usize, seq: u64, payload: Option<Vec<u8>>) {
+        let mut hold = self.hold.lock().unwrap();
+        match payload {
+            Some(bytes) if kind == self.kind && !hold.open => {
+                hold.msgs.push((src, dst, seq, bytes))
+            }
+            payload => {
+                drop(hold);
+                self.link.send(kind, src, dst, seq, payload);
+            }
+        }
+    }
+
+    fn recv(&self, kind: MsgKind, src: usize, dst: usize, seq: u64) -> Delivery {
+        self.link.recv(kind, src, dst, seq)
+    }
+}
+
+/// Rank 0's owned rows in the held-halo tests; its `HALO` mirror rows
+/// follow them.
+const OWNED: usize = 256;
+const HALO: usize = 64;
+/// What rank 1 exports into rank 0's mirror rows.
+const EXPORTED: f64 = 1000.0;
+
+/// Two ranks over a link that holds `Halo` messages. Rank 0's shard `q`
+/// has `OWNED` rows (row i holds i) and `HALO` mirror rows fed by rank 1;
+/// its consumer reads row e of `q` at element e through an identity map,
+/// so with 64-row blocks its first `OWNED` elements are interior and the
+/// rest boundary.
+struct HeldHalo {
+    link: Arc<HeldLink>,
+    group: LocalityGroup,
+    /// `q` on rank 0 and on rank 1 (an implicit ring needs both alive).
+    q: [Dat<f64>; 2],
+    edges: Set,
+    ident: Map,
+    /// Element e holds e: the consumer's kernel knows where it is.
+    ids: Dat<f64>,
+    out: Dat<f64>,
+    /// The receive future of an explicit `exchange`; the implicit refresh
+    /// is opened by the consumer's own submission and returns none.
+    recv: Option<op2_hpx::hpx::SharedFuture<()>>,
+}
+
+/// Consumer elements run: interior, boundary.
+type Ran = Arc<[AtomicUsize; 2]>;
+
+impl HeldHalo {
+    fn new(config: Op2Config, implicit: bool) -> Self {
+        let link = HeldLink::new(2, MsgKind::Halo);
+        let group = LocalityGroup::with_transport(config.with_block_size(64), link.clone());
+        let (r0, r1) = (group.rank(0), group.rank(1));
+        let cells0 = r0.decl_set(OWNED, "cells");
+        let mut init: Vec<f64> = (0..OWNED).map(|i| i as f64).collect();
+        init.extend(std::iter::repeat_n(-1.0, HALO));
+        let q = r0.decl_dat_halo(&cells0, 1, "q", init, HALO);
+        let cells1 = r1.decl_set(HALO, "cells");
+        let q1 = r1.decl_dat(&cells1, 1, "q", vec![EXPORTED; HALO]);
+
+        let mut spec = HaloSpec::empty(2);
+        spec.export_rows[1][0] = (0..HALO as u32).collect();
+        spec.import_range[0][1] = OWNED..OWNED + HALO;
+        spec.validate().expect("spec");
+        let q = [q, q1];
+        let recv = if implicit {
+            group.link_halo(&q, &spec);
+            None
+        } else {
+            Some(exchange(&group, &q, &spec)[0][1].clone())
+        };
+
+        let n = OWNED + HALO;
+        let edges = r0.decl_set(n, "edges");
+        let ident = r0.decl_map_halo(
+            &edges,
+            &cells0,
+            1,
+            (0..n as u32).collect::<Vec<_>>(),
+            "ident",
+            HALO,
+        );
+        let ids = r0.decl_dat(
+            &edges,
+            1,
+            "ids",
+            (0..n).map(|e| e as f64).collect::<Vec<_>>(),
+        );
+        let out = r0.decl_dat(&edges, 1, "out", vec![f64::NAN; n]);
+        HeldHalo {
+            link,
+            group,
+            q,
+            edges,
+            ident,
+            ids,
+            out,
+            recv,
+        }
+    }
+
+    /// Submits the consumer on rank 0 and returns its handle.
+    fn consume(&self, ran: &Ran) -> LoopHandle {
+        let ran = Arc::clone(ran);
+        self.group
+            .rank(0)
+            .loop_("consume", &self.edges)
+            .arg(read_via(&self.q[0], &self.ident, 0))
+            .arg(read(&self.ids))
+            .arg(write(&self.out))
+            .run(move |q: &[f64], id: &[f64], o: &mut [f64]| {
+                o[0] = q[0];
+                ran[usize::from(id[0] >= OWNED as f64)].fetch_add(1, Ordering::Relaxed);
+            })
+    }
+
+    /// After the release: every element ran once, interior ones read
+    /// rank 0's owned rows and boundary ones the exchanged rows.
+    fn assert_exchanged(&self, ran: &Ran) {
+        let counts = ran.each_ref().map(|c| c.load(Ordering::Acquire));
+        assert_eq!(counts, [OWNED, HALO], "elements run: interior, boundary");
+        let out = self.out.snapshot();
+        assert!(
+            (0..OWNED).all(|e| out[e] == e as f64),
+            "interior elements read the owned rows"
+        );
+        assert!(
+            out[OWNED..].iter().all(|&v| v == EXPORTED),
+            "boundary elements read the exchanged rows"
+        );
+    }
+}
+
+/// While the one halo message is held, every interior element of the
+/// consumer runs, no boundary element runs, and the receive and the
+/// consumer stay pending; once released, the boundary reads the exchanged
+/// rows.
+fn interior_runs_while_the_halo_is_held(implicit: bool) {
+    let h = HeldHalo::new(Op2Config::dataflow(2), implicit);
+    let ran = Ran::default();
+    let consumer = h.consume(&ran);
+    h.link
+        .until("the halo is held and every interior element ran", || {
+            h.link.held() == 1 && ran[0].load(Ordering::Acquire) == OWNED
+        });
+    assert_eq!(
+        ran[1].load(Ordering::Acquire),
+        0,
+        "a boundary element ran before its halo rows arrived"
+    );
+    assert!(
+        !consumer.is_done(),
+        "the consumer finished without its halo"
+    );
+    if let Some(recv) = &h.recv {
+        assert!(
+            !recv.is_ready(),
+            "the receive completed while its message was held"
+        );
+    }
+    h.link.release();
+    consumer.wait();
+    h.assert_exchanged(&ran);
+}
+
+/// The overlap of an explicit `exchange`, asserted on the schedule.
+#[test]
+fn held_halo_overlaps_the_interior_of_an_explicit_exchange() {
+    interior_runs_while_the_halo_is_held(false);
+}
+
+/// The overlap of the implicit dirty-bit refresh, asserted on the
+/// schedule.
+#[test]
+fn held_halo_overlaps_the_interior_of_an_implicit_refresh() {
+    interior_runs_while_the_halo_is_held(true);
+}
+
+/// Fork-join is the bulk-sync schedule: a fork-join consumer, submitted
+/// from a helper thread while its halo message is held, runs no element
+/// at all until the message is released.
+#[test]
+fn held_halo_runs_no_fork_join_element() {
+    let h = HeldHalo::new(Op2Config::fork_join(2), false);
+    h.link.until("the halo is held", || h.link.held() == 1);
+    let ran = Ran::default();
+    std::thread::scope(|s| {
+        let consumer = s.spawn(|| h.consume(&ran).wait());
+        std::thread::sleep(Duration::from_millis(50));
+        let before = ran.each_ref().map(|c| c.load(Ordering::Acquire));
+        h.link.release();
+        consumer.join().expect("the fork-join consumer");
+        assert_eq!(
+            before,
+            [0, 0],
+            "fork-join elements ran before the halo arrived"
+        );
+    });
+    h.assert_exchanged(&ran);
+}
+
+/// Fig 9's reduction claim: while the `Reduce` partials of ranks 1..4 are
+/// held, a loop submitted after the allreduce runs to completion on every
+/// rank and the total is not ready; once released, the total is bitwise
+/// the fixed tree.
+#[test]
+fn held_reduce_partials_leave_later_loops_running() {
+    const N: usize = 4;
+    let link = HeldLink::new(N, MsgKind::Reduce);
+    let group = LocalityGroup::with_transport(Op2Config::dataflow(2), link.clone());
+    let red = allreduce_partials(&group);
+    let later: Vec<LoopHandle> = (0..N)
+        .map(|r| {
+            let cells = group.rank(r).decl_set(16, "cells");
+            let x = group.rank(r).decl_dat(&cells, 1, "x", vec![0.0f64; 16]);
+            group
+                .rank(r)
+                .loop_("later", &cells)
+                .arg(rw(&x))
+                .run(|x: &mut [f64]| x[0] += 1.0)
+        })
+        .collect();
+    link.until("the partials are held and every later loop ran", || {
+        link.held() == N - 1 && later.iter().all(LoopHandle::is_done)
+    });
+    assert!(
+        !red.is_ready(),
+        "the total is ready although the partials are held"
+    );
+    link.release();
+    assert_eq!(
+        red.get_scalar().to_bits(),
+        fixed_tree(PARTIALS[..N].to_vec()).to_bits()
+    );
+}
+
+/// Held messages occupy no runtime worker: on a group with one worker and
+/// no caller slot, all 12 messages of an all-to-all exchange reach the
+/// link and a loop submitted after the exchange completes while they are
+/// held; once released, every rank mirrors each peer's row 0.
+#[test]
+fn held_messages_do_not_occupy_the_single_worker() {
+    let link = HeldLink::new(4, MsgKind::Halo);
+    let group = LocalityGroup::with_transport(Op2Config::dataflow(1), link.clone());
+    let mut dats = Vec::new();
+    let mut spec = HaloSpec::empty(4);
+    for r in 0..4 {
+        let cells = group.rank(r).decl_set(4, "cells");
+        let d = group
+            .rank(r)
+            .decl_dat_halo(&cells, 1, "q", vec![r as f64; 7], 3);
+        dats.push(d);
+    }
+    // All-to-all: every rank exports row 0 to every other rank; each
+    // rank's three halo rows (4..7) are fed in exporter order.
+    for dst in 0..4 {
+        let mut off = 4;
+        for src in 0..4 {
+            if src == dst {
+                continue;
+            }
+            spec.export_rows[src][dst] = vec![0];
+            spec.import_range[dst][src] = off..off + 1;
+            off += 1;
+        }
+    }
+    spec.validate().expect("spec");
+
+    let recvs = exchange(&group, &dats, &spec);
+    let cells = group.rank(0).decl_set(4, "later");
+    let x = group.rank(0).decl_dat(&cells, 1, "x", vec![0.0f64; 4]);
+    let later = group
+        .rank(0)
+        .loop_("later", &cells)
+        .arg(rw(&x))
+        .run(|x: &mut [f64]| x[0] += 1.0);
+    link.until("the 12 messages are held and the later loop ran", || {
+        link.held() == 12 && later.is_done()
+    });
+    link.release();
+    for per_rank in &recvs {
+        for f in per_rank {
+            f.wait();
+        }
+    }
+    for (i, d) in dats.iter().enumerate() {
+        let snap = d.snapshot();
+        let mut mirrored: Vec<f64> = snap[4..7].to_vec();
+        mirrored.sort_by(f64::total_cmp);
+        let expected: Vec<f64> = (0..4).filter(|&r| r != i).map(|r| r as f64).collect();
+        assert_eq!(mirrored, expected, "rank {i} halo rows");
     }
 }
